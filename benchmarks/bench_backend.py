@@ -1,6 +1,6 @@
-"""Execution-backend ablation: thread-direct vs thread-transport vs process.
+"""Execution-backend comparison: thread-direct vs process.
 
-Three questions, answered in ``BENCH_backend.json``:
+Two questions, answered in ``BENCH_backend.json``:
 
 * **Did the transport seam slow the thread backend down?**  Routing all
   remote delivery through :meth:`World.deliver` put exactly one
@@ -8,10 +8,6 @@ Three questions, answered in ``BENCH_backend.json``:
   timed on ``thread-direct`` (the seed configuration) twice — the second
   batch against the first is the *noise floor* — and the claim is that
   the branch is indistinguishable from that floor (<1%).
-* **What does the ThreadTransport indirection itself cost?**  The
-  ``thread-transport`` substrate layers the full :class:`Transport`
-  interface over the same in-memory mailboxes (no sockets), isolating
-  the cost of the abstraction from the cost of the wire.
 * **What does a real wire cost?**  ``process-unix`` runs every rank as a
   forked OS process over Unix-domain sockets — pickled frames, kernel
   round trips, real context switches.  This is the honest price of true
@@ -48,7 +44,6 @@ from repro.mpi import WorldConfig, run_spmd
 def _substrates() -> dict[str, WorldConfig]:
     return {
         "thread-direct": WorldConfig(),
-        "thread-transport": WorldConfig(transport="thread"),
         "process-unix": WorldConfig(backend="process", transport="unix"),
         "process-shm": WorldConfig(backend="process", transport="shm"),
     }
@@ -162,7 +157,6 @@ def run_backend_ablation(reps: int = 9) -> dict:
         print(
             f"{name}: thread={entry['thread_direct_median_s'] * 1e3:.1f}ms "
             f"noise={entry['noise_floor_percent']:.2f}% "
-            f"transport={entry['thread_transport_overhead_percent']:+.1f}% "
             f"unix={entry['process_unix_overhead_percent']:+.1f}% "
             f"shm={entry['process_shm_overhead_percent']:+.1f}%"
         )

@@ -84,12 +84,10 @@ def test_barrier(benchmark, family, nprocs):
     benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS, family=family)
 
 
-@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath-on", "fastpath-off"])
-def test_bcast_fastpath_ablation(benchmark, fastpath):
+def test_bcast_1mib_linear_fanout(benchmark):
     """The headline fan-out: a 1 MiB field broadcast linearly from rank 0
-    to 16 ranks.  With the fast path the root encodes once and every
-    destination envelope shares the same immutable snapshot; with it off
-    the root pickles the payload once per destination."""
+    to 16 ranks.  The root encodes once and every destination envelope
+    shares the same immutable snapshot."""
     nprocs, repeats = 16, 5
     payload = np.arange(131_072, dtype=np.float64)  # 1 MiB
 
@@ -98,15 +96,13 @@ def test_bcast_fastpath_ablation(benchmark, fastpath):
             comm.bcast(payload if comm.rank == 0 else None)
         return True
 
-    config = WorldConfig(bcast_algorithm="linear", serialization_fastpath=fastpath)
+    config = WorldConfig(bcast_algorithm="linear")
 
     def run():
         return run_spmd(nprocs, main, config=config)
 
     benchmark(run)
-    benchmark.extra_info.update(
-        nprocs=nprocs, repeats=repeats, nbytes=payload.nbytes, fastpath=fastpath
-    )
+    benchmark.extra_info.update(nprocs=nprocs, repeats=repeats, nbytes=payload.nbytes)
 
 
 @pytest.mark.parametrize("mode", ["object", "buffer"])

@@ -1,36 +1,28 @@
-"""Bootstrap scaling: flat vs tree rank rendezvous at 512–4096 ranks.
+"""Bootstrap address exchange at width, with simulated ranks.
 
-The process backend's original *flat* bootstrap has the launcher accept
-one connection per rank and pickle an O(N)-entry welcome payload O(N)
-times — O(N²) launcher CPU (see :mod:`repro.mpi.bootstrap`).  The tree
-scheme aggregates hellos up a fanout-ary relay tree and pickles the
-shared welcome exactly once, relayed verbatim.  This bench measures the
-real protocol code — :func:`serve_tree_address_exchange` and
-:func:`child_tree_address_exchange` against a faithful replica of the
-flat serve loop — with *simulated* ranks: one thread per rank over real
-Unix sockets, no child processes and no data plane, so a single host
-can drive 4096-rank bootstraps.  Data addresses in the hellos are fake
+:func:`bootstrap_seconds` drives the real protocol code —
+:func:`~repro.mpi.bootstrap.serve_tree_address_exchange` and
+:func:`~repro.mpi.bootstrap.child_tree_address_exchange` — with
+*simulated* ranks: one thread per rank over real Unix sockets, no child
+processes and no data plane, so a single host can form worlds of
+hundreds to thousands of ranks.  Data addresses in the hellos are fake
 (never dialled), and the clock covers exactly the address exchange:
 thread spawn through every rank holding the peer map.  The follow-up
-register/result/shutdown protocol is scheme-identical by construction
-(one O(1) launcher connect per child, see :mod:`repro.mpi.bootstrap`)
-and excluded — under a shared GIL, 4096 simulated ranks slamming the
-register socket at once measures interpreter thread scheduling, not
-the bootstrap.
+register/result/shutdown protocol is one O(1) launcher connect per
+child (see :mod:`repro.mpi.bootstrap`) and excluded — under a shared
+GIL, thousands of simulated ranks slamming the register socket at once
+measures interpreter thread scheduling, not the bootstrap.
 
-``BENCH_init.json`` records per-size medians for both schemes, the
-tree/flat speedup, and the *crossover*: the smallest measured world
-size from which the tree wins (small worlds pay the relay hops without
-amortising any pickling).  Usage::
-
-    PYTHONPATH=src python benchmarks/compare.py --suite init
+``tests/test_scale.py::TestInitScale`` (the ``init-scale`` CI job) runs
+the 512-rank case as a protocol-correctness check at width.
+``BENCH_init.json`` keeps the recorded scaling sweep (64–4096 ranks)
+against the retired parent-accepts-everyone scheme.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import threading
@@ -38,15 +30,10 @@ import time
 
 from repro.mpi.bootstrap import (
     child_tree_address_exchange,
-    connect_retry,
     serve_tree_address_exchange,
 )
-from repro.mpi.transport import make_listener, recv_frame, send_frame
+from repro.mpi.transport import make_listener
 from repro.mpi.world import WorldConfig
-
-#: World sizes swept.  The small end exists to locate the crossover;
-#: 512–4096 is the claim range (tree must win throughout).
-SIZES = (64, 256, 512, 1024, 2048, 4096)
 
 #: Fanout under test — the :class:`WorldConfig` default.
 FANOUT = 8
@@ -56,15 +43,14 @@ FANOUT = 8
 #: address space for nothing.
 _STACK_BYTES = 256 * 1024
 
-#: GIL quantum while a bootstrap runs, applied identically to both
-#: schemes.  At the interpreter default (5 ms) thousands of
-#: simultaneously-runnable simulated ranks turn every hop into a GIL
-#: handoff convoy — the tree's relay cascade at 4096 ranks measures 7×
-#: slower than the same protocol under a long quantum, because each
-#: relay needs several handoffs per hop while a real deployment gives
-#: every rank its own interpreter.  A long quantum lets each simulated
-#: rank finish its whole protocol step per scheduling turn, so the
-#: clock measures the protocol, not CPython's scheduler.
+#: GIL quantum while a bootstrap runs.  At the interpreter default
+#: (5 ms) thousands of simultaneously-runnable simulated ranks turn
+#: every hop into a GIL handoff convoy — the relay cascade at 4096 ranks
+#: measures 7× slower than the same protocol under a long quantum,
+#: because each relay needs several handoffs per hop while a real
+#: deployment gives every rank its own interpreter.  A long quantum lets
+#: each simulated rank finish its whole protocol step per scheduling
+#: turn, so the clock measures the protocol, not CPython's scheduler.
 _SWITCH_INTERVAL_S = 0.05
 
 #: Generous per-step cap: thousands of simulated ranks oversubscribe the
@@ -73,65 +59,11 @@ _SWITCH_INTERVAL_S = 0.05
 _CHILD_TIMEOUT = 300.0
 
 
-# ---------------------------------------------------------------------------
-# Simulated ranks (one thread each, real sockets, fake data addresses)
-# ---------------------------------------------------------------------------
-
-
-def _flat_child(rendezvous: tuple, rank: int, my_addr: tuple) -> None:
-    """The flat scheme's child half: direct hello, personal welcome."""
-    ctrl = connect_retry(rendezvous, timeout=_CHILD_TIMEOUT)
-    try:
-        send_frame(ctrl, ("hello", rank, my_addr))
-        welcome = recv_frame(ctrl, timeout=_CHILD_TIMEOUT)
-        if not welcome or welcome[0] != "welcome":
-            raise RuntimeError(f"expected welcome frame, got {welcome!r}")
-        if len(welcome[1]["peers"]) != welcome[1]["nprocs"]:
-            raise RuntimeError("short peer map in flat welcome")
-    finally:
-        ctrl.close()
-
-
-def _serve_flat(listener, nprocs: int, config: WorldConfig) -> dict:
-    """A faithful replica of ``_Rendezvous._gather_hellos`` plus its
-    per-rank welcome loop (including the per-rank peer-map copy) — the
-    O(N²) the tree scheme removes."""
-    addrs: dict[int, tuple] = {}
-    conns: dict[int, object] = {}
-    while len(conns) < nprocs:
-        conn, _ = listener.accept()
-        hello = recv_frame(conn, timeout=_CHILD_TIMEOUT)
-        if not hello or hello[0] != "hello":
-            raise RuntimeError(f"malformed hello frame: {hello!r}")
-        _, rank, addr = hello
-        conns[rank] = conn
-        addrs[rank] = addr
-    for rank, conn in conns.items():
-        peers = {r: a for r, a in addrs.items()}
-        send_frame(
-            conn,
-            (
-                "welcome",
-                {"nprocs": nprocs, "peers": peers, "config": config, "meta": None},
-            ),
-        )
-    return conns
-
-
-def _tree_child(
-    rendezvous: tuple, rank: int, nprocs: int, sockdir: str, my_addr: tuple
-) -> None:
-    peers, _config, _meta = child_tree_address_exchange(
-        rendezvous, rank, nprocs, FANOUT, sockdir, my_addr, timeout=_CHILD_TIMEOUT
-    )
-    if len(peers) != nprocs:
-        raise RuntimeError("short peer map in tree welcome")
-
-
-def bootstrap_seconds(scheme: str, nprocs: int) -> float:
-    """Wall-clock for one full N-rank address exchange under *scheme*
-    (``"flat"`` or ``"tree"``), thread-per-rank."""
-    config = WorldConfig(backend="process", transport="unix", bootstrap=scheme)
+def bootstrap_seconds(nprocs: int) -> float:
+    """Wall-clock for one full *nprocs*-rank address exchange,
+    thread-per-rank; every simulated rank checks it received the full
+    peer map."""
+    config = WorldConfig(backend="process", transport="unix")
     # mkdtemp under /tmp keeps ctrl-socket paths under the 108-byte
     # AF_UNIX limit even at rank 4095.
     sockdir = tempfile.mkdtemp(prefix="mphinit")
@@ -139,7 +71,6 @@ def bootstrap_seconds(scheme: str, nprocs: int) -> float:
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(_SWITCH_INTERVAL_S)
     listener = None
-    conns: dict = {}
     try:
         listener, rendezvous = make_listener(
             "unix", os.path.join(sockdir, "rendezvous.sock")
@@ -149,10 +80,12 @@ def bootstrap_seconds(scheme: str, nprocs: int) -> float:
         def child(rank: int) -> None:
             try:
                 my_addr = ("unix", os.path.join(sockdir, f"d{rank}"))
-                if scheme == "tree":
-                    _tree_child(rendezvous, rank, nprocs, sockdir, my_addr)
-                else:
-                    _flat_child(rendezvous, rank, my_addr)
+                peers, _config, _meta = child_tree_address_exchange(
+                    rendezvous, rank, nprocs, FANOUT, sockdir, my_addr,
+                    timeout=_CHILD_TIMEOUT,
+                )
+                if len(peers) != nprocs:
+                    raise RuntimeError("short peer map in tree welcome")
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append((rank, exc))
 
@@ -163,10 +96,7 @@ def bootstrap_seconds(scheme: str, nprocs: int) -> float:
         t0 = time.perf_counter()
         for t in threads:
             t.start()
-        if scheme == "tree":
-            serve_tree_address_exchange(listener, nprocs, config, None)
-        else:
-            conns = _serve_flat(listener, nprocs, config)
+        serve_tree_address_exchange(listener, nprocs, config, None)
         for t in threads:
             t.join(_CHILD_TIMEOUT)
         elapsed = time.perf_counter() - t0
@@ -177,96 +107,6 @@ def bootstrap_seconds(scheme: str, nprocs: int) -> float:
     finally:
         sys.setswitchinterval(old_interval)
         threading.stack_size(old_stack)
-        for conn in conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
         if listener is not None:
             listener.close()
         shutil.rmtree(sockdir, ignore_errors=True)
-
-
-def legacy_setup_seconds(rounds: int = 10) -> float:
-    """Per-job seconds for the §4 ``MPH_setup`` path — since the
-    sessions refactor a thin shim over ``Session.handshake_result()`` —
-    on a three-executable SCME job (thread backend).  Tracked so shim
-    overhead regressions show up in ``BENCH_init.json``; the refactor
-    acceptance bar was staying within noise of the pre-sessions eager
-    handshake."""
-    from repro import components_setup, mph_run
-
-    names = ("atm", "ocn", "cpl")
-    registry = "BEGIN\n" + "\n".join(names) + "\nEND"
-
-    def make(name):
-        def program(world, env):
-            mph = components_setup(world, name, env=env)
-            return mph.total_components()
-
-        program.__name__ = name
-        return program
-
-    exes = [(make(n), 2) for n in names]
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        result = mph_run(exes, registry=registry, timeout=120.0)
-        assert set(result.values()) == {3}
-    return (time.perf_counter() - t0) / rounds
-
-
-# ---------------------------------------------------------------------------
-# Ablation
-# ---------------------------------------------------------------------------
-
-
-def run_init_ablation(reps: int = 5, sizes=SIZES) -> dict:
-    """Time both schemes across *sizes*; record medians and the crossover.
-
-    Reps are capped at 3 from 2048 ranks up and 2 at 4096 — the flat
-    side alone pickles gigabytes there, and the scheme gap at that
-    scale dwarfs run-to-run noise.
-    """
-    report: dict = {"fanout": FANOUT, "sizes": list(sizes)}
-    crossover = None
-    for nprocs in sizes:
-        n_reps = reps if nprocs < 2048 else min(reps, 3 if nprocs < 4096 else 2)
-        samples: dict[str, list] = {"flat": [], "tree": []}
-        for scheme in samples:
-            bootstrap_seconds(scheme, min(nprocs, 64))  # warm-up
-        for _ in range(n_reps):
-            for scheme in samples:  # interleave so drift cancels
-                samples[scheme].append(bootstrap_seconds(scheme, nprocs))
-        entry = {
-            "reps": n_reps,
-            "flat_median_s": statistics.median(samples["flat"]),
-            "tree_median_s": statistics.median(samples["tree"]),
-            "tree_speedup": statistics.median(
-                f / t for f, t in zip(samples["flat"], samples["tree"])
-            ),
-        }
-        if crossover is None and entry["tree_median_s"] < entry["flat_median_s"]:
-            crossover = nprocs
-        report[f"bootstrap_n{nprocs}"] = entry
-        print(
-            f"bootstrap n={nprocs}: flat={entry['flat_median_s'] * 1e3:.1f}ms "
-            f"tree={entry['tree_median_s'] * 1e3:.1f}ms "
-            f"speedup={entry['tree_speedup']:.2f}x"
-        )
-    report["tree_crossover_nprocs"] = crossover
-    print(f"tree crossover: n={crossover}")
-
-    legacy_setup_seconds(rounds=2)  # warm-up
-    samples = [legacy_setup_seconds() for _ in range(max(reps, 3))]
-    report["legacy_mph_setup"] = {
-        "reps": len(samples),
-        "per_job_median_s": statistics.median(samples),
-    }
-    print(f"legacy MPH_setup shim: {statistics.median(samples) * 1e3:.1f}ms/job")
-    return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import json
-
-    print(json.dumps(run_init_ablation(), indent=2))

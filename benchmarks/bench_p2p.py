@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro import components_setup, mph_run
-from repro.mpi import WorldConfig
 
 REG = "BEGIN\natm\nocn\nEND"
 ROUNDTRIPS = 50
@@ -88,23 +87,6 @@ def test_field_transfer(benchmark, nelems, mode):
 
     benchmark(run)
     benchmark.extra_info.update(nelems=nelems, mode=mode, roundtrips=ROUNDTRIPS)
-
-
-@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath-on", "fastpath-off"])
-@pytest.mark.parametrize("nelems", [1_000, 100_000])
-def test_field_transfer_fastpath_ablation(benchmark, nelems, fastpath):
-    """Zero-copy serialization fast path vs legacy pickling on the same
-    object-mode ``mph.send`` of a numpy field."""
-
-    def run():
-        return run_pingpong(
-            lambda: np.zeros(nelems),
-            use_mph_addressing=True,
-            config=WorldConfig(serialization_fastpath=fastpath),
-        )
-
-    benchmark(run)
-    benchmark.extra_info.update(nelems=nelems, fastpath=fastpath, roundtrips=ROUNDTRIPS)
 
 
 def test_recv_any_overhead(benchmark):

@@ -19,13 +19,12 @@ import pytest
 
 from repro import components_setup, mph_run
 from repro.core.rearranger import Rearranger
-from repro.mpi import WorldConfig
 
 REG = "BEGIN\nalpha\nbeta\nEND"
 ROUNDS = 5
 
 
-def run_transfer(nrows, ncols, n_alpha, n_beta, method, config=None, rounds=ROUNDS):
+def run_transfer(nrows, ncols, n_alpha, n_beta, method, rounds=ROUNDS):
     def alpha(world, env):
         mph = components_setup(world, "alpha", env=env)
         r = Rearranger(mph, "alpha", "beta", nrows, ncols)
@@ -62,7 +61,7 @@ def run_transfer(nrows, ncols, n_alpha, n_beta, method, config=None, rounds=ROUN
             assert out.shape[1] == ncols
         return True
 
-    return mph_run([(alpha, n_alpha), (beta, n_beta)], registry=REG, config=config)
+    return mph_run([(alpha, n_alpha), (beta, n_beta)], registry=REG)
 
 
 @pytest.mark.parametrize("method", ["router", "funnel"])
@@ -75,21 +74,15 @@ def test_field_rearrangement(benchmark, method, nrows):
     benchmark.extra_info.update(method=method, nrows=nrows, ncols=64, rounds=ROUNDS)
 
 
-@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath-on", "fastpath-off"])
-def test_coupled_routing_fastpath_ablation(benchmark, fastpath):
-    """Repeated coupled routing: buffer-mode persistent requests vs the
-    legacy pickled path.  Many coupling steps over a misaligned
-    moderate-width field — the regime where the fast path's savings (no
-    pickling, no per-call allocation, no request re-setup) dominate."""
+def test_coupled_routing(benchmark):
+    """Repeated coupled routing: many coupling steps over a misaligned
+    moderate-width field — the regime the persistent requests over
+    preallocated staging buffers are for (no pickling, no per-call
+    allocation, no request re-setup)."""
     nrows, ncols, rounds = 512, 8, 100
-    config = WorldConfig(
-        rearranger_fastpath=fastpath, serialization_fastpath=fastpath
-    )
 
     def run():
-        return run_transfer(nrows, ncols, 4, 3, "router", config=config, rounds=rounds)
+        return run_transfer(nrows, ncols, 4, 3, "router", rounds=rounds)
 
     benchmark(run)
-    benchmark.extra_info.update(
-        nrows=nrows, ncols=ncols, rounds=rounds, fastpath=fastpath
-    )
+    benchmark.extra_info.update(nrows=nrows, ncols=ncols, rounds=rounds)

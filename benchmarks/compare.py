@@ -1,122 +1,58 @@
-"""Ablation driver: fast-path on-vs-off and progress-engine polling-vs-event.
+"""Benchmark-suite driver: one registry, one report file per suite.
 
-The default ``fastpath`` suite runs the three zero-copy fast-path
-kernels with the relevant ``WorldConfig`` flags toggled and records
-median wall-clock times plus the on/off speedup (``BENCH_fastpath.json``);
-``--suite progress`` instead runs the progress-engine kernels from
-:mod:`bench_progress` under both engines (``BENCH_progress.json``),
-``--suite faults`` runs the fault-injection hook-overhead and
-ULFM-recovery-latency kernels from :mod:`bench_faults`
-(``BENCH_faults.json``), ``--suite sched`` runs the match-schedule
-hook-overhead kernels from :mod:`bench_sched` (``BENCH_sched.json``),
-``--suite backend`` runs the execution-backend substrate comparison from
-:mod:`bench_backend` (``BENCH_backend.json``), ``--suite shm`` runs the
-shared-memory transport curves and the hierarchical-collective
-comparison from :mod:`bench_shm` (``BENCH_shm.json``), ``--suite init``
-runs the flat-vs-tree bootstrap scaling sweep from :mod:`bench_init`
-(``BENCH_init.json``), ``--suite coupling`` runs the coupled-solver
-iteration-count and driver-overhead kernels from :mod:`bench_coupling`
-(``BENCH_coupling.json``), ``--suite service`` runs the MPH-as-a-service
-throughput kernels (cold isolated worlds vs resident worker worlds, plus
-layout-cache resolution latency) from :mod:`bench_service`
-(``BENCH_service.json``), and ``--suite all`` runs everything.  ``--quick`` drops to 2 reps and
-skips report files — the CI smoke mode.  The fast-path kernels:
+``--suite NAME`` runs one suite and writes ``BENCH_<NAME>.json``;
+``--suite all`` runs every suite in the registry.  ``--quick`` drops to
+2 reps and skips report files — the CI smoke mode.  The suites:
 
-* ``bcast_1mib_p16_linear`` — a 1 MiB field broadcast linearly from
-  rank 0 to 16 ranks (pickle-once fan-out vs per-destination pickling);
-* ``rearranger_coupled_routing`` — 100 coupled routing steps of a
-  misaligned 512×8 field between a 4-process and a 3-process component
-  (buffer-mode persistent requests vs pickled tuples);
-* ``p2p_field_roundtrip`` — 50 object-mode ping-pong roundtrips of a
-  100k-element field (array snapshot vs pickle per hop).
+``faults``
+    fault-injection hook overhead and ULFM recovery latency
+    (:mod:`bench_faults`);
+``sched``
+    match-schedule hook overhead, disabled vs armed (:mod:`bench_sched`);
+``backend``
+    execution-substrate comparison, thread vs process over sockets
+    (:mod:`bench_backend`);
+``shm``
+    shared-memory transport curves and hierarchical collectives
+    (:mod:`bench_shm`);
+``coupling``
+    coupled-solver iteration counts and driver overhead
+    (:mod:`bench_coupling`);
+``service``
+    MPH-as-a-service throughput, cold isolated worlds vs resident worker
+    worlds, plus layout-cache resolution latency (:mod:`bench_service`).
 
-Everything runs in-process on the simulated substrate — no network, no
-external services.  Usage::
+The end-to-end benchmark is separate: ``python3 benchmarks/e2e/run.py``.
+Everything runs on one host — no network, no external services.  Usage::
 
-    PYTHONPATH=src python benchmarks/compare.py [--reps N] [--out FILE]
+    PYTHONPATH=src python benchmarks/compare.py --suite NAME [--reps N] [--out FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import statistics
-import time
 
-import numpy as np
-
-from repro.mpi import WorldConfig, run_spmd
-
-
-def _bcast_kernel(fastpath: bool) -> None:
-    payload = np.arange(131_072, dtype=np.float64)  # 1 MiB
-
-    def main(comm):
-        for _ in range(5):
-            comm.bcast(payload if comm.rank == 0 else None)
-        return True
-
-    config = WorldConfig(bcast_algorithm="linear", serialization_fastpath=fastpath)
-    run_spmd(16, main, config=config)
-
-
-def _rearranger_kernel(fastpath: bool) -> None:
-    try:
-        from benchmarks.bench_rearranger import run_transfer
-    except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-        from bench_rearranger import run_transfer
-
-    config = WorldConfig(
-        rearranger_fastpath=fastpath, serialization_fastpath=fastpath
-    )
-    run_transfer(512, 8, 4, 3, "router", config=config, rounds=100)
-
-
-def _p2p_kernel(fastpath: bool) -> None:
-    try:
-        from benchmarks.bench_p2p import run_pingpong
-    except ImportError:
-        from bench_p2p import run_pingpong
-
-    run_pingpong(
-        lambda: np.zeros(100_000),
-        use_mph_addressing=True,
-        config=WorldConfig(serialization_fastpath=fastpath),
-    )
-
-
-KERNELS = {
-    "bcast_1mib_p16_linear": _bcast_kernel,
-    "rearranger_coupled_routing": _rearranger_kernel,
-    "p2p_field_roundtrip": _p2p_kernel,
+#: ``suite -> (module, function)``; each function takes the rep count
+#: and returns the suite's JSON-serialisable report.
+SUITES = {
+    "faults": ("bench_faults", "run_faults_ablation"),
+    "sched": ("bench_sched", "run_sched_ablation"),
+    "backend": ("bench_backend", "run_backend_ablation"),
+    "shm": ("bench_shm", "run_shm_ablation"),
+    "coupling": ("bench_coupling", "run_coupling_ablation"),
+    "service": ("bench_service", "run_service_ablation"),
 }
 
 
-def _median_seconds(kernel, fastpath: bool, reps: int) -> float:
-    kernel(fastpath)  # warm-up (imports, thread-pool priming)
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        kernel(fastpath)
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
-
-
-def run_ablation(reps: int = 5) -> dict:
-    """Time every kernel with the fast path on and off; return the report."""
-    results = {}
-    for name, kernel in KERNELS.items():
-        on = _median_seconds(kernel, True, reps)
-        off = _median_seconds(kernel, False, reps)
-        results[name] = {
-            "fastpath_on_median_s": on,
-            "fastpath_off_median_s": off,
-            "speedup": off / on,
-            "reps": reps,
-        }
-        print(f"{name}: on={on * 1e3:.1f}ms off={off * 1e3:.1f}ms "
-              f"speedup={off / on:.2f}x")
-    return results
+def _suite_runner(suite: str):
+    module, function = SUITES[suite]
+    try:
+        mod = importlib.import_module(f"benchmarks.{module}")
+    except ImportError:  # run as a script: benchmarks/ is sys.path[0]
+        mod = importlib.import_module(module)
+    return getattr(mod, function)
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -130,12 +66,10 @@ def _write_report(report: dict, out: str | None) -> None:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=("fastpath", "progress", "faults", "sched", "backend", "shm", "init", "coupling", "service", "all"),
-                        default="fastpath",
-                        help="which ablation to run")
+    parser.add_argument("--suite", choices=(*SUITES, "all"), required=True,
+                        help="which suite to run")
     parser.add_argument("--reps", type=int, default=5,
-                        help="timed repetitions per configuration (median "
-                             "taken; fastpath suite only)")
+                        help="timed repetitions per configuration")
     parser.add_argument("--quick", action="store_true",
                         help="2 reps and no report rewrite unless --out is "
                              "given — CI smoke-test mode")
@@ -147,63 +81,15 @@ def main(argv=None) -> None:
         parser.error("--reps must be at least 1")
     if args.quick:
         args.reps = 2
-    def _out(suite: str) -> str | None:
-        if args.suite == suite and args.out:
-            return args.out
-        if args.quick:
-            return None
-        return f"BENCH_{suite}.json"
 
-    if args.suite in ("fastpath", "all"):
-        _write_report(run_ablation(args.reps), _out("fastpath"))
-    if args.suite in ("progress", "all"):
-        try:
-            from benchmarks.bench_progress import run_progress_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_progress import run_progress_ablation
-        _write_report(run_progress_ablation(), _out("progress"))
-    if args.suite in ("faults", "all"):
-        try:
-            from benchmarks.bench_faults import run_faults_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_faults import run_faults_ablation
-        _write_report(run_faults_ablation(args.reps), _out("faults"))
-    if args.suite in ("sched", "all"):
-        try:
-            from benchmarks.bench_sched import run_sched_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_sched import run_sched_ablation
-        _write_report(run_sched_ablation(args.reps), _out("sched"))
-    if args.suite in ("backend", "all"):
-        try:
-            from benchmarks.bench_backend import run_backend_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_backend import run_backend_ablation
-        _write_report(run_backend_ablation(args.reps), _out("backend"))
-    if args.suite in ("shm", "all"):
-        try:
-            from benchmarks.bench_shm import run_shm_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_shm import run_shm_ablation
-        _write_report(run_shm_ablation(args.reps), _out("shm"))
-    if args.suite in ("init", "all"):
-        try:
-            from benchmarks.bench_init import run_init_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_init import run_init_ablation
-        _write_report(run_init_ablation(args.reps), _out("init"))
-    if args.suite in ("coupling", "all"):
-        try:
-            from benchmarks.bench_coupling import run_coupling_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_coupling import run_coupling_ablation
-        _write_report(run_coupling_ablation(args.reps), _out("coupling"))
-    if args.suite in ("service", "all"):
-        try:
-            from benchmarks.bench_service import run_service_ablation
-        except ImportError:  # run as a script: benchmarks/ is sys.path[0]
-            from bench_service import run_service_ablation
-        _write_report(run_service_ablation(args.reps), _out("service"))
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        if args.suite == suite and args.out:
+            out = args.out
+        elif args.quick:
+            out = None
+        else:
+            out = f"BENCH_{suite}.json"
+        _write_report(_suite_runner(suite)(args.reps), out)
 
 
 if __name__ == "__main__":

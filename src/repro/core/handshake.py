@@ -45,7 +45,6 @@ from repro.core.registry import (
 )
 from repro.errors import HandshakeError, RegistryError
 from repro.mpi.comm import Comm
-from repro.mpi.constants import UNDEFINED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
@@ -117,11 +116,12 @@ class HandshakeResult:
     #: Components that lost every process in a re-handshake after a
     #: failure (empty for the initial handshake).
     dead_components: tuple[str, ...] = ()
-    #: The session this result was materialized from (``None`` only for
-    #: results built outside the sessions layer).  The layout above is a
-    #: snapshot of the session's pset epoch at materialization time; after
-    #: an elastic transition (``grow``/``retire``/``shrink``) get a fresh
-    #: view with ``session.mph()``.
+    #: The session this result was materialized from
+    #: (:meth:`~repro.core.session.Session.handshake_result` is the only
+    #: constructor).  The layout above is a snapshot of the session's
+    #: pset epoch at materialization time; after an elastic transition
+    #: (``grow``/``retire``/``shrink``) get a fresh view with
+    #: ``session.mph()``.
     session: Optional["Session"] = None
 
     @property
@@ -161,67 +161,23 @@ def rehandshake(prev: HandshakeResult) -> HandshakeResult:
 
     Collective over every *live* member of the previous world (the dead
     ranks are excluded by construction, exactly as in
-    :meth:`~repro.mpi.comm.Comm.shrink`).  The sequence is the ULFM
-    recovery idiom lifted to the MPH layer:
-
-    1. shrink the old world communicator over the survivors;
-    2. degrade the layout — survivors keep their **original** world ids,
-       components that lost every process are recorded in
-       ``dead_components``;
-    3. rebuild the executable, component, and service communicators with
-       ordinary splits over the shrunken world, in a deterministic
-       collective order (executable split, then one split per surviving
-       component in ``comp_id`` order, then the service dup).
+    :meth:`~repro.mpi.comm.Comm.shrink`).  The shrink is routed through
+    :meth:`repro.core.session.Session.shrink` — the *unplanned* flavour
+    of the same pset-epoch transition that ``Session.grow`` /
+    ``Session.retire`` perform: the old world communicator shrinks over
+    the survivors, the layout is degraded (survivors keep their
+    **original** world ids, components that lost every process are
+    recorded in ``dead_components``), and the executable, component and
+    service communicators are re-derived from the new epoch's process
+    sets.  Original global proc ids stay stable and ``dead_components``
+    stays correct even across a shrink-then-grow sequence.
 
     No registry re-read and no new declarations: the degraded layout is
     derived locally from the old one, so — like the original handshake —
     every survivor computes an identical map.
-
-    When *prev* came from the sessions layer (the normal case), the shrink
-    is routed through :meth:`repro.core.session.Session.shrink` — the
-    *unplanned* flavour of the same pset-epoch transition that
-    ``Session.grow``/``Session.retire`` perform — so original global proc
-    ids stay stable and ``dead_components`` stays correct even across a
-    shrink-then-grow sequence.  The split-based fallback below only runs
-    for results built outside a session.
     """
-    if prev.session is not None:
-        prev.session.shrink()
-        return prev.session.handshake_result()
-    assert prev.world is not None
-    new_world = prev.world.shrink("MPH_world")
-    me = new_world.group.world_id(new_world.rank)  # original world id
-    layout, dead = Layout.degrade(prev.layout, new_world.group.members)
-
-    # Executable communicator: one split of the survivors by exe id.
-    exe_comm = new_world.split(prev.exe_id, key=me)
-    assert exe_comm is not None
-    exe_comm.name = f"MPH:exe{prev.exe_id}"
-
-    # Component communicators: one split per surviving component, in
-    # comp_id order — a collective sequence every survivor executes
-    # identically regardless of the original split strategy.
-    comp_comms: dict[str, Comm] = {}
-    for comp in layout.components:
-        member = me in comp.world_ranks
-        comm = new_world.split(0 if member else UNDEFINED, key=me)
-        if comm is not None:
-            comm.name = f"MPH:{comp.name}"
-            comp_comms[comp.name] = comm
-
-    service = new_world.dup("MPH_service")
-    return HandshakeResult(
-        layout=layout,
-        registry=prev.registry,
-        exe_id=prev.exe_id,
-        exe_comm=exe_comm,
-        comp_comms=comp_comms,
-        strategy=prev.strategy,
-        world=new_world,
-        service_comm=service,
-        declaration=prev.declaration,
-        dead_components=dead,
-    )
+    prev.session.shrink()
+    return prev.session.handshake_result()
 
 
 def _resolve_executables(

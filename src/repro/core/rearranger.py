@@ -14,20 +14,12 @@ eager nonblocking sends.  Message volume is Θ(overlapping pairs) instead
 of the Θ(P) serial funnel through a root processor; the comparison is
 measured in ``benchmarks/bench_rearranger.py``.
 
-Routing runs on one of two transports, selected by
-:attr:`repro.mpi.world.WorldConfig.rearranger_fastpath`:
-
-* **buffer fast path** (default) — per schedule entry, a preallocated
-  float64 staging buffer bound to persistent ``Send_init`` /
-  ``Recv_init`` requests, with the ``(lo, hi)`` row header packed as a
-  fixed-size two-element prefix.  Repeated couplings pay no pickling, no
-  per-call allocation, and no request re-setup;
-* **object mode** (flag off) — the legacy path shipping pickled
-  ``(lo, hi, piece)`` tuples over MPH's name-addressed messaging, kept
-  for ablation benchmarks.
-
-Both transports produce identical float64 output blocks (the header
-prefix is exact for row indices below 2**53).
+Routing runs in buffer mode: per schedule entry, a preallocated float64
+staging buffer bound to persistent ``Send_init`` / ``Recv_init``
+requests, with the ``(lo, hi)`` row header packed as a fixed-size
+two-element prefix (exact for row indices below 2**53).  Repeated
+couplings pay no pickling, no per-call allocation, and no request
+re-setup.
 """
 
 from __future__ import annotations
@@ -117,21 +109,12 @@ class Rearranger:
         self.recvs = [
             (s, lo, hi) for s, d, lo, hi in self._schedule if d == self._dst_local
         ] if self._dst_local >= 0 else []
-        self._fastpath = bool(
-            getattr(mph.global_world.world.config, "rearranger_fastpath", True)
-        )
-        if self._fastpath:
-            self._init_fastpath()
-
-    def _init_fastpath(self) -> None:
-        """Preallocate staging buffers and bind persistent requests.
-
-        One float64 buffer of ``2 + rows*ncols`` elements per schedule
-        entry: elements 0/1 carry the ``(lo, hi)`` header, the rest the
-        row block.  Block decompositions yield at most one interval per
-        (source, destination) pair, so one tag serves every entry.
-        """
-        world = self.mph.global_world
+        # Preallocate staging buffers and bind persistent requests: one
+        # float64 buffer of ``2 + rows*ncols`` elements per schedule
+        # entry — elements 0/1 carry the ``(lo, hi)`` header, the rest
+        # the row block.  Block decompositions yield at most one interval
+        # per (source, destination) pair, so one tag serves every entry.
+        world = mph.global_world
         #: ``(staging, request, lo, hi)`` per outgoing interval.
         self._send_plan = []
         for dst_local, lo, hi in self.sends:
@@ -194,13 +177,6 @@ class Rearranger:
         the send-all-then-receive-all order deadlock-free even when the
         two sides share processors.
         """
-        if self._fastpath:
-            return self._route_buffered(local_block)
-        return self._route_pickled(local_block)
-
-    def _route_buffered(self, local_block: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """The buffer-mode hot path: persistent requests over preallocated
-        staging buffers with a packed ``(lo, hi)`` header prefix."""
         if self._dst_local >= 0:
             for _, req, _, _ in self._recv_plan:
                 req.start()  # post receives before any traffic moves
@@ -241,27 +217,4 @@ class Rearranger:
                 self.mph.profile.record_recv(self.src.name, rbuf.nbytes)
                 finished.append(i)
             remaining = [i for i in remaining if i not in finished]
-        return out
-
-    def _route_pickled(self, local_block: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """The legacy object-mode path (``rearranger_fastpath`` off):
-        pickled ``(lo, hi, piece)`` tuples over name-addressed messaging."""
-        src_start = self.src_rows[0]
-        if self._src_local >= 0:
-            local_block = self._check_source_block(local_block)
-            reqs: list[Request] = []
-            for dst_local, lo, hi in self.sends:
-                piece = local_block[lo - src_start : hi - src_start]
-                reqs.append(
-                    self.mph.isend((lo, hi, piece), self.dst.name, dst_local, self.tag)
-                )
-            Request.waitall(reqs)
-
-        if self._dst_local < 0:
-            return None
-        dst_start, dst_stop = self.dst_rows
-        out = np.empty((dst_stop - dst_start, self.ncols))
-        for src_local, lo, hi in self.recvs:
-            got_lo, got_hi, piece = self.mph.recv(self.src.name, src_local, self.tag)
-            out[got_lo - dst_start : got_hi - dst_start] = piece
         return out

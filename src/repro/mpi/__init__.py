@@ -62,7 +62,6 @@ from repro.mpi.topology import CommHierarchy, Topology
 from repro.mpi.transport import (
     FrameDecoder,
     SocketTransport,
-    ThreadTransport,
     Transport,
     TransportStats,
     pack_frame,
@@ -124,7 +123,6 @@ __all__ = [
     "run_procs",
     "run_exec_job",
     "Transport",
-    "ThreadTransport",
     "SocketTransport",
     "ShmTransport",
     "ShmSegment",

@@ -1,15 +1,10 @@
-"""Rank-rendezvous schemes for the process backend.
+"""Rank rendezvous of the process backend: an MPD-style relay tree.
 
-The original bootstrap (PR 5) was *flat*: every child connects to the
-launcher's rendezvous socket, says hello, and waits for a personal
-welcome frame carrying the full rank → address map.  That is the
-parent-accepts-everyone pattern the MPD papers (Butler, Gropp & Lusk)
-warn about: the launcher serially accepts O(N) connections, and — worse —
-pickles an O(N)-entry welcome payload O(N) times, so launcher CPU grows
-O(N²) with world size.
-
-This module adds the MPD-style alternative: a *fanout*-ary relay *tree*
-over deterministic control sockets.
+A parent that accepts every child itself — the pattern the MPD papers
+(Butler, Gropp & Lusk) warn about — serially handles O(N) connections
+and pickles an O(N)-entry welcome payload O(N) times, so launcher CPU
+grows O(N²) with world size.  Every process world instead forms through
+a *fanout*-ary relay *tree* over deterministic control sockets.
 
 * Child *r*'s tree parent is ``(r - 1) // fanout``; its children are
   ``fanout * r + 1 .. fanout * r + fanout``.  Rank 0 is the root and the
@@ -25,27 +20,29 @@ over deterministic control sockets.
   relay forwards the blob bytes verbatim to its children — a memcpy, not
   a re-pickle — splitting only the metadata by subtree.
 * **Register**: after decoding its welcome, every child opens a direct
-  connection to the launcher and sends ``("register", rank)``.  From
-  there the protocol is unchanged from the flat scheme — the direct
+  connection to the launcher and sends ``("register", rank)``.  That
   connection carries the result frame, the shutdown linger, and the
-  silent-death detection — so the tree replaces only the O(N²) part of
-  the bootstrap, not the failure handling.
+  silent-death detection, so the tree carries only the address
+  exchange, not the failure handling.
 
-Control sockets live at deterministic paths in the job's private socket
-directory (``ctrl<rank>.sock``), which is why the tree requires the Unix
-socket family: a TCP child could not know its parent's ephemeral port
-before the exchange it is trying to bootstrap.  TCP jobs fall back to
-the flat scheme (see :func:`effective_scheme`).
+The *control* plane — the launcher's rendezvous socket and every
+``ctrl<rank>.sock`` — always lives at deterministic Unix-domain paths in
+the job's private socket directory: a child knows its parent's control
+path before any address has been exchanged.  The addresses the exchange
+*carries* belong to the *data* plane and may be of either socket family,
+so Unix, TCP and shm jobs of any size, down to one rank, form the same
+way.
 
 A child may connect to its tree parent before the parent has bound its
 control socket; :func:`connect_retry` absorbs that race with a capped
 backoff.  A child that dies during the exchange stalls its subtree; the
 launcher's liveness poll detects the dead process and terminates the
-job exactly as in the flat scheme.
+job.
 
-``benchmarks/bench_init.py`` drives both schemes with simulated
-(threaded) ranks at 512–4096 and records the crossover in
-``BENCH_init.json``; the ``init-scale`` CI job pins the 512-rank case.
+``BENCH_init.json`` records the scaling against the retired
+parent-accepts-everyone scheme (simulated ranks at 64–4096; the tree
+wins from 256 ranks); the ``init-scale`` CI job pins a 512-rank
+exchange.
 """
 
 from __future__ import annotations
@@ -96,14 +93,6 @@ def ctrl_path(sockdir: str, rank: int) -> str:
     """Deterministic control-socket path of *rank* — what makes the tree
     possible without any prior address exchange."""
     return os.path.join(sockdir, f"ctrl{rank}.sock")
-
-
-def effective_scheme(bootstrap: str, family: str, nprocs: int) -> str:
-    """The scheme a job actually runs: the tree needs path-addressable
-    control sockets (Unix family) and at least one relay level."""
-    if bootstrap == "tree" and family == "unix" and nprocs > 1:
-        return "tree"
-    return "flat"
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +178,11 @@ def child_tree_address_exchange(
 ) -> tuple[dict[int, tuple], Any, Any]:
     """The relay part of the child's tree bootstrap — hellos up, welcome
     down — without the follow-up launcher registration.  Returns
-    ``(peers, config, meta)``.  Split out so ``bench_init`` can time the
-    part the tree scheme actually changes (registration is
-    scheme-agnostic, one O(1) connect per child).  *timeout* caps each
-    blocking step; the default suits real per-process children —
-    oversubscribed thread-simulated worlds (bench_init at 4096 ranks on
-    few cores) need more headroom.
+    ``(peers, config, meta)``.  Split out so ``bench_init`` can drive
+    the part whose cost grows with world size (registration is one O(1)
+    connect per child).  *timeout* caps each blocking step; the default
+    suits real per-process children — oversubscribed thread-simulated
+    worlds (hundreds of ranks on few cores) need more headroom.
     """
     children = tree_children(rank, fanout, nprocs)
 
@@ -276,22 +264,22 @@ def serve_tree_rendezvous(
     nprocs: int,
     config: Any,
     metas: Optional[list],
+    conns: dict[int, socket.socket],
     *,
     on_tick=None,
-) -> tuple[dict[int, tuple], dict[int, socket.socket]]:
+) -> None:
     """The launcher's half of the tree bootstrap.
 
     Accepts the root's aggregated hellos, answers with the once-pickled
     welcome blob, then collects every child's ``("register", rank)``
-    connection.  *on_tick* (if given) runs on every accept timeout — the
+    connection into *conns* — the rank → direct-connection map the
+    result/shutdown protocol runs over, filled in place so the caller
+    still owns the connections registered so far if the wait is cut
+    short.  *on_tick* (if given) runs on every accept timeout — the
     process backend hooks its deadline and child-liveness checks there;
     it aborts the wait by raising.
-
-    Returns ``(addrs, conns)``: the rank → data-address map and the
-    rank → direct-connection map the result/shutdown protocol runs over.
     """
-    addrs = serve_tree_address_exchange(listener, nprocs, config, metas, on_tick=on_tick)
-    conns: dict[int, socket.socket] = {}
+    serve_tree_address_exchange(listener, nprocs, config, metas, on_tick=on_tick)
     while len(conns) < nprocs:
         try:
             conn, _ = listener.accept()
@@ -303,7 +291,6 @@ def serve_tree_rendezvous(
         if not frame or frame[0] != "register":
             raise TransportError(f"expected register frame, got {frame!r}")
         conns[frame[1]] = conn
-    return addrs, conns
 
 
 def serve_tree_address_exchange(
@@ -313,13 +300,12 @@ def serve_tree_address_exchange(
     metas: Optional[list],
     *,
     on_tick=None,
-) -> dict[int, tuple]:
+) -> None:
     """The launcher's side of the tree address exchange alone: accept
     the root's aggregated hellos, answer with the once-pickled welcome
-    blob.  Returns the rank → data-address map; the follow-up
-    per-child registration is collected by
-    :func:`serve_tree_rendezvous` (and timed separately by
-    ``bench_init``, which only measures this part).
+    blob.  The follow-up per-child registration is collected by
+    :func:`serve_tree_rendezvous` (``bench_init`` drives only this
+    part).
     """
     addrs: dict[int, tuple] = {}
     root_conn: Optional[socket.socket] = None
@@ -346,4 +332,3 @@ def serve_tree_address_exchange(
     meta_map = None if metas is None else {r: metas[r] for r in range(nprocs)}
     send_frame(root_conn, ("welcome_tree", blob, meta_map))
     root_conn.close()
-    return addrs

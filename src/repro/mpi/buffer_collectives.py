@@ -47,7 +47,7 @@ def Bcast(comm, buf: np.ndarray, root: int, tag: int) -> np.ndarray:
         if rank == root:
             dests = [d for d in range(size) if d != root]
             # Snapshot-once fan-out: one read-only copy shared by every
-            # destination on the fast path (receivers copy out of it).
+            # destination (receivers copy out of it).
             comm._coll_fanout_buffer(dests, tag, buf, "Bcast")
         else:
             _recv_into(comm, buf, root, tag, "Bcast")
@@ -57,10 +57,10 @@ def Bcast(comm, buf: np.ndarray, root: int, tag: int) -> np.ndarray:
 
 def _members_Bcast(comm, members, vroot: int, buf: np.ndarray, tag: int) -> np.ndarray:
     """Binomial buffer bcast over *members* rooted at virtual rank
-    *vroot*.  On the fast path a relay forwards the array it *received*
-    verbatim to its children (the transport already owns a private
-    snapshot, so no per-child copy is needed) and copies into its own
-    buffer only for final delivery."""
+    *vroot*.  A relay forwards the array it *received* verbatim to its
+    children (the transport already owns a private snapshot, so no
+    per-child copy is needed) and copies into its own buffer only for
+    final delivery."""
     n = len(members)
     if n == 1:
         return buf
@@ -84,7 +84,7 @@ def _members_Bcast(comm, members, vroot: int, buf: np.ndarray, tag: int) -> np.n
             children.append(members[(vrank + mask) % n])
         mask >>= 1
     if children:
-        if inbound is not None and comm._serialization_fastpath:
+        if inbound is not None:
             for dst in children:
                 comm._coll_forward_buffer(dst, tag, inbound, "Bcast")
         else:

@@ -67,8 +67,7 @@ def bcast(comm, obj: Any, root: int, tag: int) -> Any:
 def _bcast_linear(comm, obj: Any, root: int, tag: int) -> Any:
     if comm.rank == root:
         dests = [d for d in range(comm.size) if d != root]
-        # Pickle-once fan-out: one encoding shared by every destination
-        # (per-destination re-encode when the fast path is off).
+        # Pickle-once fan-out: one encoding shared by every destination.
         comm._coll_fanout(dests, tag, obj, "bcast")
         return obj
     return comm._coll_recv(root, tag, "bcast")
@@ -87,37 +86,13 @@ def _bcast_binomial(comm, obj: Any, root: int, tag: int) -> Any:
 
 
 def _members_bcast(comm, members, vroot: int, obj: Any, tag: int) -> Any:
-    """Binomial broadcast over *members* rooted at virtual rank *vroot*."""
+    """Binomial broadcast over *members* rooted at virtual rank *vroot*:
+    relays forward the *received* blob verbatim to their children (no
+    unpickle→repickle per hop) and decode it lazily, only for their own
+    final delivery."""
     n = len(members)
     if n == 1:
         return obj
-    if comm._serialization_fastpath:
-        return _members_bcast_blob(comm, members, vroot, obj, tag)
-    vrank = members.index(comm.rank)
-    relative = (vrank - vroot) % n
-    # Receive phase: wait for the parent one tree level up.
-    mask = 1
-    while mask < n:
-        if relative & mask:
-            src = members[(vrank - mask) % n]
-            obj = comm._coll_recv(src, tag, "bcast")
-            break
-        mask <<= 1
-    # Send phase: forward to children at successively lower levels.
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < n:
-            dst = members[(vrank + mask) % n]
-            comm._coll_send(dst, tag, obj, "bcast")
-        mask >>= 1
-    return obj
-
-
-def _members_bcast_blob(comm, members, vroot: int, obj: Any, tag: int) -> Any:
-    """Binomial bcast on the fast path: relays forward the *received*
-    blob verbatim to their children (no unpickle→repickle per hop) and
-    decode it lazily, only for their own final delivery."""
-    n = len(members)
     vrank = members.index(comm.rank)
     relative = (vrank - vroot) % n
     blob = None
@@ -222,27 +197,17 @@ def _allgather_ring(comm, obj: Any, tag: int) -> list:
     left = (rank - 1) % size
     # Each step pre-posts the inbound receive before sending, so the
     # neighbour's envelope lands on a posted receive and the completion
-    # wakes this rank exactly once.
-    if comm._serialization_fastpath:
-        # Relay-without-reencode: each hop decodes the inbound piece for
-        # its own result but forwards the received blob verbatim.
-        piece_blob = comm._coll_encode((rank, obj))
-        fresh = True
-        for _ in range(size - 1):
-            posted = comm._coll_post(left, tag)
-            comm._coll_send_blob(right, tag, piece_blob, "allgather", reused=not fresh)
-            fresh = False
-            piece_blob = comm._coll_complete(posted, left, "allgather").payload
-            piece_src, piece = piece_blob.decode()
-            out[piece_src] = piece
-        return out
-    # At step s we forward the piece originating from rank (rank - s).
-    piece_src = rank
-    piece = obj
+    # wakes this rank exactly once.  Relay-without-reencode: each hop
+    # decodes the inbound piece for its own result but forwards the
+    # received blob verbatim.
+    piece_blob = comm._coll_encode((rank, obj))
+    fresh = True
     for _ in range(size - 1):
         posted = comm._coll_post(left, tag)
-        comm._coll_send(right, tag, (piece_src, piece), "allgather")
-        piece_src, piece = comm._coll_complete(posted, left, "allgather").payload.decode()
+        comm._coll_send_blob(right, tag, piece_blob, "allgather", reused=not fresh)
+        fresh = False
+        piece_blob = comm._coll_complete(posted, left, "allgather").payload
+        piece_src, piece = piece_blob.decode()
         out[piece_src] = piece
     return out
 

@@ -203,10 +203,6 @@ class Comm:
         rank dies instead of blocking until the watchdog notices."""
         return None if source == ANY_SOURCE else self._group.world_id(source)
 
-    @property
-    def _serialization_fastpath(self) -> bool:
-        return self._world.config.serialization_fastpath
-
     # -- point-to-point: object mode ------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -230,17 +226,17 @@ class Comm:
         self._check_rank(dest, "destination rank")
         if not is_valid_tag(tag):
             raise CommError(f"invalid send tag {tag}")
-        blob = Blob.encode(obj, allow_array=self._serialization_fastpath)
+        blob = Blob.encode(obj)
         self.last_payload_bytes = blob.nbytes
         # Synchronous sends park on a progress-engine Completion: the
         # matching receive signals it, so the blocked sender wakes once
-        # (or on abort/watchdog) instead of polling a threading.Event.
+        # (or on abort/watchdog).
         event = Completion() if sync else None
         env = Envelope(self._p2p_ctx, self._rank, tag, blob, "object", blob.nbytes, sync_event=event)
         self._deliver(dest, env)
         if event is not None:
-            self._world.wait_event(
-                event, self._my_world_id, f"ssend(dest={dest}, tag={tag}) on {self.name}"
+            self._world.progress.wait(
+                (event,), self._my_world_id, f"ssend(dest={dest}, tag={tag}) on {self.name}"
             )
 
     def recv(
@@ -384,7 +380,7 @@ class Comm:
 
     def _coll_encode(self, value: Any) -> Blob:
         """Encode a collective payload once (shareable across envelopes)."""
-        return Blob.encode(value, allow_array=self._serialization_fastpath)
+        return Blob.encode(value)
 
     def _coll_send_blob(
         self, dest: int, tag: int, blob: Blob, opname: str, reused: bool = False
@@ -408,16 +404,11 @@ class Comm:
         self._coll_send_blob(dest, tag, self._coll_encode(value), opname)
 
     def _coll_fanout(self, dests: Sequence[int], tag: int, value: Any, opname: str) -> None:
-        """Send *value* to every rank in *dests*: encoded once and shared
-        when the fast path is on, re-encoded per destination when off
-        (the legacy cost model, kept for ablation)."""
-        if self._serialization_fastpath:
-            blob = self._coll_encode(value)
-            for i, dest in enumerate(dests):
-                self._coll_send_blob(dest, tag, blob, opname, reused=i > 0)
-        else:
-            for dest in dests:
-                self._coll_send(dest, tag, value, opname)
+        """Send *value* to every rank in *dests*, encoded once and the
+        bytes shared by every destination envelope."""
+        blob = self._coll_encode(value)
+        for i, dest in enumerate(dests):
+            self._coll_send_blob(dest, tag, blob, opname, reused=i > 0)
 
     def _coll_post(self, source: int, tag: int) -> PostedRecv:
         """Pre-post a collective receive (no blocking).  Collectives that
@@ -462,26 +453,21 @@ class Comm:
         self, dests: Sequence[int], tag: int, arr: np.ndarray, opname: str
     ) -> None:
         """Buffer-mode fan-out: one read-only snapshot shared by every
-        destination when the fast path is on (receivers copy out of it),
-        one private copy per destination when off."""
-        if self._serialization_fastpath and len(dests) > 1:
-            snap = np.array(arr, copy=True)
-            snap.flags.writeable = False
-            for i, dest in enumerate(dests):
-                env = Envelope(
-                    self._coll_ctx,
-                    self._rank,
-                    tag,
-                    snap,
-                    "bufcoll",
-                    snap.size,
-                    op=opname,
-                    copy_avoided=snap.nbytes if i > 0 else 0,
-                )
-                self._deliver(dest, env)
-        else:
-            for dest in dests:
-                self._coll_send_buffer(dest, tag, arr, opname)
+        destination (receivers copy out of it)."""
+        snap = np.array(arr, copy=True)
+        snap.flags.writeable = False
+        for i, dest in enumerate(dests):
+            env = Envelope(
+                self._coll_ctx,
+                self._rank,
+                tag,
+                snap,
+                "bufcoll",
+                snap.size,
+                op=opname,
+                copy_avoided=snap.nbytes if i > 0 else 0,
+            )
+            self._deliver(dest, env)
 
     def _coll_forward_buffer(self, dest: int, tag: int, arr: np.ndarray, opname: str) -> None:
         """Forward a received buffer-mode payload verbatim (tree relay):

@@ -20,10 +20,9 @@ collective in flight.
 
 Blocking receives and probes run on the world's progress engine
 (:mod:`repro.mpi.progress`): each :class:`PostedRecv` carries a
-:class:`~repro.mpi.progress.Completion` signalled at match time, so in
-event mode a blocked waiter parks once and is woken exactly once — by
-delivery, abort, or the deadlock watchdog.  The legacy wait-slice polling
-loops remain behind ``WorldConfig.progress_engine = "polling"``.
+:class:`~repro.mpi.progress.Completion` signalled at match time, so a
+blocked waiter parks once and is woken exactly once — by delivery,
+abort, or the deadlock watchdog.
 
 When a :class:`~repro.mpi.sched.MatchSchedule` is armed
 (``WorldConfig.match_schedule``), the two nondeterministic choice points
@@ -44,7 +43,6 @@ branch.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -144,7 +142,7 @@ class PostedRecv:
         #: Filled in (under the mailbox lock) when a match is made.
         self.envelope: Optional[Envelope] = None
         #: Signalled (after the lock is released) when a match is made —
-        #: what the event engine's waitsets park on.
+        #: what the progress engine's waitsets park on.
         self.completion = Completion()
         #: Set by a successful :meth:`Mailbox.cancel`; waiting on a
         #: cancelled receive raises instead of blocking forever.
@@ -174,14 +172,6 @@ class PostedRecv:
         return self.envelope is not None
 
 
-#: Default for how often (seconds) blocked waiters wake to re-check for
-#: aborts under the **polling** engine — short enough that deadlock aborts
-#: propagate promptly, long enough to stay cheap.  Tunable per world
-#: through :attr:`repro.mpi.world.WorldConfig.wait_slice`; the event
-#: engine does not poll at all.
-_WAIT_SLICE = 0.05
-
-
 def _payload_bytes(env: Envelope) -> int:
     """Approximate wire size of an envelope's payload."""
     return payload_nbytes(env.payload)
@@ -194,7 +184,7 @@ class Mailbox:
         self._world = world
         #: World rank of the owning process.
         self.owner = owner_rank
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._pending: deque[Envelope] = deque()
         self._posted: deque[PostedRecv] = deque()
         #: Envelopes held invisible by an armed MatchSchedule, as mutable
@@ -203,7 +193,7 @@ class Mailbox:
         #: first, and posting a receive force-reveals its matches), so a
         #: reveal only ever appends to ``_pending``.
         self._held: deque[list] = deque()
-        #: Blocked probes in event mode: ``(completion, (ctx, src, tag))``
+        #: Blocked probes: ``(completion, (ctx, src, tag))``
         #: pairs signalled when a matching envelope lands in ``pending``.
         self._probe_watchers: list[tuple[Completion, tuple[int, int, int]]] = []
 
@@ -211,11 +201,6 @@ class Mailbox:
     def world(self) -> "World":
         """The world this mailbox belongs to."""
         return self._world
-
-    @property
-    def _wait_slice(self) -> float:
-        """Poll interval for blocked waiters (see ``WorldConfig.wait_slice``)."""
-        return getattr(self._world.config, "wait_slice", _WAIT_SLICE)
 
     # -- delivery (called from the *sender's* thread) ----------------------
 
@@ -251,7 +236,7 @@ class Mailbox:
         sched = self._world.config.match_schedule
         matched: Optional[PostedRecv] = None
         probe_hits: list[Completion] = []
-        with self._cond:
+        with self._lock:
             if sched is not None:
                 # Every delivery is a visibility event for already-held
                 # envelopes, and every delivery consumes one per-stream
@@ -278,7 +263,6 @@ class Mailbox:
                     pass  # held: invisible until aged out or force-revealed
                 else:
                     self._to_pending(env, probe_hits)
-            self._cond.notify_all()
         self._world.note_activity()
         # Signal completions with no mailbox lock held (a waitset notify
         # takes the waiter's lock; keeping the order one-directional rules
@@ -292,7 +276,7 @@ class Mailbox:
         for completion in probe_hits:
             completion.signal()
 
-    # -- schedule holds (all helpers run under self._cond) ------------------
+    # -- schedule holds (all helpers run under self._lock) ------------------
 
     def _to_pending(self, env: Envelope, probe_hits: list[Completion]) -> None:
         """Append *env* to pending and collect matching probe watchers
@@ -434,7 +418,7 @@ class Mailbox:
         sched = self._world.config.match_schedule
         claimed: Optional[Envelope] = None
         probe_hits: list[Completion] = []
-        with self._cond:
+        with self._lock:
             if sched is not None:
                 # A posted receive must see everything already *sent* to
                 # it: force-reveal matching held envelopes (liveness),
@@ -472,7 +456,7 @@ class Mailbox:
     def cancel(self, pr: PostedRecv) -> bool:
         """Remove a not-yet-matched posted receive.  Returns True if it was
         still unmatched (and is now cancelled)."""
-        with self._cond:
+        with self._lock:
             if pr in self._posted:
                 self._posted.remove(pr)
                 pr.cancelled = True
@@ -504,31 +488,10 @@ class Mailbox:
         if pr.cancelled:
             raise CommError(f"wait on a cancelled receive: {what}")
         self._check_doomed(pr, what)
-        world = self._world
-        if world.progress.event_mode:
-            world.progress.wait((pr.completion,), self.owner, what)
-            self._check_doomed(pr, what)
-            assert pr.envelope is not None
-            return pr.envelope
-        world.block_enter(self.owner, what)
-        wakeups = 0
-        start = time.monotonic()
-        try:
-            while True:
-                with self._cond:
-                    if pr.envelope is not None:
-                        return pr.envelope
-                    world.check_abort()
-                    self._check_doomed(pr, what)
-                    self._cond.wait(timeout=self._wait_slice)
-                    wakeups += 1
-                # The deadlock check may abort the world and wake every
-                # mailbox; it must run with no mailbox lock held to keep a
-                # global lock order (see World.abort).
-                world.maybe_detect_deadlock()
-        finally:
-            world.block_exit(self.owner)
-            world.record_block_episode(self.owner, time.monotonic() - start, wakeups)
+        self._world.progress.wait((pr.completion,), self.owner, what)
+        self._check_doomed(pr, what)
+        assert pr.envelope is not None
+        return pr.envelope
 
     @staticmethod
     def _check_doomed(pr: PostedRecv, what: str) -> None:
@@ -589,7 +552,7 @@ class Mailbox:
                 )
             ]
 
-        with self._cond:
+        with self._lock:
             if sched is not None and not block and self._held:
                 hits: list[Completion] = []
                 self._age_held(hits)
@@ -598,64 +561,45 @@ class Mailbox:
             env = scan()
             if env is not None or not block:
                 return env
-        if world.progress.event_mode:
-            # Arm a fresh one-shot watcher per park: deliver() signals it
-            # when a matching envelope lands in pending.  Only the owner
-            # consumes this mailbox's pending queue, and the owner is the
-            # thread parked here, so a signalled match cannot vanish
-            # before the re-scan.
-            while True:
-                if world.ctx_revoked(context):
-                    raise RevokedError(f"communicator revoked while blocked in {what}")
-                watcher = Completion()
-                with self._cond:
-                    env = scan()
-                    if env is not None:
-                        return env
-                    self._probe_watchers.append((watcher, (context, source, tag)))
-                try:
-                    world.progress.wait((watcher,), self.owner, what)
-                finally:
-                    with self._cond:
-                        self._probe_watchers = [
-                            w for w in self._probe_watchers if w[0] is not watcher
-                        ]
-        world.block_enter(self.owner, what)
-        wakeups = 0
-        start = time.monotonic()
-        try:
-            while True:
-                with self._cond:
-                    env = scan()
-                    if env is not None:
-                        return env
-                    world.check_abort()
-                    if world.ctx_revoked(context):
-                        raise RevokedError(
-                            f"communicator revoked while blocked in {what}"
-                        )
-                    self._cond.wait(timeout=self._wait_slice)
-                    wakeups += 1
-                world.maybe_detect_deadlock()
-        finally:
-            world.block_exit(self.owner)
-            world.record_block_episode(self.owner, time.monotonic() - start, wakeups)
+        # Arm a fresh one-shot watcher per park: deliver() signals it
+        # when a matching envelope lands in pending.  Only the owner
+        # consumes this mailbox's pending queue, and the owner is the
+        # thread parked here, so a signalled match cannot vanish before
+        # the re-scan.
+        while True:
+            if world.ctx_revoked(context):
+                raise RevokedError(f"communicator revoked while blocked in {what}")
+            watcher = Completion()
+            with self._lock:
+                env = scan()
+                if env is not None:
+                    return env
+                self._probe_watchers.append((watcher, (context, source, tag)))
+            try:
+                world.progress.wait((watcher,), self.owner, what)
+            finally:
+                with self._lock:
+                    self._probe_watchers = [
+                        w for w in self._probe_watchers if w[0] is not watcher
+                    ]
 
     # -- maintenance --------------------------------------------------------
 
     def wake(self) -> None:
-        """Wake all waiters (used by :meth:`World.abort`).  Also flushes
-        any schedule-held envelopes into pending: during abort, revoke,
-        or failure recovery nothing may stay hidden — diagnostics and the
-        ULFM recovery plane must see the full mailbox state."""
+        """Flush any schedule-held envelopes into pending, waking the
+        probes they satisfy (used by :meth:`World.abort`): during abort,
+        revoke, or failure recovery nothing may stay hidden —
+        diagnostics and the ULFM recovery plane must see the full
+        mailbox state.  Parked waiters themselves are woken by
+        :meth:`ProgressEngine.wake_all
+        <repro.mpi.progress.ProgressEngine.wake_all>`."""
         probe_hits: list[Completion] = []
-        with self._cond:
+        with self._lock:
             if self._held:
                 released = [item[1] for item in self._held]
                 self._held = deque()
                 for env in released:
                     self._to_pending(env, probe_hits)
-            self._cond.notify_all()
         for completion in probe_hits:
             completion.signal()
 
@@ -666,7 +610,7 @@ class Mailbox:
         still satisfy them; a global stall is caught by the watchdog's
         failure pulse instead."""
         doomed: list[PostedRecv] = []
-        with self._cond:
+        with self._lock:
             keep: deque[PostedRecv] = deque()
             for pr in self._posted:
                 if pr.world_source == world_rank and pr.envelope is None:
@@ -675,8 +619,6 @@ class Mailbox:
                 else:
                     keep.append(pr)
             self._posted = keep
-            if doomed:
-                self._cond.notify_all()
         for pr in doomed:
             pr.completion.signal()
 
@@ -685,7 +627,7 @@ class Mailbox:
         given context ids (called by :meth:`World.revoke_contexts`)."""
         doomed: list[PostedRecv] = []
         probe_hits: list[Completion] = []
-        with self._cond:
+        with self._lock:
             keep: deque[PostedRecv] = deque()
             for pr in self._posted:
                 if pr.context in ctxs and pr.envelope is None:
@@ -701,8 +643,6 @@ class Mailbox:
                 else:
                     watchers.append(watcher)
             self._probe_watchers = watchers
-            if doomed or probe_hits:
-                self._cond.notify_all()
         for pr in doomed:
             pr.completion.signal()
         for completion in probe_hits:
@@ -712,7 +652,7 @@ class Mailbox:
         """Return ``(pending, posted)`` queue depths (diagnostics only).
         Schedule-held envelopes count as pending — they have been
         delivered, the schedule is merely delaying their visibility."""
-        with self._cond:
+        with self._lock:
             return len(self._pending) + len(self._held), len(self._posted)
 
     def check_abort(self) -> None:

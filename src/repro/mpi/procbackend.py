@@ -12,21 +12,19 @@ the rank → address map.
 Bootstrap handshake (all frames use the transport's length-prefixed
 pickle framing, :func:`~repro.mpi.transport.send_frame`):
 
-1. The parent binds a rendezvous listener and spawns ``nprocs`` children
-   (``fork`` for :func:`run_procs`, ``exec`` of
+1. The parent binds a rendezvous listener — always a Unix-domain socket
+   at a fixed name in the job's private socket directory — and spawns
+   ``nprocs`` children (``fork`` for :func:`run_procs`, ``exec`` of
    ``python -m repro.tools.mphchild`` for :func:`run_exec_job`).
-2. Each child binds its own *data* listener — before anyone learns its
-   address, so no sender can race it — then exchanges addresses with the
-   parent.  Under the default ``config.bootstrap == "tree"`` scheme the
-   exchange runs through a fanout-ary relay tree
-   (:mod:`repro.mpi.bootstrap`): hellos aggregate upward, the welcome
-   payload is pickled once and relayed downward as opaque bytes, and
-   each child then *registers* a direct parent connection.  Under the
-   flat scheme (``"flat"``, or any TCP job) each child instead connects
-   directly, sends ``("hello", rank, data_address)``, and waits for a
-   personal ``("welcome", {nprocs, peers, config, meta})`` frame.
-3. Either way every child ends up holding the full rank → address map,
-   the :class:`~repro.mpi.world.WorldConfig`, its per-rank launcher
+2. Each child binds its own *data* listener (Unix or TCP, per
+   ``config.transport``) — before anyone learns its address, so no
+   sender can race it — then exchanges addresses with the parent through
+   a fanout-ary relay tree (:mod:`repro.mpi.bootstrap`): hellos
+   aggregate upward, the welcome payload is pickled once and relayed
+   downward as opaque bytes, and each child then *registers* a direct
+   parent connection.
+3. Every child ends up holding the full rank → address map, the
+   :class:`~repro.mpi.world.WorldConfig`, its per-rank launcher
    metadata, and a direct control connection to the parent.
 4. Each child builds a :class:`~repro.mpi.transport.SocketTransport` over
    the peer map, a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
@@ -74,11 +72,7 @@ from repro.errors import (
     TimeoutError_,
     TransportError,
 )
-from repro.mpi.bootstrap import (
-    child_tree_exchange,
-    effective_scheme,
-    serve_tree_rendezvous,
-)
+from repro.mpi.bootstrap import child_tree_exchange, serve_tree_rendezvous
 from repro.mpi.comm import make_world_comm
 from repro.mpi.executor import ProcResult, _raise_root_cause
 from repro.mpi.transport import (
@@ -89,7 +83,7 @@ from repro.mpi.transport import (
 )
 from repro.mpi.world import World, WorldConfig
 
-#: How long a child waits for the parent's welcome / shutdown frames.
+#: How long a child lingers for the parent's shutdown frame.
 _CHILD_CTRL_TIMEOUT = 120.0
 #: Grace for siblings to unwind after a child dies without reporting.
 _DEATH_GRACE = 3.0
@@ -195,29 +189,11 @@ def _socket_family(config: WorldConfig) -> str:
     return "tcp" if config.transport == "tcp" else "unix"
 
 
-def _format_addr(addr: tuple) -> str:
-    if addr[0] == "unix":
-        return f"unix:{addr[1]}"
-    return f"tcp:{addr[1]}:{addr[2]}"
-
-
-def _parse_addr(text: str) -> tuple:
-    kind, _, rest = text.partition(":")
-    if kind == "unix":
-        return ("unix", rest)
-    host, _, port = rest.rpartition(":")
-    return ("tcp", host, int(port))
-
-
-def _connect(addr: tuple) -> socket.socket:
-    if addr[0] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(addr[1])
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.connect((addr[1], addr[2]))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
+def _rendezvous_path(sockdir: str) -> str:
+    """The launcher's rendezvous socket: like every control socket, a
+    Unix path in the job's socket directory, so a child needs nothing
+    but the directory to find it — whatever family the data plane uses."""
+    return os.path.join(sockdir, "rendezvous.sock")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +202,12 @@ def _connect(addr: tuple) -> socket.socket:
 
 
 def child_session(
-    rendezvous: tuple,
     rank: int,
+    nprocs: int,
     family: str,
     sockdir: str,
     run: Callable[[Any, Any], Any],
     *,
-    nprocs: Optional[int] = None,
-    bootstrap: str = "flat",
     fanout: int = 8,
 ) -> None:
     """One child's whole life: handshake, run the rank, report, linger.
@@ -244,29 +218,15 @@ def child_session(
     function directly) and the exec children of ``repro.tools.mphchild``
     (which resolve the function from *meta*).
 
-    *bootstrap*/*fanout*/*nprocs* select the address-exchange scheme
-    (the parent passes its resolved choice down, since a child cannot
-    read the :class:`~repro.mpi.world.WorldConfig` it has yet to
-    receive): ``"tree"`` relays through :mod:`repro.mpi.bootstrap`,
-    ``"flat"`` is the direct hello/welcome exchange.
+    *family* is the socket family of the child's *data* listener;
+    *nprocs*/*fanout* shape the bootstrap relay tree (the parent passes
+    them down, since a child cannot read the
+    :class:`~repro.mpi.world.WorldConfig` it has yet to receive).
     """
     listener, addr = make_listener(family, os.path.join(sockdir, f"rank{rank}.sock"))
-    if effective_scheme(bootstrap, family, nprocs or 1) == "tree":
-        assert nprocs is not None
-        peers, config, meta, ctrl = child_tree_exchange(
-            rendezvous, rank, nprocs, fanout, sockdir, addr
-        )
-    else:
-        ctrl = _connect(rendezvous)
-        send_frame(ctrl, ("hello", rank, addr))
-        welcome = recv_frame(ctrl, timeout=_CHILD_CTRL_TIMEOUT)
-        if not welcome or welcome[0] != "welcome":
-            raise TransportError(f"expected welcome frame, got {welcome!r}")
-        info = welcome[1]
-        nprocs = info["nprocs"]
-        config = info["config"]
-        peers = info["peers"]
-        meta = info.get("meta")
+    peers, config, meta, ctrl = child_tree_exchange(
+        ("unix", _rendezvous_path(sockdir)), rank, nprocs, fanout, sockdir, addr
+    )
     try:
         world = ProcessWorld(nprocs, config, rank)
         if config.transport in ("auto", "shm"):
@@ -355,16 +315,14 @@ def child_session(
 
 
 def _fork_child_main(
-    rendezvous: tuple,
     rank: int,
+    nprocs: int,
     family: str,
     sockdir: str,
     fn,
     fn_args: tuple,
     fn_kwargs: dict,
     log_path: Optional[str],
-    nprocs: int,
-    bootstrap: str,
     fanout: int,
 ) -> None:
     if log_path is not None:
@@ -373,13 +331,11 @@ def _fork_child_main(
         os.dup2(fd, 2)
         os.close(fd)
     child_session(
-        rendezvous,
         rank,
+        nprocs,
         family,
         sockdir,
         lambda comm, meta: fn(comm, *fn_args, **fn_kwargs),
-        nprocs=nprocs,
-        bootstrap=bootstrap,
         fanout=fanout,
     )
 
@@ -450,7 +406,7 @@ class _ExecHandle(_ChildHandle):
 
 
 class _Rendezvous:
-    """The parent half of the bootstrap: accept hellos, send welcomes,
+    """The parent half of the bootstrap: serve the address exchange,
     collect results, detect silent deaths, and shut everyone down."""
 
     def __init__(
@@ -462,13 +418,10 @@ class _Rendezvous:
     ):
         self.nprocs = nprocs
         self.config = config
+        #: Socket family of the children's data listeners.
         self.family = family
-        #: Resolved address-exchange scheme (TCP cannot run the tree).
-        self.scheme = effective_scheme(config.bootstrap, family, nprocs)
         self.sockdir = tempfile.mkdtemp(prefix=rendezvous_prefix(namespace))
-        self.listener, self.addr = make_listener(
-            family, os.path.join(self.sockdir, "rendezvous.sock")
-        )
+        self.listener, _ = make_listener("unix", _rendezvous_path(self.sockdir))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -506,28 +459,16 @@ class _Rendezvous:
         conns: dict[int, socket.socket] = {}
         try:
             try:
-                if self.scheme == "tree":
-                    self._gather_tree(conns, by_rank, results, metas, deadline)
-                else:
-                    self._gather_hellos(conns, by_rank, results, deadline)
-                    for rank, conn in conns.items():
-                        peers = {r: a for r, a in self._addrs.items()}
-                        send_frame(
-                            conn,
-                            (
-                                "welcome",
-                                {
-                                    "nprocs": self.nprocs,
-                                    "peers": peers,
-                                    "config": self.config,
-                                    "meta": metas[rank] if metas is not None else None,
-                                },
-                            ),
-                        )
+                self._gather_tree(conns, by_rank, results, metas, deadline)
             except _BootstrapDead:
                 return [results[r] for r in sorted(results)]
             self._collect_results(conns, by_rank, results, deadline)
-        except TimeoutError_:
+        except BaseException:
+            # However the protocol was cut short (deadline, a malformed
+            # frame, an interrupt), children still mid-bootstrap or
+            # mid-run would never see the shutdown below: terminate them
+            # so the joins return at once instead of timing out one by
+            # one.
             for h in handles:
                 h.terminate()
             raise
@@ -546,48 +487,29 @@ class _Rendezvous:
                 h.join(5.0)
         return [results[r] for r in sorted(results)]
 
-    def _gather_hellos(self, conns, by_rank, results, deadline) -> None:
-        self._addrs: dict[int, tuple] = {}
-        self.listener.settimeout(0.2)
-        while len(conns) < self.nprocs:
-            self._check_deadline(deadline, "rank bootstrap")
-            dead = self._dead_without_result(by_rank, results, conns)
-            if dead:
-                self._fail_bootstrap(dead, by_rank, results)
-            try:
-                conn, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            hello = recv_frame(conn, timeout=10.0)
-            if not hello or hello[0] != "hello":
-                raise LaunchError(f"malformed hello frame: {hello!r}")
-            _, rank, addr = hello
-            conns[rank] = conn
-            self._addrs[rank] = addr
-
     def _gather_tree(self, conns, by_rank, results, metas, deadline) -> None:
-        """Tree-scheme bootstrap: one aggregated hellos frame from the
-        relay root, one once-pickled welcome back, then a direct
-        ``register`` connection per child (collected here into *conns*,
-        after which the result/shutdown protocol is scheme-agnostic)."""
+        """The bootstrap: one aggregated hellos frame from the relay
+        root, one once-pickled welcome back, then a direct ``register``
+        connection per child, collected into *conns* for the
+        result/shutdown protocol."""
 
         def tick() -> None:
             self._check_deadline(deadline, "rank bootstrap")
             dead = self._dead_without_result(by_rank, results, conns)
             if dead:
                 # A child died mid-exchange: its whole subtree stalls, so
-                # nobody can form a world.  Same handling as flat.
+                # nobody can form a world.
                 self._fail_bootstrap(dead, by_rank, results)
 
         self.listener.settimeout(0.2)
-        self._addrs, registered = serve_tree_rendezvous(
+        serve_tree_rendezvous(
             self.listener,
             self.nprocs,
             self.config,
             list(metas) if metas is not None else None,
+            conns,
             on_tick=tick,
         )
-        conns.update(registered)
 
     def _fail_bootstrap(self, dead, by_rank, results) -> None:
         """A child died before the world formed: record it, terminate the
@@ -629,14 +551,17 @@ class _Rendezvous:
             now = time.monotonic()
             if death_deadline is not None and now >= death_deadline:
                 # Grace expired: whoever still has no result is wedged on
-                # the dead rank; terminate and synthesize.
+                # the dead rank; terminate and synthesize.  Who died on
+                # its own is decided before terminating, so our SIGTERM
+                # is never reported as a component's exit code.
                 for rank, h in by_rank.items():
                     if rank not in results:
+                        died = h.exitcode() not in (0, None)
                         h.terminate()
                         results[rank] = ProcResult(
                             rank=rank,
                             exception=self._death_error(h)
-                            if h.exitcode() not in (0, None)
+                            if died
                             else LaunchError(
                                 f"component {h.label!r} (world rank {rank}) "
                                 f"was terminated: a sibling died without "
@@ -693,7 +618,7 @@ class _Rendezvous:
 
 
 class _BootstrapDead(Exception):
-    """Internal: bootstrap aborted because a child died before hello."""
+    """Internal: bootstrap aborted because a child died before registering."""
 
 
 def _finish(rendezvous, handles, metas, timeout) -> list[ProcResult]:
@@ -758,16 +683,14 @@ def run_procs(
             proc = ctx.Process(
                 target=_fork_child_main,
                 args=(
-                    rendezvous.addr,
                     r,
+                    nprocs,
                     rendezvous.family,
                     rendezvous.sockdir,
                     rank_fns[r],
                     tuple(fn_args),
                     dict(fn_kwargs or {}),
                     log_path,
-                    nprocs,
-                    rendezvous.scheme,
                     config.bootstrap_fanout,
                 ),
                 name=f"mpi-proc-{r}",
@@ -827,18 +750,14 @@ def run_exec_job(
                 sys.executable,
                 "-m",
                 "repro.tools.mphchild",
-                "--rendezvous",
-                _format_addr(rendezvous.addr),
                 "--rank",
                 str(r),
+                "--nprocs",
+                str(nprocs),
                 "--family",
                 rendezvous.family,
                 "--sockdir",
                 rendezvous.sockdir,
-                "--nprocs",
-                str(nprocs),
-                "--bootstrap",
-                rendezvous.scheme,
                 "--fanout",
                 str(config.bootstrap_fanout),
             ]

@@ -1,12 +1,9 @@
 """The event-driven progress engine: one completion/waitset layer for
 every blocking path of the simulated substrate.
 
-The polling substrate this replaces woke every blocked waiter once per
-``wait_slice`` (50 ms by default) just to re-check for aborts and run the
-deadlock watchdog, and ``Request.waitany``/``waitsome`` busy-spun at
-2 kHz.  MPICH-G2 showed that a *single unified progress engine* under
+MPICH-G2 showed that a *single unified progress engine* under
 heterogeneous communication methods is what makes a multi-method MPI
-both fast and correct; this module is that layer for the threads-as-ranks
+both fast and correct; this module is that layer for the simulated
 substrate.  Three pieces:
 
 * :class:`Completion` — a one-shot token signalled exactly once when an
@@ -21,16 +18,12 @@ substrate.  Three pieces:
   owner of the active waitsets and of the **deadlock watchdog thread**.
   The watchdog is started lazily on the first blocked waiter, runs only
   while someone is blocked, and exits on abort or after a quiet period,
-  so idle worlds carry no thread and blocked ranks pay zero per-slice
+  so idle worlds carry no thread and blocked ranks pay zero periodic
   wakeups.
 
-Engine selection lives in
-:attr:`repro.mpi.world.WorldConfig.progress_engine`: ``"event"`` (this
-module, the default) or ``"polling"`` (the legacy wait-slice loops, kept
-for ablation — ``benchmarks/compare.py`` measures the difference).  Both
-modes record per-rank wakeup counts and blocked-time histograms through
-:meth:`World.record_block_episode`, so the win is measurable rather than
-asserted.
+Every blocked episode records its wakeup count and duration through
+:meth:`World.record_block_episode`, so "parked means parked" is
+measurable rather than asserted.
 """
 
 from __future__ import annotations
@@ -68,15 +61,13 @@ class Completion:
     ``signal()`` flips it done (idempotently) and wakes every parked
     waitset; ``set()`` is a :class:`threading.Event`-compatible alias so
     the token can ride in an :class:`~repro.mpi.mailbox.Envelope`'s
-    ``sync_event`` slot.  ``wait(timeout)`` offers the Event-style timed
-    park the legacy polling engine uses, so one token type serves both
-    engine modes.
+    ``sync_event`` slot.
     """
 
-    __slots__ = ("_cond", "_done", "_waitsets")
+    __slots__ = ("_lock", "_done", "_waitsets")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._done = False
         self._waitsets: list["Waitset"] = []
 
@@ -93,38 +84,29 @@ class Completion:
         """Mark complete and wake every parked waitset (first call wins;
         later calls are no-ops).  Never blocks on waiter locks while
         holding its own, so signallers cannot deadlock against waiters."""
-        with self._cond:
+        with self._lock:
             if self._done:
                 return
             self._done = True
             waitsets = self._waitsets
             self._waitsets = []
-            self._cond.notify_all()
         for ws in waitsets:
             ws._notify(self)
 
     #: Event-compatible alias (``Envelope.sync_event.set()``).
     set = signal
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Event-style timed wait; returns the done flag (used by the
-        legacy polling engine's wait-slice loop)."""
-        with self._cond:
-            if not self._done:
-                self._cond.wait(timeout)
-            return self._done
-
     def _subscribe(self, ws: "Waitset") -> bool:
         """Attach *ws* for a wakeup on signal.  Returns False — and does
         not attach — when already signalled (the caller is done)."""
-        with self._cond:
+        with self._lock:
             if self._done:
                 return False
             self._waitsets.append(ws)
             return True
 
     def _unsubscribe(self, ws: "Waitset") -> None:
-        with self._cond:
+        with self._lock:
             try:
                 self._waitsets.remove(ws)
             except ValueError:
@@ -163,7 +145,7 @@ class Waitset:
 
 @dataclass
 class RankProgress:
-    """Per-rank blocking statistics (event and polling modes alike)."""
+    """Per-rank blocking statistics."""
 
     #: Number of completed blocked episodes.
     episodes: int = 0
@@ -194,13 +176,6 @@ class ProgressEngine:
         self._wd_running = False
         self._wd_kick = False
         self._wd_shutdown = False
-
-    # -- mode ----------------------------------------------------------------
-
-    @property
-    def event_mode(self) -> bool:
-        """Whether the world runs the event engine (vs legacy polling)."""
-        return getattr(self._world.config, "progress_engine", "event") == "event"
 
     # -- waiting -------------------------------------------------------------
 
@@ -313,8 +288,8 @@ class ProgressEngine:
 
     def _arm_watchdog(self) -> None:
         """Ensure the watchdog thread runs while waiters are blocked
-        (event mode with deadlock detection only)."""
-        if not self.event_mode or not self._world.config.deadlock_detection:
+        (worlds with deadlock detection only)."""
+        if not self._world.config.deadlock_detection:
             return
         with self._wd_cond:
             self._wd_kick = True
@@ -324,8 +299,6 @@ class ProgressEngine:
                 threading.Thread(
                     target=self._watchdog_loop, name="mpi-watchdog", daemon=True
                 ).start()
-            else:
-                self._wd_cond.notify_all()
 
     def shutdown(self) -> None:
         """Ask the watchdog to retire now (the job is over); it restarts
@@ -355,16 +328,19 @@ class ProgressEngine:
         """Periodically run the all-blocked-and-idle deadlock scan while
         anyone is blocked; retire on abort, shutdown, or a quiet period.
 
-        Detection latency is bounded by ``watchdog_period`` — independent
-        of every waiter's poll slice, which is the point: blocked ranks
-        park unconditionally and this single thread owns the safety net.
+        Detection latency is bounded by ``watchdog_period``: blocked
+        ranks park unconditionally and this single thread owns the
+        safety net.
         """
         world = self._world
         period = max(world.config.watchdog_period, 1e-3)
         idle_since: Optional[float] = None
         while True:
             with self._wd_cond:
-                if not self._wd_kick:
+                # Only shutdown() wakes this early: parks leave a kick
+                # for the retire check below but never cut the period
+                # short, so scans run O(elapsed / period), not O(parks).
+                if not self._wd_shutdown:
                     self._wd_cond.wait(timeout=period)
                 self._wd_kick = False
                 if self._wd_shutdown:

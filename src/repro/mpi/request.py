@@ -7,12 +7,9 @@ receive immediately — matching order is the MPI posted-receive order — and
 the request completes when a matching envelope arrives.
 
 ``waitany``/``waitsome`` aggregate mixed request lists through the world's
-:class:`~repro.mpi.progress.ProgressEngine`: in event mode the caller
-parks on one waitset subscribed to every incomplete request's completion
-token and is woken exactly once per relevant event (completion, abort,
-deadlock).  Under the legacy polling engine they keep the short-sleep
-retry loop, but now abort-aware even when no incomplete request is a
-receive.
+:class:`~repro.mpi.progress.ProgressEngine`: the caller parks on one
+waitset subscribed to every incomplete request's completion token and is
+woken exactly once per relevant event (completion, abort, deadlock).
 """
 
 from __future__ import annotations
@@ -28,7 +25,8 @@ from repro.mpi.status import Status
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import World
 
-#: Polling-engine retry sleep for ``waitany``/``waitsome`` (seconds).
+#: Retry sleep of ``waitany``/``waitsome`` when no incomplete request
+#: offers a completion to park on (seconds).
 _POLL_BACKOFF = 0.0005
 
 
@@ -68,21 +66,15 @@ def _sched_site(requests: Sequence["Request"]):
 def _park_any(requests: Sequence["Request"], what: str) -> bool:
     """Block until some incomplete request *may* have completed.
 
-    Returns True when the caller should re-test (event park or abort
-    check done), False when it should sleep-and-retry (no world found or
-    some incomplete request cannot signal a completion).  Raises on abort
-    or deadlock either way when a world is known.
+    Returns True when the caller should re-test (parked and woken),
+    False when it should sleep-and-retry (no world found, or no
+    incomplete request can signal a completion).  Raises on abort or
+    deadlock either way when a world is known.
     """
     site = _progress_site(requests)
     if site is None:
         return False
     world, rank = site
-    if not world.progress.event_mode:
-        # Polling engine: stay on the short-sleep loop, but never spin
-        # past an abort (this is what makes all-send lists abort-aware).
-        world.check_abort()
-        world.maybe_detect_deadlock()
-        return False
     completions = []
     for req in requests:
         token = req.completion()
@@ -149,8 +141,8 @@ class Request:
     @staticmethod
     def waitany(requests: Sequence["Request"]) -> tuple[int, Any]:
         """Block until any request completes; ``(index, value)``
-        (``MPI_Waitany``).  Event mode parks on one waitset over every
-        incomplete request; polling mode retries with a short back-off.
+        (``MPI_Waitany``), parking on one waitset over every incomplete
+        request.
         Under an armed :class:`~repro.mpi.sched.MatchSchedule` the
         returned request is schedule-chosen among everything already
         complete (the index MPI leaves unspecified when several are).

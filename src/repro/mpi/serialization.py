@@ -24,11 +24,6 @@ Because a blob is immutable after construction, sharing it across
 envelopes, threads, and relay hops is safe by construction: senders that
 mutate their object after a send mutate *their* object, receivers that
 mutate a decoded value mutate *their private copy*.
-
-Whether the array fast path is used (and whether fan-outs share blobs at
-all) is governed by :attr:`repro.mpi.world.WorldConfig.serialization_fastpath`;
-with the flag off every encode is a fresh pickle, reproducing the legacy
-cost model for ablation benchmarks while keeping behavior identical.
 """
 
 from __future__ import annotations

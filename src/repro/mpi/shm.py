@@ -960,6 +960,11 @@ class ShmTransport(SocketTransport):
             seg = self._attach_peer(dest)
             ring = ShmRing(seg.mm, seg.ring_off(self.rank), seg.ring_bytes)
             self._peer_rings[dest] = ring
+            # Dial the doorbell connection with the first frame, needed
+            # or not: its EOF is the only way *dest* learns of our death,
+            # and a peer that was awake for every frame we ever sent
+            # would otherwise never have been connected to.
+            self._kick(dest, force=True)
         return ring
 
     def _attach_peer(self, peer: int) -> ShmSegment:

@@ -5,16 +5,12 @@ radically different substrates when delivery is hidden behind a
 multi-protocol transport layer.  This module is that layer for the
 simulated substrate: every remote delivery funnels through
 :meth:`~repro.mpi.world.World.deliver`, which hands the envelope to the
-world's :class:`Transport` (or straight to the destination mailbox when
-no transport is selected — the historical zero-overhead path).
+world's :class:`Transport` on the process backend (the thread backend
+has no transport: ranks share one interpreter and deliver straight into
+the destination mailbox).
 
 Two implementations:
 
-* :class:`ThreadTransport` — the existing in-memory thread mailbox behind
-  the interface.  ``send_envelope`` is a direct call into the destination
-  mailbox, so selecting it changes no behaviour and costs one branch plus
-  one indirection per message (``benchmarks/bench_backend.py`` pins the
-  overhead inside the established <1% noise floor).
 * :class:`SocketTransport` — localhost TCP or Unix-domain sockets with
   length-prefixed framing and per-peer connection caching; the substrate
   of the **process backend** (:mod:`repro.mpi.procbackend`), where every
@@ -23,6 +19,9 @@ Two implementations:
   :class:`~repro.mpi.serialization.Blob` bytes it was already encoded
   into), synchronous sends are completed by an ``ack`` frame from the
   receiver, and abort notifications ride the same connections.
+* :class:`~repro.mpi.shm.ShmTransport` — a :class:`SocketTransport`
+  whose same-node peer pairs exchange frames through shared-memory
+  rings instead (:mod:`repro.mpi.shm`).
 
 The wire format is deliberately simple and *testable*: a frame is a
 4-byte big-endian length followed by that many payload bytes
@@ -41,17 +40,14 @@ import struct
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.errors import TransportError
 from repro.mpi.mailbox import Envelope
 from repro.mpi.progress import Completion
-from repro.mpi.serialization import Blob, payload_nbytes
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.world import World
+from repro.mpi.serialization import Blob
 
 #: Pickle protocol for wire frames (control tuples and envelope payloads).
 WIRE_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -165,21 +161,39 @@ def recv_frame(sock: socket.socket, timeout: Optional[float] = None):
     byte.  A stream that ends mid-frame raises :class:`TransportError`.
     """
     sock.settimeout(timeout)
-    decoder = FrameDecoder()
-    while True:
+    header = _recv_exact(sock, _LEN.size, mid_frame=False)
+    if header is None:
+        return None
+    (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"corrupt stream: declared frame length {length} "
+            f"exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+    return pickle.loads(_recv_exact(sock, length, mid_frame=True))
+
+
+def _recv_exact(sock: socket.socket, n: int, mid_frame: bool) -> Optional[bytearray]:
+    """Read exactly *n* bytes and no more, so a peer's next frame stays
+    in the socket for the next :func:`recv_frame` call.  EOF before the
+    first byte of a frame (*mid_frame* false) returns ``None``; any
+    later EOF is a torn frame."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
         try:
-            data = sock.recv(65536)
+            k = sock.recv_into(view[got:])
         except socket.timeout:
             raise TransportError("timed out waiting for a frame") from None
-        if not data:
-            if decoder.partial:
-                decoder.finish()
-            return None
-        frames = decoder.feed(data)
-        if frames:
-            if len(frames) > 1 or decoder.partial:  # pragma: no cover - misuse
-                raise TransportError("recv_frame got more than one frame")
-            return pickle.loads(frames[0])
+        if not k:
+            if not got and not mid_frame:
+                return None
+            raise TransportError(
+                f"torn frame: stream ended with {got} of {n} expected bytes"
+            )
+        got += k
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,7 @@ class Transport(ABC):
     the progress engine's reader threads send concurrently.
     """
 
-    #: Short name for diagnostics ("thread", "unix", "tcp").
+    #: Short name for diagnostics ("unix", "tcp", "shm").
     kind: str = "?"
 
     @abstractmethod
@@ -285,50 +299,11 @@ class Transport(ABC):
         Unlike a crash (``on_peer_lost``) this is not a failure: the
         peer's connection teardown must not be reported as a lost rank,
         and later sends to it are misuse, not bad luck.  The base
-        implementation is a no-op — the thread backend caches nothing
-        per peer."""
+        implementation is a no-op."""
 
     def stats(self) -> TransportStats:
         """A snapshot of the wire-level counters."""
         return TransportStats()
-
-
-class ThreadTransport(Transport):
-    """The in-memory thread mailbox behind the :class:`Transport`
-    interface — zero behaviour change, one indirection per message.
-
-    Exists so the thread backend can be driven through exactly the same
-    seam the process backend uses, which is what makes the backend
-    ablation (``BENCH_backend.json``) a fair comparison.
-    """
-
-    kind = "thread"
-
-    def __init__(self, world: "World"):
-        self._world = world
-        self._stats = TransportStats()
-        self._stats_lock = threading.Lock()
-
-    def send_envelope(self, dest: int, env: Envelope) -> None:
-        self._world.mailboxes[dest].deliver(env)
-        with self._stats_lock:
-            self._stats.frames_sent += 1
-            self._stats.bytes_sent += payload_nbytes(env.payload)
-
-    def alive(self, peer: int) -> bool:
-        return 0 <= peer < self._world.nprocs and not self._world.rank_failed(peer)
-
-    def close(self) -> None:
-        pass
-
-    def stats(self) -> TransportStats:
-        with self._stats_lock:
-            return TransportStats(
-                self._stats.frames_sent,
-                self._stats.frames_received,
-                self._stats.bytes_sent,
-                self._stats.bytes_received,
-            )
 
 
 class _SyncAck:
@@ -660,13 +635,12 @@ class SocketTransport(Transport):
 
         A *departed* peer (``forget_peer``) closing its side is the
         expected end of a planned retirement — silently ignored."""
-        if (
-            origin < 0
-            or self._closed.is_set()
-            or origin in self._dead_peers
-            or origin in self._departed
-        ):
+        if origin < 0 or self._closed.is_set() or origin in self._departed:
             return
+        # No "already in _dead_peers" shortcut: a failed *send* to the
+        # peer (say, a page release racing its exit) marks it dead
+        # without telling anyone, and this EOF is then the one
+        # notification the world gets.  ``on_peer_lost`` is idempotent.
         self._dead_peers.add(origin)
         self.on_peer_lost(origin)
 

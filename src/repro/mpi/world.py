@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import AbortError, DeadlockError, ProcessFailedError
 from repro.mpi.mailbox import Mailbox
-from repro.mpi.progress import Completion, ProgressEngine, RankProgress, blocked_bucket
+from repro.mpi.progress import ProgressEngine, RankProgress, blocked_bucket
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.faults import FaultSchedule
@@ -48,8 +48,8 @@ class TrafficStats:
     blocking ledger from :meth:`World.record_block_episode`: how many
     times blocked waiters woke, how long they were parked, and a
     log-bucket histogram of episode durations.  They make the progress
-    engine's claim testable — an idle blocked rank records O(1) wakeups
-    in event mode versus one per wait slice under polling.
+    engine's claim testable — an idle blocked rank records O(1) wakeups,
+    however long it stays parked.
     """
 
     messages: int = 0
@@ -124,45 +124,15 @@ class WorldConfig:
         is checked on receipt; mismatched collective calls across ranks then
         raise :class:`~repro.errors.CollectiveMismatchError` instead of
         producing garbage.
-    serialization_fastpath :
-        Enable the zero-copy serialization fast path
-        (:mod:`repro.mpi.serialization`): objects are encoded **once** per
-        collective fan-out and the bytes shared across all destination
-        envelopes, tree relays forward received bytes verbatim instead of
-        unpickling and re-pickling at every hop, and contiguous numpy
-        arrays travel as read-only snapshots with copy-on-final-delivery
-        instead of pickles.  Observable results are identical either way
-        (value semantics are preserved); the flag exists so benchmarks can
-        ablate the legacy pickle-per-destination cost model.
-    rearranger_fastpath :
-        Route :class:`repro.core.rearranger.Rearranger` traffic over the
-        buffer-mode hot path: persistent ``Send_init``/``Recv_init``
-        requests bound to preallocated staging buffers, with the
-        ``(lo, hi)`` row header packed as a fixed-size prefix instead of a
-        pickled tuple.  Off reproduces the object-mode pickled path.
     deadlock_detection :
         Enable the all-blocked watchdog.
     deadlock_grace :
         Seconds of global inactivity with every process blocked before
         deadlock is declared.
-    progress_engine :
-        ``"event"`` (default) parks every blocked path on the
-        :class:`~repro.mpi.progress.ProgressEngine` — woken exactly once
-        by delivery, abort, or the watchdog, with deadlock detection in
-        a dedicated lazily-started watchdog thread.  ``"polling"`` is
-        the legacy engine: blocked waiters wake every ``wait_slice`` to
-        re-check aborts and run the detector inline, and
-        ``waitany``/``waitsome`` busy-poll.  Kept for ablation
-        (``benchmarks/compare.py`` writes ``BENCH_progress.json``).
     watchdog_period :
-        Event engine only: how often (seconds) the watchdog thread runs
-        the all-blocked-and-idle deadlock scan while someone is blocked.
+        How often (seconds) the watchdog thread runs the
+        all-blocked-and-idle deadlock scan while someone is blocked.
         Bounds deadlock-detection and thereby abort-propagation latency.
-    wait_slice :
-        Polling engine only: poll interval (seconds) of blocked waiters —
-        how often a blocked receive wakes to re-check for aborts and run
-        the deadlock watchdog.  Lower values propagate aborts faster at
-        the cost of more wakeups; benchmarks ablate the trade-off.
     max_components_per_executable :
         The paper's Section 4.3 limit ("Each executable could contain up to
         10 components") — consulted by MPH, carried here so one config object
@@ -192,18 +162,16 @@ class WorldConfig:
         multi-executable setting.
     transport :
         Which :class:`~repro.mpi.transport.Transport` moves envelopes
-        between ranks.  ``"auto"`` (default): direct mailbox delivery for
-        the thread backend (no transport object at all — the historical
-        zero-overhead path), Unix-domain sockets for the process backend.
-        ``"thread"`` forces the explicit
-        :class:`~repro.mpi.transport.ThreadTransport` indirection on the
-        thread backend (ablation: one extra branch+call per message);
-        ``"unix"``/``"tcp"`` select the socket family of the process
-        backend; ``"shm"`` forces the shared-memory transport
+        between the ranks of the process backend (the thread backend
+        delivers straight into the destination mailbox and accepts only
+        ``"auto"``).  ``"unix"``/``"tcp"`` select the socket family;
+        ``"shm"`` forces the shared-memory transport
         (:class:`~repro.mpi.shm.ShmTransport`) for every same-node peer
-        pair of the process backend.  On the process backend ``"auto"``
-        selects shm for same-node pairs and Unix sockets otherwise —
-        MPICH-G2-style per-pair protocol selection.
+        pair; ``"auto"`` (default) selects shm for same-node pairs and
+        Unix sockets otherwise — MPICH-G2-style per-pair protocol
+        selection.  The choice covers the *data* plane only: the
+        bootstrap's control sockets are always Unix paths in the job's
+        private socket directory.
     nodes :
         Number of simulated nodes the ranks are block-distributed over
         (see :class:`~repro.mpi.topology.Topology`), or ``None`` (the
@@ -239,19 +207,9 @@ class WorldConfig:
         own core, 0 when ranks oversubscribe the host — a spinning
         reader on an oversubscribed box steals the very cycles the
         sender needs to produce the frame it is waiting for.
-    bootstrap :
-        Rank-rendezvous scheme of the process backend (see
-        :mod:`repro.mpi.bootstrap`).  ``"tree"`` (default): children
-        relay hellos and welcomes through a *fanout*-ary tree over
-        deterministic control sockets, so the launcher handles O(fanout)
-        connections and pickles the shared welcome payload **once**
-        instead of once per rank.  ``"flat"``: every child talks to the
-        launcher directly (the historical O(nprocs) accept loop; kept
-        for ablation — ``benchmarks/bench_init.py`` writes
-        ``BENCH_init.json``).  TCP jobs always use the flat scheme:
-        the tree needs path-addressable (Unix) control sockets.
     bootstrap_fanout :
-        Arity of the bootstrap relay tree (default 8).
+        Arity of the process backend's bootstrap relay tree (default 8;
+        see :mod:`repro.mpi.bootstrap`).
     """
 
     bcast_algorithm: str = "binomial"
@@ -260,13 +218,9 @@ class WorldConfig:
     allgather_algorithm: str = "ring"
     barrier_algorithm: str = "dissemination"
     validate_collectives: bool = True
-    serialization_fastpath: bool = True
-    rearranger_fastpath: bool = True
     deadlock_detection: bool = True
     deadlock_grace: float = 1.0
-    progress_engine: str = "event"
     watchdog_period: float = 0.05
-    wait_slice: float = 0.05
     max_components_per_executable: int = 10
     fault_schedule: Optional["FaultSchedule"] = None
     match_schedule: Optional["MatchSchedule"] = None
@@ -278,34 +232,22 @@ class WorldConfig:
     shm_pool_bytes: int = 1 << 26
     shm_inline_max: int = 1 << 15
     shm_spin_us: Optional[int] = None
-    bootstrap: str = "tree"
     bootstrap_fanout: int = 8
 
     def __post_init__(self) -> None:
-        if self.progress_engine not in ("event", "polling"):
-            raise ValueError(
-                f"progress_engine must be 'event' or 'polling', "
-                f"got {self.progress_engine!r}"
-            )
         if self.backend not in ("thread", "process"):
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
-        if self.transport not in ("auto", "thread", "unix", "tcp", "shm"):
+        if self.transport not in ("auto", "unix", "tcp", "shm"):
             raise ValueError(
-                f"transport must be 'auto', 'thread', 'unix', 'tcp' or "
-                f"'shm', got {self.transport!r}"
+                f"transport must be 'auto', 'unix', 'tcp' or 'shm', "
+                f"got {self.transport!r}"
             )
-        if self.backend == "thread" and self.transport in (
-            "unix",
-            "tcp",
-            "shm",
-        ):
+        if self.backend == "thread" and self.transport != "auto":
             raise ValueError(
                 f"transport {self.transport!r} requires backend='process'"
             )
-        if self.backend == "process" and self.transport == "thread":
-            raise ValueError("transport 'thread' requires backend='thread'")
         if self.nodes is not None and self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
         if self.shm_ring_bytes < (1 << 12):
@@ -325,10 +267,6 @@ class WorldConfig:
         if self.shm_spin_us is not None and self.shm_spin_us < 0:
             raise ValueError(
                 f"shm_spin_us must be >= 0 or None (auto), got {self.shm_spin_us}"
-            )
-        if self.bootstrap not in ("tree", "flat"):
-            raise ValueError(
-                f"bootstrap must be 'tree' or 'flat', got {self.bootstrap!r}"
             )
         if self.bootstrap_fanout < 2:
             raise ValueError(
@@ -356,16 +294,11 @@ class World:
         #: One mailbox per process, indexed by world rank.
         self.mailboxes = [Mailbox(self, r) for r in range(nprocs)]
         #: The :class:`~repro.mpi.transport.Transport` carrying remote
-        #: deliveries, or ``None`` for the historical direct-mailbox path
-        #: (thread backend default).  Every remote send funnels through
-        #: :meth:`deliver`, which dispatches on this attribute.
+        #: deliveries (bound by the process backend), or ``None`` for the
+        #: thread backend's direct-mailbox path.  Every remote send
+        #: funnels through :meth:`deliver`, which dispatches on this
+        #: attribute.
         self.transport = None
-        if self.config.transport == "thread":
-            # Explicit in-memory transport indirection (ablation of the
-            # transport seam's cost; lazy import breaks the module cycle).
-            from repro.mpi.transport import ThreadTransport
-
-            self.transport = ThreadTransport(self)
 
         # Context ids: 0/1 are reserved for COMM_WORLD's p2p/collective
         # traffic; communicator-creating operations allocate pairs above.
@@ -398,8 +331,8 @@ class World:
         self.traffic = TrafficStats()
         self._rank_progress: dict[int, RankProgress] = {}
 
-        #: The completion/waitset layer every blocking path parks on in
-        #: event mode (and the owner of the deadlock watchdog thread).
+        #: The completion/waitset layer every blocking path parks on
+        #: (and the owner of the deadlock watchdog thread).
         self.progress = ProgressEngine(self)
 
     # -- context ids --------------------------------------------------------
@@ -422,11 +355,10 @@ class World:
         """Deliver *env* to world rank *dest* — the single seam every
         remote send crosses.
 
-        With no transport selected (thread backend default) this is a
-        direct call into the destination mailbox, identical to the
-        historical path; otherwise the envelope goes to the configured
-        :class:`~repro.mpi.transport.Transport` (in-memory indirection or
-        framed socket I/O to another OS process).
+        On the thread backend (no transport) this is a direct call into
+        the destination mailbox; on the process backend the envelope
+        goes to the world's :class:`~repro.mpi.transport.Transport`
+        (framed socket or shm-ring I/O to another OS process).
         """
         transport = self.transport
         if transport is None:
@@ -462,9 +394,9 @@ class World:
 
     def record_block_episode(self, rank: int, seconds: float, wakeups: int) -> None:
         """Account one completed blocked episode of *rank*: *seconds*
-        parked, woken *wakeups* times.  Called by every blocking path in
-        both engine modes; feeds :class:`TrafficStats` and the per-rank
-        ledger read by :meth:`progress_stats`."""
+        parked, woken *wakeups* times.  Called by every blocking path;
+        feeds :class:`TrafficStats` and the per-rank ledger read by
+        :meth:`progress_stats`."""
         bucket = blocked_bucket(seconds)
         with self._traffic_lock:
             self.traffic.wakeups += wakeups
@@ -630,9 +562,9 @@ class World:
 
     @property
     def deadlock_exc(self) -> DeadlockError | None:
-        """The declared deadlock, if the watchdog (or a polling waiter)
-        found one — parked event-mode waiters re-raise it as the root
-        cause instead of a secondary :class:`AbortError`."""
+        """The declared deadlock, if the watchdog found one — parked
+        waiters re-raise it as the root cause instead of a secondary
+        :class:`AbortError`."""
         return self._deadlock_exc
 
     def check_abort(self) -> None:
@@ -649,30 +581,6 @@ class World:
             sibling.__cause__ = exc.__cause__
             raise sibling
 
-    def wait_event(self, event: threading.Event | Completion, rank: int, what: str) -> None:
-        """Abort-aware, deadlock-detecting wait on a sync token (used by
-        synchronous sends, which block until their message is matched).
-
-        In event mode a :class:`~repro.mpi.progress.Completion` token
-        parks on the progress engine (one wakeup); otherwise — polling
-        mode, or a plain :class:`threading.Event` — the legacy wait-slice
-        loop runs.
-        """
-        if self.progress.event_mode and isinstance(event, Completion):
-            self.progress.wait((event,), rank, what)
-            return
-        self.block_enter(rank, what)
-        wakeups = 0
-        start = time.monotonic()
-        try:
-            while not event.wait(timeout=self.config.wait_slice):
-                wakeups += 1
-                self.check_abort()
-                self.maybe_detect_deadlock()
-        finally:
-            self.block_exit(rank)
-            self.record_block_episode(rank, time.monotonic() - start, wakeups)
-
     # -- deadlock detection ----------------------------------------------------
 
     def scan_deadlock(self) -> DeadlockError | ProcessFailedError | None:
@@ -688,11 +596,10 @@ class World:
         the world is **not** aborted, so survivors that handle the error
         keep running (ULFM semantics).
 
-        Called by the event engine's watchdog thread and by polling
-        waiters via :meth:`maybe_detect_deadlock`.  Safe against false
-        positives: a waiter whose wake condition became true exits its
-        wait (and the blocked set) promptly, and any message movement
-        refreshes the activity clock.
+        Called by the progress engine's watchdog thread.  Safe against
+        false positives: a waiter whose wake condition became true exits
+        its wait (and the blocked set) promptly, and any message
+        movement refreshes the activity clock.
         """
         if not self.config.deadlock_detection or self.aborted:
             return None
@@ -727,26 +634,6 @@ class World:
                 self._deadlock_exc = err
         self.abort(AbortError(str(err)))
         return err
-
-    def maybe_detect_deadlock(self) -> None:
-        """Polling-engine hook: declare deadlock if every live process is
-        blocked and nothing has moved for the configured grace period.
-
-        Called by blocked waiters on each wait-slice wakeup; raises the
-        :class:`DeadlockError` — or, when dead ranks are present,
-        :class:`~repro.errors.ProcessFailedError` — in the detecting
-        waiter.  (The event engine runs the same scan from its watchdog
-        thread instead.)
-        """
-        if not self.config.deadlock_detection:
-            return
-        if self.aborted:
-            # Another process already declared the failure; let the caller's
-            # next check_abort unwind this one quietly.
-            self.check_abort()
-        err = self.scan_deadlock()
-        if err is not None:
-            raise err
 
     # -- diagnostics -------------------------------------------------------------
 

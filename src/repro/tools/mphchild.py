@@ -2,13 +2,14 @@
 
 ``mphrun --backend process`` spawns one of these per world rank::
 
-    python -m repro.tools.mphchild --rendezvous unix:/tmp/.../rendezvous.sock \\
-           --rank 3 --family unix --sockdir /tmp/...
+    python -m repro.tools.mphchild --rank 3 --nprocs 8 --family unix \\
+           --sockdir /tmp/... --fanout 8
 
 This is the paper's MIME property made real: every rank is an
 independently ``exec``'d executable that knows *nothing* at startup
-except where the rendezvous is and which rank it plays.  Everything else
-— world size, the peer address map, the
+except the job's socket directory (where the rendezvous and every
+control socket live), which rank of how many it plays, and the shape of
+the bootstrap tree.  Everything else — the peer address map, the
 :class:`~repro.mpi.world.WorldConfig`, and *what program to run* — comes
 down the control socket in the welcome frame's per-rank ``meta`` dict:
 
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 from repro.core.redirect import ProcessOutput
 from repro.launcher.job import JobEnv
-from repro.mpi.procbackend import _parse_addr, child_session
+from repro.mpi.procbackend import child_session
 
 
 def _resolve(meta: dict):
@@ -77,21 +78,20 @@ def _resolve(meta: dict):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(prog="mphchild")
-    parser.add_argument("--rendezvous", required=True)
     parser.add_argument("--rank", type=int, required=True)
-    parser.add_argument("--family", choices=("unix", "tcp"), default="unix")
-    parser.add_argument("--sockdir", required=True)
     parser.add_argument(
-        "--nprocs",
-        type=int,
-        default=None,
-        help="world size (needed by the tree bootstrap to shape the relay tree)",
+        "--nprocs", type=int, required=True, help="world size (shapes the relay tree)"
     )
     parser.add_argument(
-        "--bootstrap",
-        choices=("tree", "flat"),
-        default="flat",
-        help="address-exchange scheme, as resolved by the parent",
+        "--family",
+        choices=("unix", "tcp"),
+        default="unix",
+        help="socket family of this rank's data listener",
+    )
+    parser.add_argument(
+        "--sockdir",
+        required=True,
+        help="the job's socket directory (rendezvous and control sockets)",
     )
     parser.add_argument(
         "--fanout", type=int, default=8, help="arity of the bootstrap relay tree"
@@ -103,14 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return fn(comm, env)
 
     child_session(
-        _parse_addr(args.rendezvous),
-        args.rank,
-        args.family,
-        args.sockdir,
-        run,
-        nprocs=args.nprocs,
-        bootstrap=args.bootstrap,
-        fanout=args.fanout,
+        args.rank, args.nprocs, args.family, args.sockdir, run, fanout=args.fanout
     )
     return 0
 

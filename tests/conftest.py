@@ -24,15 +24,7 @@ def spmd():
     return runner
 
 
-@pytest.fixture(params=["event", "polling"])
-def progress_engine(request):
-    """Both progress-engine modes, so safety-net tests cover the event
-    engine's watchdog and the legacy polling loops alike."""
-    return request.param
-
-
 @pytest.fixture
-def fast_deadlock_config(progress_engine):
-    """A world config with a short deadlock grace for failure tests,
-    parametrized over both progress-engine modes."""
-    return WorldConfig(deadlock_grace=0.3, progress_engine=progress_engine)
+def fast_deadlock_config():
+    """A world config with a short deadlock grace for failure tests."""
+    return WorldConfig(deadlock_grace=0.3)

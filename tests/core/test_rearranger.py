@@ -236,85 +236,45 @@ class TestCachedSchedule:
         assert result.values() == [True]
 
 
-class TestFastpathAblation:
-    """The buffer fast path and the legacy pickled path route identically."""
+class TestRoutingTraffic:
+    def test_routes_over_buffer_transport(self):
+        """Routed traffic travels buffer-mode: no pickles."""
 
-    @pytest.mark.parametrize("n_alpha,n_beta", [(2, 3), (4, 2)])
-    def test_flag_off_matches_flag_on(self, n_alpha, n_beta):
-        from repro.mpi.world import WorldConfig
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", "beta", 8, 2)
+            before = world.world.traffic_snapshot()
+            start, stop = r.src_rows
+            r(np.zeros((stop - start, 2)))
+            # Sends are recorded at delivery time, inside r(); only
+            # routed traffic moves in this window.
+            return world.world.traffic_snapshot().since(before).by_kind
 
-        nrows = 12
-        outs = {}
-        for on in (True, False):
-            result = rearrange_job(
-                n_alpha, n_beta, nrows, config=WorldConfig(rearranger_fastpath=on)
-            )
-            outs[on] = sorted(result.by_executable(1))
-        assert outs[True] == outs[False]
+        def beta(world, env):
+            mph = components_setup(world, "beta", env=env)
+            Rearranger(mph, "alpha", "beta", 8, 2)(None)
+            return None
 
-    def test_fastpath_uses_buffer_transport(self):
-        """With the flag on, routed traffic travels buffer-mode (no
-        pickles); with it off, object-mode."""
-        from repro.mpi.world import WorldConfig
+        result = mph_run([(alpha, 2), (beta, 2)], registry=REG)
+        by_kind = result.by_executable(0)[0]
+        assert by_kind.get("buffer", 0) > 0 and by_kind.get("object", 0) == 0
 
-        def job(on):
-            def alpha(world, env):
-                mph = components_setup(world, "alpha", env=env)
-                r = Rearranger(mph, "alpha", "beta", 8, 2)
-                before = world.world.traffic_snapshot()
-                start, stop = r.src_rows
-                r(np.zeros((stop - start, 2)))
-                # Sends are recorded at delivery time, inside r(); only
-                # routed traffic moves in this window.
-                return world.world.traffic_snapshot().since(before).by_kind
+    def test_profile_counts_bytes(self):
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", "beta", 8, 2)
+            start, stop = r.src_rows
+            r(np.zeros((stop - start, 2)))
+            return dict(mph.profile.sent), mph.profile.total_bytes_sent
 
-            def beta(world, env):
-                mph = components_setup(world, "beta", env=env)
-                Rearranger(mph, "alpha", "beta", 8, 2)(None)
-                return None
+        def beta(world, env):
+            mph = components_setup(world, "beta", env=env)
+            Rearranger(mph, "alpha", "beta", 8, 2)(None)
+            return dict(mph.profile.received), mph.profile.total_bytes_received
 
-            result = mph_run(
-                [(alpha, 2), (beta, 2)],
-                registry=REG,
-                config=WorldConfig(rearranger_fastpath=on),
-            )
-            return result.by_executable(0)[0]
-
-        assert job(True).get("buffer", 0) > 0 and job(True).get("object", 0) == 0
-        assert job(False).get("object", 0) > 0 and job(False).get("buffer", 0) == 0
-
-    def test_profile_counts_bytes_on_both_paths(self):
-        from repro.mpi.world import WorldConfig
-
-        def run(on):
-            def alpha(world, env):
-                mph = components_setup(world, "alpha", env=env)
-                r = Rearranger(mph, "alpha", "beta", 8, 2)
-                start, stop = r.src_rows
-                r(np.zeros((stop - start, 2)))
-                return (
-                    dict(mph.profile.sent),
-                    mph.profile.total_bytes_sent,
-                )
-
-            def beta(world, env):
-                mph = components_setup(world, "beta", env=env)
-                Rearranger(mph, "alpha", "beta", 8, 2)(None)
-                mph_local = mph
-                return (
-                    dict(mph_local.profile.received),
-                    mph_local.profile.total_bytes_received,
-                )
-
-            return mph_run(
-                [(alpha, 1), (beta, 1)],
-                registry=REG,
-                config=WorldConfig(rearranger_fastpath=on),
-            )
-
-        for on in (True, False):
-            result = run(on)
-            sent, sent_bytes = result.by_executable(0)[0]
-            received, recv_bytes = result.by_executable(1)[0]
-            assert sent == {"beta": 1} and received == {"alpha": 1}
-            assert sent_bytes > 0 and recv_bytes > 0
+        result = mph_run([(alpha, 1), (beta, 1)], registry=REG)
+        sent, sent_bytes = result.by_executable(0)[0]
+        received, recv_bytes = result.by_executable(1)[0]
+        assert sent == {"beta": 1} and received == {"alpha": 1}
+        # One staging buffer each way: 2 header + 8 rows x 2 cols float64.
+        assert sent_bytes == recv_bytes == (2 + 8 * 2) * 8

@@ -4,9 +4,8 @@ The solvers are plain deterministic numpy and the driver's protocol fixes
 every reduction order (gather in rank order, concatenate in declaration
 order), so a coupled solve must produce *bitwise identical* interface
 vectors no matter how the message schedule interleaves.  These tests
-sweep match-schedule seeds (``schedule_sweep`` marker) across both
-progress engines and compare every run against the serial iteration,
-byte for byte.
+sweep match-schedule seeds (``schedule_sweep`` marker) and compare every
+run against the serial iteration, byte for byte.
 """
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.coupling import (
     serve_participant,
 )
 from repro.launcher.job import mph_run
-from repro.mpi.world import WorldConfig
 
 REG = "BEGIN\ncoupler\np1\np2\nEND"
 
@@ -103,14 +101,13 @@ class TestBitwiseScheduleIndependence:
     @pytest.mark.schedule_sweep(5)
     @pytest.mark.parametrize("solver_name", ["gauss_seidel", "aitken", "iqn_ils"])
     def test_coupled_solve_is_bitwise_schedule_independent(
-        self, solver_name, sweep_config, progress_engine
+        self, solver_name, sweep_config
     ):
-        """5 seeds x 2 engines: every scheduled run must equal the serial
-        iteration bit for bit — iterations, residual history, and the
-        final interface vector's exact bytes."""
-        config = sweep_config(WorldConfig(progress_engine=progress_engine))
+        """5 seeds: every scheduled run must equal the serial iteration
+        bit for bit — iterations, residual history, and the final
+        interface vector's exact bytes."""
         result = mph_run(
-            coupled_job(solver_name), registry=REG, config=config, timeout=120.0
+            coupled_job(solver_name), registry=REG, config=sweep_config(), timeout=120.0
         )
         got = result.by_executable(0)[0]
         ref = serial_reference(solver_name)
@@ -120,15 +117,14 @@ class TestBitwiseScheduleIndependence:
             assert norms == tuple(expect.residual_norms)
 
     @pytest.mark.schedule_sweep(3)
-    def test_two_scheduled_runs_identical(self, sweep_config, progress_engine):
+    def test_two_scheduled_runs_identical(self, sweep_config):
         """Within one seed, re-running the job reproduces itself exactly
         (fresh schedule, same seed — the replay property chaos debugging
         relies on)."""
         runs = []
         for _ in range(2):
-            config = sweep_config(WorldConfig(progress_engine=progress_engine))
             result = mph_run(
-                coupled_job("iqn_ils"), registry=REG, config=config, timeout=120.0
+                coupled_job("iqn_ils"), registry=REG, config=sweep_config(), timeout=120.0
             )
             runs.append(result.by_executable(0)[0])
         assert runs[0] == runs[1]

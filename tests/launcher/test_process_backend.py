@@ -11,13 +11,16 @@ failing the whole job with the component named.
 import os
 import sys
 import textwrap
+import time
 
 import pytest
 
-from repro.errors import AbortError, LaunchError
+from repro.errors import AbortError, LaunchError, TransportError
 from repro.launcher.job import JobResult, MpmdJob
+from repro.mpi import procbackend, run_spmd
 from repro.mpi.procbackend import ChildExitError
 from repro.mpi.world import WorldConfig
+from repro.tools import mphchild
 from repro.tools.mphrun import main
 
 
@@ -157,6 +160,47 @@ class TestMpmdJobProcessBackend:
 
 
 # ---------------------------------------------------------------------------
+# The bootstrap: one relay tree, control plane on Unix paths
+# ---------------------------------------------------------------------------
+
+
+class TestBootstrap:
+    def test_tcp_world_forms(self):
+        """The control plane is Unix paths whatever the data plane is, so
+        a TCP world forms through the same tree."""
+
+        def main(comm):
+            return comm.world.transport.kind, comm.allreduce(comm.rank)
+
+        config = WorldConfig(backend="process", transport="tcp")
+        assert run_spmd(3, main, config=config, timeout=60.0) == [("tcp", 3)] * 3
+
+    def test_single_rank_world_forms(self):
+        assert run_spmd(1, lambda c: (c.rank, c.size), config=PROCESS) == [(0, 1)]
+
+    def test_ranks_that_return_at_once(self):
+        """A child whose rank returns immediately writes its register
+        and result frames back to back; the launcher must read them as
+        two frames, launch after launch."""
+        for _ in range(40):
+            assert run_spmd(10, lambda c: c.rank, config=PROCESS) == list(range(10))
+
+    def test_bootstrap_error_terminates_children_before_joining(self, monkeypatch):
+        """However the launcher leaves the bootstrap, children still
+        waiting for their welcome are terminated, not joined one timeout
+        at a time."""
+
+        def broken(*args, **kwargs):
+            raise TransportError("malformed frame during bootstrap")
+
+        monkeypatch.setattr(procbackend, "serve_tree_rendezvous", broken)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="malformed frame"):
+            run_spmd(4, lambda c: c.rank, config=PROCESS)
+        assert time.monotonic() - start < 5.0
+
+
+# ---------------------------------------------------------------------------
 # mphrun --backend process (true MIME: each rank its own executable)
 # ---------------------------------------------------------------------------
 
@@ -248,6 +292,35 @@ class TestMphrunProcessBackend:
         assert code == 0
         assert "3 processes" in capsys.readouterr().out
         assert list_segments("repro-mpi-") == []
+
+    def test_tcp_transport_flag(self, program_module, capsys):
+        """--transport tcp: exec'd children find the rendezvous from the
+        sockdir alone and exchange TCP data addresses through the tree."""
+        code = main(
+            [
+                "--spec",
+                "-np 2 atm : -np 1 ocn",
+                "--programs",
+                program_module,
+                "--backend",
+                "process",
+                "--transport",
+                "tcp",
+                "--timeout",
+                "60",
+            ]
+        )
+        assert code == 0
+        assert "3 processes" in capsys.readouterr().out
+
+    def test_mphchild_takes_no_rendezvous_or_scheme(self, capsys):
+        """The child derives the rendezvous from --sockdir; there is no
+        address or scheme left to pass."""
+        base = ["--rank", "0", "--nprocs", "1", "--sockdir", "/nonexistent"]
+        for stale in (["--rendezvous", "unix:/x"], ["--bootstrap", "tree"]):
+            with pytest.raises(SystemExit):
+                mphchild.main(base + stale)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_child_exit_code_fails_job(self, program_module, capsys):
         """Satellite: a nonzero component exit fails the whole job with

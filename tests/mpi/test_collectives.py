@@ -308,19 +308,13 @@ class TestCollectiveSequencing:
             spmd(2, main, config=WorldConfig(deadlock_grace=0.3))
 
 
-FASTPATH_CONFIGS = [
-    WorldConfig(bcast_algorithm="linear", serialization_fastpath=on)
-    for on in (True, False)
-] + [
-    WorldConfig(bcast_algorithm="binomial", serialization_fastpath=on)
-    for on in (True, False)
-]
-FASTPATH_IDS = ["linear-on", "linear-off", "binomial-on", "binomial-off"]
-
-
-@pytest.mark.parametrize("config", FASTPATH_CONFIGS, ids=FASTPATH_IDS)
+@pytest.mark.parametrize(
+    "config",
+    [WorldConfig(bcast_algorithm="linear"), WorldConfig(bcast_algorithm="binomial")],
+    ids=["linear", "binomial"],
+)
 class TestBcastMutationIsolation:
-    """The pickle-once / relay-forward fast path must preserve the value
+    """Pickle-once fan-out and relay-forward must preserve the value
     semantics of distributed memory: every rank owns a private result."""
 
     def test_receiver_mutation_is_private(self, spmd, config):

@@ -15,19 +15,16 @@ from repro.mpi.executor import run_world
 
 
 class TestAbortPropagation:
-    """Parametrized over both progress engines: abort must wake parked
-    event-mode waiters and polling waiters alike."""
-
-    def test_user_exception_is_root_cause(self, spmd, progress_engine):
+    def test_user_exception_is_root_cause(self, spmd):
         def main(comm):
             if comm.rank == 1:
                 raise ValueError("boom")
             comm.recv(source=1)  # would block forever
 
         with pytest.raises(ValueError, match="boom"):
-            spmd(4, main, config=WorldConfig(progress_engine=progress_engine))
+            spmd(4, main)
 
-    def test_blocked_ranks_unwind_quickly(self, spmd, progress_engine):
+    def test_blocked_ranks_unwind_quickly(self, spmd):
         def main(comm):
             if comm.rank == 0:
                 raise RuntimeError("early failure")
@@ -35,29 +32,29 @@ class TestAbortPropagation:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError):
-            spmd(6, main, config=WorldConfig(progress_engine=progress_engine))
+            spmd(6, main)
         assert time.monotonic() - start < 5.0
 
-    def test_explicit_abort(self, spmd, progress_engine):
+    def test_explicit_abort(self, spmd):
         def main(comm):
             if comm.rank == 2:
                 comm.abort("operator request")
             comm.recv(source=2)
 
         with pytest.raises(AbortError, match="operator request"):
-            spmd(3, main, config=WorldConfig(progress_engine=progress_engine))
+            spmd(3, main)
 
-    def test_abort_records_origin_rank(self, spmd, progress_engine):
+    def test_abort_records_origin_rank(self, spmd):
         def main(comm):
             if comm.rank == 1:
                 comm.Abort(errorcode=3)
             comm.barrier()
 
         with pytest.raises(AbortError) as info:
-            spmd(2, main, config=WorldConfig(progress_engine=progress_engine))
+            spmd(2, main)
         assert info.value.origin_rank == 1
 
-    def test_exception_after_successful_collectives(self, spmd, progress_engine):
+    def test_exception_after_successful_collectives(self, spmd):
         def main(comm):
             comm.allreduce(1)
             comm.barrier()
@@ -66,7 +63,7 @@ class TestAbortPropagation:
             comm.recv(source=0)
 
         with pytest.raises(KeyError):
-            spmd(3, main, config=WorldConfig(progress_engine=progress_engine))
+            spmd(3, main)
 
 
 class TestDeadlockDetection:
@@ -115,9 +112,9 @@ class TestDeadlockDetection:
         values = run_spmd(3, main, config=fast_deadlock_config, timeout=20)
         assert values[1] == "late but legal"
 
-    def test_detection_can_be_disabled(self, progress_engine):
+    def test_detection_can_be_disabled(self):
         """With detection off, the wall-clock timeout is the backstop."""
-        config = WorldConfig(deadlock_detection=False, progress_engine=progress_engine)
+        config = WorldConfig(deadlock_detection=False)
 
         def main(comm):
             comm.recv(source=comm.rank, tag=42)

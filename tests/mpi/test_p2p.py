@@ -312,21 +312,9 @@ class TestBufferMode:
 
 class TestZeroCopyMutationIsolation:
     """Value semantics survive the zero-copy array path: mutations on one
-    side are never visible on the other, with the fast path on or off."""
+    side are never visible on the other."""
 
-    CONFIGS = [
-        pytest.param(None, id="fastpath-on"),
-        pytest.param("off", id="fastpath-off"),
-    ]
-
-    @staticmethod
-    def _config(mode):
-        from repro.mpi import WorldConfig
-
-        return WorldConfig(serialization_fastpath=(mode is None))
-
-    @pytest.mark.parametrize("mode", CONFIGS)
-    def test_sender_mutation_after_isend_invisible(self, spmd, mode):
+    def test_sender_mutation_after_isend_invisible(self, spmd):
         def main(comm):
             if comm.rank == 0:
                 arr = np.arange(8.0)
@@ -339,11 +327,10 @@ class TestZeroCopyMutationIsolation:
             comm.barrier()
             return got.tolist()
 
-        values = spmd(2, main, config=self._config(mode))
+        values = spmd(2, main)
         assert values[1] == list(range(8))
 
-    @pytest.mark.parametrize("mode", CONFIGS)
-    def test_receiver_mutation_invisible_to_sender(self, spmd, mode):
+    def test_receiver_mutation_invisible_to_sender(self, spmd):
         def main(comm):
             if comm.rank == 0:
                 arr = np.zeros(4)
@@ -355,12 +342,11 @@ class TestZeroCopyMutationIsolation:
             comm.barrier()
             return got.tolist()
 
-        values = spmd(2, main, config=self._config(mode))
+        values = spmd(2, main)
         assert values[0] == [0.0, 0.0, 0.0, 0.0]
         assert values[1] == [9.0, 9.0, 9.0, 9.0]
 
-    @pytest.mark.parametrize("mode", CONFIGS)
-    def test_received_array_is_writable(self, spmd, mode):
+    def test_received_array_is_writable(self, spmd):
         def main(comm):
             if comm.rank == 0:
                 comm.send(np.ones(3), dest=1)
@@ -369,10 +355,9 @@ class TestZeroCopyMutationIsolation:
             got += 1.0  # must not raise: receivers own their data
             return got.flags.writeable
 
-        assert spmd(2, main, config=self._config(mode))[1] is True
+        assert spmd(2, main)[1] is True
 
-    @pytest.mark.parametrize("mode", CONFIGS)
-    def test_noncontiguous_send(self, spmd, mode):
+    def test_noncontiguous_send(self, spmd):
         def main(comm):
             if comm.rank == 0:
                 base = np.arange(12.0).reshape(3, 4)
@@ -380,5 +365,5 @@ class TestZeroCopyMutationIsolation:
                 return None
             return comm.recv(source=0).tolist()
 
-        values = spmd(2, main, config=self._config(mode))
+        values = spmd(2, main)
         assert values[1] == [[0.0, 2.0], [4.0, 6.0], [8.0, 10.0]]

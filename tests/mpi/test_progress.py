@@ -3,17 +3,18 @@ and the wakeup/blocked-time ledger (repro.mpi.progress).
 
 The load-bearing claims under test:
 
-* an idle blocked rank records **O(1) wakeups** in event mode (woken by
-  delivery only) versus one wakeup per wait slice under polling;
+* an idle blocked rank records **O(1) wakeups** (woken by delivery
+  only), and the watchdog scans once per ``watchdog_period``, not once
+  per park;
 * abort propagation reaches ranks parked mid-``waitany`` and
-  mid-collective in **both** engine modes;
-* deadlock detection still fires in both modes — including for ranks
-  parked in ``waitany``, which the polling engine's busy-poll never even
-  registered as blocked;
+  mid-collective;
+* deadlock detection fires for every parked rank — including ranks
+  parked in ``waitany``;
 * misuse (duplicate handles in a wait list, waiting on a cancelled
-  receive, an invalid engine name) raises instead of hanging.
+  receive, a retired ``WorldConfig`` knob) raises instead of hanging.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -35,9 +36,9 @@ class TestCompletion:
 
     def test_event_style_aliases(self):
         c = Completion()
-        assert not c.wait(timeout=0.01)
+        assert not c.is_set()
         c.set()
-        assert c.wait(timeout=0.01)
+        assert c.is_set() and c.done
 
     def test_engine_wait_returns_immediately_when_done(self):
         world = World(1)
@@ -53,13 +54,42 @@ class TestCompletion:
 
 
 class TestConfigValidation:
-    def test_invalid_engine_name_rejected(self):
-        with pytest.raises(ValueError, match="progress_engine"):
-            WorldConfig(progress_engine="busywait")
+    def test_config_has_exactly_the_surviving_knobs(self):
+        """The ablation flags went with the paths they selected.  Any
+        name outside this list — a retired flag included — is an
+        unexpected keyword to the dataclass, so a stale config fails
+        loudly instead of being silently ignored."""
+        assert [f.name for f in dataclasses.fields(WorldConfig)] == [
+            "bcast_algorithm",
+            "reduce_algorithm",
+            "allreduce_algorithm",
+            "allgather_algorithm",
+            "barrier_algorithm",
+            "validate_collectives",
+            "deadlock_detection",
+            "deadlock_grace",
+            "watchdog_period",
+            "max_components_per_executable",
+            "fault_schedule",
+            "match_schedule",
+            "backend",
+            "transport",
+            "nodes",
+            "hierarchical_collectives",
+            "shm_ring_bytes",
+            "shm_pool_bytes",
+            "shm_inline_max",
+            "shm_spin_us",
+            "bootstrap_fanout",
+        ]
 
-    def test_both_engine_names_accepted(self):
-        assert WorldConfig(progress_engine="event").progress_engine == "event"
-        assert WorldConfig(progress_engine="polling").progress_engine == "polling"
+    def test_retired_knob_is_a_type_error(self):
+        with pytest.raises(TypeError, match="bootstrap"):
+            WorldConfig(bootstrap="tree")
+
+    def test_thread_transport_rejected(self):
+        with pytest.raises(ValueError, match="transport"):
+            WorldConfig(transport="thread")
 
 
 class TestBlockedBuckets:
@@ -74,8 +104,8 @@ class TestBlockedBuckets:
 class TestWakeupCeilings:
     """The measurable heart of the refactor: parked means *parked*."""
 
-    def _blocked_recv_world(self, config: WorldConfig, idle: float) -> World:
-        world = World(2, config)
+    def _blocked_recv_world(self, idle: float) -> World:
+        world = World(2)
 
         def receiver(comm):
             return comm.recv(source=1, tag=1)
@@ -92,34 +122,25 @@ class TestWakeupCeilings:
         run_world(world, [receiver, sender], timeout=20)
         return world
 
-    def test_event_mode_idle_rank_has_constant_wakeups(self):
-        world = self._blocked_recv_world(WorldConfig(progress_engine="event"), idle=0.35)
+    def test_idle_rank_has_constant_wakeups(self):
+        world = self._blocked_recv_world(idle=0.35)
         stats = world.progress_stats(0)
         assert stats.episodes >= 1
         assert stats.blocked_seconds > 0.3
         # Woken by the delivery (plus at most a spurious cond wakeup) —
-        # never once per wait slice.
+        # never periodically.
         assert stats.wakeups <= 3
 
-    def test_polling_mode_idle_rank_pays_per_slice(self):
-        world = self._blocked_recv_world(
-            WorldConfig(progress_engine="polling", wait_slice=0.02), idle=0.35
-        )
-        stats = world.progress_stats(0)
-        # ~17 slices of guaranteed blocked time; demand half to stay
-        # timing-proof.
-        assert stats.wakeups >= 8
-
     def test_traffic_stats_carry_the_blocking_ledger(self):
-        world = self._blocked_recv_world(WorldConfig(progress_engine="event"), idle=0.25)
+        world = self._blocked_recv_world(idle=0.25)
         traffic = world.traffic_snapshot()
         assert traffic.blocked_seconds > 0.2
         assert sum(traffic.blocked_hist.values()) >= 1
         delta = world.traffic_snapshot().since(traffic)
         assert delta.blocked_seconds == 0.0 and delta.blocked_hist == {}
 
-    def test_ssend_parks_once_in_event_mode(self):
-        world = World(2, WorldConfig(progress_engine="event"))
+    def test_ssend_parks_once(self):
+        world = World(2)
 
         def sender(comm):
             comm.ssend("sync", 1, tag=3)
@@ -137,7 +158,7 @@ class TestWakeupCeilings:
 
 
 class TestAbortMidWaitany:
-    def test_abort_unwinds_parked_waitany(self, progress_engine):
+    def test_abort_unwinds_parked_waitany(self):
         def main(comm):
             if comm.rank == 0:
                 time.sleep(0.2)
@@ -147,10 +168,10 @@ class TestAbortMidWaitany:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="mid-waitany abort"):
-            run_spmd(3, main, config=WorldConfig(progress_engine=progress_engine), timeout=20)
+            run_spmd(3, main, timeout=20)
         assert time.monotonic() - start < 5.0
 
-    def test_abort_unwinds_waitsome_of_sends_and_recvs(self, progress_engine):
+    def test_abort_unwinds_waitsome_of_sends_and_recvs(self):
         """A mixed list whose only incomplete entries are receives must
         still observe the abort (and an all-send list completes eagerly)."""
 
@@ -166,11 +187,11 @@ class TestAbortMidWaitany:
                 time.sleep(0.01)
 
         with pytest.raises(RuntimeError, match="mixed-list abort"):
-            run_spmd(2, main, config=WorldConfig(progress_engine=progress_engine), timeout=20)
+            run_spmd(2, main, timeout=20)
 
 
 class TestAbortMidCollective:
-    def test_abort_during_collective_storm(self, progress_engine):
+    def test_abort_during_collective_storm(self):
         """Stress: repeated collectives with one rank failing mid-stream;
         everyone must unwind with the user exception as root cause."""
 
@@ -185,29 +206,25 @@ class TestAbortMidCollective:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="died between collectives"):
-            run_spmd(4, main, config=WorldConfig(progress_engine=progress_engine), timeout=20)
+            run_spmd(4, main, timeout=20)
         assert time.monotonic() - start < 10.0
 
 
 class TestDeadlockThroughWaitsets:
-    def test_waitany_cycle_detected_in_event_mode(self):
-        """Ranks parked in waitany count as blocked for the watchdog — a
-        coverage *gain* over the polling busy-poll, which never registered
-        them."""
+    def test_waitany_cycle_detected(self):
+        """Ranks parked in waitany count as blocked for the watchdog."""
 
         def main(comm):
             req = comm.irecv(source=(comm.rank + 1) % comm.size, tag=7)
             Request.waitany([req])
 
-        config = WorldConfig(progress_engine="event", deadlock_grace=0.3)
+        config = WorldConfig(deadlock_grace=0.3)
         with pytest.raises(DeadlockError) as info:
             run_spmd(2, main, config=config, timeout=20)
         assert "waitany" in str(info.value)
 
     def test_watchdog_detects_recv_cycle_quickly(self):
-        config = WorldConfig(
-            progress_engine="event", deadlock_grace=0.3, watchdog_period=0.02
-        )
+        config = WorldConfig(deadlock_grace=0.3, watchdog_period=0.02)
 
         def main(comm):
             comm.recv(source=(comm.rank + 1) % comm.size, tag=1)
@@ -215,11 +232,43 @@ class TestDeadlockThroughWaitsets:
         start = time.monotonic()
         with pytest.raises(DeadlockError):
             run_spmd(3, main, config=config, timeout=20)
-        # grace 0.3 s + a few watchdog periods, not a poll-slice cascade
+        # grace 0.3 s + a few watchdog periods
         assert time.monotonic() - start < 5.0
 
+    def test_watchdog_scans_per_period_not_per_park(self, monkeypatch):
+        """A 200-message ping-pong parks ~400 times; the watchdog must
+        still scan O(elapsed / watchdog_period) times — a park leaves a
+        flag for the retire check, it does not wake the watchdog."""
+        period = 0.05
+        world = World(2, WorldConfig(watchdog_period=period))
+        scans = 0
+        real_scan = world.scan_deadlock
+
+        def counting_scan():
+            nonlocal scans
+            scans += 1
+            return real_scan()
+
+        monkeypatch.setattr(world, "scan_deadlock", counting_scan)
+
+        def main(comm):
+            peer = 1 - comm.rank
+            for i in range(200):
+                if comm.rank == 0:
+                    comm.send(i, peer, tag=1)
+                    comm.recv(source=peer, tag=2)
+                else:
+                    comm.recv(source=peer, tag=1)
+                    comm.send(i, peer, tag=2)
+
+        start = time.monotonic()
+        run_world(world, [main, main], timeout=30)
+        elapsed = time.monotonic() - start
+        assert world.progress_stats(0).episodes + world.progress_stats(1).episodes >= 100
+        assert scans <= elapsed / period + 2
+
     def test_watchdog_retires_after_the_job(self):
-        world = World(2, WorldConfig(progress_engine="event"))
+        world = World(2)
 
         def main(comm):
             if comm.rank == 0:
@@ -256,7 +305,7 @@ class TestRequestMisuse:
 
         assert run_spmd(1, main) == ["ok"]
 
-    def test_wait_after_cancel_raises_instead_of_hanging(self, progress_engine):
+    def test_wait_after_cancel_raises_instead_of_hanging(self):
         def main(comm):
             req = comm.irecv(source=0, tag=5)
             assert req.cancel()
@@ -266,5 +315,4 @@ class TestRequestMisuse:
                 req.test()
             return "ok"
 
-        config = WorldConfig(progress_engine=progress_engine)
-        assert run_spmd(1, main, config=config) == ["ok"]
+        assert run_spmd(1, main) == ["ok"]

@@ -37,7 +37,7 @@ class TestRankDeath:
         assert results[0].value == "survived"
         assert results[2].value == "survived"
 
-    def test_recv_from_dead_rank_names_it(self, spmd, progress_engine):
+    def test_recv_from_dead_rank_names_it(self, spmd):
         def main(comm):
             if comm.rank == 1:
                 raise SimulatedCrash("die")
@@ -47,10 +47,10 @@ class TestRankDeath:
                 return sorted(exc.failed_ranks)
             return None
 
-        results = spmd(2, main, config=WorldConfig(progress_engine=progress_engine))
+        results = spmd(2, main)
         assert results[0] == [1]
 
-    def test_posted_recv_fails_when_source_dies(self, spmd, progress_engine):
+    def test_posted_recv_fails_when_source_dies(self, spmd):
         """Death *after* the receive is already parked must still fail it
         (the watchdog failure pulse wakes the victim)."""
 
@@ -62,7 +62,7 @@ class TestRankDeath:
                 comm.recv(source=1, tag=1)
             return "ok"
 
-        results = spmd(2, main, config=WorldConfig(progress_engine=progress_engine))
+        results = spmd(2, main)
         assert results[0] == "ok"
 
     def test_dead_rank_is_not_misdiagnosed_as_deadlock(self, fast_deadlock_config):
@@ -114,7 +114,7 @@ class TestRankDeath:
 
 
 class TestRevoke:
-    def test_revoke_poisons_pending_and_future_ops(self, spmd, progress_engine):
+    def test_revoke_poisons_pending_and_future_ops(self, spmd):
         def main(comm):
             if comm.rank == 1:
                 time.sleep(0.2)
@@ -127,7 +127,7 @@ class TestRevoke:
                 comm.send("x", (comm.rank + 1) % 2, tag=2)  # future op
             return "reached-recovery-path"
 
-        results = spmd(2, main, config=WorldConfig(progress_engine=progress_engine))
+        results = spmd(2, main)
         assert results == ["reached-recovery-path"] * 2
 
     def test_revoke_is_scoped_to_the_communicator(self, spmd):
@@ -144,7 +144,7 @@ class TestRevoke:
 
 
 class TestShrinkAgree:
-    def test_revoke_shrink_continue(self, spmd, progress_engine):
+    def test_revoke_shrink_continue(self, spmd):
         """The canonical ULFM recovery sequence after a crash."""
 
         def main(comm):
@@ -166,7 +166,7 @@ class TestShrinkAgree:
             assert new.rank == {0: 0, 1: 1, 3: 2}[comm.rank]
             return new.allreduce(comm.rank)
 
-        results = spmd(4, main, config=WorldConfig(progress_engine=progress_engine))
+        results = spmd(4, main)
         assert [results[r] for r in (0, 1, 3)] == [4, 4, 4]
 
     def test_agree_over_dead_ranks(self, spmd):

@@ -1,13 +1,10 @@
 """The zero-copy serialization layer (repro.mpi.serialization)."""
 
-import pickle
-
 import numpy as np
 import pytest
 
 from repro import mpi
 from repro.mpi.serialization import Blob, payload_nbytes
-from repro.mpi.world import WorldConfig
 
 
 class TaggedArray(np.ndarray):
@@ -78,45 +75,36 @@ class TestPayloadNbytes:
         assert payload_nbytes(("op", None)) == 0
 
 
-class TestFastpathAblation:
-    """The same programs produce identical results with the flag off."""
+class TestEncodeOnceTraffic:
+    """Literal results and ledger of the encode-once paths."""
 
-    def run_both(self, fn, nprocs):
-        on = mpi.run_spmd(nprocs, fn, config=WorldConfig(serialization_fastpath=True))
-        off = mpi.run_spmd(nprocs, fn, config=WorldConfig(serialization_fastpath=False))
-        return on, off
-
-    def test_bcast_identical(self):
+    def test_bcast_value(self):
         def prog(comm):
             return comm.bcast(np.arange(10.0) if comm.rank == 0 else None).tolist()
 
-        on, off = self.run_both(prog, 4)
-        assert on == off
+        assert mpi.run_spmd(4, prog) == [[float(i) for i in range(10)]] * 4
 
-    def test_send_recv_identical(self):
+    def test_send_recv_value(self):
         def prog(comm):
             if comm.rank == 0:
                 comm.send(np.full(6, 7.0), dest=1)
                 return None
-            if comm.rank == 1:
-                return comm.recv(source=0).sum()
-            return None
+            return comm.recv(source=0).sum()
 
-        on, off = self.run_both(prog, 2)
-        assert on == off == [None, 42.0]
+        assert mpi.run_spmd(2, prog) == [None, 42.0]
 
-    def test_copy_avoided_ledger_only_on_fastpath(self):
+    def test_copy_avoided_ledger_counts_reused_encodings(self):
         def prog(comm):
             before = comm.world.traffic_snapshot()
             comm.bcast(np.arange(1024.0) if comm.rank == 0 else None)
             comm.barrier()
             return comm.world.traffic_snapshot().since(before).copy_avoided_bytes
 
-        on, off = self.run_both(prog, 4)
         # Rank 0 snapshots before any traffic moves and after the barrier
-        # has flushed it all, so its delta sees the whole bcast.
-        assert on[0] > 0
-        assert all(v == 0 for v in off)
+        # has flushed it all, so its delta sees the whole bcast: of the
+        # binomial tree's three 8 KiB messages, the root's second child
+        # send and the relay's forward reuse an existing encoding.
+        assert mpi.run_spmd(4, prog)[0] == 2 * 8192
 
 
 class TestObjectModeStatusCount:
@@ -141,19 +129,4 @@ class TestObjectModeStatusCount:
             comm.recv(source=0, status=status)
             return status.count
 
-        config = WorldConfig(serialization_fastpath=True)
-        assert mpi.run_spmd(2, prog, config=config)[1] == 800
-
-    def test_legacy_pickled_count(self):
-        # Flag off: counts are the pickle size, as before the fast path.
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(100), dest=1)
-                return None
-            status = mpi.Status()
-            comm.recv(source=0, status=status)
-            return status.count
-
-        config = WorldConfig(serialization_fastpath=False)
-        count = mpi.run_spmd(2, prog, config=config)[1]
-        assert count == len(pickle.dumps(np.zeros(100), pickle.HIGHEST_PROTOCOL))
+        assert mpi.run_spmd(2, prog)[1] == 800

@@ -455,7 +455,7 @@ class TestShmTransportPair:
         completion = Completion()
         env = Envelope(1, 0, 2, blob, "object", blob.nbytes, sync_event=completion)
         a.send_envelope(1, env)
-        assert completion.wait(5.0), "shm-path ssend ack never arrived"
+        assert _wait(lambda: completion.done), "shm-path ssend ack never arrived"
 
     def test_large_blob_takes_page_path(self, shm_pair):
         a, b = shm_pair

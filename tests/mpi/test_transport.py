@@ -17,6 +17,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,35 @@ class TestFrameIO:
         try:
             send_frame(a, {"msg": list(range(100))})
             assert recv_frame(b, timeout=5.0) == {"msg": list(range(100))}
+        finally:
+            a.close()
+            b.close()
+
+    def test_back_to_back_frames_come_out_one_per_call(self):
+        """A bootstrap child writes ``register`` and, if its rank returns
+        at once, ``result`` before the launcher has read the first:
+        each call must take exactly one frame and leave the next in the
+        socket."""
+        a, b = socket.socketpair()
+        try:
+            a.sendall(
+                pack_frame(pickle.dumps(("register", 3)))
+                + pack_frame(pickle.dumps(("result", 3, True, "value", None)))
+            )
+            assert recv_frame(b, timeout=5.0) == ("register", 3)
+            assert recv_frame(b, timeout=5.0) == ("result", 3, True, "value", None)
+            a.close()
+            assert recv_frame(b, timeout=5.0) is None
+        finally:
+            a.close()
+            b.close()
+
+    def test_oversized_declared_length_raises(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack("!I", MAX_FRAME_BYTES + 1))
+            with pytest.raises(TransportError, match="exceeds MAX_FRAME_BYTES"):
+                recv_frame(b, timeout=5.0)
         finally:
             a.close()
             b.close()
@@ -279,7 +309,10 @@ class TestSocketTransport:
         completion = Completion()
         env = Envelope(1, 0, 2, blob, "object", blob.nbytes, sync_event=completion)
         a.send_envelope(1, env)
-        assert completion.wait(5.0), "ack frame never completed the ssend"
+        deadline = time.monotonic() + 5.0
+        while not completion.done and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert completion.done, "ack frame never completed the ssend"
 
     def test_abort_broadcast(self, transport_pair):
         a, b = transport_pair

@@ -13,9 +13,6 @@ seeds; any test naming ``fault_seed`` sweeps
 ``--mpi-match-seed=K`` / ``--mpi-fault-seed=J``
     Pin the sweep to exactly one seed — what the printed repro command
     uses to replay a failure bit-for-bit.
-``--mpi-engine={event,polling}``
-    Force one progress-engine mode across the swept runs (CI matrixes
-    seeds × engines).
 ``--mpi-trace-dir=DIR``
     Where failing runs dump their schedule + trace specs (default
     ``.schedule-traces``; CI uploads it as an artifact).
@@ -71,12 +68,6 @@ def pytest_addoption(parser):
         default=None,
         metavar="J",
         help="pin the fault-schedule sweep to exactly seed J (replay)",
-    )
-    group.addoption(
-        "--mpi-engine",
-        choices=("event", "polling"),
-        default=None,
-        help="force one progress-engine mode for swept runs",
     )
     group.addoption(
         "--mpi-trace-dir",
@@ -143,17 +134,12 @@ def _sweep_state(node) -> dict:
     return state
 
 
-def _armed_config(request, state, config: WorldConfig | None) -> WorldConfig:
-    """*config* with a fresh schedule for this run's seed (and the forced
-    engine, when ``--mpi-engine`` is set) armed on it."""
+def _armed_config(state, config: WorldConfig | None) -> WorldConfig:
+    """*config* with a fresh schedule for this run's seed armed on it."""
     schedule = MatchSchedule(seed=state["match_seed"] or 0)
     state["schedules"].append(schedule)
-    fields = {"match_schedule": schedule}
-    engine = request.config.getoption("--mpi-engine")
-    if engine is not None:
-        fields["progress_engine"] = engine
     base = config if config is not None else WorldConfig()
-    return dataclasses.replace(base, **fields)
+    return dataclasses.replace(base, match_schedule=schedule)
 
 
 @pytest.fixture
@@ -167,7 +153,7 @@ def mpi_world(request, match_seed):
 
     def runner(n, fn, *, config: WorldConfig | None = None, timeout: float = 30.0, **kw):
         return run_spmd(
-            n, fn, config=_armed_config(request, state, config), timeout=timeout, **kw
+            n, fn, config=_armed_config(state, config), timeout=timeout, **kw
         )
 
     return runner
@@ -183,7 +169,7 @@ def sweep_config(request, match_seed):
     state = _sweep_state(request.node)
 
     def factory(config: WorldConfig | None = None) -> WorldConfig:
-        return _armed_config(request, state, config)
+        return _armed_config(state, config)
 
     return factory
 

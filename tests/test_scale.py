@@ -6,7 +6,6 @@ synchronized by its own collectives, so nothing to convert to the
 ``World.wait_until_blocked`` event hook."""
 
 import numpy as np
-import pytest
 
 from repro import components_setup, mph_run, multi_instance
 from repro.mpi import run_spmd
@@ -41,18 +40,16 @@ class TestSubstrateScale:
 
 
 class TestInitScale:
-    """The ``init-scale`` CI smoke: both bootstrap schemes must complete
-    a 512-rank address exchange (simulated ranks — one thread each over
+    """The ``init-scale`` CI smoke: the bootstrap tree must complete a
+    512-rank address exchange (simulated ranks — one thread each over
     real Unix sockets).  Every simulated rank verifies it got the full
     peer map, so this asserts protocol correctness at width; timings
-    from shared runners are noise, and the flat-vs-tree scaling curve is
-    ``benchmarks/bench_init.py``'s job."""
+    from shared runners are noise."""
 
-    @pytest.mark.parametrize("scheme", ["flat", "tree"])
-    def test_bootstrap_512_ranks(self, scheme):
+    def test_bootstrap_512_ranks(self):
         from benchmarks.bench_init import bootstrap_seconds
 
-        assert bootstrap_seconds(scheme, 512) > 0.0
+        assert bootstrap_seconds(512) > 0.0
 
 
 class TestHandshakeScale:
