@@ -5,7 +5,9 @@ This package provides everything MPH needs from an MPI library —
 collective suite, groups, and above all ``Comm.split`` — implemented over
 per-process mailboxes with MPI matching semantics.  See
 :mod:`repro.mpi.world` for the safety nets (abort propagation and deadlock
-detection) and :mod:`repro.mpi.collectives` for the algorithm menu.
+detection) and :mod:`repro.mpi.collectives` for the algorithm menu — one
+schedule per algorithm, shared by the object (lowercase) and buffer
+(uppercase) verbs through a payload codec.
 
 Typical SPMD use::
 

@@ -40,7 +40,7 @@ from repro.errors import (
     RevokedError,
     TruncationError,
 )
-from repro.mpi import buffer_collectives, collectives
+from repro.mpi import collectives
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -56,6 +56,7 @@ from repro.mpi.reduce_ops import SUM, Op
 from repro.mpi.request import RecvRequest, Request, SendRequest
 from repro.mpi.serialization import Blob
 from repro.mpi.status import Status
+from repro.mpi.topology import CommHierarchy
 from repro.mpi.world import World
 
 #: Collective tags advance in strides of this much per collective call
@@ -115,23 +116,18 @@ class Comm:
         or every member of *this* communicator shares one node.
         """
         if self._hier is False:
-            hier = None
-            cfg = self._world.config
-            topo = getattr(self._world, "topology", None)
+            self._hier = None
+            topo = self._world.topology
             if (
-                cfg.hierarchical_collectives
-                and topo is not None
+                self._world.config.hierarchical_collectives
                 and topo.nnodes > 1
                 and self.size > 2
             ):
-                from repro.mpi.topology import CommHierarchy
-
                 h = CommHierarchy.from_topology(
                     topo, [self._group.world_id(r) for r in range(self.size)]
                 )
                 if h.nnodes > 1:
-                    hier = h
-            self._hier = hier
+                    self._hier = h
         return self._hier
 
     # -- introspection -------------------------------------------------------
@@ -374,42 +370,6 @@ class Comm:
         self._coll_seq += 1
         return (seq % (1 << 24)) * _COLL_TAG_STRIDE
 
-    # Collective messages carry their operation name in the envelope's
-    # ``op`` slot (not inside the pickled payload), so validation never
-    # forces a decode and relays can forward received blobs verbatim.
-
-    def _coll_encode(self, value: Any) -> Blob:
-        """Encode a collective payload once (shareable across envelopes)."""
-        return Blob.encode(value)
-
-    def _coll_send_blob(
-        self, dest: int, tag: int, blob: Blob, opname: str, reused: bool = False
-    ) -> None:
-        """Send an already-encoded blob.  *reused* marks envelopes whose
-        encoding was shared from an earlier send (fan-out siblings, relay
-        forwards) for the ``copy_avoided_bytes`` ledger."""
-        env = Envelope(
-            self._coll_ctx,
-            self._rank,
-            tag,
-            blob,
-            "object",
-            blob.nbytes,
-            op=opname,
-            copy_avoided=blob.nbytes if reused else 0,
-        )
-        self._deliver(dest, env)
-
-    def _coll_send(self, dest: int, tag: int, value: Any, opname: str) -> None:
-        self._coll_send_blob(dest, tag, self._coll_encode(value), opname)
-
-    def _coll_fanout(self, dests: Sequence[int], tag: int, value: Any, opname: str) -> None:
-        """Send *value* to every rank in *dests*, encoded once and the
-        bytes shared by every destination envelope."""
-        blob = self._coll_encode(value)
-        for i, dest in enumerate(dests):
-            self._coll_send_blob(dest, tag, blob, opname, reused=i > 0)
-
     def _coll_post(self, source: int, tag: int) -> PostedRecv:
         """Pre-post a collective receive (no blocking).  Collectives that
         both send and receive in one phase — ring/dissemination steps,
@@ -432,79 +392,6 @@ class Comm:
             self._world.abort(AbortError(str(exc), origin_rank=self._my_world_id))
             raise exc
         return env
-
-    def _coll_recv_env(self, source: int, tag: int, opname: str) -> Envelope:
-        return self._coll_complete(self._coll_post(source, tag), source, opname)
-
-    def _coll_recv(self, source: int, tag: int, opname: str) -> Any:
-        return self._coll_recv_env(source, tag, opname).payload.decode()
-
-    def _coll_recv_blob(self, source: int, tag: int, opname: str) -> Blob:
-        """Receive the still-encoded blob (tree relays forward it verbatim
-        and decode lazily, only if they need the value themselves)."""
-        return self._coll_recv_env(source, tag, opname).payload
-
-    def _coll_send_buffer(self, dest: int, tag: int, arr: np.ndarray, opname: str) -> None:
-        snap = np.array(arr, copy=True)
-        env = Envelope(self._coll_ctx, self._rank, tag, snap, "bufcoll", snap.size, op=opname)
-        self._deliver(dest, env)
-
-    def _coll_fanout_buffer(
-        self, dests: Sequence[int], tag: int, arr: np.ndarray, opname: str
-    ) -> None:
-        """Buffer-mode fan-out: one read-only snapshot shared by every
-        destination (receivers copy out of it)."""
-        snap = np.array(arr, copy=True)
-        snap.flags.writeable = False
-        for i, dest in enumerate(dests):
-            env = Envelope(
-                self._coll_ctx,
-                self._rank,
-                tag,
-                snap,
-                "bufcoll",
-                snap.size,
-                op=opname,
-                copy_avoided=snap.nbytes if i > 0 else 0,
-            )
-            self._deliver(dest, env)
-
-    def _coll_forward_buffer(self, dest: int, tag: int, arr: np.ndarray, opname: str) -> None:
-        """Forward a received buffer-mode payload verbatim (tree relay):
-        the array is already a private snapshot owned by the transport, so
-        no further copy is needed."""
-        env = Envelope(
-            self._coll_ctx,
-            self._rank,
-            tag,
-            arr,
-            "bufcoll",
-            arr.size,
-            op=opname,
-            copy_avoided=arr.nbytes,
-        )
-        self._deliver(dest, env)
-
-    def _coll_recv_buffer(self, source: int, tag: int, opname: str) -> np.ndarray:
-        env = self._coll_recv_env(source, tag, opname)
-        return self._coll_buffer_payload(env, opname)
-
-    def _coll_complete_buffer(self, posted: PostedRecv, source: int, opname: str) -> np.ndarray:
-        """Buffer-mode counterpart of :meth:`_coll_complete`."""
-        env = self._coll_complete(posted, source, opname)
-        return self._coll_buffer_payload(env, opname)
-
-    def _coll_buffer_payload(self, env: Envelope, opname: str) -> np.ndarray:
-        payload = env.payload
-        if isinstance(payload, Blob):
-            value = payload.decode()
-            if not isinstance(value, np.ndarray):
-                raise TruncationError(
-                    f"buffer-mode collective {opname!r} received an object-mode "
-                    f"payload of type {type(value).__name__}"
-                )
-            return value
-        return payload
 
     def barrier(self) -> None:
         """Block until every rank has entered the barrier."""
@@ -573,7 +460,7 @@ class Comm:
         identically-shaped array)."""
         self._check()
         self._check_rank(root, "root rank")
-        return buffer_collectives.Bcast(self, buf, root, self._next_coll_tag())
+        return collectives.Bcast(self, buf, root, self._next_coll_tag())
 
     def Gather(
         self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray] = None, root: int = 0
@@ -582,7 +469,7 @@ class Comm:
         rank axis (allocated when *recvbuf* is None)."""
         self._check()
         self._check_rank(root, "root rank")
-        return buffer_collectives.Gather(self, sendbuf, recvbuf, root, self._next_coll_tag())
+        return collectives.Gather(self, sendbuf, recvbuf, root, self._next_coll_tag())
 
     def Scatter(
         self, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray, root: int = 0
@@ -590,14 +477,14 @@ class Comm:
         """Buffer scatter from the root's stacked array into *recvbuf*."""
         self._check()
         self._check_rank(root, "root rank")
-        return buffer_collectives.Scatter(self, sendbuf, recvbuf, root, self._next_coll_tag())
+        return collectives.Scatter(self, sendbuf, recvbuf, root, self._next_coll_tag())
 
     def Allgather(
         self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Buffer allgather (leading rank axis on every rank)."""
         self._check()
-        return buffer_collectives.Allgather(self, sendbuf, recvbuf, self._next_coll_tag())
+        return collectives.Allgather(self, sendbuf, recvbuf, self._next_coll_tag())
 
     def Gatherv(self, sendbuf: np.ndarray, root: int = 0):
         """Variable-size buffer gather: root gets ``(concatenated array,
@@ -605,7 +492,7 @@ class Comm:
         pre-agreed."""
         self._check()
         self._check_rank(root, "root rank")
-        return buffer_collectives.Gatherv(self, sendbuf, root, self._next_coll_tag())
+        return collectives.Gatherv(self, sendbuf, root, self._next_coll_tag())
 
     def Scatterv(
         self,
@@ -618,7 +505,7 @@ class Comm:
         self._check()
         self._check_rank(root, "root rank")
         counts_list = list(counts) if counts is not None else None
-        return buffer_collectives.Scatterv(self, sendbuf, counts_list, root, self._next_coll_tag())
+        return collectives.Scatterv(self, sendbuf, counts_list, root, self._next_coll_tag())
 
     def Reduce(
         self,
@@ -631,14 +518,14 @@ class Comm:
         elsewhere)."""
         self._check()
         self._check_rank(root, "root rank")
-        return buffer_collectives.Reduce(self, sendbuf, recvbuf, op, root, self._next_coll_tag())
+        return collectives.Reduce(self, sendbuf, recvbuf, op, root, self._next_coll_tag())
 
     def Allreduce(
         self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray] = None, op: Op = SUM
     ) -> np.ndarray:
         """Elementwise buffer reduction delivered to every rank."""
         self._check()
-        return buffer_collectives.Allreduce(self, sendbuf, recvbuf, op, self._next_coll_tag())
+        return collectives.Allreduce(self, sendbuf, recvbuf, op, self._next_coll_tag())
 
     # -- communicator management ---------------------------------------------------
 

@@ -17,8 +17,9 @@ simulator:
 
 :class:`CommHierarchy`
     The topology restricted to one communicator's members: per-node
-    member lists and one *leader* rank per node.  Hierarchical
-    collectives (``collectives.py`` / ``buffer_collectives.py``) use it
+    member lists and one *leader* rank per node.  The hierarchical
+    schedules of :mod:`repro.mpi.collectives` (shared by the object and
+    buffer verbs) use it
     to run a two-level algorithm — an intra-node phase rooted at the
     leader (over shm) and an inter-node phase among leaders only (over
     the peer transport) — mirroring MPICH-G2's topology-aware trees.

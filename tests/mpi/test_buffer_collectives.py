@@ -60,6 +60,27 @@ class TestBcastBuffer:
         with pytest.raises(TruncationError):
             spmd(2, main, config=config)
 
+    def test_uncastable_dtype_detected(self, spmd, config):
+        def main(comm):
+            buf = np.full(4, 1.5) if comm.rank == 0 else np.zeros(4, dtype=np.int32)
+            comm.Bcast(buf)
+
+        with pytest.raises(TruncationError, match="Bcast.*float64.*int32"):
+            spmd(3, main, config=config)
+
+    def test_same_kind_cast_still_accepted(self, spmd, config):
+        """What ``np.copyto`` accepts (``same_kind``) is not an error."""
+
+        def main(comm):
+            if comm.rank == 0:
+                buf = np.arange(4, dtype=np.int64)
+            else:
+                buf = np.zeros(4, dtype=np.float32)
+            comm.Bcast(buf)
+            return buf.tolist()
+
+        assert spmd(3, main, config=config) == [[0.0, 1.0, 2.0, 3.0]] * 3
+
 
 @pytest.mark.parametrize("config", ALGO_CONFIGS, ids=ALGO_IDS)
 class TestGatherScatterBuffer:
@@ -122,6 +143,61 @@ class TestGatherScatterBuffer:
 
         assert spmd(4, main, config=config) == [0.0, 10.0, 20.0, 30.0]
 
+    def test_gather_never_truncates_silently(self, spmd, config):
+        """1.5 gathered into an int32 recvbuf used to arrive as 1."""
+
+        def main(comm):
+            recv = np.zeros((comm.size, 2), dtype=np.int32) if comm.rank == 0 else None
+            comm.Gather(np.full(2, 1.5), recv)
+
+        with pytest.raises(TruncationError, match="Gather.*float64.*int32"):
+            spmd(3, main, config=config)
+
+    def test_gather_mixed_contributor_dtypes(self, spmd, config):
+        """The allocated recvbuf takes the root's dtype; a float64 block
+        from another rank must not be cut down to it."""
+
+        def main(comm):
+            dtype = np.int64 if comm.rank == 0 else np.float64
+            comm.Gather(np.full(2, 1.5 * comm.rank, dtype=dtype))
+
+        with pytest.raises(TruncationError, match="Gather from rank 1"):
+            spmd(3, main, config=config)
+
+    def test_allgather_never_truncates_silently(self, spmd, config):
+        def main(comm):
+            comm.Allgather(np.full(2, 1.5), np.zeros((comm.size, 2), dtype=np.int32))
+
+        with pytest.raises(TruncationError, match="Allgather.*float64.*int32"):
+            spmd(3, main, config=config)
+
+    def test_scatter_uncastable_dtype_detected(self, spmd, config):
+        def main(comm):
+            send = np.full((comm.size, 2), 1.5) if comm.rank == 0 else None
+            comm.Scatter(send, np.zeros(2, dtype=np.int32))
+
+        with pytest.raises(TruncationError, match="Scatter.*float64.*int32"):
+            spmd(3, main, config=config)
+
+    def test_scatterv_rejects_negative_counts(self, spmd, config):
+        """[3, -1, 1, 1] sums to 4 but would hand rank 1 an empty block
+        and overlap rank 2's block with rank 0's."""
+
+        def main(comm):
+            if comm.rank == 0:
+                return comm.Scatterv(np.arange(4.0), [3, -1, 1, 1])
+            return comm.Scatterv()
+
+        with pytest.raises(CommError, match="non-negative"):
+            spmd(4, main, config=config)
+
+    def test_gatherv_trailing_shape_mismatch_names_the_rank(self, spmd, config):
+        def main(comm):
+            comm.Gatherv(np.zeros((2, 4 if comm.rank == 2 else 3)))
+
+        with pytest.raises(TruncationError, match="Gatherv.*rank 2"):
+            spmd(3, main, config=config)
+
 
 @pytest.mark.parametrize("config", ALGO_CONFIGS, ids=ALGO_IDS)
 class TestReductionBuffer:
@@ -181,3 +257,18 @@ class TestReductionBuffer:
 
         values = spmd(3, main, config=config)
         assert values == [[float(r)] * 4 for r in range(3)]
+
+    def test_reduce_uncastable_dtype_detected(self, spmd, config):
+        def main(comm):
+            recv = np.zeros(2, dtype=np.int32) if comm.rank == 0 else None
+            comm.Reduce(np.full(2, 0.5), recv)
+
+        with pytest.raises(TruncationError, match="Reduce.*float64.*int32"):
+            spmd(3, main, config=config)
+
+    def test_allreduce_uncastable_dtype_detected(self, spmd, config):
+        def main(comm):
+            comm.Allreduce(np.full(2, 0.5), np.zeros(2, dtype=np.int32))
+
+        with pytest.raises(TruncationError, match="Allreduce.*float64.*int32"):
+            spmd(3, main, config=config)

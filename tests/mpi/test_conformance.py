@@ -289,6 +289,72 @@ class TestCollectives:
         total = float(sum(range(self.NPROCS)))
         assert backend_spmd(self.NPROCS, fn) == [[total] * 3] * self.NPROCS
 
+    def test_buffer_gather(self, backend_spmd):
+        def fn(comm):
+            out = comm.Gather(np.full(3, float(comm.rank)), root=1)
+            return None if out is None else out.tolist()
+
+        values = backend_spmd(self.NPROCS, fn)
+        assert values[1] == [[float(r)] * 3 for r in range(self.NPROCS)]
+        assert [v for r, v in enumerate(values) if r != 1] == [None] * (self.NPROCS - 1)
+
+    def test_buffer_scatter(self, backend_spmd):
+        def fn(comm):
+            send = None
+            if comm.rank == 0:
+                send = np.arange(comm.size * 2, dtype=np.float64).reshape(comm.size, 2)
+            recv = np.zeros(2)
+            comm.Scatter(send, recv, root=0)
+            return recv.tolist()
+
+        assert backend_spmd(self.NPROCS, fn) == [
+            [2.0 * r, 2.0 * r + 1] for r in range(self.NPROCS)
+        ]
+
+    def test_buffer_allgather(self, backend_spmd):
+        def fn(comm):
+            return comm.Allgather(np.full(2, float(comm.rank + 1))).tolist()
+
+        expected = [[float(r + 1)] * 2 for r in range(self.NPROCS)]
+        assert backend_spmd(self.NPROCS, fn) == [expected] * self.NPROCS
+
+    def test_buffer_gatherv(self, backend_spmd):
+        def fn(comm):
+            out = comm.Gatherv(np.full(comm.rank + 1, float(comm.rank)), root=0)
+            return None if out is None else (out[0].tolist(), out[1])
+
+        full = [float(r) for r in range(self.NPROCS) for _ in range(r + 1)]
+        assert backend_spmd(self.NPROCS, fn)[0] == (full, [1, 2, 3, 4])
+
+    def test_buffer_scatterv(self, backend_spmd):
+        """Every rank owns a writable block — also the one large enough
+        for the shm transport to map it out of a page instead of copying."""
+        counts = [1, 2, 3, 5000]
+
+        def fn(comm):
+            if comm.rank == 0:
+                block = comm.Scatterv(np.arange(float(sum(counts))), counts)
+            else:
+                block = comm.Scatterv()
+            block += 100.0
+            return (len(block), block[0], block[-1])
+
+        assert backend_spmd(self.NPROCS, fn) == [
+            (1, 100.0, 100.0),
+            (2, 101.0, 102.0),
+            (3, 103.0, 105.0),
+            (5000, 106.0, 5105.0),
+        ]
+
+    def test_buffer_reduce(self, backend_spmd):
+        def fn(comm):
+            out = comm.Reduce(np.full(3, float(comm.rank + 1)), op=MAX, root=2)
+            return None if out is None else out.tolist()
+
+        values = backend_spmd(self.NPROCS, fn)
+        assert values[2] == [float(self.NPROCS)] * 3
+        assert values[0] is None
+
     def test_collectives_back_to_back(self, backend_spmd):
         """Tag discipline survives many collectives on one communicator."""
 

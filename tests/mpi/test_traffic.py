@@ -5,10 +5,12 @@ check that the implemented algorithm is the claimed one (a linear bcast on
 P ranks delivers exactly P-1 messages; a ring allgather exactly P(P-1)).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.mpi import World, WorldConfig
+from repro.mpi import Op, World, WorldConfig
 from repro.mpi.executor import run_world
 from repro.mpi.world import TrafficStats
 
@@ -199,3 +201,321 @@ class TestHandshakeComplexity:
         p4 = self.handshake_traffic(4, 1).messages
         p8 = self.handshake_traffic(8, 1).messages
         assert p8 > 2 * p4
+
+
+# ---------------------------------------------------------------------------
+# Golden traffic table
+# ---------------------------------------------------------------------------
+
+CONCAT = Op(lambda a, b: a + b, "concat", commutative=False)
+
+#: float64 elements each rank contributes to the buffer verbs (72 bytes).
+BLOCK = 9
+
+
+def _block(c):
+    return np.full(BLOCK, float(c.rank))
+
+
+#: One call of every collective verb; rooted verbs use root 1 so the
+#: two-level schedules run with a promoted (non-leader) root.
+VERBS = {
+    "bcast": lambda c: c.bcast(list(range(10)) if c.rank == 1 else None, root=1),
+    "gather": lambda c: c.gather(c.rank, root=1),
+    "scatter": lambda c: c.scatter(list(range(c.size)) if c.rank == 1 else None, root=1),
+    "allgather": lambda c: c.allgather(c.rank),
+    "alltoall": lambda c: c.alltoall(list(range(c.size))),
+    "reduce": lambda c: c.reduce(c.rank, root=1),
+    "allreduce": lambda c: c.allreduce(c.rank),
+    "scan": lambda c: c.scan(c.rank),
+    "exscan": lambda c: c.exscan(c.rank),
+    "reduce_scatter": lambda c: c.reduce_scatter([c.rank] * c.size),
+    "barrier": lambda c: c.barrier(),
+    "reduce_nc": lambda c: c.reduce([c.rank], op=CONCAT, root=1),
+    "allreduce_nc": lambda c: c.allreduce([c.rank], op=CONCAT),
+    "Bcast": lambda c: c.Bcast(_block(c), root=1),
+    "Gather": lambda c: c.Gather(_block(c), root=1),
+    "Scatter": lambda c: c.Scatter(
+        np.zeros((c.size, BLOCK)) if c.rank == 1 else None, np.empty(BLOCK), root=1
+    ),
+    "Allgather": lambda c: c.Allgather(_block(c)),
+    "Gatherv": lambda c: c.Gatherv(np.zeros(c.rank + 1), root=1),
+    "Scatterv": lambda c: c.Scatterv(
+        np.zeros(c.size * (c.size + 1) // 2) if c.rank == 1 else None,
+        range(1, c.size + 1) if c.rank == 1 else None,
+        root=1,
+    ),
+    "Reduce": lambda c: c.Reduce(_block(c), root=1),
+    "Allreduce": lambda c: c.Allreduce(_block(c)),
+}
+
+FAMILIES = {"tree": tree_family, "linear": linear_family}
+
+#: ``(verb, family, nodes, P) -> (messages, payload_bytes,
+#: copy_avoided_bytes, by_kind)`` of one call on a fresh world.  Buffer-mode
+#: and two-level counts and every byte count are what a schedule change can
+#: silently move, so every cell is a literal.  (The tree-family ``Allgather``
+#: rows avoid P*(P-2)*72 bytes of copies because every ring hop after the
+#: first forwards the block it received.)
+GOLDEN = {
+    ("bcast", "tree", None, 5): (4, 144, 108, {"object": 4}),
+    ("bcast", "tree", None, 8): (7, 252, 216, {"object": 7}),
+    ("bcast", "tree", 2, 5): (4, 144, 36, {"object": 4}),
+    ("bcast", "tree", 2, 8): (7, 252, 144, {"object": 7}),
+    ("bcast", "tree", 3, 5): (4, 144, 36, {"object": 4}),
+    ("bcast", "tree", 3, 8): (7, 252, 108, {"object": 7}),
+    ("bcast", "linear", None, 5): (4, 144, 108, {"object": 4}),
+    ("bcast", "linear", None, 8): (7, 252, 216, {"object": 7}),
+    ("bcast", "linear", 2, 5): (4, 144, 36, {"object": 4}),
+    ("bcast", "linear", 2, 8): (7, 252, 144, {"object": 7}),
+    ("bcast", "linear", 3, 5): (4, 144, 36, {"object": 4}),
+    ("bcast", "linear", 3, 8): (7, 252, 108, {"object": 7}),
+    ("gather", "tree", None, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "tree", None, 8): (7, 35, 0, {"object": 7}),
+    ("gather", "tree", 2, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "tree", 2, 8): (7, 35, 0, {"object": 7}),
+    ("gather", "tree", 3, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "tree", 3, 8): (7, 35, 0, {"object": 7}),
+    ("gather", "linear", None, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "linear", None, 8): (7, 35, 0, {"object": 7}),
+    ("gather", "linear", 2, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "linear", 2, 8): (7, 35, 0, {"object": 7}),
+    ("gather", "linear", 3, 5): (4, 20, 0, {"object": 4}),
+    ("gather", "linear", 3, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "tree", None, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "tree", None, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "tree", 2, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "tree", 2, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "tree", 3, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "tree", 3, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "linear", None, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "linear", None, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "linear", 2, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "linear", 2, 8): (7, 35, 0, {"object": 7}),
+    ("scatter", "linear", 3, 5): (4, 20, 0, {"object": 4}),
+    ("scatter", "linear", 3, 8): (7, 35, 0, {"object": 7}),
+    ("allgather", "tree", None, 5): (20, 360, 270, {"object": 20}),
+    ("allgather", "tree", None, 8): (56, 1008, 864, {"object": 56}),
+    ("allgather", "tree", 2, 5): (20, 360, 270, {"object": 20}),
+    ("allgather", "tree", 2, 8): (56, 1008, 864, {"object": 56}),
+    ("allgather", "tree", 3, 5): (20, 360, 270, {"object": 20}),
+    ("allgather", "tree", 3, 8): (56, 1008, 864, {"object": 56}),
+    ("allgather", "linear", None, 5): (8, 124, 78, {"object": 8}),
+    ("allgather", "linear", None, 8): (14, 259, 192, {"object": 14}),
+    ("allgather", "linear", 2, 5): (8, 124, 26, {"object": 8}),
+    ("allgather", "linear", 2, 8): (14, 259, 128, {"object": 14}),
+    ("allgather", "linear", 3, 5): (8, 124, 26, {"object": 8}),
+    ("allgather", "linear", 3, 8): (14, 259, 96, {"object": 14}),
+    ("alltoall", "tree", None, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "tree", None, 8): (56, 280, 0, {"object": 56}),
+    ("alltoall", "tree", 2, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "tree", 2, 8): (56, 280, 0, {"object": 56}),
+    ("alltoall", "tree", 3, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "tree", 3, 8): (56, 280, 0, {"object": 56}),
+    ("alltoall", "linear", None, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "linear", None, 8): (56, 280, 0, {"object": 56}),
+    ("alltoall", "linear", 2, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "linear", 2, 8): (56, 280, 0, {"object": 56}),
+    ("alltoall", "linear", 3, 5): (20, 100, 0, {"object": 20}),
+    ("alltoall", "linear", 3, 8): (56, 280, 0, {"object": 56}),
+    ("reduce", "tree", None, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "tree", None, 8): (7, 35, 0, {"object": 7}),
+    ("reduce", "tree", 2, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "tree", 2, 8): (7, 35, 0, {"object": 7}),
+    ("reduce", "tree", 3, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "tree", 3, 8): (7, 35, 0, {"object": 7}),
+    ("reduce", "linear", None, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "linear", None, 8): (7, 35, 0, {"object": 7}),
+    ("reduce", "linear", 2, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "linear", 2, 8): (7, 35, 0, {"object": 7}),
+    ("reduce", "linear", 3, 5): (4, 20, 0, {"object": 4}),
+    ("reduce", "linear", 3, 8): (7, 35, 0, {"object": 7}),
+    ("allreduce", "tree", None, 5): (10, 50, 0, {"object": 10}),
+    ("allreduce", "tree", None, 8): (24, 120, 0, {"object": 24}),
+    ("allreduce", "tree", 2, 5): (8, 40, 5, {"object": 8}),
+    ("allreduce", "tree", 2, 8): (14, 70, 20, {"object": 14}),
+    ("allreduce", "tree", 3, 5): (8, 40, 0, {"object": 8}),
+    ("allreduce", "tree", 3, 8): (14, 70, 10, {"object": 14}),
+    ("allreduce", "linear", None, 5): (8, 40, 15, {"object": 8}),
+    ("allreduce", "linear", None, 8): (14, 70, 30, {"object": 14}),
+    ("allreduce", "linear", 2, 5): (8, 40, 5, {"object": 8}),
+    ("allreduce", "linear", 2, 8): (14, 70, 20, {"object": 14}),
+    ("allreduce", "linear", 3, 5): (8, 40, 5, {"object": 8}),
+    ("allreduce", "linear", 3, 8): (14, 70, 15, {"object": 14}),
+    ("scan", "tree", None, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "tree", None, 8): (7, 35, 0, {"object": 7}),
+    ("scan", "tree", 2, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "tree", 2, 8): (7, 35, 0, {"object": 7}),
+    ("scan", "tree", 3, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "tree", 3, 8): (7, 35, 0, {"object": 7}),
+    ("scan", "linear", None, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "linear", None, 8): (7, 35, 0, {"object": 7}),
+    ("scan", "linear", 2, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "linear", 2, 8): (7, 35, 0, {"object": 7}),
+    ("scan", "linear", 3, 5): (4, 20, 0, {"object": 4}),
+    ("scan", "linear", 3, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "tree", None, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "tree", None, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "tree", 2, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "tree", 2, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "tree", 3, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "tree", 3, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "linear", None, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "linear", None, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "linear", 2, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "linear", 2, 8): (7, 35, 0, {"object": 7}),
+    ("exscan", "linear", 3, 5): (4, 20, 0, {"object": 4}),
+    ("exscan", "linear", 3, 8): (7, 35, 0, {"object": 7}),
+    ("reduce_scatter", "tree", None, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "tree", None, 8): (14, 259, 0, {"object": 14}),
+    ("reduce_scatter", "tree", 2, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "tree", 2, 8): (14, 259, 0, {"object": 14}),
+    ("reduce_scatter", "tree", 3, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "tree", 3, 8): (14, 259, 0, {"object": 14}),
+    ("reduce_scatter", "linear", None, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "linear", None, 8): (14, 259, 0, {"object": 14}),
+    ("reduce_scatter", "linear", 2, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "linear", 2, 8): (14, 259, 0, {"object": 14}),
+    ("reduce_scatter", "linear", 3, 5): (8, 124, 0, {"object": 8}),
+    ("reduce_scatter", "linear", 3, 8): (14, 259, 0, {"object": 14}),
+    ("barrier", "tree", None, 5): (15, 60, 0, {"object": 15}),
+    ("barrier", "tree", None, 8): (24, 96, 0, {"object": 24}),
+    ("barrier", "tree", 2, 5): (8, 32, 4, {"object": 8}),
+    ("barrier", "tree", 2, 8): (14, 56, 16, {"object": 14}),
+    ("barrier", "tree", 3, 5): (10, 40, 0, {"object": 10}),
+    ("barrier", "tree", 3, 8): (16, 64, 8, {"object": 16}),
+    ("barrier", "linear", None, 5): (8, 32, 12, {"object": 8}),
+    ("barrier", "linear", None, 8): (14, 56, 24, {"object": 14}),
+    ("barrier", "linear", 2, 5): (8, 32, 4, {"object": 8}),
+    ("barrier", "linear", 2, 8): (14, 56, 16, {"object": 14}),
+    ("barrier", "linear", 3, 5): (10, 40, 0, {"object": 10}),
+    ("barrier", "linear", 3, 8): (16, 64, 8, {"object": 16}),
+    ("reduce_nc", "tree", None, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "tree", None, 8): (7, 119, 0, {"object": 7}),
+    ("reduce_nc", "tree", 2, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "tree", 2, 8): (7, 119, 0, {"object": 7}),
+    ("reduce_nc", "tree", 3, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "tree", 3, 8): (7, 119, 0, {"object": 7}),
+    ("reduce_nc", "linear", None, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "linear", None, 8): (7, 119, 0, {"object": 7}),
+    ("reduce_nc", "linear", 2, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "linear", 2, 8): (7, 119, 0, {"object": 7}),
+    ("reduce_nc", "linear", 3, 5): (4, 68, 0, {"object": 4}),
+    ("reduce_nc", "linear", 3, 8): (7, 119, 0, {"object": 7}),
+    ("allreduce_nc", "tree", None, 5): (8, 172, 78, {"object": 8}),
+    ("allreduce_nc", "tree", None, 8): (14, 343, 192, {"object": 14}),
+    ("allreduce_nc", "tree", 2, 5): (8, 172, 26, {"object": 8}),
+    ("allreduce_nc", "tree", 2, 8): (14, 343, 128, {"object": 14}),
+    ("allreduce_nc", "tree", 3, 5): (8, 172, 26, {"object": 8}),
+    ("allreduce_nc", "tree", 3, 8): (14, 343, 96, {"object": 14}),
+    ("allreduce_nc", "linear", None, 5): (8, 172, 78, {"object": 8}),
+    ("allreduce_nc", "linear", None, 8): (14, 343, 192, {"object": 14}),
+    ("allreduce_nc", "linear", 2, 5): (8, 172, 26, {"object": 8}),
+    ("allreduce_nc", "linear", 2, 8): (14, 343, 128, {"object": 14}),
+    ("allreduce_nc", "linear", 3, 5): (8, 172, 26, {"object": 8}),
+    ("allreduce_nc", "linear", 3, 8): (14, 343, 96, {"object": 14}),
+    ("Bcast", "tree", None, 5): (4, 288, 216, {"bufcoll": 4}),
+    ("Bcast", "tree", None, 8): (7, 504, 432, {"bufcoll": 7}),
+    ("Bcast", "tree", 2, 5): (4, 288, 72, {"bufcoll": 4}),
+    ("Bcast", "tree", 2, 8): (7, 504, 288, {"bufcoll": 7}),
+    ("Bcast", "tree", 3, 5): (4, 288, 72, {"bufcoll": 4}),
+    ("Bcast", "tree", 3, 8): (7, 504, 216, {"bufcoll": 7}),
+    ("Bcast", "linear", None, 5): (4, 288, 216, {"bufcoll": 4}),
+    ("Bcast", "linear", None, 8): (7, 504, 432, {"bufcoll": 7}),
+    ("Bcast", "linear", 2, 5): (4, 288, 72, {"bufcoll": 4}),
+    ("Bcast", "linear", 2, 8): (7, 504, 288, {"bufcoll": 7}),
+    ("Bcast", "linear", 3, 5): (4, 288, 72, {"bufcoll": 4}),
+    ("Bcast", "linear", 3, 8): (7, 504, 216, {"bufcoll": 7}),
+    ("Gather", "tree", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "tree", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Gather", "tree", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "tree", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Gather", "tree", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "tree", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Gather", "linear", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "linear", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Gather", "linear", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "linear", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Gather", "linear", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Gather", "linear", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "tree", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "tree", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "tree", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "tree", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "tree", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "tree", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "linear", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "linear", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "linear", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "linear", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Scatter", "linear", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Scatter", "linear", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Allgather", "tree", None, 5): (20, 1440, 1080, {"bufcoll": 20}),
+    ("Allgather", "tree", None, 8): (56, 4032, 3456, {"bufcoll": 56}),
+    ("Allgather", "tree", 2, 5): (20, 1440, 1080, {"bufcoll": 20}),
+    ("Allgather", "tree", 2, 8): (56, 4032, 3456, {"bufcoll": 56}),
+    ("Allgather", "tree", 3, 5): (20, 1440, 1080, {"bufcoll": 20}),
+    ("Allgather", "tree", 3, 8): (56, 4032, 3456, {"bufcoll": 56}),
+    ("Allgather", "linear", None, 5): (8, 1728, 1080, {"bufcoll": 8}),
+    ("Allgather", "linear", None, 8): (14, 4536, 3456, {"bufcoll": 14}),
+    ("Allgather", "linear", 2, 5): (8, 1728, 360, {"bufcoll": 8}),
+    ("Allgather", "linear", 2, 8): (14, 4536, 2304, {"bufcoll": 14}),
+    ("Allgather", "linear", 3, 5): (8, 1728, 360, {"bufcoll": 8}),
+    ("Allgather", "linear", 3, 8): (14, 4536, 1728, {"bufcoll": 14}),
+    ("Gatherv", "tree", None, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "tree", None, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Gatherv", "tree", 2, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "tree", 2, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Gatherv", "tree", 3, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "tree", 3, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Gatherv", "linear", None, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "linear", None, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Gatherv", "linear", 2, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "linear", 2, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Gatherv", "linear", 3, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Gatherv", "linear", 3, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "tree", None, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "tree", None, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "tree", 2, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "tree", 2, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "tree", 3, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "tree", 3, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "linear", None, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "linear", None, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "linear", 2, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "linear", 2, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Scatterv", "linear", 3, 5): (4, 104, 0, {"bufcoll": 4}),
+    ("Scatterv", "linear", 3, 8): (7, 272, 0, {"bufcoll": 7}),
+    ("Reduce", "tree", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "tree", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Reduce", "tree", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "tree", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Reduce", "tree", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "tree", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Reduce", "linear", None, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "linear", None, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Reduce", "linear", 2, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "linear", 2, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Reduce", "linear", 3, 5): (4, 288, 0, {"bufcoll": 4}),
+    ("Reduce", "linear", 3, 8): (7, 504, 0, {"bufcoll": 7}),
+    ("Allreduce", "tree", None, 5): (10, 720, 0, {"bufcoll": 10}),
+    ("Allreduce", "tree", None, 8): (24, 1728, 0, {"bufcoll": 24}),
+    ("Allreduce", "tree", 2, 5): (8, 576, 72, {"bufcoll": 8}),
+    ("Allreduce", "tree", 2, 8): (14, 1008, 288, {"bufcoll": 14}),
+    ("Allreduce", "tree", 3, 5): (8, 576, 0, {"bufcoll": 8}),
+    ("Allreduce", "tree", 3, 8): (14, 1008, 144, {"bufcoll": 14}),
+    ("Allreduce", "linear", None, 5): (8, 576, 216, {"bufcoll": 8}),
+    ("Allreduce", "linear", None, 8): (14, 1008, 432, {"bufcoll": 14}),
+    ("Allreduce", "linear", 2, 5): (8, 576, 72, {"bufcoll": 8}),
+    ("Allreduce", "linear", 2, 8): (14, 1008, 288, {"bufcoll": 14}),
+    ("Allreduce", "linear", 3, 5): (8, 576, 72, {"bufcoll": 8}),
+    ("Allreduce", "linear", 3, 8): (14, 1008, 216, {"bufcoll": 14}),
+}
+
+
+@pytest.mark.parametrize("verb,family,nodes,n", list(GOLDEN))
+def test_golden_traffic_table(verb, family, nodes, n):
+    config = dataclasses.replace(FAMILIES[family](), nodes=nodes)
+    stats = traffic_of(n, VERBS[verb], config)
+    got = (stats.messages, stats.payload_bytes, stats.copy_avoided_bytes, stats.by_kind)
+    assert got == GOLDEN[verb, family, nodes, n]
