@@ -30,7 +30,7 @@ from repro.climate.checkpoint import restore as restore_checkpoint, save as save
 from repro.climate.coupler import FluxCoupler, SurfaceFractions
 from repro.climate.forcing import YEAR_SECONDS, CO2Scenario, SeasonalForcing
 from repro.climate.diagnostics import EnergyReport, energy_report
-from repro.climate.fields import DistributedField, weighted_global_sum
+from repro.climate.fields import DistributedField, weighted_global_sum, weighted_global_sums
 from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.climate.nesting import RegionSpec, RegionalGrid, RegionalModel
@@ -64,6 +64,7 @@ __all__ = [
     "DistributedField",
     "DistributedField2D",
     "weighted_global_sum",
+    "weighted_global_sums",
     "Decomposition",
     "LatLonGrid",
     "RegionSpec",

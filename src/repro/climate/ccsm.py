@@ -298,7 +298,6 @@ class ComponentRunner:
         # step after it (length ``nsteps + 1``), so energy drift can be
         # audited against the step budgets.
         self.mean_T: list[float] = [self.model.mean_temperature()]
-        self.energy: list[float] = [self.model.energy()]
         self.mean_thickness: list[float] = (
             [self.model.mean_thickness()] if isinstance(self.model, SeaIceModel) else []
         )
@@ -392,7 +391,7 @@ class ComponentRunner:
             cmd, local_flux = self._receive_command(step)
             self.model.state_restore(snapshot)
             if cmd == "iterate":
-                self._substep(local_flux)
+                self._substep(self.model.advance_state, local_flux)
                 self.publish(step)
             elif cmd == "commit":
                 self._advance(step, local_flux)
@@ -411,9 +410,12 @@ class ComponentRunner:
                 raise ReproError(f"{self.name}: unknown coupling command {cmd!r}")
 
     def _receive_command(self, step: int) -> tuple[str, np.ndarray]:
-        """One coupler command plus this rank's flux block."""
+        """One coupler command plus this rank's flux block — one scatter
+        of ``(cmd, block)`` on either exchange: the command rides with
+        the data instead of costing a broadcast of its own."""
         if self._join is not None:
             return self._join.scatter(None, root=self._cpl_root)
+        pieces = None
         if self.comm.rank == 0:
             got_step, (cmd, full) = self.mph.recv(
                 self.coupler_name, 0, FLUX_TAG_BASE + self.comp_id
@@ -423,30 +425,36 @@ class ComponentRunner:
                     f"{self.name}: coupling protocol out of step "
                     f"(expected {step}, got {got_step})"
                 )
-        else:
-            cmd, full = None, None
-        cmd = self.comm.bcast(cmd, root=0)
-        return cmd, _scatter_blocks(self.comm, self.cfg.grid(self.kind), full)
+            grid = self.cfg.grid(self.kind)
+            pieces = [(cmd, block) for block in _row_blocks(grid, self.comm.size, full)]
+        return self.comm.scatter(pieces, root=0)
 
-    def _substep(self, local_flux: Optional[np.ndarray]) -> None:
+    def _substep(self, advance, local_flux: Optional[np.ndarray]):
         """Advance one coupling step's worth of model time: *m* substeps
-        of ``dt/m`` under the same coupling flux (sub-cycling)."""
+        of ``dt/m`` under the same coupling flux (sub-cycling).
+
+        *advance* is the model's ``step``, or its ``advance_state`` for a
+        trial step whose diagnostics nobody will read; the last substep's
+        return value is handed back."""
         m = self.cfg.subcycle.get(self.kind, 1)
         sub_dt = self.cfg.dt / m
         for _ in range(m):
-            self.model.step(sub_dt, local_flux)
+            out = advance(sub_dt, local_flux)
+        return out
 
     def _advance(self, step: int, local_flux: Optional[np.ndarray]) -> None:
-        """Apply one step's flux and book the histories and replay log."""
+        """Apply one step's flux and book the histories and replay log.
+
+        The histories come out of the step's own reduction
+        (:class:`StepDiagnostics`), not from further ones."""
         if self.cfg.checkpoint_every > 0:
             self._flux_log.append(
                 (step, None if local_flux is None else np.array(local_flux))
             )
-        self._substep(local_flux)
-        self.mean_T.append(self.model.mean_temperature())
-        self.energy.append(self.model.energy())
-        if isinstance(self.model, SeaIceModel):
-            self.mean_thickness.append(self.model.mean_thickness())
+        diag = self._substep(self.model.step, local_flux)
+        self.mean_T.append(diag.mean_temperature)
+        if diag.mean_thickness is not None:
+            self.mean_thickness.append(diag.mean_thickness)
 
     def recover(self) -> int:
         """Restart this component from its last checkpoint, within the job.
@@ -461,7 +469,6 @@ class ComponentRunner:
 
         k = checkpoint.restore(self.model, self.cfg.checkpoint_dir, self.name)
         del self.mean_T[k + 1 :]
-        del self.energy[k + 1 :]
         if isinstance(self.model, SeaIceModel):
             del self.mean_thickness[k + 1 :]
         replay = [e for e in self._flux_log if e[0] >= k]
@@ -482,7 +489,8 @@ class ComponentRunner:
             "name": self.name,
             "size": self.comm.size,
             "mean_T": list(self.mean_T),
-            "energy": list(self.energy),
+            # Heat content ``C * <T>``, as ComponentModel.energy computes it.
+            "energy": [self.model.params.heat_capacity * t for t in self.mean_T],
             "budget": {
                 "solar_in": self.model.budget.solar_in,
                 "olr_out": self.model.budget.olr_out,
@@ -697,11 +705,7 @@ class CouplerRunner:
             if join.rank == root:
                 full = fluxes[kind]
                 assert full is not None
-                decomp = Decomposition(self.cfg.grid(kind), self._comp_size(kind))
-                pieces = [
-                    full[decomp.rows(r)[0] : decomp.rows(r)[1]]
-                    for r in range(decomp.size)
-                ] + [None] * self.comm.size
+                pieces = _row_blocks(self.cfg.grid(kind), root, full) + [None] * self.comm.size
             join.scatter(pieces, root=root)
 
     # -- implicit coupling ------------------------------------------------------
@@ -784,12 +788,8 @@ class CouplerRunner:
             if self.cfg.exchange == "join":
                 join = self._joins[kind]
                 size = self._comp_size(kind)
-                decomp = Decomposition(self.cfg.grid(kind), size)
-                full = fluxes[kind]
-                pieces = [
-                    (cmd, full[decomp.rows(r)[0] : decomp.rows(r)[1]])
-                    for r in range(size)
-                ] + [None] * self.comm.size
+                blocks = _row_blocks(self.cfg.grid(kind), size, fluxes[kind])
+                pieces = [(cmd, block) for block in blocks] + [None] * self.comm.size
                 join.scatter(pieces, root=size)
             else:
                 name = self.cfg.name(kind)
@@ -815,13 +815,18 @@ class CouplerRunner:
         return out
 
 
+def _row_blocks(grid: LatLonGrid, nparts: int, full: np.ndarray) -> list[np.ndarray]:
+    """A full field cut into the latitude blocks of *nparts* ranks."""
+    decomp = Decomposition(grid, nparts)
+    return [full[slice(*decomp.rows(r))] for r in range(nparts)]
+
+
 def _scatter_blocks(comm: Comm, grid: LatLonGrid, full: Optional[np.ndarray]) -> np.ndarray:
     """Scatter a full field from component rank 0 into latitude blocks."""
-    decomp = Decomposition(grid, comm.size)
     blocks = None
     if comm.rank == 0:
         assert full is not None
-        blocks = [full[decomp.rows(r)[0] : decomp.rows(r)[1]] for r in range(comm.size)]
+        blocks = _row_blocks(grid, comm.size, full)
     return comm.scatter(blocks, root=0)
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.climate.fields import DistributedField
+from repro.climate.fields import DistributedField, weighted_global_sum, weighted_global_sums
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 from repro.mpi.comm import Comm
@@ -71,13 +71,27 @@ def insolation(lat_deg: np.ndarray, solar_constant: float) -> np.ndarray:
 
 @dataclass
 class StepDiagnostics:
-    """Energy bookkeeping of one model step (area-integrated, W m^-2
-    equivalents since areas are fractional)."""
+    """What one model step reports: its energy bookkeeping
+    (area-integrated, W m^-2 equivalents since areas are fractional) and
+    the area means of the state it left behind.
+
+    All of it comes out of the step's single global reduction, so a
+    driver that wants the post-step mean reads it here instead of paying
+    :meth:`ComponentModel.mean_temperature` a second one.  On
+    :attr:`ComponentModel.budget` the four energy terms accumulate; the
+    means describe one step and stay at their defaults there.
+    """
 
     solar_in: float = 0.0
     olr_out: float = 0.0
     coupling_in: float = 0.0
     diffusion_residual: float = 0.0
+    #: Post-step area-mean temperature [K]: bitwise what
+    #: :meth:`ComponentModel.mean_temperature` returns after the step.
+    mean_temperature: float = 0.0
+    #: Post-step area-mean ice thickness [m] (sea ice only): bitwise
+    #: :meth:`SeaIceModel.mean_thickness`.
+    mean_thickness: Optional[float] = None
 
 
 class ComponentModel:
@@ -165,20 +179,24 @@ class ComponentModel:
             olr = olr - self.co2.forcing(self.current_time)
         return olr
 
-    def step(self, dt: float, coupling_flux: Optional[np.ndarray] = None) -> StepDiagnostics:
-        """Advance one time step of *dt* seconds.
+    def advance_state(
+        self, dt: float, coupling_flux: Optional[np.ndarray] = None
+    ) -> dict[str, np.ndarray]:
+        """The state update of :meth:`step`, without its diagnostics.
 
-        Parameters
-        ----------
-        coupling_flux :
-            Flux from the coupler on the local block [W m^-2], positive
-            warming this component.  ``None`` means zero.
+        Advances temperature (and any further prognostics), clock and
+        step count exactly as :meth:`step` does, but books nothing on
+        :attr:`budget` and performs no global reduction — the halo
+        exchange of a diffusive model is its only communication.  This is
+        what an implicit coupling iteration runs for its trial steps,
+        whose diagnostics a :meth:`state_restore` would discard.
 
         Returns
         -------
-        StepDiagnostics
-            This step's area-integrated energy terms (also accumulated on
-            :attr:`budget`).
+        dict
+            The step's energy terms on the local block [W m^-2], keyed by
+            the :class:`StepDiagnostics` field each integrates to
+            (``diffusion_residual`` only from a diffusive model).
         """
         p = self.params
         temp = self.temperature
@@ -190,29 +208,59 @@ class ComponentModel:
                 f"{self.kind}: coupling flux shape {flux.shape} != local block "
                 f"{temp.data.shape}"
             )
-        lap = temp.laplacian() if p.diffusivity > 0.0 else None
-
+        terms = {"solar_in": solar, "olr_out": olr, "coupling_in": flux}
         tendency = (solar - olr + flux) / p.heat_capacity
-        if lap is not None:
+        if p.diffusivity > 0.0:
+            lap = temp.laplacian()
             tendency = tendency + p.diffusivity * lap
+            terms["diffusion_residual"] = p.heat_capacity * p.diffusivity * lap
         temp.data = temp.data + dt * tendency
+        self.steps_taken += 1
+        self.current_time += dt
+        return terms
 
+    def _state_fields(self) -> dict[str, np.ndarray]:
+        """The prognostic fields whose area means :meth:`step` reports,
+        keyed by :class:`StepDiagnostics` field."""
+        return {"mean_temperature": self.temperature.data}
+
+    def step(self, dt: float, coupling_flux: Optional[np.ndarray] = None) -> StepDiagnostics:
+        """Advance one time step of *dt* seconds.
+
+        :meth:`advance_state` followed by the step's diagnostics: every
+        energy term and the post-step state go through **one**
+        :func:`~repro.climate.fields.weighted_global_sums` — ``2 (P - 1)``
+        messages a step, where a reduction per term and one more per
+        mean the driver then asks for would be that many each.
+
+        Parameters
+        ----------
+        coupling_flux :
+            Flux from the coupler on the local block [W m^-2], positive
+            warming this component.  ``None`` means zero.
+
+        Returns
+        -------
+        StepDiagnostics
+            This step's area-integrated energy terms (also accumulated on
+            :attr:`budget`) and the post-step area means.
+        """
+        terms = self.advance_state(dt, coupling_flux)
+        state = self._state_fields()
+        totals = weighted_global_sums(
+            self.comm,
+            self.grid,
+            [*terms.values(), *state.values()],
+            self.temperature.local_slices,
+        )
         diag = StepDiagnostics(
-            solar_in=_integral(self, solar) * dt,
-            olr_out=_integral(self, olr) * dt,
-            coupling_in=_integral(self, flux) * dt,
-            diffusion_residual=(
-                _integral(self, p.heat_capacity * p.diffusivity * lap) * dt
-                if lap is not None
-                else 0.0
-            ),
+            **{name: total * dt for name, total in zip(terms, totals)},
+            **dict(zip(state, totals[len(terms) :])),
         )
         self.budget.solar_in += diag.solar_in
         self.budget.olr_out += diag.olr_out
         self.budget.coupling_in += diag.coupling_in
         self.budget.diffusion_residual += diag.diffusion_residual
-        self.steps_taken += 1
-        self.current_time += dt
         return diag
 
     # -- snapshot / restore (implicit coupling) ---------------------------------
@@ -258,16 +306,6 @@ class ComponentModel:
     def energy(self) -> float:
         """Heat content per unit planet area, ``C * <T>`` [J m^-2]."""
         return self.params.heat_capacity * self.temperature.area_mean()
-
-
-def _integral(model: ComponentModel, local: np.ndarray) -> float:
-    """Area integral of a local block, decomposition-independent (see
-    :func:`repro.climate.fields.weighted_global_sum`)."""
-    from repro.climate.fields import weighted_global_sum
-
-    return weighted_global_sum(
-        model.comm, model.grid, local, model.temperature.local_slices
-    )
 
 
 class AtmosphereModel(ComponentModel):
@@ -366,14 +404,21 @@ class SeaIceModel(ComponentModel):
             solar_constant=1361.0,
         )
 
-    def step(self, dt: float, coupling_flux: Optional[np.ndarray] = None) -> StepDiagnostics:
-        diag = super().step(dt, coupling_flux)
+    def advance_state(
+        self, dt: float, coupling_flux: Optional[np.ndarray] = None
+    ) -> dict[str, np.ndarray]:
+        terms = super().advance_state(dt, coupling_flux)
+        # Thickness follows the *new* temperature only, so it is final
+        # before the step's reduction and its mean can ride along.
         self.thickness = np.clip(
             self.thickness + dt * self.growth_rate * (self.t_freeze - self.temperature.data),
             0.0,
             None,
         )
-        return diag
+        return terms
+
+    def _state_fields(self) -> dict[str, np.ndarray]:
+        return {**super()._state_fields(), "mean_thickness": self.thickness}
 
     def state_snapshot(self) -> dict:
         snap = super().state_snapshot()
@@ -386,4 +431,6 @@ class SeaIceModel(ComponentModel):
 
     def mean_thickness(self) -> float:
         """Area-weighted mean ice thickness [m]."""
-        return _integral(self, self.thickness)
+        return weighted_global_sum(
+            self.comm, self.grid, self.thickness, self.temperature.local_slices
+        )

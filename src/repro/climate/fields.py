@@ -9,7 +9,7 @@ area-weighted global reductions.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -179,22 +179,44 @@ class DistributedField:
 
 
 def weighted_global_sum(comm: Comm, grid: LatLonGrid, local: np.ndarray, slices: tuple[slice, slice]) -> float:
-    """Area-weighted global sum of a decomposed field, decomposition-
-    independent to the bit.
+    """Area-weighted global sum of one decomposed field: the
+    one-integrand case of :func:`weighted_global_sums` (same bits, same
+    two collectives)."""
+    return weighted_global_sums(comm, grid, [local], slices)[0]
 
-    Every rank contributes ``(slices, local * weights)``; rank 0 assembles
-    the full weighted array and sums it in one fixed (C-order) pass, so
-    the result is identical no matter how — or over how many processes —
-    the field was decomposed.  The value is broadcast to all ranks.
+
+def weighted_global_sums(
+    comm: Comm, grid: LatLonGrid, locals: Sequence[np.ndarray], slices: tuple[slice, slice]
+) -> tuple[float, ...]:
+    """Area-weighted global sums of several fields decomposed alike, in
+    one reduction, each decomposition-independent to the bit.
+
+    Every rank contributes ``(slices, weighted blocks)`` — its block of
+    every integrand in *locals*, times the area weights — in **one**
+    gather; rank 0 assembles each integrand's full weighted array in turn
+    and sums it in one fixed (C-order) pass, so each total is identical no
+    matter how — or over how many processes — the fields were decomposed;
+    **one** broadcast returns the tuple of totals (in *locals* order) to
+    all ranks.  That is ``2 (P - 1)`` messages however many integrands
+    ride along, which is why a model step sends all of its diagnostics
+    through a single call.
+
+    The whole weighted blocks travel, not per-rank partial sums: a sum of
+    partial sums depends on where the decomposition cuts.
     """
     rs, cs = slices
     w = grid.area_weights[rs, cs]
-    pieces = comm.gather((rs, cs, local * w), root=0)
-    total = None
+    pieces = comm.gather((rs, cs, [local * w for local in locals]), root=0)
+    totals = None
     if comm.rank == 0:
         assert pieces is not None
+        # One buffer serves every integrand: the pieces cover the same
+        # cells each time round.
         full = np.zeros(grid.shape)
-        for prs, pcs, block in pieces:
-            full[prs, pcs] = block
-        total = float(full.sum())
-    return comm.bcast(total, root=0)
+        totals = []
+        for i in range(len(locals)):
+            for prs, pcs, blocks in pieces:
+                full[prs, pcs] = blocks[i]
+            totals.append(float(full.sum()))
+        totals = tuple(totals)
+    return comm.bcast(totals, root=0)

@@ -13,6 +13,8 @@ from repro.climate.components import (
     SeaIceModel,
     insolation,
 )
+from repro.climate.fields import DistributedField, weighted_global_sum
+from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 
@@ -171,6 +173,98 @@ class TestDecompositionIndependence:
         for n in (2, 4):
             parallel = spmd(n, main)[0]
             np.testing.assert_array_equal(serial, parallel)
+
+
+MODELS = [AtmosphereModel, OceanModel, LandModel, SeaIceModel]
+FIELDS = [DistributedField, DistributedField2D]
+DT = 1800.0
+
+
+def _make(comm, cls, field_cls):
+    """A model one step in (so nothing sits at its initial value) and a
+    coupling flux that varies over the globe, cut like the model."""
+    model = cls(comm, GRID, cls.default_params(), field_cls=field_cls)
+    model.step(DT)
+    flux = field_cls.from_function(
+        comm, GRID, lambda la, lo: 40.0 * np.cos(np.deg2rad(la)) - 0.05 * lo
+    ).data
+    return model, flux
+
+
+class TestFusedDiagnostics:
+    """One reduction a step, and it is the separate reductions to the bit."""
+
+    @staticmethod
+    def one_step(cls, field_cls):
+        def main(comm):
+            m, flux = _make(comm, cls, field_cls)
+            p = m.params
+
+            def integral(block):
+                return weighted_global_sum(
+                    m.comm, m.grid, block, m.temperature.local_slices
+                )
+
+            # The step's integrands, rebuilt from the public methods
+            # before the step moves the state they read.
+            expected = {
+                "solar_in": integral(m.absorbed_solar()) * DT,
+                "olr_out": integral(m.outgoing_longwave()) * DT,
+                "coupling_in": integral(flux) * DT,
+                "diffusion_residual": (
+                    integral(p.heat_capacity * p.diffusivity * m.temperature.laplacian()) * DT
+                    if p.diffusivity > 0.0
+                    else 0.0
+                ),
+            }
+            diag = m.step(DT, flux)
+            expected["mean_temperature"] = integral(m.temperature.data)
+            expected["mean_thickness"] = (
+                integral(m.thickness) if isinstance(m, SeaIceModel) else None
+            )
+            got = {name: getattr(diag, name) for name in expected}
+            standalone = (
+                m.mean_temperature(),
+                m.energy(),
+                m.mean_thickness() if isinstance(m, SeaIceModel) else None,
+            )
+            return got, expected, standalone, p.heat_capacity
+
+        return main
+
+    @pytest.mark.parametrize("field_cls", FIELDS)
+    @pytest.mark.parametrize("cls", MODELS)
+    def test_step_reports_the_separate_reductions_exactly(self, spmd, cls, field_cls):
+        reference = spmd(1, self.one_step(cls, DistributedField))[0][0]
+        for n in (1, 2, 3, 4):
+            for got, expected, standalone, capacity in spmd(n, self.one_step(cls, field_cls)):
+                assert got == expected  # exact, term by term
+                assert got == reference  # and the same on every decomposition
+                assert standalone == (
+                    got["mean_temperature"],
+                    capacity * got["mean_temperature"],
+                    got["mean_thickness"],
+                )
+
+    @pytest.mark.parametrize("field_cls", FIELDS)
+    @pytest.mark.parametrize("cls", MODELS)
+    def test_advance_state_is_the_update_step_makes(self, spmd, cls, field_cls):
+        def main(comm):
+            m, flux = _make(comm, cls, field_cls)
+            start = m.state_snapshot()
+            m.step(DT, flux)
+            stepped = m.state_snapshot()
+            m.state_restore(start)
+            terms = m.advance_state(DT, flux)
+            advanced = m.state_snapshot()
+            assert set(terms) <= {"solar_in", "olr_out", "coupling_in", "diffusion_residual"}
+            assert advanced.pop("budget") == start["budget"]  # nothing booked
+            assert stepped.pop("budget") != start["budget"]
+            assert advanced.keys() == stepped.keys()
+            return all(np.array_equal(advanced[k], stepped[k]) for k in advanced)
+
+        for n in (1, 2, 3, 4):
+            assert all(spmd(n, main))
 
 
 class TestSeaIce:

@@ -4,7 +4,12 @@
 import numpy as np
 import pytest
 
-from repro.climate.fields import DistributedField
+from repro.climate.fields import (
+    DistributedField,
+    weighted_global_sum,
+    weighted_global_sums,
+)
+from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 
@@ -160,3 +165,41 @@ class TestReductions:
             return f.area_mean()
 
         assert spmd(4, main)[0] == pytest.approx(2.5)
+
+
+class TestFusedSums:
+    """``weighted_global_sums``: k integrands in one reduction are the k
+    single reductions, to the bit, however the field is cut."""
+
+    INTEGRANDS = (
+        lambda la, lo: la**2 + lo,
+        lambda la, lo: np.sin(np.deg2rad(la)) * np.cos(np.deg2rad(lo)) * 1e3,
+        lambda la, lo: 0 * la + 1.0 / 3.0,
+        lambda la, lo: -(la + 0.01 * lo),
+    )
+
+    @staticmethod
+    def sums(field_cls):
+        def main(comm):
+            fields = [
+                field_cls.from_function(comm, GRID, fn) for fn in TestFusedSums.INTEGRANDS
+            ]
+            # The communicator and slices the field itself reduces over
+            # (the 2-D field's are its Cartesian topology's).
+            f = fields[0]
+            blocks = [g.data for g in fields]
+            fused = weighted_global_sums(f.comm, GRID, blocks, f.local_slices)
+            singles = tuple(
+                weighted_global_sum(f.comm, GRID, b, f.local_slices) for b in blocks
+            )
+            return fused, singles, tuple(g.area_mean() for g in fields)
+
+        return main
+
+    @pytest.mark.parametrize("field_cls", [DistributedField, DistributedField2D])
+    def test_k_integrands_equal_k_single_calls_on_every_decomposition(self, spmd, field_cls):
+        reference = spmd(1, self.sums(DistributedField))[0][0]
+        assert all(isinstance(total, float) for total in reference)
+        for n in (1, 2, 3, 4):
+            for fused, singles, means in spmd(n, self.sums(field_cls)):
+                assert fused == singles == means == reference  # exact, every rank

@@ -17,19 +17,19 @@ NSTEPS = 2
 #: on the default layout and default ``shapes``.  The implicit rows
 #: converge in 6 Gauss-Seidel iterations a step.
 GOLDEN = {
-    "explicit_p2p": ({}, (84, 61991)),
-    "explicit_join": ({"exchange": "join"}, (84, 51421)),
+    "explicit_p2p": ({}, (36, 53512)),
+    "explicit_join": ({"exchange": "join"}, (36, 42772)),
     "parallel_coupler": (
         {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
-        (94, 89059),
+        (46, 80580),
     ),
-    "implicit_p2p": ({"coupling": "implicit"}, (503, 366622)),
-    "implicit_join": ({"coupling": "implicit", "exchange": "join"}, (468, 300409)),
+    "implicit_p2p": ({"coupling": "implicit"}, (192, 229714)),
+    "implicit_join": ({"coupling": "implicit", "exchange": "join"}, (192, 159336)),
     "implicit_subcycle": (
         {"coupling": "implicit", "subcycle": {"ocean": 3}},
-        (643, 447318),
+        (224, 247366),
     ),
-    "ice_2": ({"procs": dict(PROCS, ice=2)}, (98, 65453)),
+    "ice_2": ({"procs": dict(PROCS, ice=2)}, (40, 55906)),
 }
 
 
