@@ -135,8 +135,7 @@ def run_file_coupled(
                 # Antisymmetric sensible flux: each side warms toward the
                 # partner, so the pair conserves the exchanged energy.
                 flux = coupling_coeff * (partner - model.temperature.data)
-                model.step(dt, flux)
-                means.append(model.mean_temperature())
+                means.append(model.step(dt, flux).mean_temperature)
             return {
                 "kind": kind,
                 "exchange_seconds": exchange_time / max(nsteps, 1),

@@ -77,8 +77,7 @@ def run_one_member(
         files = bytes_out = 0
         means: list[float] = []
         for step in range(nsteps):
-            model.step(dt)
-            means.append(model.mean_temperature())
+            means.append(model.step(dt).mean_temperature)
             if outdir is not None and step % sample_every == 0:
                 path = outdir / f"member{member:03d}_step{step:05d}.npy"
                 np.save(path, model.temperature.data)

@@ -144,7 +144,6 @@ def run_pcm_monolithic(cfg: Optional[CCSMConfig] = None, **spmd_kwargs) -> dict[
 def _run_component(world, comm, cfg: CCSMConfig, ranges, kind: str, cpl_root: int) -> dict:
     model = _MODEL_CLASSES[kind](comm, cfg.grid(kind), cfg.param(kind))
     mean_T = [model.mean_temperature()]
-    energy = [model.energy()]
     decomp = Decomposition(cfg.grid(kind), comm.size)
     for step in range(cfg.nsteps):
         full = model.temperature.gather_global(root=0)
@@ -157,13 +156,12 @@ def _run_component(world, comm, cfg: CCSMConfig, ranges, kind: str, cpl_root: in
                 raise ReproError(f"{kind}: hardwired protocol out of step")
             blocks = [flux[decomp.rows(r)[0] : decomp.rows(r)[1]] for r in range(comm.size)]
         local_flux = comm.scatter(blocks, root=0)
-        model.step(cfg.dt, local_flux)
-        mean_T.append(model.mean_temperature())
-        energy.append(model.energy())
+        # The step's own reduction carries the mean, as in the MPH driver.
+        mean_T.append(model.step(cfg.dt, local_flux).mean_temperature)
     return {
         "kind": kind,
         "mean_T": mean_T,
-        "energy": energy,
+        "energy": [model.params.heat_capacity * t for t in mean_T],
         "budget": {
             "solar_in": model.budget.solar_in,
             "olr_out": model.budget.olr_out,
