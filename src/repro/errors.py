@@ -121,6 +121,19 @@ class AllocationError(LaunchError):
     not allowed to overlap on processors")."""
 
 
+class ChildExitError(LaunchError):
+    """A child process died without reporting a result (nonzero exit,
+    signal, or killed).  Preferred as the job's root cause over the
+    secondary transport errors its siblings see when their connections
+    to the dead rank fail."""
+
+    def __init__(self, message: str, *, rank: int, label: str, exit_code):
+        super().__init__(message)
+        self.rank = rank
+        self.label = label
+        self.exit_code = exit_code
+
+
 # ---------------------------------------------------------------------------
 # MPH errors
 # ---------------------------------------------------------------------------

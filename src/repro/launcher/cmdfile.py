@@ -19,6 +19,7 @@ callables through a program registry, the stand-in for ``$PATH`` lookup.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -97,6 +98,25 @@ def parse_mpirun_spec(spec: str) -> list[ExecutableSpec]:
 #: A program registry maps program names to Python callables with the
 #: executable entry-point signature ``fn(comm_world, env) -> result``.
 ProgramRegistry = Mapping[str, Callable]
+
+
+def load_programs(spec: str) -> dict:
+    """Import a program registry named by *spec*: ``pkg.module`` (its
+    ``PROGRAMS`` dict) or ``pkg.module:ATTR`` — what ``mphrun --programs``
+    receives, and what an exec'd rank resolves its program from."""
+    module_name, _, attr = spec.partition(":")
+    attr = attr or "PROGRAMS"
+    module = importlib.import_module(module_name)
+    try:
+        programs = getattr(module, attr)
+    except AttributeError:
+        raise LaunchError(
+            f"module {module_name!r} has no attribute {attr!r}; expose a dict of "
+            "program-name -> callable"
+        ) from None
+    if not isinstance(programs, dict):
+        raise LaunchError(f"{module_name}:{attr} must be a dict, got {type(programs).__name__}")
+    return programs
 
 
 def resolve_programs(

@@ -14,17 +14,23 @@ variables, the registration file, and the multi-channel output manager.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import LaunchError
-from repro.launcher.cmdfile import ExecutableSpec, ProgramRegistry, resolve_programs
+from repro.launcher.cmdfile import (
+    ExecutableSpec,
+    ProgramRegistry,
+    load_programs,
+    resolve_programs,
+)
 from repro.launcher.rankmap import assign_ranks
 from repro.launcher.smp import Machine, Placement
-from repro.mpi.executor import ProcResult, run_world
-from repro.mpi.world import World, WorldConfig
-from repro.core.redirect import MultiChannelOutput
+from repro.mpi.executor import ExecRank, ProcResult, launch
+from repro.mpi.world import WorldConfig
+from repro.core.redirect import MultiChannelOutput, ProcessOutput
 
 
 @dataclass
@@ -64,6 +70,52 @@ class JobEnv:
     output: Optional[MultiChannelOutput] = None
 
 
+@dataclass
+class LaunchPlan:
+    """Where every process of a job goes — computed once, before anything
+    is spawned, and followed by every launch path."""
+
+    #: Executable specs in command-file order.
+    specs: list[ExecutableSpec]
+    #: ``assignment[i]`` — world ranks of executable *i*.
+    assignment: list[list[int]]
+    #: Machine placement, when a machine was supplied.
+    placement: Optional[Placement]
+    #: Per world rank: its :class:`JobEnv` (everything but ``output``).
+    envs: list[JobEnv]
+    #: Per world rank: a name unique within the job, for failure reports
+    #: and the process backend's log file — ``<program>.<local_index>``,
+    #: with executables that share a program name told apart as
+    #: ``<program>@<exe_index>``.
+    labels: list[str]
+
+
+def plan_job(
+    specs: Sequence[ExecutableSpec],
+    rank_policy: str = "block",
+    machine: Optional[Machine] = None,
+    **job_env,
+) -> LaunchPlan:
+    """Plan a job: assign world ranks under *rank_policy*, place them on
+    *machine* (validating the allocation policy), and give every rank its
+    label and its :class:`JobEnv` — the one place one is built; *job_env*
+    are the job-wide fields (``vars``, ``workdir``, ``registry``)."""
+    sizes = [s.nprocs for s in specs]
+    assignment = assign_ranks(sizes, rank_policy)
+    placement = machine.place(sizes, assignment) if machine else None
+    stems = [s.program for s in specs]
+    while len(set(stems)) < len(stems):
+        clashes = Counter(stems)
+        stems = [f"{stem}@{i}" if clashes[stem] > 1 else stem for i, stem in enumerate(stems)]
+    envs: list[JobEnv] = [None] * sum(sizes)  # type: ignore[list-item]
+    labels = [""] * sum(sizes)
+    for exe_index, (spec, ranks) in enumerate(zip(specs, assignment)):
+        for local_index, world_rank in enumerate(ranks):
+            envs[world_rank] = JobEnv(spec.program, exe_index, local_index, spec.argv, **job_env)
+            labels[world_rank] = f"{stems[exe_index]}.{local_index}"
+    return LaunchPlan(list(specs), assignment, placement, envs, labels)
+
+
 #: Accepted "executable" inputs for :class:`MpmdJob`: a full spec (resolved
 #: through a program registry), or ``(callable, nprocs)`` /
 #: ``(callable, nprocs, argv)`` shorthand.
@@ -71,17 +123,11 @@ ExecutableLike = Union[ExecutableSpec, tuple]
 
 
 @dataclass
-class JobResult:
-    """Outcome of an MPMD job."""
+class JobResult(LaunchPlan):
+    """Outcome of an MPMD job: the plan it followed, and how each rank ended."""
 
     #: Per-world-rank outcomes.
     procs: list[ProcResult]
-    #: Executable specs in command-file order.
-    specs: list[ExecutableSpec]
-    #: ``assignment[i]`` — world ranks of executable *i*.
-    assignment: list[list[int]]
-    #: Machine placement, when a machine was supplied.
-    placement: Optional[Placement] = None
 
     def values(self) -> list[Any]:
         """Per-world-rank return values."""
@@ -95,14 +141,11 @@ class JobResult:
         callers (``mphrun``) can refuse to report success when any
         component failed.
         """
-        out = []
-        for exe_index, ranks in enumerate(self.assignment):
-            program = self.specs[exe_index].program
-            for rank in ranks:
-                exc = self.procs[rank].exception
-                if exc is not None:
-                    out.append((rank, program, exc))
-        return sorted(out)
+        return [
+            (p.rank, self.envs[p.rank].program, p.exception)
+            for p in self.procs
+            if p.exception is not None
+        ]
 
     def by_executable(self, which: Union[int, str]) -> list[Any]:
         """Return values of one executable's processes, in local order.
@@ -130,7 +173,12 @@ class MpmdJob:
         :class:`ExecutableSpec` (requires *programs* for name resolution)
         or a ``(callable, nprocs[, argv])`` tuple.
     programs :
-        Program registry for resolving spec names to callables.
+        Program registry for resolving spec names to callables — a
+        mapping, or the import spec of one (``"pkg.module[:ATTR]"``, see
+        :func:`~repro.launcher.cmdfile.load_programs`).  Given by import
+        spec, the process backend ``exec``s each such rank as its own
+        ``python -m repro.tools.mphchild``, which resolves its program
+        itself — the launcher ships names, never code.
     rank_policy :
         Global-rank assignment policy (see :mod:`repro.launcher.rankmap`).
     machine :
@@ -141,13 +189,20 @@ class MpmdJob:
         :class:`~repro.mpi.world.WorldConfig` for the substrate.
     env_vars, workdir, registry :
         Propagated into every process's :class:`JobEnv`.
+    namespace :
+        Optional per-job namespace for the process backend's rendezvous
+        directory and shm segments (see
+        :func:`repro.mpi.procbackend.rendezvous_prefix`).
+    log_dir :
+        Process backend only: directory for per-process ``<label>.log``
+        files (``<program>.<local_index>.log``; OS-level fd redirection).
     """
 
     def __init__(
         self,
         executables: Sequence[ExecutableLike],
         *,
-        programs: Optional[ProgramRegistry] = None,
+        programs: Union[ProgramRegistry, str, None] = None,
         rank_policy: str = "block",
         machine: Optional[Machine] = None,
         config: Optional[WorldConfig] = None,
@@ -161,30 +216,36 @@ class MpmdJob:
             raise LaunchError("an MPMD job needs at least one executable")
         self.specs: list[ExecutableSpec] = []
         self.fns: list[Callable] = []
-        pending_specs: list[ExecutableSpec] = []
         for item in executables:
             if isinstance(item, ExecutableSpec):
-                pending_specs.append(item)
-                self.specs.append(item)
-                self.fns.append(None)  # type: ignore[arg-type] - filled below
+                spec, fn = item, None  # named in the registry: bound below
             elif isinstance(item, tuple) and 2 <= len(item) <= 3 and callable(item[0]):
-                fn, nprocs = item[0], item[1]
+                fn = item[0]
                 argv = tuple(item[2]) if len(item) == 3 else ()
-                name = getattr(fn, "__name__", "program")
-                self.specs.append(ExecutableSpec(name, nprocs, argv))
-                self.fns.append(fn)
+                spec = ExecutableSpec(getattr(fn, "__name__", "program"), item[1], argv)
             else:
                 raise LaunchError(
                     f"cannot interpret executable {item!r}; pass an ExecutableSpec or "
                     "(callable, nprocs[, argv])"
                 )
-        if pending_specs:
+            self.specs.append(spec)
+            self.fns.append(fn)
+        #: Per executable: the import spec a fresh interpreter can resolve
+        #: its program from — it is named, in a registry given by name.
+        self._import_specs = [
+            programs if fn is None and isinstance(programs, str) else None for fn in self.fns
+        ]
+        named = [spec for spec, fn in zip(self.specs, self.fns) if fn is None]
+        if named:
             if programs is None:
                 raise LaunchError(
                     "ExecutableSpec entries need a `programs` registry for name resolution"
                 )
-            resolved = iter(resolve_programs(pending_specs, programs))
-            self.fns = [fn if fn is not None else next(resolved) for fn in self.fns]
+            # Bound in the launcher even when the ranks will resolve their
+            # own, so a typo'd module or program fails here instead of in
+            # every child.
+            bound = iter(bind_programs(named, programs))
+            self.fns = [fn if fn is not None else next(bound) for fn in self.fns]
 
         self.rank_policy = rank_policy
         self.machine = machine
@@ -192,13 +253,10 @@ class MpmdJob:
         self.env_vars = dict(env_vars or {})
         self.workdir = Path(workdir) if workdir is not None else None
         self.registry = registry
-        #: Optional per-job namespace for the process backend's rendezvous
-        #: directory and shm segments (see
-        #: :func:`repro.mpi.procbackend.rendezvous_prefix`).
         self.namespace = namespace
-        #: Process backend only: directory for per-process
-        #: ``<program>.<local_index>.log`` files (OS-level fd redirection).
         self.log_dir = str(log_dir) if log_dir is not None else None
+        #: The stdout proxy rank *threads* share (paper §5.4); a rank that
+        #: is its own process redirects its own fd 1 instead.
         self.output = MultiChannelOutput()
 
     @property
@@ -206,83 +264,85 @@ class MpmdJob:
         """Total MPI processes across all executables."""
         return sum(s.nprocs for s in self.specs)
 
+    def plan(self) -> LaunchPlan:
+        """The job's :class:`LaunchPlan` (see :func:`plan_job`)."""
+        return plan_job(
+            self.specs,
+            self.rank_policy,
+            self.machine,
+            vars=self.env_vars,
+            workdir=self.workdir,
+            registry=self.registry,
+        )
+
     def run(self, timeout: float = 120.0) -> JobResult:
         """Launch the job and run it to completion.
 
-        With ``config.backend == "process"`` every rank is a forked OS
-        process over the socket transport
-        (:func:`repro.mpi.procbackend.run_procs`): components genuinely
-        own their stdout (§5.4 redirection becomes a real ``dup2``), and
-        a rank that dies without reporting fails the job with its
+        Plans the job, then enters the one launch pipeline
+        (:func:`repro.mpi.executor.launch`).  With ``config.backend ==
+        "process"`` every rank is an OS process: components genuinely own
+        their stdout (§5.4 redirection becomes a real ``dup2``), and a
+        rank that dies without reporting fails the job with its
         component named.
         """
-        sizes = [s.nprocs for s in self.specs]
-        assignment = assign_ranks(sizes, self.rank_policy)
-        placement = self.machine.place(sizes, assignment) if self.machine else None
-
-        rank_fns: list[Callable] = [None] * self.world_size  # type: ignore[list-item]
-        process_backend = self.config is not None and self.config.backend == "process"
-        labels: list[str] = [""] * self.world_size
-        for exe_index, ranks in enumerate(assignment):
-            spec, fn = self.specs[exe_index], self.fns[exe_index]
-            for local_index, world_rank in enumerate(ranks):
-                env = JobEnv(
-                    program=spec.program,
-                    exe_index=exe_index,
-                    local_index=local_index,
-                    argv=spec.argv,
-                    vars=self.env_vars,
-                    workdir=self.workdir,
-                    registry=self.registry,
-                    output=None if process_backend else self.output,
-                )
-                labels[world_rank] = f"{spec.program}.{local_index}"
-                bind = _bind_process if process_backend else _bind
-                rank_fns[world_rank] = bind(fn, env)
-
-        if process_backend:
-            from repro.mpi.procbackend import run_procs
-
-            procs = run_procs(
-                self.world_size,
-                rank_fns,
-                config=self.config,
-                timeout=timeout,
-                labels=labels,
-                namespace=self.namespace,
-                log_dir=self.log_dir,
-            )
-        else:
-            world = World(self.world_size, self.config)
-            with self.output:
-                procs = run_world(world, rank_fns, timeout=timeout)
-        return JobResult(procs=procs, specs=self.specs, assignment=assignment, placement=placement)
+        plan = self.plan()
+        ranks: list[Callable] = []
+        for env in plan.envs:
+            entry = _rank_entry(self.fns[env.exe_index], env, self.output)
+            if self._import_specs[env.exe_index] is not None:
+                entry = ExecRank(entry, (self._import_specs[env.exe_index], env))
+            ranks.append(entry)
+        procs = launch(
+            self.world_size,
+            ranks,
+            config=self.config,
+            timeout=timeout,
+            labels=plan.labels,
+            namespace=self.namespace,
+            log_dir=self.log_dir,
+        )
+        return JobResult(**vars(plan), procs=procs)
 
 
-def _bind(fn: Callable, env: JobEnv) -> Callable:
-    """Close over this process's environment (late-binding-safe)."""
+def _rank_entry(
+    fn: Callable, env: JobEnv, shared_output: Optional[MultiChannelOutput] = None
+) -> Callable:
+    """The pipeline's ``entry(comm)`` for a program ``fn(comm, env)``."""
 
     def entry(comm):
-        return fn(comm, env)
+        # A rank with a transport is its own OS process (a thread world
+        # delivers mailbox to mailbox): it owns fd 1, so §5.4 redirection
+        # is real fd-level redirection.  Rank threads share the job's
+        # stdout proxy, installed for as long as any of them runs.
+        output = ProcessOutput() if comm.world.transport is not None else shared_output
+        with output:
+            return fn(comm, replace(env, output=output))
 
     return entry
 
 
-def _bind_process(fn: Callable, env: JobEnv) -> Callable:
-    """Process-backend binding: runs in the forked child, where §5.4
-    output redirection is real fd-level redirection."""
-
-    def entry(comm):
-        from repro.core.redirect import ProcessOutput
-
-        env.output = ProcessOutput()
-        return fn(comm, env)
-
-    return entry
+def exec_rank_entry(meta: tuple) -> Callable:
+    """The ``entry(comm)`` of an exec'd rank, rebuilt in its own
+    interpreter from the ``(import spec, env)`` meta :meth:`MpmdJob.run`
+    shipped: the program is resolved *here*, by name."""
+    programs, env = meta
+    (fn,) = bind_programs([ExecutableSpec(env.program, 1)], programs)
+    return _rank_entry(fn, env)
 
 
-#: Program name under which ``mphrun --pool N`` registers its reserve
-#: ranks (never resolved against the user's ``--programs`` registry).
+def bind_programs(
+    specs: Sequence[ExecutableSpec], programs: Union[ProgramRegistry, str]
+) -> list[Callable]:
+    """Bind each spec's program name to its callable.  *programs* is a
+    registry or the import spec of one; :data:`POOL_PROGRAM` is always the
+    built-in :func:`reserve_pool_program`, never a registry lookup."""
+    if isinstance(programs, str):
+        programs = load_programs(programs)
+    return resolve_programs(specs, {**programs, POOL_PROGRAM: reserve_pool_program})
+
+
+#: Program name of reserve-pool ranks (``mphrun --pool N``, a job
+#: document's ``runtime.pool``); never resolved against a user registry.
 POOL_PROGRAM = "__pool__"
 
 

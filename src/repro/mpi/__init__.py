@@ -9,6 +9,10 @@ detection) and :mod:`repro.mpi.collectives` for the algorithm menu — one
 schedule per algorithm, shared by the object (lowercase) and buffer
 (uppercase) verbs through a payload codec.
 
+Every world is started by one pipeline, :func:`repro.mpi.executor.launch`:
+``config.backend`` picks rank threads or OS processes
+(:mod:`repro.mpi.procbackend`); :func:`run_spmd` is its SPMD front door.
+
 Typical SPMD use::
 
     from repro import mpi
@@ -25,7 +29,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB, UNDEFINE
 from repro.mpi.group import Group
 from repro.mpi.intercomm import InterComm, create_intercomm
 from repro.mpi.comm import Comm, make_world_comm
-from repro.mpi.executor import ProcResult, run_spmd, run_world
+from repro.mpi.executor import ExecRank, ProcResult, launch, run_spmd, run_world
 from repro.mpi.faults import FaultSchedule, SimulatedCrash, random_schedule
 from repro.mpi.reduce_ops import (
     BAND,
@@ -54,7 +58,7 @@ from repro.mpi.sched import (
     parse_repro_command,
     repro_command,
 )
-from repro.mpi.procbackend import ProcessWorld, run_exec_job, run_procs
+from repro.mpi.procbackend import ProcessWorld
 from repro.mpi.progress import Completion, ProgressEngine, RankProgress, Waitset
 from repro.mpi.request import Request
 from repro.mpi.serialization import Blob, payload_nbytes
@@ -84,7 +88,9 @@ __all__ = [
     "create_intercomm",
     "Comm",
     "make_world_comm",
+    "ExecRank",
     "ProcResult",
+    "launch",
     "run_spmd",
     "run_world",
     "FaultSchedule",
@@ -122,8 +128,6 @@ __all__ = [
     "RankProgress",
     "Waitset",
     "ProcessWorld",
-    "run_procs",
-    "run_exec_job",
     "Transport",
     "SocketTransport",
     "ShmTransport",

@@ -14,8 +14,9 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
 
 1. The parent binds a rendezvous listener — always a Unix-domain socket
    at a fixed name in the job's private socket directory — and spawns
-   ``nprocs`` children (``fork`` for :func:`run_procs`, ``exec`` of
-   ``python -m repro.tools.mphchild`` for :func:`run_exec_job`).
+   ``nprocs`` children (:func:`run_procs`: ``fork`` for a rank given as
+   a callable, ``exec`` of ``python -m repro.tools.mphchild`` for an
+   :class:`~repro.mpi.executor.ExecRank`).
 2. Each child binds its own *data* listener (Unix or TCP, per
    ``config.transport``) — before anyone learns its address, so no
    sender can race it — then exchanges addresses with the parent through
@@ -28,7 +29,9 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    metadata, and a direct control connection to the parent.
 4. Each child builds a :class:`~repro.mpi.transport.SocketTransport` over
    the peer map, a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
-   handle, then runs the rank function.
+   handle, then runs the rank function
+   (:func:`~repro.mpi.executor.run_rank`, the same body a rank thread
+   runs).
 5. The child reports ``("result", rank, ok, payload, traffic)`` and then
    *keeps serving inbound connections* until the parent's
    ``("shutdown",)`` frame — sent only after every result is in — so a
@@ -58,7 +61,6 @@ import pickle
 import queue
 import shutil
 import socket
-import subprocess
 import sys
 import tempfile
 import threading
@@ -67,14 +69,14 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import (
     AbortError,
+    ChildExitError,
     LaunchError,
     ReproError,
     TimeoutError_,
     TransportError,
 )
 from repro.mpi.bootstrap import child_tree_exchange, serve_tree_rendezvous
-from repro.mpi.comm import make_world_comm
-from repro.mpi.executor import ProcResult, _raise_root_cause
+from repro.mpi.executor import ExecRank, ProcResult, run_rank
 from repro.mpi.transport import (
     SocketTransport,
     make_listener,
@@ -87,19 +89,6 @@ from repro.mpi.world import World, WorldConfig
 _CHILD_CTRL_TIMEOUT = 120.0
 #: Grace for siblings to unwind after a child dies without reporting.
 _DEATH_GRACE = 3.0
-
-
-class ChildExitError(LaunchError):
-    """A child process died without reporting a result (nonzero exit,
-    signal, or killed).  Preferred as the job's root cause over the
-    secondary transport errors its siblings see when their connections
-    to the dead rank fail."""
-
-    def __init__(self, message: str, *, rank: int, label: str, exit_code):
-        super().__init__(message)
-        self.rank = rank
-        self.label = label
-        self.exit_code = exit_code
 
 
 class ProcessWorld(World):
@@ -169,24 +158,6 @@ def rendezvous_prefix(namespace: Optional[str] = None) -> str:
         return "repro-mpi-"
     clean = "".join(c if c.isalnum() or c in "._" else "-" for c in str(namespace))
     return f"repro-mpi-{clean[:24]}-"
-
-
-def _validate_process_config(config: WorldConfig) -> None:
-    if config.fault_schedule is not None:
-        raise ValueError(
-            "fault_schedule requires the thread backend: fault injection "
-            "hooks live in the shared world, which the process backend "
-            "replicates per rank"
-        )
-    if config.match_schedule is not None:
-        raise ValueError(
-            "match_schedule requires the thread backend: schedule "
-            "exploration needs one shared match arbiter"
-        )
-
-
-def _socket_family(config: WorldConfig) -> str:
-    return "tcp" if config.transport == "tcp" else "unix"
 
 
 def _rendezvous_path(sockdir: str) -> str:
@@ -263,23 +234,9 @@ def child_session(
         world.transport = transport
         transport.start()
 
-        comm = make_world_comm(world, rank)
-        ok, value, exc = True, None, None
-        try:
-            value = run(comm, meta)
-        except BaseException as e:  # noqa: BLE001 - everything is reported
-            ok, exc = False, e
-            if not isinstance(e, AbortError):
-                abort_exc = AbortError(
-                    f"world rank {rank} raised {type(e).__name__}: {e}",
-                    origin_rank=rank,
-                )
-                abort_exc.__cause__ = e
-                world.abort(abort_exc)  # broadcasts to peers
-        finally:
-            world.proc_done(rank)
-
-        payload = value if ok else exc
+        result = run_rank(world, rank, lambda comm: run(comm, meta))
+        ok = result.exception is None
+        payload = result.value if ok else result.exception
         traffic = world.traffic_snapshot()
         frame = ("result", rank, ok, payload, traffic)
         try:
@@ -314,30 +271,35 @@ def child_session(
             pass
 
 
-def _fork_child_main(
-    rank: int,
-    nprocs: int,
-    family: str,
-    sockdir: str,
-    fn,
-    fn_args: tuple,
-    fn_kwargs: dict,
-    log_path: Optional[str],
-    fanout: int,
-) -> None:
+def _child_main(rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str]) -> None:
+    """What a freshly forked child does: claim its log file, then become
+    the rank — by running *fn* (fork inheritance carries it, so closures
+    work without being picklable), or, for an
+    :class:`~repro.mpi.executor.ExecRank`, by ``exec``-ing an independent
+    ``python -m repro.tools.mphchild``: true MIME in the paper's sense,
+    the child learns *what to run* from its welcome frame's per-rank
+    meta (see :mod:`repro.tools.mphchild`)."""
     if log_path is not None:
         fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         os.dup2(fd, 1)
         os.dup2(fd, 2)
         os.close(fd)
-    child_session(
-        rank,
-        nprocs,
-        family,
-        sockdir,
-        lambda comm, meta: fn(comm, *fn_args, **fn_kwargs),
-        fanout=fanout,
-    )
+    nprocs, family, sockdir = rendezvous.nprocs, rendezvous.family, rendezvous.sockdir
+    fanout = rendezvous.config.bootstrap_fanout
+    if not isinstance(fn, ExecRank):
+        child_session(rank, nprocs, family, sockdir, lambda comm, meta: fn(comm), fanout=fanout)
+        return
+    argv = [sys.executable, "-m", "repro.tools.mphchild"]
+    argv += ["--rank", str(rank), "--nprocs", str(nprocs), "--family", family]
+    argv += ["--sockdir", sockdir, "--fanout", str(fanout)]
+    # The child must import repro regardless of how the parent got it
+    # onto sys.path (installed, PYTHONPATH=src, pytest rootdir magic).
+    import repro
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = pkg_root + (os.pathsep + inherited if inherited else "")
+    os.execv(sys.executable, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -345,180 +307,72 @@ def _fork_child_main(
 # ---------------------------------------------------------------------------
 
 
-class _ChildHandle:
-    """Uniform liveness/termination view over fork and exec children."""
+class _Child(multiprocessing.get_context("fork").Process):
+    """One spawned rank — the process the rendezvous polls, terminates
+    and reaps.  Constructing it forks the child (see :func:`_child_main`)."""
 
-    def __init__(self, rank: int, label: str):
+    def __init__(self, rendezvous: "_Rendezvous", rank: int, label: str, fn, log_path):
+        super().__init__(
+            target=_child_main, args=(rendezvous, rank, fn, log_path), name=f"mpi-proc-{rank}"
+        )
         self.rank = rank
         self.label = label
+        self.start()
 
-    def exitcode(self) -> Optional[int]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def terminate(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def join(self, timeout: float) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _ForkHandle(_ChildHandle):
-    def __init__(self, rank: int, label: str, proc: multiprocessing.process.BaseProcess):
-        super().__init__(rank, label)
-        self.proc = proc
-
-    def exitcode(self) -> Optional[int]:
-        return self.proc.exitcode
-
-    def terminate(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-
-    def join(self, timeout: float) -> None:
-        self.proc.join(timeout)
-        if self.proc.is_alive():  # pragma: no cover - stuck child
-            self.proc.kill()
-            self.proc.join(1.0)
-
-
-class _ExecHandle(_ChildHandle):
-    def __init__(self, rank: int, label: str, proc: subprocess.Popen, logfile=None):
-        super().__init__(rank, label)
-        self.proc = proc
-        self.logfile = logfile
-
-    def exitcode(self) -> Optional[int]:
-        return self.proc.poll()
-
-    def terminate(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-
-    def join(self, timeout: float) -> None:
-        try:
-            self.proc.wait(timeout)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-            self.proc.kill()
-            self.proc.wait(1.0)
-        if self.logfile is not None:
-            self.logfile.close()
-            self.logfile = None
+    def reap(self, timeout: float) -> None:
+        self.join(timeout)
+        if self.is_alive():  # pragma: no cover - stuck child
+            self.kill()
+            self.join(1.0)
 
 
 class _Rendezvous:
-    """The parent half of the bootstrap: serve the address exchange,
-    collect results, detect silent deaths, and shut everyone down."""
+    """The launcher's half of a process world — the *process manager*:
+    serve the address exchange, collect results, detect silent deaths,
+    shut everyone down, and sweep what the job left behind.  Each stage
+    :func:`run_procs` drives is a method."""
 
-    def __init__(
-        self,
-        nprocs: int,
-        config: WorldConfig,
-        family: str,
-        namespace: Optional[str] = None,
-    ):
+    def __init__(self, nprocs: int, config: WorldConfig, namespace: Optional[str] = None):
         self.nprocs = nprocs
         self.config = config
         #: Socket family of the children's data listeners.
-        self.family = family
+        self.family = "tcp" if config.transport == "tcp" else "unix"
         self.sockdir = tempfile.mkdtemp(prefix=rendezvous_prefix(namespace))
         self.listener, _ = make_listener("unix", _rendezvous_path(self.sockdir))
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def cleanup(self) -> None:
-        try:
-            self.listener.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        # Sweep any shm segments of this job that a crashed child never
-        # unlinked itself (segment names derive from the sockdir name,
-        # so the prefix is job-unique).  Runs on every exit path of
-        # _finish — including ChildExitError — so /dev/shm can't leak.
-        from repro.mpi.shm import sweep_segments
-
-        sweep_segments(os.path.basename(self.sockdir))
-        shutil.rmtree(self.sockdir, ignore_errors=True)
-
-    # -- protocol ----------------------------------------------------------
-
-    def run(
-        self,
-        handles: Sequence[_ChildHandle],
-        metas: Optional[Sequence[Any]],
-        timeout: float,
-    ) -> list[ProcResult]:
-        """Drive the whole parent side; returns per-rank results.
-
-        Raises :class:`~repro.errors.TimeoutError_` if the job exceeds
-        *timeout*; a child that dies without reporting becomes a
-        :class:`~repro.errors.LaunchError` result for its rank.
-        """
-        deadline = time.monotonic() + timeout
-        by_rank = {h.rank: h for h in handles}
-        results: dict[int, ProcResult] = {}
-        conns: dict[int, socket.socket] = {}
-        try:
-            try:
-                self._gather_tree(conns, by_rank, results, metas, deadline)
-            except _BootstrapDead:
-                return [results[r] for r in sorted(results)]
-            self._collect_results(conns, by_rank, results, deadline)
-        except BaseException:
-            # However the protocol was cut short (deadline, a malformed
-            # frame, an interrupt), children still mid-bootstrap or
-            # mid-run would never see the shutdown below: terminate them
-            # so the joins return at once instead of timing out one by
-            # one.
-            for h in handles:
-                h.terminate()
-            raise
-        finally:
-            for conn in conns.values():
-                try:
-                    send_frame(conn, ("shutdown",))
-                except (TransportError, OSError):
-                    pass
-            for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-            for h in handles:
-                h.join(5.0)
-        return [results[r] for r in sorted(results)]
-
-    def _gather_tree(self, conns, by_rank, results, metas, deadline) -> None:
-        """The bootstrap: one aggregated hellos frame from the relay
-        root, one once-pickled welcome back, then a direct ``register``
-        connection per child, collected into *conns* for the
-        result/shutdown protocol."""
+    def bootstrap(self, conns, children, results, ranks, deadline) -> None:
+        """One aggregated hellos frame from the relay root, one
+        once-pickled welcome back (carrying each exec'd rank's meta),
+        then a direct ``register`` connection per child, collected into
+        *conns* for the result/shutdown protocol."""
+        metas = [fn.meta if isinstance(fn, ExecRank) else None for fn in ranks]
 
         def tick() -> None:
             self._check_deadline(deadline, "rank bootstrap")
-            dead = self._dead_without_result(by_rank, results, conns)
+            dead = self._dead_without_result(children, results, conns)
             if dead:
                 # A child died mid-exchange: its whole subtree stalls, so
                 # nobody can form a world.
-                self._fail_bootstrap(dead, by_rank, results)
+                self._fail_bootstrap(dead, children, results)
 
         self.listener.settimeout(0.2)
         serve_tree_rendezvous(
             self.listener,
             self.nprocs,
             self.config,
-            list(metas) if metas is not None else None,
+            metas if any(m is not None for m in metas) else None,
             conns,
             on_tick=tick,
         )
 
-    def _fail_bootstrap(self, dead, by_rank, results) -> None:
+    def _fail_bootstrap(self, dead, children, results) -> None:
         """A child died before the world formed: record it, terminate the
         siblings that can never proceed, and abandon the bootstrap."""
         for h in dead:
             results[h.rank] = ProcResult(rank=h.rank, exception=self._death_error(h))
-        for h in by_rank.values():
+        for h in children:
             h.terminate()
-        for rank in by_rank:
+        for rank in range(self.nprocs):
             if rank not in results:
                 results[rank] = ProcResult(
                     rank=rank,
@@ -529,7 +383,9 @@ class _Rendezvous:
                 )
         raise _BootstrapDead()
 
-    def _collect_results(self, conns, by_rank, results, deadline) -> None:
+    def collect(self, conns, children, results, deadline) -> None:
+        """Read one result frame per child, polling liveness so a child
+        that dies without reporting is classified instead of awaited."""
         inbox: queue.Queue = queue.Queue()
 
         def reader(rank: int, conn: socket.socket) -> None:
@@ -554,9 +410,9 @@ class _Rendezvous:
                 # the dead rank; terminate and synthesize.  Who died on
                 # its own is decided before terminating, so our SIGTERM
                 # is never reported as a component's exit code.
-                for rank, h in by_rank.items():
+                for rank, h in enumerate(children):
                     if rank not in results:
-                        died = h.exitcode() not in (0, None)
+                        died = h.exitcode not in (0, None)
                         h.terminate()
                         results[rank] = ProcResult(
                             rank=rank,
@@ -570,7 +426,7 @@ class _Rendezvous:
                         )
                 return
             self._check_deadline(deadline, "job")
-            dead = self._dead_without_result(by_rank, results, None)
+            dead = self._dead_without_result(children, results, None)
             if dead and death_deadline is None:
                 death_deadline = now + _DEATH_GRACE
             try:
@@ -590,25 +446,55 @@ class _Rendezvous:
             # EOF (None) or a transport error: the liveness poll above
             # will classify the death on a later iteration.
 
-    def _dead_without_result(self, by_rank, results, conns) -> list[_ChildHandle]:
+    def _dead_without_result(self, children, results, conns) -> list:
         dead = []
-        for rank, h in by_rank.items():
+        for rank, h in enumerate(children):
             if rank in results:
                 continue
             if conns is not None and rank in conns:
                 continue
-            if h.exitcode() is not None:
+            if h.exitcode is not None:
                 dead.append(h)
         return dead
 
+    def shutdown(self, conns, children) -> None:
+        """Release the lingering children and reap them."""
+        for conn in conns.values():
+            try:
+                send_frame(conn, ("shutdown",))
+            except (TransportError, OSError):
+                pass
+        for conn in conns.values():
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
+        for child in children:
+            child.reap(5.0)
+
+    def sweep(self) -> None:
+        """Remove everything the job owned outside its processes."""
+        try:
+            self.listener.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
+        # Sweep any shm segments of this job that a crashed child never
+        # unlinked itself (segment names derive from the sockdir name,
+        # so the prefix is job-unique).  Runs on every exit path of
+        # run_procs — including ChildExitError — so /dev/shm can't leak.
+        from repro.mpi.shm import sweep_segments
+
+        sweep_segments(os.path.basename(self.sockdir))
+        shutil.rmtree(self.sockdir, ignore_errors=True)
+
     @staticmethod
-    def _death_error(h: _ChildHandle) -> ChildExitError:
+    def _death_error(h) -> ChildExitError:
         return ChildExitError(
             f"component {h.label!r} (world rank {h.rank}) exited with "
-            f"code {h.exitcode()} without reporting a result",
+            f"code {h.exitcode} without reporting a result",
             rank=h.rank,
             label=h.label,
-            exit_code=h.exitcode(),
+            exit_code=h.exitcode,
         )
 
     @staticmethod
@@ -621,40 +507,21 @@ class _BootstrapDead(Exception):
     """Internal: bootstrap aborted because a child died before registering."""
 
 
-def _finish(rendezvous, handles, metas, timeout) -> list[ProcResult]:
-    try:
-        results = rendezvous.run(handles, metas, timeout)
-    finally:
-        rendezvous.cleanup()
-    # A silent child death is the root cause of whatever transport
-    # fallout its siblings saw; name the dead component first.
-    for r in results:
-        if isinstance(r.exception, ChildExitError):
-            raise r.exception
-    _raise_root_cause(results)
-    return results
-
-
 def run_procs(
     nprocs: int,
-    rank_fns: Sequence[Callable],
-    *,
-    fn_args: Sequence[Any] = (),
-    fn_kwargs: Optional[dict] = None,
-    config: Optional[WorldConfig] = None,
+    ranks: Sequence[Any],
+    config: WorldConfig,
     timeout: float = 120.0,
     log_dir: Optional[str] = None,
     labels: Optional[Sequence[str]] = None,
     namespace: Optional[str] = None,
 ) -> list[ProcResult]:
-    """Run one callable per rank, each as a **forked OS process**.
-
-    The process-backend analogue of
-    :func:`~repro.mpi.executor.run_world`: same contract (per-rank
-    :class:`~repro.mpi.executor.ProcResult` list, root-cause exception
-    re-raised), but every rank owns an interpreter, a world replica, and
-    a socket transport.  Fork inheritance carries the rank functions, so
-    closures work without being picklable.
+    """Run one rank function per rank, each as its own **OS process** —
+    the process leg of :func:`repro.mpi.executor.launch`, which validates
+    before and classifies the root cause after.  Same contract as the
+    thread leg (a per-rank :class:`~repro.mpi.executor.ProcResult` list),
+    but every rank owns an interpreter, a world replica, and a transport
+    (see :func:`_child_main` for how a rank is forked or exec'd).
 
     With *log_dir*, each child's stdout+stderr are redirected at the OS
     level to ``<log_dir>/<label>.log`` — real per-process log files, not
@@ -663,117 +530,38 @@ def run_procs(
     *namespace* scopes the job's rendezvous directory and shm segments
     under :func:`rendezvous_prefix` (the MPH service's per-job isolation
     seam).
+
+    Raises :class:`~repro.errors.TimeoutError_` if the job exceeds
+    *timeout*; a child that dies without reporting becomes a
+    :class:`~repro.errors.LaunchError` result for its rank.
     """
-    if len(rank_fns) != nprocs:
-        raise ValueError(f"need {nprocs} rank functions, got {len(rank_fns)}")
-    config = config or WorldConfig(backend="process")
-    _validate_process_config(config)
     labels = list(labels) if labels is not None else [f"rank{r}" for r in range(nprocs)]
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-
-    rendezvous = _Rendezvous(nprocs, config, _socket_family(config), namespace)
-    ctx = multiprocessing.get_context("fork")
-    handles: list[_ChildHandle] = []
+    rendezvous = _Rendezvous(nprocs, config, namespace)
+    children: list[_Child] = []
+    results: dict[int, ProcResult] = {}
+    conns: dict[int, socket.socket] = {}
     try:
-        for r in range(nprocs):
-            log_path = (
-                os.path.join(log_dir, f"{labels[r]}.log") if log_dir is not None else None
-            )
-            proc = ctx.Process(
-                target=_fork_child_main,
-                args=(
-                    r,
-                    nprocs,
-                    rendezvous.family,
-                    rendezvous.sockdir,
-                    rank_fns[r],
-                    tuple(fn_args),
-                    dict(fn_kwargs or {}),
-                    log_path,
-                    config.bootstrap_fanout,
-                ),
-                name=f"mpi-proc-{r}",
-            )
-            proc.start()
-            handles.append(_ForkHandle(r, labels[r], proc))
+        for rank, fn in enumerate(ranks):  # spawn
+            log_path = None if log_dir is None else os.path.join(log_dir, f"{labels[rank]}.log")
+            children.append(_Child(rendezvous, rank, labels[rank], fn, log_path))
+        deadline = time.monotonic() + timeout
+        rendezvous.bootstrap(conns, children, results, ranks, deadline)
+        rendezvous.collect(conns, children, results, deadline)
+    except _BootstrapDead:
+        pass  # every rank already has its result, the siblings are terminated
     except BaseException:
-        for h in handles:
-            h.terminate()
-        rendezvous.cleanup()
+        # However the launch was cut short (a failed spawn, the deadline,
+        # a malformed frame, an interrupt), children still mid-bootstrap
+        # or mid-run would never see the shutdown below: terminate them
+        # so the joins return at once instead of timing out one by one.
+        for child in children:
+            child.terminate()
         raise
-    return _finish(rendezvous, handles, None, timeout)
-
-
-def run_exec_job(
-    nprocs: int,
-    metas: Sequence[dict],
-    *,
-    config: Optional[WorldConfig] = None,
-    timeout: float = 120.0,
-    log_dir: Optional[str] = None,
-    labels: Optional[Sequence[str]] = None,
-    namespace: Optional[str] = None,
-) -> list[ProcResult]:
-    """Run *nprocs* ranks, each ``exec``'d as its own Python executable.
-
-    True MIME in the paper's sense: every rank is an independent
-    ``python -m repro.tools.mphchild`` process that learns *what to run*
-    from its welcome frame's per-rank *meta* dict (see
-    :mod:`repro.tools.mphchild` for the schema).  Used by ``mphrun
-    --backend process``.
-    """
-    if len(metas) != nprocs:
-        raise ValueError(f"need {nprocs} child metas, got {len(metas)}")
-    config = config or WorldConfig(backend="process")
-    _validate_process_config(config)
-    labels = list(labels) if labels is not None else [f"rank{r}" for r in range(nprocs)]
-    if log_dir is not None:
-        os.makedirs(log_dir, exist_ok=True)
-
-    rendezvous = _Rendezvous(nprocs, config, _socket_family(config), namespace)
-
-    # The children must import repro regardless of how the parent got it
-    # onto sys.path (installed, PYTHONPATH=src, pytest rootdir magic).
-    import repro
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = pkg_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-
-    handles: list[_ChildHandle] = []
-    try:
-        for r in range(nprocs):
-            argv = [
-                sys.executable,
-                "-m",
-                "repro.tools.mphchild",
-                "--rank",
-                str(r),
-                "--nprocs",
-                str(nprocs),
-                "--family",
-                rendezvous.family,
-                "--sockdir",
-                rendezvous.sockdir,
-                "--fanout",
-                str(config.bootstrap_fanout),
-            ]
-            logfile = None
-            if log_dir is not None:
-                logfile = open(os.path.join(log_dir, f"{labels[r]}.log"), "wb")
-            proc = subprocess.Popen(
-                argv,
-                stdout=logfile if logfile is not None else None,
-                stderr=subprocess.STDOUT if logfile is not None else None,
-                env=env,
-            )
-            handles.append(_ExecHandle(r, labels[r], proc, logfile))
-    except BaseException:
-        for h in handles:
-            h.terminate()
-        rendezvous.cleanup()
-        raise
-    return _finish(rendezvous, handles, list(metas), timeout)
+    finally:
+        try:
+            rendezvous.shutdown(conns, children)
+        finally:
+            rendezvous.sweep()
+    return [results[r] for r in sorted(results)]

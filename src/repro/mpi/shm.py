@@ -36,7 +36,7 @@ Segments are plain ``O_CREAT|O_EXCL`` files (not
 attached segments from under sibling processes).  Files are sparse:
 untouched ring/pool pages cost nothing, so the default 64 MiB pool is
 cheap.  The owner unlinks its file on close; the launcher additionally
-sweeps ``<prefix>-r*`` in :meth:`~repro.mpi.procbackend._Rendezvous.cleanup`
+sweeps ``<prefix>-r*`` in :meth:`~repro.mpi.procbackend._Rendezvous.sweep`
 so a crashed child can never leak a segment.
 """
 

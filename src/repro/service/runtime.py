@@ -5,9 +5,9 @@ Three responsibilities:
 
 * **Resolution** — :meth:`JobRuntime.resolve` turns a
   :class:`~repro.service.jobdoc.JobDocument` into a :class:`ResolvedJob`:
-  program callables bound from the runtime's catalog, world ranks
-  assigned exactly as :class:`~repro.launcher.job.MpmdJob` would assign
-  them, a :class:`~repro.mpi.world.WorldConfig` built from the runtime
+  program callables bound from the runtime's catalog, the
+  :class:`~repro.launcher.job.LaunchPlan` every launch of it will
+  follow, a :class:`~repro.mpi.world.WorldConfig` built from the runtime
   spec, and the handshake layout resolved **once** per
   :meth:`~repro.service.jobdoc.JobDocument.layout_key` through a
   :class:`LayoutCache` of
@@ -27,8 +27,10 @@ Three responsibilities:
   of :class:`WorkerWorld` objects keyed by layout hash: fork +
   bootstrap + handshake are paid once, and subsequent jobs with the
   same layout are dispatched to the already-running ranks over
-  multiprocessing queues.  This is the service's warm path — the jobs/s
-  win ``benchmarks/bench_service.py`` measures.  A resident world is
+  multiprocessing queues (the world itself is one more
+  :class:`~repro.launcher.job.MpmdJob`, its programs the resident
+  loops).  This is the service's warm path — the jobs/s win
+  ``benchmarks/bench_service.py`` measures.  A resident world is
   **poisoned** (evicted and shut down) the moment any rank fails or a
   job times out; fault-seeded, match-seeded, and reserve-pool jobs
   never use one (seeds are thread-backend-only by document validation,
@@ -53,14 +55,22 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.session import PrecomputedLayout
 from repro.core.handshake import ComponentDecl, PoolDecl
 from repro.errors import ReproError, ServiceError, TimeoutError_
-from repro.launcher.job import JobEnv, JobResult, MpmdJob, POOL_PROGRAM, reserve_pool_program
-from repro.launcher.rankmap import assign_ranks
+from repro.launcher.cmdfile import ExecutableSpec
+from repro.launcher.job import (
+    POOL_PROGRAM,
+    JobResult,
+    LaunchPlan,
+    MpmdJob,
+    bind_programs,
+    plan_job,
+)
+from repro.mpi.executor import ProcResult
 from repro.mpi.world import WorldConfig
 from repro.service.jobdoc import JobDocument
 
@@ -126,8 +136,8 @@ class ResolvedJob:
     #: reserve pool, when requested, is the final entry under
     #: :data:`~repro.launcher.job.POOL_PROGRAM`.
     executables: List[Tuple[str, Callable, int, Tuple[str, ...]]]
-    #: ``assignment[i]`` — world ranks of executable *i* (MpmdJob order).
-    assignment: List[List[int]]
+    #: Ranks, assignment and labels of every launch of this job.
+    plan: LaunchPlan
     #: The precomputed handshake layout every rank hands to
     #: ``Session.init`` (cache hit or fresh build).
     pre: PrecomputedLayout
@@ -137,11 +147,22 @@ class ResolvedJob:
 
     @property
     def world_size(self) -> int:
-        return sum(n for _, _, n, _ in self.executables)
+        return len(self.plan.envs)
 
-    @property
-    def component_labels(self) -> List[str]:
-        return [label for label, _, _, _ in self.executables if label != POOL_PROGRAM]
+    def job(self, wrap: Optional[Callable[[Callable], Callable]] = None, **job_kwargs) -> MpmdJob:
+        """This job on the launch pipeline, each program passed through
+        *wrap* if given.  Specs are named after components (not Python
+        functions), so ``JobResult.failures()`` and process-backend
+        labels name the component a client would recognize from its
+        document."""
+        return MpmdJob(
+            self.plan.specs,
+            programs={label: wrap(fn) if wrap else fn for label, fn, _, _ in self.executables},
+            rank_policy=self.document.runtime.rank_policy,
+            config=self.config,
+            registry=self.pre,
+            **job_kwargs,
+        )
 
 
 @dataclass
@@ -165,9 +186,11 @@ class JobOutcome:
     #: Whole-job error when the run never produced per-rank results
     #: (bootstrap death, abort, wall-clock timeout).
     error: Optional[str] = None
-    #: Per-world-rank traffic counters when the path collects them
-    #: (isolated runs), else ``None`` — deliberately backend-dependent,
-    #: so the stager keeps it out of the conformance-checked artifact.
+    #: Per-world-rank traffic counters (one dict of
+    #: :class:`~repro.mpi.world.TrafficStats` fields each) when the path
+    #: collects them (isolated runs), else ``None`` — deliberately
+    #: backend-dependent, so the stager keeps it out of the
+    #: conformance-checked artifact.
     traffic: Optional[List[Any]] = None
 
     def failed_components(self) -> Tuple[str, ...]:
@@ -195,28 +218,23 @@ def _portable(obj: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _resident_loop(
-    task_q, result_q, fn: Callable, program: str, exe_index: int, local_index: int, pre
-) -> Callable:
-    """Build one rank's resident loop (closures cross the fork)."""
+def _resident_loop(fn: Callable, task_queues, result_q) -> Callable:
+    """*fn* as a resident program: serve jobs off this rank's task queue
+    until the shutdown sentinel (closures cross the fork)."""
 
-    def loop(comm):
+    def loop(comm, env):
+        task_q = task_queues[comm.rank]
         jobs_done = 0
         while True:
             task = task_q.get()
             if task is None:
                 return jobs_done
             job_id, argvs, env_vars = task
-            env = JobEnv(
-                program=program,
-                exe_index=exe_index,
-                local_index=local_index,
-                argv=tuple(argvs[exe_index]),
-                vars=dict(env_vars),
-                registry=pre,
+            job_env = replace(
+                env, argv=tuple(argvs[env.exe_index]), vars=dict(env_vars), output=None
             )
             try:
-                ok, value = True, fn(comm, env)
+                ok, value = True, fn(comm, job_env)
             except BaseException as exc:  # noqa: BLE001 - reported, poisons
                 ok, value = False, exc
             # Per-job hygiene: every rank finishes (or fails) before any
@@ -245,10 +263,10 @@ class WorkerWorld:
     Fork + socket bootstrap + MPH handshake are paid once in
     ``__init__``; each :meth:`submit` costs one task frame per rank, the
     job's own work, a barrier, and one result frame per rank.
-    :func:`~repro.mpi.procbackend.run_procs` runs in a background thread
-    with the world's *ttl* as its wall-clock budget — the hard backstop
-    that reaps the children even if a job wedges the ranks beyond the
-    reach of the shutdown sentinels.
+    The world's :class:`~repro.launcher.job.MpmdJob` runs in a background
+    thread with the world's *ttl* as its wall-clock budget — the hard
+    backstop that reaps the children even if a job wedges the ranks
+    beyond the reach of the shutdown sentinels.
     """
 
     #: Per-process world generation counter: successive worlds for the
@@ -274,34 +292,14 @@ class WorkerWorld:
         self._task_queues = [ctx.Queue() for _ in range(self.size)]
         self._result_queue = ctx.Queue()
 
-        rank_fns: List[Callable] = [None] * self.size  # type: ignore[list-item]
-        labels: List[str] = [""] * self.size
-        for exe_index, ranks in enumerate(resolved.assignment):
-            label, fn, _, _ = resolved.executables[exe_index]
-            for local_index, world_rank in enumerate(ranks):
-                labels[world_rank] = f"{label}.{local_index}"
-                rank_fns[world_rank] = _resident_loop(
-                    self._task_queues[world_rank],
-                    self._result_queue,
-                    fn,
-                    label,
-                    exe_index,
-                    local_index,
-                    resolved.pre,
-                )
+        job = resolved.job(
+            lambda fn: _resident_loop(fn, self._task_queues, self._result_queue),
+            namespace=self.namespace,
+        )
 
         def serve() -> None:
-            from repro.mpi.procbackend import run_procs
-
             try:
-                run_procs(
-                    self.size,
-                    rank_fns,
-                    config=resolved.config,
-                    timeout=ttl,
-                    labels=labels,
-                    namespace=self.namespace,
-                )
+                job.run(timeout=ttl)
             except BaseException as exc:  # noqa: BLE001 - surfaced via submit
                 self._thread_error = exc
                 self.poisoned = True
@@ -317,10 +315,10 @@ class WorkerWorld:
         argvs: Sequence[Sequence[str]],
         env_vars: Mapping[str, str],
         timeout: float,
-    ) -> Dict[int, Tuple[bool, Any]]:
-        """Dispatch one job to every resident rank; per-rank ``(ok,
-        value)`` keyed by world rank.  Serialized — a resident world runs
-        one job at a time.  Any failure or timeout poisons the world."""
+    ) -> List[ProcResult]:
+        """Dispatch one job to every resident rank; per-rank outcomes in
+        world-rank order.  Serialized — a resident world runs one job at
+        a time.  Any failure or timeout poisons the world."""
         with self._lock:
             if self.poisoned or self._closed:
                 raise ServiceError(
@@ -331,7 +329,7 @@ class WorkerWorld:
             for q in self._task_queues:
                 q.put(task)
             deadline = time.monotonic() + timeout
-            got: Dict[int, Tuple[bool, Any]] = {}
+            got: Dict[int, ProcResult] = {}
             while len(got) < self.size:
                 if self._thread_error is not None:
                     self.poisoned = True
@@ -353,11 +351,13 @@ class WorkerWorld:
                     continue
                 if jid != job_id:
                     continue  # stale frame from a poisoned predecessor
-                got[rank] = (ok, value)
-            if any(not ok for ok, _ in got.values()):
+                got[rank] = ProcResult(
+                    rank, value if ok else None, None if ok else value
+                )
+            if any(p.exception is not None for p in got.values()):
                 self.poisoned = True
             self.jobs_run += 1
-            return got
+            return [got[rank] for rank in sorted(got)]
 
     def close(self, timeout: float = 10.0) -> None:
         """Send every rank its shutdown sentinel and join the serve
@@ -382,6 +382,38 @@ class WorkerWorld:
 # ---------------------------------------------------------------------------
 
 
+def _outcome(
+    resolved: ResolvedJob,
+    job_id: str,
+    start: float,
+    *,
+    warm: bool,
+    result: Optional[JobResult] = None,
+    error: Optional[str] = None,
+    traffic: Optional[List[Any]] = None,
+) -> JobOutcome:
+    """The one shape both execution paths report in: a launch's per-rank
+    *result* grouped by component, or the *error* that left none."""
+    outcome = JobOutcome(
+        job_id=job_id,
+        name=resolved.document.name,
+        ok=False,
+        warm=warm,
+        elapsed=time.perf_counter() - start,
+        error=error,
+        traffic=traffic,
+    )
+    if result is not None:
+        for exe_index, spec in enumerate(result.specs):
+            if spec.program == POOL_PROGRAM:
+                outcome.pool = result.by_executable(exe_index)
+            else:
+                outcome.values[spec.program] = result.by_executable(exe_index)
+        outcome.failures = result.failures()
+        outcome.ok = not outcome.failures
+    return outcome
+
+
 class JobRuntime:
     """Executes validated job documents against a program catalog.
 
@@ -395,7 +427,7 @@ class JobRuntime:
         How many resident worker worlds to keep (LRU-evicted beyond
         this; 0 disables the warm path entirely).
     resident_ttl :
-        Wall-clock budget of each resident world's ``run_procs``.
+        Wall-clock budget of each resident world's launch.
     """
 
     def __init__(
@@ -419,7 +451,8 @@ class JobRuntime:
     def resolve(self, document: JobDocument) -> ResolvedJob:
         """Bind *document* to callables, ranks, config, and a (possibly
         cached) precomputed handshake layout."""
-        executables: List[Tuple[str, Callable, int, Tuple[str, ...]]] = []
+        specs: List[ExecutableSpec] = []
+        programs: Dict[str, Callable] = {}
         for comp in document.components:
             fn = self.programs.get(comp.program)
             if fn is None:
@@ -428,32 +461,28 @@ class JobRuntime:
                     f"{comp.program!r}, which is not in the catalog "
                     f"(available: {sorted(self.programs)})"
                 )
-            executables.append((comp.name, fn, comp.nprocs, comp.argv))
-        pool = document.runtime.pool
-        if pool:
-            executables.append((POOL_PROGRAM, reserve_pool_program, pool, ()))
-
-        sizes = [n for _, _, n, _ in executables]
-        assignment = assign_ranks(sizes, document.runtime.rank_policy)
+            specs.append(ExecutableSpec(comp.name, comp.nprocs, comp.argv))
+            programs[comp.name] = fn
+        rt = document.runtime
+        if rt.pool:
+            specs.append(ExecutableSpec(POOL_PROGRAM, rt.pool))
+        executables = [
+            (spec.program, fn, spec.nprocs, spec.argv)
+            for spec, fn in zip(specs, bind_programs(specs, programs))
+        ]
+        plan = plan_job(specs, rt.rank_policy)
 
         key = document.layout_key()
 
         def build() -> PrecomputedLayout:
-            decls: List[Any] = [None] * sum(sizes)
-            for exe_index, ranks in enumerate(assignment):
-                label = executables[exe_index][0]
-                decl = (
-                    PoolDecl()
-                    if label == POOL_PROGRAM
-                    else ComponentDecl((label,))
-                )
-                for world_rank in ranks:
-                    decls[world_rank] = decl
+            decls = [
+                PoolDecl() if env.program == POOL_PROGRAM else ComponentDecl((env.program,))
+                for env in plan.envs
+            ]
             return PrecomputedLayout.build(document.registry_text(), decls)
 
         pre, layout_cached = self.layouts.get_or_build(key, build)
 
-        rt = document.runtime
         config_kwargs: Dict[str, Any] = {
             "backend": rt.backend,
             "transport": rt.transport,
@@ -473,7 +502,7 @@ class JobRuntime:
             document=document,
             layout_key=key,
             executables=executables,
-            assignment=assignment,
+            plan=plan,
             pre=pre,
             config=config,
             layout_cached=layout_cached,
@@ -556,7 +585,7 @@ class JobRuntime:
         argvs = [argv for _, _, _, argv in resolved.executables]
         start = time.perf_counter()
         try:
-            per_rank = world.submit(
+            procs = world.submit(
                 job_id, argvs, {}, timeout=resolved.document.runtime.timeout
             )
         except ServiceError:
@@ -566,43 +595,15 @@ class JobRuntime:
         except TimeoutError_ as exc:
             self._evict(resolved.layout_key, world)
             self.stats["cold" if fresh else "warm"] += 1
-            return JobOutcome(
-                job_id=job_id,
-                name=resolved.document.name,
-                ok=False,
-                warm=not fresh,
-                elapsed=time.perf_counter() - start,
-                error=str(exc),
-            )
-        elapsed = time.perf_counter() - start
-
-        values: Dict[str, List[Any]] = {}
-        failures: List[Tuple[int, str, BaseException]] = []
-        for exe_index, ranks in enumerate(resolved.assignment):
-            label = resolved.executables[exe_index][0]
-            values[label] = []
-            for rank in ranks:
-                ok, value = per_rank[rank]
-                if ok:
-                    values[label].append(value)
-                else:
-                    values[label].append(None)
-                    failures.append((rank, label, value))
-        if failures:
+            return _outcome(resolved, job_id, start, warm=not fresh, error=str(exc))
+        result = JobResult(**vars(resolved.plan), procs=procs)
+        if result.failures():
             self._evict(resolved.layout_key, world)
             self.stats["worlds_poisoned"] += 1
         # Match the per-outcome warm flag: a freshly built resident world
         # paid the cold cost even though it will serve later jobs warm.
         self.stats["cold" if fresh else "warm"] += 1
-        return JobOutcome(
-            job_id=job_id,
-            name=resolved.document.name,
-            ok=not failures,
-            warm=not fresh,
-            elapsed=elapsed,
-            values=values,
-            failures=sorted(failures, key=lambda f: f[0]),
-        )
+        return _outcome(resolved, job_id, start, warm=not fresh, result=result)
 
     def _execute_isolated(
         self, resolved: ResolvedJob, job_id: str, *, log_dir: Optional[str] = None
@@ -612,23 +613,7 @@ class JobRuntime:
         doc = resolved.document
         if "logs" not in doc.output.save:
             log_dir = None
-        from repro.launcher.cmdfile import ExecutableSpec
-
-        # Specs named after components (not Python functions), so
-        # JobResult.failures() and process-backend labels name the
-        # component a client would recognize from its document.
-        job = MpmdJob(
-            [
-                ExecutableSpec(label, nprocs, argv)
-                for label, _, nprocs, argv in resolved.executables
-            ],
-            programs={label: fn for label, fn, _, _ in resolved.executables},
-            rank_policy=doc.runtime.rank_policy,
-            config=resolved.config,
-            registry=resolved.pre,
-            namespace=job_id,
-            log_dir=log_dir,
-        )
+        job = resolved.job(namespace=job_id, log_dir=log_dir)
         start = time.perf_counter()
         try:
             result = job.run(timeout=doc.runtime.timeout)
@@ -636,36 +621,11 @@ class JobRuntime:
             # the *user program's* exception type when the whole job
             # aborted, so anything can land here; a job failure must
             # come back as a failed outcome, never unwind the service.
-            return JobOutcome(
-                job_id=job_id,
-                name=doc.name,
-                ok=False,
-                warm=False,
-                elapsed=time.perf_counter() - start,
-                error=f"{type(exc).__name__}: {exc}",
+            return _outcome(
+                resolved, job_id, start, warm=False, error=f"{type(exc).__name__}: {exc}"
             )
-        elapsed = time.perf_counter() - start
-
-        values: Dict[str, List[Any]] = {}
-        pool_values: List[Any] = []
-        for exe_index, (label, _, _, _) in enumerate(resolved.executables):
-            vals = [result.procs[r].value for r in result.assignment[exe_index]]
-            if label == POOL_PROGRAM:
-                pool_values = vals
-            else:
-                values[label] = vals
-        failures = result.failures()
-        return JobOutcome(
-            job_id=job_id,
-            name=doc.name,
-            ok=not failures,
-            warm=False,
-            elapsed=elapsed,
-            values=values,
-            pool=pool_values,
-            failures=failures,
-            traffic=[p.traffic for p in result.procs],
-        )
+        traffic = [None if p.traffic is None else asdict(p.traffic) for p in result.procs]
+        return _outcome(resolved, job_id, start, warm=False, result=result, traffic=traffic)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -21,15 +21,15 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.launcher.cmdfile import ExecutableSpec, parse_mpirun_spec, parse_poe_cmdfile
-from repro.launcher.job import POOL_PROGRAM, MpmdJob, reserve_pool_program
+from repro.launcher.job import POOL_PROGRAM, MpmdJob
 from repro.launcher.smp import Machine
+from repro.mpi.world import WorldConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,22 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_programs(spec: str):
-    module_name, _, attr = spec.partition(":")
-    attr = attr or "PROGRAMS"
-    module = importlib.import_module(module_name)
-    try:
-        programs = getattr(module, attr)
-    except AttributeError:
-        raise ReproError(
-            f"module {module_name!r} has no attribute {attr!r}; expose a dict of "
-            "program-name -> callable"
-        ) from None
-    if not isinstance(programs, dict):
-        raise ReproError(f"{module_name}:{attr} must be a dict, got {type(programs).__name__}")
-    return programs
-
-
 def _parse_env(pairs: Sequence[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for pair in pairs:
@@ -163,69 +147,6 @@ def _parse_env(pairs: Sequence[str]) -> dict[str, str]:
             raise ReproError(f"--env expects KEY=VALUE, got {pair!r}")
         out[key] = value
     return out
-
-
-def _run_exec_backend(specs, args) -> "JobResult":
-    """Run the job with every rank ``exec``'d as its own executable.
-
-    Builds the same assignment an :class:`MpmdJob` would, then hands the
-    per-rank program metadata to
-    :func:`repro.mpi.procbackend.run_exec_job`; each child resolves its
-    program itself (see :mod:`repro.tools.mphchild`) — the parent ships
-    names, never code.
-    """
-    from repro.launcher.job import JobResult
-    from repro.launcher.rankmap import assign_ranks
-    from repro.mpi.procbackend import run_exec_job
-    from repro.mpi.world import WorldConfig
-
-    sizes = [s.nprocs for s in specs]
-    assignment = assign_ranks(sizes, args.rank_policy)
-    machine = Machine.homogeneous(args.nodes, args.cpus_per_node) if args.nodes else None
-    placement = machine.place(sizes, assignment) if machine else None
-
-    env_vars = _parse_env(args.env)
-    world_size = sum(sizes)
-    metas: list[dict] = [None] * world_size  # type: ignore[list-item]
-    labels: list[str] = [""] * world_size
-    for exe_index, ranks in enumerate(assignment):
-        spec = specs[exe_index]
-        for local_index, world_rank in enumerate(ranks):
-            labels[world_rank] = f"{spec.program}.{local_index}"
-            metas[world_rank] = {
-                "programs": args.programs,
-                "program": spec.program,
-                "exe_index": exe_index,
-                "local_index": local_index,
-                "argv": tuple(spec.argv),
-                "vars": env_vars,
-                "workdir": str(args.workdir) if args.workdir else None,
-                "registry": str(args.registry) if args.registry else None,
-            }
-            if spec.program == POOL_PROGRAM:
-                # The child resolves this rank to the built-in reserve
-                # program instead of looking --programs up by name.
-                metas[world_rank]["pool"] = True
-    # --nodes doubles as the transport topology: the same SMP node
-    # count that validates placement also scopes which rank pairs the
-    # shm/auto transports treat as same-node (rings) vs cross-node
-    # (sockets), and where hierarchical collectives draw their levels.
-    config = WorldConfig(
-        backend="process",
-        transport=args.transport,
-        nodes=args.nodes or None,
-    )
-    procs = run_exec_job(
-        world_size,
-        metas,
-        config=config,
-        timeout=args.timeout,
-        log_dir=str(args.log_dir) if args.log_dir else None,
-        labels=labels,
-    )
-    return JobResult(
-        procs=procs, specs=list(specs), assignment=assignment, placement=placement
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -250,40 +171,44 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"program name {POOL_PROGRAM!r} is reserved for --pool ranks"
                 )
             specs = list(specs) + [ExecutableSpec(POOL_PROGRAM, args.pool)]
+        try:
+            # One config for both backends.  --nodes doubles as the world
+            # topology: the same SMP node count that validates placement
+            # also scopes which rank pairs the shm/auto transports treat
+            # as same-node (rings) vs cross-node (sockets), and where
+            # hierarchical collectives draw their levels.
+            config = WorldConfig(
+                backend=args.backend,
+                transport=args.transport,
+                nodes=args.nodes or None,
+            )
+        except ValueError as exc:
+            raise ReproError(str(exc)) from None
+        # The launcher ships the --programs *name*: a process-backend rank
+        # is exec'd and resolves its own program, a thread runs what this
+        # interpreter resolved — MpmdJob checks both here, up front.
+        job = MpmdJob(
+            specs,
+            programs=args.programs,
+            rank_policy=args.rank_policy,
+            machine=(
+                Machine.homogeneous(args.nodes, args.cpus_per_node) if args.nodes else None
+            ),
+            config=config,
+            env_vars=_parse_env(args.env),
+            workdir=args.workdir,
+            registry=args.registry,
+            log_dir=args.log_dir,
+        )
         if args.show_assignment:
-            from repro.launcher.rankmap import assign_ranks
-
-            assignment = assign_ranks([s.nprocs for s in specs], args.rank_policy)
+            assignment = job.plan().assignment
             print(f"planned assignment ({args.rank_policy}):")
             for i, spec in enumerate(specs):
                 ranks = assignment[i]
                 print(f"  [{i}] {spec.program:<16} world ranks {ranks[0]}..{ranks[-1]}"
                       if ranks == list(range(ranks[0], ranks[-1] + 1))
                       else f"  [{i}] {spec.program:<16} world ranks {ranks}")
-        if args.backend == "process":
-            # Resolve the program module in the parent too, so a typo'd
-            # --programs fails fast here instead of in every child.
-            _load_programs(args.programs)
-            result = _run_exec_backend(specs, args)
-        else:
-            programs = _load_programs(args.programs)
-            if args.pool:
-                programs = {**programs, POOL_PROGRAM: reserve_pool_program}
-            machine = (
-                Machine.homogeneous(args.nodes, args.cpus_per_node)
-                if args.nodes
-                else None
-            )
-            job = MpmdJob(
-                specs,
-                programs=programs,
-                rank_policy=args.rank_policy,
-                machine=machine,
-                env_vars=_parse_env(args.env),
-                workdir=args.workdir,
-                registry=args.registry,
-            )
-            result = job.run(timeout=args.timeout)
+        result = job.run(timeout=args.timeout)
     except ReproError as exc:
         print(f"mphrun: error: {exc}", file=sys.stderr)
         return 1

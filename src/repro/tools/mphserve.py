@@ -156,10 +156,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.programs:
         print("mphserve: --programs is required to run jobs (see --check)", file=sys.stderr)
         return 2
-    from repro.tools.mphrun import _load_programs
+    from repro.launcher.cmdfile import load_programs
 
     try:
-        programs = _load_programs(args.programs)
+        programs = load_programs(args.programs)
     except (ReproError, ImportError) as exc:
         print(f"mphserve: {exc}", file=sys.stderr)
         return 2

@@ -342,9 +342,39 @@ class TestMphrunProcessBackend:
         assert "hard_exit" in err
         assert "exited with code 3" in err
 
-    def test_thread_backend_rejects_log_dir_silently_unused(self, program_module, capsys):
-        """--backend thread remains the default path (no regression)."""
-        code = main(
-            ["--spec", "-np 1 atm", "--programs", program_module, "--quiet"]
+    @pytest.mark.parametrize(
+        "flags, complaint",
+        [
+            (["--transport", "shm"], "transport 'shm' requires backend='process'"),
+            (["--log-dir", "logs"], "log_dir requires backend='process'"),
+        ],
+        ids=["transport", "log-dir"],
+    )
+    def test_thread_backend_rejects_process_only_flags(
+        self, program_module, capsys, tmp_path, monkeypatch, flags, complaint
+    ):
+        """--backend thread builds the same WorldConfig as --backend
+        process, so a process-only flag is an error, not silently
+        dropped — and nothing ran."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["--spec", "-np 1 atm", "--programs", program_module] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mphrun: error: ") and complaint in captured.err
+        assert "atm pid" not in captured.out and not (tmp_path / "logs").exists()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_nodes_flag_shapes_the_world_on_both_backends(self, backend, tmp_path, monkeypatch, capsys):
+        """--nodes validates placement *and* is the world's topology,
+        whichever backend runs it (the thread world used to get one
+        node for the same command line)."""
+        (tmp_path / "topo_models.py").write_text(
+            "PROGRAMS = {'topo': lambda world, env: world.world.topology.nnodes}\n"
         )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["--spec", "-np 2 topo : -np 2 topo", "--programs", "topo_models"]
+        code = main(argv + ["--nodes", "2", "--cpus-per-node", "2", "--backend", backend])
+        sys.modules.pop("topo_models", None)
         assert code == 0
+        assert capsys.readouterr().out.count("-> 2") == 2

@@ -148,8 +148,7 @@ class TestHandshakeComplexity:
     behind experiment E9."""
 
     def handshake_traffic(self, n_components, procs_each):
-        from repro import components_setup
-        from repro.launcher.job import MpmdJob
+        from repro import components_setup, mph_run
 
         names = [f"c{i}" for i in range(n_components)]
         registry = "BEGIN\n" + "\n".join(names) + "\nEND"
@@ -162,28 +161,10 @@ class TestHandshakeComplexity:
             program.__name__ = name
             return program
 
-        job = MpmdJob([(make(n), procs_each) for n in names], registry=registry)
-        # Reach into the job to use a world we can inspect.
-        from repro.launcher.rankmap import assign_ranks
-        from repro.mpi.world import World as W
-
-        sizes = [s.nprocs for s in job.specs]
-        assignment = assign_ranks(sizes, "block")
-        world = W(job.world_size, job.config)
-        rank_fns = [None] * job.world_size
-        from repro.launcher.job import JobEnv, _bind
-
-        for exe_index, ranks in enumerate(assignment):
-            for local_index, world_rank in enumerate(ranks):
-                env = JobEnv(
-                    program=job.specs[exe_index].program,
-                    exe_index=exe_index,
-                    local_index=local_index,
-                    registry=registry,
-                )
-                rank_fns[world_rank] = _bind(job.fns[exe_index], env)
-        run_world(world, rank_fns)
-        return world.traffic_snapshot()
+        # Every launch returns its traffic: on the thread backend each
+        # rank carries the shared world's final snapshot.
+        result = mph_run([(make(n), procs_each) for n in names], registry=registry)
+        return result.procs[0].traffic
 
     def test_traffic_grows_with_world_size(self):
         small = self.handshake_traffic(2, 1).messages

@@ -10,6 +10,7 @@ accounted — not the computed results.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -24,7 +25,7 @@ from repro.service import (
     ResultStager,
 )
 
-from tests.service.conftest import PROGRAMS
+from tests.service.conftest import PROGRAMS, coupled_doc
 
 
 def _solo_spec(name="solo-job", **runtime) -> dict:
@@ -286,6 +287,24 @@ class TestStaging:
         with pytest.raises(ServiceError, match="already staged"):
             stager.stage(outcome, doc)
         assert stager.read_result("dup")["ok"] is True
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_traffic_is_staged_as_json_objects(self, tmp_path, backend):
+        """Every launch returns its traffic: ``traffic.json`` is one
+        object of counters per world rank on either backend (it was
+        ``[null, null]`` on threads and a list of ``repr`` strings on
+        processes)."""
+        spec = coupled_doc(backend)
+        spec["output"] = {"save": ["values", "traffic"]}
+        doc = JobDocument.from_spec(spec)
+        with JobRuntime(PROGRAMS) as runtime:
+            outcome = runtime.execute(doc, "traffic-json")
+        assert outcome.ok
+        staged = ResultStager(tmp_path).stage(outcome, doc)
+        traffic = json.loads((staged / "traffic.json").read_text())
+        assert len(traffic) == doc.world_size
+        for rank in traffic:
+            assert isinstance(rank, dict) and rank["messages"] > 0 and rank["payload_bytes"] > 0
 
     def test_failed_job_still_stages(self, tmp_path):
         async def go():
