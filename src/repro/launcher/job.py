@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -72,8 +73,9 @@ class JobEnv:
 
 @dataclass
 class LaunchPlan:
-    """Where every process of a job goes — computed once, before anything
-    is spawned, and followed by every launch path."""
+    """Where every process of a job goes — computed once per job
+    (:attr:`MpmdJob.plan`), before anything is spawned, and followed by
+    every launch path."""
 
     #: Executable specs in command-file order.
     specs: list[ExecutableSpec]
@@ -264,8 +266,11 @@ class MpmdJob:
         """Total MPI processes across all executables."""
         return sum(s.nprocs for s in self.specs)
 
+    @cached_property
     def plan(self) -> LaunchPlan:
-        """The job's :class:`LaunchPlan` (see :func:`plan_job`)."""
+        """The job's :class:`LaunchPlan` (see :func:`plan_job`), made on
+        first use and kept: what is shown, launched and reported is one
+        object."""
         return plan_job(
             self.specs,
             self.rank_policy,
@@ -285,7 +290,7 @@ class MpmdJob:
         rank that dies without reporting fails the job with its
         component named.
         """
-        plan = self.plan()
+        plan = self.plan
         ranks: list[Callable] = []
         for env in plan.envs:
             entry = _rank_entry(self.fns[env.exe_index], env, self.output)

@@ -55,7 +55,7 @@ giving each rank a disjoint id subspace (see
 
 from __future__ import annotations
 
-import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import queue
@@ -307,23 +307,34 @@ def _child_main(rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str
 # ---------------------------------------------------------------------------
 
 
-class _Child(multiprocessing.get_context("fork").Process):
-    """One spawned rank — the process the rendezvous polls, terminates
-    and reaps.  Constructing it forks the child (see :func:`_child_main`)."""
+class _Child:
+    """One spawned rank: the process (``proc``) the rendezvous polls,
+    terminates and reaps, and the names failure reports give it.
+    Constructing it forks the child (see :func:`_child_main`)."""
 
     def __init__(self, rendezvous: "_Rendezvous", rank: int, label: str, fn, log_path):
-        super().__init__(
+        self.rank, self.label = rank, label
+        # The fork context is asked for here, not at import: a platform
+        # without one still imports the package and runs thread worlds.
+        self.proc = multiprocessing.get_context("fork").Process(
             target=_child_main, args=(rendezvous, rank, fn, log_path), name=f"mpi-proc-{rank}"
         )
-        self.rank = rank
-        self.label = label
-        self.start()
+        self.proc.start()
 
     def reap(self, timeout: float) -> None:
-        self.join(timeout)
-        if self.is_alive():  # pragma: no cover - stuck child
-            self.kill()
-            self.join(1.0)
+        """Give the child *timeout* to exit, then kill it.  The sentinel
+        wakes us the moment a forked child exits; an exec'd one closed
+        it at ``execv`` (``Process.join(timeout)`` would go on to block
+        in ``waitpid`` for as long as the program cares to run), so the
+        rest of the wait polls, backing off like ``subprocess`` does."""
+        deadline, nap = time.monotonic() + timeout, 0.0
+        multiprocessing.connection.wait([self.proc.sentinel], timeout)
+        while self.proc.exitcode is None and time.monotonic() < deadline:
+            time.sleep(nap)  # at first just a yield: a forked child is exiting as we look
+            nap = min(2 * nap + 0.0001, 0.05)
+        if self.proc.exitcode is None:  # stuck: SIGTERM ignored, or a thread outlives the rank
+            self.proc.kill()
+        self.proc.join()
 
 
 class _Rendezvous:
@@ -371,7 +382,7 @@ class _Rendezvous:
         for h in dead:
             results[h.rank] = ProcResult(rank=h.rank, exception=self._death_error(h))
         for h in children:
-            h.terminate()
+            h.proc.terminate()
         for rank in range(self.nprocs):
             if rank not in results:
                 results[rank] = ProcResult(
@@ -412,8 +423,8 @@ class _Rendezvous:
                 # is never reported as a component's exit code.
                 for rank, h in enumerate(children):
                     if rank not in results:
-                        died = h.exitcode not in (0, None)
-                        h.terminate()
+                        died = h.proc.exitcode not in (0, None)
+                        h.proc.terminate()
                         results[rank] = ProcResult(
                             rank=rank,
                             exception=self._death_error(h)
@@ -447,15 +458,11 @@ class _Rendezvous:
             # will classify the death on a later iteration.
 
     def _dead_without_result(self, children, results, conns) -> list:
-        dead = []
-        for rank, h in enumerate(children):
-            if rank in results:
-                continue
-            if conns is not None and rank in conns:
-                continue
-            if h.exitcode is not None:
-                dead.append(h)
-        return dead
+        return [
+            h
+            for rank, h in enumerate(children)
+            if rank not in results and not (conns and rank in conns) and h.proc.exitcode is not None
+        ]
 
     def shutdown(self, conns, children) -> None:
         """Release the lingering children and reap them."""
@@ -491,10 +498,10 @@ class _Rendezvous:
     def _death_error(h) -> ChildExitError:
         return ChildExitError(
             f"component {h.label!r} (world rank {h.rank}) exited with "
-            f"code {h.exitcode} without reporting a result",
+            f"code {h.proc.exitcode} without reporting a result",
             rank=h.rank,
             label=h.label,
-            exit_code=h.exitcode,
+            exit_code=h.proc.exitcode,
         )
 
     @staticmethod
@@ -557,7 +564,7 @@ def run_procs(
         # or mid-run would never see the shutdown below: terminate them
         # so the joins return at once instead of timing out one by one.
         for child in children:
-            child.terminate()
+            child.proc.terminate()
         raise
     finally:
         try:

@@ -5,9 +5,9 @@ Three responsibilities:
 
 * **Resolution** — :meth:`JobRuntime.resolve` turns a
   :class:`~repro.service.jobdoc.JobDocument` into a :class:`ResolvedJob`:
-  program callables bound from the runtime's catalog, the
-  :class:`~repro.launcher.job.LaunchPlan` every launch of it will
-  follow, a :class:`~repro.mpi.world.WorldConfig` built from the runtime
+  the executable specs and the program callables bound from the
+  runtime's catalog (what every launch of it is planned from), a
+  :class:`~repro.mpi.world.WorldConfig` built from the runtime
   spec, and the handshake layout resolved **once** per
   :meth:`~repro.service.jobdoc.JobDocument.layout_key` through a
   :class:`LayoutCache` of
@@ -62,14 +62,7 @@ from repro.core.session import PrecomputedLayout
 from repro.core.handshake import ComponentDecl, PoolDecl
 from repro.errors import ReproError, ServiceError, TimeoutError_
 from repro.launcher.cmdfile import ExecutableSpec
-from repro.launcher.job import (
-    POOL_PROGRAM,
-    JobResult,
-    LaunchPlan,
-    MpmdJob,
-    bind_programs,
-    plan_job,
-)
+from repro.launcher.job import POOL_PROGRAM, JobResult, MpmdJob, plan_job
 from repro.mpi.executor import ProcResult
 from repro.mpi.world import WorldConfig
 from repro.service.jobdoc import JobDocument
@@ -132,12 +125,14 @@ class ResolvedJob:
 
     document: JobDocument
     layout_key: str
-    #: One entry per executable: ``(label, fn, nprocs, argv)``.  The
-    #: reserve pool, when requested, is the final entry under
+    #: One spec per executable, named after its component (not its
+    #: Python function), so ``JobResult.failures()`` and process-backend
+    #: labels name what a client wrote in its document.  The reserve
+    #: pool, when requested, is the final spec, under
     #: :data:`~repro.launcher.job.POOL_PROGRAM`.
-    executables: List[Tuple[str, Callable, int, Tuple[str, ...]]]
-    #: Ranks, assignment and labels of every launch of this job.
-    plan: LaunchPlan
+    specs: List[ExecutableSpec]
+    #: Component name → the catalog callable it runs.
+    programs: Dict[str, Callable]
     #: The precomputed handshake layout every rank hands to
     #: ``Session.init`` (cache hit or fresh build).
     pre: PrecomputedLayout
@@ -147,17 +142,15 @@ class ResolvedJob:
 
     @property
     def world_size(self) -> int:
-        return len(self.plan.envs)
+        return self.document.world_size
 
     def job(self, wrap: Optional[Callable[[Callable], Callable]] = None, **job_kwargs) -> MpmdJob:
-        """This job on the launch pipeline, each program passed through
-        *wrap* if given.  Specs are named after components (not Python
-        functions), so ``JobResult.failures()`` and process-backend
-        labels name the component a client would recognize from its
-        document."""
+        """One launch of this job on the pipeline, each program passed
+        through *wrap* if given.  The launch's plan is the
+        :class:`MpmdJob`'s."""
         return MpmdJob(
-            self.plan.specs,
-            programs={label: wrap(fn) if wrap else fn for label, fn, _, _ in self.executables},
+            self.specs,
+            programs={name: wrap(fn) if wrap else fn for name, fn in self.programs.items()},
             rank_policy=self.document.runtime.rank_policy,
             config=self.config,
             registry=self.pre,
@@ -277,7 +270,7 @@ class WorkerWorld:
     _generation = itertools.count()
 
     def __init__(self, resolved: ResolvedJob, *, ttl: float = 600.0):
-        if any(label == POOL_PROGRAM for label, _, _, _ in resolved.executables):
+        if resolved.document.runtime.pool:
             raise ServiceError("reserve-pool jobs cannot run on a resident world")
         self.layout_key = resolved.layout_key
         self.size = resolved.world_size
@@ -296,6 +289,9 @@ class WorkerWorld:
             lambda fn: _resident_loop(fn, self._task_queues, self._result_queue),
             namespace=self.namespace,
         )
+        #: The plan the resident ranks run under; every :meth:`submit`
+        #: reports against it.
+        self.plan = job.plan
 
         def serve() -> None:
             try:
@@ -315,10 +311,10 @@ class WorkerWorld:
         argvs: Sequence[Sequence[str]],
         env_vars: Mapping[str, str],
         timeout: float,
-    ) -> List[ProcResult]:
-        """Dispatch one job to every resident rank; per-rank outcomes in
-        world-rank order.  Serialized — a resident world runs one job at
-        a time.  Any failure or timeout poisons the world."""
+    ) -> JobResult:
+        """Dispatch one job to every resident rank and collect their
+        outcomes against the world's plan.  Serialized — a resident world
+        runs one job at a time.  Any failure or timeout poisons the world."""
         with self._lock:
             if self.poisoned or self._closed:
                 raise ServiceError(
@@ -357,7 +353,7 @@ class WorkerWorld:
             if any(p.exception is not None for p in got.values()):
                 self.poisoned = True
             self.jobs_run += 1
-            return [got[rank] for rank in sorted(got)]
+            return JobResult(**vars(self.plan), procs=[got[r] for r in sorted(got)])
 
     def close(self, timeout: float = 10.0) -> None:
         """Send every rank its shutdown sentinel and join the serve
@@ -466,18 +462,14 @@ class JobRuntime:
         rt = document.runtime
         if rt.pool:
             specs.append(ExecutableSpec(POOL_PROGRAM, rt.pool))
-        executables = [
-            (spec.program, fn, spec.nprocs, spec.argv)
-            for spec, fn in zip(specs, bind_programs(specs, programs))
-        ]
-        plan = plan_job(specs, rt.rank_policy)
 
         key = document.layout_key()
 
         def build() -> PrecomputedLayout:
+            # Once per layout key: where the planner puts each program.
             decls = [
                 PoolDecl() if env.program == POOL_PROGRAM else ComponentDecl((env.program,))
-                for env in plan.envs
+                for env in plan_job(specs, rt.rank_policy).envs
             ]
             return PrecomputedLayout.build(document.registry_text(), decls)
 
@@ -501,8 +493,8 @@ class JobRuntime:
         return ResolvedJob(
             document=document,
             layout_key=key,
-            executables=executables,
-            plan=plan,
+            specs=specs,
+            programs=programs,
             pre=pre,
             config=config,
             layout_cached=layout_cached,
@@ -582,12 +574,10 @@ class JobRuntime:
         for old in evicted:
             old.close()
 
-        argvs = [argv for _, _, _, argv in resolved.executables]
+        argvs = [spec.argv for spec in resolved.specs]
         start = time.perf_counter()
         try:
-            procs = world.submit(
-                job_id, argvs, {}, timeout=resolved.document.runtime.timeout
-            )
+            result = world.submit(job_id, argvs, {}, timeout=resolved.document.runtime.timeout)
         except ServiceError:
             # Dead/stale world: evict and (once) retry cold.
             self._evict(resolved.layout_key, world)
@@ -596,7 +586,6 @@ class JobRuntime:
             self._evict(resolved.layout_key, world)
             self.stats["cold" if fresh else "warm"] += 1
             return _outcome(resolved, job_id, start, warm=not fresh, error=str(exc))
-        result = JobResult(**vars(resolved.plan), procs=procs)
         if result.failures():
             self._evict(resolved.layout_key, world)
             self.stats["worlds_poisoned"] += 1

@@ -201,7 +201,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             log_dir=args.log_dir,
         )
         if args.show_assignment:
-            assignment = job.plan().assignment
+            assignment = job.plan.assignment
             print(f"planned assignment ({args.rank_policy}):")
             for i, spec in enumerate(specs):
                 ranks = assignment[i]

@@ -53,6 +53,7 @@ SPECS = [
 MODULE = "pipeline_demo_models"
 SOURCE = """
     import os
+    import signal
     import time
 
     from repro.core.session import components_session
@@ -85,8 +86,16 @@ SOURCE = """
         time.sleep(3.0)
 
 
+    def stubborn(world, env):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        with open(env.argv[0], "w") as f:
+            f.write(str(os.getpid()))
+        time.sleep(60.0)
+
+
     PROGRAMS = {"ocn": component, "atm": component, "boom": boom,
-                "hard_exit": hard_exit, "sleeper": sleeper}
+                "hard_exit": hard_exit, "sleeper": sleeper,
+                "stubborn": stubborn}
 """
 
 
@@ -183,6 +192,31 @@ class TestSilentDeath:
         assert excinfo.value.label == "hard_exit@1.0"
         assert excinfo.value.exit_code == 3
         assert excinfo.value.rank == 1
+        _assert_nothing_left(ns)
+
+
+class TestRanksThatAreProcesses:
+    """What only a rank that owns its process can get wrong, on the fork
+    and the exec spawner alike."""
+
+    def test_rank_ignoring_sigterm_is_killed_within_the_grace(self, programs, tmp_path):
+        """The wall-clock budget holds against a program that shrugs off
+        the launcher's SIGTERM: the reap waits out its 5 s grace, kills,
+        and the launch returns — it does not block in ``waitpid``."""
+        ns = f"pipestub{os.getpid()}"
+        pidfile = tmp_path / "pid"
+        job = MpmdJob(
+            [ExecutableSpec("stubborn", 1, (str(pidfile),))],
+            programs=programs,
+            config=WorldConfig(backend="process"),
+            namespace=ns,
+        )
+        start = time.monotonic()
+        with pytest.raises(TimeoutError_):
+            job.run(timeout=3.0)
+        assert time.monotonic() - start < 3.0 + 5.0 + 3.0
+        with pytest.raises(ProcessLookupError):  # SIGTERM was ignored; it is gone anyway
+            os.kill(int(pidfile.read_text()), 0)
         _assert_nothing_left(ns)
 
 
@@ -321,6 +355,34 @@ class TestSourceAudit:
         assert _grep(r"_bind_process|def run_exec_job|class _ChildHandle", ".") == []
         spawn = _grep(r"= _Rendezvous\(", ".")
         assert len(spawn) == 1, spawn
+        # The one other place that asks which substrate it is on, under
+        # another spelling: the rank entry choosing its §5.4 output
+        # manager by whether the rank owns its process.
+        sniff = _grep(r"\.transport is (not )?None", "mpi/executor.py", "launcher", "tools")
+        assert [path for path, _ in sniff] == ["launcher/job.py"], sniff
+
+    def test_import_asks_for_no_fork_context(self):
+        """``import repro.mpi`` and a thread world work where the fork
+        start method does not exist; only spawning a process asks for it."""
+        code = """
+            import multiprocessing
+
+            def no_fork(method=None):
+                raise ValueError(f"cannot find context for {method!r}")
+
+            multiprocessing.get_context = no_fork
+            from repro.mpi import WorldConfig, run_spmd
+
+            print(run_spmd(2, lambda comm: comm.allreduce(comm.rank)))
+            try:
+                run_spmd(1, lambda comm: 0, config=WorldConfig(backend="process"))
+            except ValueError as exc:
+                print(exc)
+        """
+        out = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, timeout=60
+        )
+        assert out.stdout.splitlines() == ["[1, 1]", "cannot find context for 'fork'"], out.stderr
 
     def test_worldconfig_still_has_21_fields(self):
         from dataclasses import fields

@@ -151,8 +151,8 @@ class TestReservePoolMapping:
         assert document.world_size == 4
         runtime = JobRuntime(PROGRAMS)
         resolved = runtime.resolve(document)
-        label, fn, nprocs, argv = resolved.executables[-1]
-        assert label == POOL_PROGRAM and nprocs == 2
+        pool = resolved.specs[-1]
+        assert pool.program == POOL_PROGRAM and pool.nprocs == 2
         assert resolved.world_size == 4
         # A pool job is never warm-eligible: its reserve ranks park in
         # await_assignment and cannot serve a resident loop.
