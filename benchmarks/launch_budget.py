@@ -2,22 +2,26 @@
 
 Times the stages of the launch pipeline (``repro.mpi.executor.launch``)
 from outside — timestamps around the process manager's stage methods,
-no source edit — for no-op worlds of a few sizes::
+no source edit — for no-op worlds of a few sizes, once with every rank
+forked and once with the ranks named and played by a ``RankPool``'s
+parked processes (the first, forking launch is not counted)::
 
     PYTHONPATH=src python benchmarks/launch_budget.py [--launches 25] [--ranks 2 3 10]
 
-Per size, medians over the launches (ms):
+Per size and spawner, medians over the launches (ms):
 
 * ``spawn``     launch() entry -> bootstrap entry (validate, socket
-  directory, one fork per rank);
+  directory, and one fork per rank — or, parked, one assignment frame);
 * ``bootstrap`` the address exchange until every child has registered;
 * ``collect``   ranks build their worlds, run, report (run/collect);
-* ``shutdown``  shutdown frames, then joining every child;
+* ``shutdown``  shutdown frames, then joining every child — or, parked,
+  waiting for every rank's ack that it closed its transport (park-ack);
 * ``sweep``     shm segments and the socket directory removed;
-* ``wall``      the whole ``run_spmd`` call (the stages plus classify).
+* ``wall``      the whole ``launch`` call (the stages plus classify).
 
-The numbers a pre-forked pool has to beat are spawn + bootstrap +
-shutdown; EXPERIMENTS.md ("Launch budget") records them per PR.
+What the pool removes is spawn + shutdown and the part of bootstrap and
+collect that is ranks starting one after another; EXPERIMENTS.md
+("Launch budget", "Parked rank pool") records the table per PR.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import argparse
 import statistics
 import time
 
-from repro.mpi import WorldConfig, run_spmd
-from repro.mpi.procbackend import _Rendezvous
+from repro.mpi import ExecRank, WorldConfig, launch
+from repro.mpi.procbackend import RankPool, _Rendezvous
 
 STAGES = ("bootstrap", "collect", "shutdown", "sweep")
 
@@ -45,7 +49,11 @@ def _stamped(stamps: dict, name: str):
     return inner, method
 
 
-def measure(nranks: int, launches: int) -> dict:
+def noop(comm):
+    return comm.rank
+
+
+def measure(nranks: int, launches: int, parked: bool) -> dict:
     """Median milliseconds per stage over *launches* no-op worlds."""
     stamps: dict = {}
     saved = {}
@@ -53,20 +61,26 @@ def measure(nranks: int, launches: int) -> dict:
         saved[name], method = _stamped(stamps, name)
         setattr(_Rendezvous, name, method)
     rows = []
+    pool = RankPool({"noop": noop}, lambda program, arg: program) if parked else None
+    ranks = [ExecRank(noop, ("noop", None)) if parked else noop] * nranks
     try:
         config = WorldConfig(backend="process")
-        for _ in range(launches + 1):  # the first launch warms imports
+        for _ in range(launches + 1):  # the first launch warms imports (and forks the pool)
             stamps.clear()
             start = time.perf_counter()
-            assert run_spmd(nranks, lambda comm: comm.rank, config=config) == list(range(nranks))
+            results = launch(nranks, ranks, config=config, pool=pool)
             end = time.perf_counter()
+            assert [r.value for r in results] == list(range(nranks))
             row = {"spawn": stamps["bootstrap_in"] - start, "wall": end - start}
             for name in STAGES:
                 row[name] = stamps[name + "_out"] - stamps[name + "_in"]
             rows.append(row)
+        assert pool is None or (pool.forked, pool.reused) == (nranks, nranks * launches)
     finally:
         for name, inner in saved.items():
             setattr(_Rendezvous, name, inner)
+        if pool is not None:
+            pool.close()
     return {k: 1e3 * statistics.median(r[k] for r in rows[1:]) for k in rows[0]}
 
 
@@ -76,10 +90,12 @@ def main() -> None:
     parser.add_argument("--ranks", type=int, nargs="+", default=[2, 3, 10])
     args = parser.parse_args()
     columns = ("spawn",) + STAGES + ("wall",)
-    print("ranks " + " ".join(f"{c:>10}" for c in columns))
+    print("ranks spawner " + " ".join(f"{c:>10}" for c in columns))
     for nranks in args.ranks:
-        row = measure(nranks, args.launches)
-        print(f"{nranks:>5} " + " ".join(f"{row[c]:>10.2f}" for c in columns))
+        for spawner in ("fork", "park"):
+            row = measure(nranks, args.launches, spawner == "park")
+            print(f"{nranks:>5} {spawner:>7} " + " ".join(f"{row[c]:>10.2f}" for c in columns))
+    print("# park rows: spawn is one assignment frame per rank, shutdown is the wait for every ack")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ launchers of Section 6 of the paper.  It provides:
 * :mod:`repro.launcher.smp` — SMP node topology with the no-overlap
   allocation policy and node carving;
 * :mod:`repro.launcher.job` — :class:`MpmdJob`, which loads executables
-  onto one shared ``COMM_WORLD`` exactly as real MPMD launchers do.
+  onto one shared ``COMM_WORLD`` exactly as real MPMD launchers do, and
+  :func:`rank_pool`, the parked processes a caller of many jobs keeps
+  between them.
 """
 
 from repro.launcher.cmdfile import (
@@ -19,7 +21,7 @@ from repro.launcher.cmdfile import (
     parse_poe_cmdfile,
     resolve_programs,
 )
-from repro.launcher.job import JobEnv, JobResult, MpmdJob, mph_run
+from repro.launcher.job import JobEnv, JobResult, MpmdJob, mph_run, rank_pool
 from repro.launcher.rankmap import POLICIES, assign_ranks, executable_of_rank
 from repro.launcher.smp import CpuSlot, Machine, Placement, SmpNode
 
@@ -32,6 +34,7 @@ __all__ = [
     "JobResult",
     "MpmdJob",
     "mph_run",
+    "rank_pool",
     "POLICIES",
     "assign_ranks",
     "executable_of_rank",

@@ -30,6 +30,7 @@ from repro.launcher.cmdfile import (
 from repro.launcher.rankmap import assign_ranks
 from repro.launcher.smp import Machine, Placement
 from repro.mpi.executor import ExecRank, ProcResult, launch
+from repro.mpi.procbackend import RankPool
 from repro.mpi.world import WorldConfig
 from repro.core.redirect import MultiChannelOutput, ProcessOutput
 
@@ -198,6 +199,12 @@ class MpmdJob:
     log_dir :
         Process backend only: directory for per-process ``<label>.log``
         files (``<program>.<local_index>.log``; OS-level fd redirection).
+    pool :
+        Process backend only: a :func:`rank_pool` whose parked processes
+        play the ranks of every program it can name, and which takes the
+        job's processes back when every rank reports ok — a launch that
+        is a message per rank instead of a fork.  The programs are given
+        as callables (an import spec asks for ``exec``, the opposite).
     """
 
     def __init__(
@@ -213,9 +220,15 @@ class MpmdJob:
         registry: Any = None,
         namespace: Optional[str] = None,
         log_dir: Optional[Union[str, Path]] = None,
+        pool: Optional[RankPool] = None,
     ):
         if not executables:
             raise LaunchError("an MPMD job needs at least one executable")
+        if pool is not None and isinstance(programs, str):
+            raise LaunchError(
+                "programs given by import spec are exec'd, each rank a fresh "
+                "interpreter; a pool serves programs given as callables"
+            )
         self.specs: list[ExecutableSpec] = []
         self.fns: list[Callable] = []
         for item in executables:
@@ -257,6 +270,7 @@ class MpmdJob:
         self.registry = registry
         self.namespace = namespace
         self.log_dir = str(log_dir) if log_dir is not None else None
+        self.pool = pool
         #: The stdout proxy rank *threads* share (paper §5.4); a rank that
         #: is its own process redirects its own fd 1 instead.
         self.output = MultiChannelOutput()
@@ -293,9 +307,13 @@ class MpmdJob:
         plan = self.plan
         ranks: list[Callable] = []
         for env in plan.envs:
-            entry = _rank_entry(self.fns[env.exe_index], env, self.output)
-            if self._import_specs[env.exe_index] is not None:
-                entry = ExecRank(entry, (self._import_specs[env.exe_index], env))
+            fn = self.fns[env.exe_index]
+            entry = _rank_entry(fn, env, self.output)
+            # What another process can rebuild the rank from, if anything:
+            # the registry's import spec (exec) or the pool's name for fn.
+            name = self._import_specs[env.exe_index] or (self.pool and self.pool.name(fn))
+            if name is not None:
+                entry = ExecRank(entry, (name, env))
             ranks.append(entry)
         procs = launch(
             self.world_size,
@@ -305,6 +323,7 @@ class MpmdJob:
             labels=plan.labels,
             namespace=self.namespace,
             log_dir=self.log_dir,
+            pool=self.pool,
         )
         return JobResult(**vars(plan), procs=procs)
 
@@ -335,15 +354,28 @@ def exec_rank_entry(meta: tuple) -> Callable:
     return _rank_entry(fn, env)
 
 
+def _with_builtins(programs: Union[ProgramRegistry, str]) -> dict[str, Callable]:
+    """*programs* — a registry or the import spec of one — and, under
+    :data:`POOL_PROGRAM`, always the built-in :func:`reserve_pool_program`,
+    never a registry lookup."""
+    if isinstance(programs, str):
+        programs = load_programs(programs)
+    return {**programs, POOL_PROGRAM: reserve_pool_program}
+
+
 def bind_programs(
     specs: Sequence[ExecutableSpec], programs: Union[ProgramRegistry, str]
 ) -> list[Callable]:
-    """Bind each spec's program name to its callable.  *programs* is a
-    registry or the import spec of one; :data:`POOL_PROGRAM` is always the
-    built-in :func:`reserve_pool_program`, never a registry lookup."""
-    if isinstance(programs, str):
-        programs = load_programs(programs)
-    return resolve_programs(specs, {**programs, POOL_PROGRAM: reserve_pool_program})
+    """Bind each spec's program name to its callable (see
+    :func:`_with_builtins` for what *programs* is)."""
+    return resolve_programs(specs, _with_builtins(programs))
+
+
+def rank_pool(programs: ProgramRegistry) -> RankPool:
+    """A pool of parked rank processes (``MpmdJob(pool=)``) that can play
+    any program of *programs*, or a reserve rank, under any
+    :class:`JobEnv`: what its processes are sent is ``(name, env)``."""
+    return RankPool(_with_builtins(programs), _rank_entry)
 
 
 #: Program name of reserve-pool ranks (``mphrun --pool N``, a job

@@ -11,7 +11,8 @@ schedule per algorithm, shared by the object (lowercase) and buffer
 
 Every world is started by one pipeline, :func:`repro.mpi.executor.launch`:
 ``config.backend`` picks rank threads or OS processes
-(:mod:`repro.mpi.procbackend`); :func:`run_spmd` is its SPMD front door.
+(:mod:`repro.mpi.procbackend` — forked, exec'd, or parked in a
+:class:`RankPool` between jobs); :func:`run_spmd` is its SPMD front door.
 
 Typical SPMD use::
 
@@ -58,7 +59,7 @@ from repro.mpi.sched import (
     parse_repro_command,
     repro_command,
 )
-from repro.mpi.procbackend import ProcessWorld
+from repro.mpi.procbackend import ProcessWorld, RankPool
 from repro.mpi.progress import Completion, ProgressEngine, RankProgress, Waitset
 from repro.mpi.request import Request
 from repro.mpi.serialization import Blob, payload_nbytes
@@ -128,6 +129,7 @@ __all__ = [
     "RankProgress",
     "Waitset",
     "ProcessWorld",
+    "RankPool",
     "Transport",
     "SocketTransport",
     "ShmTransport",

@@ -55,7 +55,7 @@ import time
 from typing import Any, Optional
 
 from repro.errors import TransportError
-from repro.mpi.transport import make_listener, recv_frame, send_frame
+from repro.mpi.transport import connect, make_listener, recv_frame, send_frame
 
 #: How long a child keeps retrying a connect to a tree parent whose
 #: control socket is not bound yet.
@@ -98,18 +98,6 @@ def ctrl_path(sockdir: str, rank: int) -> str:
 # ---------------------------------------------------------------------------
 # Sockets
 # ---------------------------------------------------------------------------
-
-
-def connect(addr: tuple) -> socket.socket:
-    """Connect to a ``("unix", path)`` or ``("tcp", host, port)`` address."""
-    if addr[0] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(addr[1])
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.connect((addr[1], addr[2]))
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
 
 
 def connect_retry(addr: tuple, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socket.socket:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import (
     AbortError,
@@ -29,18 +29,23 @@ from repro.mpi.comm import Comm, make_world_comm
 from repro.mpi.faults import SimulatedCrash
 from repro.mpi.world import World, WorldConfig
 
+if TYPE_CHECKING:
+    from repro.mpi.procbackend import RankPool
+
 #: Per-rank entry point: receives the process's ``COMM_WORLD`` handle.
 RankFn = Callable[..., Any]
 
 
 @dataclass
 class ExecRank:
-    """A rank that a fresh interpreter can rebuild: its callable plus the
-    picklable *meta* naming it by import spec.  A thread just calls it;
-    the process backend ``exec``s it as its own ``python -m
-    repro.tools.mphchild`` (which resolves *meta*) where it would fork a
-    plain callable — the paper's MIME property, chosen by what the
-    caller hands in."""
+    """A rank that another process can rebuild: its callable plus the
+    picklable *meta* naming it.  A thread just calls it; where the
+    process backend would fork a plain callable, it ``exec``s this as its
+    own ``python -m repro.tools.mphchild`` (*meta* names the program by
+    import spec) — the paper's MIME property, chosen by what the caller
+    hands in — or, in a launch that holds a
+    :class:`~repro.mpi.procbackend.RankPool`, hands it to a process
+    parked there (*meta* names the program in the pool's catalog)."""
 
     fn: RankFn
     meta: Any
@@ -73,6 +78,7 @@ def launch(
     log_dir: Optional[str] = None,
     labels: Optional[Sequence[str]] = None,
     namespace: Optional[str] = None,
+    pool: Optional["RankPool"] = None,
 ) -> list[ProcResult]:
     """The launch pipeline: run ``ranks[r](comm_world)`` on every rank of
     a fresh *nprocs*-process world and return all outcomes.
@@ -83,11 +89,13 @@ def launch(
     **validate** (:func:`_validate`, which also picks the substrate from
     ``config.backend``); **spawn** and, for processes, **bootstrap**
     (:func:`_run_threads`, or :func:`repro.mpi.procbackend.run_procs` — a
-    callable is forked, an :class:`ExecRank` exec'd); **run** the one
-    rank body (:func:`run_rank`); **collect** under the wall-clock budget
-    *timeout* (:class:`~repro.errors.TimeoutError_` on expiry);
-    **classify** (:func:`_raise_root_cause`); **sweep** on every exit
-    path.  docs/architecture.md ("Launching a world") walks through them.
+    callable is forked, an :class:`ExecRank` exec'd or, given *pool* (a
+    :class:`~repro.mpi.procbackend.RankPool`; thread worlds ignore it),
+    played by a process parked there); **run** the one rank body
+    (:func:`run_rank`); **collect** under the wall-clock budget *timeout*
+    (:class:`~repro.errors.TimeoutError_` on expiry); **classify**
+    (:func:`_raise_root_cause`); **sweep** on every exit path.
+    docs/architecture.md ("Launching a world") walks through them.
 
     *labels* name the ranks in failure reports and — with *log_dir*,
     process backend only — their ``<label>.log`` stdout files;
@@ -95,10 +103,10 @@ def launch(
     :func:`repro.mpi.procbackend.rendezvous_prefix`).
     """
     config = config or WorldConfig()
-    if _validate(nprocs, ranks, config, log_dir):
+    if _validate(nprocs, ranks, config, log_dir, pool):
         from repro.mpi.procbackend import run_procs
 
-        results = run_procs(nprocs, ranks, config, timeout, log_dir, labels, namespace)
+        results = run_procs(nprocs, ranks, config, timeout, log_dir, labels, namespace, pool)
     else:
         results = _run_threads(World(nprocs, config), ranks, timeout)
     _raise_root_cause(results)
@@ -110,6 +118,7 @@ def _validate(
     ranks: Sequence[RankFn],
     config: WorldConfig,
     log_dir: Optional[str] = None,
+    pool: Optional["RankPool"] = None,
     *,
     on_threads: bool = False,
 ) -> bool:
@@ -140,6 +149,11 @@ def _validate(
                 "match_schedule requires the thread backend: schedule "
                 "exploration needs one shared match arbiter"
             )
+        if pool is not None and log_dir is not None:
+            raise LaunchError(
+                "log_dir needs a process per rank and job: a log file is the "
+                "stdio a rank is forked with, and a pool's processes keep theirs"
+            )
     elif log_dir is not None:
         raise LaunchError(
             "log_dir requires backend='process': per-process log files are "
@@ -151,7 +165,7 @@ def _validate(
 def run_rank(world: World, rank: int, fn: RankFn) -> ProcResult:
     """The rank body: run ``fn(comm_world)`` as world rank *rank* and
     record how it ended — in a rank thread of the shared *world*, or in a
-    forked or exec'd child whose *world* is its own replica."""
+    forked, exec'd or parked process whose *world* is its own replica."""
     result = ProcResult(rank=rank)
     comm = make_world_comm(world, rank)
     try:

@@ -16,7 +16,9 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    at a fixed name in the job's private socket directory — and spawns
    ``nprocs`` children (:func:`run_procs`: ``fork`` for a rank given as
    a callable, ``exec`` of ``python -m repro.tools.mphchild`` for an
-   :class:`~repro.mpi.executor.ExecRank`).
+   :class:`~repro.mpi.executor.ExecRank` — or, when the launch holds a
+   :class:`RankPool`, an assignment frame to a process that *parked*
+   after an earlier job, forking only the shortfall).
 2. Each child binds its own *data* listener (Unix or TCP, per
    ``config.transport``) — before anyone learns its address, so no
    sender can race it — then exchanges addresses with the parent through
@@ -36,7 +38,8 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    *keeps serving inbound connections* until the parent's
    ``("shutdown",)`` frame — sent only after every result is in — so a
    fast rank can never tear down its mailbox while a slow peer still has
-   eager sends in flight.
+   eager sends in flight.  It then closes its transport and exits — or,
+   a pool's process, acks and parks for its next assignment.
 
 A child that dies without reporting (segfault, ``sys.exit(3)``, killed)
 is detected by the parent polling process liveness; it synthesizes a
@@ -55,17 +58,21 @@ giving each rank a disjoint id subspace (see
 
 from __future__ import annotations
 
+import gc
 import multiprocessing.connection
+import multiprocessing.util
 import os
 import pickle
 import queue
 import shutil
+import signal
 import socket
 import sys
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Optional, Sequence
+import weakref
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import (
     AbortError,
@@ -89,6 +96,9 @@ from repro.mpi.world import World, WorldConfig
 _CHILD_CTRL_TIMEOUT = 120.0
 #: Grace for siblings to unwind after a child dies without reporting.
 _DEATH_GRACE = 3.0
+#: How long a released child gets to exit (or a parking one to ack)
+#: before it is killed.
+_KILL_GRACE = 5.0
 
 
 class ProcessWorld(World):
@@ -271,14 +281,18 @@ def child_session(
             pass
 
 
-def _child_main(rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str]) -> None:
+def _child_main(
+    rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str], park: Optional[tuple] = None
+) -> None:
     """What a freshly forked child does: claim its log file, then become
     the rank — by running *fn* (fork inheritance carries it, so closures
-    work without being picklable), or, for an
+    work without being picklable); for an
     :class:`~repro.mpi.executor.ExecRank`, by ``exec``-ing an independent
     ``python -m repro.tools.mphchild``: true MIME in the paper's sense,
     the child learns *what to run* from its welcome frame's per-rank
-    meta (see :mod:`repro.tools.mphchild`)."""
+    meta (see :mod:`repro.tools.mphchild`); or, forked for a
+    :class:`RankPool` (*park* is its end of the park connection and the
+    pool's resolver), by serving assignments, this rank the first."""
     if log_path is not None:
         fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         os.dup2(fd, 1)
@@ -286,6 +300,9 @@ def _child_main(rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str
         os.close(fd)
     nprocs, family, sockdir = rendezvous.nprocs, rendezvous.family, rendezvous.sockdir
     fanout = rendezvous.config.bootstrap_fanout
+    if park is not None:
+        _serve_assignments(*park, (rank, nprocs, family, sockdir, fanout))
+        return
     if not isinstance(fn, ExecRank):
         child_session(rank, nprocs, family, sockdir, lambda comm, meta: fn(comm), fanout=fanout)
         return
@@ -302,31 +319,123 @@ def _child_main(rendezvous: "_Rendezvous", rank: int, fn, log_path: Optional[str
     os.execv(sys.executable, argv)
 
 
+def _serve_assignments(conn: socket.socket, resolve: Callable[[Any], Any], assignment) -> None:
+    """The life of a :class:`RankPool` process: play the rank it was
+    forked for, ack, park on *conn* for the next *assignment* — ``(rank,
+    nprocs, family, sockdir, fanout)``, what ``mphchild`` gets on its
+    command line — until the launcher retires it or dies (EOF).
+
+    Every job is the same :func:`child_session` a forked or exec'd rank
+    runs; the program is rebuilt from the welcome frame's meta by
+    *resolve*, so a rank served here never depends on what this process
+    was first forked to run.  Between jobs the process holds nothing of
+    the launcher's and nothing of a finished job: every inherited
+    descriptor but stdio and *conn* is closed before the first job, and
+    the ack follows the session, which closed the transport — listener,
+    connections, segment; the reader threads end on the EOFs the peers'
+    closes send them, all on their way once every rank has acked.
+    """
+    keep = {0, 1, 2, conn.fileno()}
+    # ... and what the sys.std* objects write through, where that is not
+    # fd 0-2 (a capture file; multiprocessing's /dev/null stdin): closed
+    # under them, a later write would land in a recycled descriptor.
+    for stream in (sys.stdin, sys.stdout, sys.stderr):
+        try:
+            keep.add(stream.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+    try:
+        inherited = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no procfs: the descriptor table's whole range
+        inherited = range(os.sysconf("SC_OPEN_MAX"))
+    for fd in inherited:
+        if fd not in keep:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+    signal.set_wakeup_fd(-1)  # the launcher's event loop's, closed just now
+    # The launcher's heap came along with the fork: keep it out of this
+    # process's collections for good — nothing in it is ours to finalize
+    # (an inherited socket object would close a descriptor number that
+    # by then names something else), and not walking it keeps the
+    # per-job collection below cheap.
+    gc.freeze()
+    while assignment:
+        rank, nprocs, family, sockdir, fanout = assignment
+        child_session(
+            rank, nprocs, family, sockdir, lambda comm, meta: resolve(meta)(comm), fanout=fanout
+        )
+        try:
+            send_frame(conn, ("parked",))
+            gc.collect()  # the world's cycles, while nobody waits for us
+            assignment = recv_frame(conn, timeout=None)
+        except (TransportError, OSError):
+            return  # retired with the ack unread: the job was not clean
+
+
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
 
 
 class _Child:
-    """One spawned rank: the process (``proc``) the rendezvous polls,
+    """One rank's process: what the rendezvous polls (``proc``),
     terminates and reaps, and the names failure reports give it.
-    Constructing it forks the child (see :func:`_child_main`)."""
+    Constructing it forks the child (see :func:`_child_main`); one
+    forked for a :class:`RankPool` outlives the job and is given its
+    later ranks by :meth:`assign`."""
 
-    def __init__(self, rendezvous: "_Rendezvous", rank: int, label: str, fn, log_path):
+    def __init__(
+        self, rendezvous: "_Rendezvous", rank: int, label: str, fn, log_path,
+        pool: Optional["RankPool"] = None,
+    ):
         self.rank, self.label = rank, label
+        #: The launcher's end of the park connection: assignments down,
+        #: acks up; ``None`` for a child that exits with its job.
+        self.conn: Optional[socket.socket] = None
+        park = None
+        if pool is not None:
+            self.conn, theirs = pool.connection()
+            park = (theirs, pool.resolve)
         # The fork context is asked for here, not at import: a platform
         # without one still imports the package and runs thread worlds.
         self.proc = multiprocessing.get_context("fork").Process(
-            target=_child_main, args=(rendezvous, rank, fn, log_path), name=f"mpi-proc-{rank}"
+            target=_child_main, args=(rendezvous, rank, fn, log_path, park), name=f"mpi-proc-{rank}"
         )
-        self.proc.start()
+        try:
+            self.proc.start()
+        finally:
+            if park is not None:
+                theirs.close()
+
+    def assign(self, rendezvous: "_Rendezvous", rank: int, label: str) -> None:
+        """Start a parked process on its next rank: a message, not a fork."""
+        self.rank, self.label = rank, label
+        r = rendezvous
+        send_frame(self.conn, (rank, r.nprocs, r.family, r.sockdir, r.config.bootstrap_fanout))
+
+    def parked(self, deadline: float) -> bool:
+        """Whether the process acked, by *deadline*, that nothing of the
+        job is left in it (``False`` for one that never parks)."""
+        if self.conn is None:
+            return False
+        try:
+            ack = recv_frame(self.conn, timeout=max(deadline - time.monotonic(), 0.001))
+        except (TransportError, OSError):
+            return False
+        return ack == ("parked",)
 
     def reap(self, timeout: float) -> None:
-        """Give the child *timeout* to exit, then kill it.  The sentinel
-        wakes us the moment a forked child exits; an exec'd one closed
-        it at ``execv`` (``Process.join(timeout)`` would go on to block
-        in ``waitpid`` for as long as the program cares to run), so the
-        rest of the wait polls, backing off like ``subprocess`` does."""
+        """Give the child *timeout* to exit, then kill it.  Closing the
+        park connection is what tells a parked process to go.  The
+        sentinel wakes us the moment a forked child exits; an exec'd or
+        parked one closed it long ago (``Process.join(timeout)`` would go
+        on to block in ``waitpid`` for as long as the program cares to
+        run), so the rest of the wait polls, backing off like
+        ``subprocess`` does."""
+        if self.conn is not None:
+            self.conn.close()
         deadline, nap = time.monotonic() + timeout, 0.0
         multiprocessing.connection.wait([self.proc.sentinel], timeout)
         while self.proc.exitcode is None and time.monotonic() < deadline:
@@ -335,6 +444,102 @@ class _Child:
         if self.proc.exitcode is None:  # stuck: SIGTERM ignored, or a thread outlives the rank
             self.proc.kill()
         self.proc.join()
+
+
+class RankPool:
+    """Parked rank processes: the pipeline's third spawner, beside fork
+    and exec — the MPD shape (Butler, Gropp & Lusk), where starting a job
+    is a message to processes that already exist.
+
+    A launch that is handed the pool (:func:`run_procs`) serves each
+    :class:`~repro.mpi.executor.ExecRank` from a process parked here,
+    forking only the shortfall; the processes of a job whose every rank
+    reported ok ack and park again, the rest are retired.  So the pool
+    never forks ahead of demand, and holds at most as many processes as
+    its launches ever had out at once.
+
+    *programs* maps names to programs and ``entry(program, arg)`` builds
+    a rank's ``entry(comm)`` from one: a parked process — forked while
+    the pool existed, so it inherited both — rebuilds its rank from the
+    ``(name, arg)`` meta of its welcome frame, and the launcher ships
+    names, never code (as to ``mphchild``).  :meth:`name` is how a
+    launcher asks whether a program can travel that way.
+    """
+
+    def __init__(self, programs: Mapping[Any, Callable], entry: Callable[[Callable, Any], Any]):
+        self._programs = dict(programs)
+        self._entry = entry
+        # By identity: a name is only given for the very object a parked
+        # process will find under it.
+        self._names = {id(program): name for name, program in self._programs.items()}
+        self._idle: list[_Child] = []
+        self._lock = threading.Lock()
+        #: Rank processes forked for / served from the pool so far.
+        self.forked = self.reused = 0
+        # The launcher's end of every park connection, for as long as
+        # its child lives: any process forked meanwhile must let go of
+        # its copies, or closing ours is no longer EOF at the child.
+        self._conns: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+        multiprocessing.util.register_after_fork(self, RankPool._close_connections)
+        # A pool dropped without close() strands nothing; at interpreter
+        # exit this runs before multiprocessing joins its children.
+        multiprocessing.util.Finalize(
+            self, RankPool._retire, args=(self._idle, self._lock), exitpriority=10
+        )
+
+    def name(self, program: Callable) -> Any:
+        """The name a parked process resolves to *program*, or ``None``
+        when it cannot hold it (a closure made since: that rank forks)."""
+        return self._names.get(id(program))
+
+    def resolve(self, meta: Any) -> Callable:
+        """A rank's ``entry(comm)`` from its ``(name, arg)`` meta."""
+        name, arg = meta
+        return self._entry(self._programs[name], arg)
+
+    def connection(self) -> tuple[socket.socket, socket.socket]:
+        """A park connection for a process about to be forked: ``(the
+        launcher's end, the child's)``."""
+        ours, theirs = socket.socketpair()
+        with self._lock:
+            self.forked += 1
+            self._conns.add(ours)
+        return ours, theirs
+
+    def _close_connections(self) -> None:
+        for conn in list(self._conns):
+            conn.close()
+
+    def take(self) -> Optional[_Child]:
+        """A parked process to hand a rank to, or ``None`` (fork one)."""
+        with self._lock:
+            while self._idle:
+                child = self._idle.pop()
+                if child.proc.exitcode is None:
+                    self.reused += 1
+                    return child
+                child.reap(0.0)  # died while parked
+            return None
+
+    def park(self, child: _Child) -> None:
+        """Take back the process of a clean job that has acked."""
+        with self._lock:
+            self._idle.append(child)
+
+    def close(self) -> None:
+        """Retire every process parked now.  The pool stays usable: the
+        next launch forks again, and a job out while this runs parks its
+        processes as ever."""
+        self._retire(self._idle, self._lock)
+
+    @staticmethod
+    def _retire(idle: list, lock) -> None:
+        with lock:
+            children, idle[:] = idle[:], []
+        for child in children:
+            child.conn.close()  # all told before any is waited for
+        for child in children:
+            child.reap(_KILL_GRACE)
 
 
 class _Rendezvous:
@@ -464,8 +669,13 @@ class _Rendezvous:
             if rank not in results and not (conns and rank in conns) and h.proc.exitcode is not None
         ]
 
-    def shutdown(self, conns, children) -> None:
-        """Release the lingering children and reap them."""
+    def shutdown(self, conns, children, pool: Optional[RankPool] = None) -> None:
+        """Release the lingering children.  One with a park connection
+        acks once its transport is closed and goes back to *pool* — no
+        pool when the job was not clean: its processes are not trusted
+        with another — and whoever does not park is reaped.  Returns
+        with nothing of the job left in any process, so the sweep that
+        follows races nobody."""
         for conn in conns.values():
             try:
                 send_frame(conn, ("shutdown",))
@@ -476,8 +686,12 @@ class _Rendezvous:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
+        deadline = time.monotonic() + _KILL_GRACE
         for child in children:
-            child.reap(5.0)
+            if pool is not None and child.parked(deadline):
+                pool.park(child)
+            else:
+                child.reap(_KILL_GRACE)
 
     def sweep(self) -> None:
         """Remove everything the job owned outside its processes."""
@@ -522,6 +736,7 @@ def run_procs(
     log_dir: Optional[str] = None,
     labels: Optional[Sequence[str]] = None,
     namespace: Optional[str] = None,
+    pool: Optional[RankPool] = None,
 ) -> list[ProcResult]:
     """Run one rank function per rank, each as its own **OS process** —
     the process leg of :func:`repro.mpi.executor.launch`, which validates
@@ -530,9 +745,18 @@ def run_procs(
     but every rank owns an interpreter, a world replica, and a transport
     (see :func:`_child_main` for how a rank is forked or exec'd).
 
+    With *pool*, an :class:`~repro.mpi.executor.ExecRank` (its meta what
+    :meth:`RankPool.resolve` takes) is neither: it goes to a process
+    parked in the pool, one being forked into it only when none is idle,
+    and if every rank reports ok the processes park again instead of
+    exiting.  The job's world, socket directory and segments are as
+    private, and as swept, as without.
+
     With *log_dir*, each child's stdout+stderr are redirected at the OS
     level to ``<log_dir>/<label>.log`` — real per-process log files, not
-    the thread backend's ``sys.stdout`` proxy.
+    the thread backend's ``sys.stdout`` proxy (and not a pool's: a parked
+    process keeps the stdio it was forked with, so ``launch`` refuses
+    the two together).
 
     *namespace* scopes the job's rendezvous directory and shm segments
     under :func:`rendezvous_prefix` (the MPH service's per-job isolation
@@ -549,13 +773,21 @@ def run_procs(
     children: list[_Child] = []
     results: dict[int, ProcResult] = {}
     conns: dict[int, socket.socket] = {}
+    clean = False
     try:
         for rank, fn in enumerate(ranks):  # spawn
+            parks = pool if isinstance(fn, ExecRank) else None
+            child = parks.take() if parks is not None else None
+            if child is not None:
+                children.append(child)
+                child.assign(rendezvous, rank, labels[rank])
+                continue
             log_path = None if log_dir is None else os.path.join(log_dir, f"{labels[rank]}.log")
-            children.append(_Child(rendezvous, rank, labels[rank], fn, log_path))
+            children.append(_Child(rendezvous, rank, labels[rank], fn, log_path, parks))
         deadline = time.monotonic() + timeout
         rendezvous.bootstrap(conns, children, results, ranks, deadline)
         rendezvous.collect(conns, children, results, deadline)
+        clean = all(result.exception is None for result in results.values())
     except _BootstrapDead:
         pass  # every rank already has its result, the siblings are terminated
     except BaseException:
@@ -568,7 +800,7 @@ def run_procs(
         raise
     finally:
         try:
-            rendezvous.shutdown(conns, children)
+            rendezvous.shutdown(conns, children, pool if clean else None)
         finally:
             rendezvous.sweep()
     return [results[r] for r in sorted(results)]

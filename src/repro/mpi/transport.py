@@ -399,27 +399,40 @@ class SocketTransport(Transport):
         self._stats = TransportStats()
         self._stats_lock = threading.Lock()
         self._closed = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._acceptor: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Begin accepting inbound connections."""
-        t = threading.Thread(
+        self._acceptor = threading.Thread(
             target=self._serve, name=f"transport-accept-{self.rank}", daemon=True
         )
-        t.start()
-        self._threads.append(t)
+        self._acceptor.start()
 
     def close(self) -> None:
         if self._closed.is_set():
             return
         self._closed.set()
-        # shutdown() before close(): close() alone does not interrupt an
-        # accept() blocked in another thread, and the kernel keeps
-        # completing handshakes on the listener's behalf until that call
-        # returns — a sender could still "successfully" connect to a
-        # closed endpoint.  shutdown() revokes the listen state at once.
+        # The accept thread must be *out* of accept() before the
+        # listener's descriptor is closed: it calls accept4() on the
+        # descriptor number without the GIL, and in a process that goes
+        # on to open other sockets (a parked rank's next job: its
+        # listener gets this very number) a thread still in its accept
+        # loop accepts — and drops — the next world's connections.  A
+        # connection to ourselves is what gets it out: a shut-down
+        # listener only polls readable and then accepts EAGAIN, so the
+        # thread would spin out its timeout instead.
+        if self._acceptor is not None:
+            try:
+                connect(self._peers[self.rank]).close()
+            except (OSError, KeyError):
+                pass  # it still leaves at its next accept timeout
+            self._acceptor.join(1.0)
+        # shutdown() before close(): the kernel keeps completing
+        # handshakes on the listener's behalf until close() returns — a
+        # sender could still "successfully" connect to a closed
+        # endpoint.  shutdown() revokes the listen state at once.
         try:
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -529,13 +542,7 @@ class SocketTransport(Transport):
             return sock
         addr = self._peers[dest]
         try:
-            if addr[0] == "unix":
-                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.connect(addr[1])
-            else:
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                sock.connect((addr[1], addr[2]))
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock = connect(addr)
         except OSError as exc:
             self._dead_peers.add(dest)
             raise TransportError(
@@ -568,6 +575,9 @@ class SocketTransport(Transport):
                 continue
             except OSError:
                 break
+            if self._closed.is_set():  # close()'s wake-up call
+                conn.close()
+                break
             if conn.family == socket.AF_INET:
                 # Acks and small envelopes flow back over accepted
                 # connections too; without NODELAY they eat Nagle's 40ms.
@@ -575,14 +585,12 @@ class SocketTransport(Transport):
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 except OSError:  # pragma: no cover - defensive
                     pass
-            t = threading.Thread(
+            threading.Thread(
                 target=self._read_conn,
                 args=(conn,),
                 name=f"transport-read-{self.rank}",
                 daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+            ).start()
 
     def _read_conn(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()
@@ -683,6 +691,21 @@ class SocketTransport(Transport):
 # ---------------------------------------------------------------------------
 # Listener construction (shared by bootstrap and tests)
 # ---------------------------------------------------------------------------
+
+
+def connect(addr: tuple) -> socket.socket:
+    """Connect to a ``("unix", path)`` or ``("tcp", host, port)`` address
+    (what :func:`make_listener` hands out)."""
+    unix = addr[0] == "unix"
+    sock = socket.socket(socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.connect(addr[1] if unix else (addr[1], addr[2]))
+        if not unix:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 def make_listener(family: str, path_hint: str) -> tuple[socket.socket, tuple]:

@@ -41,7 +41,7 @@ import asyncio
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import AdmissionError, JobSpecError, ServiceError
 from repro.service.jobdoc import JobDocument
@@ -49,6 +49,11 @@ from repro.service.runtime import JobOutcome, JobRuntime
 from repro.service.stager import ResultStager
 
 __all__ = ["JobHandle", "JobState", "Orchestrator"]
+
+#: How many finished jobs an orchestrator remembers: beyond this, the
+#: oldest handles in a terminal state leave :attr:`Orchestrator.jobs`
+#: (a handle the client holds keeps working; only the lookup by id ends).
+RETAINED_JOBS = 1024
 
 
 class JobState:
@@ -145,7 +150,11 @@ class Orchestrator:
         self.stager = ResultStager(output_dir) if output_dir is not None else None
         self.max_workers = max_workers
         self.max_queued = max_queued
+        #: ``job_id -> handle`` of every job not yet finished and of the
+        #: last :data:`RETAINED_JOBS` or so that are, oldest first.
         self.jobs: Dict[str, JobHandle] = {}
+        #: Terminal state -> how many handles in it were evicted.
+        self._evicted: Dict[str, int] = {}
         self._seq = itertools.count()
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
@@ -214,7 +223,7 @@ class Orchestrator:
             handle.document = self._coerce(job)
         except JobSpecError as exc:
             handle._finish(JobState.REJECTED, str(exc))
-            self.jobs[job_id] = handle
+            self._remember(handle)
             return handle
         try:
             self._queue.put_nowait(handle)
@@ -222,8 +231,20 @@ class Orchestrator:
             raise AdmissionError(
                 f"submission queue is full ({self.max_queued} jobs queued); retry later"
             ) from None
-        self.jobs[job_id] = handle
+        self._remember(handle)
         return handle
+
+    def _remember(self, handle: JobHandle) -> None:
+        """Record *handle* under its id, forgetting the oldest finished
+        jobs beyond the retention (unfinished ones are bounded by the
+        queue and the workers, and never forgotten)."""
+        self.jobs[handle.job_id] = handle
+        while len(self.jobs) > RETAINED_JOBS:
+            oldest = next((h for h in self.jobs.values() if h.finished), None)
+            if oldest is None:
+                break
+            del self.jobs[oldest.job_id]
+            self._evicted[oldest.state] = self._evicted.get(oldest.state, 0) + 1
 
     @staticmethod
     def _coerce(job: Union[JobDocument, Mapping, str]) -> JobDocument:
@@ -244,7 +265,8 @@ class Orchestrator:
         return True
 
     def handle(self, job_id: str) -> JobHandle:
-        """The handle of a previously submitted job id."""
+        """The handle of a previously submitted job id (unknown once the
+        job has finished and :data:`RETAINED_JOBS` later ones have)."""
         try:
             return self.jobs[job_id]
         except KeyError:
@@ -264,13 +286,20 @@ class Orchestrator:
             await self._run_one(handle)
 
     async def _run_one(self, handle: JobHandle) -> None:
-        assert handle.document is not None
         handle.state = JobState.STAGING
+        handle._finish(*await asyncio.to_thread(self._drive, handle))
+
+    def _drive(self, handle: JobHandle) -> Tuple[str, Optional[str]]:
+        """One job from document to staged outcome, in the one worker
+        thread it costs: resolve, execute, stage, moving ``handle.state``
+        along.  Returns the terminal ``(state, error)`` for the event
+        loop to finish the handle with (an ``asyncio.Event`` is the
+        loop's to set)."""
+        assert handle.document is not None
         try:
-            resolved = await asyncio.to_thread(self.runtime.resolve, handle.document)
+            resolved = self.runtime.resolve(handle.document)
         except Exception as exc:  # noqa: BLE001 - a bad job must not kill a worker
-            handle._finish(JobState.FAILED, f"{type(exc).__name__}: {exc}")
-            return
+            return JobState.FAILED, f"{type(exc).__name__}: {exc}"
 
         log_dir = None
         if self.stager is not None and "logs" in handle.document.output.save:
@@ -278,43 +307,38 @@ class Orchestrator:
 
         handle.state = JobState.RUNNING
         try:
-            outcome = await asyncio.to_thread(
-                self.runtime.execute_resolved, resolved, handle.job_id, log_dir=log_dir
-            )
+            outcome = self.runtime.execute_resolved(resolved, handle.job_id, log_dir=log_dir)
         except Exception as exc:  # noqa: BLE001
             # execute_resolved converts job failures itself; reaching
             # here means a runtime-level error — still the job's
             # problem, never the worker's.
-            handle._finish(JobState.FAILED, f"{type(exc).__name__}: {exc}")
-            return
+            return JobState.FAILED, f"{type(exc).__name__}: {exc}"
         handle.outcome = outcome
 
         if self.stager is not None:
             try:
-                handle.staged = await asyncio.to_thread(
-                    self.stager.stage, outcome, handle.document
-                )
+                handle.staged = self.stager.stage(outcome, handle.document)
             except Exception as exc:  # noqa: BLE001
-                handle._finish(JobState.FAILED, f"staging failed: {exc}")
-                return
+                return JobState.FAILED, f"staging failed: {exc}"
 
         if outcome.ok:
-            handle._finish(JobState.DONE)
-        else:
-            summary = outcome.error or (
-                "failed components: " + ", ".join(outcome.failed_components())
-            )
-            handle._finish(JobState.FAILED, summary)
+            return JobState.DONE, None
+        return JobState.FAILED, outcome.error or (
+            "failed components: " + ", ".join(outcome.failed_components())
+        )
 
     # -- introspection -----------------------------------------------------
 
     def states(self) -> Dict[str, str]:
-        """``job_id -> state`` for every job this orchestrator has seen."""
+        """``job_id -> state`` for every job this orchestrator still
+        remembers (:attr:`jobs`: all unfinished ones, and the most
+        recent :data:`RETAINED_JOBS` or so that finished)."""
         return {job_id: h.state for job_id, h in self.jobs.items()}
 
     def counts(self) -> Dict[str, int]:
-        """How many jobs are in each state."""
-        out: Dict[str, int] = {}
+        """How many jobs are in each state, over every job ever
+        submitted: forgotten ones stay counted."""
+        out = dict(self._evicted)
         for h in self.jobs.values():
             out[h.state] = out.get(h.state, 0) + 1
         return out

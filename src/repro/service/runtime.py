@@ -20,7 +20,11 @@ Three responsibilities:
   namespace (the job id, through
   :func:`~repro.mpi.procbackend.rendezvous_prefix`), swept on teardown
   by the rendezvous cleanup, so no two jobs can see each other's
-  segments no matter how they die.
+  segments no matter how they die.  On the process backend the world is
+  fresh but its processes need not be: the runtime's one
+  :func:`~repro.launcher.job.rank_pool` parks the ranks of a clean job
+  and hands them the next job's ranks by message, so only the first
+  such job (and any shortfall later) forks.
 
 * **Resident execution** — for process-backend jobs that opt in
   (``runtime.reuse_world``, the default), the runtime keeps a small pool
@@ -62,7 +66,7 @@ from repro.core.session import PrecomputedLayout
 from repro.core.handshake import ComponentDecl, PoolDecl
 from repro.errors import ReproError, ServiceError, TimeoutError_
 from repro.launcher.cmdfile import ExecutableSpec
-from repro.launcher.job import POOL_PROGRAM, JobResult, MpmdJob, plan_job
+from repro.launcher.job import POOL_PROGRAM, JobResult, MpmdJob, plan_job, rank_pool
 from repro.mpi.executor import ProcResult
 from repro.mpi.world import WorldConfig
 from repro.service.jobdoc import JobDocument
@@ -440,7 +444,16 @@ class JobRuntime:
         self._resident: "OrderedDict[str, WorkerWorld]" = OrderedDict()
         self._resident_lock = threading.Lock()
         self._seq = itertools.count()
-        self.stats = {"jobs": 0, "warm": 0, "cold": 0, "worlds_built": 0, "worlds_poisoned": 0}
+        #: The parked rank processes isolated process-backend jobs run
+        #: on, forked by the launches that come up short: a runtime that
+        #: never runs such a job forks nothing.
+        self._pool = rank_pool(self.programs)
+        self.stats = {
+            "jobs": 0, "warm": 0, "cold": 0, "worlds_built": 0, "worlds_poisoned": 0,
+            # isolated process-backend ranks: forked into the rank pool /
+            # played by a process already parked there
+            "ranks_forked": 0, "ranks_reused": 0,
+        }
 
     # -- resolution --------------------------------------------------------
 
@@ -546,6 +559,18 @@ class JobRuntime:
             # seeds are thread-only by document validation, so no check
         )
 
+    @staticmethod
+    def _pool_eligible(resolved: ResolvedJob) -> bool:
+        """Whether an isolated job's ranks may be played by the rank
+        pool's parked processes (where ranks are processes at all: a
+        thread world ignores the pool).  What needs processes of its own
+        says why here."""
+        return (
+            # a process log file is the stdio a rank is forked with; a
+            # parked process keeps the one it has
+            "logs" not in resolved.document.output.save
+        )
+
     def _execute_resident(self, resolved: ResolvedJob, job_id: str) -> Optional[JobOutcome]:
         """Run on (or build) the resident world for this layout key.
         Returns ``None`` to fall back to the isolated path when the
@@ -598,11 +623,14 @@ class JobRuntime:
         self, resolved: ResolvedJob, job_id: str, *, log_dir: Optional[str] = None
     ) -> JobOutcome:
         """The default path: a fresh world per job, namespaced segments,
-        swept on teardown by the rendezvous cleanup."""
+        swept on teardown by the rendezvous cleanup — on the process
+        backend a message to parked processes where it can be (see
+        :meth:`_pool_eligible`), forked ones where it cannot."""
         doc = resolved.document
         if "logs" not in doc.output.save:
             log_dir = None
-        job = resolved.job(namespace=job_id, log_dir=log_dir)
+        pool = self._pool if self._pool_eligible(resolved) else None
+        job = resolved.job(namespace=job_id, log_dir=log_dir, pool=pool)
         start = time.perf_counter()
         try:
             result = job.run(timeout=doc.runtime.timeout)
@@ -613,6 +641,10 @@ class JobRuntime:
             return _outcome(
                 resolved, job_id, start, warm=False, error=f"{type(exc).__name__}: {exc}"
             )
+        finally:
+            if pool is not None:
+                with self._resident_lock:
+                    self.stats.update(ranks_forked=pool.forked, ranks_reused=pool.reused)
         traffic = [None if p.traffic is None else asdict(p.traffic) for p in result.procs]
         return _outcome(resolved, job_id, start, warm=False, result=result, traffic=traffic)
 
@@ -637,13 +669,15 @@ class JobRuntime:
             victim.close()
 
     def close(self) -> None:
-        """Shut down every resident world.  The runtime stays usable for
-        isolated jobs afterwards."""
+        """Shut down every resident world and retire the rank pool's
+        parked processes.  The runtime stays usable afterwards (its next
+        isolated process-backend job forks again)."""
         with self._resident_lock:
             victims = list(self._resident.values())
             self._resident.clear()
         for world in victims:
             world.close()
+        self._pool.close()
 
     def __enter__(self) -> "JobRuntime":
         return self

@@ -355,6 +355,19 @@ class TestSourceAudit:
         assert _grep(r"_bind_process|def run_exec_job|class _ChildHandle", ".") == []
         spawn = _grep(r"= _Rendezvous\(", ".")
         assert len(spawn) == 1, spawn
+        # One rank-process body, whoever started the process: the forked
+        # child, the parked one, and the exec'd ``mphchild`` all call
+        # ``child_session``, the one caller of ``run_rank`` off threads.
+        sessions = _grep(r"(?<!def )\bchild_session\(", ".")
+        assert [path for path, _ in sessions] == [
+            "mpi/procbackend.py", "mpi/procbackend.py", "tools/mphchild.py"
+        ], sessions
+        bodies = _grep(r"= run_rank\(", ".")
+        assert [path for path, _ in bodies] == ["mpi/executor.py", "mpi/procbackend.py"], bodies
+        # ... and the service grew no dispatch with its pool: the resident
+        # path's eligibility test is still the runtime's only one.
+        service = _grep(r"backend == \"process\"", "service/runtime.py", "service/orchestrator.py")
+        assert [line for _, line in service] == ['and rt.backend == "process"'], service
         # The one other place that asks which substrate it is on, under
         # another spelling: the rank entry choosing its §5.4 output
         # manager by whether the rank owns its process.
@@ -402,3 +415,6 @@ def test_launch_budget_script_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "spawn" in out.stdout and "sweep" in out.stdout
+    assert [line.split()[:2] for line in out.stdout.splitlines()[1:3]] == [
+        ["2", "fork"], ["2", "park"]
+    ]

@@ -743,8 +743,13 @@ class TestForgetPeer:
             b.send_envelope(0, Envelope(1, 1, 7, blob, "object", blob.nbytes))
             assert _wait(lambda: len(a.received) == 1)
             a.received.clear()
-            gc.collect()
-            assert any(owner == 1 for owner, _ in a._release_q)
+            # The list's was not necessarily the last reference: the
+            # reader thread that delivered the envelope holds it in its
+            # dispatch frame until ``deliver_local`` returns, and under
+            # load it can still be parked there.  The release is queued
+            # when *it* lets go, and nothing on this endpoint flushes
+            # the queue meanwhile (no send, poll or close runs on ``a``).
+            assert _wait(lambda: any(owner == 1 for owner, _ in a._release_q))
             a.forget_peer(1)
             assert not any(owner == 1 for owner, _ in a._release_q)
         finally:

@@ -394,3 +394,24 @@ class TestSocketTransport:
         a.send_envelope(1, Envelope(1, 0, 3, blob, "object", blob.nbytes))
         assert b.delivered.wait(10.0)
         np.testing.assert_array_equal(b.received[0].payload.decode(), big)
+
+    def test_close_returns_with_the_accept_thread_gone(self, tmp_path):
+        """``close()`` may not close the listener under a thread that is
+        still in ``accept()``: woken by the shutdown, that thread calls
+        ``accept4`` on the descriptor *number* once more, and in a
+        process that goes straight on to its next world (a parked rank)
+        the number is the next listener's by then — the stale thread
+        accepted, and dropped, a connection of the new world about once
+        in 400 jobs.  So when ``close()`` returns the thread has exited
+        (at the parent commit it had merely been told to)."""
+        for round_ in range(20):
+            (tmp_path / f"r{round_}").mkdir()
+            a, b = _make_pair(tmp_path / f"r{round_}")
+            blob = Blob.encode(round_)
+            a.send_envelope(1, Envelope(1, 0, 3, blob, "object", blob.nbytes))
+            assert b.delivered.wait(5.0)
+            for ep in (a, b):
+                ep.close()
+                assert not any(
+                    t.name == f"transport-accept-{ep.rank}" for t in threading.enumerate()
+                )

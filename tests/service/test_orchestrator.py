@@ -363,6 +363,164 @@ class TestConcurrencyIsolation:
         assert _run(go()) >= 5
 
 
+class TestOneHopPerJob:
+    """A job crosses into a worker thread once — resolve, execute and
+    stage ride the same hop (three at the parent commit)."""
+
+    def test_one_to_thread_call_per_job(self, tmp_path, monkeypatch):
+        hops = []
+        to_thread = asyncio.to_thread
+
+        async def counting(fn, *args, **kwargs):
+            hops.append(getattr(fn, "__name__", repr(fn)))
+            return await to_thread(fn, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", counting)
+
+        async def go():
+            async with Orchestrator(PROGRAMS, output_dir=tmp_path) as orch:
+                handles = [await orch.submit(_solo_spec(f"hop-{i}")) for i in range(3)]
+                done = [await h.wait() for h in handles]
+                before_shutdown = list(hops)
+            return done, before_shutdown
+
+        done, before_shutdown = _run(go())
+        assert all(h.state == JobState.DONE and h.staged is not None for h in done)
+        assert len(before_shutdown) == 3, before_shutdown
+
+    def test_states_are_observable_from_the_loop_and_finish_runs_on_it(self, monkeypatch):
+        """``staging`` and ``running`` are set from the worker thread as
+        the job moves; the handle is finished on the event loop thread
+        (an ``asyncio.Event`` is not thread-safe)."""
+        from repro.service.orchestrator import JobHandle
+
+        finished_on = []
+        finish = JobHandle._finish
+
+        def recording(self, state, error=None):
+            finished_on.append(threading.current_thread())
+            finish(self, state, error)
+
+        monkeypatch.setattr(JobHandle, "_finish", recording)
+        resolving = threading.Event()
+        release = threading.Event()
+
+        async def go():
+            runtime = JobRuntime(PROGRAMS, max_resident=0)
+            resolve = runtime.resolve
+
+            def slow_resolve(document):
+                resolving.set()
+                release.wait(10.0)
+                return resolve(document)
+
+            runtime.resolve = slow_resolve
+            seen = []
+            async with Orchestrator(runtime=runtime, max_workers=1) as orch:
+                handle = await orch.submit(_sleep_spec(0.3))
+                while not resolving.is_set():
+                    await asyncio.sleep(0.005)
+                seen.append(handle.state)
+                release.set()
+                while not handle.finished:
+                    if handle.state != seen[-1]:
+                        seen.append(handle.state)
+                    await asyncio.sleep(0.005)
+                seen.append(handle.state)
+            return seen, threading.current_thread()
+
+        seen, loop_thread = _run(go())
+        assert seen == [JobState.STAGING, JobState.RUNNING, JobState.DONE]
+        assert finished_on == [loop_thread]
+
+    def test_each_stage_still_fails_with_its_own_message(self, tmp_path):
+        async def go():
+            runtime = JobRuntime(PROGRAMS, max_resident=0)
+            async with Orchestrator(runtime=runtime, output_dir=tmp_path) as orch:
+                unknown = _solo_spec("no-such-program")
+                unknown["components"][0]["program"] = "missing"
+                resolve_failed = await (await orch.submit(unknown)).wait()
+
+                def broken(resolved, job_id=None, *, log_dir=None):
+                    raise RuntimeError("runtime fell over")
+
+                execute, runtime.execute_resolved = runtime.execute_resolved, broken
+                execute_failed = await (await orch.submit(_solo_spec())).wait()
+                runtime.execute_resolved = execute
+
+                def full_disk(outcome, document):
+                    raise OSError("disk full")
+
+                orch.stager.stage = full_disk
+                stage_failed = await (await orch.submit(_solo_spec())).wait()
+            return resolve_failed, execute_failed, stage_failed
+
+        resolve_failed, execute_failed, stage_failed = _run(go())
+        assert [h.state for h in (resolve_failed, execute_failed, stage_failed)] == ["failed"] * 3
+        assert resolve_failed.error.startswith("ServiceError:") and "missing" in resolve_failed.error
+        assert resolve_failed.outcome is None
+        assert execute_failed.error == "RuntimeError: runtime fell over"
+        assert stage_failed.error == "staging failed: disk full"
+        assert stage_failed.outcome is not None and stage_failed.outcome.ok
+
+
+class TestBoundedHistory:
+    def test_finished_handles_are_evicted_oldest_first(self, monkeypatch):
+        """Three times the retention submitted: ``jobs`` stays bounded,
+        ``counts()`` stays exact, an evicted id is unknown, and every
+        handle the client kept still reads its outcome."""
+        from repro.service import orchestrator
+
+        retained = 16
+        monkeypatch.setattr(orchestrator, "RETAINED_JOBS", retained)
+
+        async def go():
+            async with Orchestrator(PROGRAMS, max_workers=2) as orch:
+                handles, sizes = [], []
+                for i in range(3 * retained):
+                    if i % 8 == 3:
+                        handles.append(await orch.submit({"components": [], "nope": i}))
+                    else:
+                        spec = _solo_spec(f"kept-{i}")
+                        spec["components"][0]["argv"] = ["--job", str(i)]
+                        handles.append(await (await orch.submit(spec)).wait())
+                    sizes.append(len(orch.jobs))
+                return orch, handles, sizes
+
+        orch, handles, sizes = _run(go())
+        assert max(sizes) <= retained and len(orch.jobs) == retained
+        assert orch.counts() == {"done": 3 * retained - 6, "rejected": 6}
+        assert list(orch.states()) == [h.job_id for h in handles[-retained:]]
+        assert orch.handle(handles[-1].job_id) is handles[-1]
+        with pytest.raises(ServiceError, match="unknown job id 'job00000'"):
+            orch.handle(handles[0].job_id)
+        for i, handle in enumerate(handles):
+            if i % 8 == 3:
+                assert handle.state == JobState.REJECTED and handle.error
+            else:
+                assert handle.outcome.values["solo"][0]["argv"] == ["--job", str(i)]
+
+    def test_unfinished_jobs_are_never_evicted(self, monkeypatch):
+        from repro.service import orchestrator
+
+        monkeypatch.setattr(orchestrator, "RETAINED_JOBS", 2)
+
+        async def go():
+            async with Orchestrator(PROGRAMS, max_workers=1, max_queued=8) as orch:
+                gate = await orch.submit(_sleep_spec(0.4))
+                queued = [await orch.submit(_solo_spec(f"q-{i}")) for i in range(5)]
+                held = len(orch.jobs)
+                assert await orch.cancel(queued[0].job_id)
+                for handle in [gate] + queued:
+                    await handle.wait()
+                return held, orch.counts(), len(orch.jobs)
+
+        held, counts, left = _run(go())
+        assert held == 6  # one running, five queued: over the retention, none finished
+        assert counts == {"done": 5, "cancelled": 1}
+        assert left == 6  # eviction happens as later jobs are remembered
+
+
 def test_runtime_usable_from_plain_threads():
     """The runtime (not the asyncio front-end) is thread-safe for
     concurrent execute calls — what the orchestrator's to_thread workers
