@@ -12,7 +12,9 @@ schedule per algorithm, shared by the object (lowercase) and buffer
 Every world is started by one pipeline, :func:`repro.mpi.executor.launch`:
 ``config.backend`` picks rank threads or OS processes
 (:mod:`repro.mpi.procbackend` — forked, exec'd, or parked in a
-:class:`RankPool` between jobs); :func:`run_spmd` is its SPMD front door.
+:class:`RankPool` between jobs; each with its share of the host's cores
+for compute threads, :mod:`repro.mpi.corebudget`); :func:`run_spmd` is
+its SPMD front door.
 
 Typical SPMD use::
 

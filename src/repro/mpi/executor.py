@@ -67,6 +67,13 @@ class ProcResult:
     #: world, so every rank carries the same job-wide snapshot.  ``None``
     #: only for a child that died before reporting.
     traffic: Any = None
+    #: CPU and wall-clock seconds the rank function took: the CPU of the
+    #: whole process for a rank that is one (BLAS workers and transport
+    #: reader threads included), of the rank's thread in a thread world.
+    #: CPU far above what the program computes is a thread pool spinning
+    #: (docs/manual.md §7).  ``None`` for a child that never reported.
+    cpu_seconds: Optional[float] = None
+    wall_seconds: Optional[float] = None
 
 
 def launch(
@@ -162,12 +169,16 @@ def _validate(
     return process
 
 
-def run_rank(world: World, rank: int, fn: RankFn) -> ProcResult:
+def run_rank(
+    world: World, rank: int, fn: RankFn, cpu_clock: Callable[[], float] = time.thread_time
+) -> ProcResult:
     """The rank body: run ``fn(comm_world)`` as world rank *rank* and
-    record how it ended — in a rank thread of the shared *world*, or in a
-    forked, exec'd or parked process whose *world* is its own replica."""
+    record how it ended and what it cost — in a rank thread of the shared
+    *world*, or in a forked, exec'd or parked process whose *world* is
+    its own replica (and whose *cpu_clock* is the process's)."""
     result = ProcResult(rank=rank)
     comm = make_world_comm(world, rank)
+    cpu, wall = cpu_clock(), time.perf_counter()
     try:
         result.value = fn(comm)
     except SimulatedCrash as exc:
@@ -188,6 +199,8 @@ def run_rank(world: World, rank: int, fn: RankFn) -> ProcResult:
             abort_exc.__cause__ = exc
             world.abort(abort_exc)  # a process world broadcasts to peers
     finally:
+        result.cpu_seconds = cpu_clock() - cpu
+        result.wall_seconds = time.perf_counter() - wall
         world.proc_done(rank)
     return result
 

@@ -34,7 +34,8 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    handle, then runs the rank function
    (:func:`~repro.mpi.executor.run_rank`, the same body a rank thread
    runs).
-5. The child reports ``("result", rank, ok, payload, traffic)`` and then
+5. The child reports ``("result", rank, ok, payload, traffic,
+   cpu_seconds, wall_seconds)`` and then
    *keeps serving inbound connections* until the parent's
    ``("shutdown",)`` frame — sent only after every result is in — so a
    fast rank can never tear down its mailbox while a slow peer still has
@@ -83,6 +84,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.mpi.bootstrap import child_tree_exchange, serve_tree_rendezvous
+from repro.mpi.corebudget import (
+    THREAD_VARS,
+    apply_thread_budget,
+    forking_under_budget,
+    thread_budget,
+)
 from repro.mpi.executor import ExecRank, ProcResult, run_rank
 from repro.mpi.transport import (
     SocketTransport,
@@ -244,25 +251,22 @@ def child_session(
         world.transport = transport
         transport.start()
 
-        result = run_rank(world, rank, lambda comm: run(comm, meta))
+        # This rank is a process: its CPU is the whole process's — BLAS
+        # workers and the transport's reader threads included.
+        result = run_rank(world, rank, lambda comm: run(comm, meta), time.process_time)
         ok = result.exception is None
         payload = result.value if ok else result.exception
-        traffic = world.traffic_snapshot()
-        frame = ("result", rank, ok, payload, traffic)
+        tail = (world.traffic_snapshot(), result.cpu_seconds, result.wall_seconds)
+        frame = ("result", rank, ok, payload, *tail)
         try:
             pickle.dumps(frame)
         except Exception as pickle_exc:  # noqa: BLE001 - degrade, don't die
             what = "returned a value" if ok else "raised an exception"
-            frame = (
-                "result",
-                rank,
-                False,
-                ReproError(
-                    f"rank {rank} {what} that cannot cross the process "
-                    f"boundary ({pickle_exc}): {payload!r}"
-                ),
-                traffic,
+            cannot_cross = ReproError(
+                f"rank {rank} {what} that cannot cross the process "
+                f"boundary ({pickle_exc}): {payload!r}"
             )
+            frame = ("result", rank, False, cannot_cross, *tail)
         send_frame(ctrl, frame)
 
         # Linger until the parent has every result: a peer may still be
@@ -316,6 +320,11 @@ def _child_main(
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     os.environ["PYTHONPATH"] = pkg_root + (os.pathsep + inherited if inherited else "")
+    # A fresh interpreter inherits no pool size, so it is told the core
+    # budget the way a user would tell it — and a user who did is obeyed.
+    budget = str(thread_budget(nprocs))
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, budget)
     os.execv(sys.executable, argv)
 
 
@@ -363,6 +372,9 @@ def _serve_assignments(conn: socket.socket, resolve: Callable[[Any], Any], assig
     gc.freeze()
     while assignment:
         rank, nprocs, family, sockdir, fanout = assignment
+        # The budget came with the fork; a comparison, unless this world
+        # divides the cores differently from the last one served here.
+        apply_thread_budget(nprocs)
         child_session(
             rank, nprocs, family, sockdir, lambda comm, meta: resolve(meta)(comm), fanout=fanout
         )
@@ -652,12 +664,14 @@ class _Rendezvous:
             if rank in results:
                 continue
             if isinstance(frame, tuple) and frame and frame[0] == "result":
-                _, rank_, ok, payload, traffic = frame
+                _, rank_, ok, payload, traffic, cpu_seconds, wall_seconds = frame
                 results[rank] = ProcResult(
                     rank=rank,
                     value=payload if ok else None,
                     exception=None if ok else payload,
                     traffic=traffic,
+                    cpu_seconds=cpu_seconds,
+                    wall_seconds=wall_seconds,
                 )
             # EOF (None) or a transport error: the liveness poll above
             # will classify the death on a later iteration.
@@ -775,15 +789,19 @@ def run_procs(
     conns: dict[int, socket.socket] = {}
     clean = False
     try:
-        for rank, fn in enumerate(ranks):  # spawn
-            parks = pool if isinstance(fn, ExecRank) else None
-            child = parks.take() if parks is not None else None
-            if child is not None:
-                children.append(child)
-                child.assign(rendezvous, rank, labels[rank])
-                continue
-            log_path = None if log_dir is None else os.path.join(log_dir, f"{labels[rank]}.log")
-            children.append(_Child(rendezvous, rank, labels[rank], fn, log_path, parks))
+        # spawn — the launcher's numeric thread pools at this world's core
+        # budget from before the first fork to after the last: what a
+        # forked rank inherits is what it runs with.
+        with forking_under_budget(nprocs):
+            for rank, fn in enumerate(ranks):
+                parks = pool if isinstance(fn, ExecRank) else None
+                child = parks.take() if parks is not None else None
+                if child is not None:
+                    children.append(child)
+                    child.assign(rendezvous, rank, labels[rank])
+                    continue
+                log_path = None if log_dir is None else os.path.join(log_dir, f"{labels[rank]}.log")
+                children.append(_Child(rendezvous, rank, labels[rank], fn, log_path, parks))
         deadline = time.monotonic() + timeout
         rendezvous.bootstrap(conns, children, results, ranks, deadline)
         rendezvous.collect(conns, children, results, deadline)

@@ -58,6 +58,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import TransportError
+from repro.mpi.corebudget import cores_per_rank
 from repro.mpi.mailbox import Envelope
 from repro.mpi.serialization import Blob
 from repro.mpi.topology import Topology
@@ -111,7 +112,9 @@ def _resolve_spin_us(spin_us: Optional[int], nprocs: int) -> int:
     """Effective poll window for this job (``WorldConfig.shm_spin_us``).
 
     ``None`` means auto: spin 200µs only when every rank can have its
-    own core.  When ranks oversubscribe the host, a spinning reader
+    own core (:func:`~repro.mpi.corebudget.cores_per_rank`, the number
+    that also sizes a rank's compute threads).  When ranks oversubscribe
+    the host, a spinning reader
     steals the very cycles the sender needs to produce the frame it is
     waiting for — there, parking on the doorbell immediately is
     strictly faster (measured: 4-rank allreduce on 1 CPU drops ~33%
@@ -119,11 +122,7 @@ def _resolve_spin_us(spin_us: Optional[int], nprocs: int) -> int:
     """
     if spin_us is not None:
         return spin_us
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return 200 if nprocs <= cpus else 0
+    return 200 if cores_per_rank(nprocs) else 0
 
 
 def segment_dir() -> str:

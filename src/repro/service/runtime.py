@@ -184,7 +184,8 @@ class JobOutcome:
     #: (bootstrap death, abort, wall-clock timeout).
     error: Optional[str] = None
     #: Per-world-rank traffic counters (one dict of
-    #: :class:`~repro.mpi.world.TrafficStats` fields each) when the path
+    #: :class:`~repro.mpi.world.TrafficStats` fields each, and beside
+    #: them the rank's ``cpu_seconds`` / ``wall_seconds``) when the path
     #: collects them (isolated runs), else ``None`` — deliberately
     #: backend-dependent, so the stager keeps it out of the
     #: conformance-checked artifact.
@@ -230,10 +231,13 @@ def _resident_loop(fn: Callable, task_queues, result_q) -> Callable:
             job_env = replace(
                 env, argv=tuple(argvs[env.exe_index]), vars=dict(env_vars), output=None
             )
+            cpu, wall = time.process_time(), time.perf_counter()
             try:
                 ok, value = True, fn(comm, job_env)
             except BaseException as exc:  # noqa: BLE001 - reported, poisons
                 ok, value = False, exc
+            # What the pipeline's rank body records per launch, per job.
+            cost = (time.process_time() - cpu, time.perf_counter() - wall)
             # Per-job hygiene: every rank finishes (or fails) before any
             # reports, so a fast rank can't start the next job while a
             # slow sibling still owes this one messages.
@@ -242,7 +246,7 @@ def _resident_loop(fn: Callable, task_queues, result_q) -> Callable:
             except BaseException as exc:  # noqa: BLE001
                 if ok:
                     ok, value = False, exc
-            result_q.put((job_id, comm.rank, ok, value if ok else _portable(value)))
+            result_q.put((job_id, comm.rank, ok, value if ok else _portable(value), *cost))
             jobs_done += 1
             if not ok:
                 # This world is compromised (mismatched messages may be
@@ -344,7 +348,7 @@ class WorkerWorld:
                         f"resident world (world poisoned)"
                     )
                 try:
-                    jid, rank, ok, value = self._result_queue.get(
+                    jid, rank, ok, value, cpu_seconds, wall_seconds = self._result_queue.get(
                         timeout=min(0.2, remaining)
                     )
                 except queue.Empty:
@@ -352,7 +356,11 @@ class WorkerWorld:
                 if jid != job_id:
                     continue  # stale frame from a poisoned predecessor
                 got[rank] = ProcResult(
-                    rank, value if ok else None, None if ok else value
+                    rank,
+                    value if ok else None,
+                    None if ok else value,
+                    cpu_seconds=cpu_seconds,
+                    wall_seconds=wall_seconds,
                 )
             if any(p.exception is not None for p in got.values()):
                 self.poisoned = True
@@ -645,7 +653,12 @@ class JobRuntime:
             if pool is not None:
                 with self._resident_lock:
                     self.stats.update(ranks_forked=pool.forked, ranks_reused=pool.reused)
-        traffic = [None if p.traffic is None else asdict(p.traffic) for p in result.procs]
+        traffic = [
+            None
+            if p.traffic is None
+            else {**asdict(p.traffic), "cpu_seconds": p.cpu_seconds, "wall_seconds": p.wall_seconds}
+            for p in result.procs
+        ]
         return _outcome(resolved, job_id, start, warm=False, result=result, traffic=traffic)
 
     # -- lifecycle ---------------------------------------------------------

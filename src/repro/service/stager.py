@@ -15,7 +15,8 @@ One directory per job id, containing whatever the document's
   deliberately kept out of this file.
 * ``document.json`` — the submitted document's canonical JSON
   (``"document"`` in the save list): the replay artifact.
-* ``traffic.json`` — per-rank wire counters when the run collected them
+* ``traffic.json`` — per-rank wire counters, and beside them each rank's
+  ``cpu_seconds`` / ``wall_seconds``, when the run collected them
   (``"traffic"``; isolated runs only).
 * ``result.pkl`` — a pickle of the raw values (``format: "pickle"``),
   for results that don't survive the JSON round-trip.

@@ -237,9 +237,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for i, spec in enumerate(result.specs):
             values = result.by_executable(i)
             shown = values[0] if values else None
+            # What the executable cost: CPU summed over its ranks (of the
+            # whole process where a rank is one), wall of its slowest.
+            procs = [result.procs[r] for r in result.assignment[i]]
+            cpu = sum(p.cpu_seconds for p in procs)
+            wall = max(p.wall_seconds for p in procs)
             print(f"  [{i}] {spec.program:<16} x{spec.nprocs:<3} "
                   f"ranks {result.assignment[i][0]}..{result.assignment[i][-1]} "
-                  f"-> {shown!r}")
+                  f"cpu {cpu:.3f}s wall {wall:.3f}s -> {shown!r}")
     return 0
 
 
