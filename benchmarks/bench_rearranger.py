@@ -12,7 +12,18 @@ from a P-process producer to a Q-process consumer
 Expected shape: the funnel serialises the whole field through two
 processes, so the router's advantage grows with field size; message
 *counts* are also asserted via the schedule.
+
+The third case is the shape the toy CCSM's p2p exchange uses the router
+in (``repro.climate.ccsm``): every producer rank ↔ *one process* of the
+consumer, there and back, a step number riding in each header.
+
+``python benchmarks/bench_rearranger.py --quick`` runs every case once
+without pytest-benchmark and prints its wall time (CI's smoke: the
+transfers complete and deliver the right rows; the numbers are noise).
 """
+
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +75,42 @@ def run_transfer(nrows, ncols, n_alpha, n_beta, method, rounds=ROUNDS):
     return mph_run([(alpha, n_alpha), (beta, n_beta)], registry=REG)
 
 
+def run_coupler_exchange(nrows, ncols, n_alpha, rounds=ROUNDS):
+    """alpha's ranks send their blocks to beta's local processor 0 and
+    get them back doubled, *rounds* times: N → 1 → N over two routers
+    used by halves, as a component and a serial flux coupler use them."""
+
+    def routers(mph):
+        return (
+            Rearranger(mph, "alpha", ("beta", 0), nrows, ncols, tag=951_000, extra=1),
+            Rearranger(mph, ("beta", 0), "alpha", nrows, ncols, tag=952_000, extra=1),
+        )
+
+    def alpha(world, env):
+        mph = components_setup(world, "alpha", env=env)
+        there, back = routers(mph)
+        start, stop = there.src_rows
+        block = np.arange(start, stop, dtype=float)[:, None] * np.ones(ncols)
+        for step in range(rounds):
+            there.send(block, (step,))
+            out, (got_step,) = back.recv()
+            assert got_step == step and np.array_equal(out, 2.0 * block)
+        return True
+
+    def beta(world, env):
+        mph = components_setup(world, "beta", env=env)
+        if mph.local_proc_id() != 0:
+            return True
+        there, back = routers(mph)
+        for step in range(rounds):
+            full, (got_step,) = there.recv()
+            assert got_step == step and full.shape == (nrows, ncols)
+            back.send(2.0 * full, (step,))
+        return True
+
+    return mph_run([(alpha, n_alpha), (beta, 2)], registry=REG)
+
+
 @pytest.mark.parametrize("method", ["router", "funnel"])
 @pytest.mark.parametrize("nrows", [64, 512])
 def test_field_rearrangement(benchmark, method, nrows):
@@ -86,3 +133,37 @@ def test_coupled_routing(benchmark):
 
     benchmark(run)
     benchmark.extra_info.update(nrows=nrows, ncols=ncols, rounds=rounds)
+
+
+def test_coupler_exchange(benchmark):
+    """The CCSM shape: 4 ranks ↔ one process, 64×128 field, there and
+    back, 20 coupling rounds."""
+
+    def run():
+        return run_coupler_exchange(64, 128, 4, rounds=20)
+
+    benchmark(run)
+    benchmark.extra_info.update(nrows=64, ncols=128, rounds=20)
+
+
+def main(argv):
+    if argv != ["--quick"]:
+        print(__doc__)
+        return 2
+    cases = {
+        "router 64x64 4->4": lambda: run_transfer(64, 64, 4, 4, "router"),
+        "funnel 64x64 4->4": lambda: run_transfer(64, 64, 4, 4, "funnel"),
+        "router 512x8 4->3, 20 rounds": lambda: run_transfer(512, 8, 4, 3, "router", rounds=20),
+        "coupler shape 64x128 4<->1, 20 rounds": lambda: run_coupler_exchange(64, 128, 4, 20),
+    }
+    for name, case in cases.items():
+        t0 = time.perf_counter()
+        ok = all(case().values())
+        print(f"{name:40s} {(time.perf_counter() - t0) * 1e3:8.1f} ms  {'ok' if ok else 'FAILED'}")
+        if not ok:
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,6 +23,13 @@ several components share processors sequentially (the PCM pattern):
 every component first *publishes* its temperature to the coupler (eager
 sends), the coupler computes and returns fluxes, then every component
 *receives and steps*.
+
+Under ``exchange="p2p"`` a field crosses once in each direction: every
+component rank sends its own row block straight to the coupler process
+that computes, and gets its own block of the flux straight back, over
+two :class:`~repro.core.rearranger.Rearranger` routes per component
+built at construction (no message).  The step number and the coupler's
+command ride in each message's header.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.climate.components import (
 from repro.climate.coupler import FLUX_TAG_BASE, TEMP_TAG_BASE, FluxCoupler
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.core.mph import MPH, components_setup
+from repro.core.rearranger import Rearranger
 from repro.core.registry import Registry
 from repro.errors import ProcessFailedError, ReproError
 from repro.launcher.job import mph_run
@@ -64,6 +72,29 @@ _MODEL_CLASSES = {
 
 #: The execution modes :func:`run_ccsm` understands.
 MODES = ("scse", "scme", "mcse", "mcme", "mcme_overlap")
+
+
+#: What the coupler tells a component with a flux, as the code that rides
+#: in the message header: ``commit`` — advance the step under this flux
+#: (every explicit exchange; the converged implicit one); ``iterate`` — an
+#: implicit trial evaluation from the step-start snapshot; ``dropped`` —
+#: a rank of this component died and the coupling goes on without it.
+_COMMANDS = ("commit", "iterate", "dropped")
+
+
+def _routes(mph: MPH, cfg: "CCSMConfig", kind: str) -> tuple[Rearranger, Rearranger]:
+    """The two p2p routes of component *kind*: its ranks' temperature
+    blocks to the coupler's local processor 0 (header: the step), and
+    that processor's flux back to the ranks (header: step, command
+    code).  Each side of the exchange builds the same pair from the
+    layout alone."""
+    name, coupler = cfg.name(kind), (cfg.name("coupler"), 0)
+    comp_id = mph.layout.component(name).comp_id
+    nlat, nlon = cfg.shapes[kind]
+    return (
+        Rearranger(mph, name, coupler, nlat, nlon, tag=TEMP_TAG_BASE + comp_id, extra=1),
+        Rearranger(mph, coupler, name, nlat, nlon, tag=FLUX_TAG_BASE + comp_id, extra=2),
+    )
 
 
 class ComponentCrash(SimulatedCrash):
@@ -312,6 +343,8 @@ class ComponentRunner:
             self._join = mph.comm_join(self.name, self.coupler_name)
             assert self._join is not None
             self._cpl_root = mph.layout.component(self.name).size
+        elif not self.standalone:
+            self._to_coupler, self._from_coupler = _routes(mph, cfg, kind)
         #: Local coupling fluxes since the last checkpoint, for replay
         #: after an in-job recovery (``(step, local_flux)`` per entry).
         self._flux_log: list[tuple[int, Optional[np.ndarray]]] = []
@@ -330,14 +363,7 @@ class ComponentRunner:
         if self._join is not None:
             self._join.gather(self.model.temperature.data, root=self._cpl_root)
             return
-        full = self.model.temperature.gather_global(root=0)
-        if self.comm.rank == 0:
-            self.mph.send(
-                (self.name, step, full),
-                self.coupler_name,
-                0,
-                TEMP_TAG_BASE + self.comp_id,
-            )
+        self._to_coupler.send(self.model.temperature.data, (step,))
 
     def receive_and_step(self, step: int) -> None:
         """Phase 2: receive the coupling flux and advance one step (zero
@@ -361,17 +387,7 @@ class ComponentRunner:
         elif self._join is not None:
             local_flux = self._join.scatter(None, root=self._cpl_root)
         else:
-            full = None
-            if self.comm.rank == 0:
-                got_step, full = self.mph.recv(
-                    self.coupler_name, 0, FLUX_TAG_BASE + self.comp_id
-                )
-                if got_step != step:
-                    raise ReproError(
-                        f"{self.name}: coupling protocol out of step "
-                        f"(expected {step}, got {got_step})"
-                    )
-            local_flux = _scatter_blocks(self.comm, self.cfg.grid(self.kind), full)
+            _, local_flux = self._receive_command(step)
         self._advance(step, local_flux)
         if (
             self.cfg.checkpoint_every > 0
@@ -410,24 +426,25 @@ class ComponentRunner:
                 raise ReproError(f"{self.name}: unknown coupling command {cmd!r}")
 
     def _receive_command(self, step: int) -> tuple[str, np.ndarray]:
-        """One coupler command plus this rank's flux block — one scatter
-        of ``(cmd, block)`` on either exchange: the command rides with
-        the data instead of costing a broadcast of its own."""
+        """One coupler command plus this rank's flux block.  The command
+        rides with the data instead of costing a message of its own: in
+        the header of the rank's block (p2p), or as a scatter of
+        ``(cmd, block)`` over the joint communicator."""
         if self._join is not None:
             return self._join.scatter(None, root=self._cpl_root)
-        pieces = None
-        if self.comm.rank == 0:
-            got_step, (cmd, full) = self.mph.recv(
-                self.coupler_name, 0, FLUX_TAG_BASE + self.comp_id
+        local_flux, (got_step, code) = self._from_coupler.recv()
+        cmd = _COMMANDS[int(code)]
+        if cmd == "dropped":
+            raise ProcessFailedError(
+                f"{self.name}: dropped from the coupling at step {int(got_step)} "
+                "after a rank of this component died"
             )
-            if got_step != step:
-                raise ReproError(
-                    f"{self.name}: coupling protocol out of step "
-                    f"(expected {step}, got {got_step})"
-                )
-            grid = self.cfg.grid(self.kind)
-            pieces = [(cmd, block) for block in _row_blocks(grid, self.comm.size, full)]
-        return self.comm.scatter(pieces, root=0)
+        if got_step != step:
+            raise ReproError(
+                f"{self.name}: coupling protocol out of step "
+                f"(expected {step}, got {int(got_step)})"
+            )
+        return cmd, local_flux
 
     def _substep(self, advance, local_flux: Optional[np.ndarray]):
         """Advance one coupling step's worth of model time: *m* substeps
@@ -528,11 +545,16 @@ class CouplerRunner:
         #: in detection order (the atmosphere dying is not survivable).
         self.dropped_components: list[str] = []
         self._joins: dict[str, Comm] = {}
+        #: ``kind -> (temperatures in, fluxes out)``: the p2p exchange
+        #: meets every component on the coupler's local processor 0.
+        self._routes: dict[str, tuple[Rearranger, Rearranger]] = {}
         if cfg.exchange == "join":
             for kind in self.active_kinds:
                 join = mph.comm_join(cfg.name(kind), self.name)
                 assert join is not None
                 self._joins[kind] = join
+        elif comm.rank == 0:
+            self._routes = {kind: _routes(mph, cfg, kind) for kind in self.active_kinds}
         self._implicit = cfg.coupling == "implicit"
         if self._implicit:
             self._build_implicit()
@@ -576,14 +598,40 @@ class CouplerRunner:
         self.coupling_iterations: list[int] = []
         self.coupling_converged: list[bool] = []
 
-    def _drop(self, kind: str) -> None:
-        """Degrade the coupling after surface *kind*'s processes died."""
+    def _drop(self, kind: str, step: int) -> None:
+        """Degrade the coupling after a process of surface *kind* died,
+        and tell the component's surviving ranks, which would otherwise
+        wait for a flux that is never computed."""
         self.active_kinds.remove(kind)
         self.engine.drop_surface(kind)
         self.dropped_components.append(kind)
+        try:
+            self._send_flux(kind, step, "dropped", np.zeros(self.cfg.shapes[kind]))
+        except ProcessFailedError:
+            pass  # the dead ranks; every live one has its notice
+
+    def _recv_temperature(self, kind: str, step: int) -> np.ndarray:
+        """Component *kind*'s published temperature, assembled from its
+        ranks' blocks."""
+        full, (got_step,) = self._routes[kind][0].recv()
+        if got_step != step:
+            name = self.cfg.name(kind)
+            raise ReproError(
+                f"coupler protocol out of step: expected ({name}, {step}), got "
+                f"({name}, {int(got_step)})"
+            )
+        return full
+
+    def _send_flux(self, kind: str, step: int, cmd: str, flux: np.ndarray) -> None:
+        """Every rank of component *kind* its own block of *flux*."""
+        self._routes[kind][1].send(flux, (step, _COMMANDS.index(cmd)))
 
     def _comp_size(self, kind: str) -> int:
         return self.mph.layout.component(self.cfg.name(kind)).size
+
+    def _blocks(self, kind: str, full: np.ndarray) -> list[np.ndarray]:
+        """A full field of component *kind*, cut into its ranks' blocks."""
+        return Decomposition(self.cfg.grid(kind), self._comp_size(kind)).blocks(full)
 
     def step(self, step: int) -> None:
         """One coupling step (between the components' two phases)."""
@@ -601,36 +649,25 @@ class CouplerRunner:
             return  # the p2p coupler is serial on its local processor 0
         temps: dict[str, np.ndarray] = {}
         for kind in list(self.active_kinds):
-            name = self.cfg.name(kind)
-            comp_id = self.mph.layout.component(name).comp_id
             try:
-                got_name, got_step, full = self.mph.recv(name, 0, TEMP_TAG_BASE + comp_id)
+                temps[kind] = self._recv_temperature(kind, step)
             except ProcessFailedError:
                 # A dead surface degrades the coupling; a dead atmosphere
                 # has nothing left to couple — let the failure propagate.
                 if kind == "atmosphere":
                     raise
-                self._drop(kind)
-                continue
-            if got_name != name or got_step != step:
-                raise ReproError(
-                    f"coupler protocol out of step: expected ({name}, {step}), got "
-                    f"({got_name}, {got_step})"
-                )
-            temps[kind] = full
+                self._drop(kind, step)
         atm_flux, sfc_fluxes = self.engine.compute_fluxes(
             temps["atmosphere"], {k: v for k, v in temps.items() if k != "atmosphere"}
         )
         for kind in list(self.active_kinds):
-            name = self.cfg.name(kind)
-            comp_id = self.mph.layout.component(name).comp_id
             payload = atm_flux if kind == "atmosphere" else sfc_fluxes[kind]
             try:
-                self.mph.send((step, payload), name, 0, FLUX_TAG_BASE + comp_id)
+                self._send_flux(kind, step, "commit", payload)
             except ProcessFailedError:
                 if kind == "atmosphere":
                     raise
-                self._drop(kind)
+                self._drop(kind, step)
 
     def _step_p2p_parallel(self, step: int) -> None:
         """The distributed coupler: local processor 0 still owns the
@@ -642,17 +679,7 @@ class CouplerRunner:
         comm = self.comm
         temps: Optional[dict[str, np.ndarray]] = None
         if comm.rank == 0:
-            temps = {}
-            for kind in self.active_kinds:
-                name = self.cfg.name(kind)
-                comp_id = self.mph.layout.component(name).comp_id
-                got_name, got_step, full = self.mph.recv(name, 0, TEMP_TAG_BASE + comp_id)
-                if got_name != name or got_step != step:
-                    raise ReproError(
-                        f"coupler protocol out of step: expected ({name}, {step}), got "
-                        f"({got_name}, {got_step})"
-                    )
-                temps[kind] = full
+            temps = {k: self._recv_temperature(k, step) for k in self.active_kinds}
         temps = comm.bcast(temps, root=0)
 
         atm_grid = self.cfg.grid("atmosphere")
@@ -674,10 +701,8 @@ class CouplerRunner:
         sfc_fluxes = {k: v for k, v in reduced.items()}
         self.engine.record_residual(atm_flux, sfc_fluxes)
         for kind in self.active_kinds:
-            name = self.cfg.name(kind)
-            comp_id = self.mph.layout.component(name).comp_id
             payload = atm_flux if kind == "atmosphere" else sfc_fluxes[kind]
-            self.mph.send((step, payload), name, 0, FLUX_TAG_BASE + comp_id)
+            self._send_flux(kind, step, "commit", payload)
 
     def _step_join(self, step: int) -> None:
         temps: dict[str, np.ndarray] = {}
@@ -705,7 +730,7 @@ class CouplerRunner:
             if join.rank == root:
                 full = fluxes[kind]
                 assert full is not None
-                pieces = _row_blocks(self.cfg.grid(kind), root, full) + [None] * self.comm.size
+                pieces = self._blocks(kind, full) + [None] * self.comm.size
             join.scatter(pieces, root=root)
 
     # -- implicit coupling ------------------------------------------------------
@@ -756,17 +781,7 @@ class CouplerRunner:
                     [b for b in blocks if b is not None], axis=0
                 )
             return temps
-        for kind in self.active_kinds:
-            name = self.cfg.name(kind)
-            comp_id = self.mph.layout.component(name).comp_id
-            got_name, got_step, full = self.mph.recv(name, 0, TEMP_TAG_BASE + comp_id)
-            if got_name != name or got_step != step:
-                raise ReproError(
-                    f"coupler protocol out of step: expected ({name}, {step}), got "
-                    f"({got_name}, {got_step})"
-                )
-            temps[kind] = full
-        return temps
+        return {kind: self._recv_temperature(kind, step) for kind in self.active_kinds}
 
     def _fluxes_of(
         self, temps: dict[str, np.ndarray], record: bool
@@ -787,16 +802,11 @@ class CouplerRunner:
         for kind in self.active_kinds:
             if self.cfg.exchange == "join":
                 join = self._joins[kind]
-                size = self._comp_size(kind)
-                blocks = _row_blocks(self.cfg.grid(kind), size, fluxes[kind])
+                blocks = self._blocks(kind, fluxes[kind])
                 pieces = [(cmd, block) for block in blocks] + [None] * self.comm.size
-                join.scatter(pieces, root=size)
+                join.scatter(pieces, root=self._comp_size(kind))
             else:
-                name = self.cfg.name(kind)
-                comp_id = self.mph.layout.component(name).comp_id
-                self.mph.send(
-                    (step, (cmd, fluxes[kind])), name, 0, FLUX_TAG_BASE + comp_id
-                )
+                self._send_flux(kind, step, cmd, fluxes[kind])
 
     def diagnostics(self) -> dict[str, Any]:
         """Coupler-side diagnostics: the exchange-balance audit."""
@@ -813,21 +823,6 @@ class CouplerRunner:
             out["coupling_iterations"] = list(self.coupling_iterations)
             out["coupling_converged"] = list(self.coupling_converged)
         return out
-
-
-def _row_blocks(grid: LatLonGrid, nparts: int, full: np.ndarray) -> list[np.ndarray]:
-    """A full field cut into the latitude blocks of *nparts* ranks."""
-    decomp = Decomposition(grid, nparts)
-    return [full[slice(*decomp.rows(r))] for r in range(nparts)]
-
-
-def _scatter_blocks(comm: Comm, grid: LatLonGrid, full: Optional[np.ndarray]) -> np.ndarray:
-    """Scatter a full field from component rank 0 into latitude blocks."""
-    blocks = None
-    if comm.rank == 0:
-        assert full is not None
-        blocks = _row_blocks(grid, comm.size, full)
-    return comm.scatter(blocks, root=0)
 
 
 # ---------------------------------------------------------------------------

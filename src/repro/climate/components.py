@@ -69,6 +69,18 @@ def insolation(lat_deg: np.ndarray, solar_constant: float) -> np.ndarray:
     return (solar_constant / 4.0) * (1.0 - 0.48 * p2)
 
 
+def _recall(memo: Optional[dict], key: str, compute) -> np.ndarray:
+    """``compute()``, through *memo* when there is one: the first call
+    leaves its result there read-only, later ones take it."""
+    if memo is None:
+        return compute()
+    if key not in memo:
+        value = compute()
+        value.flags.writeable = False
+        memo[key] = value
+    return memo[key]
+
+
 @dataclass
 class StepDiagnostics:
     """What one model step reports: its energy bookkeeping
@@ -92,6 +104,19 @@ class StepDiagnostics:
     #: Post-step area-mean ice thickness [m] (sea ice only): bitwise
     #: :meth:`SeaIceModel.mean_thickness`.
     mean_thickness: Optional[float] = None
+
+
+class StateSnapshot(dict):
+    """What :meth:`ComponentModel.state_snapshot` returns: the restartable
+    state by name, plus :attr:`memo` — what the first
+    :meth:`~ComponentModel.advance_state` after a
+    :meth:`~ComponentModel.state_restore` computed from this state alone
+    (read-only arrays), kept so the next trial step from the same
+    snapshot takes it instead of computing and exchanging it again."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memo: dict[str, np.ndarray] = {}
 
 
 class ComponentModel:
@@ -142,6 +167,9 @@ class ComponentModel:
         #: Accumulated energy bookkeeping since construction.
         self.budget = StepDiagnostics()
         self.steps_taken = 0
+        #: ``(memo, temperature array, time)`` armed by :meth:`state_restore`
+        #: for the next :meth:`advance_state`; ``None`` otherwise.
+        self._restored: Optional[tuple[dict, np.ndarray, float]] = None
 
     @staticmethod
     def default_initial_condition(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -191,6 +219,15 @@ class ComponentModel:
         what an implicit coupling iteration runs for its trial steps,
         whose diagnostics a :meth:`state_restore` would discard.
 
+        The first call after a :meth:`state_restore` takes absorbed
+        solar, OLR and the Laplacian — functions of the restored state
+        alone — from the snapshot's memo, or computes them and leaves
+        them there: a second trial step from the same snapshot differs
+        only in its flux, so it exchanges no halo.  The memo is dropped
+        as soon as the state is not the restored one any more: after
+        this call (the later substeps of a sub-cycled component), or if
+        ``temperature.data`` or the clock was reassigned in between.
+
         Returns
         -------
         dict
@@ -200,8 +237,16 @@ class ComponentModel:
         """
         p = self.params
         temp = self.temperature
-        solar = self.absorbed_solar()
-        olr = self.outgoing_longwave()
+        restored, self._restored = self._restored, None
+        memo = None
+        if (
+            restored is not None
+            and restored[1] is temp.data
+            and restored[2] == self.current_time
+        ):
+            memo = restored[0]
+        solar = _recall(memo, "solar", self.absorbed_solar)
+        olr = _recall(memo, "olr", self.outgoing_longwave)
         flux = np.zeros_like(temp.data) if coupling_flux is None else np.asarray(coupling_flux)
         if flux.shape != temp.data.shape:
             raise ReproError(
@@ -211,7 +256,7 @@ class ComponentModel:
         terms = {"solar_in": solar, "olr_out": olr, "coupling_in": flux}
         tendency = (solar - olr + flux) / p.heat_capacity
         if p.diffusivity > 0.0:
-            lap = temp.laplacian()
+            lap = _recall(memo, "laplacian", temp.laplacian)
             tendency = tendency + p.diffusivity * lap
             terms["diffusion_residual"] = p.heat_capacity * p.diffusivity * lap
         temp.data = temp.data + dt * tendency
@@ -272,20 +317,21 @@ class ComponentModel:
         the same step-start state; :meth:`state_restore` rewinds to a
         snapshot bitwise (temperature, clock, step count, energy budget).
         """
-        return {
-            "temperature": self.temperature.data.copy(),
-            "current_time": self.current_time,
-            "steps_taken": self.steps_taken,
-            "budget": StepDiagnostics(
+        return StateSnapshot(
+            temperature=self.temperature.data.copy(),
+            current_time=self.current_time,
+            steps_taken=self.steps_taken,
+            budget=StepDiagnostics(
                 solar_in=self.budget.solar_in,
                 olr_out=self.budget.olr_out,
                 coupling_in=self.budget.coupling_in,
                 diffusion_residual=self.budget.diffusion_residual,
             ),
-        }
+        )
 
     def state_restore(self, snapshot: dict) -> None:
-        """Rewind to a :meth:`state_snapshot` (bitwise)."""
+        """Rewind to a :meth:`state_snapshot` (bitwise), and arm its memo
+        for the next :meth:`advance_state`."""
         self.temperature.data = snapshot["temperature"].copy()
         self.current_time = snapshot["current_time"]
         self.steps_taken = snapshot["steps_taken"]
@@ -295,6 +341,10 @@ class ComponentModel:
             olr_out=b.olr_out,
             coupling_in=b.coupling_in,
             diffusion_residual=b.diffusion_residual,
+        )
+        memo = getattr(snapshot, "memo", None)  # a plain dict restores too
+        self._restored = (
+            None if memo is None else (memo, self.temperature.data, self.current_time)
         )
 
     # -- diagnostics ------------------------------------------------------------

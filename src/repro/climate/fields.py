@@ -24,6 +24,33 @@ _HALO_TAG_NORTH = 21
 _HALO_TAG_SOUTH = 22
 
 
+def exchange_halo_rows(
+    comm: Comm, first_row: np.ndarray, last_row: np.ndarray, tag_north: int, tag_south: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trade boundary rows with the latitude neighbours of a row-block
+    decomposition over *comm*: this rank's *last_row* goes north (rank
+    + 1, under *tag_north*), its *first_row* south.
+
+    Returns ``(north_halo, south_halo)`` — the neighbouring row to the
+    north (higher latitude) and south.  At either end of the
+    decomposition the local edge row comes back (zero-gradient
+    boundary), implemented with ``PROC_NULL`` neighbours so no branches
+    appear in the message code.
+    """
+    north = comm.rank + 1 if comm.rank + 1 < comm.size else PROC_NULL
+    south = comm.rank - 1 if comm.rank > 0 else PROC_NULL
+    # Eager sends: post both, then receive both.
+    comm.Send(last_row, north, tag_north)
+    comm.Send(first_row, south, tag_south)
+    south_halo = np.array(first_row)  # edge default: replicate the row
+    north_halo = np.array(last_row)
+    if south != PROC_NULL:
+        comm.Recv(south_halo, south, tag_north)
+    if north != PROC_NULL:
+        comm.Recv(north_halo, north, tag_south)
+    return north_halo, south_halo
+
+
 class DistributedField:
     """One component's share of a global field, decomposed by latitude.
 
@@ -104,26 +131,12 @@ class DistributedField:
     # -- halo exchange -------------------------------------------------------------
 
     def exchange_halos(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exchange boundary rows with latitude neighbours.
-
-        Returns ``(north_halo, south_halo)`` — the neighbouring row to the
-        north (higher latitude) and south.  At the poles the local edge row
-        is returned (zero-gradient boundary), implemented with
-        ``PROC_NULL`` neighbours so no branches appear in the message code.
-        """
-        comm = self.comm
-        north = comm.rank + 1 if comm.rank + 1 < comm.size else PROC_NULL
-        south = comm.rank - 1 if comm.rank > 0 else PROC_NULL
-        # Eager sends: post both, then receive both.
-        comm.Send(self.data[-1], north, _HALO_TAG_NORTH)
-        comm.Send(self.data[0], south, _HALO_TAG_SOUTH)
-        south_halo = np.array(self.data[0])  # pole default: replicate edge
-        north_halo = np.array(self.data[-1])
-        if south != PROC_NULL:
-            comm.Recv(south_halo, south, _HALO_TAG_NORTH)
-        if north != PROC_NULL:
-            comm.Recv(north_halo, north, _HALO_TAG_SOUTH)
-        return north_halo, south_halo
+        """Exchange boundary rows with latitude neighbours:
+        ``(north_halo, south_halo)``, the local edge row at the poles
+        (see :func:`exchange_halo_rows`)."""
+        return exchange_halo_rows(
+            self.comm, self.data[0], self.data[-1], _HALO_TAG_NORTH, _HALO_TAG_SOUTH
+        )
 
     def laplacian(self) -> np.ndarray:
         """Five-point Laplacian of the local block (grid units).
@@ -160,10 +173,7 @@ class DistributedField:
                 raise ReproError(
                     f"global field shape {full.shape} != grid shape {self.grid.shape}"
                 )
-            blocks = [
-                full[self.decomp.rows(r)[0] : self.decomp.rows(r)[1]]
-                for r in range(self.comm.size)
-            ]
+            blocks = self.decomp.blocks(full)
         self.data = self.comm.scatter(blocks, root=root).copy()
 
     # -- reductions -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.core.migration import block_rows
 from repro.errors import ReproError
 
 
@@ -105,10 +106,12 @@ class Decomposition:
         """The ``[start, stop)`` global row range of *rank*."""
         if not 0 <= rank < self.size:
             raise ReproError(f"rank {rank} out of range for decomposition of size {self.size}")
-        base, rem = divmod(self.grid.nlat, self.size)
-        start = rank * base + min(rank, rem)
-        stop = start + base + (1 if rank < rem else 0)
-        return start, stop
+        return block_rows(self.grid.nlat, self.size, rank)
+
+    def blocks(self, full: np.ndarray) -> list[np.ndarray]:
+        """A full field cut into every rank's row block, in rank order
+        (views, not copies)."""
+        return [full[slice(*self.rows(rank))] for rank in range(self.size)]
 
     def nrows(self, rank: int) -> int:
         """Local row count of *rank*."""

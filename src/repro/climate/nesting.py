@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 
 from repro.climate.components import PhysicsParams, insolation
-from repro.climate.grid import LatLonGrid
+from repro.climate.fields import exchange_halo_rows
+from repro.climate.grid import Decomposition, LatLonGrid
 from repro.climate.regrid import overlap_matrix
 from repro.errors import ReproError
 from repro.mpi.comm import Comm
-from repro.mpi.constants import PROC_NULL
 
 _TAG_NORTH, _TAG_SOUTH = 41, 42
 
@@ -181,10 +181,9 @@ class RegionalModel:
         self.params = params.validate()
         self.relax_width = relax_width
         self.relax_rate = relax_rate
-        base, rem = divmod(rgrid.nlat, comm.size)
-        start = comm.rank * base + min(comm.rank, rem)
-        stop = start + base + (1 if comm.rank < rem else 0)
-        self._rows = (start, stop)
+        #: Latitude rows over the ranks, cut as the global components' are.
+        self._decomp = Decomposition(rgrid, comm.size)
+        start, stop = self._rows = self._decomp.rows(comm.rank)
         init = t_init if t_init is not None else (lambda la, lo: np.full_like(la, 288.0))
         lat2d, lon2d = np.meshgrid(
             rgrid.lat_centers[start:stop], rgrid.lon_centers, indexing="ij"
@@ -215,13 +214,7 @@ class RegionalModel:
                 raise ReproError(
                     f"frame shape {regional_full.shape} != region shape {self.rgrid.shape}"
                 )
-            blocks = []
-            base, rem = divmod(self.rgrid.nlat, self.comm.size)
-            cursor = 0
-            for r in range(self.comm.size):
-                n = base + (1 if r < rem else 0)
-                blocks.append(regional_full[cursor : cursor + n])
-                cursor += n
+            blocks = self._decomp.blocks(regional_full)
         self.target = self.comm.scatter(blocks, root=root).copy()
 
     def relaxation_mask(self) -> np.ndarray:
@@ -238,23 +231,11 @@ class RegionalModel:
 
     # -- stepping --------------------------------------------------------------------
 
-    def _halo_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        comm = self.comm
-        north = comm.rank + 1 if comm.rank + 1 < comm.size else PROC_NULL
-        south = comm.rank - 1 if comm.rank > 0 else PROC_NULL
-        comm.Send(self.data[-1], north, _TAG_NORTH)
-        comm.Send(self.data[0], south, _TAG_SOUTH)
-        south_halo = np.array(self.data[0])
-        north_halo = np.array(self.data[-1])
-        if south != PROC_NULL:
-            comm.Recv(south_halo, south, _TAG_NORTH)
-        if north != PROC_NULL:
-            comm.Recv(north_halo, north, _TAG_SOUTH)
-        return north_halo, south_halo
-
     def laplacian(self) -> np.ndarray:
         """Non-periodic five-point Laplacian (edges replicate)."""
-        north, south = self._halo_rows()
+        north, south = exchange_halo_rows(
+            self.comm, self.data[0], self.data[-1], _TAG_NORTH, _TAG_SOUTH
+        )
         up = np.vstack([self.data[1:], north[None, :]])
         down = np.vstack([south[None, :], self.data[:-1]])
         east = np.hstack([self.data[:, 1:], self.data[:, -1:]])

@@ -180,6 +180,14 @@ class FaultSchedule:
         with self._lock:
             return list(self._fired)
 
+    def op_count(self, rank: int) -> int:
+        """Communicator operations *rank* has made so far this run — the
+        number ``crash_rank(at_op=)`` is compared with.  A fault-free
+        probe run under an empty schedule reads where in its protocol a
+        rank makes its N-th operation."""
+        with self._lock:
+            return self._op_count.get(rank, 0)
+
     # -- hooks (called from the substrate's hot paths) ----------------------
 
     def on_op(self, rank: int) -> None:

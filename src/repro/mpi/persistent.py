@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CommError, TruncationError
+from repro.errors import CommError, ProcessFailedError, RevokedError, TruncationError
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, is_valid_recv_tag, is_valid_tag
 from repro.mpi.progress import Completion
 from repro.mpi.request import Request
@@ -135,8 +135,13 @@ class PersistentRecv(Prequest):
         self._posted = None
 
     def _start(self) -> None:
+        # The sender's world rank rides along so the mailbox fails this
+        # receive the moment that rank dies, as it does for ``Recv``.
         self._posted = self._comm._mailbox.post_recv(
-            self._comm._p2p_ctx, self._source, self._tag
+            self._comm._p2p_ctx,
+            self._source,
+            self._tag,
+            world_source=self._comm._world_source(self._source),
         )
 
     def _rollback_start(self) -> None:
@@ -169,7 +174,16 @@ class PersistentRecv(Prequest):
         buffer; returns the buffer."""
         if not self._active or self._posted is None:
             raise CommError(f"wait on inactive persistent request: {self._what}")
-        env = self._comm._mailbox.wait(self._posted, self._what)
+        try:
+            env = self._comm._mailbox.wait(self._posted, self._what)
+        except (ProcessFailedError, RevokedError):
+            # The cycle cannot complete: unpost (a receive doomed by its
+            # sender's death already is) and go back to inactive, so the
+            # request can be started again, or dropped, after recovery.
+            self._comm._mailbox.cancel(self._posted)
+            self._active = False
+            self._posted = None
+            raise
         from repro.mpi.comm import _decode_buffer
 
         arr = _decode_buffer(env)
@@ -190,6 +204,7 @@ class PersistentRecv(Prequest):
         """Nonblocking completion check; copies on success."""
         if not self._active or self._posted is None:
             return True, self._buf
-        if self._posted.envelope is None:
+        posted = self._posted
+        if posted.envelope is None and posted.failed_rank is None and not posted.revoked:
             return False, None
-        return True, self.wait(status)
+        return True, self.wait(status)  # raises if the sender died

@@ -10,10 +10,20 @@ machine where ranks can die:
   coupler drops it, finishing the run over the survivors.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.climate.ccsm import CCSMConfig, run_ccsm
+from repro import components_setup, mph_run
+from repro.climate.ccsm import (
+    MODEL_KINDS,
+    CCSMConfig,
+    ComponentRunner,
+    CouplerRunner,
+    build_registry,
+    run_ccsm,
+)
 from repro.climate.coupler import FluxCoupler
 from repro.climate.grid import LatLonGrid
 from repro.errors import ProcessFailedError, ReproError
@@ -72,6 +82,33 @@ class TestCheckpointRestart:
             assert clean[kind]["mean_T"] == crashed[kind]["mean_T"]
             assert clean[kind]["energy"] == crashed[kind]["energy"]
 
+    def test_every_rank_of_the_victim_crashes_once_and_redoes_the_step(
+        self, tmp_path, monkeypatch
+    ):
+        """The injected crash fired — on each rank of the victim, once —
+        and the retry found the step's flux still queued: every rank's
+        block is its own message from the coupler, so nobody re-sends."""
+        recovered = []
+        recover = ComponentRunner.recover
+
+        def counting_recover(runner):
+            k = recover(runner)
+            recovered.append((runner.kind, runner.comm.rank, k))
+            return k
+
+        monkeypatch.setattr(ComponentRunner, "recover", counting_recover)
+        clean = self._run(tmp_path, "clean")
+        assert recovered == []
+        crashed = self._run(tmp_path, "crash", crash_at=("atmosphere", 3))
+        # Four atmosphere ranks, each restarted from the step-2 checkpoint.
+        assert sorted(recovered) == [("atmosphere", rank, 2) for rank in range(4)]
+        for kind in ("atmosphere", "ocean", "land", "ice"):
+            np.testing.assert_array_equal(
+                clean[kind]["final_field"], crashed[kind]["final_field"]
+            )
+            assert clean[kind]["mean_T"] == crashed[kind]["mean_T"]
+        assert clean["coupler"]["exchange_residual"] == crashed["coupler"]["exchange_residual"]
+
     def test_crash_on_uncheckpointed_step_recovers(self, tmp_path):
         """Crash on a step NOT aligned with checkpoint_every: recovery
         must replay the flux log forward from the last checkpoint."""
@@ -111,22 +148,102 @@ class TestDropSurface:
             c.drop_surface("ocean")
 
 
+def first_ops_of_steps(cfg):
+    """``rank -> [index of the first communicator operation the rank makes
+    in step 0, 1, ...]`` of an ``scme`` run of *cfg*, counted from 1 as
+    ``FaultSchedule.crash_rank(at_op=)`` counts.
+
+    Read off the protocol, not written down: a fault-free run of the same
+    configuration under an empty :class:`FaultSchedule` (whose per-rank
+    counter is the one ``at_op`` is compared with), driven through the
+    public runners — the publish / couple / receive-and-step loop
+    ``run_ccsm`` runs — with every rank noting its counter at the top of
+    each step.  A crash scheduled at ``first_ops_of_steps(cfg)[r][k]``
+    kills rank *r* in its first operation of step *k*, however many
+    operations the handshake, the constructors or a step make.
+    """
+    sched = FaultSchedule(seed=0)
+
+    def program(kind):
+        def run(world, env):
+            mph = components_setup(world, cfg.name(kind), env=env)
+            comm = mph.proc_in_component(cfg.name(kind))
+            if kind == "coupler":
+                runner = CouplerRunner(mph, cfg, comm)
+            else:
+                runner = ComponentRunner(mph, cfg, kind, comm)
+            tops = []
+            for step in range(cfg.nsteps):
+                tops.append(sched.op_count(world.rank) + 1)
+                if kind == "coupler":
+                    runner.step(step)
+                else:
+                    runner.publish(step)
+                    runner.receive_and_step(step)
+            return tops
+
+        return run
+
+    kinds = MODEL_KINDS + ("coupler",)
+    result = mph_run(
+        [(program(kind), cfg.procs[kind]) for kind in kinds],
+        registry=build_registry(cfg, "scme"),
+        config=WorldConfig(fault_schedule=sched),
+    )
+    return dict(enumerate(result.values()))
+
+
 class TestFailStopDegradation:
-    def test_dead_land_component_is_dropped(self):
-        """Kill both land ranks (world ranks 6-7 under scme's block
-        layout) mid-run: the coupler drops the land surface and the
-        survivors finish with diagnostics tagged degraded."""
+    """Ranks die fail-stop in their first operation of step ``CRASH_STEP``
+    (scme's block layout: atmosphere on world ranks 0-3, ocean 4-5, land
+    6-7, ice 8, coupler 9).  Every test asserts its crashes fired, and
+    fired with exchanges still to come — a crash after the last exchange
+    leaves nothing for anybody to notice."""
+
+    NSTEPS = 6
+    CRASH_STEP = 2
+
+    def _run_with_crashes(self, *ranks):
+        """Run with *ranks* dying at the top of ``CRASH_STEP``; returns
+        ``(diagnostics or None if the failure surfaced as a clean
+        ProcessFailedError, seconds it took)`` once the crashes are
+        confirmed."""
+        cfg = CCSMConfig(nsteps=self.NSTEPS)
+        tops = first_ops_of_steps(cfg)
         sched = FaultSchedule(seed=3)
-        sched.crash_rank(6, at_op=30)
-        sched.crash_rank(7, at_op=30)
+        for rank in ranks:
+            sched.crash_rank(rank, at_op=tops[rank][self.CRASH_STEP])
+        t0 = time.monotonic()
         try:
             out = run_ccsm(
-                "scme",
-                CCSMConfig(nsteps=6),
-                config=WorldConfig(fault_schedule=sched),
-                timeout=90.0,
+                "scme", cfg, config=WorldConfig(fault_schedule=sched), timeout=90.0
             )
         except ProcessFailedError:
+            out = None
+        elapsed = time.monotonic() - t0
+        assert sorted(sched.fired()) == sorted(
+            f"crash rank {rank} at op {tops[rank][self.CRASH_STEP]}" for rank in ranks
+        )
+        for rank in ranks:  # ... and before the rank's last exchange
+            assert tops[rank][self.CRASH_STEP] < tops[rank][self.NSTEPS - 1]
+        return out, elapsed
+
+    def test_first_ops_follow_the_protocol(self):
+        """The helper's numbers are a protocol property: a step of a
+        component rank costs the same operations every time."""
+        tops = first_ops_of_steps(CCSMConfig(nsteps=4))
+        assert sorted(tops) == list(range(10))
+        for rank, firsts in tops.items():
+            strides = {b - a for a, b in zip(firsts, firsts[1:])}
+            assert len(strides) == 1 and strides.pop() > 0, (rank, firsts)
+        assert tops[6] == tops[7]  # the two land ranks run the same protocol
+
+    def test_dead_land_component_is_dropped(self):
+        """Kill both land ranks mid-run: the coupler drops the land
+        surface and the survivors finish with diagnostics tagged
+        degraded."""
+        out, _ = self._run_with_crashes(6, 7)
+        if out is None:
             # Acceptable fallback outcome: a peer stalled on land before
             # the coupler could drop it, and the failure surfaced cleanly.
             return
@@ -135,3 +252,38 @@ class TestFailStopDegradation:
         # The other components ran to completion.
         for kind in ("atmosphere", "ocean", "ice", "coupler"):
             assert kind in out
+
+    @pytest.mark.parametrize("victim", [6, 7])
+    def test_partially_dead_component_ends_its_survivor_cleanly(self, victim):
+        """One of the two land ranks dies.  Each rank talks to the coupler
+        itself, so the survivor's sibling is not on its path to the
+        coupler any more: the coupler drops land *and tells the
+        survivor*, which stops with what it has instead of waiting for a
+        flux nobody computes; everyone else runs to the end."""
+        out, elapsed = self._run_with_crashes(victim)
+        # Told, not timed out: well inside the failure detector's bound
+        # (every survivor idle for WorldConfig.deadlock_grace = 1 s).
+        assert elapsed < 30.0
+        if out is None:
+            return  # surfaced as a clean ProcessFailedError
+        assert out["coupler"]["dropped_components"] == ["land"]
+        assert "dropped from the coupling" in out["land"]["degraded"]
+        assert len(out["land"]["mean_T"]) == 1 + self.CRASH_STEP  # stopped where it was told
+        for kind in ("atmosphere", "ocean", "ice"):
+            assert "degraded" not in out[kind]
+            assert len(out[kind]["mean_T"]) == 1 + self.NSTEPS
+
+    @pytest.mark.parametrize("victim", [0, 2])
+    def test_dead_atmosphere_propagates(self, victim):
+        """There is nothing left to couple without the atmosphere: the
+        coupler drops nobody, and the run ends — every survivor with the
+        failure on record — instead of computing on."""
+        out, elapsed = self._run_with_crashes(victim)
+        assert elapsed < 60.0
+        if out is None:
+            return
+        assert out["coupler"]["dropped_components"] == []
+        for kind in ("coupler", "ocean", "land", "ice"):
+            assert out[kind]["degraded"]
+        for kind in ("ocean", "land", "ice"):  # stalled in the crash step
+            assert len(out[kind]["mean_T"]) == 1 + self.CRASH_STEP

@@ -1,0 +1,126 @@
+"""The p2p exchange: every rank's row block straight to the coupler
+process that computes, and its flux block straight back.
+
+The joint-communicator exchange (``exchange="join"``, paper §5.1) moves
+the same fields by gather and scatter and is untouched, so it is the
+reference: whatever the execution mode, coupling scheme or layout, the
+two exchanges must leave the same fields behind — on every substrate
+the routes' persistent requests and buffer payloads run over.
+"""
+
+import numpy as np
+import pytest
+
+from repro.climate import ccsm
+from repro.climate.ccsm import (
+    MODEL_KINDS,
+    CCSMConfig,
+    build_executables,
+    build_registry,
+    run_ccsm,
+)
+from repro.errors import ReproError
+from repro.launcher.job import mph_run
+
+PROCS = CCSMConfig().procs  # atmosphere 4, ocean 2, land 2, ice 1, coupler 1
+NSTEPS = 3
+MODES = ("scme", "mcse", "mcme", "mcme_overlap")
+
+#: ``variant -> CCSMConfig overrides`` of the p2p run.
+VARIANTS = {
+    "explicit": {},
+    "implicit": {"coupling": "implicit"},
+    "parallel_coupler": {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
+    "serial_coupler_of_3": {"procs": dict(PROCS, coupler=3)},
+    "ice_2": {"procs": dict(PROCS, ice=2)},
+}
+
+
+def config(mode, variant, **extra):
+    overrides = dict(VARIANTS[variant], **extra)
+    if mode == "mcme_overlap":  # land shares the atmosphere's processors
+        overrides["procs"] = dict(overrides.get("procs", PROCS), land=PROCS["atmosphere"])
+    return CCSMConfig(nsteps=NSTEPS, **overrides)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("mode", MODES)
+def test_p2p_leaves_the_fields_the_join_exchange_leaves(mode, variant, backend_config):
+    if mode == "mcme_overlap" and variant == "implicit":
+        with pytest.raises(ReproError, match="at most one component"):
+            run_ccsm(mode, config(mode, variant), config=backend_config)
+        return
+    p2p = run_ccsm(mode, config(mode, variant), config=backend_config, timeout=120.0)
+    if variant == "parallel_coupler":
+        # The distributed coupler sums its bands' partial fluxes in
+        # another order and has no join form: round-off against the
+        # serial coupler over join, as it is documented.
+        reference = run_ccsm(
+            mode,
+            config(mode, "serial_coupler_of_3", exchange="join"),
+            config=backend_config,
+            timeout=120.0,
+        )
+        equal = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)  # noqa: E731
+    else:
+        reference = run_ccsm(
+            mode, config(mode, variant, exchange="join"), config=backend_config, timeout=120.0
+        )
+        equal = np.array_equal
+    assert sorted(p2p) == sorted(reference) == sorted(MODEL_KINDS + ("coupler",))
+    for kind in MODEL_KINDS:
+        assert p2p[kind]["final_field"].shape == config(mode, variant).shapes[kind]
+        assert equal(p2p[kind]["final_field"], reference[kind]["final_field"]), kind
+        assert equal(p2p[kind]["mean_T"], reference[kind]["mean_T"]), kind
+        assert len(p2p[kind]["mean_T"]) == 1 + NSTEPS
+    if variant == "parallel_coupler":  # the residual *is* round-off
+        assert np.abs(p2p["coupler"]["exchange_residual"]).max() < 1e-12
+    else:
+        assert equal(
+            p2p["coupler"]["exchange_residual"], reference["coupler"]["exchange_residual"]
+        )
+    assert p2p["coupler"]["dropped_components"] == []
+    if variant == "implicit":
+        assert p2p["coupler"]["coupling_iterations"] == reference["coupler"]["coupling_iterations"]
+        assert all(p2p["coupler"]["coupling_converged"])
+
+
+def counted(program):
+    """*program*, returning the messages its world has counted."""
+
+    def wrapper(world, env):
+        program(world, env)
+        return world.world.traffic_snapshot().messages
+
+    wrapper.__name__ = program.__name__
+    return wrapper
+
+
+def zero_step_messages(mode, backend_config):
+    cfg = CCSMConfig(nsteps=0)
+    if mode == "mcme_overlap":
+        cfg.procs["land"] = PROCS["atmosphere"]
+    executables = [(counted(p), n) for p, n in build_executables(cfg, mode)]
+    seen = mph_run(
+        executables, registry=build_registry(cfg, mode), config=backend_config, timeout=120.0
+    ).values()
+    # Thread ranks share one set of counters (the last rank out read the
+    # total); each forked rank counts its own deliveries.
+    return max(seen) if backend_config.backend == "thread" else sum(seen)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_routes_cost_no_message_to_build(mode, backend_config, monkeypatch):
+    """Both ends derive a route from the layout they already share: a
+    zero-step run sends exactly the messages of one that builds none."""
+    with_routes = zero_step_messages(mode, backend_config)
+    monkeypatch.setattr(ccsm, "_routes", lambda mph, cfg, kind: (None, None))
+    assert zero_step_messages(mode, backend_config) == with_routes
+
+
+def test_a_standalone_component_builds_no_route(monkeypatch):
+    """No registered coupler, nobody to route to."""
+    monkeypatch.setattr(ccsm, "_routes", lambda *a: pytest.fail("route built"))
+    out = run_ccsm("scse", CCSMConfig(nsteps=2))
+    assert sorted(out) == ["atmosphere"]
+    assert len(out["atmosphere"]["mean_T"]) == 3

@@ -13,23 +13,42 @@ from repro.launcher.job import mph_run
 PROCS = CCSMConfig().procs  # atmosphere 4, ocean 2, land 2, ice 1, coupler 1
 NSTEPS = 2
 
-#: ``case -> (CCSMConfig overrides, (messages, payload_bytes) per step)``
-#: on the default layout and default ``shapes``.  The implicit rows
-#: converge in 6 Gauss-Seidel iterations a step.
+#: ``case -> (mode, CCSMConfig overrides, messages of a zero-step run,
+#: (messages, payload_bytes) per step)`` on the default layout and default
+#: ``shapes``.  The implicit rows converge in 6 Gauss-Seidel iterations a
+#: step.  Under p2p a step's coupling messages are one per component rank
+#: each way (9 + 9 on the default layout), whichever mode hosts the ranks.
 GOLDEN = {
-    "explicit_p2p": ({}, (36, 53512)),
-    "explicit_join": ({"exchange": "join"}, (36, 42772)),
+    "explicit_p2p": ("scme", {}, 128, (36, 43276)),
+    "explicit_join": ("scme", {"exchange": "join"}, 137, (36, 42772)),
     "parallel_coupler": (
+        "scme",
         {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
-        (46, 80580),
+        176,
+        (46, 70140),
     ),
-    "implicit_p2p": ({"coupling": "implicit"}, (192, 229714)),
-    "implicit_join": ({"coupling": "implicit", "exchange": "join"}, (192, 159336)),
+    "implicit_p2p": ("scme", {"coupling": "implicit"}, 128, (144, 142300)),
+    "implicit_join": (
+        "scme",
+        {"coupling": "implicit", "exchange": "join"},
+        137,
+        (144, 147816),
+    ),
     "implicit_subcycle": (
+        "scme",
         {"coupling": "implicit", "subcycle": {"ocean": 3}},
-        (224, 247366),
+        128,
+        (176, 159884),
     ),
-    "ice_2": ({"procs": dict(PROCS, ice=2)}, (40, 55906)),
+    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 156, (40, 45116)),
+    "mcse": ("mcse", {}, 137, (36, 43276)),
+    # Land on the atmosphere's four processors: two more ranks each way.
+    "mcme_overlap": (
+        "mcme_overlap",
+        {"procs": dict(PROCS, land=PROCS["atmosphere"])},
+        103,
+        (44, 45028),
+    ),
 }
 
 
@@ -45,18 +64,20 @@ def counted(program):
     return wrapper
 
 
-def run_traffic(cfg):
-    """``(messages, payload_bytes)`` of one whole ``scme`` run: thread
+def run_traffic(mode, cfg):
+    """``(messages, payload_bytes)`` of one whole run in *mode*: thread
     ranks share the counters, so the last rank out read the total."""
-    executables = [(counted(p), n) for p, n in build_executables(cfg, "scme")]
-    return max(mph_run(executables, registry=build_registry(cfg, "scme")).values())
+    executables = [(counted(p), n) for p, n in build_executables(cfg, mode)]
+    return max(mph_run(executables, registry=build_registry(cfg, mode)).values())
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_step_traffic(case):
-    overrides, expected = GOLDEN[case]
-    full = run_traffic(CCSMConfig(nsteps=NSTEPS, **overrides))
-    idle = run_traffic(CCSMConfig(nsteps=0, **overrides))
+    mode, overrides, expected_idle, expected = GOLDEN[case]
+    full = run_traffic(mode, CCSMConfig(nsteps=NSTEPS, **overrides))
+    idle = run_traffic(mode, CCSMConfig(nsteps=0, **overrides))
+    # Handshake, joins and model construction; building a route sends nothing.
+    assert idle[0] == expected_idle
     # What the steps added to a zero-step run of the same world.
     per_step = tuple(divmod(a - b, NSTEPS) for a, b in zip(full, idle))
     assert per_step == tuple((value, 0) for value in expected)

@@ -278,3 +278,162 @@ class TestRoutingTraffic:
         assert sent == {"beta": 1} and received == {"alpha": 1}
         # One staging buffer each way: 2 header + 8 rows x 2 cols float64.
         assert sent_bytes == recv_bytes == (2 + 8 * 2) * 8
+
+
+def row_field(start, stop, ncols):
+    """Rows that name themselves: row *r* holds ``r`` in every column."""
+    return np.arange(start, stop, dtype=float)[:, None] * np.ones(ncols)
+
+
+class TestOneProcessSides:
+    """A side can be one process of a component holding the whole field —
+    the shape of a serial flux coupler's exchange."""
+
+    NROWS, NCOLS = 11, 3
+
+    def exchange(self, n_alpha, n_beta, owner, rounds=3):
+        """alpha's blocks → beta's local processor *owner* → back doubled,
+        by halves, the round number riding in every header."""
+        nrows, ncols = self.NROWS, self.NCOLS
+
+        def routers(mph):
+            return (
+                Rearranger(mph, "alpha", ("beta", owner), nrows, ncols, tag=951_000, extra=1),
+                Rearranger(mph, ("beta", owner), "alpha", nrows, ncols, tag=952_000, extra=2),
+            )
+
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            there, back = routers(mph)
+            block = row_field(*there.src_rows, ncols)
+            assert there.dst_rows == (0, 0) and back.src_rows == (0, 0)
+            seen = []
+            for step in range(rounds):
+                there.send(block + step, (step,))
+                out, extra = back.recv()
+                assert np.array_equal(out, 2.0 * (block + step))
+                seen.append(extra)
+            return seen
+
+        def beta(world, env):
+            mph = components_setup(world, "beta", env=env)
+            there, back = routers(mph)
+            if mph.local_proc_id() != owner:
+                with pytest.raises(MPHError, match="no destination member"):
+                    there.recv()
+                with pytest.raises(MPHError, match="no source member"):
+                    back.send(np.zeros((nrows, ncols)), (0, 0))
+                return None
+            assert there.dst_rows == back.src_rows == (0, nrows)
+            for step in range(rounds):
+                full, (got_step,) = there.recv()
+                assert got_step == step
+                assert np.array_equal(full, row_field(0, nrows, ncols) + step)
+                back.send(2.0 * full, (step, 7))
+            return "owner"
+
+        return mph_run([(alpha, n_alpha), (beta, n_beta)], registry=REG)
+
+    @pytest.mark.parametrize("n_alpha,n_beta,owner", [(1, 1, 0), (4, 1, 0), (3, 2, 1), (2, 3, 0)])
+    def test_n_to_one_and_back(self, n_alpha, n_beta, owner):
+        result = self.exchange(n_alpha, n_beta, owner)
+        for seen in result.by_executable(0):
+            assert seen == [(0.0, 7.0), (1.0, 7.0), (2.0, 7.0)]
+        assert result.by_executable(1).count("owner") == 1
+
+    def test_same_process_on_both_sides(self):
+        """A component rank that is also the single destination sends to
+        itself through the normal path; the halves are called apart."""
+        nrows, ncols = 6, 2
+
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", ("alpha", 1), nrows, ncols, extra=1)
+            r.send(row_field(*r.src_rows, ncols), (5,))
+            if mph.local_proc_id() != 1:
+                return None
+            full, extra = r.recv()
+            return np.array_equal(full, row_field(0, nrows, ncols)) and extra == (5.0,)
+
+        assert mph_run([(alpha, 3)], registry="BEGIN\nalpha\nEND").values() == [None, True, None]
+
+
+class TestHeaderExtras:
+    def test_wrong_number_of_extras_rejected(self):
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", "alpha", 4, 2, extra=2)
+            with pytest.raises(MPHError, match="2 extra header values, got 1"):
+                r.send(np.zeros((4, 2)), (1,))
+            return True
+
+        assert mph_run([(alpha, 1)], registry="BEGIN\nalpha\nEND").values() == [True]
+
+    def test_pieces_of_one_transfer_must_agree(self):
+        """Two sources in different rounds: the destination refuses to
+        assemble one field from both."""
+
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", ("beta", 0), 4, 2, extra=1)
+            r.send(np.zeros((2, 2)), (mph.local_proc_id(),))  # 0 and 1
+            return True
+
+        def beta(world, env):
+            mph = components_setup(world, "beta", env=env)
+            r = Rearranger(mph, "alpha", ("beta", 0), 4, 2, extra=1)
+            with pytest.raises(MPHError, match=r"carry \(0.0,\) and \(1.0,\)"):
+                r.recv()
+            return True
+
+        assert all(mph_run([(alpha, 2), (beta, 1)], registry=REG).values())
+
+    def test_profile_counts_the_header(self):
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, "alpha", "alpha", 4, 2, extra=3)
+            r.send(np.zeros((4, 2)), (1, 2, 3))
+            r.recv()
+            return mph.profile.total_bytes_sent, mph.profile.total_bytes_received
+
+        assert mph_run([(alpha, 1)], registry="BEGIN\nalpha\nEND").values() == [
+            ((2 + 3 + 4 * 2) * 8,) * 2
+        ]
+
+
+class TestDeadDestination:
+    def test_live_destinations_get_their_rows_then_the_failure_is_raised(self):
+        """beta's rank 1 is dead: the source still serves ranks 0 and 2
+        before it reports, and their receives complete."""
+        from repro.errors import ProcessFailedError
+        from repro.mpi import SimulatedCrash
+
+        nrows, ncols = 9, 2
+
+        def alpha(world, env):
+            mph = components_setup(world, "alpha", env=env)
+            r = Rearranger(mph, ("alpha", 0), "beta", nrows, ncols, extra=1)
+            mph.recv("beta", 0, tag=5)  # beta's rank 1 is dead by now
+            with pytest.raises(ProcessFailedError) as failure:
+                r.send(row_field(0, nrows, ncols), (3,))
+            return failure.value.failed_ranks
+
+        def beta(world, env):
+            mph = components_setup(world, "beta", env=env)
+            r = Rearranger(mph, ("alpha", 0), "beta", nrows, ncols, extra=1)
+            me = mph.local_proc_id()
+            if me == 1:
+                raise SimulatedCrash("dies before the transfer")
+            if me == 0:
+                while not world.world.rank_failed(mph.global_id("beta", 1)):
+                    pass
+                mph.send("go", "alpha", 0, tag=5)
+            out, extra = r.recv()
+            return out[:, 0].tolist(), extra
+
+        result = mph_run([(alpha, 1), (beta, 3)], registry=REG)
+        assert result.by_executable(0) == [(2,)]  # world rank of beta's local 1
+        got = result.by_executable(1)
+        assert got[0] == ([0.0, 1.0, 2.0], (3.0,))
+        assert got[1] is None
+        assert got[2] == ([6.0, 7.0, 8.0], (3.0,))

@@ -171,3 +171,65 @@ class TestStartallRollback:
             return float(buf[0])
 
         assert spmd(2, main)[1] == 7.0
+
+
+class TestDeadSender:
+    """A persistent receive names its sender, so the sender's fail-stop
+    death fails it the way it fails ``Recv`` — directly, not through the
+    stall detector (switched off here: a receive that did not learn of
+    the death would hang to the job timeout)."""
+
+    CONFIG = dict(deadlock_detection=False)
+
+    def test_wait_and_test_raise_and_the_request_can_cycle_again(self, spmd):
+        from repro.errors import ProcessFailedError
+        from repro.mpi import SimulatedCrash, WorldConfig
+
+        def main(comm):
+            if comm.rank == 1:
+                raise SimulatedCrash("dies without sending")
+            buf = np.zeros(2)
+            recv = comm.Recv_init(buf, source=1, tag=9).start()
+            with pytest.raises(ProcessFailedError):
+                recv.wait()
+            assert not recv.active
+            recv.start()
+            with pytest.raises(ProcessFailedError):
+                while not recv.test()[0]:
+                    pass
+            assert not recv.active
+            # A live sender still completes the same request.
+            live = comm.Recv_init(buf, source=2, tag=9).start()
+            live.wait()
+            return buf.tolist()
+
+        def with_sender(comm):
+            if comm.rank == 2:
+                comm.Send(np.array([4.0, 5.0]), 0, tag=9)
+                return None
+            return main(comm)
+
+        out = spmd(3, with_sender, config=WorldConfig(**self.CONFIG))
+        assert out[0] == [4.0, 5.0] and out[1] is None
+
+    def test_waitsome_over_persistent_receives_sees_the_death(self, spmd):
+        from repro.errors import ProcessFailedError
+        from repro.mpi import SimulatedCrash, WorldConfig
+        from repro.mpi.request import Request
+
+        def main(comm):
+            if comm.rank == 1:
+                raise SimulatedCrash("dies without sending")
+            if comm.rank == 2:
+                comm.Send(np.array([1.0]), 0, tag=3)
+                return None
+            alive = comm.Recv_init(np.zeros(1), source=2, tag=3).start()
+            dead = comm.Recv_init(np.zeros(1), source=1, tag=3).start()
+            with pytest.raises(ProcessFailedError):
+                pending = [alive, dead]
+                while pending:
+                    done = {i for i, _ in Request.waitsome(pending)}
+                    pending = [r for i, r in enumerate(pending) if i not in done]
+            return "raised"
+
+        assert spmd(3, main, config=WorldConfig(**self.CONFIG))[0] == "raised"
