@@ -1,42 +1,22 @@
-"""Substrate ablation — collective algorithm families.
+"""Collective cost against world size.
 
 The handshake's cost is dominated by the collectives it uses (bcast of the
-registry, allgather of declarations, the splits' gather/scatter).  This
-bench compares the textbook algorithm families the substrate implements:
-
-* broadcast: linear (O(P) messages from the root) vs binomial tree
-  (O(log P) rounds) — the tree should win as P grows;
-* allreduce: reduce+bcast vs recursive doubling;
-* barrier: linear vs dissemination.
+registry, allgather of declarations, the splits' gather/scatter).  Each
+verb has one schedule (:mod:`repro.mpi.collectives`), so this bench is a
+size sweep: a rooted verb sends P−1 messages, a symmetric one 2(P−1), and
+on this substrate the time follows the count.
 """
 
 import numpy as np
 import pytest
 
-from repro.mpi import WorldConfig, run_spmd
-
-LINEAR = WorldConfig(
-    bcast_algorithm="linear",
-    reduce_algorithm="linear",
-    allreduce_algorithm="reduce_bcast",
-    allgather_algorithm="gather_bcast",
-    barrier_algorithm="linear",
-)
-TREE = WorldConfig(
-    bcast_algorithm="binomial",
-    reduce_algorithm="binomial",
-    allreduce_algorithm="recursive_doubling",
-    allgather_algorithm="ring",
-    barrier_algorithm="dissemination",
-)
-CONFIGS = {"linear": LINEAR, "tree": TREE}
+from repro.mpi import run_spmd
 
 REPEATS = 30  # collective calls per measured job (amortises thread spawn)
 
 
-@pytest.mark.parametrize("family", CONFIGS)
 @pytest.mark.parametrize("nprocs", [4, 8, 16])
-def test_bcast(benchmark, family, nprocs):
+def test_bcast(benchmark, nprocs):
     payload = np.arange(512, dtype=np.float64)
 
     def main(comm):
@@ -45,15 +25,14 @@ def test_bcast(benchmark, family, nprocs):
         return True
 
     def run():
-        return run_spmd(nprocs, main, config=CONFIGS[family])
+        return run_spmd(nprocs, main)
 
     benchmark(run)
-    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS, family=family)
+    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS)
 
 
-@pytest.mark.parametrize("family", CONFIGS)
 @pytest.mark.parametrize("nprocs", [4, 8, 16])
-def test_allreduce(benchmark, family, nprocs):
+def test_allreduce(benchmark, nprocs):
     def main(comm):
         acc = 0
         for i in range(REPEATS):
@@ -61,32 +40,31 @@ def test_allreduce(benchmark, family, nprocs):
         return acc
 
     def run():
-        return run_spmd(nprocs, main, config=CONFIGS[family])
+        return run_spmd(nprocs, main)
 
     result = benchmark(run)
     expected = sum(range(nprocs)) + nprocs * (REPEATS - 1)
     assert result == [expected] * nprocs
-    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS, family=family)
+    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS)
 
 
-@pytest.mark.parametrize("family", CONFIGS)
 @pytest.mark.parametrize("nprocs", [4, 8, 16])
-def test_barrier(benchmark, family, nprocs):
+def test_barrier(benchmark, nprocs):
     def main(comm):
         for _ in range(REPEATS):
             comm.barrier()
         return True
 
     def run():
-        return run_spmd(nprocs, main, config=CONFIGS[family])
+        return run_spmd(nprocs, main)
 
     benchmark(run)
-    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS, family=family)
+    benchmark.extra_info.update(nprocs=nprocs, repeats=REPEATS)
 
 
-def test_bcast_1mib_linear_fanout(benchmark):
-    """The headline fan-out: a 1 MiB field broadcast linearly from rank 0
-    to 16 ranks.  The root encodes once and every destination envelope
+def test_bcast_1mib_fanout(benchmark):
+    """The headline fan-out: a 1 MiB field broadcast from rank 0 to 16
+    ranks.  The root encodes once and every destination envelope
     shares the same immutable snapshot."""
     nprocs, repeats = 16, 5
     payload = np.arange(131_072, dtype=np.float64)  # 1 MiB
@@ -96,10 +74,8 @@ def test_bcast_1mib_linear_fanout(benchmark):
             comm.bcast(payload if comm.rank == 0 else None)
         return True
 
-    config = WorldConfig(bcast_algorithm="linear")
-
     def run():
-        return run_spmd(nprocs, main, config=config)
+        return run_spmd(nprocs, main)
 
     benchmark(run)
     benchmark.extra_info.update(nprocs=nprocs, repeats=repeats, nbytes=payload.nbytes)

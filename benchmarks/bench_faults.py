@@ -94,10 +94,8 @@ def hook_overhead(name: str, reps: int = 5) -> dict:
     start-up, caches) cancels instead of masquerading as overhead.
     """
     kernel = OVERHEAD_KERNELS[name]
-    base = WorldConfig(bcast_algorithm="linear") if "bcast" in name else WorldConfig()
-    armed = WorldConfig(
-        bcast_algorithm=base.bcast_algorithm, fault_schedule=_inert_schedule()
-    ) if "bcast" in name else WorldConfig(fault_schedule=_inert_schedule())
+    base = WorldConfig()
+    armed = WorldConfig(fault_schedule=_inert_schedule())
     kernel(base)  # warm-up (imports, thread-pool priming)
     kernel(armed)
     samples: dict[str, list[float]] = {"disabled": [], "rerun": [], "armed": []}

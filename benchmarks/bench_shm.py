@@ -10,11 +10,12 @@ Two questions, answered in ``BENCH_shm.json``:
   the per-rep paired ratios: shm-vs-thread (how close true process
   isolation gets to the no-wire floor) and unix-vs-shm (the speedup
   the rings deliver over the socket path).
-* **Do two-level collectives beat flat ones once the world spans
-  nodes?**  ``allreduce`` on 4 ranks split across 2 simulated nodes,
-  flat binomial over sockets vs the hierarchical path (intra-node
-  leader over shm rings, inter-node exchange between leaders only) —
-  the MPICH-G2 topology argument, reproduced on one host.  Measured
+* **Does following the node map beat ignoring it?**  ``allreduce`` on
+  4 ranks: one flat star with every pair on sockets (``nodes=None``,
+  ``unix``) vs the same ranks split across 2 simulated nodes
+  (``nodes=2``, ``auto``: each leader folds its node over shm rings and
+  only the two leaders speak across the socket) — the MPICH-G2
+  topology argument, reproduced on one host.  Measured
   twice: on a scalar (pure per-message latency, where an oversubscribed
   single-CPU host shows no win — every hop costs one scheduler round
   trip whichever wire carries it) and on a ~0.8 MiB field (the MPH
@@ -73,22 +74,12 @@ def _curve_substrates() -> dict[str, WorldConfig]:
 
 
 def _hierarchy_substrates() -> dict[str, WorldConfig]:
-    # Both span 2 simulated nodes; the flat side keeps every pair on
-    # sockets and single-level algorithms, the two-level side runs
-    # same-node traffic over shm rings with leader-based collectives.
+    # The flat side is one node with every pair on sockets; the
+    # two-level side spans 2 simulated nodes, same-node traffic on shm
+    # rings and one leader per node on the socket between them.
     return {
-        "flat-sockets": WorldConfig(
-            backend="process",
-            transport="unix",
-            nodes=2,
-            hierarchical_collectives=False,
-        ),
-        "twolevel-shm": WorldConfig(
-            backend="process",
-            transport="auto",
-            nodes=2,
-            hierarchical_collectives=True,
-        ),
+        "flat-sockets": WorldConfig(backend="process", transport="unix"),
+        "twolevel-shm": WorldConfig(backend="process", transport="auto", nodes=2),
     }
 
 

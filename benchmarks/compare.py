@@ -13,7 +13,8 @@
     execution-substrate comparison, thread vs process over sockets
     (:mod:`bench_backend`);
 ``shm``
-    shared-memory transport curves and hierarchical collectives
+    shared-memory transport curves, and an allreduce that follows the
+    node map against one that ignores it
     (:mod:`bench_shm`);
 ``coupling``
     coupled-solver iteration counts and driver overhead

@@ -5,9 +5,10 @@ This package provides everything MPH needs from an MPI library —
 collective suite, groups, and above all ``Comm.split`` — implemented over
 per-process mailboxes with MPI matching semantics.  See
 :mod:`repro.mpi.world` for the safety nets (abort propagation and deadlock
-detection) and :mod:`repro.mpi.collectives` for the algorithm menu — one
-schedule per algorithm, shared by the object (lowercase) and buffer
-(uppercase) verbs through a payload codec.
+detection) and :mod:`repro.mpi.collectives` for the collectives — one
+schedule per verb, shaped by the communicator's size and node map and
+shared by the object (lowercase) and buffer (uppercase) verbs through a
+payload codec.
 
 Every world is started by one pipeline, :func:`repro.mpi.executor.launch`:
 ``config.backend`` picks rank threads or OS processes

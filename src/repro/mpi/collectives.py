@@ -1,30 +1,45 @@
-"""Collective-communication algorithms over the point-to-point layer.
+"""Collective communication over the point-to-point layer.
 
-Every algorithm here is the textbook version used by production MPI
-libraries (MPICH nomenclature):
+There is one schedule per verb, and the code picks its shape from the two
+things it can observe: the communicator's size and its node map
+(:meth:`repro.mpi.comm.Comm._hierarchy`).  The shape is a *star*
+(:func:`_star`): on one node the root talks to every rank directly; over
+several nodes the root talks to one representative per other node (it
+stands for its own), and each representative talks to its node-mates —
+so a cross-node link carries one message per collective and a
+representative forwards what it received verbatim.  Two sweeps run over
+it:
 
-* broadcast — ``linear`` (root sends to every rank) or ``binomial`` tree
-  (O(log P) rounds);
-* reduce — ``linear`` (gather-and-fold at root, exact rank order, required
-  for non-commutative operators) or ``binomial`` tree;
-* allreduce — ``reduce_bcast`` composition or ``recursive_doubling`` with
-  the non-power-of-two fold-in pre/post phases;
-* allgather — ``gather_bcast`` composition or ``ring`` (P-1 neighbour
-  steps);
-* barrier — ``linear`` (gather + release through rank 0) or
-  ``dissemination`` (O(log P) rounds).
+* fan-in (:func:`_fan_in`) folds contributions towards the root — in
+  ascending rank order on one node, node partials in node order across
+  nodes, and in plain rank order over the flat star for a non-commutative
+  operator;
+* fan-out (:func:`_fan_out`) encodes once at the root and shares that one
+  payload with every destination.
 
-The choice is taken from :class:`repro.mpi.world.WorldConfig`, which the
-benchmark suite ablates (experiment E9 companion: substrate ablation).
+``bcast`` is a fan-out and ``reduce`` a fan-in; ``allreduce`` is a fan-in
+to rank 0 and a fan-out of the result, ``barrier`` an allreduce of
+nothing, ``allgather`` a gather to rank 0 whose joined result fans out.
+The one size rule: between exactly two participants a symmetric verb is
+a single pairwise exchange (:func:`_exchange`) — both post, both send —
+instead of a trip into one of them and back.  The participants are the
+ranks of a two-rank communicator (``allreduce``, ``barrier``,
+``allgather``: half of all small jobs live there) or the leaders of a
+communicator spanning two nodes, each folding and releasing its own node
+(``allreduce``, ``barrier``).  ``gather`` and ``scatter`` are direct
+(root and every rank), ``scan`` a chain, ``alltoall`` personalised
+sends.  On this substrate the cost of a collective is the number of
+messages it sends, not the depth of its tree (EXPERIMENTS.md, "One
+collective schedule"), which is why nothing here is logarithmic.
 
 Each schedule is written once and moves its values through a *payload
 codec*: the schedule owns who talks to whom, in which order and on which
 sub-tag; the codec — one for the lowercase verbs (pickled objects), one
 for the uppercase verbs (numpy buffers, the throughput path for the large
 fields climate components exchange) — owns what goes on the wire, what a
-relay forwards, how a ring piece carries its origin, how a received
-payload is opened, and the names in the envelope's ``op`` slot.  The
-public verbs are thin entry points: argument validation and, for the
+relay forwards, how a gathered list becomes one payload and how a
+received payload is opened.  The public verbs are thin entry points:
+argument validation, the name in the envelope's ``op`` slot and, for the
 buffer verbs, mpi4py's uppercase contract (callers pass numpy buffers,
 roots provide/receive stacked arrays with a leading rank axis).
 
@@ -36,7 +51,7 @@ can never interfere.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -46,18 +61,18 @@ from repro.mpi.reduce_ops import Op
 from repro.mpi.serialization import Blob
 
 #: Largest sub-tag offset (``tag + k``) any composed collective in this
-#: module uses.  Two-level (hierarchical) collectives consume up to three
-#: sub-tags (intra-node, inter-node, intra-node release), and the
-#: ``reduce_bcast`` allreduce composition must start its broadcast at
-#: ``tag + 2`` because a hierarchical reduce already occupies ``tag`` and
-#: ``tag + 1`` — so the deepest consumer is that composition's
-#: hierarchical broadcast at ``tag + 2 .. tag + 3``.
+#: module uses.  A sweep over the star needs one tag however many levels
+#: it has (a rank hears from each child once and from its parent once,
+#: and a leader's exchange partner is neither), so every composition —
+#: allreduce and barrier (fan-in with the exchange, fan-out), allgather
+#: (gather, fan-out), ``reduce_scatter`` (gather, scatter) — is a first
+#: phase on ``tag`` and a second on ``tag + 1``.
 #: :meth:`repro.mpi.comm.Comm._next_coll_tag` advances base tags in
 #: strides of :data:`repro.mpi.comm._COLL_TAG_STRIDE`, so back-to-back
 #: collectives on one communicator cannot collide as long as
 #: ``MAX_TAG_OFFSET`` stays below the stride — a regression test pins
 #: both the inequality and the interleaving behaviour.
-MAX_TAG_OFFSET = 3
+MAX_TAG_OFFSET = 1
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +86,16 @@ class _ObjectCodec:
     siblings share the blob, relays forward the received blob verbatim
     (no unpickle→repickle per hop) and decode it — a private copy — only
     for their own delivery.  Envelopes are ``kind="object"`` with
-    ``count`` in bytes; a reduction accumulates in the value itself."""
+    ``count`` in bytes."""
 
     kind = "object"
-    bcast, gather, allgather = "bcast", "gather", "allgather"
-    reduce, allreduce = "reduce", "allreduce"
-    #: Wire payload for one destination (``pack``) or several
-    #: (``shared``): a blob is immutable, so one encoding serves both.
-    pack = shared = staticmethod(Blob.encode)
+    #: Wire payload for one destination (``pack``), for several
+    #: (``shared``), or of a gathered rank-ordered list (``join``): a
+    #: blob is immutable, so one encoding serves all three.
+    pack = shared = join = staticmethod(Blob.encode)
     count = attrgetter("nbytes")
 
     def open(self, env: Envelope, opname: str) -> Any:
-        return env.payload.decode()
-
-    def acc(self, value: Any) -> Any:
-        return value
-
-    def join(self, gathered: list) -> list:
-        """A gathered rank-ordered list as one broadcastable value."""
-        return gathered
-
-    def pack_piece(self, source: int, value: Any) -> Blob:
-        """A ring piece carries its origin inside the payload (and in
-        the op slot, see :func:`_allgather_ring`)."""
-        return Blob.encode((source, value))
-
-    def open_piece(self, env: Envelope, opname: str, source: int) -> tuple:
         return env.payload.decode()
 
 
@@ -106,18 +105,13 @@ class _BufferCodec:
     it has exactly one (``Scatterv`` hands the received array to the
     caller).  Relays forward the received array verbatim (the transport
     already owns that snapshot); receivers copy out of it.  Envelopes are
-    ``kind="bufcoll"`` with ``count`` in elements; a reduction
-    accumulates in a private copy, never in the caller's sendbuf."""
+    ``kind="bufcoll"`` with ``count`` in elements."""
 
     kind = "bufcoll"
-    bcast, gather, allgather = "Bcast", "Gather", "Allgather"
-    reduce, allreduce = "Reduce", "Allreduce"
     count = attrgetter("size")
 
     def pack(self, arr: np.ndarray) -> np.ndarray:
         return np.array(arr, copy=True)
-
-    acc = pack
 
     def shared(self, arr: np.ndarray) -> np.ndarray:
         snap = np.array(arr, copy=True)
@@ -136,18 +130,14 @@ class _BufferCodec:
         return payload
 
     def join(self, blocks: list) -> np.ndarray:
-        """Equal-shaped gathered blocks stacked along a leading rank axis."""
+        """Equal-shaped gathered blocks stacked along a leading rank axis.
+        The stack is a fresh private array, so it is the fan-out's wire
+        as it stands: sealed read-only, not snapshotted a second time."""
         for src, block in enumerate(blocks):
             _check_shape(block, blocks[0].shape, f"Allgather block from rank {src}")
-        return np.stack(blocks)
-
-    def pack_piece(self, source: int, arr: np.ndarray) -> np.ndarray:
-        """A ring piece's origin travels in the op slot alone: the
-        receiver knows which source each step must deliver."""
-        return self.shared(arr)
-
-    def open_piece(self, env: Envelope, opname: str, source: int) -> tuple:
-        return source, self.open(env, opname)
+        joined = np.stack(blocks)
+        joined.flags.writeable = False
+        return joined
 
 
 _OBJECT = _ObjectCodec()
@@ -179,90 +169,93 @@ def _recv(comm, codec, source: int, tag: int, opname: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# broadcast
+# the star and its two sweeps
 # ---------------------------------------------------------------------------
 
 
-def _bcast(comm, codec, value: Any, root: int, tag: int) -> Any:
-    """Broadcast *value* from *root*; returns it there and the opened
-    payload on every other rank."""
-    if comm.size == 1:
-        return value
-    hier = comm._hierarchy()
-    if hier is not None:
-        return _bcast_hierarchical(comm, codec, value, root, tag, hier)
-    algo = comm._world.config.bcast_algorithm
-    if algo == "binomial":
-        return _members_bcast(comm, codec, range(comm.size), root, value, tag)
-    if algo != "linear":
-        raise ValueError(f"unknown bcast algorithm {algo!r}")
-    if comm.rank != root:
-        return _recv(comm, codec, root, tag, codec.bcast)
-    # Encode-once fan-out: one payload shared by every destination.
-    wire = codec.shared(value)
-    reused = False
-    for dest in range(comm.size):
-        if dest != root:
-            _send(comm, codec, dest, tag, wire, codec.bcast, reused)
-            reused = True
-    return value
+def _star(comm, root: int, hier, within_node: bool = False) -> tuple:
+    """This rank's ``(parent, children)`` in the star rooted at *root*.
 
-
-# The tree algorithms below are *member-list generalised*: they run over
-# an arbitrary ordered subset of communicator ranks (``members``), with
-# every tree position computed in the virtual rank space 0..len-1 and
-# mapped back through the list for the actual sends.  The flat
-# algorithms pass ``range(size)``; the two-level algorithms pass a
-# node's member list or the per-node leader list (always two or more
-# members: single-member phases are skipped by the callers).
-
-
-def _members_bcast(comm, codec, members, vroot: int, value: Any, tag: int) -> Any:
-    """Binomial broadcast over *members* rooted at virtual rank *vroot*:
-    relays forward the *received* payload verbatim to their children and
-    open it lazily, only for their own final delivery."""
-    n = len(members)
-    op = codec.bcast
-    vrank = members.index(comm.rank)
-    relative = (vrank - vroot) % n
-    env = None
-    mask = 1
-    while mask < n:
-        if relative & mask:
-            src = members[(vrank - mask) % n]
-            env = comm._coll_complete(comm._coll_post(src, tag), src, op)
-            break
-        mask <<= 1
-    # The root encodes exactly once; a relay forwards what it received.
-    wire = codec.shared(value) if env is None else env.payload
-    mask >>= 1
-    reused = env is not None  # the root's first child send pays the encoding
-    while mask > 0:
-        if relative + mask < n:
-            _send(comm, codec, members[(vrank + mask) % n], tag, wire, op, reused)
-            reused = True
-        mask >>= 1
-    return value if env is None else codec.open(env, op)
-
-
-def _bcast_hierarchical(comm, codec, value: Any, root: int, tag: int, hier) -> Any:
-    """Two-level broadcast: inter-node binomial tree among the node
-    leaders (with *root* promoted to represent its node), then an
-    intra-node binomial tree on every node — the MPICH-G2 pattern where
-    the wide fan-out happens over the fast local substrate."""
+    Without a node hierarchy the root is everyone's parent.  With one,
+    every node has a representative — its leader, or *root* on root's own
+    node — that is the parent of its node-mates and a child of *root*;
+    *within_node* stops the star at the boundary of root's node."""
     rank = comm.rank
-    leaders, root_pos = hier.effective_leaders(root)
-    if rank in leaders:
-        value = _members_bcast(comm, codec, leaders, root_pos, value, tag)
-    members = list(hier.members(rank))
-    if len(members) > 1:
-        rep = root if hier.same_node(rank, root) else hier.leader(rank)
-        value = _members_bcast(comm, codec, members, members.index(rep), value, tag + 1)
-    return value
+    if hier is None:
+        if rank != root:
+            return root, ()
+        return None, [r for r in range(comm.size) if r != root]
+    reps, _ = hier.effective_leaders(root)
+    rep = reps[hier.leader_index(rank)]
+    if rank != rep:
+        return rep, ()
+    mates = [m for m in hier.members(rank) if m != rank]
+    if rank != root:
+        return root, mates
+    return None, mates if within_node else mates + [r for r in reps if r != root]
+
+
+def _fan_in(
+    comm, codec, value: Any, op: Op, root: int, tag: int, opname: str, within_node: bool = False
+) -> Any:
+    """Fold every rank's *value* towards *root*; returns the result there
+    and ``None`` elsewhere.
+
+    Each rank folds what its children send with its own contribution —
+    ascending rank order within a node, then the node partials in node
+    order — and passes the partial on.  A non-commutative operator runs
+    over the flat star, where that is the exact rank-order fold."""
+    hier = comm._hierarchy() if op.commutative else None
+    parent, children = _star(comm, root, hier, within_node)
+    acc = value
+    if children:
+        parts = {comm.rank: value}
+        for child in children:
+            parts[child] = _recv(comm, codec, child, tag, opname)
+        partials: dict = {}
+        for rank in sorted(parts):
+            node = hier.node(rank) if hier is not None else 0
+            partials[node] = op(partials[node], parts[rank]) if node in partials else parts[rank]
+        acc = op.reduce([partials[node] for node in sorted(partials)])
+    if parent is None:
+        return acc
+    _send(comm, codec, parent, tag, codec.pack(acc), opname)
+    return None
+
+
+def _fan_out(
+    comm, codec, value: Any, root: int, tag: int, opname: str, wire=None, within_node: bool = False
+) -> Any:
+    """Deliver *root*'s *value* to every rank; returns it there and the
+    opened payload elsewhere.  The root encodes exactly once (or is handed
+    the ready *wire*) and every destination shares that payload; a
+    representative forwards the payload it *received* verbatim and opens
+    it lazily, only for its own delivery."""
+    parent, children = _star(comm, root, comm._hierarchy(), within_node)
+    env = None
+    if parent is not None:
+        env = comm._coll_complete(comm._coll_post(parent, tag), parent, opname)
+        wire = env.payload
+    elif wire is None and children:
+        wire = codec.shared(value)
+    reused = env is not None  # the root's first send pays the encoding
+    for child in children:
+        _send(comm, codec, child, tag, wire, opname, reused)
+        reused = True
+    return value if env is None else codec.open(env, opname)
+
+
+def _exchange(comm, codec, peer: int, value: Any, tag: int, opname: str) -> Any:
+    """Swap *value* with *peer*: both pre-post the inbound half, then
+    send, so the two meet in one message latency where a fan-in and a
+    fan-out through one of them cost two."""
+    posted = comm._coll_post(peer, tag)
+    _send(comm, codec, peer, tag, codec.pack(value), opname)
+    return codec.open(comm._coll_complete(posted, peer, opname), opname)
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter (linear) / allgather
+# the schedules
 # ---------------------------------------------------------------------------
 
 
@@ -291,195 +284,37 @@ def _scatter(comm, codec, values: Optional[Sequence[Any]], root: int, tag: int, 
     return values[root]
 
 
-def _allgather(comm, codec, value: Any, tag: int) -> Iterable[tuple]:
-    """``(source, contribution)`` pairs for every rank of *comm*, own
-    included.  The ring yields each piece as it arrives, so a buffer-mode
-    caller copies it out and drops it before the next step."""
+def _allgather(comm, codec, value: Any, tag: int, opname: str) -> Sequence[Any]:
+    """Every rank's contribution, rank-ordered, on every rank."""
     if comm.size == 1:
-        return [(0, value)]
-    algo = comm._world.config.allgather_algorithm
-    if algo == "gather_bcast":
-        gathered = _gather(comm, codec, value, 0, tag, codec.gather)
-        if gathered is not None:
-            gathered = codec.join(gathered)
-        return enumerate(_bcast(comm, codec, gathered, 0, tag + 1))
-    if algo == "ring":
-        return _allgather_ring(comm, codec, value, tag)
-    raise ValueError(f"unknown allgather algorithm {algo!r}")
+        return [value]
+    if comm.size == 2:
+        other = _exchange(comm, codec, 1 - comm.rank, value, tag, opname)
+        return [value, other] if comm.rank == 0 else [other, value]
+    gathered = _gather(comm, codec, value, 0, tag, opname)
+    wire = None if gathered is None else codec.join(gathered)
+    return _fan_out(comm, codec, gathered, 0, tag + 1, opname, wire)
 
 
-def _allgather_ring(comm, codec, value: Any, tag: int) -> Iterable[tuple]:
-    size, rank = comm.size, comm.rank
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    yield rank, value
-    # Each step pre-posts the inbound receive before sending, so the
-    # neighbour's envelope lands on a posted receive and the completion
-    # wakes this rank exactly once.  Relay-without-reencode: each hop
-    # opens the inbound piece for its own result but forwards the
-    # received payload verbatim.  The op slot names the piece's origin
-    # (``Allgather:<source>``; step k must deliver what started k ranks
-    # to the left), so a ring message duplicated or dropped by a fault
-    # schedule is a collective mismatch, not a silently misplaced block.
-    wire = codec.pack_piece(rank, value)
-    piece_src, reused = rank, False
-    for _ in range(size - 1):
-        inbound_src = (piece_src - 1) % size
-        posted = comm._coll_post(left, tag)
-        _send(comm, codec, right, tag, wire, f"{codec.allgather}:{piece_src}", reused)
-        reused = True
-        opname = f"{codec.allgather}:{inbound_src}"
-        env = comm._coll_complete(posted, left, opname)
-        wire = env.payload
-        piece_src, piece = codec.open_piece(env, opname, inbound_src)
-        yield piece_src, piece
-
-
-# ---------------------------------------------------------------------------
-# reduce / allreduce
-# ---------------------------------------------------------------------------
-
-
-def _reduce(comm, codec, value: Any, op: Op, root: int, tag: int) -> Any:
-    """Reduce contributions in rank order to *root* (``None`` elsewhere)."""
-    if comm.size == 1:
-        return value
-    algo = comm._world.config.reduce_algorithm
-    # Binomial combination reorders only across aligned contiguous blocks,
-    # which is safe for associative operators; strict rank order for
-    # non-commutative user operators additionally requires root rotation to
-    # be avoided, so fall back to the linear algorithm for those.
-    if algo == "linear" or not op.commutative:
-        gathered = _gather(comm, codec, value, root, tag, codec.gather)
-        if gathered is None:
-            return None
-        gathered[0] = codec.acc(gathered[0])
-        return op.reduce(gathered)
-    hier = comm._hierarchy()
-    if hier is not None:
-        return _reduce_hierarchical(comm, codec, value, op, root, tag, hier)
-    if algo == "binomial":
-        return _members_reduce(comm, codec, range(comm.size), root, value, op, tag)
-    raise ValueError(f"unknown reduce algorithm {algo!r}")
-
-
-def _members_reduce(comm, codec, members, vroot: int, value: Any, op: Op, tag: int) -> Any:
-    """Binomial reduce over *members* to virtual rank *vroot* (returns
-    the accumulated result there, ``None`` elsewhere)."""
-    n = len(members)
-    acc = codec.acc(value)
-    vrank = members.index(comm.rank)
-    relative = (vrank - vroot) % n
-    mask = 1
-    while mask < n:
-        if relative & mask:
-            dst = members[(vrank - mask) % n]
-            _send(comm, codec, dst, tag, codec.pack(acc), codec.reduce)
-            return None
-        src_rel = relative | mask
-        if src_rel < n:
-            src = members[(src_rel + vroot) % n]
-            partial = _recv(comm, codec, src, tag, codec.reduce)
-            # acc covers relative block [relative, relative+mask); partial
-            # covers the adjacent higher block — combine in that order.
-            acc = op(acc, partial)
-        mask <<= 1
-    return acc
-
-
-def _reduce_hierarchical(comm, codec, value: Any, op: Op, root: int, tag: int, hier) -> Any:
-    """Two-level reduce (commutative operators only — the entry point
-    falls back to linear otherwise): fold within each node to its
-    representative, then fold the per-node partials to *root* over the
-    inter-node tree."""
-    rank = comm.rank
-    members = list(hier.members(rank))
-    acc = value
-    if len(members) > 1:
-        rep = root if hier.same_node(rank, root) else hier.leader(rank)
-        acc = _members_reduce(comm, codec, members, members.index(rep), acc, op, tag)
-    leaders, root_pos = hier.effective_leaders(root)
-    if rank in leaders:
-        acc = _members_reduce(comm, codec, leaders, root_pos, acc, op, tag + 1)
-    return acc if rank == root else None
-
-
-def _allreduce(comm, codec, value: Any, op: Op, tag: int) -> Any:
+def _allreduce(comm, codec, value: Any, op: Op, tag: int, opname: str) -> Any:
     """Reduce contributions and deliver the result to every rank."""
-    if comm.size == 1:
-        return value
-    algo = comm._world.config.allreduce_algorithm
-    if algo == "reduce_bcast" or not op.commutative:
-        result = _reduce(comm, codec, value, op, 0, tag)
-        # tag + 2: a hierarchical reduce occupies tag .. tag + 1, so the
-        # broadcast half must start beyond it (see MAX_TAG_OFFSET).
-        return _bcast(comm, codec, result, 0, tag + 2)
+    if comm.size == 2:
+        other = _exchange(comm, codec, 1 - comm.rank, value, tag, opname)
+        return op(value, other) if comm.rank == 0 else op(other, value)
     hier = comm._hierarchy()
-    if hier is not None:
-        return _allreduce_hierarchical(comm, codec, value, op, tag, hier)
-    if algo == "recursive_doubling":
-        return _members_allreduce_rd(comm, codec, range(comm.size), value, op, tag)
-    raise ValueError(f"unknown allreduce algorithm {algo!r}")
-
-
-def _members_allreduce_rd(comm, codec, members, value: Any, op: Op, tag: int) -> Any:
-    """Recursive-doubling allreduce over *members* with the MPICH
-    non-power-of-two fold-in pre/post phases, in virtual rank space."""
-    n = len(members)
-    acc = codec.acc(value)
-    name = codec.allreduce
-    vrank = members.index(comm.rank)
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
-    rem = n - pof2
-    # Fold the surplus ranks into their even neighbours so a power-of-two
-    # set remains (MPICH pre-phase).
-    if vrank < 2 * rem:
-        if vrank % 2 == 0:
-            _send(comm, codec, members[vrank + 1], tag, codec.pack(acc), name)
-            newrank = -1
-        else:
-            partial = _recv(comm, codec, members[vrank - 1], tag, name)
-            acc = op(partial, acc)  # lower rank's contribution on the left
-            newrank = vrank // 2
-    else:
-        newrank = vrank - rem
-    if newrank != -1:
-        mask = 1
-        while mask < pof2:
-            partner_new = newrank ^ mask
-            partner_v = partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            partner = members[partner_v]
-            # Pairwise exchange: pre-post the inbound half before sending.
-            posted = comm._coll_post(partner, tag)
-            _send(comm, codec, partner, tag, codec.pack(acc), name)
-            other = codec.open(comm._coll_complete(posted, partner, name), name)
-            acc = op(acc, other) if partner_new > newrank else op(other, acc)
-            mask <<= 1
-    # Post-phase: hand results back to the folded-out even ranks.
-    if vrank < 2 * rem:
-        if vrank % 2 == 1:
-            _send(comm, codec, members[vrank - 1], tag, codec.pack(acc), name)
-        else:
-            acc = _recv(comm, codec, members[vrank + 1], tag, name)
-    return acc
-
-
-def _allreduce_hierarchical(comm, codec, value: Any, op: Op, tag: int, hier) -> Any:
-    """Two-level allreduce: reduce to each node's leader, recursive
-    doubling among the leaders (the only phase that crosses node
-    boundaries), then broadcast back down within each node."""
-    rank = comm.rank
-    members = list(hier.members(rank))
-    acc = value
-    if len(members) > 1:
-        acc = _members_reduce(comm, codec, members, 0, acc, op, tag)
-    if rank == hier.leader(rank):
-        acc = _members_allreduce_rd(comm, codec, list(hier.leaders), acc, op, tag + 1)
-    if len(members) > 1:
-        acc = _members_bcast(comm, codec, members, 0, acc, tag + 2)
-    return acc
+    if hier is None or hier.nnodes != 2 or not op.commutative:
+        acc = _fan_in(comm, codec, value, op, 0, tag, opname)
+        return _fan_out(comm, codec, acc, 0, tag + 1, opname)
+    # Two nodes are two participants as well: each leader folds its own
+    # node, the leaders swap partials (lower node on the left, as the
+    # star would fold them) and each releases its own node.
+    lead = hier.leader(comm.rank)
+    acc = _fan_in(comm, codec, value, op, lead, tag, opname, within_node=True)
+    if comm.rank == lead:
+        first, second = hier.leaders
+        other = _exchange(comm, codec, second if lead == first else first, acc, tag, opname)
+        acc = op(acc, other) if lead == first else op(other, acc)
+    return _fan_out(comm, codec, acc, lead, tag + 1, opname, within_node=True)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +324,7 @@ def _allreduce_hierarchical(comm, codec, value: Any, op: Op, tag: int, hier) -> 
 
 def bcast(comm, obj: Any, root: int, tag: int) -> Any:
     """Broadcast *obj* from *root* to every rank of *comm*."""
-    return _bcast(comm, _OBJECT, obj, root, tag)
+    return _fan_out(comm, _OBJECT, obj, root, tag, "bcast")
 
 
 def gather(comm, obj: Any, root: int, tag: int) -> Optional[list]:
@@ -512,10 +347,7 @@ def scatter(comm, objs: Optional[Sequence[Any]], root: int, tag: int) -> Any:
 
 def allgather(comm, obj: Any, tag: int) -> list:
     """Gather one object per rank into a rank-ordered list on every rank."""
-    out: list[Any] = [None] * comm.size
-    for src, piece in _allgather(comm, _OBJECT, obj, tag):
-        out[src] = piece
-    return out
+    return _allgather(comm, _OBJECT, obj, tag, "allgather")
 
 
 def alltoall(comm, objs: Sequence[Any], tag: int) -> list:
@@ -545,12 +377,12 @@ def alltoall(comm, objs: Sequence[Any], tag: int) -> list:
 
 def reduce(comm, obj: Any, op: Op, root: int, tag: int) -> Any:
     """Reduce contributions in rank order to *root* (None elsewhere)."""
-    return _reduce(comm, _OBJECT, obj, op, root, tag)
+    return _fan_in(comm, _OBJECT, obj, op, root, tag, "reduce")
 
 
 def allreduce(comm, obj: Any, op: Op, tag: int) -> Any:
     """Reduce contributions and deliver the result to every rank."""
-    return _allreduce(comm, _OBJECT, obj, op, tag)
+    return _allreduce(comm, _OBJECT, obj, op, tag, "allreduce")
 
 
 def scan(comm, obj: Any, op: Op, tag: int) -> Any:
@@ -593,57 +425,13 @@ def reduce_scatter(comm, objs: Sequence[Any], op: Op, tag: int) -> Any:
     return scatter(comm, slots, 0, tag + 1)
 
 
+#: The barrier's "operator": there is nothing to fold but the arrival.
+_ARRIVED = Op(lambda a, b: None, "arrived")
+
+
 def barrier(comm, tag: int) -> None:
     """Block until every rank of *comm* has entered the barrier."""
-    if comm.size == 1:
-        return
-    hier = comm._hierarchy()
-    if hier is not None:
-        _barrier_hierarchical(comm, tag, hier)
-        return
-    algo = comm._world.config.barrier_algorithm
-    if algo == "linear":
-        gather(comm, None, 0, tag)
-        bcast(comm, None, 0, tag + 1)
-        return
-    if algo == "dissemination":
-        _members_barrier_dissemination(comm, range(comm.size), tag)
-        return
-    raise ValueError(f"unknown barrier algorithm {algo!r}")
-
-
-def _members_barrier_dissemination(comm, members, tag: int) -> None:
-    n = len(members)
-    vrank = members.index(comm.rank)
-    step = 1
-    while step < n:
-        # Pre-post the inbound notification before sending ours, so
-        # each round's rendezvous costs at most one park.
-        src = members[(vrank - step) % n]
-        posted = comm._coll_post(src, tag)
-        _send(comm, _OBJECT, members[(vrank + step) % n], tag, Blob.encode(None), "barrier")
-        comm._coll_complete(posted, src, "barrier")
-        step <<= 1
-
-
-def _barrier_hierarchical(comm, tag: int, hier) -> None:
-    """Two-level barrier: members report to their node leader, the
-    leaders run a dissemination barrier among themselves (the only
-    cross-node traffic), then each leader releases its node."""
-    rank = comm.rank
-    members = list(hier.members(rank))
-    leader = hier.leader(rank)
-    if len(members) > 1:
-        if rank != leader:
-            _send(comm, _OBJECT, leader, tag, Blob.encode(None), "barrier")
-        else:
-            for src in members:
-                if src != leader:
-                    _recv(comm, _OBJECT, src, tag, "barrier")
-    if rank == leader:
-        _members_barrier_dissemination(comm, list(hier.leaders), tag + 1)
-    if len(members) > 1:
-        _members_bcast(comm, _OBJECT, members, 0, None, tag + 2)
+    _allreduce(comm, _OBJECT, None, _ARRIVED, tag, "barrier")
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +461,7 @@ def Bcast(comm, buf: np.ndarray, root: int, tag: int) -> np.ndarray:
     """In-place broadcast of *buf* from *root* (every rank passes a buffer
     of identical shape/dtype)."""
     buf = np.asarray(buf)
-    arr = _bcast(comm, _BUFFER, buf, root, tag)
+    arr = _fan_out(comm, _BUFFER, buf, root, tag, "Bcast")
     if comm.rank != root:
         _deliver_into(buf, arr, "Bcast")
     return buf
@@ -714,7 +502,7 @@ def Allgather(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], tag: int
     if recvbuf is None:
         recvbuf = np.empty((comm.size,) + sendbuf.shape, dtype=sendbuf.dtype)
     _check_shape(recvbuf, (comm.size,) + sendbuf.shape, "Allgather recvbuf")
-    for src, block in _allgather(comm, _BUFFER, sendbuf, tag):
+    for src, block in enumerate(_allgather(comm, _BUFFER, sendbuf, tag, "Allgather")):
         _deliver_into(recvbuf[src, ...], block, f"Allgather from rank {src}")
     return recvbuf
 
@@ -777,7 +565,7 @@ def Reduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op: Op, roo
     if comm.rank == root:
         recvbuf = np.empty_like(sendbuf) if recvbuf is None else np.asarray(recvbuf)
         _check_shape(recvbuf, sendbuf.shape, "Reduce recvbuf")
-    result = _reduce(comm, _BUFFER, sendbuf, op, root, tag)
+    result = _fan_in(comm, _BUFFER, sendbuf, op, root, tag, "Reduce")
     if comm.rank != root:
         return None
     _deliver_into(recvbuf, result, "Reduce")
@@ -789,5 +577,5 @@ def Allreduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op: Op, 
     sendbuf = np.asarray(sendbuf)
     recvbuf = np.empty_like(sendbuf) if recvbuf is None else np.asarray(recvbuf)
     _check_shape(recvbuf, sendbuf.shape, "Allreduce recvbuf")
-    _deliver_into(recvbuf, _allreduce(comm, _BUFFER, sendbuf, op, tag), "Allreduce")
+    _deliver_into(recvbuf, _allreduce(comm, _BUFFER, sendbuf, op, tag, "Allreduce"), "Allreduce")
     return recvbuf

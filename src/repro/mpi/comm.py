@@ -105,24 +105,20 @@ class Comm:
         #: diagnostic, read by the MPH layer for byte-level profiling.
         self.last_payload_bytes = 0
         # Lazily computed CommHierarchy (False = not yet computed;
-        # None = flat: single node, hierarchy disabled, or trivial size).
+        # None = flat: single node or trivial size).
         self._hier = False
 
     def _hierarchy(self):
         """The communicator's node hierarchy, or ``None`` when flat.
 
-        ``None`` means two-level collectives have nothing to exploit:
-        the world is single-node, ``hierarchical_collectives`` is off,
-        or every member of *this* communicator shares one node.
+        ``None`` means a collective has no node boundary to respect: the
+        world is single-node, the communicator has at most two ranks, or
+        every member of *this* communicator shares one node.
         """
         if self._hier is False:
             self._hier = None
             topo = self._world.topology
-            if (
-                self._world.config.hierarchical_collectives
-                and topo.nnodes > 1
-                and self.size > 2
-            ):
+            if topo.nnodes > 1 and self.size > 2:
                 h = CommHierarchy.from_topology(
                     topo, [self._group.world_id(r) for r in range(self.size)]
                 )

@@ -30,8 +30,8 @@ class Op:
     name :
         Display name used in diagnostics.
     commutative :
-        Declared commutativity.  Tree-based reduction algorithms may only
-        reorder contributions when this is true.
+        Declared commutativity.  A reduction may fold node by node (and
+        not in plain rank order) only when this is true.
     """
 
     __slots__ = ("fn", "name", "commutative")

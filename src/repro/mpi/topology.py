@@ -17,12 +17,12 @@ simulator:
 
 :class:`CommHierarchy`
     The topology restricted to one communicator's members: per-node
-    member lists and one *leader* rank per node.  The hierarchical
-    schedules of :mod:`repro.mpi.collectives` (shared by the object and
-    buffer verbs) use it
-    to run a two-level algorithm — an intra-node phase rooted at the
-    leader (over shm) and an inter-node phase among leaders only (over
-    the peer transport) — mirroring MPICH-G2's topology-aware trees.
+    member lists and one *leader* rank per node.  The schedules of
+    :mod:`repro.mpi.collectives` (shared by the object and buffer
+    verbs) shape their star by it — node-mates talk to one
+    representative (over shm), representatives to the root (over the
+    peer transport) — so a collective crosses a node boundary once per
+    node, the rule behind MPICH-G2's topology-aware trees.
 
 Both classes are plain data + arithmetic: no locks, no I/O, safe to
 share across threads and cheap to recompute per communicator.
@@ -85,7 +85,7 @@ class CommHierarchy:
 
     All ranks here are *communicator* ranks (``0..size-1``), not world
     ranks: the hierarchy is computed from the communicator's group so
-    two-level collectives address members with ordinary comm sends.
+    collectives address members with ordinary comm sends.
 
     ``leaders`` holds one member per participating node (the
     lowest-ranked member on that node), in node order.  ``local(rank)``
@@ -156,10 +156,9 @@ class CommHierarchy:
     def effective_leaders(self, root: int) -> Tuple[List[int], int]:
         """Leader list for a rooted collective, with *root* promoted.
 
-        A rooted two-level collective (bcast, reduce) wants *root* —
-        not its node's default leader — to represent its node in the
-        inter-node phase, so the data never takes an extra intra-node
-        hop.  Returns ``(leaders, root_pos)`` where ``leaders`` is the
+        A rooted collective wants *root* — not its node's default
+        leader — to represent its node, so the data never takes an
+        extra intra-node hop.  Returns ``(leaders, root_pos)`` where ``leaders`` is the
         node-ordered leader list with root's node's entry replaced by
         *root*, and ``root_pos`` is root's index in that list.
         """

@@ -9,9 +9,6 @@ the two safety nets real MPI lacks:
 * **deadlock detection** — when every live process is blocked and no message
   has moved for a grace period, the world declares deadlock and reports what
   each rank was blocked on.
-
-Algorithm selection for the collectives lives in :class:`WorldConfig` so
-benchmarks can ablate (e.g. linear vs binomial-tree broadcast).
 """
 
 from __future__ import annotations
@@ -108,17 +105,6 @@ class WorldConfig:
 
     Attributes
     ----------
-    bcast_algorithm :
-        ``"binomial"`` (tree, O(log P) rounds) or ``"linear"`` (root sends
-        to every rank).  Ablation target for the substrate benchmarks.
-    reduce_algorithm :
-        ``"binomial"`` or ``"linear"``.
-    allreduce_algorithm :
-        ``"recursive_doubling"`` or ``"reduce_bcast"``.
-    allgather_algorithm :
-        ``"ring"`` or ``"gather_bcast"``.
-    barrier_algorithm :
-        ``"dissemination"`` or ``"linear"``.
     validate_collectives :
         When true, every collective message carries an operation header that
         is checked on receipt; mismatched collective calls across ranks then
@@ -176,13 +162,8 @@ class WorldConfig:
         Number of simulated nodes the ranks are block-distributed over
         (see :class:`~repro.mpi.topology.Topology`), or ``None`` (the
         default) for a single node.  Cross-node peer pairs never use
-        shared memory, and hierarchical collectives split into
-        intra-node + inter-node phases along this boundary.
-    hierarchical_collectives :
-        Whether collectives use two-level (intra-node leader + inter-node
-        tree) algorithms when the communicator spans multiple simulated
-        nodes.  On by default; turn off to ablate against the flat
-        algorithms.
+        shared memory, and a collective crosses a node boundary once per
+        node (one representative relays for its node-mates).
     shm_ring_bytes :
         Capacity of each per-peer-pair shared-memory ring buffer
         (default 1 MiB).  Frames larger than half the ring are rejected
@@ -212,11 +193,6 @@ class WorldConfig:
         see :mod:`repro.mpi.bootstrap`).
     """
 
-    bcast_algorithm: str = "binomial"
-    reduce_algorithm: str = "binomial"
-    allreduce_algorithm: str = "recursive_doubling"
-    allgather_algorithm: str = "ring"
-    barrier_algorithm: str = "dissemination"
     validate_collectives: bool = True
     deadlock_detection: bool = True
     deadlock_grace: float = 1.0
@@ -227,7 +203,6 @@ class WorldConfig:
     backend: str = "thread"
     transport: str = "auto"
     nodes: Optional[int] = None
-    hierarchical_collectives: bool = True
     shm_ring_bytes: int = 1 << 20
     shm_pool_bytes: int = 1 << 26
     shm_inline_max: int = 1 << 15
@@ -286,7 +261,7 @@ class World:
         self.config = config or WorldConfig()
         #: Simulated node topology (ranks → nodes) — consulted by the
         #: process backend's per-pair transport selection and by the
-        #: hierarchical collective algorithms (lazy import breaks the
+        #: node-aware shape of the collectives (lazy import breaks the
         #: module cycle).
         from repro.mpi.topology import Topology
 

@@ -175,8 +175,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # One config for both backends.  --nodes doubles as the world
             # topology: the same SMP node count that validates placement
             # also scopes which rank pairs the shm/auto transports treat
-            # as same-node (rings) vs cross-node (sockets), and where
-            # hierarchical collectives draw their levels.
+            # as same-node (rings) vs cross-node (sockets), and where a
+            # collective puts its one representative per node.
             config = WorldConfig(
                 backend=args.backend,
                 transport=args.transport,

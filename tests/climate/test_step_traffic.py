@@ -19,34 +19,34 @@ NSTEPS = 2
 #: step.  Under p2p a step's coupling messages are one per component rank
 #: each way (9 + 9 on the default layout), whichever mode hosts the ranks.
 GOLDEN = {
-    "explicit_p2p": ("scme", {}, 128, (36, 43276)),
-    "explicit_join": ("scme", {"exchange": "join"}, 137, (36, 42772)),
+    "explicit_p2p": ("scme", {}, 56, (36, 43276)),
+    "explicit_join": ("scme", {"exchange": "join"}, 65, (36, 42772)),
     "parallel_coupler": (
         "scme",
         {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
-        176,
+        66,
         (46, 70140),
     ),
-    "implicit_p2p": ("scme", {"coupling": "implicit"}, 128, (144, 142300)),
+    "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (144, 142300)),
     "implicit_join": (
         "scme",
         {"coupling": "implicit", "exchange": "join"},
-        137,
+        65,
         (144, 147816),
     ),
     "implicit_subcycle": (
         "scme",
         {"coupling": "implicit", "subcycle": {"ocean": 3}},
-        128,
+        56,
         (176, 159884),
     ),
-    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 156, (40, 45116)),
-    "mcse": ("mcse", {}, 137, (36, 43276)),
+    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 66, (40, 45116)),
+    "mcse": ("mcse", {}, 65, (36, 43276)),
     # Land on the atmosphere's four processors: two more ranks each way.
     "mcme_overlap": (
         "mcme_overlap",
         {"procs": dict(PROCS, land=PROCS["atmosphere"])},
-        103,
+        61,
         (44, 45028),
     ),
 }

@@ -397,11 +397,6 @@ class TestSourceAudit:
         )
         assert out.stdout.splitlines() == ["[1, 1]", "cannot find context for 'fork'"], out.stderr
 
-    def test_worldconfig_still_has_21_fields(self):
-        from dataclasses import fields
-
-        assert len(fields(WorldConfig)) == 21
-
 
 def test_launch_budget_script_runs():
     """The EXPERIMENTS.md "Launch budget" script names the pipeline's

@@ -1,13 +1,12 @@
 """Collective tag arithmetic: no collisions between composed phases.
 
-Composed collectives (the ``gather_bcast`` allgather, the
-``reduce_bcast`` allreduce, the linear barrier, and ``reduce_scatter``)
-run a second phase on ``tag + 1``.  Base tags advance in strides of
-``_COLL_TAG_STRIDE`` per collective call, so back-to-back collectives on
-one communicator stay disjoint as long as the largest sub-tag offset any
-composition uses (``MAX_TAG_OFFSET``) is below the stride.  These tests
-pin the inequality and exercise the interleavings that would break first
-if it ever regressed.
+Composed collectives (allgather, allreduce, the barrier and
+``reduce_scatter``) run a second phase on ``tag + 1``.  Base tags advance
+in strides of ``_COLL_TAG_STRIDE`` per collective call, so back-to-back
+collectives on one communicator stay disjoint as long as the largest
+sub-tag offset any composition uses (``MAX_TAG_OFFSET``) is below the
+stride.  These tests pin the inequality and exercise the interleavings
+that would break first if it ever regressed.
 """
 
 import numpy as np
@@ -17,24 +16,11 @@ from repro.mpi import collectives
 from repro.mpi.comm import _COLL_TAG_STRIDE
 from repro.mpi.world import WorldConfig
 
-#: The two algorithm families the benchmarks ablate; both must survive
-#: back-to-back composed collectives.
-CONFIGS = {
-    "tree": WorldConfig(
-        bcast_algorithm="binomial",
-        reduce_algorithm="binomial",
-        allreduce_algorithm="recursive_doubling",
-        allgather_algorithm="ring",
-        barrier_algorithm="dissemination",
-    ),
-    "linear": WorldConfig(
-        bcast_algorithm="linear",
-        reduce_algorithm="linear",
-        allreduce_algorithm="reduce_bcast",
-        allgather_algorithm="gather_bcast",
-        barrier_algorithm="linear",
-    ),
-}
+#: Both shapes of the star must survive back-to-back composed
+#: collectives: one node (a sweep is one hop) and two (a representative
+#: relays on the same tag it received on).  The keys are the names the
+#: test floor knows the two legs by.
+CONFIGS = {"linear": WorldConfig(), "tree": WorldConfig(nodes=2)}
 
 
 def test_max_offset_below_stride():

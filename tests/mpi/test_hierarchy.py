@@ -1,18 +1,17 @@
-"""Topology model and node-aware hierarchical collectives.
+"""Topology model and the node-aware shape of the collectives.
 
 ``Topology`` maps ranks onto simulated nodes; ``CommHierarchy`` derives
-the leader structure any communicator needs for two-level collectives
-(intra-node gather to a leader, inter-node exchange among leaders,
-intra-node broadcast back — the MPICH-G2 topology-aware scheme the
-paper's multi-component coupling assumes).
+the leader structure a communicator's star needs once it spans nodes
+(node-mates talk to one representative, representatives to the root —
+the MPICH-G2 rule that a collective crosses a slow link once).
 
-The correctness bar for the hierarchical algorithms is *bit-identical
-results to the flat ones* on every communicator shape: sizes that are
-prime, powers of two, smaller than the node count; roots on and off the
-leader set; subset communicators that land entirely on one node (where
-the hierarchy must disable itself).  The sweep below checks hierarchical
-against flat output for every collective on both the object and buffer
-paths.
+The correctness bar for the two-deep star is *bit-identical results to
+the flat one* on every communicator shape: sizes that are prime, powers
+of two, smaller than the node count; roots on and off the leader set;
+subset communicators that land entirely on one node (where the hierarchy
+must disable itself).  The sweep below checks a world over several nodes
+against the same world on one node for every collective on both the
+object and buffer paths.
 """
 
 from __future__ import annotations
@@ -184,10 +183,8 @@ def _assert_same(flat, hier):
 @pytest.mark.parametrize("size", [3, 4, 5, 7, 8])
 @pytest.mark.parametrize("nodes", [2, 3])
 def test_hierarchical_matches_flat(size, nodes):
-    flat_cfg = WorldConfig(nodes=nodes, hierarchical_collectives=False)
-    hier_cfg = WorldConfig(nodes=nodes, hierarchical_collectives=True)
-    flat = run_spmd(size, _collective_battery, config=flat_cfg, timeout=60)
-    hier = run_spmd(size, _collective_battery, config=hier_cfg, timeout=60)
+    flat = run_spmd(size, _collective_battery, config=WorldConfig(), timeout=60)
+    hier = run_spmd(size, _collective_battery, config=WorldConfig(nodes=nodes), timeout=60)
     for f, h in zip(flat, hier):
         _assert_same(f, h)
 

@@ -60,11 +60,6 @@ class TestConfigValidation:
         unexpected keyword to the dataclass, so a stale config fails
         loudly instead of being silently ignored."""
         assert [f.name for f in dataclasses.fields(WorldConfig)] == [
-            "bcast_algorithm",
-            "reduce_algorithm",
-            "allreduce_algorithm",
-            "allgather_algorithm",
-            "barrier_algorithm",
             "validate_collectives",
             "deadlock_detection",
             "deadlock_grace",
@@ -75,7 +70,6 @@ class TestConfigValidation:
             "backend",
             "transport",
             "nodes",
-            "hierarchical_collectives",
             "shm_ring_bytes",
             "shm_pool_bytes",
             "shm_inline_max",
@@ -86,6 +80,10 @@ class TestConfigValidation:
     def test_retired_knob_is_a_type_error(self):
         with pytest.raises(TypeError, match="bootstrap"):
             WorldConfig(bootstrap="tree")
+        with pytest.raises(TypeError, match="bcast_algorithm"):
+            WorldConfig(bcast_algorithm="linear")
+        with pytest.raises(TypeError, match="hierarchical_collectives"):
+            WorldConfig(hierarchical_collectives=False)
 
     def test_thread_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):

@@ -101,10 +101,11 @@ class TestEncodeOnceTraffic:
             return comm.world.traffic_snapshot().since(before).copy_avoided_bytes
 
         # Rank 0 snapshots before any traffic moves and after the barrier
-        # has flushed it all, so its delta sees the whole bcast: of the
-        # binomial tree's three 8 KiB messages, the root's second child
-        # send and the relay's forward reuse an existing encoding.
-        assert mpi.run_spmd(4, prog)[0] == 2 * 8192
+        # has flushed it all, so its delta sees both fan-outs whole: the
+        # root encodes once for its three children, so the second and
+        # third send of the 8 KiB bcast reuse that encoding — and so do
+        # the second and third of the barrier's 4-byte releases.
+        assert mpi.run_spmd(4, prog)[0] == 2 * 8192 + 2 * 4
 
 
 class TestObjectModeStatusCount:

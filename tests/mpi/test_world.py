@@ -60,7 +60,7 @@ class TestAbort:
 class TestWorldConfig:
     def test_defaults(self):
         cfg = WorldConfig()
-        assert cfg.bcast_algorithm == "binomial"
+        assert cfg.nodes is None
         assert cfg.validate_collectives is True
         assert cfg.deadlock_detection is True
         assert cfg.max_components_per_executable == 10  # the paper's limit

@@ -18,7 +18,8 @@ provides the knobs:
 
 ``--mpi-nodes N``
     Simulated node count for the world topology (default: unset, one
-    node).  With ``N >= 2`` the hierarchical collectives engage and, for
+    node).  With ``N >= 2`` a collective crosses each node boundary once
+    (a representative per node relays for its node-mates) and, for
     ``shm``/``auto`` transports, cross-node pairs fall back to sockets.
 
 ``mpi_backend``
@@ -33,12 +34,18 @@ provides the knobs:
     selected backend with a test-friendly timeout.  Process-backend runs
     get a larger default budget (real fork + socket bootstrap per rank).
 
+``leg_spmd``
+    The same runner without the parametrization: one backend, the one
+    the command line names (threads when it names both).
+
 An autouse session fixture also asserts that no shm segments survive the
 run: a leaked ``/dev/shm`` mapping is a correctness bug (the rendezvous
 sweep must remove segments on every exit path, crashes included).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -117,6 +124,34 @@ def backend_spmd(mpi_backend, pytestconfig):
         return run_spmd(n, fn, config=config, timeout=timeout, **kw)
 
     runner.backend = mpi_backend
+    return runner
+
+
+@pytest.fixture
+def leg_spmd(pytestconfig):
+    """SPMD runner on the *one* backend the command line names (the
+    thread world when it says ``both``), for suites whose ids carry
+    another axis.  A ``config`` a test passes keeps its own fields and
+    takes the leg's backend, transport and — unless it sets one — node
+    count, so CI's process legs run the suite over real rings and
+    sockets while tier-1 runs it once, on threads."""
+    choice = pytestconfig.getoption("--mpi-backend")
+    leg = _make_config("thread" if choice == "both" else choice, pytestconfig)
+
+    def runner(n, fn, *, config=None, timeout=None, **kw):
+        if config is None:
+            config = leg
+        else:
+            config = dataclasses.replace(
+                config,
+                backend=leg.backend,
+                transport=leg.transport,
+                nodes=config.nodes or leg.nodes,
+            )
+        if timeout is None:
+            timeout = 60.0 if leg.backend == "process" else 30.0
+        return run_spmd(n, fn, config=config, timeout=timeout, **kw)
+
     return runner
 
 
