@@ -179,7 +179,9 @@ def _star(comm, root: int, hier, within_node: bool = False) -> tuple:
     Without a node hierarchy the root is everyone's parent.  With one,
     every node has a representative — its leader, or *root* on root's own
     node — that is the parent of its node-mates and a child of *root*;
-    *within_node* stops the star at the boundary of root's node."""
+    *within_node* stops the star at the boundary of root's node.  The
+    root's children list the representatives first: what they are sent
+    has a second hop to make."""
     rank = comm.rank
     if hier is None:
         if rank != root:
@@ -192,7 +194,7 @@ def _star(comm, root: int, hier, within_node: bool = False) -> tuple:
     mates = [m for m in hier.members(rank) if m != rank]
     if rank != root:
         return root, mates
-    return None, mates if within_node else mates + [r for r in reps if r != root]
+    return None, mates if within_node else [r for r in reps if r != root] + mates
 
 
 def _fan_in(
