@@ -22,7 +22,7 @@ from repro.core.session import (
     instance_session,
     pool_session,
 )
-from repro.errors import ProcessFailedError, SessionError
+from repro.errors import ProcessFailedError, RevokedError, SessionError
 from repro.mpi.faults import SimulatedCrash
 
 REG = "BEGIN\natm\nocn\nEND"
@@ -276,11 +276,17 @@ class TestShrinkThenGrow:
         def atm(world, env):
             s = components_session(world, "atmosphere", env=env)
             mph = s.mph(env=env)
+            # The ocean dies only once every atmosphere rank has left the
+            # handshake (its last collective is a fan-out: a leaf leaves
+            # it before its siblings are served, and a rank still inside
+            # when a sibling revokes the world could not recover).
+            mph.send("ready", "ocean", 0, tag=6)
             original = mph.global_proc_id()
             try:
                 while True:
                     mph.recv("ocean", 0, tag=7)
-            except ProcessFailedError:
+            except (ProcessFailedError, RevokedError):
+                # Revoked: a sibling saw the failure first.
                 mph.global_world.revoke()
             newly_dead = s.shrink()
             assert newly_dead == ("ocean",)
@@ -303,7 +309,9 @@ class TestShrinkThenGrow:
             return ("ok", total)
 
         def ocn(world, env):
-            components_session(world, "ocean", env=env)
+            mph = components_session(world, "ocean", env=env).mph(env=env)
+            for rank in range(3):
+                mph.recv("atmosphere", rank, tag=6)
             raise SimulatedCrash("ocean dies")
 
         def spare(world, env):

@@ -221,11 +221,18 @@ class TestMphShrinkWorld:
 
         def atm(world, env):
             mph = components_setup(world, "atmosphere", env=env)
+            # The ocean dies only once every atmosphere rank has left the
+            # handshake: its last collective is a fan-out, which a leaf
+            # leaves before its siblings are served (as in real MPI, a
+            # broadcast does not synchronise), and a rank still inside it
+            # when a sibling revokes the world could not recover.
+            mph.send("ready", "ocean", 0, tag=6)
             original_id = mph.global_proc_id()
             try:
                 while True:
                     mph.recv("ocean", 0, tag=7)
-            except ProcessFailedError:
+            except (ProcessFailedError, RevokedError):
+                # Revoked: a sibling saw the failure first.
                 mph.global_world.revoke()
             mph2 = mph.shrink_world()
             assert mph2.dead_components == ("ocean",)
@@ -242,7 +249,9 @@ class TestMphShrinkWorld:
             return ("ok", total)
 
         def ocn(world, env):
-            components_setup(world, "ocean", env=env)
+            mph = components_setup(world, "ocean", env=env)
+            for rank in range(3):
+                mph.recv("atmosphere", rank, tag=6)
             raise SimulatedCrash("ocean dies")
 
         result = mph_run([(atm, 3), (ocn, 1)], registry=reg, timeout=60.0)
