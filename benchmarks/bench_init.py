@@ -35,9 +35,6 @@ from repro.mpi.bootstrap import (
 from repro.mpi.transport import make_listener
 from repro.mpi.world import WorldConfig
 
-#: Fanout under test — the :class:`WorldConfig` default.
-FANOUT = 8
-
 #: Simulated ranks only park on sockets, so they run on tiny stacks —
 #: 4096 threads at the interpreter default (8 MiB) would be 32 GiB of
 #: address space for nothing.
@@ -72,16 +69,15 @@ def bootstrap_seconds(nprocs: int) -> float:
     sys.setswitchinterval(_SWITCH_INTERVAL_S)
     listener = None
     try:
-        listener, rendezvous = make_listener(
-            "unix", os.path.join(sockdir, "rendezvous.sock")
-        )
+        rendezvous = os.path.join(sockdir, "rendezvous.sock")
+        listener = make_listener(rendezvous)
         errors: list = []
 
         def child(rank: int) -> None:
             try:
-                my_addr = ("unix", os.path.join(sockdir, f"d{rank}"))
+                my_addr = os.path.join(sockdir, f"d{rank}")
                 peers, _config, _meta = child_tree_address_exchange(
-                    rendezvous, rank, nprocs, FANOUT, sockdir, my_addr,
+                    rendezvous, rank, nprocs, sockdir, my_addr,
                     timeout=_CHILD_TIMEOUT,
                 )
                 if len(peers) != nprocs:

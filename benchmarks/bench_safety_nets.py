@@ -1,10 +1,9 @@
 """Ablation — what the substrate's safety nets cost.
 
-The deadlock watchdog and collective-operation validation are always-on
-by default; this bench measures their overhead on a communication-heavy
-workload so the default can be defended with a number.  Expected shape:
-both are near-free — the watchdog only runs on blocked waiters' wakeup
-slices and validation is one string compare per collective message.
+The deadlock watchdog is on by default; this bench measures its overhead
+on a communication-heavy workload so the default can be defended with a
+number.  Expected shape: near-free — the watchdog only runs on blocked
+waiters' wakeup slices.
 """
 
 import pytest
@@ -14,8 +13,6 @@ from repro.mpi import WorldConfig, run_spmd
 CONFIGS = {
     "all-on": WorldConfig(),
     "no-deadlock-detection": WorldConfig(deadlock_detection=False),
-    "no-collective-validation": WorldConfig(validate_collectives=False),
-    "all-off": WorldConfig(deadlock_detection=False, validate_collectives=False),
 }
 
 

@@ -13,7 +13,7 @@ Two questions, answered in ``BENCH_shm.json``:
 * **Does following the node map beat ignoring it?**  ``allreduce`` on
   4 ranks: one flat star with every pair on sockets (``nodes=None``,
   ``unix``) vs the same ranks split across 2 simulated nodes
-  (``nodes=2``, ``auto``: each leader folds its node over shm rings and
+  (``nodes=2``, ``shm``: each leader folds its node over shm rings and
   only the two leaders speak across the socket) — the MPICH-G2
   topology argument, reproduced on one host.  Measured
   twice: on a scalar (pure per-message latency, where an oversubscribed
@@ -79,7 +79,7 @@ def _hierarchy_substrates() -> dict[str, WorldConfig]:
     # rings and one leader per node on the socket between them.
     return {
         "flat-sockets": WorldConfig(backend="process", transport="unix"),
-        "twolevel-shm": WorldConfig(backend="process", transport="auto", nodes=2),
+        "twolevel-shm": WorldConfig(backend="process", transport="shm", nodes=2),
     }
 
 

@@ -93,6 +93,9 @@ POOL_TAG_BASE = SESSION_TAG_BASE - (1 << 16)
 
 _EPOCH_TAG_MASK = 0xFFFF
 
+#: "Each executable could contain up to 10 components" (paper §4.3).
+_MAX_COMPONENTS = 10
+
 
 @dataclass(frozen=True)
 class ProcessSet:
@@ -249,11 +252,10 @@ class Session:
         ``dup`` for the control communicator; **no** component
         communicators are built here — they are derived lazily from psets.
         """
-        max_comps = world.world.config.max_components_per_executable
-        if isinstance(decl, ComponentDecl) and len(decl.names) > max_comps:
+        if isinstance(decl, ComponentDecl) and len(decl.names) > _MAX_COMPONENTS:
             raise HandshakeError(
-                f"executable declares {len(decl.names)} components; the limit is {max_comps} "
-                "(paper §4.3)"
+                f"executable declares {len(decl.names)} components; the limit is "
+                f"{_MAX_COMPONENTS} (paper §4.3)"
             )
 
         if isinstance(registry_input, PrecomputedLayout):

@@ -66,7 +66,6 @@ from repro.mpi.procbackend import ProcessWorld, RankPool
 from repro.mpi.progress import Completion, ProgressEngine, RankProgress, Waitset
 from repro.mpi.request import Request
 from repro.mpi.serialization import Blob, payload_nbytes
-from repro.mpi.shm import PagePool, ShmRing, ShmSegment, ShmStats, ShmTransport
 from repro.mpi.status import Status
 from repro.mpi.topology import CommHierarchy, Topology
 from repro.mpi.transport import (
@@ -135,11 +134,6 @@ __all__ = [
     "RankPool",
     "Transport",
     "SocketTransport",
-    "ShmTransport",
-    "ShmSegment",
-    "ShmRing",
-    "PagePool",
-    "ShmStats",
     "Topology",
     "CommHierarchy",
     "TransportStats",

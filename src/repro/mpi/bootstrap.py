@@ -4,10 +4,10 @@ A parent that accepts every child itself — the pattern the MPD papers
 (Butler, Gropp & Lusk) warn about — serially handles O(N) connections
 and pickles an O(N)-entry welcome payload O(N) times, so launcher CPU
 grows O(N²) with world size.  Every process world instead forms through
-a *fanout*-ary relay *tree* over deterministic control sockets.
+a :data:`FANOUT`-ary relay *tree* over deterministic control sockets.
 
-* Child *r*'s tree parent is ``(r - 1) // fanout``; its children are
-  ``fanout * r + 1 .. fanout * r + fanout``.  Rank 0 is the root and the
+* Child *r*'s tree parent is ``(r - 1) // FANOUT``; its children are
+  ``FANOUT * r + 1 .. FANOUT * r + FANOUT``.  Rank 0 is the root and the
   only child that talks to the launcher during address exchange.
 * **Upward**: each child binds its data listener *first* (so no sender
   can race it), collects one aggregated ``("hellos", {rank: addr})``
@@ -26,12 +26,11 @@ a *fanout*-ary relay *tree* over deterministic control sockets.
   exchange, not the failure handling.
 
 The *control* plane — the launcher's rendezvous socket and every
-``ctrl<rank>.sock`` — always lives at deterministic Unix-domain paths in
-the job's private socket directory: a child knows its parent's control
-path before any address has been exchanged.  The addresses the exchange
-*carries* belong to the *data* plane and may be of either socket family,
-so Unix, TCP and shm jobs of any size, down to one rank, form the same
-way.
+``ctrl<rank>.sock`` — lives at deterministic paths in the job's private
+socket directory: a child knows its parent's control path before any
+address has been exchanged.  The addresses the exchange *carries* are
+the ranks' *data* listeners, so socket and shm jobs of any size, down to
+one rank, form the same way.
 
 A child may connect to its tree parent before the parent has bound its
 control socket; :func:`connect_retry` absorbs that race with a capped
@@ -57,6 +56,9 @@ from typing import Any, Optional
 from repro.errors import TransportError
 from repro.mpi.transport import connect, make_listener, recv_frame, send_frame
 
+#: Arity of the relay tree.
+FANOUT = 8
+
 #: How long a child keeps retrying a connect to a tree parent whose
 #: control socket is not bound yet.
 _CONNECT_RETRY_TIMEOUT = 60.0
@@ -67,25 +69,25 @@ _CONNECT_RETRY_TIMEOUT = 60.0
 # ---------------------------------------------------------------------------
 
 
-def tree_parent(rank: int, fanout: int) -> int:
+def tree_parent(rank: int) -> int:
     """Tree parent of *rank* (undefined for the root, rank 0)."""
-    return (rank - 1) // fanout
+    return (rank - 1) // FANOUT
 
 
-def tree_children(rank: int, fanout: int, nprocs: int) -> list[int]:
-    """Tree children of *rank* in a *fanout*-ary tree of *nprocs* ranks."""
-    first = fanout * rank + 1
-    return [r for r in range(first, min(first + fanout, nprocs))]
+def tree_children(rank: int, nprocs: int) -> list[int]:
+    """Tree children of *rank* in the tree of *nprocs* ranks."""
+    first = FANOUT * rank + 1
+    return [r for r in range(first, min(first + FANOUT, nprocs))]
 
 
-def subtree_ranks(rank: int, fanout: int, nprocs: int) -> list[int]:
+def subtree_ranks(rank: int, nprocs: int) -> list[int]:
     """All ranks of the subtree rooted at *rank* (including *rank*)."""
     out: list[int] = []
     frontier = [rank]
     while frontier:
         r = frontier.pop()
         out.append(r)
-        frontier.extend(tree_children(r, fanout, nprocs))
+        frontier.extend(tree_children(r, nprocs))
     return out
 
 
@@ -100,7 +102,7 @@ def ctrl_path(sockdir: str, rank: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def connect_retry(addr: tuple, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socket.socket:
+def connect_retry(path: str, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socket.socket:
     """Connect, absorbing the child-before-parent race: a tree child may
     dial its parent's deterministic control path before the parent has
     bound it."""
@@ -108,7 +110,7 @@ def connect_retry(addr: tuple, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socke
     delay = 0.001
     while True:
         try:
-            return connect(addr)
+            return connect(path)
         except OSError as exc:
             if exc.errno not in (
                 errno.ENOENT,
@@ -118,7 +120,7 @@ def connect_retry(addr: tuple, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socke
                 raise
             if time.monotonic() >= deadline:
                 raise TransportError(
-                    f"bootstrap connect to {addr!r} kept failing for "
+                    f"bootstrap connect to {path!r} kept failing for "
                     f"{timeout:.0f}s: {exc}"
                 ) from exc
             time.sleep(delay)
@@ -131,22 +133,19 @@ def connect_retry(addr: tuple, timeout: float = _CONNECT_RETRY_TIMEOUT) -> socke
 
 
 def child_tree_exchange(
-    rendezvous: tuple,
+    rendezvous: str,
     rank: int,
     nprocs: int,
-    fanout: int,
     sockdir: str,
-    my_addr: tuple,
-) -> tuple[dict[int, tuple], Any, Any, socket.socket]:
+    my_addr: str,
+) -> tuple[dict[int, str], Any, Any, socket.socket]:
     """One child's half of the tree bootstrap.
 
     Returns ``(peers, config, meta, ctrl)`` where *ctrl* is the direct,
     already-registered launcher connection that carries the rest of the
     child's protocol (result frame, shutdown linger).
     """
-    peers, config, meta = child_tree_address_exchange(
-        rendezvous, rank, nprocs, fanout, sockdir, my_addr
-    )
+    peers, config, meta = child_tree_address_exchange(rendezvous, rank, nprocs, sockdir, my_addr)
 
     # Register: the direct launcher connection used for everything after
     # the address exchange.
@@ -156,14 +155,13 @@ def child_tree_exchange(
 
 
 def child_tree_address_exchange(
-    rendezvous: tuple,
+    rendezvous: str,
     rank: int,
     nprocs: int,
-    fanout: int,
     sockdir: str,
-    my_addr: tuple,
+    my_addr: str,
     timeout: float = _CONNECT_RETRY_TIMEOUT,
-) -> tuple[dict[int, tuple], Any, Any]:
+) -> tuple[dict[int, str], Any, Any]:
     """The relay part of the child's tree bootstrap — hellos up, welcome
     down — without the follow-up launcher registration.  Returns
     ``(peers, config, meta)``.  Split out so ``bench_init`` can drive
@@ -172,20 +170,20 @@ def child_tree_address_exchange(
     suits real per-process children — oversubscribed thread-simulated
     worlds (hundreds of ranks on few cores) need more headroom.
     """
-    children = tree_children(rank, fanout, nprocs)
+    children = tree_children(rank, nprocs)
 
     # Bind my control socket before contacting the parent, so my own
     # children's connect_retry can only ever race the bind, not miss it.
     ctrl_listener = None
     if children:
-        ctrl_listener, _ = make_listener("unix", ctrl_path(sockdir, rank))
+        ctrl_listener = make_listener(ctrl_path(sockdir, rank))
         ctrl_listener.settimeout(timeout)
 
     # Upward: aggregate my subtree's addresses.  Children connect in
     # whatever order they finish their own subtrees, so the hellos frame
     # carries the sender's rank and connections are keyed by it — the
     # downward welcomes must reach the matching subtree.
-    addrs: dict[int, tuple] = {rank: my_addr}
+    addrs: dict[int, str] = {rank: my_addr}
     child_conns: dict[int, socket.socket] = {}
     try:
         for _ in children:
@@ -199,10 +197,7 @@ def child_tree_address_exchange(
         if rank == 0:
             up = connect(rendezvous)
         else:
-            up = connect_retry(
-                ("unix", ctrl_path(sockdir, tree_parent(rank, fanout))),
-                timeout=timeout,
-            )
+            up = connect_retry(ctrl_path(sockdir, tree_parent(rank)), timeout=timeout)
         try:
             send_frame(up, ("hellos", rank, addrs))
 
@@ -216,11 +211,7 @@ def child_tree_address_exchange(
                 if metas is None:
                     sub = None
                 else:
-                    sub = {
-                        r: metas[r]
-                        for r in subtree_ranks(child, fanout, nprocs)
-                        if r in metas
-                    }
+                    sub = {r: metas[r] for r in subtree_ranks(child, nprocs) if r in metas}
                 send_frame(conn, ("welcome_tree", blob, sub))
         finally:
             up.close()
@@ -295,7 +286,7 @@ def serve_tree_address_exchange(
     :func:`serve_tree_rendezvous` (``bench_init`` drives only this
     part).
     """
-    addrs: dict[int, tuple] = {}
+    addrs: dict[int, str] = {}
     root_conn: Optional[socket.socket] = None
     while root_conn is None:
         try:

@@ -380,7 +380,7 @@ class Comm:
         """Wait on a pre-posted collective receive and validate the
         operation name (aborting the world on a collective mismatch)."""
         env = self._mailbox.wait(posted, f"{opname}(source={source}) on {self.name}")
-        if self._world.config.validate_collectives and env.op != opname:
+        if env.op != opname:
             exc = CollectiveMismatchError(
                 f"rank {self._rank} of {self.name!r} executing {opname!r} received a "
                 f"message belonging to {env.op!r}: ranks called mismatched collectives"

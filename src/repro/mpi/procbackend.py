@@ -19,10 +19,9 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    :class:`~repro.mpi.executor.ExecRank` — or, when the launch holds a
    :class:`RankPool`, an assignment frame to a process that *parked*
    after an earlier job, forking only the shortfall).
-2. Each child binds its own *data* listener (Unix or TCP, per
-   ``config.transport``) — before anyone learns its address, so no
-   sender can race it — then exchanges addresses with the parent through
-   a fanout-ary relay tree (:mod:`repro.mpi.bootstrap`): hellos
+2. Each child binds its own *data* listener — before anyone learns its
+   address, so no sender can race it — then exchanges addresses with the
+   parent through a relay tree (:mod:`repro.mpi.bootstrap`): hellos
    aggregate upward, the welcome payload is pickled once and relayed
    downward as opaque bytes, and each child then *registers* a direct
    parent connection.
@@ -30,7 +29,8 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    :class:`~repro.mpi.world.WorldConfig`, its per-rank launcher
    metadata, and a direct control connection to the parent.
 4. Each child builds a :class:`~repro.mpi.transport.SocketTransport` over
-   the peer map, a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
+   the peer map (a :class:`~repro.mpi.shm.ShmTransport` when the job asks
+   for ``"shm"``), a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
    handle, then runs the rank function
    (:func:`~repro.mpi.executor.run_rank`, the same body a rank thread
    runs).
@@ -179,8 +179,8 @@ def rendezvous_prefix(namespace: Optional[str] = None) -> str:
 
 def _rendezvous_path(sockdir: str) -> str:
     """The launcher's rendezvous socket: like every control socket, a
-    Unix path in the job's socket directory, so a child needs nothing
-    but the directory to find it — whatever family the data plane uses."""
+    path in the job's socket directory, so a child needs nothing but the
+    directory to find it."""
     return os.path.join(sockdir, "rendezvous.sock")
 
 
@@ -190,13 +190,7 @@ def _rendezvous_path(sockdir: str) -> str:
 
 
 def child_session(
-    rank: int,
-    nprocs: int,
-    family: str,
-    sockdir: str,
-    run: Callable[[Any, Any], Any],
-    *,
-    fanout: int = 8,
+    rank: int, nprocs: int, sockdir: str, run: Callable[[Any, Any], Any]
 ) -> None:
     """One child's whole life: handshake, run the rank, report, linger.
 
@@ -206,23 +200,21 @@ def child_session(
     function directly) and the exec children of ``repro.tools.mphchild``
     (which resolve the function from *meta*).
 
-    *family* is the socket family of the child's *data* listener;
-    *nprocs*/*fanout* shape the bootstrap relay tree (the parent passes
-    them down, since a child cannot read the
-    :class:`~repro.mpi.world.WorldConfig` it has yet to receive).
+    *nprocs* shapes the bootstrap relay tree (the parent passes it down,
+    since a child cannot read the world it has yet to join).
     """
-    listener, addr = make_listener(family, os.path.join(sockdir, f"rank{rank}.sock"))
+    addr = os.path.join(sockdir, f"rank{rank}.sock")
+    listener = make_listener(addr)
     peers, config, meta, ctrl = child_tree_exchange(
-        ("unix", _rendezvous_path(sockdir)), rank, nprocs, fanout, sockdir, addr
+        _rendezvous_path(sockdir), rank, nprocs, sockdir, addr
     )
     try:
         world = ProcessWorld(nprocs, config, rank)
-        if config.transport in ("auto", "shm"):
-            # MPICH-G2-style per-pair protocol selection: shm rings for
-            # same-node peers, the bootstrap sockets otherwise.  The
-            # segment prefix is derived from the job's private sockdir,
-            # so segment names are unique per job and the parent can
-            # sweep leftovers by prefix.
+        if config.transport == "shm":
+            # Rings for same-node peers, the bootstrap sockets otherwise.
+            # The segment prefix is derived from the job's private
+            # sockdir, so segment names are unique per job and the parent
+            # can sweep leftovers by prefix.
             from repro.mpi.shm import ShmTransport
 
             transport = ShmTransport(
@@ -230,7 +222,6 @@ def child_session(
                 nprocs,
                 listener,
                 peers,
-                config=config,
                 prefix=os.path.basename(sockdir),
                 topology=world.topology,
             )
@@ -302,17 +293,15 @@ def _child_main(
         os.dup2(fd, 1)
         os.dup2(fd, 2)
         os.close(fd)
-    nprocs, family, sockdir = rendezvous.nprocs, rendezvous.family, rendezvous.sockdir
-    fanout = rendezvous.config.bootstrap_fanout
+    nprocs, sockdir = rendezvous.nprocs, rendezvous.sockdir
     if park is not None:
-        _serve_assignments(*park, (rank, nprocs, family, sockdir, fanout))
+        _serve_assignments(*park, (rank, nprocs, sockdir))
         return
     if not isinstance(fn, ExecRank):
-        child_session(rank, nprocs, family, sockdir, lambda comm, meta: fn(comm), fanout=fanout)
+        child_session(rank, nprocs, sockdir, lambda comm, meta: fn(comm))
         return
     argv = [sys.executable, "-m", "repro.tools.mphchild"]
-    argv += ["--rank", str(rank), "--nprocs", str(nprocs), "--family", family]
-    argv += ["--sockdir", sockdir, "--fanout", str(fanout)]
+    argv += ["--rank", str(rank), "--nprocs", str(nprocs), "--sockdir", sockdir]
     # The child must import repro regardless of how the parent got it
     # onto sys.path (installed, PYTHONPATH=src, pytest rootdir magic).
     import repro
@@ -331,8 +320,8 @@ def _child_main(
 def _serve_assignments(conn: socket.socket, resolve: Callable[[Any], Any], assignment) -> None:
     """The life of a :class:`RankPool` process: play the rank it was
     forked for, ack, park on *conn* for the next *assignment* — ``(rank,
-    nprocs, family, sockdir, fanout)``, what ``mphchild`` gets on its
-    command line — until the launcher retires it or dies (EOF).
+    nprocs, sockdir)``, what ``mphchild`` gets on its command line —
+    until the launcher retires it or dies (EOF).
 
     Every job is the same :func:`child_session` a forked or exec'd rank
     runs; the program is rebuilt from the welcome frame's meta by
@@ -371,13 +360,11 @@ def _serve_assignments(conn: socket.socket, resolve: Callable[[Any], Any], assig
     # per-job collection below cheap.
     gc.freeze()
     while assignment:
-        rank, nprocs, family, sockdir, fanout = assignment
+        rank, nprocs, sockdir = assignment
         # The budget came with the fork; a comparison, unless this world
         # divides the cores differently from the last one served here.
         apply_thread_budget(nprocs)
-        child_session(
-            rank, nprocs, family, sockdir, lambda comm, meta: resolve(meta)(comm), fanout=fanout
-        )
+        child_session(rank, nprocs, sockdir, lambda comm, meta: resolve(meta)(comm))
         try:
             send_frame(conn, ("parked",))
             gc.collect()  # the world's cycles, while nobody waits for us
@@ -424,8 +411,7 @@ class _Child:
     def assign(self, rendezvous: "_Rendezvous", rank: int, label: str) -> None:
         """Start a parked process on its next rank: a message, not a fork."""
         self.rank, self.label = rank, label
-        r = rendezvous
-        send_frame(self.conn, (rank, r.nprocs, r.family, r.sockdir, r.config.bootstrap_fanout))
+        send_frame(self.conn, (rank, rendezvous.nprocs, rendezvous.sockdir))
 
     def parked(self, deadline: float) -> bool:
         """Whether the process acked, by *deadline*, that nothing of the
@@ -563,10 +549,8 @@ class _Rendezvous:
     def __init__(self, nprocs: int, config: WorldConfig, namespace: Optional[str] = None):
         self.nprocs = nprocs
         self.config = config
-        #: Socket family of the children's data listeners.
-        self.family = "tcp" if config.transport == "tcp" else "unix"
         self.sockdir = tempfile.mkdtemp(prefix=rendezvous_prefix(namespace))
-        self.listener, _ = make_listener("unix", _rendezvous_path(self.sockdir))
+        self.listener = make_listener(_rendezvous_path(self.sockdir))
 
     def bootstrap(self, conns, children, results, ranks, deadline) -> None:
         """One aggregated hellos frame from the relay root, one
@@ -713,13 +697,15 @@ class _Rendezvous:
             self.listener.close()
         except OSError:  # pragma: no cover - defensive
             pass
-        # Sweep any shm segments of this job that a crashed child never
-        # unlinked itself (segment names derive from the sockdir name,
-        # so the prefix is job-unique).  Runs on every exit path of
-        # run_procs — including ChildExitError — so /dev/shm can't leak.
-        from repro.mpi.shm import sweep_segments
+        if self.config.transport == "shm":  # no other job creates a segment
+            # Sweep any shm segments of this job that a crashed child
+            # never unlinked itself (segment names derive from the
+            # sockdir name, so the prefix is job-unique).  Runs on every
+            # exit path of run_procs — including ChildExitError — so
+            # /dev/shm can't leak.
+            from repro.mpi.shm import sweep_segments
 
-        sweep_segments(os.path.basename(self.sockdir))
+            sweep_segments(os.path.basename(self.sockdir))
         shutil.rmtree(self.sockdir, ignore_errors=True)
 
     @staticmethod

@@ -46,6 +46,11 @@ _HIST_BUCKETS = (
 )
 _HIST_OVERFLOW = ">=1s"
 
+#: How often (seconds) the watchdog thread runs the all-blocked-and-idle
+#: deadlock scan while someone is blocked.  Bounds deadlock-detection and
+#: thereby abort-propagation latency.
+_WATCHDOG_PERIOD = 0.05
+
 
 def blocked_bucket(seconds: float) -> str:
     """The histogram bucket label for a blocked episode of *seconds*."""
@@ -328,12 +333,11 @@ class ProgressEngine:
         """Periodically run the all-blocked-and-idle deadlock scan while
         anyone is blocked; retire on abort, shutdown, or a quiet period.
 
-        Detection latency is bounded by ``watchdog_period``: blocked
-        ranks park unconditionally and this single thread owns the
-        safety net.
+        Detection latency is bounded by :data:`_WATCHDOG_PERIOD`:
+        blocked ranks park unconditionally and this single thread owns
+        the safety net.
         """
         world = self._world
-        period = max(world.config.watchdog_period, 1e-3)
         idle_since: Optional[float] = None
         while True:
             with self._wd_cond:
@@ -341,7 +345,7 @@ class ProgressEngine:
                 # for the retire check below but never cut the period
                 # short, so scans run O(elapsed / period), not O(parks).
                 if not self._wd_shutdown:
-                    self._wd_cond.wait(timeout=period)
+                    self._wd_cond.wait(timeout=_WATCHDOG_PERIOD)
                 self._wd_kick = False
                 if self._wd_shutdown:
                     self._wd_running = False

@@ -34,10 +34,10 @@ write is detected as corruption instead of being decoded as garbage.
 Segments are plain ``O_CREAT|O_EXCL`` files (not
 :mod:`multiprocessing.shared_memory`, whose resource tracker unlinks
 attached segments from under sibling processes).  Files are sparse:
-untouched ring/pool pages cost nothing, so the default 64 MiB pool is
-cheap.  The owner unlinks its file on close; the launcher additionally
-sweeps ``<prefix>-r*`` in :meth:`~repro.mpi.procbackend._Rendezvous.sweep`
-so a crashed child can never leak a segment.
+untouched ring/pool pages cost nothing, so the 64 MiB pool is cheap.
+The owner unlinks its file on close; the launcher additionally sweeps
+``<prefix>-r*`` in :meth:`~repro.mpi.procbackend._Rendezvous.sweep` so a
+crashed child can never leak a segment.
 """
 
 from __future__ import annotations
@@ -93,6 +93,15 @@ _WRAP = 0xFFFFFFFF  # length marker: rest of ring is padding, wrap to 0
 
 _U64 = struct.Struct("<Q")
 
+#: Capacity of each per-peer-pair ring.  Frames larger than half the
+#: ring are rejected (large payloads travel via the page pool instead).
+_RING_BYTES = 1 << 20
+#: Capacity of each rank's page pool (the backing file is sparse).
+_POOL_BYTES = 1 << 26
+#: Payload size from which a blob is written to the page pool and passed
+#: by reference instead of inline in the ring frame.
+_INLINE_MAX = 1 << 15
+
 _fence_lock = threading.Lock()
 
 
@@ -108,20 +117,20 @@ def _membarrier() -> None:
         pass
 
 
-def _resolve_spin_us(spin_us: Optional[int], nprocs: int) -> int:
-    """Effective poll window for this job (``WorldConfig.shm_spin_us``).
+def _resolve_spin_us(nprocs: int) -> int:
+    """How long (microseconds) a rank's ring reader keeps polling for
+    new frames after draining before re-arming its doorbell and parking.
 
-    ``None`` means auto: spin 200µs only when every rank can have its
-    own core (:func:`~repro.mpi.corebudget.cores_per_rank`, the number
-    that also sizes a rank's compute threads).  When ranks oversubscribe
-    the host, a spinning reader
-    steals the very cycles the sender needs to produce the frame it is
-    waiting for — there, parking on the doorbell immediately is
-    strictly faster (measured: 4-rank allreduce on 1 CPU drops ~33%
-    with spin 0), so auto resolves to 0.
+    In steady-state exchange the peer's next frame lands inside the
+    window, so neither side pays the socket doorbell round trip: 200µs
+    when every rank can have its own core
+    (:func:`~repro.mpi.corebudget.cores_per_rank`, the number that also
+    sizes a rank's compute threads).  When ranks oversubscribe the host,
+    a spinning reader steals the very cycles the sender needs to produce
+    the frame it is waiting for — there, parking on the doorbell
+    immediately is strictly faster (measured: 4-rank allreduce on 1 CPU
+    drops ~33% with spin 0), so the window is 0.
     """
-    if spin_us is not None:
-        return spin_us
     return 200 if cores_per_rank(nprocs) else 0
 
 
@@ -693,30 +702,20 @@ class ShmTransport(SocketTransport):
         listener,
         peers: dict,
         *,
-        config,
         prefix: str,
-        topology: Optional[Topology] = None,
+        topology: Topology,
         directory: Optional[str] = None,
+        ring_bytes: int = _RING_BYTES,
     ):
         super().__init__(rank, nprocs, listener, peers)
         self.kind = "shm"
-        self._topology = topology or Topology.from_config(nprocs, config)
+        self._topology = topology
         self._prefix = prefix
         self._dir = directory or segment_dir()
-        self._inline_max = config.shm_inline_max
         #: Poll window the progress engine grants a blocked rank before
-        #: parking it on the doorbell (seconds; see WorldConfig.shm_spin_us).
-        self.progress_poll_s = _resolve_spin_us(
-            getattr(config, "shm_spin_us", None), nprocs
-        ) / 1e6
-        self._seg = ShmSegment.create(
-            prefix,
-            rank,
-            nprocs,
-            config.shm_ring_bytes,
-            config.shm_pool_bytes,
-            self._dir,
-        )
+        #: parking it on the doorbell (seconds).
+        self.progress_poll_s = _resolve_spin_us(nprocs) / 1e6
+        self._seg = ShmSegment.create(prefix, rank, nprocs, ring_bytes, _POOL_BYTES, self._dir)
         self._pool = PagePool(self._seg.mm, self._seg.pool_off, self._seg.pool_size)
         #: Inbound rings in *our* segment, one per same-node sender.
         self._rings_in = {
@@ -777,44 +776,29 @@ class ShmTransport(SocketTransport):
 
     def _encode_shm(self, env: Envelope, sync_id: int, dest: int) -> bytes:
         payload = env.payload
-        if isinstance(payload, Blob) and payload.nbytes >= self._inline_max:
-            desc = self._publish_blob(payload, dest)
-            return pickle.dumps(
-                (
-                    "msgp",
-                    env.context,
-                    env.source,
-                    env.tag,
-                    env.kind,
-                    env.count,
-                    env.op,
-                    sync_id,
-                    self.rank,
-                    desc,
-                ),
-                protocol=WIRE_PICKLE_PROTOCOL,
-            )
-        if (
-            isinstance(payload, np.ndarray)
-            and payload.nbytes >= self._inline_max
-        ):
-            desc = self._publish_array(payload, dest)
-            return pickle.dumps(
-                (
-                    "msgp",
-                    env.context,
-                    env.source,
-                    env.tag,
-                    env.kind,
-                    env.count,
-                    env.op,
-                    sync_id,
-                    self.rank,
-                    desc,
-                ),
-                protocol=WIRE_PICKLE_PROTOCOL,
-            )
-        return encode_envelope(env, sync_id, self.rank)
+        if isinstance(payload, Blob):
+            publish = self._publish_blob
+        elif isinstance(payload, np.ndarray):
+            publish = self._publish_array
+        else:
+            publish = None
+        if publish is None or payload.nbytes < _INLINE_MAX:
+            return encode_envelope(env, sync_id, self.rank)
+        return pickle.dumps(
+            (
+                "msgp",
+                env.context,
+                env.source,
+                env.tag,
+                env.kind,
+                env.count,
+                env.op,
+                sync_id,
+                self.rank,
+                publish(payload, dest),
+            ),
+            protocol=WIRE_PICKLE_PROTOCOL,
+        )
 
     def _publish_blob(self, blob: Blob, dest: int) -> tuple:
         """Write *blob* into our pool (once — fan-outs reuse the page)
@@ -864,7 +848,7 @@ class ShmTransport(SocketTransport):
         if nbytes > self._pool.size:
             raise TransportError(
                 f"payload of {nbytes} bytes exceeds the shm page pool "
-                f"({self._pool.size} bytes; raise WorldConfig.shm_pool_bytes)"
+                f"({self._pool.size} bytes)"
             )
         deadline = time.monotonic() + timeout
         delay = 0.0005
@@ -1076,8 +1060,8 @@ class ShmTransport(SocketTransport):
         """One non-blocking progress step from a blocked rank's thread.
 
         The progress engine calls this in a bounded loop (the
-        ``shm_spin_us`` window) before parking a rank: the rank drains
-        its own rings on *its own* thread, so in steady-state exchange
+        :attr:`progress_poll_s` window) before parking a rank: the rank
+        drains its own rings on *its own* thread, so in steady-state exchange
         a message and its reply never pay the socket-doorbell round
         trip or a reader-thread wakeup.  The doorbell stays disarmed
         between polls; :meth:`prepare_park` re-arms it.

@@ -10,10 +10,9 @@ simulator:
 :class:`Topology`
     Maps world ranks onto ``nodes`` simulated nodes (block distribution,
     configured via :attr:`repro.mpi.world.WorldConfig.nodes`).  The
-    process backend's ``transport="auto"`` consults it to pick shared
-    memory for same-node peer pairs and sockets otherwise; the
-    single-node default (``nodes=None`` → 1 node) therefore gives every
-    pair the fast path.
+    process backend's ``transport="shm"`` consults it to give same-node
+    peer pairs rings and cross-node pairs sockets; with the single-node
+    default (``nodes=None`` → 1 node) every pair is same-node.
 
 :class:`CommHierarchy`
     The topology restricted to one communicator's members: per-node

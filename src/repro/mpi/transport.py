@@ -11,7 +11,7 @@ the destination mailbox).
 
 Two implementations:
 
-* :class:`SocketTransport` — localhost TCP or Unix-domain sockets with
+* :class:`SocketTransport` — Unix-domain sockets with
   length-prefixed framing and per-peer connection caching; the substrate
   of the **process backend** (:mod:`repro.mpi.procbackend`), where every
   rank is a real OS process.  Envelopes are encoded with
@@ -276,7 +276,7 @@ class Transport(ABC):
     the progress engine's reader threads send concurrently.
     """
 
-    #: Short name for diagnostics ("unix", "tcp", "shm").
+    #: Short name for diagnostics ("unix", "shm").
     kind: str = "?"
 
     @abstractmethod
@@ -331,7 +331,7 @@ class _SyncAck:
 
 
 class SocketTransport(Transport):
-    """Framed envelope delivery over localhost sockets.
+    """Framed envelope delivery over Unix-domain sockets.
 
     Parameters
     ----------
@@ -343,7 +343,7 @@ class SocketTransport(Transport):
         connecting sender can never race the listener into existence).
     peers :
         ``world rank -> address`` map from the rendezvous (an address is
-        ``("unix", path)`` or ``("tcp", host, port)``).
+        the path of the peer's listener).
 
     Outbound connections are cached per peer and serialized by a per-peer
     lock (frames from concurrent senders interleave at frame granularity,
@@ -353,18 +353,19 @@ class SocketTransport(Transport):
     sends, and ``abort`` frames are routed to :attr:`on_abort`.
     """
 
+    kind = "unix"
+
     def __init__(
         self,
         rank: int,
         nprocs: int,
         listener: socket.socket,
-        peers: dict[int, tuple],
+        peers: dict[int, str],
     ):
         self.rank = rank
         self.nprocs = nprocs
         self._listener = listener
         self._peers = dict(peers)
-        self.kind = "tcp" if self._peers and next(iter(self._peers.values()))[0] == "tcp" else "unix"
         #: Injects an inbound envelope into the local mailbox.  Bound by
         #: the process backend after the world exists.
         self.deliver_local: Callable[[Envelope], None] = lambda env: None
@@ -578,13 +579,6 @@ class SocketTransport(Transport):
             if self._closed.is_set():  # close()'s wake-up call
                 conn.close()
                 break
-            if conn.family == socket.AF_INET:
-                # Acks and small envelopes flow back over accepted
-                # connections too; without NODELAY they eat Nagle's 40ms.
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - defensive
-                    pass
             threading.Thread(
                 target=self._read_conn,
                 args=(conn,),
@@ -693,35 +687,21 @@ class SocketTransport(Transport):
 # ---------------------------------------------------------------------------
 
 
-def connect(addr: tuple) -> socket.socket:
-    """Connect to a ``("unix", path)`` or ``("tcp", host, port)`` address
-    (what :func:`make_listener` hands out)."""
-    unix = addr[0] == "unix"
-    sock = socket.socket(socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM)
+def connect(path: str) -> socket.socket:
+    """Connect to the listener :func:`make_listener` bound at *path*."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
-        sock.connect(addr[1] if unix else (addr[1], addr[2]))
-        if not unix:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.connect(path)
     except OSError:
         sock.close()
         raise
     return sock
 
 
-def make_listener(family: str, path_hint: str) -> tuple[socket.socket, tuple]:
-    """Create a bound, listening socket; return ``(socket, address)``.
-
-    *family* is ``"unix"`` or ``"tcp"``; *path_hint* is the filesystem
-    path for Unix-domain sockets (ignored for TCP, which binds an
-    ephemeral localhost port).
-    """
-    if family == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.bind(path_hint)
-        sock.listen(64)
-        return sock, ("unix", path_hint)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.bind(("127.0.0.1", 0))
+def make_listener(path: str) -> socket.socket:
+    """Create a Unix-domain socket bound at *path* and listening; the
+    path is its address."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.bind(path)
     sock.listen(64)
-    host, port = sock.getsockname()
-    return sock, ("tcp", host, port)
+    return sock

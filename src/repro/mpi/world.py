@@ -101,28 +101,17 @@ class TrafficStats:
 
 @dataclass
 class WorldConfig:
-    """Tunable behaviour of a simulated world.
+    """What a caller decides about a world; everything else the code
+    decides from what it can observe, or is a constant of the module
+    that uses it.
 
     Attributes
     ----------
-    validate_collectives :
-        When true, every collective message carries an operation header that
-        is checked on receipt; mismatched collective calls across ranks then
-        raise :class:`~repro.errors.CollectiveMismatchError` instead of
-        producing garbage.
     deadlock_detection :
         Enable the all-blocked watchdog.
     deadlock_grace :
         Seconds of global inactivity with every process blocked before
         deadlock is declared.
-    watchdog_period :
-        How often (seconds) the watchdog thread runs the
-        all-blocked-and-idle deadlock scan while someone is blocked.
-        Bounds deadlock-detection and thereby abort-propagation latency.
-    max_components_per_executable :
-        The paper's Section 4.3 limit ("Each executable could contain up to
-        10 components") — consulted by MPH, carried here so one config object
-        travels with the job.
     fault_schedule :
         A :class:`repro.mpi.faults.FaultSchedule` of injected failures
         (rank crashes, message drop/delay/duplication/corruption,
@@ -150,74 +139,36 @@ class WorldConfig:
         Which :class:`~repro.mpi.transport.Transport` moves envelopes
         between the ranks of the process backend (the thread backend
         delivers straight into the destination mailbox and accepts only
-        ``"auto"``).  ``"unix"``/``"tcp"`` select the socket family;
-        ``"shm"`` forces the shared-memory transport
-        (:class:`~repro.mpi.shm.ShmTransport`) for every same-node peer
-        pair; ``"auto"`` (default) selects shm for same-node pairs and
-        Unix sockets otherwise — MPICH-G2-style per-pair protocol
-        selection.  The choice covers the *data* plane only: the
-        bootstrap's control sockets are always Unix paths in the job's
-        private socket directory.
+        ``"auto"``).  ``"auto"`` (default) and ``"unix"`` are the socket
+        transport, one Unix-domain connection per peer pair — the path
+        the end-to-end workloads measure fastest (EXPERIMENTS.md, "One
+        default data plane").  ``"shm"`` asks for the shared-memory
+        transport (:class:`~repro.mpi.shm.ShmTransport`) by name: rings
+        and a page pool between same-node peers, sockets across nodes.
     nodes :
         Number of simulated nodes the ranks are block-distributed over
         (see :class:`~repro.mpi.topology.Topology`), or ``None`` (the
         default) for a single node.  Cross-node peer pairs never use
         shared memory, and a collective crosses a node boundary once per
         node (one representative relays for its node-mates).
-    shm_ring_bytes :
-        Capacity of each per-peer-pair shared-memory ring buffer
-        (default 1 MiB).  Frames larger than half the ring are rejected
-        by the transport (large payloads travel via the page pool
-        instead).
-    shm_pool_bytes :
-        Capacity of each rank's shared-memory page pool for zero-copy
-        ``Blob`` payloads (default 64 MiB; the backing file is sparse,
-        so untouched pool pages cost no memory).
-    shm_inline_max :
-        Payload size (bytes) above which a blob payload is written to
-        the page pool and passed by reference instead of inline in the
-        ring frame (default 32 KiB).
-    shm_spin_us :
-        How long (microseconds) a rank's ring reader keeps polling for
-        new frames after draining before re-arming its doorbell and
-        parking.  In steady-state message exchange the peer's next
-        frame lands inside this window, so neither side pays the
-        socket doorbell round trip; 0 always parks immediately
-        (lowest idle cost, highest per-message latency).  The default
-        ``None`` resolves per job: 200 when every rank can have its
-        own core, 0 when ranks oversubscribe the host — a spinning
-        reader on an oversubscribed box steals the very cycles the
-        sender needs to produce the frame it is waiting for.
-    bootstrap_fanout :
-        Arity of the process backend's bootstrap relay tree (default 8;
-        see :mod:`repro.mpi.bootstrap`).
     """
 
-    validate_collectives: bool = True
     deadlock_detection: bool = True
     deadlock_grace: float = 1.0
-    watchdog_period: float = 0.05
-    max_components_per_executable: int = 10
     fault_schedule: Optional["FaultSchedule"] = None
     match_schedule: Optional["MatchSchedule"] = None
     backend: str = "thread"
     transport: str = "auto"
     nodes: Optional[int] = None
-    shm_ring_bytes: int = 1 << 20
-    shm_pool_bytes: int = 1 << 26
-    shm_inline_max: int = 1 << 15
-    shm_spin_us: Optional[int] = None
-    bootstrap_fanout: int = 8
 
     def __post_init__(self) -> None:
         if self.backend not in ("thread", "process"):
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
-        if self.transport not in ("auto", "unix", "tcp", "shm"):
+        if self.transport not in ("auto", "unix", "shm"):
             raise ValueError(
-                f"transport must be 'auto', 'unix', 'tcp' or 'shm', "
-                f"got {self.transport!r}"
+                f"transport must be 'auto', 'unix' or 'shm', got {self.transport!r}"
             )
         if self.backend == "thread" and self.transport != "auto":
             raise ValueError(
@@ -225,28 +176,6 @@ class WorldConfig:
             )
         if self.nodes is not None and self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.shm_ring_bytes < (1 << 12):
-            raise ValueError(
-                f"shm_ring_bytes must be >= 4096, got {self.shm_ring_bytes}"
-            )
-        if self.shm_pool_bytes < self.shm_ring_bytes:
-            raise ValueError(
-                "shm_pool_bytes must be >= shm_ring_bytes, got "
-                f"{self.shm_pool_bytes}"
-            )
-        if not (0 < self.shm_inline_max <= self.shm_ring_bytes // 4):
-            raise ValueError(
-                "shm_inline_max must be in (0, shm_ring_bytes // 4], got "
-                f"{self.shm_inline_max}"
-            )
-        if self.shm_spin_us is not None and self.shm_spin_us < 0:
-            raise ValueError(
-                f"shm_spin_us must be >= 0 or None (auto), got {self.shm_spin_us}"
-            )
-        if self.bootstrap_fanout < 2:
-            raise ValueError(
-                f"bootstrap_fanout must be >= 2, got {self.bootstrap_fanout}"
-            )
 
 
 class World:

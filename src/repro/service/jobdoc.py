@@ -57,7 +57,7 @@ from repro.errors import JobSpecError, ReproError
 SCHEMA_VERSION = 1
 
 _BACKENDS = ("thread", "process")
-_TRANSPORTS = ("auto", "unix", "tcp", "shm")
+_TRANSPORTS = ("auto", "unix", "shm")
 _RANK_POLICIES = ("block", "round_robin")
 _SAVE_KINDS = ("values", "document", "traffic", "logs")
 _FORMATS = ("json", "pickle")
@@ -489,7 +489,7 @@ class JobDocument:
         if doc.runtime.backend == "thread" and doc.runtime.transport != "auto":
             raise JobSpecError(
                 f"transport {doc.runtime.transport!r} selects a process-backend "
-                "socket family; the thread backend only accepts 'auto'",
+                "transport; the thread backend only accepts 'auto'",
                 path="$.runtime.transport",
             )
         if "logs" in doc.output.save and doc.runtime.backend != "process":

@@ -2,16 +2,15 @@
 
 ``mphrun --backend process`` spawns one of these per world rank::
 
-    python -m repro.tools.mphchild --rank 3 --nprocs 8 --family unix \\
-           --sockdir /tmp/... --fanout 8
+    python -m repro.tools.mphchild --rank 3 --nprocs 8 --sockdir /tmp/...
 
 This is the paper's MIME property made real: every rank is an
 independently ``exec``'d executable that knows *nothing* at startup
 except the job's socket directory (where the rendezvous and every
-control socket live), which rank of how many it plays, and the shape of
-the bootstrap tree.  Everything else — the peer address map, the
-:class:`~repro.mpi.world.WorldConfig`, and *what program to run* — comes
-down the control socket in the welcome frame's per-rank *meta*, which
+control socket live) and which rank of how many it plays.  Everything
+else — the peer address map, the :class:`~repro.mpi.world.WorldConfig`,
+and *what program to run* — comes down the control socket in the
+welcome frame's per-rank *meta*, which
 :func:`repro.launcher.job.exec_rank_entry` turns back into the rank's
 entry point — a pair of:
 
@@ -50,28 +49,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--nprocs", type=int, required=True, help="world size (shapes the relay tree)"
     )
     parser.add_argument(
-        "--family",
-        choices=("unix", "tcp"),
-        default="unix",
-        help="socket family of this rank's data listener",
-    )
-    parser.add_argument(
         "--sockdir",
         required=True,
         help="the job's socket directory (rendezvous and control sockets)",
     )
-    parser.add_argument(
-        "--fanout", type=int, default=8, help="arity of the bootstrap relay tree"
-    )
     args = parser.parse_args(argv)
 
     child_session(
-        args.rank,
-        args.nprocs,
-        args.family,
-        args.sockdir,
-        lambda comm, meta: exec_rank_entry(meta)(comm),
-        fanout=args.fanout,
+        args.rank, args.nprocs, args.sockdir, lambda comm, meta: exec_rank_entry(meta)(comm)
     )
     return 0
 

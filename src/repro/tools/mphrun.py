@@ -115,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transport",
-        choices=("auto", "unix", "tcp", "shm"),
+        choices=("auto", "unix", "shm"),
         default="auto",
-        help="process backend: wire between ranks — 'shm' uses mmap "
-        "rings and zero-copy pages for same-node pairs with sockets "
-        "across nodes, 'auto' picks shm per pair where available "
-        "(default: auto)",
+        help="process backend: wire between ranks — 'auto' and 'unix' "
+        "are Unix-domain sockets, the path the benchmark workloads "
+        "measure fastest; 'shm' asks for mmap rings and zero-copy pages "
+        "between same-node pairs, sockets across nodes (default: auto)",
     )
     parser.add_argument(
         "--log-dir",
@@ -174,8 +174,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             # One config for both backends.  --nodes doubles as the world
             # topology: the same SMP node count that validates placement
-            # also scopes which rank pairs the shm/auto transports treat
-            # as same-node (rings) vs cross-node (sockets), and where a
+            # also scopes which rank pairs the shm transport treats as
+            # same-node (rings) vs cross-node (sockets), and where a
             # collective puts its one representative per node.
             config = WorldConfig(
                 backend=args.backend,

@@ -12,7 +12,7 @@ reserve-pool rank — goes through every spawner the pipeline has:
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
 ``--mpi-transport`` / ``--mpi-nodes``, so CI's ``backends`` matrix runs
-each spawner over unix, shm and auto/nodes=2.  What must not depend on
+each spawner over unix, shm and shm/nodes=2.  What must not depend on
 the spawner: the plan, the values, the failure classification, and that
 nothing is left behind.
 """
@@ -184,7 +184,7 @@ class TestSilentDeath:
         job = MpmdJob(
             [ExecutableSpec("hard_exit", 1), ExecutableSpec("hard_exit", 1)],
             programs=programs,
-            config=WorldConfig(backend="process"),
+            config=WorldConfig(backend="process", transport="shm"),  # segments to sweep
             namespace=ns,
         )
         with pytest.raises(ChildExitError) as excinfo:
@@ -208,7 +208,7 @@ class TestRanksThatAreProcesses:
         job = MpmdJob(
             [ExecutableSpec("stubborn", 1, (str(pidfile),))],
             programs=programs,
-            config=WorldConfig(backend="process"),
+            config=WorldConfig(backend="process", transport="shm"),  # segments to sweep
             namespace=ns,
         )
         start = time.monotonic()

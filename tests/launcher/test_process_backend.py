@@ -9,6 +9,7 @@ failing the whole job with the component named.
 """
 
 import os
+import subprocess
 import sys
 import textwrap
 import time
@@ -165,15 +166,30 @@ class TestMpmdJobProcessBackend:
 
 
 class TestBootstrap:
-    def test_tcp_world_forms(self):
-        """The control plane is Unix paths whatever the data plane is, so
-        a TCP world forms through the same tree."""
+    def test_default_world_is_sockets_and_nothing_of_shm(self):
+        """``transport="auto"`` is the socket transport for every pair:
+        neither a rank nor the launcher (whose teardown sweeps segments
+        only for a job that asked for them) imports ``repro.mpi.shm``.
+        A fresh interpreter, because a forked rank inherits this one's
+        ``sys.modules``."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.mpi import WorldConfig, run_spmd
 
-        def main(comm):
-            return comm.world.transport.kind, comm.allreduce(comm.rank)
+            def main(comm):
+                loaded = "repro.mpi.shm" in sys.modules
+                return comm.world.transport.kind, loaded, comm.allreduce(comm.rank)
 
-        config = WorldConfig(backend="process", transport="tcp")
-        assert run_spmd(3, main, config=config, timeout=60.0) == [("tcp", 3)] * 3
+            out = run_spmd(3, main, config=WorldConfig(backend="process"), timeout=60.0)
+            assert out == [("unix", False, 3)] * 3, out
+            assert "repro.mpi.shm" not in sys.modules
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_single_rank_world_forms(self):
         assert run_spmd(1, lambda c: (c.rank, c.size), config=PROCESS) == [(0, 1)]
@@ -293,31 +309,16 @@ class TestMphrunProcessBackend:
         assert "3 processes" in capsys.readouterr().out
         assert list_segments("repro-mpi-") == []
 
-    def test_tcp_transport_flag(self, program_module, capsys):
-        """--transport tcp: exec'd children find the rendezvous from the
-        sockdir alone and exchange TCP data addresses through the tree."""
-        code = main(
-            [
-                "--spec",
-                "-np 2 atm : -np 1 ocn",
-                "--programs",
-                program_module,
-                "--backend",
-                "process",
-                "--transport",
-                "tcp",
-                "--timeout",
-                "60",
-            ]
-        )
-        assert code == 0
-        assert "3 processes" in capsys.readouterr().out
-
     def test_mphchild_takes_no_rendezvous_or_scheme(self, capsys):
         """The child derives the rendezvous from --sockdir; there is no
-        address or scheme left to pass."""
+        address, scheme, socket family or tree arity left to pass."""
         base = ["--rank", "0", "--nprocs", "1", "--sockdir", "/nonexistent"]
-        for stale in (["--rendezvous", "unix:/x"], ["--bootstrap", "tree"]):
+        for stale in (
+            ["--rendezvous", "unix:/x"],
+            ["--bootstrap", "tree"],
+            ["--family", "unix"],
+            ["--fanout", "8"],
+        ):
             with pytest.raises(SystemExit):
                 mphchild.main(base + stale)
             assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,7 @@ jobs it served.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
 ``--mpi-transport`` / ``--mpi-nodes``: CI's ``backends`` matrix runs the
-file over unix, shm and auto/nodes=2.
+file over unix, shm and shm/nodes=2.
 """
 
 import asyncio

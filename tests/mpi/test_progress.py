@@ -4,7 +4,7 @@ and the wakeup/blocked-time ledger (repro.mpi.progress).
 The load-bearing claims under test:
 
 * an idle blocked rank records **O(1) wakeups** (woken by delivery
-  only), and the watchdog scans once per ``watchdog_period``, not once
+  only), and the watchdog scans once per watchdog period, not once
   per park;
 * abort propagation reaches ranks parked mid-``waitany`` and
   mid-collective;
@@ -22,7 +22,7 @@ import pytest
 from repro.errors import AbortError, CommError, DeadlockError
 from repro.mpi import Completion, World, WorldConfig, run_spmd
 from repro.mpi.executor import run_world
-from repro.mpi.progress import blocked_bucket
+from repro.mpi.progress import _WATCHDOG_PERIOD, blocked_bucket
 from repro.mpi.request import Request
 
 
@@ -60,21 +60,13 @@ class TestConfigValidation:
         unexpected keyword to the dataclass, so a stale config fails
         loudly instead of being silently ignored."""
         assert [f.name for f in dataclasses.fields(WorldConfig)] == [
-            "validate_collectives",
             "deadlock_detection",
             "deadlock_grace",
-            "watchdog_period",
-            "max_components_per_executable",
             "fault_schedule",
             "match_schedule",
             "backend",
             "transport",
             "nodes",
-            "shm_ring_bytes",
-            "shm_pool_bytes",
-            "shm_inline_max",
-            "shm_spin_us",
-            "bootstrap_fanout",
         ]
 
     def test_retired_knob_is_a_type_error(self):
@@ -84,6 +76,29 @@ class TestConfigValidation:
             WorldConfig(bcast_algorithm="linear")
         with pytest.raises(TypeError, match="hierarchical_collectives"):
             WorldConfig(hierarchical_collectives=False)
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("shm_ring_bytes", 1 << 20),
+            ("shm_pool_bytes", 1 << 26),
+            ("shm_inline_max", 1 << 15),
+            ("shm_spin_us", None),
+            ("bootstrap_fanout", 8),
+            ("watchdog_period", 0.05),
+            ("max_components_per_executable", 10),
+            ("validate_collectives", True),
+        ],
+    )
+    def test_constant_is_no_longer_a_keyword(self, keyword, value):
+        """What no caller set is a constant of the module that uses it;
+        even its old default is an unexpected keyword."""
+        with pytest.raises(TypeError, match=keyword):
+            WorldConfig(**{keyword: value})
+
+    def test_tcp_transport_rejected(self):
+        with pytest.raises(ValueError, match="'auto', 'unix' or 'shm'"):
+            WorldConfig(backend="process", transport="tcp")
 
     def test_thread_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):
@@ -222,7 +237,7 @@ class TestDeadlockThroughWaitsets:
         assert "waitany" in str(info.value)
 
     def test_watchdog_detects_recv_cycle_quickly(self):
-        config = WorldConfig(deadlock_grace=0.3, watchdog_period=0.02)
+        config = WorldConfig(deadlock_grace=0.3)
 
         def main(comm):
             comm.recv(source=(comm.rank + 1) % comm.size, tag=1)
@@ -235,10 +250,10 @@ class TestDeadlockThroughWaitsets:
 
     def test_watchdog_scans_per_period_not_per_park(self, monkeypatch):
         """A 200-message ping-pong parks ~400 times; the watchdog must
-        still scan O(elapsed / watchdog_period) times — a park leaves a
-        flag for the retire check, it does not wake the watchdog."""
-        period = 0.05
-        world = World(2, WorldConfig(watchdog_period=period))
+        still scan O(elapsed / period) times — a park leaves a flag for
+        the retire check, it does not wake the watchdog."""
+        period = _WATCHDOG_PERIOD
+        world = World(2)
         scans = 0
         real_scan = world.scan_deadlock
 

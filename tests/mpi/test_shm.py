@@ -44,7 +44,6 @@ from repro.mpi.shm import (
 )
 from repro.mpi.topology import Topology
 from repro.mpi.transport import make_listener
-from repro.mpi.world import WorldConfig
 
 _RING_CTRL = 128  # mirrors shm._RING_CTRL: control words before data
 
@@ -360,27 +359,12 @@ class TestShmSegment:
 # ---------------------------------------------------------------------------
 
 
-def _shm_config(**kw):
-    base = dict(
-        backend="process",
-        transport="shm",
-        shm_ring_bytes=1 << 16,
-        shm_pool_bytes=1 << 20,
-        shm_inline_max=1 << 12,
-    )
-    base.update(kw)
-    return WorldConfig(**base)
-
-
-def _make_shm_pair(tmp_path, config=None, nprocs=2):
-    """Two wired ShmTransport endpoints sharing a segment directory."""
-    config = config or _shm_config()
-    listeners, addrs = [], {}
-    for rank in range(nprocs):
-        sock, addr = make_listener("unix", str(tmp_path / f"ep{rank}.sock"))
-        listeners.append(sock)
-        addrs[rank] = addr
-    topo = Topology.from_config(nprocs, config)
+def _make_shm_pair(tmp_path, nprocs=2, nodes=1, **sizes):
+    """Wired ShmTransport endpoints sharing a segment directory; *sizes*
+    go to the transport as they stand (``ring_bytes=``)."""
+    addrs = {rank: str(tmp_path / f"ep{rank}.sock") for rank in range(nprocs)}
+    listeners = [make_listener(addrs[rank]) for rank in range(nprocs)]
+    topo = Topology(nprocs, nodes)
     endpoints = []
     for rank in range(nprocs):
         ep = ShmTransport(
@@ -388,10 +372,10 @@ def _make_shm_pair(tmp_path, config=None, nprocs=2):
             nprocs,
             listeners[rank],
             addrs,
-            config=config,
             prefix=f"pair-{tmp_path.name[-8:]}",
             topology=topo,
             directory=str(tmp_path),
+            **sizes,
         )
         ep.received = []
         ep.errors = []
@@ -459,7 +443,7 @@ class TestShmTransportPair:
 
     def test_large_blob_takes_page_path(self, shm_pair):
         a, b = shm_pair
-        payload = list(range(20_000))  # pickles well past inline_max
+        payload = list(range(20_000))  # pickles well past the inline limit
         blob = Blob.encode(payload)
         a.send_envelope(1, Envelope(1, 0, 9, blob, "object", blob.nbytes))
         assert b.delivered.wait(5.0)
@@ -526,7 +510,7 @@ class TestShmTransportPair:
     def test_cross_node_peers_fall_back_to_sockets(self, tmp_path):
         """nodes=2 puts ranks 0 and 1 on different simulated nodes: the
         pair must exchange envelopes over sockets, zero ring frames."""
-        pair = _make_shm_pair(tmp_path, config=_shm_config(nodes=2))
+        pair = _make_shm_pair(tmp_path, nodes=2)
         try:
             a, b = pair
             blob = Blob.encode("inter-node")
@@ -545,7 +529,7 @@ class TestShmTransportPair:
         pair = _make_shm_pair(tmp_path, nprocs=2)
         try:
             a, b = pair
-            payload = bytes(range(256)) * 200  # > inline_max, pickle kind
+            payload = bytes(range(256)) * 200  # > the inline limit, pickle kind
             blob = Blob.encode(payload)
             a.send_envelope(1, Envelope(1, 0, 1, blob, "object", blob.nbytes))
             assert b.delivered.wait(5.0)
@@ -573,10 +557,7 @@ class TestShmTransportPair:
     def test_ring_backpressure_survives_burst(self, tmp_path):
         """Push far more bytes than the ring holds; backpressure plus
         doorbell kicks must land every frame without loss or deadlock."""
-        cfg = _shm_config(
-            shm_ring_bytes=4096, shm_pool_bytes=1 << 20, shm_inline_max=1024
-        )
-        pair = _make_shm_pair(tmp_path, config=cfg)
+        pair = _make_shm_pair(tmp_path, ring_bytes=4096)
         try:
             a, b = pair
             count = 300
@@ -598,10 +579,7 @@ class TestShmTransportPair:
     def test_dead_peer_detected(self, tmp_path):
         """A peer that dies with the ring full must surface as a
         TransportError via the backpressure liveness probe, not a hang."""
-        cfg = _shm_config(
-            shm_ring_bytes=4096, shm_pool_bytes=1 << 20, shm_inline_max=1024
-        )
-        pair = _make_shm_pair(tmp_path, config=cfg)
+        pair = _make_shm_pair(tmp_path, ring_bytes=4096)
         a, b = pair
         try:
             blob = Blob.encode("warm-up")
@@ -699,8 +677,7 @@ class TestSweepRanks:
 
 class TestForgetPeer:
     def test_forget_peer_drops_rings_and_holds(self, tmp_path):
-        cfg = _shm_config()
-        pair = _make_shm_pair(tmp_path, config=cfg, nprocs=3)
+        pair = _make_shm_pair(tmp_path, nprocs=3)
         a, b, c = pair
         try:
             # Publish a page 0 -> 2 and keep the received view alive on

@@ -249,13 +249,10 @@ class TestEnvelopeCodec:
 # ---------------------------------------------------------------------------
 
 
-def _make_pair(tmp_path, family="unix"):
+def _make_pair(tmp_path):
     """Two wired SocketTransport endpoints with recording callbacks."""
-    listeners, addrs = [], {}
-    for rank in range(2):
-        sock, addr = make_listener(family, str(tmp_path / f"ep{rank}.sock"))
-        listeners.append(sock)
-        addrs[rank] = addr
+    addrs = {rank: str(tmp_path / f"ep{rank}.sock") for rank in range(2)}
+    listeners = [make_listener(addrs[rank]) for rank in range(2)]
     endpoints = []
     for rank in range(2):
         ep = SocketTransport(rank, 2, listeners[rank], addrs)
@@ -359,9 +356,9 @@ class TestSocketTransport:
         """A peer dying mid-frame must surface through on_error, not
         hang the reader or fabricate a message."""
         _, b = transport_pair
-        addr = b._peers[1]
+        path = b._peers[1]
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        raw.connect(addr[1])
+        raw.connect(path)
         frame = pack_frame(pickle.dumps(("msg",)))
         raw.sendall(frame[: len(frame) - 2])
         raw.close()
@@ -372,18 +369,6 @@ class TestSocketTransport:
         assert len(b.errors) == 1
         assert isinstance(b.errors[0], TransportError)
         assert b.received == []
-
-    def test_tcp_family_end_to_end(self, tmp_path):
-        a, b = _make_pair(tmp_path, family="tcp")
-        try:
-            assert a.kind == "tcp"
-            blob = Blob.encode(np.arange(100))
-            a.send_envelope(1, Envelope(2, 0, 1, blob, "object", blob.nbytes))
-            assert b.delivered.wait(5.0)
-            np.testing.assert_array_equal(b.received[0].payload.decode(), np.arange(100))
-        finally:
-            a.close()
-            b.close()
 
     def test_large_payload_over_wire(self, transport_pair):
         """A multi-MiB frame crosses intact (exercises kernel-sized

@@ -61,9 +61,8 @@ class TestWorldConfig:
     def test_defaults(self):
         cfg = WorldConfig()
         assert cfg.nodes is None
-        assert cfg.validate_collectives is True
         assert cfg.deadlock_detection is True
-        assert cfg.max_components_per_executable == 10  # the paper's limit
+        assert (cfg.backend, cfg.transport) == ("thread", "auto")
 
     def test_world_requires_positive_size(self):
         with pytest.raises(ValueError):

@@ -9,18 +9,19 @@ provides the knobs:
     ``both``).  CI's backend matrix runs one job per value, so a process
     backend hang can't mask thread results (and vice versa).
 
-``--mpi-transport {auto,unix,tcp,shm}``
-    Wire transport for process-backend runs (default ``auto``).  CI adds
-    a ``process`` + ``shm`` leg so the shared-memory rings and page pool
-    face the full conformance and chaos suites, not just their unit
-    tests.  Thread-backend parametrizations ignore this (the thread
-    transport is the only valid choice there).
+``--mpi-transport {auto,unix,shm}``
+    Wire transport for process-backend runs (default ``auto``, which is
+    the socket transport).  CI adds a ``process`` + ``shm`` leg so the
+    shared-memory rings and page pool face the full conformance and
+    chaos suites, not just their unit tests.  Thread-backend
+    parametrizations ignore this (the thread transport is the only
+    valid choice there).
 
 ``--mpi-nodes N``
     Simulated node count for the world topology (default: unset, one
     node).  With ``N >= 2`` a collective crosses each node boundary once
-    (a representative per node relays for its node-mates) and, for
-    ``shm``/``auto`` transports, cross-node pairs fall back to sockets.
+    (a representative per node relays for its node-mates) and, for the
+    ``shm`` transport, cross-node pairs fall back to sockets.
 
 ``mpi_backend``
     A parametrized fixture naming the backend of the current test.
@@ -53,7 +54,7 @@ from repro.mpi.executor import run_spmd
 from repro.mpi.world import WorldConfig
 
 _BACKENDS = ("thread", "process")
-_TRANSPORTS = ("auto", "unix", "tcp", "shm")
+_TRANSPORTS = ("auto", "unix", "shm")
 
 
 def pytest_addoption(parser):

@@ -50,7 +50,7 @@ def gen_valid_spec(rng: random.Random) -> dict:
         runtime: dict = {"backend": rng.choice(["thread", "process"])}
         backend = runtime["backend"]
         if backend == "process" and rng.random() < 0.5:
-            runtime["transport"] = rng.choice(["auto", "unix", "tcp", "shm"])
+            runtime["transport"] = rng.choice(["auto", "unix", "shm"])
         if rng.random() < 0.3:
             runtime["rank_policy"] = rng.choice(["block", "round_robin"])
         if rng.random() < 0.3:
@@ -222,6 +222,8 @@ _CORPUS = [
      lambda s: _set(s, "runtime", {"backend": "mpi"})),
     ("bad-transport", "runtime.transport",
      lambda s: _set(s, "runtime", {"backend": "process", "transport": "pigeon"})),
+    ("retired-tcp-transport", "runtime.transport",
+     lambda s: _set(s, "runtime", {"backend": "process", "transport": "tcp"})),
     ("thread-with-shm", "runtime.transport",
      lambda s: _set(s, "runtime", {"backend": "thread", "transport": "shm"})),
     ("nodes-zero", "runtime.nodes",
