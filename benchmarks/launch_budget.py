@@ -13,7 +13,10 @@ Per size and spawner, medians over the launches (ms):
 
 * ``spawn``     launch() entry -> bootstrap entry (validate, socket
   directory, and one fork per rank — or, parked, one assignment frame);
-* ``bootstrap`` the address exchange until every child has registered;
+* ``bootstrap`` every child's hello in, until the last welcome is sent
+  (a rank still reading its welcome is in ``collect``; commits before
+  the star ended this stage when every child had registered, so compare
+  bootstrap + collect across them);
 * ``collect``   ranks build their worlds, run, report (run/collect);
 * ``shutdown``  shutdown frames, then joining every child — or, parked,
   waiting for every rank's ack that it closed its transport (park-ack);

@@ -68,13 +68,7 @@ from repro.mpi.request import Request
 from repro.mpi.serialization import Blob, payload_nbytes
 from repro.mpi.status import Status
 from repro.mpi.topology import CommHierarchy, Topology
-from repro.mpi.transport import (
-    FrameDecoder,
-    SocketTransport,
-    Transport,
-    TransportStats,
-    pack_frame,
-)
+from repro.mpi.transport import FrameDecoder, SocketTransport, Transport, pack_frame
 from repro.mpi.world import TrafficStats, World, WorldConfig
 
 __all__ = [
@@ -136,7 +130,6 @@ __all__ = [
     "SocketTransport",
     "Topology",
     "CommHierarchy",
-    "TransportStats",
     "FrameDecoder",
     "pack_frame",
     "Request",

@@ -20,14 +20,14 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    :class:`RankPool`, an assignment frame to a process that *parked*
    after an earlier job, forking only the shortfall).
 2. Each child binds its own *data* listener — before anyone learns its
-   address, so no sender can race it — then exchanges addresses with the
-   parent through a relay tree (:mod:`repro.mpi.bootstrap`): hellos
-   aggregate upward, the welcome payload is pickled once and relayed
-   downward as opaque bytes, and each child then *registers* a direct
-   parent connection.
-3. Every child ends up holding the full rank → address map, the
+   address, so no sender can race it — then connects once to the
+   rendezvous socket and says hello with that address
+   (:mod:`repro.mpi.bootstrap`, a star around the parent).
+3. When every rank has said hello, the parent pickles the welcome
+   payload once and answers each child on its own connection: every
+   child ends up holding the full rank → address map, the
    :class:`~repro.mpi.world.WorldConfig`, its per-rank launcher
-   metadata, and a direct control connection to the parent.
+   metadata, and that connection to the parent.
 4. Each child builds a :class:`~repro.mpi.transport.SocketTransport` over
    the peer map (a :class:`~repro.mpi.shm.ShmTransport` when the job asks
    for ``"shm"``), a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
@@ -83,7 +83,7 @@ from repro.errors import (
     TimeoutError_,
     TransportError,
 )
-from repro.mpi.bootstrap import child_tree_exchange, serve_tree_rendezvous
+from repro.mpi.bootstrap import child_rendezvous, serve_rendezvous
 from repro.mpi.corebudget import (
     THREAD_VARS,
     apply_thread_budget,
@@ -178,9 +178,8 @@ def rendezvous_prefix(namespace: Optional[str] = None) -> str:
 
 
 def _rendezvous_path(sockdir: str) -> str:
-    """The launcher's rendezvous socket: like every control socket, a
-    path in the job's socket directory, so a child needs nothing but the
-    directory to find it."""
+    """The launcher's rendezvous socket: a fixed name in the job's socket
+    directory, so a child needs nothing but the directory to find it."""
     return os.path.join(sockdir, "rendezvous.sock")
 
 
@@ -200,14 +199,12 @@ def child_session(
     function directly) and the exec children of ``repro.tools.mphchild``
     (which resolve the function from *meta*).
 
-    *nprocs* shapes the bootstrap relay tree (the parent passes it down,
-    since a child cannot read the world it has yet to join).
+    *nprocs* is the world's size (the parent passes it down, since a
+    child cannot read the world it has yet to join).
     """
     addr = os.path.join(sockdir, f"rank{rank}.sock")
     listener = make_listener(addr)
-    peers, config, meta, ctrl = child_tree_exchange(
-        _rendezvous_path(sockdir), rank, nprocs, sockdir, addr
-    )
+    peers, config, meta, ctrl = child_rendezvous(_rendezvous_path(sockdir), rank, addr)
     try:
         world = ProcessWorld(nprocs, config, rank)
         if config.transport == "shm":
@@ -553,29 +550,19 @@ class _Rendezvous:
         self.listener = make_listener(_rendezvous_path(self.sockdir))
 
     def bootstrap(self, conns, children, results, ranks, deadline) -> None:
-        """One aggregated hellos frame from the relay root, one
-        once-pickled welcome back (carrying each exec'd rank's meta),
-        then a direct ``register`` connection per child, collected into
-        *conns* for the result/shutdown protocol."""
-        metas = [fn.meta if isinstance(fn, ExecRank) else None for fn in ranks]
+        """One hello per child on its own connection, collected into
+        *conns* for the result/shutdown protocol, then the once-pickled
+        welcome back on each (carrying each exec'd rank's meta)."""
 
         def tick() -> None:
             self._check_deadline(deadline, "rank bootstrap")
             dead = self._dead_without_result(children, results, conns)
             if dead:
-                # A child died mid-exchange: its whole subtree stalls, so
-                # nobody can form a world.
+                # A child died before its hello: nobody can form a world.
                 self._fail_bootstrap(dead, children, results)
 
-        self.listener.settimeout(0.2)
-        serve_tree_rendezvous(
-            self.listener,
-            self.nprocs,
-            self.config,
-            metas if any(m is not None for m in metas) else None,
-            conns,
-            on_tick=tick,
-        )
+        metas = [fn.meta if isinstance(fn, ExecRank) else None for fn in ranks]
+        serve_rendezvous(self.listener, self.nprocs, self.config, metas, conns, on_tick=tick)
 
     def _fail_bootstrap(self, dead, children, results) -> None:
         """A child died before the world formed: record it, terminate the
@@ -725,7 +712,7 @@ class _Rendezvous:
 
 
 class _BootstrapDead(Exception):
-    """Internal: bootstrap aborted because a child died before registering."""
+    """Internal: bootstrap aborted because a child died before its hello."""
 
 
 def run_procs(

@@ -736,6 +736,7 @@ class ShmTransport(SocketTransport):
         # threads, never in GC context, so no reentrant-lock deadlock.
         self._release_q: deque = deque()
         self._shm = ShmStats()
+        self._stats_lock = threading.Lock()
 
     # -- routing ------------------------------------------------------------
 
@@ -907,8 +908,6 @@ class ShmTransport(SocketTransport):
         with self._stats_lock:
             self._shm.ring_frames_sent += 1
             self._shm.ring_bytes_sent += len(frame)
-            self._stats.frames_sent += 1
-            self._stats.bytes_sent += len(frame)
         self.on_wire(len(frame), 0)
         self._kick(dest)
 
@@ -1007,11 +1006,7 @@ class ShmTransport(SocketTransport):
                                 progressed = True
                                 with self._stats_lock:
                                     self._shm.ring_frames_received += 1
-                                    self._shm.ring_bytes_received += len(
-                                        payload
-                                    )
-                                    self._stats.frames_received += 1
-                                    self._stats.bytes_received += len(payload)
+                                    self._shm.ring_bytes_received += len(payload)
                                 self.on_wire(0, len(payload))
                                 self._dispatch(pickle.loads(payload))
                     if not rearm:

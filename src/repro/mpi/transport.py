@@ -39,7 +39,6 @@ import socket
 import struct
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -259,16 +258,6 @@ def decode_envelope(fields: tuple) -> tuple[Envelope, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TransportStats:
-    """Wire-level counters of one transport endpoint."""
-
-    frames_sent: int = 0
-    frames_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-
-
 class Transport(ABC):
     """How one rank's envelopes reach its peers.
 
@@ -300,10 +289,6 @@ class Transport(ABC):
         peer's connection teardown must not be reported as a lost rank,
         and later sends to it are misuse, not bad luck.  The base
         implementation is a no-op."""
-
-    def stats(self) -> TransportStats:
-        """A snapshot of the wire-level counters."""
-        return TransportStats()
 
 
 class _SyncAck:
@@ -397,8 +382,6 @@ class SocketTransport(Transport):
         self._next_sync_id = 1
         self._sync_waiters: dict[int, Completion] = {}
 
-        self._stats = TransportStats()
-        self._stats_lock = threading.Lock()
         self._closed = threading.Event()
         self._acceptor: Optional[threading.Thread] = None
 
@@ -531,9 +514,6 @@ class SocketTransport(Transport):
                 raise TransportError(
                     f"send to world rank {dest} failed: {exc}"
                 ) from exc
-        with self._stats_lock:
-            self._stats.frames_sent += 1
-            self._stats.bytes_sent += n + _LEN.size
         self.on_wire(n + _LEN.size, 0)
 
     def _connect(self, dest: int) -> socket.socket:
@@ -599,12 +579,8 @@ class SocketTransport(Transport):
                     if decoder.partial and not self._closed.is_set():
                         decoder.finish()  # raises TransportError
                     return
-                with self._stats_lock:
-                    self._stats.bytes_received += len(data)
                 self.on_wire(0, len(data))
                 for frame in decoder.feed(data):
-                    with self._stats_lock:
-                        self._stats.frames_received += 1
                     fields = pickle.loads(frame)
                     peer = self._frame_origin(fields)
                     if peer >= 0:
@@ -671,15 +647,6 @@ class SocketTransport(Transport):
             and peer in self._peers
             and peer not in self._dead_peers
         )
-
-    def stats(self) -> TransportStats:
-        with self._stats_lock:
-            return TransportStats(
-                self._stats.frames_sent,
-                self._stats.frames_received,
-                self._stats.bytes_sent,
-                self._stats.bytes_received,
-            )
 
 
 # ---------------------------------------------------------------------------

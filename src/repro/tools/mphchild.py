@@ -6,11 +6,12 @@
 
 This is the paper's MIME property made real: every rank is an
 independently ``exec``'d executable that knows *nothing* at startup
-except the job's socket directory (where the rendezvous and every
-control socket live) and which rank of how many it plays.  Everything
-else — the peer address map, the :class:`~repro.mpi.world.WorldConfig`,
-and *what program to run* — comes down the control socket in the
-welcome frame's per-rank *meta*, which
+except the job's socket directory (where the rendezvous socket lives)
+and which rank of how many it plays.  It connects to the rendezvous
+once and says hello; everything else — the peer address map, the
+:class:`~repro.mpi.world.WorldConfig`, and *what program to run* —
+comes back on that connection in the welcome frame's per-rank *meta*,
+which
 :func:`repro.launcher.job.exec_rank_entry` turns back into the rank's
 entry point — a pair of:
 
@@ -45,13 +46,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(prog="mphchild")
     parser.add_argument("--rank", type=int, required=True)
-    parser.add_argument(
-        "--nprocs", type=int, required=True, help="world size (shapes the relay tree)"
-    )
+    parser.add_argument("--nprocs", type=int, required=True, help="world size")
     parser.add_argument(
         "--sockdir",
         required=True,
-        help="the job's socket directory (rendezvous and control sockets)",
+        help="the job's socket directory (where the rendezvous socket is)",
     )
     args = parser.parse_args(argv)
 

@@ -16,10 +16,11 @@ import time
 
 import pytest
 
-from repro.errors import AbortError, LaunchError, TransportError
+from repro.errors import AbortError, LaunchError, TimeoutError_, TransportError
 from repro.launcher.job import JobResult, MpmdJob
 from repro.mpi import procbackend, run_spmd
 from repro.mpi.procbackend import ChildExitError
+from repro.mpi.transport import connect, send_frame
 from repro.mpi.world import WorldConfig
 from repro.tools import mphchild
 from repro.tools.mphrun import main
@@ -161,7 +162,7 @@ class TestMpmdJobProcessBackend:
 
 
 # ---------------------------------------------------------------------------
-# The bootstrap: one relay tree, control plane on Unix paths
+# The bootstrap: a star around the launcher, one connection per rank
 # ---------------------------------------------------------------------------
 
 
@@ -195,11 +196,24 @@ class TestBootstrap:
         assert run_spmd(1, lambda c: (c.rank, c.size), config=PROCESS) == [(0, 1)]
 
     def test_ranks_that_return_at_once(self):
-        """A child whose rank returns immediately writes its register
-        and result frames back to back; the launcher must read them as
-        two frames, launch after launch."""
+        """A child whose rank returns immediately sends its result on the
+        connection its hello went up, right behind the welcome; the
+        launcher must read hello and result as two frames, launch after
+        launch."""
         for _ in range(40):
             assert run_spmd(10, lambda c: c.rank, config=PROCESS) == list(range(10))
+
+    def test_sockdir_holds_the_rendezvous_and_data_sockets(self):
+        """One rendezvous socket and one data listener per rank: nothing
+        else is bound in the job's socket directory."""
+
+        def listing(comm):
+            comm.barrier()
+            sockdir = os.path.dirname(comm.world.transport._peers[comm.rank])
+            return sorted(os.listdir(sockdir))
+
+        expected = ["rank0.sock", "rank1.sock", "rank2.sock", "rendezvous.sock"]
+        assert run_spmd(3, listing, config=PROCESS) == [expected] * 3
 
     def test_bootstrap_error_terminates_children_before_joining(self, monkeypatch):
         """However the launcher leaves the bootstrap, children still
@@ -209,11 +223,86 @@ class TestBootstrap:
         def broken(*args, **kwargs):
             raise TransportError("malformed frame during bootstrap")
 
-        monkeypatch.setattr(procbackend, "serve_tree_rendezvous", broken)
+        monkeypatch.setattr(procbackend, "serve_rendezvous", broken)
         start = time.monotonic()
         with pytest.raises(TransportError, match="malformed frame"):
             run_spmd(4, lambda c: c.rank, config=PROCESS)
         assert time.monotonic() - start < 5.0
+
+    @staticmethod
+    def _misbehave(monkeypatch, before: dict):
+        """In the next forked world, rank *r* first runs
+        ``before[r](rendezvous, rank, addr)`` — which may never return —
+        and then rendezvouses as ever."""
+        real = procbackend.child_rendezvous
+
+        def child_rendezvous(rendezvous, rank, addr):
+            if rank in before:
+                before[rank](rendezvous, rank, addr)
+            return real(rendezvous, rank, addr)
+
+        monkeypatch.setattr(procbackend, "child_rendezvous", child_rendezvous)
+
+    def test_child_dying_between_connect_and_hello_is_named(self, monkeypatch):
+        """EOF on a connection that never said hello is not the job's
+        TransportError: the launcher keeps accepting and its liveness tick
+        names the dead rank with its exit code."""
+
+        def die(rendezvous, rank, addr):
+            connect(rendezvous)
+            os._exit(3)
+
+        self._misbehave(monkeypatch, {1: die})
+        with pytest.raises(ChildExitError) as excinfo:
+            run_spmd(3, lambda c: c.rank, config=PROCESS, timeout=30.0)
+        assert (excinfo.value.rank, excinfo.value.exit_code) == (1, 3)
+
+    def test_child_dying_between_hello_and_welcome_is_named(self, monkeypatch):
+        """The welcome to a child that died after its hello cannot be
+        sent; the launcher ignores that, welcomes the others, and
+        collecting results names the dead rank."""
+
+        def hello_and_die(rendezvous, rank, addr):
+            send_frame(connect(rendezvous), ("hello", rank, addr))
+            os._exit(4)
+
+        def late(rendezvous, rank, addr):
+            time.sleep(0.5)  # so rank 1 is gone before anyone is welcomed
+
+        self._misbehave(monkeypatch, {0: late, 1: hello_and_die})
+        with pytest.raises(ChildExitError) as excinfo:
+            run_spmd(3, lambda c: c.rank, config=PROCESS, timeout=30.0)
+        assert (excinfo.value.rank, excinfo.value.exit_code) == (1, 4)
+
+    @pytest.mark.parametrize("claimed", [0, 4], ids=["duplicate", "out-of-range"])
+    def test_hello_with_a_bad_rank_fails_the_bootstrap(self, monkeypatch, claimed):
+        """A second hello for one rank, or one for a rank the world does
+        not have, is a TransportError, and the children waiting for a
+        welcome are terminated, not waited for."""
+        real = procbackend.child_rendezvous
+
+        def impostor(rendezvous, rank, addr):
+            return real(rendezvous, claimed if rank == 1 else rank, addr)
+
+        monkeypatch.setattr(procbackend, "child_rendezvous", impostor)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="unexpected rendezvous frame"):
+            run_spmd(4, lambda c: c.rank, config=PROCESS)
+        assert time.monotonic() - start < 5.0
+
+    def test_deadline_holds_while_a_hello_is_awaited(self, monkeypatch):
+        """A child that connects and then says nothing cannot hold the
+        launcher past the job's wall-clock budget."""
+
+        def mute(rendezvous, rank, addr):
+            with connect(rendezvous):
+                time.sleep(60)
+
+        self._misbehave(monkeypatch, {1: mute})
+        start = time.monotonic()
+        with pytest.raises(TimeoutError_, match="rank bootstrap"):
+            run_spmd(2, lambda c: c.rank, config=PROCESS, timeout=2.0)
+        assert time.monotonic() - start < 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,11 @@ class TestSubstrateScale:
 
 
 class TestInitScale:
-    """The ``init-scale`` CI smoke: the bootstrap tree must complete a
-    512-rank address exchange (simulated ranks — one thread each over
-    real Unix sockets).  Every simulated rank verifies it got the full
-    peer map, so this asserts protocol correctness at width; timings
-    from shared runners are noise."""
+    """The ``init-scale`` CI smoke: the bootstrap must complete a
+    512-rank rendezvous (simulated ranks — one thread each over real
+    Unix sockets).  Every simulated rank verifies it got the full peer
+    map, so this asserts protocol correctness at width; timings from
+    shared runners are noise."""
 
     def test_bootstrap_512_ranks(self):
         from benchmarks.bench_init import bootstrap_seconds
