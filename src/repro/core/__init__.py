@@ -3,9 +3,12 @@
 The subpackage layout follows the paper:
 
 * :mod:`repro.core.registry` — the ``processors_map.in`` file (§3, §4);
-* :mod:`repro.core.handshake` — the split-based handshake algorithm (§6);
+* :mod:`repro.core.handshake` — the declarations and the layout resolution
+  of the handshake (§6);
+* :mod:`repro.core.session` — the handshake's exchange, named process
+  sets, and elastic membership (§6, MPI Sessions);
 * :mod:`repro.core.mph` — ``components_setup`` / ``multi_instance`` and
-  the :class:`MPH` handle (§4, §5.3);
+  the :class:`MPH` handle, a view of one session at one epoch (§4, §5.3);
 * :mod:`repro.core.join` — ``MPH_comm_join`` (§5.1);
 * :mod:`repro.core.messaging` — name-addressed send/recv (§5.2);
 * :mod:`repro.core.arguments` — ``MPH_get_argument`` (§4.4);
@@ -23,7 +26,7 @@ from repro.core.ensemble import (
     EnsembleStats,
     OnlineMoments,
 )
-from repro.core.handshake import ComponentDecl, HandshakeResult, InstanceDecl, handshake
+from repro.core.handshake import ComponentDecl, InstanceDecl
 from repro.core.layout import ComponentInfo, ExecutableInfo, Layout
 from repro.core.migration import block_rows, migrate, redistribute_block
 from repro.core.mph import MPH, components_setup, multi_instance
@@ -47,9 +50,7 @@ __all__ = [
     "EnsembleStats",
     "OnlineMoments",
     "ComponentDecl",
-    "HandshakeResult",
     "InstanceDecl",
-    "handshake",
     "ComponentInfo",
     "ExecutableInfo",
     "Layout",

@@ -16,10 +16,17 @@ that anonymous world into a fully-mapped multi-component environment:
 4. communicators are derived from the session's named process sets
    (:mod:`repro.core.session`): each component / executable pset is turned
    into a communicator on demand by its members only, generalizing the
-   paper's two ``Comm_split`` strategies.  The historical strategy label is
-   preserved — ``"world_split"`` when every executable is single-component
-   (§6 case 1; the executable communicator *is* the component
-   communicator), ``"exe_then_comp"`` otherwise (§6 case 2).
+   paper's two ``Comm_split`` strategies.  :attr:`Session.strategy
+   <repro.core.session.Session.strategy>` names which one the registry
+   calls for — ``"world_split"`` when every entry is single-component (§6
+   case 1; an :class:`~repro.core.mph.MPH` handle's executable
+   communicator *is* its component communicator), ``"exe_then_comp"``
+   otherwise (§6 case 2).
+
+This module holds the declarations and step 3's resolution
+(:func:`_resolve_executables`, :func:`_match_entry`); steps 1 and 2 run in
+:meth:`Session.init <repro.core.session.Session.init>`, and step 4 in the
+:class:`~repro.core.mph.MPH` handle and the session it views.
 
 The handshake is deterministic: every process derives the identical
 :class:`~repro.core.layout.Layout` from the broadcast registry and the
@@ -32,22 +39,13 @@ perturb the layout (asserted across seeds in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
-from repro.core.layout import ComponentInfo, ExecutableInfo, Layout
+from repro.core.layout import ExecutableInfo
 from repro.core.names import matches_prefix, validate_name
-from repro.core.registry import (
-    MultiComponentEntry,
-    MultiInstanceEntry,
-    Registry,
-    SingleComponentEntry,
-)
-from repro.errors import HandshakeError, RegistryError
-from repro.mpi.comm import Comm
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.session import Session
+from repro.core.registry import MultiComponentEntry, MultiInstanceEntry, Registry
+from repro.errors import HandshakeError
 
 
 @dataclass(frozen=True)
@@ -88,108 +86,15 @@ class PoolDecl:
 Declaration = Union[ComponentDecl, InstanceDecl, PoolDecl]
 
 
-@dataclass
-class HandshakeResult:
-    """Everything a process holds after a successful handshake."""
-
-    #: The global component/executable map (identical on every process).
-    layout: Layout
-    #: The broadcast registry.
-    registry: Registry
-    #: Index of this process's executable.
-    exe_id: int
-    #: Communicator spanning this process's executable.
-    exe_comm: Comm
-    #: Component communicators for the components covering this process
-    #: (one for a single-component executable; possibly several for a
-    #: multi-component executable with overlap; empty for an idle process
-    #: its registry entry covers with no component).
-    comp_comms: dict[str, Comm] = field(default_factory=dict)
-    #: Which split strategy ran: ``"world_split"`` or ``"exe_then_comp"``.
-    strategy: str = ""
-    #: The world communicator the handshake ran over.
-    world: Optional[Comm] = None
-    #: MPH-internal communicator (``comm_join`` context distribution etc.).
-    service_comm: Optional[Comm] = None
-    #: The declaration this executable made.
-    declaration: Optional[Declaration] = None
-    #: Components that lost every process in a re-handshake after a
-    #: failure (empty for the initial handshake).
-    dead_components: tuple[str, ...] = ()
-    #: The session this result was materialized from
-    #: (:meth:`~repro.core.session.Session.handshake_result` is the only
-    #: constructor).  The layout above is a snapshot of the session's
-    #: pset epoch at materialization time; after an elastic transition
-    #: (``grow``/``retire``/``shrink``) get a fresh view with
-    #: ``session.mph()``.
-    session: Optional["Session"] = None
-
-    @property
-    def my_component_names(self) -> tuple[str, ...]:
-        """Names of the components covering this process, by component id."""
-        infos = sorted(
-            (self.layout.component(n) for n in self.comp_comms), key=lambda c: c.comp_id
-        )
-        return tuple(c.name for c in infos)
-
-
-def handshake(world: Comm, decl: Declaration, registry_input) -> HandshakeResult:
-    """Run the full component handshake over *world*.
-
-    Collective: every process of *world* must call it (each with its own
-    executable's declaration).  Raises :class:`HandshakeError` (on every
-    process, via abort propagation) when declarations and registration file
-    disagree.
-
-    Since the sessions refactor this is a thin compatibility shim: the
-    registry broadcast, declaration allgather, and layout resolution run
-    inside :meth:`repro.core.session.Session.init`, and the executable /
-    component communicators are derived from the session's named process
-    sets instead of eager ``Comm_split`` calls.  The result is shaped
-    exactly as before (same communicator names, same ``strategy`` label,
-    and for the single-component path ``exe_comm`` *is* the component
-    communicator, as §6 case 1 produced).
-    """
-    from repro.core.session import Session
-
-    return Session.init(world, decl, registry_input).handshake_result()
-
-
-def rehandshake(prev: HandshakeResult) -> HandshakeResult:
-    """Rebuild the multi-component environment over the survivors of a
-    process failure — the ``MPH_comm_join``-level recovery step.
-
-    Collective over every *live* member of the previous world (the dead
-    ranks are excluded by construction, exactly as in
-    :meth:`~repro.mpi.comm.Comm.shrink`).  The shrink is routed through
-    :meth:`repro.core.session.Session.shrink` — the *unplanned* flavour
-    of the same pset-epoch transition that ``Session.grow`` /
-    ``Session.retire`` perform: the old world communicator shrinks over
-    the survivors, the layout is degraded (survivors keep their
-    **original** world ids, components that lost every process are
-    recorded in ``dead_components``), and the executable, component and
-    service communicators are re-derived from the new epoch's process
-    sets.  Original global proc ids stay stable and ``dead_components``
-    stays correct even across a shrink-then-grow sequence.
-
-    No registry re-read and no new declarations: the degraded layout is
-    derived locally from the old one, so — like the original handshake —
-    every survivor computes an identical map.
-    """
-    prev.session.shrink()
-    return prev.session.handshake_result()
-
-
 def _resolve_executables(
-    registry: Registry, decls: list[Declaration], my_rank: int
-) -> tuple[list[ExecutableInfo], int, tuple[int, ...]]:
+    registry: Registry, decls: list[Declaration]
+) -> tuple[list[ExecutableInfo], tuple[int, ...]]:
     """Group world ranks by declaration, match groups to registry entries,
     and validate sizes.
 
     Ranks declaring :class:`PoolDecl` form the elastic reserve pool: they
     match no registry entry and belong to no executable until a
-    ``Session.grow`` assigns them.  Returns ``(executables, my_exe_id,
-    pool_ranks)``; ``my_exe_id`` is ``-1`` for a pool rank.
+    ``Session.grow`` assigns them.  Returns ``(executables, pool_ranks)``.
     """
     pool_ranks = tuple(r for r, d in enumerate(decls) if isinstance(d, PoolDecl))
     groups: dict[Declaration, list[int]] = {}
@@ -203,7 +108,6 @@ def _resolve_executables(
 
     matched_entries: dict[int, Declaration] = {}
     exes: list[ExecutableInfo] = []
-    my_exe_id = -1
     for exe_id, (d, ranks) in enumerate(ordered):
         entry_index = _match_entry(registry, d)
         if entry_index in matched_entries:
@@ -233,8 +137,6 @@ def _resolve_executables(
                 instance_prefix=d.prefix if isinstance(d, InstanceDecl) else None,
             )
         )
-        if my_rank in ranks:
-            my_exe_id = exe_id
 
     unmatched = [
         e.component_names
@@ -246,8 +148,7 @@ def _resolve_executables(
             f"registration file registers components that no executable declared: "
             f"{unmatched} — is an executable missing from the launch command?"
         )
-    assert my_exe_id >= 0 or my_rank in pool_ranks
-    return exes, my_exe_id, pool_ranks
+    return exes, pool_ranks
 
 
 def _match_entry(registry: Registry, decl: Declaration) -> int:

@@ -4,9 +4,11 @@
 (b) dynamic component model processor allocation or migration."
 
 The mechanism implemented here: at an application-wide synchronisation
-point, every process re-runs the handshake against a *new* registration
-file that reassigns processors among the components of each executable
-(executable sizes are fixed by the launcher and cannot change mid-job).
+point, every process re-runs the handshake (:meth:`Session.init
+<repro.core.session.Session.init>` with its own declaration) against a
+*new* registration file that reassigns processors among the components
+of each executable (executable sizes are fixed by the launcher and
+cannot change mid-job).
 The component set must be preserved; communicators are rebuilt, and
 :func:`redistribute_block` moves 1-D block-decomposed component data from
 the old layout to the new one over the executable communicator.
@@ -18,8 +20,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.handshake import handshake
 from repro.core.mph import MPH
+from repro.core.session import Session
 from repro.errors import HandshakeError
 
 
@@ -27,9 +29,9 @@ def migrate(mph: MPH, new_registry: Any) -> MPH:
     """Re-handshake the whole application against *new_registry*.
 
     Collective over the global world: every process must call it at the
-    same point.  Returns a fresh :class:`MPH` handle; the old handle's
-    communicators remain usable for draining in-flight data but should be
-    retired afterwards.
+    same point.  Returns a fresh :class:`MPH` handle that keeps the old
+    handle's :attr:`~MPH.profile`; the old handle's communicators remain
+    usable for draining in-flight data but should be retired afterwards.
 
     Raises
     ------
@@ -37,9 +39,9 @@ def migrate(mph: MPH, new_registry: Any) -> MPH:
         When the new registration changes the component set or regroups
         components across executables (only processor ranges may move).
     """
-    old_decl = mph._hs.declaration
-    assert old_decl is not None
-    new_mph = MPH(handshake(mph.global_world, old_decl, new_registry), env=mph._env)
+    session = Session.init(mph.global_world, mph._session._decl, new_registry)
+    new_mph = session.mph(mph._env)
+    new_mph.profile = mph.profile
 
     old_names = set(mph.layout.registry.component_names)
     new_names = set(new_mph.layout.registry.component_names)

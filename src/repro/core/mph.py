@@ -8,10 +8,13 @@ points mirror the paper's:
 * :func:`multi_instance` — ``MPH_multi_instance(prefix)`` for ensemble
   (MIME) executables (paper §4.4).
 
-Both run the Section 6 handshake and return an :class:`MPH` handle whose
-methods cover the rest of the paper's API: the inquiry functions (§5.3),
-``comm_join`` (§5.1), inter-component send/recv (§5.2), per-instance
-argument access (§4.4), and standard-output redirection (§5.4).
+Both run the Section 6 handshake — :meth:`Session.init
+<repro.core.session.Session.init>` — and return the session's
+:class:`MPH` handle, a view of the session at its current epoch.  The
+handle's methods cover the rest of the paper's API: the inquiry
+functions (§5.3), ``comm_join`` (§5.1), inter-component send/recv
+(§5.2), per-instance argument access (§4.4), and standard-output
+redirection (§5.4).
 
 The Fortran original returns a communicator from the setup call; here the
 setup returns the richer handle and the communicator is ``mph.exe_world``
@@ -30,18 +33,12 @@ import numpy as np
 from repro.core import messaging
 from repro.core.arguments import ArgumentFields
 from repro.core.profiling import CommProfile
-from repro.core.handshake import (
-    ComponentDecl,
-    Declaration,
-    HandshakeResult,
-    InstanceDecl,
-    handshake,
-)
 from repro.core.join import comm_join as _comm_join
 from repro.core.layout import ComponentInfo, Layout
 from repro.core.redirect import MultiChannelOutput
 from repro.core.registry import Registry
-from repro.errors import HandshakeError, MPHError
+from repro.core.session import Session, components_session, instance_session
+from repro.errors import HandshakeError, MPHError, SessionError
 from repro.mpi.comm import Comm
 from repro.mpi.constants import ANY_TAG
 from repro.mpi.request import Request
@@ -49,39 +46,66 @@ from repro.mpi.status import Status
 
 
 class MPH:
-    """A process's view of the multi-component environment.
+    """A process's view of the multi-component environment: one
+    :class:`~repro.core.session.Session` at one epoch.
 
-    Never constructed directly — use :func:`components_setup` or
-    :func:`multi_instance`.
+    Never constructed directly — use :func:`components_setup`,
+    :func:`multi_instance` or :meth:`Session.mph
+    <repro.core.session.Session.mph>`.  Construction is collective over
+    the session's active world: it derives the world, executable, and
+    covering-component communicators from their psets.  After an elastic
+    transition (``grow``/``retire``/``shrink``) get a fresh view with
+    ``session.mph()``.
     """
 
-    def __init__(self, hs: HandshakeResult, env=None):
-        self._hs = hs
+    def __init__(self, session: Session, env=None):
+        if not session.is_active:
+            control = session.control_comm
+            raise SessionError(
+                f"process {control.group.world_id(control.rank)} is not active at "
+                f"epoch {session.epoch} "
+                f"({'retired' if session.is_retired else 'parked in the reserve pool'}); "
+                "it has no component view to materialize"
+            )
+        self._session = session
         self._env = env
         self._output: Optional[MultiChannelOutput] = getattr(env, "output", None)
         #: Per-process coupling-communication counters (see
         #: :mod:`repro.core.profiling`).
         self.profile = CommProfile()
 
+        self._layout = lay = session.layout
+        self._dead_components = session.dead_components
+        self._world = session.comm("mph://world")
+        me = self._world.group.world_id(self._world.rank)
+        self._exe_id = lay.executable_of(me).exe_id
+        mine = [c.name for c in lay.components if me in c.world_ranks]
+        if session.strategy == "world_split":
+            # Single-component executables: the component communicator is
+            # the executable communicator (§6 case 1 made them one split).
+            self._exe_comm = session.comm(f"mph://component/{mine[0]}")
+            self._comp_comms = {mine[0]: self._exe_comm}
+        else:
+            self._exe_comm = session.comm(f"mph://exe/{self._exe_id}")
+            self._comp_comms = {n: session.comm(f"mph://component/{n}") for n in mine}
+
     # -- communicators ---------------------------------------------------------
 
     @property
     def global_world(self) -> Comm:
         """The application-wide communicator (``MPH_Global_World``)."""
-        assert self._hs.world is not None
-        return self._hs.world
+        return self._world
 
     @property
     def exe_world(self) -> Comm:
         """This executable's communicator — the return value of
         ``MPH_components_setup`` in the paper's examples."""
-        return self._hs.exe_comm
+        return self._exe_comm
 
     @property
     def service_comm(self) -> Comm:
         """MPH's private communicator for internal protocols."""
-        assert self._hs.service_comm is not None
-        return self._hs.service_comm
+        return self._session.control_comm
 
     def component_comm(self, name: Optional[str] = None) -> Comm:
         """The communicator of component *name* (must cover this process).
@@ -91,11 +115,11 @@ class MPH:
         executables.
         """
         name = self._default_name(name)
-        comm = self._hs.comp_comms.get(name)
+        comm = self._comp_comms.get(name)
         if comm is None:
             raise HandshakeError(
                 f"this process (world rank {self.global_proc_id()}) is not in component "
-                f"{name!r}; it runs {list(self._hs.comp_comms) or 'no components'}"
+                f"{name!r}; it runs {list(self._comp_comms) or 'no components'}"
             )
         return comm
 
@@ -110,7 +134,7 @@ class MPH:
                 ocean_xyz(comm)
         """
         self.layout.component(name)  # unknown names are an error, not False
-        return self._hs.comp_comms.get(name)
+        return self._comp_comms.get(name)
 
     def in_component(self, name: str) -> bool:
         """Boolean form of :meth:`proc_in_component`."""
@@ -134,9 +158,8 @@ class MPH:
         listed in the new handle's :attr:`dead_components` and vanish
         from its layout.  The old handle remains usable only for inquiry.
         """
-        from repro.core.handshake import rehandshake
-
-        new_mph = MPH(rehandshake(self._hs), env=self._env)
+        self._session.shrink()
+        new_mph = self._session.mph(self._env)
         new_mph.profile = self.profile
         return new_mph
 
@@ -144,30 +167,30 @@ class MPH:
     def dead_components(self) -> tuple[str, ...]:
         """Components with zero surviving processes (empty before any
         :meth:`shrink_world`)."""
-        return self._hs.dead_components
+        return self._dead_components
 
     # -- identity / inquiry (paper §5.3) ------------------------------------------
 
     @property
     def layout(self) -> Layout:
         """The global component/executable map."""
-        return self._hs.layout
+        return self._layout
 
     @property
     def registry(self) -> Registry:
         """The broadcast registration file."""
-        return self._hs.registry
+        return self._session.registry
 
     @property
     def strategy(self) -> str:
         """Which handshake split strategy ran (``"world_split"`` or
         ``"exe_then_comp"``)."""
-        return self._hs.strategy
+        return self._session.strategy
 
     def _default_name(self, name: Optional[str]) -> str:
         if name is not None:
             return name
-        mine = self._hs.my_component_names
+        mine = self.comp_names()
         if len(mine) == 1:
             return mine[0]
         if not mine:
@@ -187,7 +210,7 @@ class MPH:
 
     def comp_names(self) -> tuple[str, ...]:
         """All components covering this process (several when overlapping)."""
-        return self._hs.my_component_names
+        return tuple(self._comp_comms)
 
     def local_proc_id(self, name: Optional[str] = None) -> int:
         """Component-local processor id (``MPH_local_proc_id``)."""
@@ -213,15 +236,15 @@ class MPH:
 
     def exe_id(self) -> int:
         """This executable's index."""
-        return self._hs.exe_id
+        return self._exe_id
 
     def exe_low_proc_limit(self) -> int:
         """Lowest global rank of this executable (``MPH_exe_low_proc_limit``)."""
-        return self.layout.executables[self._hs.exe_id].low_proc_limit
+        return self.layout.executables[self._exe_id].low_proc_limit
 
     def exe_up_proc_limit(self) -> int:
         """Highest global rank of this executable (``MPH_exe_up_proc_limit``)."""
-        return self.layout.executables[self._hs.exe_id].up_proc_limit
+        return self.layout.executables[self._exe_id].up_proc_limit
 
     def component_info(self, name: Optional[str] = None) -> ComponentInfo:
         """Full layout record of a component."""
@@ -360,21 +383,9 @@ class MPH:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<MPH world rank {self.global_proc_id()} exe {self._hs.exe_id} "
-            f"components {list(self._hs.comp_comms)}>"
+            f"<MPH world rank {self.global_proc_id()} exe {self._exe_id} "
+            f"components {list(self._comp_comms)}>"
         )
-
-
-def _registry_input(registry: Any, env: Any) -> Any:
-    if registry is not None:
-        return registry
-    env_registry = getattr(env, "registry", None)
-    if env_registry is not None:
-        return env_registry
-    raise MPHError(
-        "no registration file: pass `registry=` to the setup call or launch through "
-        "mph_run(..., registry=...)"
-    )
 
 
 def components_setup(
@@ -400,9 +411,7 @@ def components_setup(
     launched through :func:`repro.launcher.job.mph_run`, from the job
     environment *env*.
     """
-    decl: Declaration = ComponentDecl(tuple(names))
-    hs = handshake(world, decl, _registry_input(registry, env))
-    return MPH(hs, env=env)
+    return components_session(world, *names, registry=registry, env=env).mph(env)
 
 
 def multi_instance(
@@ -425,6 +434,4 @@ def multi_instance(
     >>> mph.comp_name()                      # e.g. "Ocean2" on its ranks
     >>> mph.get_argument("beta", float)      # instance-specific parameter
     """
-    decl: Declaration = InstanceDecl(prefix)
-    hs = handshake(world, decl, _registry_input(registry, env))
-    return MPH(hs, env=env)
+    return instance_session(world, prefix, registry=registry, env=env).mph(env)

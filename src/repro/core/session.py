@@ -57,18 +57,12 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from repro.core.handshake import (
     ComponentDecl,
     Declaration,
-    HandshakeResult,
     InstanceDecl,
     PoolDecl,
     _resolve_executables,
 )
-from repro.core.layout import ComponentInfo, ExecutableInfo, Layout
-from repro.core.registry import (
-    MultiComponentEntry,
-    MultiInstanceEntry,
-    Registry,
-    SingleComponentEntry,
-)
+from repro.core.layout import ComponentInfo, Layout
+from repro.core.registry import MultiComponentEntry, Registry, SingleComponentEntry
 from repro.errors import HandshakeError, SessionError
 from repro.mpi.comm import Comm
 from repro.mpi.constants import ANY_SOURCE
@@ -126,11 +120,11 @@ class PrecomputedLayout:
     both — the MPH service runtime, which derives them from a validated
     job document and caches the result keyed by the document's layout
     hash — can :meth:`build` this once and hand it to every rank as the
-    ``registry`` input.  :meth:`Session.init` then skips the exchange
-    entirely: no broadcast, no allgather, just a local consistency check
-    of this rank's declaration against the precomputed one (a mismatch is
-    a :class:`~repro.errors.HandshakeError`, exactly as a live exchange
-    would have produced).
+    ``registry`` input.  :meth:`Session.init` then skips the exchange:
+    no broadcast, no allgather.  The live exchange builds one of these
+    from what it gathered, so both paths run the same checks of this
+    rank's declaration against the layout (a mismatch is a
+    :class:`~repro.errors.HandshakeError`).
 
     Pure data (picklable), so the process backend can ship it to forked
     and exec'd children inside their launcher metadata.
@@ -140,30 +134,21 @@ class PrecomputedLayout:
     registry: Registry
     #: Per-world-rank declarations, in rank order.
     decls: Tuple[Declaration, ...]
-    #: Resolved executables (identical to what the live exchange derives).
+    #: Resolved executables.
     exes: Tuple[Any, ...]
     #: World ranks of the reserve pool.
     pool: Tuple[int, ...]
-    #: The legacy split-strategy label.
-    strategy: str
 
     @classmethod
     def build(cls, registry_input: Any, decls: Sequence[Declaration]) -> "PrecomputedLayout":
-        """Resolve the layout exactly as the live init exchange would:
+        """Resolve the layout — the live init exchange's step 3 too:
         parse the registry, group *decls* into executables, match them
-        against registry entries.  Raises the same
+        against registry entries.  Raises
         :class:`~repro.errors.HandshakeError` /
-        :class:`~repro.errors.RegistryError` a live exchange raises."""
+        :class:`~repro.errors.RegistryError` when they disagree."""
         registry = Registry.load(registry_input)
-        exes, _, pool = _resolve_executables(registry, list(decls), 0)
-        all_single = all(isinstance(e, SingleComponentEntry) for e in registry.entries)
-        return cls(
-            registry=registry,
-            decls=tuple(decls),
-            exes=tuple(exes),
-            pool=pool,
-            strategy="world_split" if all_single else "exe_then_comp",
-        )
+        exes, pool = _resolve_executables(registry, list(decls))
+        return cls(registry=registry, decls=tuple(decls), exes=tuple(exes), pool=pool)
 
     def layout(self) -> Layout:
         """The resolved component/executable map."""
@@ -187,29 +172,23 @@ class Session:
     """A process's handle on the sessions layer.
 
     Create one with :func:`components_session`, :func:`instance_session`,
-    or :func:`pool_session` (or implicitly through the legacy
-    ``components_setup``/``multi_instance``/``handshake`` shims).
+    or :func:`pool_session`; ``components_setup`` and ``multi_instance``
+    create one and return its :meth:`mph` handle.
     """
 
     def __init__(
         self,
         *,
-        base_world: Comm,
         control: Comm,
         registry: Registry,
         decl: Declaration,
-        decls: Sequence[Declaration],
         layout: Layout,
         pool: Tuple[int, ...],
-        strategy: str,
     ):
-        self._base_world = base_world
         self._control = control
         self._registry = registry
         self._decl = decl
-        self._decls = tuple(decls)
-        self._strategy = strategy
-        self._my_id = base_world.group.world_id(base_world.rank)
+        self._my_id = control.group.world_id(control.rank)
 
         self._epoch = 0
         self._layouts: Dict[int, Layout] = {0: layout}
@@ -226,7 +205,6 @@ class Session:
         #: from crash-induced ``dead_components`` on purpose).
         self._retired_components: list[str] = []
         self._departed_ranks: set[int] = set()
-        self._transitions: list[tuple] = []
         self._pool_released = False
 
         # Monotonic counters for grown MIME instances: next local instance
@@ -260,26 +238,8 @@ class Session:
 
         if isinstance(registry_input, PrecomputedLayout):
             # Layout-cache fast path: the launcher resolved the layout
-            # ahead of time (service runtime, warm job) — skip the
-            # broadcast and allgather, check this rank's declaration
-            # against the precomputed one, and take the layout as data.
+            # ahead of time (service runtime, warm job) — no exchange.
             pre = registry_input
-            if len(pre.decls) != world.size:
-                raise HandshakeError(
-                    f"precomputed layout covers {len(pre.decls)} ranks but the "
-                    f"world has {world.size}"
-                )
-            if pre.decls[world.rank] != decl:
-                raise HandshakeError(
-                    f"rank {world.rank} declared {decl!r} but the precomputed "
-                    f"layout expected {pre.decls[world.rank]!r}; the layout "
-                    "cache is stale for this job"
-                )
-            registry = pre.registry
-            decls = list(pre.decls)
-            exes, pool = list(pre.exes), pre.pool
-            layout = Layout(registry, exes)
-            strategy = pre.strategy
         else:
             # Step 1 — root reads the registration file and broadcasts it (§6).
             if world.rank == 0:
@@ -287,18 +247,21 @@ class Session:
                 world.bcast(registry)
             else:
                 registry = world.bcast(None)
+            # Step 2 — allgather declarations; step 3 — group them into
+            # executables and match those against the registry.
+            pre = PrecomputedLayout.build(registry, world.allgather(decl))
 
-            # Step 2 — allgather declarations.
-            decls = world.allgather(decl)
-
-            # Step 3 — group into executables and match against the registry.
-            exes, _my_exe_id, pool = _resolve_executables(registry, decls, world.rank)
-            layout = Layout(registry, exes)
-
-            all_single = all(
-                isinstance(e, SingleComponentEntry) for e in registry.entries
+        if len(pre.decls) != world.size:
+            raise HandshakeError(
+                f"precomputed layout covers {len(pre.decls)} ranks but the "
+                f"world has {world.size}"
             )
-            strategy = "world_split" if all_single else "exe_then_comp"
+        if pre.decls[world.rank] != decl:
+            raise HandshakeError(
+                f"rank {world.rank} declared {decl!r} but the precomputed "
+                f"layout expected {pre.decls[world.rank]!r}; the layout "
+                "cache is stale for this job"
+            )
 
         # The control communicator: MPH's private plane for pset-context
         # distribution, comm_join, and pool notifications.  It spans the
@@ -308,20 +271,16 @@ class Session:
         control = world.dup("MPH_service")
 
         session = cls(
-            base_world=world,
             control=control,
-            registry=registry,
+            registry=pre.registry,
             decl=decl,
-            decls=decls,
-            layout=layout,
-            pool=pool,
-            strategy=strategy,
+            layout=pre.layout(),
+            pool=pre.pool,
         )
-        if not pool:
+        if not pre.pool:
             # Without a reserve pool the active world *is* the launch
             # world: reuse the existing communicator instead of deriving
-            # an identical one (keeps the legacy shim's init cost at the
-            # pre-sessions level).
+            # an identical one (no context distribution at init).
             session._comm_cache[("mph://world", 0)] = world
         return session
 
@@ -337,15 +296,14 @@ class Session:
         """The current epoch's component/executable map."""
         return self._layouts[self._epoch]
 
-    def layout_at(self, epoch: int) -> Layout:
-        """The layout as of a specific epoch (kept for every epoch)."""
-        return self._layouts[epoch]
-
     @property
     def strategy(self) -> str:
-        """The legacy split-strategy label (``"world_split"`` /
-        ``"exe_then_comp"``)."""
-        return self._strategy
+        """The §6 split strategy the registry calls for:
+        ``"world_split"`` when every entry is single-component,
+        ``"exe_then_comp"`` otherwise."""
+        if all(isinstance(e, SingleComponentEntry) for e in self._registry.entries):
+            return "world_split"
+        return "exe_then_comp"
 
     @property
     def registry(self) -> Registry:
@@ -353,7 +311,7 @@ class Session:
 
     @property
     def control_comm(self) -> Comm:
-        """MPH's private control communicator (the legacy ``service_comm``)."""
+        """MPH's private control communicator (``MPH.service_comm``)."""
         return self._control
 
     @property
@@ -491,62 +449,15 @@ class Session:
         self._pset_index[epoch] = {name: i for i, name in enumerate(cat)}
         return cat
 
-    # -- legacy bridge -----------------------------------------------------------
-
-    def handshake_result(self) -> HandshakeResult:
-        """Materialize the legacy :class:`HandshakeResult` view at the
-        current epoch.
+    def mph(self, env: Any = None) -> "Any":
+        """A fresh :class:`~repro.core.mph.MPH` handle at the current epoch.
 
         Collective over the active world (every active process must call
-        it at the same epoch): it derives the world, executable, and
-        covering-component communicators from their psets.  Shapes the
-        result exactly as the pre-sessions handshake did — including
-        ``exe_comm is component_comm`` on the ``"world_split"`` path.
-        """
-        me = self._my_id
-        if not self.is_active:
-            raise SessionError(
-                f"process {me} is not active at epoch {self._epoch} "
-                f"({'retired' if self.is_retired else 'parked in the reserve pool'}); "
-                "it has no component view to materialize"
-            )
-        lay = self._layouts[self._epoch]
-        world_comm = self.comm("mph://world")
-        exe = lay.executable_of(me)
-        my_comps = [c for c in lay.components if me in c.world_ranks]
-
-        comp_comms: Dict[str, Comm] = {}
-        if self._strategy == "world_split":
-            # Single-component executables: the component communicator is
-            # the executable communicator (§6 case 1 made them one split).
-            comp = my_comps[0]
-            exe_comm = self.comm(f"mph://component/{comp.name}")
-            comp_comms[comp.name] = exe_comm
-        else:
-            exe_comm = self.comm(f"mph://exe/{exe.exe_id}")
-            for comp in my_comps:
-                comp_comms[comp.name] = self.comm(f"mph://component/{comp.name}")
-
-        return HandshakeResult(
-            layout=lay,
-            registry=self._registry,
-            exe_id=exe.exe_id,
-            exe_comm=exe_comm,
-            comp_comms=comp_comms,
-            strategy=self._strategy,
-            world=world_comm,
-            service_comm=self._control,
-            declaration=self._decl,
-            dead_components=tuple(self._dead_components),
-            session=self,
-        )
-
-    def mph(self, env: Any = None) -> "Any":
-        """A fresh :class:`~repro.core.mph.MPH` handle at the current epoch
-        (collective over the active world, like :meth:`handshake_result`)."""
+        it at the same epoch): the handle derives the world, executable
+        and covering-component communicators from their psets."""
         from repro.core.mph import MPH
 
-        return MPH(self.handshake_result(), env=env)
+        return MPH(self, env=env)
 
     # -- elastic transitions -----------------------------------------------------
 
@@ -649,7 +560,7 @@ class Session:
 
     def shrink(self) -> Tuple[str, ...]:
         """The unplanned epoch transition: rebuild over the survivors of a
-        process failure (the ``MPH.shrink_world`` / ``rehandshake`` path).
+        process failure (the ``MPH.shrink_world`` path).
 
         Collective over every *live* active process.  Internally this is
         ``Comm.shrink`` on the current world pset's communicator followed
@@ -746,7 +657,6 @@ class Session:
         self._layouts[new_epoch] = new_layout
         self._pools[new_epoch] = new_pool
         self._actives[new_epoch] = _active_ranks(new_layout)
-        self._transitions.append(record)
 
         if kind == "retire" and self._my_id not in self._departed_ranks:
             # Survivors (active or parked) invalidate the departed peers'
@@ -917,25 +827,26 @@ def _registry_source(registry: Any, env: Any) -> Any:
     if env_registry is not None:
         return env_registry
     raise SessionError(
-        "no registration file: pass `registry=` to the session call or launch "
-        "through mph_run(..., registry=...)"
+        "no registration file: pass `registry=` to the setup or session call, "
+        "or launch through mph_run(..., registry=...)"
     )
 
 
 def components_session(
     world: Comm, *names: str, registry: Any = None, env: Any = None
 ) -> Session:
-    """A session for an executable declaring component *names* — the
-    sessions-first spelling of ``MPH_components_setup`` (which is now a
-    shim over exactly this)."""
+    """A session for an executable declaring component *names* — what
+    ``MPH_components_setup`` runs before it returns the session's
+    :meth:`~Session.mph` handle."""
     return Session.init(world, ComponentDecl(tuple(names)), _registry_source(registry, env))
 
 
 def instance_session(
     world: Comm, prefix: str, *, registry: Any = None, env: Any = None
 ) -> Session:
-    """A session for a multi-instance (MIME) executable — the
-    sessions-first spelling of ``MPH_multi_instance``."""
+    """A session for a multi-instance (MIME) executable — what
+    ``MPH_multi_instance`` runs before it returns the session's
+    :meth:`~Session.mph` handle."""
     return Session.init(world, InstanceDecl(prefix), _registry_source(registry, env))
 
 

@@ -140,7 +140,9 @@ class WorldConfig:
         between the ranks of the process backend (the thread backend
         delivers straight into the destination mailbox and accepts only
         ``"auto"``).  ``"auto"`` (default) and ``"unix"`` are the socket
-        transport, one Unix-domain connection per peer pair — the path
+        transport: each rank dials its own Unix-domain connection to
+        every peer it sends to, on first send, so a pair that talks
+        both ways holds one connection per direction — the path
         the end-to-end workloads measure fastest (EXPERIMENTS.md, "One
         default data plane").  ``"shm"`` asks for the shared-memory
         transport (:class:`~repro.mpi.shm.ShmTransport`) by name: rings

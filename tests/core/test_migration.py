@@ -136,3 +136,30 @@ END
         assert result.by_executable(0)[0] == ("atm", 3)
         assert result.by_executable(0)[5] == ("lnd", 3)
         assert result.by_executable(1)[0] == "lnd ready"
+
+    def test_profile_survives_migration(self):
+        """Messages sent before the migration stay on the new handle's
+        profile, as they do across ``shrink_world``."""
+
+        def multi(world, env):
+            mph = components_setup(world, "atm", "lnd", env=env)
+            if mph.global_proc_id() == 0:
+                mph.send("before", "cpl", 0, tag=4)
+            new = migrate(mph, NEW_REG)
+            if new.in_component("lnd") and new.local_proc_id("lnd") == 0:
+                new.send("after", "cpl", 0, tag=4)
+            return new.profile.sent
+
+        def cpl(world, env):
+            mph = components_setup(world, "cpl", env=env)
+            mph.recv("atm", 0, tag=4)
+            new = migrate(mph, NEW_REG)
+            new.recv("lnd", 0, tag=4)
+            return new.profile.received
+
+        result = mph_run([(multi, 6), (cpl, 1)], registry=OLD_REG)
+        multi_sent = result.by_executable(0)
+        assert multi_sent[0] == {"cpl": 1}
+        assert multi_sent[3] == {"cpl": 1}  # new lnd's first process
+        assert multi_sent[1] == {}
+        assert result.by_executable(1)[0] == {"atm": 1, "lnd": 1}

@@ -6,7 +6,8 @@ The lifecycle cases run on both execution backends via the
 real OS process leaving a live job, which is what exercises the
 transport-side peer invalidation (cached sockets, shm rings, page
 holds).  The fault-driven and schedule-sweep cases are thread-backend
-only: the process backend rejects fault/match schedules by design.
+only: the process backend rejects fault/match schedules by design.  So
+are the layout-cache cases, which count the thread world's messages.
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ import pytest
 
 from repro import mph_run
 from repro.core.ensemble import EnsembleCollector, EnsembleMember
+from repro.core.handshake import ComponentDecl
 from repro.core.session import (
+    PrecomputedLayout,
     Session,
     components_session,
     instance_session,
     pool_session,
 )
-from repro.errors import ProcessFailedError, RevokedError, SessionError
+from repro.errors import HandshakeError, ProcessFailedError, RevokedError, SessionError
+from repro.mpi import World
+from repro.mpi.executor import run_world
 from repro.mpi.faults import SimulatedCrash
 
 REG = "BEGIN\natm\nocn\nEND"
@@ -91,6 +96,85 @@ class TestPsetCatalog:
             [(solo, 2), (ocn, 1)], registry=REG, config=backend_config, timeout=120.0
         )
         assert set(result.values()) == {0 + 1 + 2}
+
+
+def _layout_registry(nprocs: int, multi: bool) -> str:
+    """``atm`` on rank 0; the other ranks are one executable — ``ocn``
+    alone (every entry single-component, so ``"world_split"``), or
+    ``ocn`` over all of them with ``ice`` overlapping its first process
+    (``"exe_then_comp"``)."""
+    if not multi:
+        return REG
+    return (
+        f"BEGIN\natm\nMulti_Component_Begin\nocn 0 {nprocs - 2}\nice 0 0\n"
+        "Multi_Component_End\nEND"
+    )
+
+
+def _layout_decl(rank: int, multi: bool) -> ComponentDecl:
+    if rank == 0:
+        return ComponentDecl(("atm",))
+    return ComponentDecl(("ocn", "ice") if multi else ("ocn",))
+
+
+def _init_world(nprocs, registry_input, decl_of):
+    """Init a session on every rank of a thread world and take an MPH
+    view; returns each rank's view and the messages the world sent."""
+
+    def main(comm):
+        s = Session.init(comm, decl_of(comm.rank), registry_input)
+        mph = s.mph()
+        sizes = {name: mph.component_comm(name).size for name in mph.comp_names()}
+        return (s.layout.executables, s.layout.components, s.strategy, sizes)
+
+    world = World(nprocs)
+    results = run_world(world, [main] * nprocs, timeout=60.0)
+    return [r.value for r in results], world.traffic_snapshot().messages
+
+
+class TestPrecomputedLayout:
+    """The layout-cache path of ``Session.init``: a layout resolved ahead
+    of time gives what the live exchange gives, without the exchange."""
+
+    @pytest.mark.parametrize("multi", [False, True], ids=["single", "multi"])
+    @pytest.mark.parametrize("nprocs", [2, 3, 5])
+    def test_matches_live_exchange(self, nprocs, multi):
+        registry = _layout_registry(nprocs, multi)
+        decls = [_layout_decl(r, multi) for r in range(nprocs)]
+        pre = PrecomputedLayout.build(registry, decls)
+
+        def decl_of(rank):
+            return decls[rank]
+
+        live, live_msgs = _init_world(nprocs, registry, decl_of)
+        cached, cached_msgs = _init_world(nprocs, pre, decl_of)
+        assert cached == live
+        assert live[0][2] == ("exe_then_comp" if multi else "world_split")
+        assert live[-1][3]["ocn"] == nprocs - 1
+        # The registry bcast (P-1) and the declaration allgather (2(P-1))
+        # are the only messages the cache saves.
+        assert live_msgs - cached_msgs == 3 * (nprocs - 1)
+
+    @pytest.mark.parametrize("nprocs", [2, 3, 5])
+    def test_stale_declaration_fails_the_job(self, nprocs):
+        pre = PrecomputedLayout.build(
+            REG, [_layout_decl(r, False) for r in range(nprocs)]
+        )
+
+        def decl_of(rank):
+            # The last rank declares what the cached layout did not expect.
+            return ComponentDecl(("atm",) if rank in (0, nprocs - 1) else ("ocn",))
+
+        with pytest.raises(HandshakeError, match="stale"):
+            _init_world(nprocs, pre, decl_of)
+
+    @pytest.mark.parametrize("nprocs", [2, 3, 5])
+    def test_layout_for_another_world_size_fails(self, nprocs):
+        pre = PrecomputedLayout.build(
+            REG, [_layout_decl(r, False) for r in range(nprocs + 1)]
+        )
+        with pytest.raises(HandshakeError, match=f"covers {nprocs + 1} ranks"):
+            _init_world(nprocs, pre, lambda rank: _layout_decl(rank, False))
 
 
 class TestElasticGrow:
@@ -526,7 +610,7 @@ class TestSessionErrors:
             with pytest.raises(SessionError, match="collective over active"):
                 s.grow("atm", 1)
             with pytest.raises(SessionError, match="no component view"):
-                s.handshake_result()
+                s.mph(env=env)
             assert s.await_assignment() is None
             return "ok"
 
