@@ -24,12 +24,17 @@ every component first *publishes* its temperature to the coupler (eager
 sends), the coupler computes and returns fluxes, then every component
 *receives and steps*.
 
-Under ``exchange="p2p"`` a field crosses once in each direction: every
-component rank sends its own row block straight to the coupler process
-that computes, and gets its own block of the flux straight back, over
-two :class:`~repro.core.rearranger.Rearranger` routes per component
-built at construction (no message).  The step number and the coupler's
-command ride in each message's header.
+Under ``exchange="p2p"`` a field crosses once in each direction as plain
+§5.2 messages addressed by ``(component, local rank)``: every component
+rank sends ``((step,), block)`` to the coupler's local processor 0, which
+receives them in component-rank order and assembles the field; it cuts
+each flux with :meth:`~repro.climate.grid.Decomposition.blocks` and sends
+every rank ``((step, code), block)`` back.  Under ``exchange="join"``
+the same fields go by a gather and by a scatter of ``(cmd, block)`` over
+each component's joint communicator (§5.1).  Either way the serial
+coupler runs one loop — take every temperature, compute on local
+processor 0, put every flux — and only the four helpers that take and
+put a field know which exchange carries it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from repro.climate.components import (
 from repro.climate.coupler import FLUX_TAG_BASE, TEMP_TAG_BASE, FluxCoupler
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.core.mph import MPH, components_setup
-from repro.core.rearranger import Rearranger
 from repro.core.registry import Registry
 from repro.errors import ProcessFailedError, ReproError
 from repro.launcher.job import mph_run
@@ -74,27 +78,13 @@ _MODEL_CLASSES = {
 MODES = ("scse", "scme", "mcse", "mcme", "mcme_overlap")
 
 
-#: What the coupler tells a component with a flux, as the code that rides
-#: in the message header: ``commit`` — advance the step under this flux
-#: (every explicit exchange; the converged implicit one); ``iterate`` — an
-#: implicit trial evaluation from the step-start snapshot; ``dropped`` —
-#: a rank of this component died and the coupling goes on without it.
+#: What the coupler tells a component with a flux (a p2p message carries
+#: its index here as the code): ``commit`` — advance the step under this
+#: flux (every explicit exchange; the converged implicit one); ``iterate``
+#: — an implicit trial evaluation from the step-start snapshot;
+#: ``dropped`` — a rank of this component died and the coupling goes on
+#: without it.
 _COMMANDS = ("commit", "iterate", "dropped")
-
-
-def _routes(mph: MPH, cfg: "CCSMConfig", kind: str) -> tuple[Rearranger, Rearranger]:
-    """The two p2p routes of component *kind*: its ranks' temperature
-    blocks to the coupler's local processor 0 (header: the step), and
-    that processor's flux back to the ranks (header: step, command
-    code).  Each side of the exchange builds the same pair from the
-    layout alone."""
-    name, coupler = cfg.name(kind), (cfg.name("coupler"), 0)
-    comp_id = mph.layout.component(name).comp_id
-    nlat, nlon = cfg.shapes[kind]
-    return (
-        Rearranger(mph, name, coupler, nlat, nlon, tag=TEMP_TAG_BASE + comp_id, extra=1),
-        Rearranger(mph, coupler, name, nlat, nlon, tag=FLUX_TAG_BASE + comp_id, extra=2),
-    )
 
 
 class ComponentCrash(SimulatedCrash):
@@ -343,8 +333,6 @@ class ComponentRunner:
             self._join = mph.comm_join(self.name, self.coupler_name)
             assert self._join is not None
             self._cpl_root = mph.layout.component(self.name).size
-        elif not self.standalone:
-            self._to_coupler, self._from_coupler = _routes(mph, cfg, kind)
         #: Local coupling fluxes since the last checkpoint, for replay
         #: after an in-job recovery (``(step, local_flux)`` per entry).
         self._flux_log: list[tuple[int, Optional[np.ndarray]]] = []
@@ -356,14 +344,16 @@ class ComponentRunner:
             checkpoint.save(self.model, cfg.checkpoint_dir, self.name)
 
     def publish(self, step: int) -> None:
-        """Phase 1: hand this component's temperature to the coupler (a
+        """Phase 1: hand this rank's temperature block to the coupler (a
         no-op when running stand-alone)."""
         if self.standalone:
             return
+        block = self.model.temperature.data
         if self._join is not None:
-            self._join.gather(self.model.temperature.data, root=self._cpl_root)
-            return
-        self._to_coupler.send(self.model.temperature.data, (step,))
+            self._join.gather(block, root=self._cpl_root)
+        else:
+            tag = TEMP_TAG_BASE + self.comp_id
+            self.mph.send(((step,), block), self.coupler_name, 0, tag)
 
     def receive_and_step(self, step: int) -> None:
         """Phase 2: receive the coupling flux and advance one step (zero
@@ -384,8 +374,6 @@ class ComponentRunner:
             )
         if self.standalone:
             local_flux = None
-        elif self._join is not None:
-            local_flux = self._join.scatter(None, root=self._cpl_root)
         else:
             _, local_flux = self._receive_command(step)
         self._advance(step, local_flux)
@@ -427,22 +415,25 @@ class ComponentRunner:
 
     def _receive_command(self, step: int) -> tuple[str, np.ndarray]:
         """One coupler command plus this rank's flux block.  The command
-        rides with the data instead of costing a message of its own: in
-        the header of the rank's block (p2p), or as a scatter of
-        ``(cmd, block)`` over the joint communicator."""
+        rides with the data instead of costing a message of its own: a
+        scatter of ``(cmd, block)`` over the joint communicator, or the
+        message ``((step, code), block)`` from the coupler."""
         if self._join is not None:
-            return self._join.scatter(None, root=self._cpl_root)
-        local_flux, (got_step, code) = self._from_coupler.recv()
-        cmd = _COMMANDS[int(code)]
+            cmd, local_flux = self._join.scatter(None, root=self._cpl_root)
+            got_step = step  # a collective cannot arrive out of step
+        else:
+            tag = FLUX_TAG_BASE + self.comp_id
+            (got_step, code), local_flux = self.mph.recv(self.coupler_name, 0, tag)
+            cmd = _COMMANDS[code]
         if cmd == "dropped":
             raise ProcessFailedError(
-                f"{self.name}: dropped from the coupling at step {int(got_step)} "
+                f"{self.name}: dropped from the coupling at step {got_step} "
                 "after a rank of this component died"
             )
         if got_step != step:
             raise ReproError(
                 f"{self.name}: coupling protocol out of step "
-                f"(expected {step}, got {int(got_step)})"
+                f"(expected {step}, got {got_step})"
             )
         return cmd, local_flux
 
@@ -544,17 +535,14 @@ class CouplerRunner:
         #: Surface components observed dead and dropped from the coupling,
         #: in detection order (the atmosphere dying is not survivable).
         self.dropped_components: list[str] = []
+        #: ``kind -> joint communicator`` under ``exchange="join"``; empty
+        #: under p2p, which meets every component on local processor 0.
         self._joins: dict[str, Comm] = {}
-        #: ``kind -> (temperatures in, fluxes out)``: the p2p exchange
-        #: meets every component on the coupler's local processor 0.
-        self._routes: dict[str, tuple[Rearranger, Rearranger]] = {}
         if cfg.exchange == "join":
             for kind in self.active_kinds:
                 join = mph.comm_join(cfg.name(kind), self.name)
                 assert join is not None
                 self._joins[kind] = join
-        elif comm.rank == 0:
-            self._routes = {kind: _routes(mph, cfg, kind) for kind in self.active_kinds}
         self._implicit = cfg.coupling == "implicit"
         if self._implicit:
             self._build_implicit()
@@ -606,25 +594,9 @@ class CouplerRunner:
         self.engine.drop_surface(kind)
         self.dropped_components.append(kind)
         try:
-            self._send_flux(kind, step, "dropped", np.zeros(self.cfg.shapes[kind]))
+            self._put_flux(kind, step, "dropped", np.zeros(self.cfg.shapes[kind]))
         except ProcessFailedError:
             pass  # the dead ranks; every live one has its notice
-
-    def _recv_temperature(self, kind: str, step: int) -> np.ndarray:
-        """Component *kind*'s published temperature, assembled from its
-        ranks' blocks."""
-        full, (got_step,) = self._routes[kind][0].recv()
-        if got_step != step:
-            name = self.cfg.name(kind)
-            raise ReproError(
-                f"coupler protocol out of step: expected ({name}, {step}), got "
-                f"({name}, {int(got_step)})"
-            )
-        return full
-
-    def _send_flux(self, kind: str, step: int, cmd: str, flux: np.ndarray) -> None:
-        """Every rank of component *kind* its own block of *flux*."""
-        self._routes[kind][1].send(flux, (step, _COMMANDS.index(cmd)))
 
     def _comp_size(self, kind: str) -> int:
         return self.mph.layout.component(self.cfg.name(kind)).size
@@ -633,43 +605,89 @@ class CouplerRunner:
         """A full field of component *kind*, cut into its ranks' blocks."""
         return Decomposition(self.cfg.grid(kind), self._comp_size(kind)).blocks(full)
 
+    def _take_temperature(self, kind: str, step: int) -> Optional[np.ndarray]:
+        """Component *kind*'s published temperature, assembled from its
+        ranks' blocks on local processor 0 (``None`` on the others)."""
+        name, size = self.cfg.name(kind), self._comp_size(kind)
+        if self._joins:
+            blocks = self._joins[kind].gather(None, root=size)
+            return None if blocks is None else np.concatenate(blocks[:size], axis=0)
+        if self.comm.rank != 0:
+            return None
+        tag = TEMP_TAG_BASE + self.mph.layout.component(name).comp_id
+        blocks = []
+        for rank in range(size):
+            (got_step,), block = self.mph.recv(name, rank, tag)
+            if got_step != step:
+                raise ReproError(
+                    f"coupler protocol out of step: expected ({name}, {step}), got "
+                    f"({name}, {got_step})"
+                )
+            blocks.append(block)
+        return np.concatenate(blocks, axis=0)
+
+    def _put_flux(self, kind: str, step: int, cmd: str, flux: Optional[np.ndarray]) -> None:
+        """*cmd* and its own block of *flux* to every rank of component
+        *kind* (*flux* is read on local processor 0 only).  A dead rank
+        does not keep the live ones from their blocks: every rank is
+        served, then the first :class:`~repro.errors.ProcessFailedError`
+        is raised."""
+        if self._joins:
+            join, root = self._joins[kind], self._comp_size(kind)
+            pieces = None
+            if join.rank == root:
+                pieces = [(cmd, b) for b in self._blocks(kind, flux)] + [None] * self.comm.size
+            join.scatter(pieces, root=root)
+            return
+        if self.comm.rank != 0:
+            return
+        name = self.cfg.name(kind)
+        tag = FLUX_TAG_BASE + self.mph.layout.component(name).comp_id
+        header = (step, _COMMANDS.index(cmd))
+        failure: Optional[ProcessFailedError] = None
+        for rank, block in enumerate(self._blocks(kind, flux)):
+            try:
+                self.mph.send((header, block), name, rank, tag)
+            except ProcessFailedError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
     def step(self, step: int) -> None:
         """One coupling step (between the components' two phases)."""
         if self._implicit:
             self._step_implicit(step)
-        elif self.cfg.exchange == "join":
-            self._step_join(step)
         elif self.cfg.coupler_mode == "parallel" and self.comm.size > 1:
-            self._step_p2p_parallel(step)
+            self._step_parallel(step)
         else:
-            self._step_p2p(step)
+            self._step_serial(step)
 
-    def _step_p2p(self, step: int) -> None:
-        if self.comm.rank != 0:
-            return  # the p2p coupler is serial on its local processor 0
-        temps: dict[str, np.ndarray] = {}
+    def _step_serial(self, step: int) -> None:
+        """Take every temperature, compute the fluxes on local processor
+        0, put every flux back — over either exchange."""
+        temps: dict[str, Optional[np.ndarray]] = {}
         for kind in list(self.active_kinds):
             try:
-                temps[kind] = self._recv_temperature(kind, step)
+                temps[kind] = self._take_temperature(kind, step)
             except ProcessFailedError:
                 # A dead surface degrades the coupling; a dead atmosphere
                 # has nothing left to couple — let the failure propagate.
                 if kind == "atmosphere":
                     raise
                 self._drop(kind, step)
-        atm_flux, sfc_fluxes = self.engine.compute_fluxes(
-            temps["atmosphere"], {k: v for k, v in temps.items() if k != "atmosphere"}
-        )
+        if self.comm.rank == 0:
+            fluxes = self._fluxes_of(temps, record=True)
+        else:
+            fluxes = dict.fromkeys(temps)
         for kind in list(self.active_kinds):
-            payload = atm_flux if kind == "atmosphere" else sfc_fluxes[kind]
             try:
-                self._send_flux(kind, step, "commit", payload)
+                self._put_flux(kind, step, "commit", fluxes[kind])
             except ProcessFailedError:
                 if kind == "atmosphere":
                     raise
                 self._drop(kind, step)
 
-    def _step_p2p_parallel(self, step: int) -> None:
+    def _step_parallel(self, step: int) -> None:
         """The distributed coupler: local processor 0 still owns the
         component protocol, but the flux computation — regridding, merge,
         back-regridding — is spread over every coupler process by
@@ -677,10 +695,7 @@ class CouplerRunner:
         from repro.mpi.reduce_ops import SUM
 
         comm = self.comm
-        temps: Optional[dict[str, np.ndarray]] = None
-        if comm.rank == 0:
-            temps = {k: self._recv_temperature(k, step) for k in self.active_kinds}
-        temps = comm.bcast(temps, root=0)
+        temps = comm.bcast(self._collect_temps(step), root=0)
 
         atm_grid = self.cfg.grid("atmosphere")
         decomp = Decomposition(atm_grid, comm.size)
@@ -690,48 +705,16 @@ class CouplerRunner:
             temps["atmosphere"], surfaces, start, stop
         )
         bands = comm.gather(atm_band, root=0)
-        reduced: dict[str, Optional[np.ndarray]] = {}
+        fluxes: dict[str, Optional[np.ndarray]] = {}
         for kind in self.active_kinds:
             if kind != "atmosphere":
-                reduced[kind] = comm.reduce(partials[kind], op=SUM, root=0)
+                fluxes[kind] = comm.reduce(partials[kind], op=SUM, root=0)
         if comm.rank != 0:
             return
         assert bands is not None
-        atm_flux = np.concatenate(bands, axis=0)
-        sfc_fluxes = {k: v for k, v in reduced.items()}
-        self.engine.record_residual(atm_flux, sfc_fluxes)
-        for kind in self.active_kinds:
-            payload = atm_flux if kind == "atmosphere" else sfc_fluxes[kind]
-            self._send_flux(kind, step, "commit", payload)
-
-    def _step_join(self, step: int) -> None:
-        temps: dict[str, np.ndarray] = {}
-        for kind in self.active_kinds:
-            join = self._joins[kind]
-            root = self._comp_size(kind)  # coupler local 0's rank in the join
-            blocks = join.gather(None, root=root)
-            if join.rank == root:
-                assert blocks is not None
-                temps[kind] = np.concatenate(
-                    [b for b in blocks if b is not None], axis=0
-                )
-        fluxes: dict[str, Optional[np.ndarray]] = {k: None for k in self.active_kinds}
-        if self.comm.rank == 0:
-            atm_flux, sfc_fluxes = self.engine.compute_fluxes(
-                temps["atmosphere"],
-                {k: v for k, v in temps.items() if k != "atmosphere"},
-            )
-            fluxes["atmosphere"] = atm_flux
-            fluxes.update(sfc_fluxes)
-        for kind in self.active_kinds:
-            join = self._joins[kind]
-            root = self._comp_size(kind)
-            pieces = None
-            if join.rank == root:
-                full = fluxes[kind]
-                assert full is not None
-                pieces = self._blocks(kind, full) + [None] * self.comm.size
-            join.scatter(pieces, root=root)
+        fluxes["atmosphere"] = np.concatenate(bands, axis=0)
+        self.engine.record_residual(fluxes["atmosphere"], fluxes)
+        self._send_command(step, "commit", fluxes)
 
     # -- implicit coupling ------------------------------------------------------
 
@@ -769,19 +752,9 @@ class CouplerRunner:
         self.coupling_iterations.append(result.iterations)
         self.coupling_converged.append(result.converged)
 
-    def _collect_temps(self, step: int) -> dict[str, np.ndarray]:
-        """Every component's published temperature (serial coupler)."""
-        temps: dict[str, np.ndarray] = {}
-        if self.cfg.exchange == "join":
-            for kind in self.active_kinds:
-                join = self._joins[kind]
-                blocks = join.gather(None, root=self._comp_size(kind))
-                assert blocks is not None
-                temps[kind] = np.concatenate(
-                    [b for b in blocks if b is not None], axis=0
-                )
-            return temps
-        return {kind: self._recv_temperature(kind, step) for kind in self.active_kinds}
+    def _collect_temps(self, step: int) -> dict[str, Optional[np.ndarray]]:
+        """Every component's published temperature (on local processor 0)."""
+        return {kind: self._take_temperature(kind, step) for kind in self.active_kinds}
 
     def _fluxes_of(
         self, temps: dict[str, np.ndarray], record: bool
@@ -800,13 +773,7 @@ class CouplerRunner:
     ) -> None:
         """Hand every component a command plus its flux."""
         for kind in self.active_kinds:
-            if self.cfg.exchange == "join":
-                join = self._joins[kind]
-                blocks = self._blocks(kind, fluxes[kind])
-                pieces = [(cmd, block) for block in blocks] + [None] * self.comm.size
-                join.scatter(pieces, root=self._comp_size(kind))
-            else:
-                self._send_flux(kind, step, cmd, fluxes[kind])
+            self._put_flux(kind, step, cmd, fluxes[kind])
 
     def diagnostics(self) -> dict[str, Any]:
         """Coupler-side diagnostics: the exchange-balance audit."""

@@ -14,7 +14,8 @@ The subpackage layout follows the paper:
 * :mod:`repro.core.arguments` — ``MPH_get_argument`` (§4.4);
 * :mod:`repro.core.redirect` — multi-channel output (§5.4);
 * :mod:`repro.core.ensemble` — ensemble statistics and control (§2.5);
-* :mod:`repro.core.migration` — dynamic reallocation (§9 future work).
+* :mod:`repro.core.migration` — dynamic reallocation (§9 future work);
+* :mod:`repro.core.profiling` — per-component-pair message counters.
 """
 
 from repro.core.arguments import ArgumentFields
@@ -31,7 +32,6 @@ from repro.core.layout import ComponentInfo, ExecutableInfo, Layout
 from repro.core.migration import block_rows, migrate, redistribute_block
 from repro.core.mph import MPH, components_setup, multi_instance
 from repro.core.profiling import CommProfile, gather_profiles
-from repro.core.rearranger import Rearranger, overlap_schedule
 from repro.core.redirect import MultiChannelOutput, ProcessOutput, log_path_for
 from repro.core.registry import (
     ComponentSpec,
@@ -62,8 +62,6 @@ __all__ = [
     "multi_instance",
     "CommProfile",
     "gather_profiles",
-    "Rearranger",
-    "overlap_schedule",
     "MultiChannelOutput",
     "ProcessOutput",
     "log_path_for",

@@ -2,23 +2,23 @@
 process that computes, and its flux block straight back.
 
 The joint-communicator exchange (``exchange="join"``, paper §5.1) moves
-the same fields by gather and scatter and is untouched, so it is the
-reference: whatever the execution mode, coupling scheme or layout, the
-two exchanges must leave the same fields behind — on every substrate
-the routes' persistent requests and buffer payloads run over.
+the same fields by gather and scatter, so it is the reference: whatever
+the execution mode, coupling scheme or layout, the two exchanges must
+leave the same fields behind, on every substrate.
 """
 
 import numpy as np
 import pytest
 
-from repro.climate import ccsm
 from repro.climate.ccsm import (
     MODEL_KINDS,
     CCSMConfig,
+    CouplerRunner,
     build_executables,
     build_registry,
     run_ccsm,
 )
+from repro.core.mph import components_setup
 from repro.errors import ReproError
 from repro.launcher.job import mph_run
 
@@ -85,42 +85,33 @@ def test_p2p_leaves_the_fields_the_join_exchange_leaves(mode, variant, backend_c
         assert all(p2p["coupler"]["coupling_converged"])
 
 
-def counted(program):
-    """*program*, returning the messages its world has counted."""
+def test_the_coupler_profile_counts_one_message_per_rank_each_way(backend_config):
+    """The p2p exchange is MPH's own send/recv, so the coupler's
+    ``mph.profile`` ledgers it: per component, one block in and one out
+    per component process and step."""
+    cfg = CCSMConfig(nsteps=NSTEPS)
 
-    def wrapper(world, env):
-        program(world, env)
-        return world.world.traffic_snapshot().messages
+    def coupler(world, env):
+        mph = components_setup(world, "coupler", env=env)
+        runner = CouplerRunner(mph, cfg, mph.proc_in_component("coupler"))
+        for step in range(cfg.nsteps):
+            runner.step(step)
+        p = mph.profile
+        return p.sent, p.received, p.bytes_sent, p.bytes_received
 
-    wrapper.__name__ = program.__name__
-    return wrapper
-
-
-def zero_step_messages(mode, backend_config):
-    cfg = CCSMConfig(nsteps=0)
-    if mode == "mcme_overlap":
-        cfg.procs["land"] = PROCS["atmosphere"]
-    executables = [(counted(p), n) for p, n in build_executables(cfg, mode)]
-    seen = mph_run(
-        executables, registry=build_registry(cfg, mode), config=backend_config, timeout=120.0
-    ).values()
-    # Thread ranks share one set of counters (the last rank out read the
-    # total); each forked rank counts its own deliveries.
-    return max(seen) if backend_config.backend == "thread" else sum(seen)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_routes_cost_no_message_to_build(mode, backend_config, monkeypatch):
-    """Both ends derive a route from the layout they already share: a
-    zero-step run sends exactly the messages of one that builds none."""
-    with_routes = zero_step_messages(mode, backend_config)
-    monkeypatch.setattr(ccsm, "_routes", lambda mph, cfg, kind: (None, None))
-    assert zero_step_messages(mode, backend_config) == with_routes
+    executables = build_executables(cfg, "scme")
+    executables[-1] = (coupler, PROCS["coupler"])
+    result = mph_run(
+        executables, registry=build_registry(cfg, "scme"), config=backend_config, timeout=120.0
+    )
+    sent, received, bytes_sent, bytes_received = result.by_executable(len(executables) - 1)[0]
+    expected = {kind: PROCS[kind] * NSTEPS for kind in MODEL_KINDS}
+    assert sent == received == expected
+    assert all(bytes_sent[kind] > 0 and bytes_received[kind] > 0 for kind in MODEL_KINDS)
 
 
-def test_a_standalone_component_builds_no_route(monkeypatch):
-    """No registered coupler, nobody to route to."""
-    monkeypatch.setattr(ccsm, "_routes", lambda *a: pytest.fail("route built"))
+def test_a_standalone_component_runs_uncoupled():
+    """No registered coupler: one atmosphere, stepping on its own."""
     out = run_ccsm("scse", CCSMConfig(nsteps=2))
     assert sorted(out) == ["atmosphere"]
     assert len(out["atmosphere"]["mean_T"]) == 3

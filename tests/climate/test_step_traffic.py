@@ -19,15 +19,15 @@ NSTEPS = 2
 #: step.  Under p2p a step's coupling messages are one per component rank
 #: each way (9 + 9 on the default layout), whichever mode hosts the ranks.
 GOLDEN = {
-    "explicit_p2p": ("scme", {}, 56, (36, 43276)),
-    "explicit_join": ("scme", {"exchange": "join"}, 65, (36, 42772)),
+    "explicit_p2p": ("scme", {}, 56, (36, 45390)),
+    "explicit_join": ("scme", {"exchange": "join"}, 65, (36, 44202)),
     "parallel_coupler": (
         "scme",
         {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
         66,
-        (46, 70140),
+        (46, 72322),
     ),
-    "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (144, 142300)),
+    "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (144, 156078)),
     "implicit_join": (
         "scme",
         {"coupling": "implicit", "exchange": "join"},
@@ -38,16 +38,16 @@ GOLDEN = {
         "scme",
         {"coupling": "implicit", "subcycle": {"ocean": 3}},
         56,
-        (176, 159884),
+        (176, 173730),
     ),
-    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 66, (40, 45116)),
-    "mcse": ("mcse", {}, 65, (36, 43276)),
+    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 66, (40, 47480)),
+    "mcse": ("mcse", {}, 65, (36, 45390)),
     # Land on the atmosphere's four processors: two more ranks each way.
     "mcme_overlap": (
         "mcme_overlap",
         {"procs": dict(PROCS, land=PROCS["atmosphere"])},
         61,
-        (44, 45028),
+        (44, 47642),
     ),
 }
 
@@ -76,7 +76,7 @@ def test_golden_step_traffic(case):
     mode, overrides, expected_idle, expected = GOLDEN[case]
     full = run_traffic(mode, CCSMConfig(nsteps=NSTEPS, **overrides))
     idle = run_traffic(mode, CCSMConfig(nsteps=0, **overrides))
-    # Handshake, joins and model construction; building a route sends nothing.
+    # Handshake, joins and model construction; setting up the exchange sends nothing.
     assert idle[0] == expected_idle
     # What the steps added to a zero-step run of the same world.
     per_step = tuple(divmod(a - b, NSTEPS) for a, b in zip(full, idle))
