@@ -8,9 +8,9 @@ The subpackage layout follows the paper:
 * :mod:`repro.core.session` — the handshake's exchange, named process
   sets, and elastic membership (§6, MPI Sessions);
 * :mod:`repro.core.mph` — ``components_setup`` / ``multi_instance`` and
-  the :class:`MPH` handle, a view of one session at one epoch (§4, §5.3);
+  the :class:`MPH` handle, a view of one session at one epoch (§4, §5.3),
+  whose ``send`` / ``recv`` family is the name-addressed messaging (§5.2);
 * :mod:`repro.core.join` — ``MPH_comm_join`` (§5.1);
-* :mod:`repro.core.messaging` — name-addressed send/recv (§5.2);
 * :mod:`repro.core.arguments` — ``MPH_get_argument`` (§4.4);
 * :mod:`repro.core.redirect` — multi-channel output (§5.4);
 * :mod:`repro.core.ensemble` — ensemble statistics and control (§2.5);

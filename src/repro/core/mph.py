@@ -30,7 +30,6 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
-from repro.core import messaging
 from repro.core.arguments import ArgumentFields
 from repro.core.profiling import CommProfile
 from repro.core.join import comm_join as _comm_join
@@ -38,9 +37,9 @@ from repro.core.layout import ComponentInfo, Layout
 from repro.core.redirect import MultiChannelOutput
 from repro.core.registry import Registry
 from repro.core.session import Session, components_session, instance_session
-from repro.errors import HandshakeError, MPHError, SessionError
+from repro.errors import HandshakeError, MPHError, ProcessFailedError, SessionError
 from repro.mpi.comm import Comm
-from repro.mpi.constants import ANY_TAG
+from repro.mpi.constants import ANY_TAG, UNDEFINED
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 
@@ -260,16 +259,60 @@ class MPH:
         return self.layout.global_rank(component, local_rank)
 
     # -- inter-component messaging (paper §5.2) --------------------------------------
+    #
+    # "MPI communication between local processors and remote processors
+    # (processors on other components) are invoked through component names
+    # and the local ID.  For example, if a processor on atmosphere wants to
+    # send to Process 3 on ocean ..." — the component name plus local rank
+    # is translated to a global rank and the message travels over
+    # ``MPH_Global_World``, the plain world communicator ("The reason we did
+    # not use inter-communicator is because the entire application is
+    # assumed to run on a tightly coupled HPC computer with a single
+    # MPI_Comm_World").  When components overlap on processors, the paper
+    # recommends message tags to disambiguate — user tags pass straight
+    # through.
+    #
+    # Because the address is always a specific ``(component, local id)``
+    # pair, name-addressed messaging is schedule-*independent*: an armed
+    # :class:`~repro.mpi.sched.MatchSchedule` cannot change what a ``recv``
+    # returns (swept in ``tests/core/test_messaging.py``).  The one wildcard
+    # entry point is ``recv_any``, whose tie-break on overlapping components
+    # is asserted under every swept seed.
+
+    def _comm_rank(self, component: str, local_rank: int) -> int:
+        """Translate ``(component, local_rank)`` to a rank of the global world
+        communicator.
+
+        The layout's address translation yields the *original* world id; on
+        the initial (full) world that id equals the communicator rank, so
+        this is the identity.  After a post-failure shrink the world
+        communicator spans only the survivors and the translation goes
+        through its group — a world id that is no longer a member belongs to
+        a dead process, reported as a clean :class:`ProcessFailedError`
+        instead of an out-of-range rank.
+        """
+        wid = self.global_id(component, local_rank)
+        rank = self._world.group.rank_of(wid)
+        if rank == UNDEFINED:
+            raise ProcessFailedError(
+                f"processor {local_rank} of component {component!r} (world rank {wid}) "
+                "is dead",
+                failed_ranks=(wid,),
+            )
+        return rank
 
     def send(self, obj: Any, component: str, local_rank: int, tag: int = 0) -> None:
-        """Send *obj* to processor *local_rank* of *component*."""
-        messaging.mph_send(self, obj, component, local_rank, tag)
-        self.profile.record_send(component, self.global_world.last_payload_bytes)
+        """Send *obj* to processor *local_rank* of *component* over the
+        global world communicator."""
+        world = self._world
+        world.send(obj, self._comm_rank(component, local_rank), tag)
+        self.profile.record_send(component, world.last_payload_bytes)
 
     def isend(self, obj: Any, component: str, local_rank: int, tag: int = 0) -> Request:
         """Nonblocking :meth:`send`."""
-        req = messaging.mph_isend(self, obj, component, local_rank, tag)
-        self.profile.record_send(component, self.global_world.last_payload_bytes)
+        world = self._world
+        req = world.isend(obj, self._comm_rank(component, local_rank), tag)
+        self.profile.record_send(component, world.last_payload_bytes)
         return req
 
     def recv(
@@ -282,29 +325,46 @@ class MPH:
         """Receive from processor *local_rank* of *component*."""
         if status is None:
             status = Status()
+        source = self._comm_rank(component, local_rank)
         t0 = _time.perf_counter()
-        obj = messaging.mph_recv(self, component, local_rank, tag, status)
+        obj = self._world.recv(source, tag, status)
         self.profile.record_wait(_time.perf_counter() - t0)
         self.profile.record_recv(component, status.count)
         return obj
 
     def irecv(self, component: str, local_rank: int, tag: int = ANY_TAG) -> Request:
         """Nonblocking :meth:`recv`."""
-        return messaging.mph_irecv(self, component, local_rank, tag)
+        return self._world.irecv(self._comm_rank(component, local_rank), tag)
 
     def recv_any(self, tag: int = ANY_TAG) -> tuple[Any, str, int]:
-        """Receive from anyone; returns ``(obj, component, local_rank)``."""
+        """Receive from any process; identify the sender in component terms.
+
+        Returns ``(obj, component, local_rank)``.  When the sending world
+        rank hosts several overlapping components, the lowest-``comp_id``
+        component is reported (use tags to disambiguate, as the paper
+        advises).
+        """
         status = Status()
         t0 = _time.perf_counter()
-        obj, component, local_rank = messaging.mph_recv_any(self, tag, status)
+        obj = self._world.recv(tag=tag, status=status)
+        # status.source is a communicator rank; the layout speaks world ids
+        # (identical on the full world, translated after a shrink).
+        wid = self._world.group.world_id(status.source)
+        infos = self.layout.components_on(wid)
+        if infos:
+            info = min(infos, key=lambda c: c.comp_id)
+            component, local_rank = info.name, info.local_rank_of(wid)
+        else:
+            component, local_rank = "?", wid
         self.profile.record_wait(_time.perf_counter() - t0)
         self.profile.record_recv(component, status.count)
         return obj, component, local_rank
 
     def Send(self, array: np.ndarray, component: str, local_rank: int, tag: int = 0) -> None:
-        """Buffer-mode send of a numpy array."""
-        messaging.mph_Send(self, array, component, local_rank, tag)
-        self.profile.record_send(component, self.global_world.last_payload_bytes)
+        """Buffer-mode send of a numpy array to ``(component, local_rank)``."""
+        world = self._world
+        world.Send(array, self._comm_rank(component, local_rank), tag)
+        self.profile.record_send(component, world.last_payload_bytes)
 
     def Recv(
         self,
@@ -314,11 +374,12 @@ class MPH:
         tag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> np.ndarray:
-        """Buffer-mode receive into *buf*."""
+        """Buffer-mode receive from ``(component, local_rank)`` into *buf*."""
         if status is None:
             status = Status()
+        source = self._comm_rank(component, local_rank)
         t0 = _time.perf_counter()
-        out = messaging.mph_Recv(self, buf, component, local_rank, tag, status)
+        out = self._world.Recv(buf, source, tag, status)
         self.profile.record_wait(_time.perf_counter() - t0)
         # Buffer-mode counts are elements; convert to bytes for the ledger.
         self.profile.record_recv(component, status.count * np.asarray(buf).itemsize)

@@ -17,11 +17,11 @@ A :class:`FaultSchedule` is a seeded, replayable list of fault events:
 The schedule is armed through
 :attr:`repro.mpi.world.WorldConfig.fault_schedule`; when the field is
 ``None`` (the default) the substrate's only cost is one ``is None``
-branch per operation and per delivery — measured by
-``benchmarks/bench_faults.py``.  Schedules serialize (:meth:`to_spec` /
-:meth:`from_spec`) so a failing seed can be replayed exactly, and
-:meth:`shrink` yields one-event-removed variants for delta-debugging a
-failing schedule down to its minimal trigger.
+branch per operation and per delivery, never a call into the schedule
+(``tests/mpi/test_faults.py::TestDisabledOverhead``).  Schedules
+serialize (:meth:`to_spec` / :meth:`from_spec`) so a failing seed can be
+replayed exactly, and :meth:`shrink` yields one-event-removed variants
+for delta-debugging a failing schedule down to its minimal trigger.
 
 Determinism: every random quantity (jitter, corruption bytes) is derived
 from ``(seed, site, counter)``, never from shared RNG state, so thread
@@ -67,10 +67,6 @@ def site_rng(*key) -> random.Random:
     same way: a pure function of ``(seed, site, counter)``, never shared
     RNG state, so thread scheduling cannot change what a seed does."""
     return random.Random(zlib.crc32(repr(key).encode()))
-
-
-#: Backwards-compatible private alias (pre-PR-4 name).
-_site_rng = site_rng
 
 
 class FaultSchedule:
@@ -219,7 +215,7 @@ class FaultSchedule:
         if jitter:
             # Derived from (seed, rank, op) so thread interleaving cannot
             # change the injected delay.
-            time.sleep(_site_rng(self.seed, "jitter", rank, ops).uniform(0.0, jitter))
+            time.sleep(site_rng(self.seed, "jitter", rank, ops).uniform(0.0, jitter))
         if due is not None:
             raise SimulatedCrash(f"injected crash of rank {rank} at op {ops}")
 
@@ -308,7 +304,7 @@ def random_schedule(
     """A seeded random crash schedule for chaos testing: *crashes* distinct
     ranks (never those in *spare*) die at an operation count in
     ``[1, max_op]``.  Same seed → same schedule."""
-    rng = _site_rng(seed, "chaos", nprocs)
+    rng = site_rng(seed, "chaos", nprocs)
     candidates = [r for r in range(nprocs) if r not in set(spare)]
     if crashes > len(candidates):
         raise ValueError(f"cannot crash {crashes} of {len(candidates)} eligible ranks")
@@ -343,7 +339,7 @@ def _corrupt_envelope(env: "Envelope", seed: int, dest: int, index: int) -> "Env
     from repro.mpi.mailbox import Envelope
     from repro.mpi.serialization import Blob
 
-    rng = _site_rng(seed, "corrupt", dest, index)
+    rng = site_rng(seed, "corrupt", dest, index)
     payload = env.payload
     if isinstance(payload, Blob):
         if payload.kind == "pickle":

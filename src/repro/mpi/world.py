@@ -117,8 +117,8 @@ class WorldConfig:
         (rank crashes, message drop/delay/duplication/corruption,
         slow-rank jitter), or ``None`` (the default) for a fault-free
         world.  When ``None`` the hooks cost one ``is None`` branch per
-        operation and per delivery (``benchmarks/bench_faults.py``
-        verifies the overhead stays under 2%).
+        operation and per delivery and never call into a schedule
+        (``tests/mpi/test_faults.py::TestDisabledOverhead``).
     match_schedule :
         A :class:`repro.mpi.sched.MatchSchedule` deciding every legal
         nondeterministic choice of the substrate — wildcard match order,
@@ -126,7 +126,8 @@ class WorldConfig:
         bounded delivery holds — from a seed, so schedule-dependent bugs
         become replayable.  ``None`` (the default) keeps the historical
         earliest-first behaviour; the hooks then cost one ``is None``
-        branch per choice point (``benchmarks/bench_sched.py``).
+        branch per choice point and never call into a schedule
+        (``tests/mpi/test_faults.py::TestDisabledOverhead``).
     backend :
         Execution substrate of the job.  ``"thread"`` (default) runs each
         rank as a thread in this process sharing one :class:`World` — the

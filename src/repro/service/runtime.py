@@ -33,8 +33,9 @@ Three responsibilities:
   same layout are dispatched to the already-running ranks over
   multiprocessing queues (the world itself is one more
   :class:`~repro.launcher.job.MpmdJob`, its programs the resident
-  loops).  This is the service's warm path — the jobs/s win
-  ``benchmarks/bench_service.py`` measures.  A resident world is
+  loops).  This is the service's warm path — the ``service_warm``
+  workload of ``benchmarks/e2e/run.py`` against ``service_cold``
+  measures what it saves.  A resident world is
   **poisoned** (evicted and shut down) the moment any rank fails or a
   job times out; fault-seeded, match-seeded, and reserve-pool jobs
   never use one (seeds are thread-backend-only by document validation,

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ProcessFailedError
-from repro.mpi import FaultSchedule, SimulatedCrash, WorldConfig, random_schedule, run_spmd
+from repro.mpi import (
+    ANY_SOURCE,
+    FaultSchedule,
+    MatchSchedule,
+    Request,
+    SimulatedCrash,
+    WorldConfig,
+    random_schedule,
+    run_spmd,
+)
 from repro.mpi.executor import run_world
 from repro.mpi.world import World
 
@@ -190,13 +199,56 @@ class TestInjection:
 
 
 class TestDisabledOverhead:
-    def test_no_schedule_means_no_hook_work(self):
-        # The disabled path must be a single attribute check; sanity-check
-        # the semantics (exact overhead is measured in BENCH_faults.json).
-        def fn(comm):
-            total = 0
-            for i in range(50):
-                total = comm.allreduce(1)
-            return total
+    """With ``fault_schedule`` and ``match_schedule`` both ``None`` the
+    substrate never calls into either: a disabled hook is its ``is None``
+    branch and nothing else.  Every hook entry point is made to raise, and
+    a world that touches each hook site (wildcard recv, probe,
+    waitany/waitsome, collectives) must still finish with exact values."""
 
-        assert run_spmd(4, fn, timeout=30.0) == [4, 4, 4, 4]
+    HOOKS = (
+        (FaultSchedule, "on_op"),
+        (FaultSchedule, "on_deliver"),
+        (MatchSchedule, "hold_ttl"),
+        (MatchSchedule, "record_match"),
+        (MatchSchedule, "choose_match"),
+        (MatchSchedule, "next_post_seq"),
+        (MatchSchedule, "choose_probe"),
+        (MatchSchedule, "choose_wait"),
+    )
+
+    def test_no_schedule_means_no_hook_work(self, monkeypatch):
+        def trap(name):
+            def hook(*args, **kwargs):
+                raise AssertionError(f"{name} called with its schedule unset")
+
+            return hook
+
+        for cls, name in self.HOOKS:
+            monkeypatch.setattr(cls, name, trap(f"{cls.__name__}.{name}"))
+
+        def fn(comm):
+            peers = range(1, comm.size)
+            if comm.rank == 0:
+                probed = comm.probe(ANY_SOURCE, tag=1).source
+                wildcard = sorted(comm.recv(ANY_SOURCE, tag=1) for _ in peers)
+                reqs = [comm.irecv(src, tag=2) for src in peers]
+                i, first = Request.waitany(reqs)
+                rest = [r for j, r in enumerate(reqs) if j != i]
+                some = Request.waitsome(rest)
+                done = {j for j, _ in some}
+                waited = [first] + [v for _, v in some]
+                waited += Request.waitall([r for j, r in enumerate(rest) if j not in done])
+                p2p = (probed in peers, wildcard, sorted(waited))
+            else:
+                comm.send(10 * comm.rank, 0, tag=1)
+                comm.send(100 * comm.rank, 0, tag=2)
+                p2p = None
+            root = comm.bcast("root" if comm.rank == 0 else None, root=0)
+            total = comm.allreduce(comm.rank)
+            comm.barrier()
+            return p2p, root, total
+
+        config = WorldConfig(fault_schedule=None, match_schedule=None)
+        out = run_spmd(4, fn, config=config, timeout=30.0)
+        assert out[0] == ((True, [10, 20, 30], [100, 200, 300]), "root", 6)
+        assert out[1:] == [(None, "root", 6)] * 3
