@@ -1,6 +1,6 @@
 """The simulated wide-area link between clusters.
 
-A :class:`GridChannel` carries tagged, pickled messages between named
+A :class:`GridChannel` carries tagged, encoded messages between named
 clusters with a configurable one-way latency and bandwidth.  Delivery
 semantics mirror the intra-cluster mailboxes — per-sender FIFO, earliest
 match wins — but a message only becomes *visible* once its simulated
@@ -10,13 +10,13 @@ a zero-latency channel and a 50 ms channel run the same code.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import ReproError
+from repro.mpi.serialization import Blob
 
 #: Fallback poll interval while waiting for a cross-grid message whose
 #: simulated arrival time has not been reached yet and no earlier wake is
@@ -33,8 +33,8 @@ class GridEnvelope:
     component: str
     local_rank: int
     tag: int
-    #: Pickled payload (value semantics across sites, like everywhere else).
-    payload: bytes
+    #: Encoded payload (value semantics across sites, like everywhere else).
+    payload: Blob
     #: Simulated arrival time (``time.monotonic`` seconds).
     visible_at: float = 0.0
 
@@ -105,7 +105,7 @@ class GridChannel:
         """Send *obj* to ``(dest_cluster, component, local_rank)``."""
         self._check_cluster(src_cluster)
         self._check_cluster(dest_cluster)
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = Blob.encode(obj)
         env = GridEnvelope(
             src_cluster=src_cluster,
             dest_cluster=dest_cluster,
@@ -113,12 +113,12 @@ class GridChannel:
             local_rank=local_rank,
             tag=tag,
             payload=payload,
-            visible_at=time.monotonic() + self.delay_for(len(payload)),
+            visible_at=time.monotonic() + self.delay_for(payload.nbytes),
         )
         with self._cond:
             self._queues[dest_cluster].append(env)
             self.messages_carried += 1
-            self.bytes_carried += len(payload)
+            self.bytes_carried += payload.nbytes
             self._cond.notify_all()
 
     # -- receiving -------------------------------------------------------------
@@ -153,7 +153,7 @@ class GridChannel:
                     if env.matches(component, local_rank, tag, src_cluster):
                         if env.visible_at <= now:
                             queue.remove(env)
-                            return pickle.loads(env.payload), env.src_cluster, env.tag
+                            return env.payload.decode(), env.src_cluster, env.tag
                         if next_visible is None or env.visible_at < next_visible:
                             next_visible = env.visible_at
                 if now > deadline:

@@ -65,7 +65,7 @@ from repro.mpi.sched import (
 from repro.mpi.procbackend import ProcessWorld, RankPool
 from repro.mpi.progress import Completion, ProgressEngine, RankProgress, Waitset
 from repro.mpi.request import Request
-from repro.mpi.serialization import Blob, payload_nbytes
+from repro.mpi.serialization import Blob
 from repro.mpi.status import Status
 from repro.mpi.topology import CommHierarchy, Topology
 from repro.mpi.transport import FrameDecoder, SocketTransport, Transport, pack_frame
@@ -119,7 +119,6 @@ __all__ = [
     "repro_command",
     "parse_repro_command",
     "Blob",
-    "payload_nbytes",
     "Completion",
     "ProgressEngine",
     "RankProgress",

@@ -58,7 +58,7 @@ import numpy as np
 from repro.errors import CollectiveMismatchError, CommError, TruncationError
 from repro.mpi.mailbox import Envelope
 from repro.mpi.reduce_ops import Op
-from repro.mpi.serialization import Blob
+from repro.mpi.serialization import Blob, buffer_array
 
 #: Largest sub-tag offset (``tag + k``) any composed collective in this
 #: module uses.  A sweep over the star needs one tag however many levels
@@ -100,44 +100,38 @@ class _ObjectCodec:
 
 
 class _BufferCodec:
-    """Uppercase verbs: a numpy array travels as a private snapshot —
-    read-only when a fan-out shares it between destinations, writable when
-    it has exactly one (``Scatterv`` hands the received array to the
-    caller).  Relays forward the received array verbatim (the transport
-    already owns that snapshot); receivers copy out of it.  Envelopes are
-    ``kind="bufcoll"`` with ``count`` in elements."""
+    """Uppercase verbs: a numpy array travels as an array blob — one
+    private read-only snapshot, shared by every destination of a fan-out.
+    Relays forward the received blob verbatim; receivers open it without
+    a copy (:func:`~repro.mpi.serialization.buffer_array`) and copy out of
+    it into the caller's buffer.  Envelopes are ``kind="bufcoll"`` with
+    ``count`` in elements."""
 
     kind = "bufcoll"
-    count = attrgetter("size")
 
-    def pack(self, arr: np.ndarray) -> np.ndarray:
-        return np.array(arr, copy=True)
+    @staticmethod
+    def pack(arr) -> Blob:
+        return Blob.encode(np.asarray(arr))
 
-    def shared(self, arr: np.ndarray) -> np.ndarray:
-        snap = np.array(arr, copy=True)
-        snap.flags.writeable = False
-        return snap
+    shared = pack
+
+    def count(self, blob: Blob) -> int:
+        return buffer_array(blob, "buffer-mode collective").size
 
     def open(self, env: Envelope, opname: str) -> np.ndarray:
-        payload = env.payload
-        if isinstance(payload, Blob):
-            payload = payload.decode()
-            if not isinstance(payload, np.ndarray):
-                raise TruncationError(
-                    f"buffer-mode collective {opname!r} received an object-mode "
-                    f"payload of type {type(payload).__name__}"
-                )
-        return payload
+        return buffer_array(env.payload, f"buffer-mode collective {opname!r}")
 
-    def join(self, blocks: list) -> np.ndarray:
+    def join(self, blocks: list) -> Blob:
         """Equal-shaped gathered blocks stacked along a leading rank axis.
         The stack is a fresh private array, so it is the fan-out's wire
         as it stands: sealed read-only, not snapshotted a second time."""
         for src, block in enumerate(blocks):
             _check_shape(block, blocks[0].shape, f"Allgather block from rank {src}")
         joined = np.stack(blocks)
+        if joined.dtype.hasobject:
+            return Blob.encode(joined)
         joined.flags.writeable = False
-        return joined
+        return Blob("array", joined, joined.nbytes)
 
 
 _OBJECT = _ObjectCodec()
@@ -555,10 +549,9 @@ def Scatterv(
             )
         offsets = np.concatenate([[0], np.cumsum(counts)])
         blocks = [sendbuf[offsets[r] : offsets[r + 1]] for r in range(comm.size)]
-    mine = _scatter(comm, _BUFFER, blocks, root, tag, "Scatterv")
-    # Callers own their block: the root's is a view of its sendbuf, and one
-    # mapped zero-copy out of a shm page arrives read-only — copy those.
-    return mine if comm.rank != root and mine.flags.writeable else np.array(mine, copy=True)
+    # Callers own their block: the root's is a view of its sendbuf, every
+    # other rank's a view of the received snapshot — copy either.
+    return np.array(_scatter(comm, _BUFFER, blocks, root, tag, "Scatterv"), copy=True)
 
 
 def Reduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op: Op, root: int, tag: int) -> Optional[np.ndarray]:

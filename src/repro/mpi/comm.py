@@ -27,7 +27,6 @@ arrival timing.  Specific-source operations are unaffected.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.mpi.mailbox import Envelope, PostedRecv
 from repro.mpi.progress import Completion
 from repro.mpi.reduce_ops import SUM, Op
 from repro.mpi.request import RecvRequest, Request, SendRequest
-from repro.mpi.serialization import Blob
+from repro.mpi.serialization import Blob, buffer_array
 from repro.mpi.status import Status
 from repro.mpi.topology import CommHierarchy
 from repro.mpi.world import World
@@ -290,17 +289,18 @@ class Comm:
     # -- point-to-point: buffer mode --------------------------------------------
 
     def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffer-mode send of a numpy array (a private copy is taken, so
-        the caller may immediately reuse the array)."""
+        """Buffer-mode send of a numpy array (a private snapshot is taken,
+        so the caller may immediately reuse the array)."""
         self._check()
         if dest == PROC_NULL:
             return
         self._check_rank(dest, "destination rank")
         if not is_valid_tag(tag):
             raise CommError(f"invalid send tag {tag}")
-        arr = np.array(array, copy=True)
-        self.last_payload_bytes = arr.nbytes
-        env = Envelope(self._p2p_ctx, self._rank, tag, arr, "buffer", arr.size)
+        arr = np.asarray(array)
+        blob = Blob.encode(arr)
+        self.last_payload_bytes = blob.nbytes
+        env = Envelope(self._p2p_ctx, self._rank, tag, blob, "buffer", arr.size)
         self._deliver(dest, env)
 
     def Recv(
@@ -326,7 +326,7 @@ class Comm:
         )
         what = f"Recv(source={source}, tag={tag}) on {self.name}"
         env = self._mailbox.wait(posted, what)
-        arr = _decode_buffer(env)
+        arr = buffer_array(env.payload, "buffer-mode receive")
         if arr.size > buf.size:
             raise TruncationError(
                 f"message of {arr.size} elements truncates receive buffer of {buf.size}"
@@ -368,7 +368,7 @@ class Comm:
 
     def _coll_post(self, source: int, tag: int) -> PostedRecv:
         """Pre-post a collective receive (no blocking).  Collectives that
-        both send and receive in one phase — ring/dissemination steps,
+        both send and receive in one phase — a pairwise exchange,
         ``alltoall`` — post their receives *before* sending, so the
         matching envelope lands directly on the posted receive and the
         subsequent :meth:`_coll_complete` parks at most once."""
@@ -635,7 +635,7 @@ class Comm:
     def _recovery_send(self, dest: int, tag: int, value: Any) -> None:
         """Raw recovery-plane send to comm rank *dest* (collective
         context, reserved tag) — works on a revoked communicator."""
-        blob = Blob.encode(value, allow_array=False)
+        blob = Blob.encode(value)
         env = Envelope(self._coll_ctx, self._rank, tag, blob, "object", blob.nbytes)
         self._deliver(dest, env)
 
@@ -774,31 +774,9 @@ class _ProcNullRecvRequest(Request):
 
 
 def _decode_object(env: Envelope) -> Any:
-    """Decode an envelope for an object-mode receive."""
-    if env.kind == "buffer":
-        # A buffer-mode message received by an object-mode receive: the
-        # payload is normally a private array copy, handed over directly.
-        # A payload mapped zero-copy out of a shm page arrives read-only
-        # — copy it so receivers always own writable data (copy-on-read).
-        payload = env.payload
-        if isinstance(payload, np.ndarray) and not payload.flags.writeable:
-            return payload.copy()
-        return payload
-    if isinstance(env.payload, Blob):
-        return env.payload.decode()
-    return pickle.loads(env.payload)
-
-
-def _decode_buffer(env: Envelope) -> np.ndarray:
-    """Decode an envelope for a buffer-mode receive."""
-    if env.kind == "buffer":
-        return env.payload
-    obj = env.payload.decode() if isinstance(env.payload, Blob) else pickle.loads(env.payload)
-    if not isinstance(obj, np.ndarray):
-        raise TruncationError(
-            f"buffer-mode receive matched an object-mode message of type {type(obj).__name__}"
-        )
-    return obj
+    """Decode an envelope for an object-mode receive: a private value,
+    whichever verb sent it."""
+    return env.payload.decode()
 
 
 def make_world_comm(world: World, global_rank: int) -> Comm:

@@ -333,33 +333,26 @@ def _duplicate_envelope(env: "Envelope") -> "Envelope":
 
 
 def _corrupt_envelope(env: "Envelope", seed: int, dest: int, index: int) -> "Envelope":
-    """Deterministically mangle *env*'s payload (bit flips for pickled
-    blobs, value garbling for array payloads) without touching the
-    sender's copy."""
+    """Deterministically mangle *env*'s payload (bit flips for pickle
+    blobs, value garbling for array blobs) without touching the sender's
+    copy."""
     from repro.mpi.mailbox import Envelope
     from repro.mpi.serialization import Blob
 
     rng = site_rng(seed, "corrupt", dest, index)
     payload = env.payload
-    if isinstance(payload, Blob):
-        if payload.kind == "pickle":
-            data = bytearray(payload.data)
-            for _ in range(max(1, len(data) // 64)):
-                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-            corrupted = Blob("pickle", bytes(data), len(data))
-        else:
-            arr = np.array(payload.data, copy=True)
-            flat = arr.reshape(-1)
-            if flat.size:
-                flat[rng.randrange(flat.size)] = flat[rng.randrange(flat.size)] * -3 + 1
-            arr.setflags(write=False)
-            corrupted = Blob("array", arr, payload.nbytes)
+    if payload.kind == "pickle":
+        data = bytearray(payload.data)
+        for _ in range(max(1, len(data) // 64)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        corrupted = Blob("pickle", bytes(data), len(data))
     else:
-        arr = np.array(payload, copy=True)
+        arr = np.array(payload.data, copy=True)
         flat = arr.reshape(-1)
         if flat.size:
             flat[rng.randrange(flat.size)] = flat[rng.randrange(flat.size)] * -3 + 1
-        corrupted = arr
+        arr.setflags(write=False)
+        corrupted = Blob("array", arr, payload.nbytes)
     return Envelope(
         env.context,
         env.source,

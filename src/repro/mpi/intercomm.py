@@ -17,7 +17,6 @@ ordinary intracommunicator.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from typing import Any, Optional
 
@@ -27,9 +26,8 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, is_valid_recv_tag, is_valid
 from repro.mpi.group import Group
 from repro.mpi.mailbox import Envelope
 from repro.mpi.request import RecvRequest, Request, SendRequest
+from repro.mpi.serialization import Blob
 from repro.mpi.status import Status
-
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
 class InterComm:
@@ -94,8 +92,8 @@ class InterComm:
         self._check_remote(dest)
         if not is_valid_tag(tag):
             raise CommError(f"invalid send tag {tag}")
-        payload = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
-        env = Envelope(self._p2p_ctx, self.rank, tag, payload, "object", len(payload))
+        blob = Blob.encode(obj)
+        env = Envelope(self._p2p_ctx, self.rank, tag, blob, "object", blob.nbytes)
         self._local.world.deliver(self._remote.world_id(dest), env)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:

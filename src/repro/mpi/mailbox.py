@@ -49,22 +49,25 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import AbortError, CommError, ProcessFailedError, RevokedError
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.progress import Completion
-from repro.mpi.serialization import payload_nbytes
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpi.serialization import Blob
     from repro.mpi.world import World
 
 
 class Envelope:
     """A message in flight: routing metadata plus an opaque payload.
 
-    ``payload`` is a :class:`~repro.mpi.serialization.Blob` (object mode)
-    or a private numpy array copy (buffer mode); the
-    :class:`~repro.mpi.comm.Comm` layer decides which and how to decode.
-    ``count`` is the payload size for ``Status``.  ``op`` carries the
-    collective operation name for collective-context messages (``None``
-    for point-to-point traffic), so mismatched collectives are detected
-    without decoding the payload.  ``copy_avoided`` is the number of
+    ``payload`` is always a :class:`~repro.mpi.serialization.Blob`, in
+    object mode and buffer mode alike: transports carry it as encoded,
+    and :mod:`repro.mpi.serialization` owns how it is encoded and opened.
+    ``kind`` names the verb family that sent it (``"object"``,
+    ``"buffer"`` for point-to-point ``Send``, ``"bufcoll"`` for a
+    buffer-mode collective).  ``count`` is the payload size for
+    ``Status``: bytes in object mode, elements in buffer mode.  ``op``
+    carries the collective operation name for collective-context
+    messages (``None`` for point-to-point traffic), so mismatched
+    collectives are detected without decoding the payload.  ``copy_avoided`` is the number of
     payload bytes this delivery *reused* from an existing encoding (the
     zero-copy fast path's savings ledger; see
     :mod:`repro.mpi.serialization`).
@@ -87,7 +90,7 @@ class Envelope:
         context: int,
         source: int,
         tag: int,
-        payload,
+        payload: "Blob",
         kind: str,
         count: int,
         sync_event: Optional[Completion] = None,
@@ -172,11 +175,6 @@ class PostedRecv:
         return self.envelope is not None
 
 
-def _payload_bytes(env: Envelope) -> int:
-    """Approximate wire size of an envelope's payload."""
-    return payload_nbytes(env.payload)
-
-
 class Mailbox:
     """The incoming-message endpoint of one simulated process."""
 
@@ -232,7 +230,7 @@ class Mailbox:
         self._deliver_one(env)
 
     def _deliver_one(self, env: Envelope) -> None:
-        self._world.record_traffic(env.kind, _payload_bytes(env), env.copy_avoided)
+        self._world.record_traffic(env.kind, env.payload.nbytes, env.copy_avoided)
         sched = self._world.config.match_schedule
         matched: Optional[PostedRecv] = None
         probe_hits: list[Completion] = []

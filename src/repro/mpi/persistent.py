@@ -19,6 +19,7 @@ from repro.errors import CommError, ProcessFailedError, RevokedError, Truncation
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, is_valid_recv_tag, is_valid_tag
 from repro.mpi.progress import Completion
 from repro.mpi.request import Request
+from repro.mpi.serialization import buffer_array
 from repro.mpi.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -184,9 +185,7 @@ class PersistentRecv(Prequest):
             self._active = False
             self._posted = None
             raise
-        from repro.mpi.comm import _decode_buffer
-
-        arr = _decode_buffer(env)
+        arr = buffer_array(env.payload, self._what)
         if arr.size > self._buf.size:
             raise TruncationError(
                 f"message of {arr.size} elements truncates persistent buffer of "

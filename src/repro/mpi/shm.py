@@ -776,14 +776,7 @@ class ShmTransport(SocketTransport):
     # -- shm send path ------------------------------------------------------
 
     def _encode_shm(self, env: Envelope, sync_id: int, dest: int) -> bytes:
-        payload = env.payload
-        if isinstance(payload, Blob):
-            publish = self._publish_blob
-        elif isinstance(payload, np.ndarray):
-            publish = self._publish_array
-        else:
-            publish = None
-        if publish is None or payload.nbytes < _INLINE_MAX:
+        if env.payload.nbytes < _INLINE_MAX:
             return encode_envelope(env, sync_id, self.rank)
         return pickle.dumps(
             (
@@ -796,7 +789,7 @@ class ShmTransport(SocketTransport):
                 env.op,
                 sync_id,
                 self.rank,
-                publish(payload, dest),
+                self._publish_blob(env.payload, dest),
             ),
             protocol=WIRE_PICKLE_PROTOCOL,
         )
@@ -832,18 +825,6 @@ class ShmTransport(SocketTransport):
         # should the receiver retire before sending it)
         self._pool.add_ref(off, holder=dest)
         return (dkind, off, n, meta)
-
-    def _publish_array(self, arr: np.ndarray, dest: int) -> tuple:
-        """Page path for a buffer-mode ndarray payload (no dedup: the
-        envelope owns a private snapshot, sent exactly once)."""
-        a = np.ascontiguousarray(arr)
-        n = a.nbytes
-        off = self._alloc_blocking(n)  # alloc's ref is the receiver hold
-        self._pool.note_hold(off, dest)
-        self._pool.write(off, memoryview(a).cast("B"))
-        with self._stats_lock:
-            self._shm.pages_published += 1
-        return ("nd", off, n, (str(a.dtype), a.shape))
 
     def _alloc_blocking(self, nbytes: int, timeout: float = 60.0) -> int:
         if nbytes > self._pool.size:
@@ -1093,10 +1074,13 @@ class ShmTransport(SocketTransport):
         The payload is *mapped*, not copied: a read-only view into the
         sender's segment.  A finalizer on the mapped object queues a
         ``pfree`` back to the owner when the receiver drops it — the
-        refcounted-page half of the zero-copy design.  Mutation safety
+        refcounted-page half of the zero-copy design.  For an array the
+        mapped object is the flat base every view of the payload
+        collapses to, so a buffer-mode receive that keeps the opened
+        array past its envelope keeps the page too.  Mutation safety
         comes from read-only views plus copy-on-read in
-        :meth:`Blob.decode` (and the buffer-delivery copy in the comm
-        layer).
+        :meth:`Blob.decode` (and the buffer-delivery copy out of
+        :func:`~repro.mpi.serialization.buffer_array`).
         """
         (_, context, source, tag, kind, count, op,
          sync_id, from_rank, desc) = fields
@@ -1104,24 +1088,19 @@ class ShmTransport(SocketTransport):
         seg = self._attach_peer(from_rank)
         abs_off = seg.pool_off + off
         if dkind == "pickle":
-            holder = payload = Blob(
-                "pickle", memoryview(seg.mm)[abs_off : abs_off + nbytes], nbytes
-            )
+            mapped = data = memoryview(seg.mm)[abs_off : abs_off + nbytes]
         else:
             dt = np.dtype(meta[0])
-            arr = np.frombuffer(
+            mapped = np.frombuffer(
                 seg.mm, dtype=dt, count=nbytes // dt.itemsize, offset=abs_off
-            ).reshape(meta[1])
-            arr.flags.writeable = False
-            if dkind == "array":
-                holder = payload = Blob("array", arr, nbytes)
-            else:  # "nd": buffer-mode ndarray payload
-                holder = payload = arr
-        weakref.finalize(holder, self._release_q.append, (from_rank, off))
+            )
+            mapped.flags.writeable = False
+            data = mapped.reshape(meta[1])
+        weakref.finalize(mapped, self._release_q.append, (from_rank, off))
         with self._stats_lock:
             self._shm.pages_mapped += 1
             self._shm.page_bytes_mapped += nbytes
-        env = Envelope(context, source, tag, payload, kind, count, op=op)
+        env = Envelope(context, source, tag, Blob(dkind, data, nbytes), kind, count, op=op)
         return env, sync_id, from_rank
 
     def _flush_releases(self) -> None:

@@ -41,8 +41,6 @@ import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.errors import TransportError
 from repro.mpi.mailbox import Envelope
 from repro.mpi.progress import Completion
@@ -203,25 +201,20 @@ def _recv_exact(sock: socket.socket, n: int, mid_frame: bool) -> Optional[bytear
 def encode_envelope(env: Envelope, sync_id: int = 0, from_rank: int = -1) -> bytes:
     """Encode an envelope for the wire.
 
-    A :class:`Blob` payload crosses as its already-encoded bytes (pickle
+    The :class:`Blob` payload crosses as its already-encoded bytes (pickle
     blobs are *not* re-pickled into a nested pickle; the array snapshot
-    of an array blob is carried as-is), a buffer-mode numpy payload as
-    the array.  *sync_id* is nonzero for synchronous sends: the receiver
-    acks it when the message is matched.  *from_rank* is the sender's
+    of an array blob is carried as-is).  *sync_id* is nonzero for
+    synchronous sends: the receiver acks it when the message is matched.  *from_rank* is the sender's
     **world** rank — ``env.source`` is comm-local, so the ack route must
     travel explicitly.
     """
-    payload = env.payload
-    if isinstance(payload, Blob):
-        data = payload.data
-        if type(data) is memoryview:
-            # A blob mapped zero-copy from a shm page holds a memoryview;
-            # relaying it over a socket must materialise the bytes
-            # (memoryviews don't pickle).
-            data = data.tobytes()
-        wire_payload = ("blob", payload.kind, data, payload.nbytes)
-    else:
-        wire_payload = ("raw", payload)
+    blob = env.payload
+    data = blob.data
+    if type(data) is memoryview:
+        # A blob mapped zero-copy from a shm page holds a memoryview;
+        # relaying it over a socket must materialise the bytes
+        # (memoryviews don't pickle).
+        data = data.tobytes()
     return pickle.dumps(
         (
             "msg",
@@ -233,7 +226,7 @@ def encode_envelope(env: Envelope, sync_id: int = 0, from_rank: int = -1) -> byt
             env.op,
             sync_id,
             from_rank,
-            wire_payload,
+            (blob.kind, data, blob.nbytes),
         ),
         protocol=WIRE_PICKLE_PROTOCOL,
     )
@@ -241,15 +234,11 @@ def encode_envelope(env: Envelope, sync_id: int = 0, from_rank: int = -1) -> byt
 
 def decode_envelope(fields: tuple) -> tuple[Envelope, int, int]:
     """Rebuild ``(envelope, sync_id, from_rank)`` from a ``"msg"`` frame."""
-    _, context, source, tag, kind, count, op, sync_id, from_rank, wire_payload = fields
-    if wire_payload[0] == "blob":
-        _, blob_kind, data, nbytes = wire_payload
-        if blob_kind == "array" and isinstance(data, np.ndarray):
-            data.flags.writeable = False  # restore the snapshot invariant
-        payload = Blob(blob_kind, data, nbytes)
-    else:
-        payload = wire_payload[1]
-    env = Envelope(context, source, tag, payload, kind, count, op=op)
+    _, context, source, tag, kind, count, op, sync_id, from_rank, wire_blob = fields
+    blob_kind, data, nbytes = wire_blob
+    if blob_kind == "array":
+        data.flags.writeable = False  # restore the snapshot invariant
+    env = Envelope(context, source, tag, Blob(blob_kind, data, nbytes), kind, count, op=op)
     return env, sync_id, from_rank
 
 

@@ -31,15 +31,18 @@ if TYPE_CHECKING:  # pragma: no cover
 class TrafficStats:
     """Aggregate message-traffic counters of one world.
 
-    ``messages``/``payload_bytes`` count every delivered envelope;
-    ``by_kind`` splits by transport ("object" = pickled, "buffer" =
-    point-to-point numpy, "bufcoll" = buffer-mode collective).
-    ``copy_avoided_bytes`` counts payload bytes delivered by *reusing* an
-    existing encoding instead of producing a fresh one — the savings of
-    the zero-copy serialization fast path (pickle-once fan-outs and
-    relay-without-reencode forwards; see :mod:`repro.mpi.serialization`).
-    The counters make algorithmic message complexity *testable* — e.g. a
-    linear broadcast on P ranks must deliver exactly P-1 messages.
+    ``messages``/``payload_bytes`` count every delivered envelope, bytes
+    being the encoded size of its :class:`~repro.mpi.serialization.Blob`
+    (the pickle's length, or an array's ``nbytes``); ``by_kind`` splits
+    by the verb family that sent it ("object" = lowercase verbs,
+    "buffer" = point-to-point ``Send``, "bufcoll" = buffer-mode
+    collective).  ``copy_avoided_bytes`` counts payload bytes delivered
+    by *reusing* an existing encoding instead of producing a fresh one —
+    fan-out siblings sharing the root's blob and node representatives
+    forwarding the blob they received (see
+    :mod:`repro.mpi.serialization`).  The counters make message
+    complexity *testable* — e.g. a broadcast on P ranks delivers exactly
+    P-1 messages, however many nodes they span.
 
     ``wakeups``/``blocked_seconds``/``blocked_hist`` aggregate the
     blocking ledger from :meth:`World.record_block_episode`: how many

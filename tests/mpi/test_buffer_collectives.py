@@ -298,4 +298,5 @@ def test_allgather_fans_out_the_joined_array_itself(monkeypatch):
     assert [mine for _, mine in values] == [-1.0, -2.0, -3.0, -4.0]
     (wire,) = joined
     assert len(fanned) == 3 and all(sent is wire for sent in fanned)
-    assert wire.flags.owndata and not wire.flags.writeable
+    assert wire.kind == "array" and wire.nbytes == wire.data.nbytes == 4 * 3 * 8
+    assert wire.data.flags.owndata and not wire.data.flags.writeable

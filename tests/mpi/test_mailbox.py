@@ -1,17 +1,17 @@
 """Mailbox internals: matching, posting order, cancellation
 (repro.mpi.mailbox) — exercised directly, without communicators."""
 
-import pickle
-
 import pytest
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.mailbox import Envelope, Mailbox, PostedRecv
+from repro.mpi.serialization import Blob
 from repro.mpi.world import World
 
 
 def env(ctx=0, source=0, tag=0, payload=b"", kind="object"):
-    return Envelope(ctx, source, tag, payload, kind, len(payload))
+    blob = Blob.encode(payload)
+    return Envelope(ctx, source, tag, blob, kind, blob.nbytes)
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ class TestMailboxQueues:
     def test_deliver_then_post(self, mailbox):
         mailbox.deliver(env(tag=5, payload=b"x"))
         pr = mailbox.post_recv(0, ANY_SOURCE, 5)
-        assert pr.done and pr.envelope.payload == b"x"
+        assert pr.done and pr.envelope.payload.decode() == b"x"
 
     def test_post_then_deliver(self, mailbox):
         pr = mailbox.post_recv(0, ANY_SOURCE, 5)
@@ -68,7 +68,7 @@ class TestMailboxQueues:
         mailbox.deliver(env(tag=1, payload=b"first"))
         mailbox.deliver(env(tag=1, payload=b"second"))
         pr = mailbox.post_recv(0, ANY_SOURCE, 1)
-        assert pr.envelope.payload == b"first"
+        assert pr.envelope.payload.decode() == b"first"
 
     def test_earliest_posted_matched_first(self, mailbox):
         pr1 = mailbox.post_recv(0, ANY_SOURCE, 1)
@@ -80,7 +80,7 @@ class TestMailboxQueues:
         mailbox.deliver(env(tag=1, payload=b"one"))
         mailbox.deliver(env(tag=2, payload=b"two"))
         pr = mailbox.post_recv(0, ANY_SOURCE, 2)
-        assert pr.envelope.payload == b"two"
+        assert pr.envelope.payload.decode() == b"two"
         assert mailbox.stats() == (1, 0)
 
     def test_delivery_skips_nonmatching_posted(self, mailbox):
@@ -110,7 +110,7 @@ class TestProbeNonblocking:
     def test_probe_peeks_without_removing(self, mailbox):
         mailbox.deliver(env(tag=3, payload=b"keep"))
         found = mailbox.probe(0, ANY_SOURCE, 3, block=False, what="test")
-        assert found is not None and found.payload == b"keep"
+        assert found is not None and found.payload.decode() == b"keep"
         assert mailbox.stats() == (1, 0)
 
     def test_probe_empty_returns_none(self, mailbox):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.mpi.serialization import Blob, payload_nbytes
+from repro.mpi.serialization import Blob
 
 
 class TaggedArray(np.ndarray):
@@ -26,10 +26,18 @@ class TestBlobEncode:
         np.testing.assert_array_equal(blob.decode(), arr)
 
     def test_array_path_disabled(self):
-        arr = np.arange(4.0)
-        blob = Blob.encode(arr, allow_array=False)
-        assert blob.kind == "pickle"
-        np.testing.assert_array_equal(blob.decode(), arr)
+        """The array path is for plain numeric ndarrays only: an
+        object-dtype array and an ndarray subclass are pickled, and each
+        decodes to its own type and values."""
+        for arr in (
+            np.array([{"x": 1}, None], dtype=object),
+            np.arange(4.0).view(TaggedArray),
+        ):
+            blob = Blob.encode(arr)
+            assert blob.kind == "pickle"
+            got = blob.decode()
+            assert type(got) is type(arr) and got.dtype == arr.dtype
+            assert got.tolist() == arr.tolist()
 
     def test_object_dtype_array_is_pickled(self):
         arr = np.array([{"x": 1}, None], dtype=object)
@@ -58,21 +66,6 @@ class TestBlobEncode:
         a[0] = -1.0
         assert b[0] == 1.0
         assert a.flags.writeable and b.flags.writeable
-
-
-class TestPayloadNbytes:
-    def test_blob(self):
-        assert payload_nbytes(Blob.encode(np.zeros(4))) == 32
-
-    def test_ndarray(self):
-        assert payload_nbytes(np.zeros((2, 2))) == 32
-
-    def test_raw_bytes(self):
-        assert payload_nbytes(b"abcd") == 4
-        assert payload_nbytes(bytearray(3)) == 3
-
-    def test_unknown_payload(self):
-        assert payload_nbytes(("op", None)) == 0
 
 
 class TestEncodeOnceTraffic:
@@ -131,3 +124,62 @@ class TestObjectModeStatusCount:
             return status.count
 
         assert mpi.run_spmd(2, prog)[1] == 800
+
+
+def test_every_delivered_payload_is_a_blob(monkeypatch):
+    """Structural: whatever verb sends it, an envelope carries a Blob.
+    The spy sits on ``Mailbox._deliver_one``, which every delivery passes
+    through after ``Mailbox.deliver`` applied the fault schedule, so the
+    duplicate and the corrupted copy it makes are seen too.  (Thread
+    world: the spy sees every rank.)"""
+    from repro.mpi.comm import _RECOVERY_TAG_BASE
+    from repro.mpi.mailbox import Mailbox
+
+    delivered = []
+    real = Mailbox._deliver_one
+
+    def spy(self, env):
+        delivered.append(env)
+        real(self, env)
+
+    monkeypatch.setattr(Mailbox, "_deliver_one", spy)
+    # Rank 1 hears only from rank 0 (every collective below is rooted
+    # there), so its first two deliveries are rank 0's first two sends.
+    faults = mpi.FaultSchedule(seed=3).duplicate_message(1, 0).corrupt_message(1, 1)
+
+    def main(comm):
+        r = comm.rank
+        if r == 0:
+            comm.send("twice", 1)
+            comm.Send(np.arange(4.0), 1)
+            req = comm.Send_init(np.arange(3.0), 1)
+            req.start()
+            req.wait()
+        elif r == 1:
+            got = [comm.recv(source=0), comm.recv(source=0)]
+            comm.Recv(np.empty(4), source=0)
+            comm.Recv(np.empty(3), source=0)
+        block = np.full(2, float(r))
+        comm.Bcast(block)
+        comm.Gather(block)
+        comm.Scatter(np.zeros((comm.size, 2)) if r == 0 else None, block)
+        comm.Allgather(block)
+        comm.Gatherv(block)
+        comm.Scatterv(np.zeros(comm.size) if r == 0 else None, [1] * comm.size)
+        comm.Reduce(block)
+        comm.Allreduce(block)
+        comm.agree(True)
+        return got if r == 1 else None
+
+    assert mpi.run_spmd(4, main, config=mpi.WorldConfig(fault_schedule=faults))[1] == [
+        "twice",
+        "twice",
+    ]
+    assert sorted(f.split()[0] for f in faults.fired()) == ["corrupt", "duplicate"]
+    assert all(type(env.payload) is Blob for env in delivered)
+    assert {env.kind for env in delivered} == {"object", "buffer", "bufcoll"}
+    assert {env.op for env in delivered if env.kind == "bufcoll"} == {
+        "Bcast", "Gather", "Scatter", "Allgather", "Gatherv", "Scatterv", "Reduce", "Allreduce",
+    }
+    assert any(env.tag >= _RECOVERY_TAG_BASE for env in delivered)
+    assert sum(env.kind == "buffer" for env in delivered) == 2

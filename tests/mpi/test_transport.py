@@ -231,10 +231,10 @@ class TestEnvelopeCodec:
 
     def test_buffer_mode_array_roundtrip(self):
         arr = np.linspace(0.0, 1.0, 17)
-        env = Envelope(4, 1, 8, arr, "buffer", arr.size)
+        env = Envelope(4, 1, 8, Blob.encode(arr), "buffer", arr.size)
         out, _, _ = decode_envelope(pickle.loads(encode_envelope(env)))
-        assert out.kind == "buffer"
-        np.testing.assert_array_equal(out.payload, arr)
+        assert (out.kind, out.count) == ("buffer", arr.size)
+        np.testing.assert_array_equal(out.payload.data, arr)
 
     def test_op_metadata_carried(self):
         blob = Blob.encode([1, 2])
