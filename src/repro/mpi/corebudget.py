@@ -3,14 +3,18 @@ that share buys.
 
 The paper's resource policy (§2, quoted in :mod:`repro.launcher.smp`) is
 that "each processor or MPI process is exclusively owned by an
-executable".  A rank that is an OS process inherits the launcher's
-numeric libraries, whose thread pools are sized to *all* cores at import
-— ten ranks on two cores each believing they own both, and a BLAS worker
-that spins on a core nine other ranks need after every threaded call
-(EXPERIMENTS.md, "Core budget").  Handing each process its resources is
-the process manager's job, not the program's (Butler, Gropp & Lusk), so
-the launch pipeline sizes the pools: ``max(1, usable cpus // rank
-processes of this world)`` threads per rank — joblib/loky's rule.
+executable".  Numeric libraries size their thread pools to *all*
+cores at import: a rank that is an OS process inherits the launcher's,
+ten ranks on two cores each believing they own both, and a BLAS worker
+spins on a core nine other ranks need after every threaded call
+(EXPERIMENTS.md, "Core budget"); rank threads share their process's one
+pool, whose worker spins out its timeout on the core the next rank
+thread needs (EXPERIMENTS.md, "Thread worlds get the budget too").
+Handing each process its resources is the process manager's job, not
+the program's (Butler, Gropp & Lusk), so the launch pipeline sizes the
+pools: a rank's compute threads are ``max(1, usable cpus // ranks of
+this world)`` — joblib/loky's rule — whether the rank is a process or a
+thread.
 
 What decides is one number, :func:`cores_per_rank`, which also answers
 the shm rings' "oversubscribed → do not spin" question
@@ -18,9 +22,6 @@ the shm rings' "oversubscribed → do not spin" question
 other worlds running beside this one — ``Orchestrator(max_workers>1)``,
 two launchers on one host — each of which divides the same cores as if
 it were alone.  The spin rule has the same blind spot.
-
-Thread worlds are not touched: one process, all cores, and its pool is
-the program's own.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ os.register_at_fork(after_in_child=_fresh_lock)
 
 
 def cores_per_rank(nprocs: int) -> int:
-    """Whole cores each of *nprocs* rank processes can own on this host:
+    """Whole cores each of *nprocs* ranks can own on this host:
     the CPUs this process may run on (its affinity mask; the machine's
     count where the platform has no such call) over the ranks.  0 means
     oversubscribed — more ranks than cores.  Only this world's ranks are
@@ -85,7 +86,7 @@ def cores_per_rank(nprocs: int) -> int:
 
 
 def thread_budget(nprocs: int) -> int:
-    """Compute threads for each rank of an *nprocs*-process world: its
+    """Compute threads for each rank of an *nprocs*-rank world: its
     whole cores, and one where there is less than a core each."""
     return max(1, cores_per_rank(nprocs))
 
@@ -118,7 +119,7 @@ def _find_setters() -> list[Callable[[int], None]]:
 
 
 def apply_thread_budget(nprocs: int) -> None:
-    """Size this process's numeric thread pools to an *nprocs*-process
+    """Size this process's numeric thread pools to an *nprocs*-rank
     world's :func:`thread_budget` — unless they hold that number already
     (memoised by value: a setter runs only when the budget differs from
     the one this process holds, never per rank or per job), or the user
@@ -130,7 +131,9 @@ def apply_thread_budget(nprocs: int) -> None:
     number with their programs (:func:`forking_under_budget`) — in a
     child it doubled ``setup_s``.  Only a parked process calls it for
     itself, and only a job whose world divides the cores differently
-    from its last makes that more than a comparison.
+    from its last makes that more than a comparison.  The thread spawner
+    calls it before it starts a world's rank threads, which share the
+    pools it sizes.
     """
     global _setters, _held
     threads = thread_budget(nprocs)

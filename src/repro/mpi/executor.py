@@ -26,6 +26,7 @@ from repro.errors import (
     TimeoutError_,
 )
 from repro.mpi.comm import Comm, make_world_comm
+from repro.mpi.corebudget import apply_thread_budget
 from repro.mpi.faults import SimulatedCrash
 from repro.mpi.world import World, WorldConfig
 
@@ -209,7 +210,10 @@ def _run_threads(
     world: World, rank_fns: Sequence[RankFn], timeout: float
 ) -> list[ProcResult]:
     """The thread spawner: one thread per rank of the shared *world*,
-    joined under the wall-clock budget."""
+    joined under the wall-clock budget.  The ranks share this process's
+    numeric pools, sized first to the world's core budget — the rule a
+    process rank gets too (:mod:`repro.mpi.corebudget`)."""
+    apply_thread_budget(world.nprocs)
     results = [ProcResult(rank=r) for r in range(world.nprocs)]
 
     def runner(rank: int) -> None:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import multiprocessing.util
 import pickle
 import queue
 import threading
@@ -457,6 +458,15 @@ class JobRuntime:
         #: on, forked by the launches that come up short: a runtime that
         #: never runs such a job forks nothing.
         self._pool = rank_pool(self.programs)
+        # A runtime dropped without close() strands no resident world: at
+        # interpreter exit this runs before multiprocessing joins its
+        # children, which would otherwise wait on the parked ranks for
+        # their world's whole ttl — and, being above 10, before the task
+        # queues' own finalizers stop the threads that feed them.
+        multiprocessing.util.Finalize(
+            self, JobRuntime._close_resident, args=(self._resident, self._resident_lock),
+            exitpriority=20,
+        )
         self.stats = {
             "jobs": 0, "warm": 0, "cold": 0, "worlds_built": 0, "worlds_poisoned": 0,
             # isolated process-backend ranks: forked into the rank pool /
@@ -682,15 +692,19 @@ class JobRuntime:
         if victim is not None:
             victim.close()
 
+    @staticmethod
+    def _close_resident(resident: "OrderedDict[str, WorkerWorld]", lock: threading.Lock) -> None:
+        with lock:
+            victims = list(resident.values())
+            resident.clear()
+        for world in victims:
+            world.close()
+
     def close(self) -> None:
         """Shut down every resident world and retire the rank pool's
         parked processes.  The runtime stays usable afterwards (its next
         isolated process-backend job forks again)."""
-        with self._resident_lock:
-            victims = list(self._resident.values())
-            self._resident.clear()
-        for world in victims:
-            world.close()
+        self._close_resident(self._resident, self._resident_lock)
         self._pool.close()
 
     def __enter__(self) -> "JobRuntime":

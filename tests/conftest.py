@@ -8,6 +8,10 @@ detector usually fires first and reports *what* each rank was blocked on).
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.mpi.executor import run_spmd
@@ -28,3 +32,13 @@ def spmd():
 def fast_deadlock_config():
     """A world config with a short deadlock grace for failure tests."""
     return WorldConfig(deadlock_grace=0.3)
+
+
+@pytest.fixture
+def short_tmp():
+    """A temp dir of its own with a path short enough for the sockets a
+    world binds in it (pytest's ``tmp_path`` is not: a rendezvous socket
+    under it passes the 108-byte ``AF_UNIX`` limit)."""
+    path = Path(tempfile.mkdtemp(prefix="u"))
+    yield path
+    shutil.rmtree(path, ignore_errors=True)

@@ -1,14 +1,14 @@
 """The core budget: a rank's compute threads are part of its placement.
 
-A rank that is an OS process runs its numeric libraries' thread pools at
-``max(1, usable cpus // rank processes of its world)`` threads, however
-it was spawned: the launcher sizes its own pools before the first fork
-(forked, pooled and resident ranks inherit the number), an exec'd
-``mphchild`` is told through the libraries' own environment variables, a
-parked process re-applies only when a job's world divides the cores
-differently.  A thread world is left alone, a user who exported one of
-the variables has decided, and a host with no settable pool launches as
-ever.
+Every rank runs its numeric libraries' thread pools at ``max(1, usable
+cpus // ranks of its world)`` threads, however it was spawned: the
+launcher sizes its own pools before the first fork (forked, pooled and
+resident ranks inherit the number), an exec'd ``mphchild`` is told
+through the libraries' own environment variables, a parked process
+re-applies only when a job's world divides the cores differently, and
+the thread spawner sizes the pools its rank threads share before it
+starts them.  A user who exported one of the variables has decided, and
+a host with no settable pool launches as ever.
 
 Two kinds of test: the *placement* of the setter call is checked against
 a counting fake (every process that calls it appends ``pid threads`` to
@@ -18,8 +18,8 @@ cleanly where numpy's BLAS has no such entry point.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
 ``--mpi-transport`` / ``--mpi-nodes``: CI's ``backends`` matrix runs the
-file on every leg, the thread leg included — it asserts the thread world
-is left alone.
+file on every leg, the thread leg included — it holds the thread world to
+the same rule.
 """
 
 import json
@@ -205,20 +205,25 @@ class TestOneDefinitionOfOversubscribed:
 
 
 # ---------------------------------------------------------------------------
-# Where the setter is called: once, in the launcher, before the fork
+# Where the setter is called: once per budget, in the launcher, before the
+# fork or the rank threads
 # ---------------------------------------------------------------------------
 
 
 class TestWhereTheSetterIsCalled:
-    def test_a_thread_world_calls_none(self, fake_pool):
-        assert run_spmd(3, lambda comm: comm.allreduce(comm.rank)) == [3, 3, 3]
-        result = mph_run([(inherited, 2)], config=WorldConfig(backend="thread"))
-        assert [v[1] for v in result.values()] == [None, None]
-        assert fake_pool() == [] and corebudget._held is None
+    def test_a_thread_world_calls_it_once_per_budget(self, fake_pool, four_cpus):
+        for _ in range(2):
+            assert run_spmd(3, lambda comm: comm.allreduce(comm.rank)) == [3, 3, 3]
+        for _ in range(2):
+            result = mph_run([(inherited, 2)], config=WorldConfig(backend="thread"))
+            assert result.values() == [(os.getpid(), 2)] * 2
+        assert fake_pool() == [(os.getpid(), 1), (os.getpid(), 2)]
 
-    def test_thread_leg_of_the_matrix_is_left_alone(self, backend_config, fake_pool):
-        launch(2, [inherited] * 2, config=backend_config)
-        assert (fake_pool() == []) == (backend_config.backend == "thread")
+    def test_every_leg_of_the_matrix_calls_it_once_per_budget(self, backend_config, fake_pool):
+        for _ in range(2):
+            results = launch(2, [inherited] * 2, config=backend_config)
+            assert [r.value[1] for r in results] == [corebudget.thread_budget(2)] * 2
+        assert fake_pool() == [(os.getpid(), corebudget.thread_budget(2))]
 
     def test_once_in_the_launcher_and_ranks_inherit(self, proc_config, fake_pool):
         nprocs = CPUS + 1
@@ -295,9 +300,9 @@ class TestWhereTheSetterIsCalled:
         finally:
             pool.close()
 
-    def test_an_exported_variable_means_no_call(self, proc_config, fake_pool, monkeypatch):
+    def test_an_exported_variable_means_no_call(self, backend_config, fake_pool, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        results = launch(3, [inherited] * 3, config=proc_config)
+        results = launch(3, [inherited] * 3, config=backend_config)
         assert [r.value[1] for r in results] == [None] * 3
         assert fake_pool() == [] and corebudget._held is None
 
@@ -483,6 +488,19 @@ class TestTripwire:
         for before, after, checksum in run_spmd(nprocs, big_enough_to_thread, config=proc_config):
             assert after == before
             assert checksum == 256.0 + 20_000.0
+
+    def test_an_oversubscribed_thread_world_leaves_no_worker_spinning(self, real_pool):
+        """More rank threads than cores share one pool: a worker it kept
+        would spin out its timeout after the run, on the core the next
+        launch needs.  (Fails at the parent commit: 107-123 ms of CPU in
+        the 0.3 s of idle that follow.)"""
+        corebudget.apply_thread_budget(1)  # every core, as the pools were at import
+        time.sleep(0.5)  # ... and a worker that has spun out its timeout since
+        results = run_spmd(CPUS + 1, big_enough_to_thread, config=WorldConfig(backend="thread"))
+        assert [checksum for *_, checksum in results] == [256.0 + 20_000.0] * (CPUS + 1)
+        cpu = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - cpu < 0.03
 
 
 # ---------------------------------------------------------------------------

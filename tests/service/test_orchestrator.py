@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +232,51 @@ class TestWarmPath:
             assert runtime.execute(small, "lru-c").ok  # rebuilt
         assert runtime.stats["worlds_built"] == 3
         assert len(runtime._resident) <= 1
+
+
+UNCLOSED = """
+    from repro.service import JobDocument, JobRuntime
+    from tests.service.conftest import PROGRAMS
+
+    runtime = JobRuntime(PROGRAMS)
+    doc = JobDocument.from_spec({
+        "name": "unclosed",
+        "components": [{"name": "solo", "nprocs": 2}],
+        "runtime": {"backend": "process", "timeout": 60.0},
+    })
+    outcome = runtime.execute(doc, "unclosed-0")
+    assert outcome.ok and not outcome.warm and len(runtime._resident) == 1, outcome.error
+    print("served")
+"""
+
+
+class TestUnclosedRuntime:
+    def test_a_runtime_never_closed_lets_the_interpreter_exit(self, short_tmp):
+        """A resident world's ranks park in their task queue; left to
+        multiprocessing's exit handler they would be joined for the
+        world's whole ttl (600 s), and killing the process then strands
+        their sockdirs.  The runtime closes its resident worlds first."""
+        root = Path(__file__).resolve().parents[2]
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            TMPDIR=str(short_tmp),
+            PYTHONPATH=os.pathsep.join(
+                [str(root / "src"), str(root)] + ([inherited] if inherited else [])
+            ),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(UNCLOSED)], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env, cwd=root, start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the parked ranks too
+            proc.communicate()
+            pytest.fail("the interpreter did not exit within 30 s of its last statement")
+        assert proc.returncode == 0 and stdout.strip() == "served", stderr
+        assert [p.name for p in short_tmp.iterdir() if p.name.startswith("repro-mpi-")] == []
 
 
 class TestLayoutCache:

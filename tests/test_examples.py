@@ -8,6 +8,7 @@ real checking).
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -43,9 +44,15 @@ def test_all_examples_discovered():
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_example_runs(name, capsys, tmp_path, monkeypatch):
+def test_example_runs(name, capsys, tmp_path, short_tmp, monkeypatch):
     monkeypatch.chdir(tmp_path)  # any stray outputs land in tmp
+    # ... and their temp dirs in one short enough for a world's sockets
+    monkeypatch.setattr(tempfile, "tempdir", str(short_tmp))
     module = load_example(name)
     module.main()
     out = capsys.readouterr().out
     assert out.strip(), f"example {name} printed nothing"
+    if name == "run_service_sweep":
+        # every process job after the first is served by the resident
+        # world; a world that cannot start falls back to cold silently
+        assert out.count("(resident world)") == len(module.SCENARIOS) - 1, out
