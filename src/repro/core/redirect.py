@@ -8,7 +8,8 @@ redirect the stdout of local processor 0 of each component to a
 processors are stored in one combined standard output file."
 
 Since this reproduction runs MPI processes as threads of one interpreter,
-per-process stdout is simulated with a *thread-aware* stdout proxy: while a
+per-process stdout is simulated with a *thread-aware* stdout proxy — one
+per process, shared by every job running in it: while any
 :class:`MultiChannelOutput` is installed, each thread's ``print`` output is
 routed to the channel that thread registered (or passed through to the real
 stdout when it registered none).  Log file names come from environment
@@ -52,23 +53,62 @@ def log_path_for(
 
 
 class _ThreadAwareProxy(io.TextIOBase):
-    """A ``sys.stdout`` stand-in dispatching per-thread."""
+    """The ``sys.stdout`` stand-in, dispatching per thread: one per
+    process (:data:`_PROXY`), never freed.
 
-    def __init__(self, fallback: TextIO):
-        self._fallback = fallback
-        self._targets: dict[int, TextIO] = {}
+    It owns ``sys.stdout`` while any :class:`MultiChannelOutput` is
+    installed, however the installs of concurrent jobs interleave, and
+    puts back what it found when the last one leaves.  A ``print`` in
+    flight holds ``sys.stdout`` only borrowed (CPython 3.11), so a proxy
+    that could be retired while another job's threads print would be
+    read after it was freed."""
+
+    def __init__(self) -> None:
+        self._fallback: TextIO = sys.stdout
+        # thread ident -> (owning manager, channel)
+        self._targets: dict[int, tuple[object, TextIO]] = {}
         self._lock = threading.Lock()
+        self._installs = 0
 
     def _target(self) -> TextIO:
-        return self._targets.get(threading.get_ident(), self._fallback)
+        entry = self._targets.get(threading.get_ident())
+        return self._fallback if entry is None else entry[1]
 
-    def register(self, target: TextIO) -> None:
+    def install(self) -> None:
         with self._lock:
-            self._targets[threading.get_ident()] = target
+            self._installs += 1
+            if self._installs == 1:
+                self._fallback = sys.stdout
+                sys.stdout = self  # type: ignore[assignment]
 
-    def unregister(self) -> None:
+    def uninstall(self, owner: object) -> None:
+        """One installer leaves, dropping every thread's registration
+        under *owner* (whose channels are about to close)."""
         with self._lock:
-            self._targets.pop(threading.get_ident(), None)
+            self._targets = {
+                ident: entry for ident, entry in self._targets.items() if entry[0] is not owner
+            }
+            self._installs -= 1
+            if self._installs == 0:
+                sys.stdout = self._fallback  # type: ignore[assignment]
+
+    def register(self, owner: object, target: TextIO) -> None:
+        with self._lock:
+            self._targets[threading.get_ident()] = (owner, target)
+
+    def _after_fork_in_child(self) -> None:
+        # The forking thread is the child's only one: a lock another
+        # thread held would never be released, and its registration
+        # would route a new thread that reuses its ident.
+        self._lock = threading.Lock()
+        ident = threading.get_ident()
+        self._targets = {k: v for k, v in self._targets.items() if k == ident}
+
+    def unregister(self, owner: object) -> None:
+        with self._lock:
+            entry = self._targets.get(threading.get_ident())
+            if entry is not None and entry[0] is owner:
+                del self._targets[threading.get_ident()]
 
     # io.TextIOBase interface -------------------------------------------------
 
@@ -84,6 +124,14 @@ class _ThreadAwareProxy(io.TextIOBase):
 
     def writable(self) -> bool:  # noqa: D102 - interface method
         return True
+
+    def close(self) -> None:
+        """Nothing to close: the streams are their owners' (and this is
+        called once more at interpreter exit, when they may be closed)."""
+
+
+_PROXY = _ThreadAwareProxy()
+os.register_at_fork(after_in_child=_PROXY._after_fork_in_child)
 
 
 class _LockedWriter(io.TextIOBase):
@@ -125,8 +173,6 @@ class MultiChannelOutput:
     """
 
     def __init__(self) -> None:
-        self._proxy: Optional[_ThreadAwareProxy] = None
-        self._saved_stdout: Optional[TextIO] = None
         self._channels: dict[str, _LockedWriter] = {}
         self._lock = threading.Lock()
         self._installed = 0
@@ -141,33 +187,33 @@ class MultiChannelOutput:
         self.uninstall()
 
     def install(self) -> None:
-        """Replace ``sys.stdout`` with the thread-aware proxy (re-entrant)."""
+        """Route ``sys.stdout`` through the process's thread-aware proxy
+        (re-entrant)."""
         with self._lock:
             self._installed += 1
-            if self._proxy is None:
-                self._saved_stdout = sys.stdout
-                self._proxy = _ThreadAwareProxy(sys.stdout)
-                sys.stdout = self._proxy  # type: ignore[assignment]
+            if self._installed == 1:
+                _PROXY.install()
 
     def uninstall(self) -> None:
-        """Restore ``sys.stdout`` and close all channels (when the last
-        installer leaves)."""
+        """Unregister this manager's threads and close its channels (when
+        its last installer leaves); ``sys.stdout`` is put back when no
+        manager of the process is installed."""
         with self._lock:
-            if self._installed > 0:
-                self._installed -= 1
-            if self._installed > 0 or self._proxy is None:
+            if self._installed == 0:
                 return
-            sys.stdout = self._saved_stdout  # type: ignore[assignment]
-            self._proxy = None
-            self._saved_stdout = None
+            self._installed -= 1
+            if self._installed > 0:
+                return
+            _PROXY.uninstall(self)
             channels, self._channels = self._channels, {}
         for writer in channels.values():
             writer.close_stream()
 
     @property
     def installed(self) -> bool:
-        """Whether the proxy currently owns ``sys.stdout``."""
-        return self._proxy is not None
+        """Whether this manager is installed (its threads' ``print`` can
+        be redirected)."""
+        return self._installed > 0
 
     # -- channels ---------------------------------------------------------------
 
@@ -210,7 +256,7 @@ class MultiChannelOutput:
             The log path this thread now writes to, or ``None`` when the
             manager is not installed (no redirection happens).
         """
-        if self._proxy is None:
+        if not self.installed:
             return None
         path = log_path_for(
             component_name,
@@ -219,13 +265,13 @@ class MultiChannelOutput:
             workdir=workdir,
         )
         key = f"component:{component_name}" if is_channel_owner else "combined"
-        self._proxy.register(self._channel(key, path))
+        _PROXY.register(self, self._channel(key, path))
         return path
 
     def restore(self) -> None:
         """Undo :meth:`redirect` for the calling thread."""
-        if self._proxy is not None:
-            self._proxy.unregister()
+        if self.installed:
+            _PROXY.unregister(self)
 
 
 class ProcessOutput:

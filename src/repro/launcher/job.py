@@ -337,7 +337,8 @@ def _rank_entry(
         # A rank with a transport is its own OS process (a thread world
         # delivers mailbox to mailbox): it owns fd 1, so §5.4 redirection
         # is real fd-level redirection.  Rank threads share the job's
-        # stdout proxy, installed for as long as any of them runs.
+        # channels on the process's one stdout proxy, which holds
+        # sys.stdout for as long as any job's rank thread runs.
         output = ProcessOutput() if comm.world.transport is not None else shared_output
         with output:
             return fn(comm, replace(env, output=output))

@@ -14,7 +14,14 @@ Handing each process its resources is the process manager's job, not
 the program's (Butler, Gropp & Lusk), so the launch pipeline sizes the
 pools: a rank's compute threads are ``max(1, usable cpus // ranks of
 this world)`` — joblib/loky's rule — whether the rank is a process or a
-thread.
+thread.  And a thread world's ranks share one core
+(:func:`thread_world_pin`): they run Python one at a time under one
+interpreter lock, and threads free to move hand that lock from core to
+core — ~470 voluntary context switches and 8-11 ms of process CPU a
+step of the benchmark's coupled run, against ~40 and 4-6.6 ms on one
+core (EXPERIMENTS.md, "A thread world on one core").  Ranks that spend their time in GIL-free
+numpy on large arrays lose the second core; those belong on
+``backend="process"``.
 
 What decides is one number, :func:`cores_per_rank`, which also answers
 the shm rings' "oversubscribed → do not spin" question
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
@@ -62,14 +70,39 @@ _held: Optional[int] = None
 # rank is forked under a concurrent launch's number.  A child forked
 # meanwhile gets a fresh one: the thread that held this is not in it.
 _lock = threading.RLock()
+# On a rank thread this module pinned: ``mask``, the process's affinity
+# mask, which a process forked from that thread gets back.
+_pinned = threading.local()
+# libc's ``sched_getcpu``, found once (a stand-in returning -1 where
+# there is none).
+_getcpu: Optional[Callable[[], int]] = None
 
 
-def _fresh_lock() -> None:
+def _after_fork_in_child() -> None:
     global _lock
     _lock = threading.RLock()
+    mask = getattr(_pinned, "mask", None)
+    if mask is not None:
+        # The forking thread is this process's only one: a rank thread's
+        # core is the world's, not the child's.
+        _pinned.mask = None
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
 
 
-os.register_at_fork(after_in_child=_fresh_lock)
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _process_cpus() -> Optional[set[int]]:
+    """The CPUs this process may run on — the main thread's affinity
+    mask, not the calling thread's, which a pinned rank thread narrowed
+    to one — or ``None`` where the platform has no such call."""
+    try:
+        return os.sched_getaffinity(os.getpid())
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return None
 
 
 def cores_per_rank(nprocs: int) -> int:
@@ -78,11 +111,8 @@ def cores_per_rank(nprocs: int) -> int:
     count where the platform has no such call) over the ranks.  0 means
     oversubscribed — more ranks than cores.  Only this world's ranks are
     counted: worlds running beside it are not seen."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return cpus // nprocs
+    cpus = _process_cpus()
+    return (len(cpus) if cpus is not None else os.cpu_count() or 1) // nprocs
 
 
 def thread_budget(nprocs: int) -> int:
@@ -158,3 +188,60 @@ def forking_under_budget(nprocs: int) -> Iterator[None]:
     with _lock:
         apply_thread_budget(nprocs)
         yield
+
+
+def _current_cpu() -> int:
+    """The CPU the calling thread is running on, or -1 where libc has no
+    ``sched_getcpu``."""
+    global _getcpu
+    if _getcpu is None:
+        try:
+            getcpu = ctypes.CDLL(None).sched_getcpu
+            getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+        except (OSError, AttributeError):  # pragma: no cover - non-glibc
+            getcpu = lambda: -1  # noqa: E731
+        _getcpu = getcpu
+    return _getcpu()
+
+
+def _no_pin() -> None:
+    pass
+
+
+def thread_world_pin() -> Callable[[], None]:
+    """What each rank thread of a thread world calls before its program:
+    pin the calling thread to the one CPU the world's ranks share — the
+    CPU the launching thread is running on, or the lowest of the
+    process's mask where that cannot be asked.
+
+    Rank threads run Python one at a time, so one core is all they can
+    use together; left free to move, they pass the interpreter lock
+    between cores at every hand-off.  ``os.sched_setaffinity(0, …)``
+    pins only the calling thread: the launcher, the caller's other
+    threads and process ranks keep their masks, and threads a rank
+    starts (the deadlock watchdog) share its core.  A process forked
+    from a pinned thread gets the process's mask back.
+
+    A no-op where nothing is gained or nothing can be set: no
+    ``sched_setaffinity``, a one-CPU mask, an interpreter without a GIL
+    — and a set that fails leaves the rank unpinned, not failed.
+    """
+    is_gil_enabled = getattr(sys, "_is_gil_enabled", None)
+    if not hasattr(os, "sched_setaffinity") or (
+        is_gil_enabled is not None and not is_gil_enabled()
+    ):
+        return _no_pin
+    cpus = _process_cpus()
+    if cpus is None or len(cpus) < 2:
+        return _no_pin
+    cpu = _current_cpu()
+    core = {cpu if cpu in cpus else min(cpus)}
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, core)
+        except OSError:
+            return
+        _pinned.mask = cpus
+
+    return pin

@@ -26,7 +26,7 @@ from repro.errors import (
     TimeoutError_,
 )
 from repro.mpi.comm import Comm, make_world_comm
-from repro.mpi.corebudget import apply_thread_budget
+from repro.mpi.corebudget import apply_thread_budget, thread_world_pin
 from repro.mpi.faults import SimulatedCrash
 from repro.mpi.world import World, WorldConfig
 
@@ -212,11 +212,14 @@ def _run_threads(
     """The thread spawner: one thread per rank of the shared *world*,
     joined under the wall-clock budget.  The ranks share this process's
     numeric pools, sized first to the world's core budget — the rule a
-    process rank gets too (:mod:`repro.mpi.corebudget`)."""
+    process rank gets too — and one core, as they share one interpreter
+    lock (:mod:`repro.mpi.corebudget`)."""
     apply_thread_budget(world.nprocs)
+    pin = thread_world_pin()
     results = [ProcResult(rank=r) for r in range(world.nprocs)]
 
     def runner(rank: int) -> None:
+        pin()
         results[rank] = run_rank(world, rank, rank_fns[rank])
 
     threads = [

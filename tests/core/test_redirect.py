@@ -1,10 +1,13 @@
 """E8: multi-channel output redirection (§5.4)."""
 
+import os
 import sys
+import threading
 
 import pytest
 
 from repro import components_setup, mph_run
+from repro.core import redirect
 from repro.core.redirect import MultiChannelOutput
 
 REG = "BEGIN\natm\nocn\nEND"
@@ -108,3 +111,97 @@ class TestManagerMechanics:
                 manager.restore()
         text = (tmp_path / "c.log").read_text()
         assert "first" in text and "second" in text
+
+
+class TestConcurrentJobs:
+    """Two jobs' managers whose installs and uninstalls interleave — A in,
+    B in, A out, B out — as two thread jobs of one service do."""
+
+    def test_stdout_is_the_original_object_afterwards(self):
+        before = sys.stdout
+        a, b = MultiChannelOutput(), MultiChannelOutput()
+        a.install()
+        b.install()
+        a.uninstall()
+        b.uninstall()
+        assert sys.stdout is before
+
+    def test_a_thread_registered_under_b_writes_to_b_after_a_leaves(self, tmp_path):
+        a, b = MultiChannelOutput(), MultiChannelOutput()
+        registered, a_left = threading.Event(), threading.Event()
+
+        def b_rank():
+            b.redirect("b", is_channel_owner=True, workdir=tmp_path)
+            registered.set()
+            a_left.wait(10.0)
+            print("after A left")
+            b.restore()
+
+        a.install()
+        b.install()
+        rank = threading.Thread(target=b_rank)
+        rank.start()
+        registered.wait(10.0)
+        a.uninstall()
+        a_left.set()
+        rank.join(10.0)
+        b.uninstall()
+        assert not rank.is_alive()
+        assert "after A left" in (tmp_path / "b.log").read_text()
+
+    def test_two_thread_jobs_at_once(self, tmp_path):
+        before = sys.stdout
+        errors = []
+
+        def jobs(name):
+            try:
+                for run in range(4):
+                    workdir = tmp_path / f"{name}{run}"
+                    logging_job(workdir)
+                    assert "atm rank 0 line two" in (workdir / "atm.log").read_text()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=jobs, args=(name,)) for name in "xy"]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and sys.stdout is before
+
+    def test_a_child_forked_while_another_thread_holds_the_proxy_can_install(self):
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with redirect._PROXY._lock:
+                held.set()
+                release.wait(10.0)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        held.wait(10.0)
+        try:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    def install_once():
+                        with MultiChannelOutput():
+                            pass
+
+                    installer = threading.Thread(target=install_once, daemon=True)
+                    installer.start()
+                    installer.join(10.0)
+                    status = int(installer.is_alive())
+                finally:
+                    os._exit(status)
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert os.waitpid(pid, 0)[1] == 0

@@ -8,7 +8,10 @@ through the libraries' own environment variables, a parked process
 re-applies only when a job's world divides the cores differently, and
 the thread spawner sizes the pools its rank threads share before it
 starts them.  A user who exported one of the variables has decided, and
-a host with no settable pool launches as ever.
+a host with no settable pool launches as ever.  A thread world's rank
+threads also share one CPU, as they share one interpreter lock; its
+launcher, a process forked from a rank thread and process ranks keep
+the process's mask.
 
 Two kinds of test: the *placement* of the setter call is checked against
 a counting fake (every process that calls it appends ``pid threads`` to
@@ -186,6 +189,7 @@ class TestOneDefinitionOfOversubscribed:
 
     def test_one_lookup_one_setter_site(self):
         assert _grep(r"sched_getaffinity") == ["mpi/corebudget.py"]
+        assert set(_grep(r"sched_setaffinity")) == {"mpi/corebudget.py"}
         assert set(_grep(r"set_num_threads")) == {"mpi/corebudget.py"}
         # no knob: the libraries' variables are named in one place, and
         # written only on an exec'd rank's way out
@@ -366,6 +370,102 @@ class TestWhereTheSetterIsCalled:
 
 
 # ---------------------------------------------------------------------------
+# A thread world's rank threads share one core, as they share one
+# interpreter lock
+# ---------------------------------------------------------------------------
+
+
+THREADS = WorldConfig(backend="thread")
+
+
+def where_it_runs(comm, env=None):
+    """The rank thread's own affinity mask, and the core budget as seen
+    from inside it."""
+    comm.barrier()
+    return os.sched_getaffinity(0), corebudget.cores_per_rank(1)
+
+
+def forks_a_child(comm, env=None):
+    """Rank 0 forks; the child reports its affinity mask through a pipe."""
+    comm.barrier()
+    if comm.rank != 0:
+        return None
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, json.dumps(sorted(os.sched_getaffinity(0))).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        mask = set(json.loads(pipe.read()))
+    assert os.waitpid(pid, 0)[1] == 0
+    return mask
+
+
+@pytest.fixture
+def counted_pins(monkeypatch):
+    """A stand-in for ``os.sched_setaffinity`` that records its calls."""
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append((pid, set(mask))))
+    return calls
+
+
+class TestAThreadWorldOnOneCore:
+    def test_every_rank_thread_on_one_and_the_same_cpu(self):
+        process = os.sched_getaffinity(0)
+        masks = [mask for mask, _ in run_spmd(CPUS + 1, where_it_runs, config=THREADS)]
+        assert all(len(mask) == 1 for mask in masks)
+        assert len({frozenset(mask) for mask in masks}) == 1
+        assert masks[0] <= process
+
+    def test_the_launching_thread_keeps_its_mask(self):
+        before = os.sched_getaffinity(0)
+        run_spmd(CPUS + 1, where_it_runs, config=THREADS)
+        assert os.sched_getaffinity(0) == before
+
+    def test_a_rank_thread_sees_the_processs_cores(self):
+        results = run_spmd(CPUS + 1, where_it_runs, config=THREADS)
+        assert [cores for _, cores in results] == [corebudget.cores_per_rank(1)] * (CPUS + 1)
+
+    def test_a_child_forked_from_a_rank_thread_gets_the_process_mask(self):
+        process = os.sched_getaffinity(0)
+        assert run_spmd(2, forks_a_child, config=THREADS)[0] == process
+
+    def test_one_pin_per_rank_thread_and_none_of_the_launcher(self, counted_pins, four_cpus):
+        run_spmd(3, where_it_runs, config=THREADS)
+        assert len(counted_pins) == 3
+        assert {pid for pid, _ in counted_pins} == {0}
+        assert len({frozenset(mask) for _, mask in counted_pins}) == 1
+        assert counted_pins[0][1] < {0, 1, 2, 3} and len(counted_pins[0][1]) == 1
+
+    def test_a_process_world_is_not_pinned(self, proc_config):
+        process = os.sched_getaffinity(0)
+        results = run_spmd(CPUS + 1, where_it_runs, config=proc_config)
+        assert [mask for mask, _ in results] == [process] * (CPUS + 1)
+
+    def test_one_cpu_means_no_pin(self, counted_pins, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_spmd(3, lambda comm: comm.allreduce(comm.rank), config=THREADS) == [3] * 3
+        assert counted_pins == []
+
+    def test_no_interpreter_lock_means_no_pin(self, counted_pins, four_cpus, monkeypatch):
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+        assert run_spmd(3, lambda comm: comm.allreduce(comm.rank), config=THREADS) == [3] * 3
+        assert counted_pins == []
+
+    def test_a_failed_pin_runs_the_world_unpinned(self, monkeypatch):
+        def refused(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        process = os.sched_getaffinity(0)
+        results = run_spmd(CPUS + 1, where_it_runs, config=THREADS)
+        assert [mask for mask, _ in results] == [process] * (CPUS + 1)
+
+
+# ---------------------------------------------------------------------------
 # What a rank ends up with, read from the real library
 # ---------------------------------------------------------------------------
 
@@ -440,7 +540,8 @@ class TestEveryRankReadsTheBudget:
             [ExecutableSpec("reading", nprocs)], programs=MODULE, config=proc_config
         ).run(timeout=60.0)
         for _, threads, variables in result.values():
-            assert variables[0] == "2" and threads == 2
+            # OpenBLAS runs no more threads than the CPUs it may use
+            assert variables[0] == "2" and threads == min(2, CPUS)
         forked = mph_run([(real_pool.reading, nprocs)], config=proc_config)
         assert _readings(forked) == [before] * nprocs
         assert real_pool.pool_threads() == before
