@@ -304,9 +304,24 @@ class MpmdJob:
         rank that dies without reporting fails the job with its
         component named.
         """
-        plan = self.plan
+        procs = launch(
+            self.world_size,
+            self.ranks(),
+            config=self.config,
+            timeout=timeout,
+            labels=self.plan.labels,
+            namespace=self.namespace,
+            log_dir=self.log_dir,
+            pool=self.pool,
+        )
+        return JobResult(**vars(self.plan), procs=procs)
+
+    def ranks(self) -> list[Callable]:
+        """Every world rank's ``entry(comm)``, as the launch pipeline
+        takes them: an :class:`~repro.mpi.executor.ExecRank` whose meta
+        is ``(name, env)`` where another process can rebuild the rank."""
         ranks: list[Callable] = []
-        for env in plan.envs:
+        for env in self.plan.envs:
             fn = self.fns[env.exe_index]
             entry = _rank_entry(fn, env, self.output)
             # What another process can rebuild the rank from, if anything:
@@ -315,17 +330,7 @@ class MpmdJob:
             if name is not None:
                 entry = ExecRank(entry, (name, env))
             ranks.append(entry)
-        procs = launch(
-            self.world_size,
-            ranks,
-            config=self.config,
-            timeout=timeout,
-            labels=plan.labels,
-            namespace=self.namespace,
-            log_dir=self.log_dir,
-            pool=self.pool,
-        )
-        return JobResult(**vars(plan), procs=procs)
+        return ranks
 
 
 def _rank_entry(

@@ -62,9 +62,10 @@ class ProcResult:
     rank: int
     value: Any = None
     exception: Optional[BaseException] = None
-    #: The final traffic counters of the world this rank ran in.  On the
-    #: process backend each OS process has its own world replica, so the
-    #: counters are that rank's own; the thread backend has one shared
+    #: The traffic counters of the world this rank ran in, over this
+    #: run.  On the process backend each OS process has its own world
+    #: replica, so the counters are that rank's own (on a kept-open
+    #: launch, since its previous run); the thread backend has one shared
     #: world, so every rank carries the same job-wide snapshot.  ``None``
     #: only for a child that died before reporting.
     traffic: Any = None
@@ -114,7 +115,7 @@ def launch(
     if _validate(nprocs, ranks, config, log_dir, pool):
         from repro.mpi.procbackend import run_procs
 
-        results = run_procs(nprocs, ranks, config, timeout, log_dir, labels, namespace, pool)
+        results = run_procs(ranks, config, timeout, log_dir, labels, namespace, pool)
     else:
         results = _run_threads(World(nprocs, config), ranks, timeout)
     _raise_root_cause(results)

@@ -14,7 +14,7 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
 
 1. The parent binds a rendezvous listener — always a Unix-domain socket
    at a fixed name in the job's private socket directory — and spawns
-   ``nprocs`` children (:func:`run_procs`: ``fork`` for a rank given as
+   ``nprocs`` children (:class:`ProcLaunch`: ``fork`` for a rank given as
    a callable, ``exec`` of ``python -m repro.tools.mphchild`` for an
    :class:`~repro.mpi.executor.ExecRank` — or, when the launch holds a
    :class:`RankPool`, an assignment frame to a process that *parked*
@@ -36,11 +36,13 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
    runs).
 5. The child reports ``("result", rank, ok, payload, traffic,
    cpu_seconds, wall_seconds)`` and then
-   *keeps serving inbound connections* until the parent's
-   ``("shutdown",)`` frame — sent only after every result is in — so a
-   fast rank can never tear down its mailbox while a slow peer still has
-   eager sends in flight.  It then closes its transport and exits — or,
-   a pool's process, acks and parks for its next assignment.
+   *keeps serving inbound connections* until the parent's next frame —
+   sent only after every result is in — so a fast rank can never tear
+   down its mailbox while a slow peer still has eager sends in flight.
+   A ``("run", meta)`` frame runs the rank again on the same world (a
+   kept-open :class:`ProcLaunch`: the service's resident worlds); on
+   ``("shutdown",)`` it closes its transport and exits — or, a pool's
+   process, acks and parks for its next assignment.
 
 A child that dies without reporting (segfault, ``sys.exit(3)``, killed)
 is detected by the parent polling process liveness; it synthesizes a
@@ -64,7 +66,7 @@ import multiprocessing.connection
 import multiprocessing.util
 import os
 import pickle
-import queue
+import selectors
 import shutil
 import signal
 import socket
@@ -99,8 +101,6 @@ from repro.mpi.transport import (
 )
 from repro.mpi.world import World, WorldConfig
 
-#: How long a child lingers for the parent's shutdown frame.
-_CHILD_CTRL_TIMEOUT = 120.0
 #: Grace for siblings to unwind after a child dies without reporting.
 _DEATH_GRACE = 3.0
 #: How long a released child gets to exit (or a parking one to ack)
@@ -158,6 +158,12 @@ class ProcessWorld(World):
         self._abort_broadcast.set()
         World.abort(self, AbortError(message, origin_rank=origin))
 
+    def rank_restarted(self) -> None:
+        """This process's rank runs again (a kept-open launch's next
+        run): live again to the deadlock scan."""
+        with self._state_lock:
+            self._alive.add(self.my_rank)
+
 
 def rendezvous_prefix(namespace: Optional[str] = None) -> str:
     """The rendezvous-directory (and thereby shm-segment) name prefix for
@@ -191,11 +197,14 @@ def _rendezvous_path(sockdir: str) -> str:
 def child_session(
     rank: int, nprocs: int, sockdir: str, run: Callable[[Any, Any], Any]
 ) -> None:
-    """One child's whole life: handshake, run the rank, report, linger.
+    """One child's whole life: handshake, then run the rank and report
+    once per run the launcher sends (:class:`ProcLaunch`), lingering
+    between runs and until the shutdown.
 
     *run* is called as ``run(comm_world, meta)`` where *meta* is the
-    per-rank launcher metadata from the welcome frame.  Shared by the
-    fork children of :func:`run_procs` (which close over the rank
+    per-rank launcher metadata of the welcome frame, or of the ``("run",
+    meta)`` frame that started a later run.  Shared by the
+    fork children of a :class:`ProcLaunch` (which close over the rank
     function directly) and the exec children of ``repro.tools.mphchild``
     (which resolve the function from *meta*).
 
@@ -241,29 +250,43 @@ def child_session(
 
         # This rank is a process: its CPU is the whole process's — BLAS
         # workers and the transport's reader threads included.
-        result = run_rank(world, rank, lambda comm: run(comm, meta), time.process_time)
-        ok = result.exception is None
-        payload = result.value if ok else result.exception
-        tail = (world.traffic_snapshot(), result.cpu_seconds, result.wall_seconds)
-        frame = ("result", rank, ok, payload, *tail)
-        try:
-            pickle.dumps(frame)
-        except Exception as pickle_exc:  # noqa: BLE001 - degrade, don't die
-            what = "returned a value" if ok else "raised an exception"
-            cannot_cross = ReproError(
-                f"rank {rank} {what} that cannot cross the process "
-                f"boundary ({pickle_exc}): {payload!r}"
-            )
-            frame = ("result", rank, False, cannot_cross, *tail)
-        send_frame(ctrl, frame)
+        reported = None
+        while True:
+            result = run_rank(world, rank, lambda comm: run(comm, meta), time.process_time)
+            # A result frame counts what its run moved; the world's own
+            # counters keep counting from the world's start.
+            counted = world.traffic_snapshot()
+            traffic = counted if reported is None else counted.since(reported)
+            reported = counted
+            ok = result.exception is None
+            payload = result.value if ok else result.exception
+            tail = (traffic, result.cpu_seconds, result.wall_seconds)
+            frame = ("result", rank, ok, payload, *tail)
+            try:
+                pickle.dumps(frame)
+            except Exception as pickle_exc:  # noqa: BLE001 - degrade, don't die
+                what = "returned a value" if ok else "raised an exception"
+                cannot_cross = ReproError(
+                    f"rank {rank} {what} that cannot cross the process "
+                    f"boundary ({pickle_exc}): {payload!r}"
+                )
+                frame = ("result", rank, False, cannot_cross, *tail)
+            send_frame(ctrl, frame)
 
-        # Linger until the parent has every result: a peer may still be
-        # draining eager sends into our mailbox, and tearing the
-        # transport down early would turn its sends into hard errors.
-        try:
-            recv_frame(ctrl, timeout=_CHILD_CTRL_TIMEOUT)
-        except TransportError:
-            pass
+            # Linger for the next run or the shutdown, with no timeout, as
+            # a parked process waits on its park connection: the launcher
+            # sends either only once every result is in — a peer may
+            # still be draining eager sends into our mailbox until then,
+            # and tearing the transport down early would turn its sends
+            # into hard errors — and its death is an EOF.
+            try:
+                frame = recv_frame(ctrl, timeout=None)
+            except (TransportError, OSError):
+                frame = None
+            if not frame or frame[0] != "run":
+                break
+            meta = frame[1]
+            world.rank_restarted()
         transport.close()
         world.progress.shutdown()
     finally:
@@ -446,7 +469,7 @@ class RankPool:
     and exec — the MPD shape (Butler, Gropp & Lusk), where starting a job
     is a message to processes that already exist.
 
-    A launch that is handed the pool (:func:`run_procs`) serves each
+    A launch that is handed the pool (:class:`ProcLaunch`) serves each
     :class:`~repro.mpi.executor.ExecRank` from a process parked here,
     forking only the shortfall; the processes of a job whose every rank
     reported ok ack and park again, the rest are retired.  So the pool
@@ -541,7 +564,7 @@ class _Rendezvous:
     """The launcher's half of a process world — the *process manager*:
     serve the address exchange, collect results, detect silent deaths,
     shut everyone down, and sweep what the job left behind.  Each stage
-    :func:`run_procs` drives is a method."""
+    a :class:`ProcLaunch` drives is a method."""
 
     def __init__(self, nprocs: int, config: WorldConfig, namespace: Optional[str] = None):
         self.nprocs = nprocs
@@ -549,10 +572,10 @@ class _Rendezvous:
         self.sockdir = tempfile.mkdtemp(prefix=rendezvous_prefix(namespace))
         self.listener = make_listener(_rendezvous_path(self.sockdir))
 
-    def bootstrap(self, conns, children, results, ranks, deadline) -> None:
+    def bootstrap(self, conns, children, results, metas, deadline) -> None:
         """One hello per child on its own connection, collected into
-        *conns* for the result/shutdown protocol, then the once-pickled
-        welcome back on each (carrying each exec'd rank's meta)."""
+        *conns* for the result/run/shutdown protocol, then the
+        once-pickled welcome back on each (carrying its rank's meta)."""
 
         def tick() -> None:
             self._check_deadline(deadline, "rank bootstrap")
@@ -561,7 +584,6 @@ class _Rendezvous:
                 # A child died before its hello: nobody can form a world.
                 self._fail_bootstrap(dead, children, results)
 
-        metas = [fn.meta if isinstance(fn, ExecRank) else None for fn in ranks]
         serve_rendezvous(self.listener, self.nprocs, self.config, metas, conns, on_tick=tick)
 
     def _fail_bootstrap(self, dead, children, results) -> None:
@@ -585,67 +607,54 @@ class _Rendezvous:
     def collect(self, conns, children, results, deadline) -> None:
         """Read one result frame per child, polling liveness so a child
         that dies without reporting is classified instead of awaited."""
-        inbox: queue.Queue = queue.Queue()
-
-        def reader(rank: int, conn: socket.socket) -> None:
-            try:
-                frame = recv_frame(conn, timeout=None)
-            except (TransportError, OSError) as exc:
-                inbox.put((rank, exc))
-            else:
-                inbox.put((rank, frame))
-
-        for rank, conn in conns.items():
-            threading.Thread(
-                target=reader, args=(rank, conn), daemon=True,
-                name=f"rendezvous-reader-{rank}",
-            ).start()
-
-        death_deadline = None
-        while len(results) < self.nprocs:
-            now = time.monotonic()
-            if death_deadline is not None and now >= death_deadline:
-                # Grace expired: whoever still has no result is wedged on
-                # the dead rank; terminate and synthesize.  Who died on
-                # its own is decided before terminating, so our SIGTERM
-                # is never reported as a component's exit code.
-                for rank, h in enumerate(children):
-                    if rank not in results:
-                        died = h.proc.exitcode not in (0, None)
-                        h.proc.terminate()
-                        results[rank] = ProcResult(
-                            rank=rank,
-                            exception=self._death_error(h)
-                            if died
-                            else LaunchError(
-                                f"component {h.label!r} (world rank {rank}) "
-                                f"was terminated: a sibling died without "
-                                f"reporting a result"
-                            ),
+        with selectors.DefaultSelector() as unread:
+            for rank, conn in conns.items():
+                unread.register(conn, selectors.EVENT_READ, rank)
+            death_deadline = None
+            while len(results) < self.nprocs:
+                now = time.monotonic()
+                if death_deadline is not None and now >= death_deadline:
+                    # Grace expired: whoever still has no result is wedged on
+                    # the dead rank; terminate and synthesize.  Who died on
+                    # its own is decided before terminating, so our SIGTERM
+                    # is never reported as a component's exit code.
+                    for rank, h in enumerate(children):
+                        if rank not in results:
+                            died = h.proc.exitcode not in (0, None)
+                            h.proc.terminate()
+                            results[rank] = ProcResult(
+                                rank=rank,
+                                exception=self._death_error(h)
+                                if died
+                                else LaunchError(
+                                    f"component {h.label!r} (world rank {rank}) "
+                                    f"was terminated: a sibling died without "
+                                    f"reporting a result"
+                                ),
+                            )
+                    return
+                self._check_deadline(deadline, "job")
+                dead = self._dead_without_result(children, results, None)
+                if dead and death_deadline is None:
+                    death_deadline = now + _DEATH_GRACE
+                for key, _ in unread.select(0.2):
+                    unread.unregister(key.fileobj)
+                    try:
+                        frame = recv_frame(key.fileobj, timeout=max(deadline - now, 0.001))
+                    except (TransportError, OSError):
+                        frame = None
+                    if isinstance(frame, tuple) and frame and frame[0] == "result":
+                        _, _, ok, payload, traffic, cpu_seconds, wall_seconds = frame
+                        results[key.data] = ProcResult(
+                            rank=key.data,
+                            value=payload if ok else None,
+                            exception=None if ok else payload,
+                            traffic=traffic,
+                            cpu_seconds=cpu_seconds,
+                            wall_seconds=wall_seconds,
                         )
-                return
-            self._check_deadline(deadline, "job")
-            dead = self._dead_without_result(children, results, None)
-            if dead and death_deadline is None:
-                death_deadline = now + _DEATH_GRACE
-            try:
-                rank, frame = inbox.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            if rank in results:
-                continue
-            if isinstance(frame, tuple) and frame and frame[0] == "result":
-                _, rank_, ok, payload, traffic, cpu_seconds, wall_seconds = frame
-                results[rank] = ProcResult(
-                    rank=rank,
-                    value=payload if ok else None,
-                    exception=None if ok else payload,
-                    traffic=traffic,
-                    cpu_seconds=cpu_seconds,
-                    wall_seconds=wall_seconds,
-                )
-            # EOF (None) or a transport error: the liveness poll above
-            # will classify the death on a later iteration.
+                    # EOF (None) or a transport error: the liveness poll
+                    # above will classify the death on a later iteration.
 
     def _dead_without_result(self, children, results, conns) -> list:
         return [
@@ -688,7 +697,7 @@ class _Rendezvous:
             # Sweep any shm segments of this job that a crashed child
             # never unlinked itself (segment names derive from the
             # sockdir name, so the prefix is job-unique).  Runs on every
-            # exit path of run_procs — including ChildExitError — so
+            # exit path of a launch — including ChildExitError — so
             # /dev/shm can't leak.
             from repro.mpi.shm import sweep_segments
 
@@ -715,8 +724,138 @@ class _BootstrapDead(Exception):
     """Internal: bootstrap aborted because a child died before its hello."""
 
 
+class ProcLaunch:
+    """A process world kept open — the launcher's side of every process
+    job, each rank its own **OS process** with its own interpreter, world
+    replica and transport (see :func:`_child_main` for how a rank is
+    forked or exec'd).  The first :meth:`run` spawns the ranks,
+    bootstraps them and collects what the welcome frame started; each
+    later run is a ``("run", meta)`` frame per rank down the connection
+    it said hello on, collected the same way, and is sent only once
+    every result frame of the last is in — the ordering a barrier
+    between runs would give, with no message.  :func:`run_procs` is one
+    run and a :meth:`close`; a resident service world
+    (:class:`~repro.service.runtime.WorkerWorld`) is one run per job.
+
+    With *pool*, an :class:`~repro.mpi.executor.ExecRank` (its meta what
+    :meth:`RankPool.resolve` takes) is neither forked nor exec'd: it goes
+    to a process parked in the pool, one being forked into it only when
+    none is idle, and if the launch closes clean the processes park
+    again instead of exiting.  The world, socket directory and segments
+    are as private, and as swept, as without.  A failed rank, a death, a
+    timeout or an interrupt *poisons* the launch: it runs nothing more,
+    and its processes are retired.
+
+    With *log_dir*, each child's stdout+stderr are redirected at the OS
+    level to ``<log_dir>/<label>.log`` — real per-process log files, not
+    the thread backend's ``sys.stdout`` proxy (and not a pool's: a parked
+    process keeps the stdio it was forked with, so ``launch`` refuses
+    the two together).  *namespace* scopes the rendezvous directory and
+    shm segments under :func:`rendezvous_prefix` (the MPH service's
+    per-job isolation seam).
+    """
+
+    def __init__(
+        self,
+        ranks: Sequence[Any],
+        config: WorldConfig,
+        *,
+        labels: Optional[Sequence[str]] = None,
+        namespace: Optional[str] = None,
+        log_dir: Optional[str] = None,
+        pool: Optional[RankPool] = None,
+    ):
+        self._ranks = list(ranks)
+        self._labels = list(labels) if labels is not None else [f"rank{r}" for r in range(len(ranks))]
+        self._log_dir, self._pool = log_dir, pool
+        self._rendezvous = _Rendezvous(len(ranks), config, namespace)
+        self._children: list[_Child] = []
+        self._conns: dict[int, socket.socket] = {}
+        self.poisoned = self._closed = False
+
+    def run(self, timeout: float, metas: Optional[Sequence[Any]] = None) -> list[ProcResult]:
+        """Run every rank once more and collect the per-rank outcomes
+        within *timeout* seconds; ``metas[rank]`` is what rank's program
+        is rebuilt from (its :class:`~repro.mpi.executor.ExecRank`'s meta
+        when not given).  A child that dies without reporting becomes a
+        :class:`~repro.errors.ChildExitError` result for its rank.
+
+        Raises :class:`~repro.errors.TimeoutError_` past *timeout*, and
+        :class:`~repro.errors.LaunchError` when no rank received the run:
+        the launch is poisoned or closed, a rank has exited since the
+        last run, or the first frame could not be sent."""
+        if self.poisoned or self._closed:
+            raise LaunchError("the launch is " + ("closed" if self._closed else "poisoned"))
+        if metas is None:
+            metas = [fn.meta if isinstance(fn, ExecRank) else None for fn in self._ranks]
+        results: dict[int, ProcResult] = {}
+        try:
+            if self._children:
+                deadline = time.monotonic() + timeout
+                self._send_run(metas)
+            else:
+                self._spawn()
+                deadline = time.monotonic() + timeout
+                self._rendezvous.bootstrap(self._conns, self._children, results, metas, deadline)
+            self._rendezvous.collect(self._conns, self._children, results, deadline)
+        except _BootstrapDead:
+            pass  # every rank already has its result, the siblings are terminated
+        except BaseException:
+            # However the run was cut short (a failed spawn, the deadline,
+            # a malformed frame, an interrupt), children still mid-bootstrap
+            # or mid-run would never see the shutdown: terminate them so
+            # the joins return at once instead of timing out one by one.
+            self.poisoned = True
+            for child in self._children:
+                child.proc.terminate()
+            raise
+        self.poisoned = any(result.exception is not None for result in results.values())
+        return [results[r] for r in sorted(results)]
+
+    def _spawn(self) -> None:
+        # The launcher's numeric thread pools at this world's core budget
+        # from before the first fork to after the last: what a forked
+        # rank inherits is what it runs with.
+        if self._log_dir is not None:
+            os.makedirs(self._log_dir, exist_ok=True)
+        with forking_under_budget(len(self._ranks)):
+            for rank, (fn, label) in enumerate(zip(self._ranks, self._labels)):
+                parks = self._pool if isinstance(fn, ExecRank) else None
+                child = parks.take() if parks is not None else None
+                if child is not None:
+                    self._children.append(child)
+                    child.assign(self._rendezvous, rank, label)
+                    continue
+                log_path = None if self._log_dir is None else os.path.join(self._log_dir, f"{label}.log")
+                self._children.append(_Child(self._rendezvous, rank, label, fn, log_path, parks))
+
+    def _send_run(self, metas: Sequence[Any]) -> None:
+        if any(child.proc.exitcode is not None for child in self._children):
+            raise LaunchError("a rank exited since the last run: this one was not sent")
+        for n, (rank, conn) in enumerate(self._conns.items()):
+            try:
+                send_frame(conn, ("run", metas[rank]))
+            except OSError as exc:
+                if n == 0:  # nobody has it; a rank lost later is the run's to report
+                    raise LaunchError(f"the run could not be sent: {exc}") from exc
+
+    def close(self) -> None:
+        """Release the ranks — a clean launch's pooled processes ack and
+        park again, every other one exits or is killed past
+        ``_KILL_GRACE`` — then sweep the socket directory and segments.
+        Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._rendezvous.shutdown(
+                self._conns, self._children, None if self.poisoned else self._pool
+            )
+        finally:
+            self._rendezvous.sweep()
+
+
 def run_procs(
-    nprocs: int,
     ranks: Sequence[Any],
     config: WorldConfig,
     timeout: float = 120.0,
@@ -725,73 +864,13 @@ def run_procs(
     namespace: Optional[str] = None,
     pool: Optional[RankPool] = None,
 ) -> list[ProcResult]:
-    """Run one rank function per rank, each as its own **OS process** —
-    the process leg of :func:`repro.mpi.executor.launch`, which validates
-    before and classifies the root cause after.  Same contract as the
-    thread leg (a per-rank :class:`~repro.mpi.executor.ProcResult` list),
-    but every rank owns an interpreter, a world replica, and a transport
-    (see :func:`_child_main` for how a rank is forked or exec'd).
-
-    With *pool*, an :class:`~repro.mpi.executor.ExecRank` (its meta what
-    :meth:`RankPool.resolve` takes) is neither: it goes to a process
-    parked in the pool, one being forked into it only when none is idle,
-    and if every rank reports ok the processes park again instead of
-    exiting.  The job's world, socket directory and segments are as
-    private, and as swept, as without.
-
-    With *log_dir*, each child's stdout+stderr are redirected at the OS
-    level to ``<log_dir>/<label>.log`` — real per-process log files, not
-    the thread backend's ``sys.stdout`` proxy (and not a pool's: a parked
-    process keeps the stdio it was forked with, so ``launch`` refuses
-    the two together).
-
-    *namespace* scopes the job's rendezvous directory and shm segments
-    under :func:`rendezvous_prefix` (the MPH service's per-job isolation
-    seam).
-
-    Raises :class:`~repro.errors.TimeoutError_` if the job exceeds
-    *timeout*; a child that dies without reporting becomes a
-    :class:`~repro.errors.LaunchError` result for its rank.
-    """
-    labels = list(labels) if labels is not None else [f"rank{r}" for r in range(nprocs)]
-    if log_dir is not None:
-        os.makedirs(log_dir, exist_ok=True)
-    rendezvous = _Rendezvous(nprocs, config, namespace)
-    children: list[_Child] = []
-    results: dict[int, ProcResult] = {}
-    conns: dict[int, socket.socket] = {}
-    clean = False
+    """The process leg of :func:`repro.mpi.executor.launch`, which
+    validates before and classifies the root cause after: one run of a
+    :class:`ProcLaunch`, then its close.  Same contract as the thread
+    leg — a per-rank :class:`~repro.mpi.executor.ProcResult` list, and
+    :class:`~repro.errors.TimeoutError_` past *timeout*."""
+    launch = ProcLaunch(ranks, config, labels=labels, namespace=namespace, log_dir=log_dir, pool=pool)
     try:
-        # spawn — the launcher's numeric thread pools at this world's core
-        # budget from before the first fork to after the last: what a
-        # forked rank inherits is what it runs with.
-        with forking_under_budget(nprocs):
-            for rank, fn in enumerate(ranks):
-                parks = pool if isinstance(fn, ExecRank) else None
-                child = parks.take() if parks is not None else None
-                if child is not None:
-                    children.append(child)
-                    child.assign(rendezvous, rank, labels[rank])
-                    continue
-                log_path = None if log_dir is None else os.path.join(log_dir, f"{labels[rank]}.log")
-                children.append(_Child(rendezvous, rank, labels[rank], fn, log_path, parks))
-        deadline = time.monotonic() + timeout
-        rendezvous.bootstrap(conns, children, results, ranks, deadline)
-        rendezvous.collect(conns, children, results, deadline)
-        clean = all(result.exception is None for result in results.values())
-    except _BootstrapDead:
-        pass  # every rank already has its result, the siblings are terminated
-    except BaseException:
-        # However the launch was cut short (a failed spawn, the deadline,
-        # a malformed frame, an interrupt), children still mid-bootstrap
-        # or mid-run would never see the shutdown below: terminate them
-        # so the joins return at once instead of timing out one by one.
-        for child in children:
-            child.proc.terminate()
-        raise
+        return launch.run(timeout)
     finally:
-        try:
-            rendezvous.shutdown(conns, children, pool if clean else None)
-        finally:
-            rendezvous.sweep()
-    return [results[r] for r in sorted(results)]
+        launch.close()

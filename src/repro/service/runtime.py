@@ -28,18 +28,20 @@ Three responsibilities:
 
 * **Resident execution** — for process-backend jobs that opt in
   (``runtime.reuse_world``, the default), the runtime keeps a small pool
-  of :class:`WorkerWorld` objects keyed by layout hash: fork +
-  bootstrap + handshake are paid once, and subsequent jobs with the
-  same layout are dispatched to the already-running ranks over
-  multiprocessing queues (the world itself is one more
-  :class:`~repro.launcher.job.MpmdJob`, its programs the resident
-  loops).  This is the service's warm path — the ``service_warm``
-  workload of ``benchmarks/e2e/run.py`` against ``service_cold``
-  measures what it saves.  A resident world is
-  **poisoned** (evicted and shut down) the moment any rank fails or a
-  job times out; fault-seeded, match-seeded, and reserve-pool jobs
-  never use one (seeds are thread-backend-only by document validation,
-  pool ranks park in ``await_assignment`` and cannot loop).
+  of :class:`WorkerWorld` objects keyed by layout hash: each is the same
+  :class:`~repro.mpi.procbackend.ProcLaunch` an isolated job runs,
+  kept open after its first job.  Fork (or the pool's assignment) +
+  bootstrap + handshake are paid once; each later job with the same
+  layout is one ``("run", meta)`` frame down every rank's rendezvous
+  connection and one result frame back — its traffic that job's alone.
+  This is the service's warm path — the ``service_warm`` workload of
+  ``benchmarks/e2e/run.py`` against ``service_cold`` measures what it
+  saves.  A resident world is **poisoned** (evicted, its processes
+  retired) the moment any rank fails or a job times out; a clean one
+  gives its processes back to the pool when it is evicted or closed.
+  Fault-seeded, match-seeded, and reserve-pool jobs never use one (seeds
+  are thread-backend-only by document validation, pool ranks park in
+  ``await_assignment`` and cannot run again).
 
 The service convention for program callables is the ``mph_run`` one —
 ``fn(comm, env)`` with a :class:`~repro.launcher.job.JobEnv` — plus one
@@ -54,22 +56,20 @@ fails the precomputed-layout consistency check with a
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import multiprocessing.util
-import pickle
-import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.session import PrecomputedLayout
 from repro.core.handshake import ComponentDecl, PoolDecl
-from repro.errors import ReproError, ServiceError, TimeoutError_
+from repro.errors import LaunchError, ServiceError
 from repro.launcher.cmdfile import ExecutableSpec
 from repro.launcher.job import POOL_PROGRAM, JobResult, MpmdJob, plan_job, rank_pool
-from repro.mpi.executor import ProcResult
+from repro.mpi.executor import ExecRank
+from repro.mpi.procbackend import ProcLaunch, RankPool
 from repro.mpi.world import WorldConfig
 from repro.service.jobdoc import JobDocument
 
@@ -150,13 +150,12 @@ class ResolvedJob:
     def world_size(self) -> int:
         return self.document.world_size
 
-    def job(self, wrap: Optional[Callable[[Callable], Callable]] = None, **job_kwargs) -> MpmdJob:
-        """One launch of this job on the pipeline, each program passed
-        through *wrap* if given.  The launch's plan is the
-        :class:`MpmdJob`'s."""
+    def job(self, **job_kwargs) -> MpmdJob:
+        """One launch of this job on the pipeline.  The launch's plan is
+        the :class:`MpmdJob`'s."""
         return MpmdJob(
             self.specs,
-            programs={name: wrap(fn) if wrap else fn for name, fn in self.programs.items()},
+            programs=self.programs,
             rank_policy=self.document.runtime.rank_policy,
             config=self.config,
             registry=self.pre,
@@ -185,10 +184,10 @@ class JobOutcome:
     #: Whole-job error when the run never produced per-rank results
     #: (bootstrap death, abort, wall-clock timeout).
     error: Optional[str] = None
-    #: Per-world-rank traffic counters (one dict of
+    #: Per-world-rank traffic counters of this job (one dict of
     #: :class:`~repro.mpi.world.TrafficStats` fields each, and beside
-    #: them the rank's ``cpu_seconds`` / ``wall_seconds``) when the path
-    #: collects them (isolated runs), else ``None`` — deliberately
+    #: them the rank's ``cpu_seconds`` / ``wall_seconds``), ``None`` when
+    #: the job left no per-rank results — deliberately
     #: backend-dependent, so the stager keeps it out of the
     #: conformance-checked artifact.
     traffic: Optional[List[Any]] = None
@@ -198,78 +197,22 @@ class JobOutcome:
         return tuple(sorted({program for _, program, _ in self.failures}))
 
 
-def _portable(obj: Any) -> Any:
-    """An object safe to send across a multiprocessing queue: the object
-    itself when picklable, a :class:`ServiceError` describing it when not
-    (a silently-lost frame would strand the parent at its timeout)."""
-    try:
-        pickle.dumps(obj)
-        return obj
-    except Exception:  # noqa: BLE001 - anything unpicklable degrades
-        if isinstance(obj, BaseException):
-            return ServiceError(
-                f"rank raised unpicklable {type(obj).__name__}: {obj}"
-            )
-        return ServiceError(f"rank returned unpicklable {type(obj).__name__}: {obj!r}")
-
-
 # ---------------------------------------------------------------------------
 # Resident worker worlds (the warm path)
 # ---------------------------------------------------------------------------
 
 
-def _resident_loop(fn: Callable, task_queues, result_q) -> Callable:
-    """*fn* as a resident program: serve jobs off this rank's task queue
-    until the shutdown sentinel (closures cross the fork)."""
-
-    def loop(comm, env):
-        task_q = task_queues[comm.rank]
-        jobs_done = 0
-        while True:
-            task = task_q.get()
-            if task is None:
-                return jobs_done
-            job_id, argvs, env_vars = task
-            job_env = replace(
-                env, argv=tuple(argvs[env.exe_index]), vars=dict(env_vars), output=None
-            )
-            cpu, wall = time.process_time(), time.perf_counter()
-            try:
-                ok, value = True, fn(comm, job_env)
-            except BaseException as exc:  # noqa: BLE001 - reported, poisons
-                ok, value = False, exc
-            # What the pipeline's rank body records per launch, per job.
-            cost = (time.process_time() - cpu, time.perf_counter() - wall)
-            # Per-job hygiene: every rank finishes (or fails) before any
-            # reports, so a fast rank can't start the next job while a
-            # slow sibling still owes this one messages.
-            try:
-                comm.barrier()
-            except BaseException as exc:  # noqa: BLE001
-                if ok:
-                    ok, value = False, exc
-            result_q.put((job_id, comm.rank, ok, value if ok else _portable(value), *cost))
-            jobs_done += 1
-            if not ok:
-                # This world is compromised (mismatched messages may be
-                # in flight); stop serving so the parent's poison/evict
-                # is symmetric with our exit.
-                return jobs_done
-
-    return loop
-
-
 class WorkerWorld:
     """A resident process-backend world serving jobs that share one
-    layout key.
+    layout key: a :class:`~repro.mpi.procbackend.ProcLaunch` kept open.
 
-    Fork + socket bootstrap + MPH handshake are paid once in
-    ``__init__``; each :meth:`submit` costs one task frame per rank, the
-    job's own work, a barrier, and one result frame per rank.
-    The world's :class:`~repro.launcher.job.MpmdJob` runs in a background
-    thread with the world's *ttl* as its wall-clock budget — the hard
-    backstop that reaps the children even if a job wedges the ranks
-    beyond the reach of the shutdown sentinels.
+    Its ranks are the job's, named in *pool* (the runtime's one
+    :func:`~repro.launcher.job.rank_pool`), so parked processes play them
+    or they are forked into the pool, like any pooled job's.  The first
+    :meth:`submit` spawns and bootstraps the world, its job riding the
+    welcome frame; each later one is a frame per rank carrying the
+    ``(name, env)`` meta of that job — fork, bootstrap and handshake
+    layout are paid once.
     """
 
     #: Per-process world generation counter: successive worlds for the
@@ -279,41 +222,29 @@ class WorkerWorld:
     #: segments.
     _generation = itertools.count()
 
-    def __init__(self, resolved: ResolvedJob, *, ttl: float = 600.0):
+    def __init__(self, resolved: ResolvedJob, pool: RankPool):
         if resolved.document.runtime.pool:
             raise ServiceError("reserve-pool jobs cannot run on a resident world")
         self.layout_key = resolved.layout_key
-        self.size = resolved.world_size
         self.namespace = f"w{resolved.layout_key[:12]}g{next(self._generation)}"
-        self.poisoned = False
-        self.jobs_run = 0
-        self._closed = False
         self._lock = threading.Lock()
-        self._thread_error: Optional[BaseException] = None
-
-        ctx = multiprocessing.get_context("fork")
-        self._task_queues = [ctx.Queue() for _ in range(self.size)]
-        self._result_queue = ctx.Queue()
-
-        job = resolved.job(
-            lambda fn: _resident_loop(fn, self._task_queues, self._result_queue),
-            namespace=self.namespace,
-        )
+        job = resolved.job(namespace=self.namespace, pool=pool)
         #: The plan the resident ranks run under; every :meth:`submit`
         #: reports against it.
         self.plan = job.plan
-
-        def serve() -> None:
-            try:
-                job.run(timeout=ttl)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via submit
-                self._thread_error = exc
-                self.poisoned = True
-
-        self._thread = threading.Thread(
-            target=serve, daemon=True, name=f"worker-world-{self.namespace}"
+        ranks = job.ranks()
+        if not all(isinstance(rank, ExecRank) for rank in ranks):
+            raise ServiceError("a resident world's programs must be named in its pool")
+        self._metas = [rank.meta for rank in ranks]
+        self._launch = ProcLaunch(
+            ranks, resolved.config, labels=self.plan.labels, namespace=self.namespace, pool=pool
         )
-        self._thread.start()
+
+    @property
+    def poisoned(self) -> bool:
+        """Whether a job failed, died or timed out here: the world runs
+        nothing more."""
+        return self._launch.poisoned
 
     def submit(
         self,
@@ -322,69 +253,29 @@ class WorkerWorld:
         env_vars: Mapping[str, str],
         timeout: float,
     ) -> JobResult:
-        """Dispatch one job to every resident rank and collect their
-        outcomes against the world's plan.  Serialized — a resident world
-        runs one job at a time.  Any failure or timeout poisons the world."""
+        """Run one job on every resident rank and collect their outcomes
+        against the world's plan.  Serialized — a resident world runs one
+        job at a time.  A :class:`ServiceError` means no rank received
+        the job (the world is poisoned or closed, or a rank exited since
+        the last job); once it is sent, any failure or timeout poisons
+        the world."""
+        metas = [
+            (name, replace(env, argv=tuple(argvs[env.exe_index]), vars=dict(env_vars)))
+            for name, env in self._metas
+        ]
         with self._lock:
-            if self.poisoned or self._closed:
-                raise ServiceError(
-                    f"worker world {self.namespace} is "
-                    + ("closed" if self._closed else "poisoned")
-                )
-            task = (job_id, [tuple(a) for a in argvs], dict(env_vars))
-            for q in self._task_queues:
-                q.put(task)
-            deadline = time.monotonic() + timeout
-            got: Dict[int, ProcResult] = {}
-            while len(got) < self.size:
-                if self._thread_error is not None:
-                    self.poisoned = True
-                    raise ServiceError(
-                        f"resident world {self.namespace} died: {self._thread_error}"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.poisoned = True
-                    raise TimeoutError_(
-                        f"job {job_id} exceeded its {timeout}s budget on the "
-                        f"resident world (world poisoned)"
-                    )
-                try:
-                    jid, rank, ok, value, cpu_seconds, wall_seconds = self._result_queue.get(
-                        timeout=min(0.2, remaining)
-                    )
-                except queue.Empty:
-                    continue
-                if jid != job_id:
-                    continue  # stale frame from a poisoned predecessor
-                got[rank] = ProcResult(
-                    rank,
-                    value if ok else None,
-                    None if ok else value,
-                    cpu_seconds=cpu_seconds,
-                    wall_seconds=wall_seconds,
-                )
-            if any(p.exception is not None for p in got.values()):
-                self.poisoned = True
-            self.jobs_run += 1
-            return JobResult(**vars(self.plan), procs=[got[r] for r in sorted(got)])
-
-    def close(self, timeout: float = 10.0) -> None:
-        """Send every rank its shutdown sentinel and join the serve
-        thread.  Idempotent; a wedged world is abandoned to its ttl."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        for q in self._task_queues:
             try:
-                q.put(None)
-            except (ValueError, OSError):  # pragma: no cover - defensive
-                pass
-        self._thread.join(timeout)
-        for q in self._task_queues + [self._result_queue]:
-            q.close()
-            q.cancel_join_thread()
+                procs = self._launch.run(timeout, metas)
+            except LaunchError as exc:
+                raise ServiceError(f"job {job_id} not run on {self.namespace}: {exc}") from exc
+        return JobResult(**vars(self.plan), procs=procs)
+
+    def close(self) -> None:
+        """Give the processes back to the pool — or, poisoned, retire
+        them — and sweep the world's socket directory.  Waits for a job
+        in flight; idempotent."""
+        with self._lock:
+            self._launch.close()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +315,16 @@ def _outcome(
     return outcome
 
 
+def _traffic(result: JobResult) -> List[Any]:
+    """:attr:`JobOutcome.traffic` of a launch's per-rank *result*."""
+    return [
+        None
+        if p.traffic is None
+        else {**vars(p.traffic), "cpu_seconds": p.cpu_seconds, "wall_seconds": p.wall_seconds}
+        for p in result.procs
+    ]
+
+
 class JobRuntime:
     """Executes validated job documents against a program catalog.
 
@@ -436,41 +337,33 @@ class JobRuntime:
     max_resident :
         How many resident worker worlds to keep (LRU-evicted beyond
         this; 0 disables the warm path entirely).
-    resident_ttl :
-        Wall-clock budget of each resident world's launch.
     """
 
-    def __init__(
-        self,
-        programs: Mapping[str, Callable],
-        *,
-        max_resident: int = 2,
-        resident_ttl: float = 600.0,
-    ):
+    def __init__(self, programs: Mapping[str, Callable], *, max_resident: int = 2):
         self.programs = dict(programs)
         self.layouts = LayoutCache()
         self.max_resident = max_resident
-        self.resident_ttl = resident_ttl
         self._resident: "OrderedDict[str, WorkerWorld]" = OrderedDict()
         self._resident_lock = threading.Lock()
         self._seq = itertools.count()
-        #: The parked rank processes isolated process-backend jobs run
-        #: on, forked by the launches that come up short: a runtime that
-        #: never runs such a job forks nothing.
+        #: The parked rank processes process-backend jobs run on —
+        #: isolated ones and resident worlds alike — forked by the
+        #: launches that come up short: a runtime that never runs such a
+        #: job forks nothing.
         self._pool = rank_pool(self.programs)
         # A runtime dropped without close() strands no resident world: at
         # interpreter exit this runs before multiprocessing joins its
-        # children, which would otherwise wait on the parked ranks for
-        # their world's whole ttl — and, being above 10, before the task
-        # queues' own finalizers stop the threads that feed them.
+        # children, which would otherwise wait on the lingering ranks
+        # for good — and, being above 10, before the pool's own
+        # finalizer retires the processes the worlds give back.
         multiprocessing.util.Finalize(
             self, JobRuntime._close_resident, args=(self._resident, self._resident_lock),
             exitpriority=20,
         )
         self.stats = {
             "jobs": 0, "warm": 0, "cold": 0, "worlds_built": 0, "worlds_poisoned": 0,
-            # isolated process-backend ranks: forked into the rank pool /
-            # played by a process already parked there
+            # process-backend ranks: forked into the rank pool / played
+            # by a process already parked there
             "ranks_forked": 0, "ranks_reused": 0,
         }
 
@@ -573,8 +466,6 @@ class JobRuntime:
             and rt.pool == 0
             # per-job artifacts (process log files) need per-job children
             and "logs" not in resolved.document.output.save
-            # traffic counters are only collected by isolated runs
-            and "traffic" not in resolved.document.output.save
             # seeds are thread-only by document validation, so no check
         )
 
@@ -598,11 +489,11 @@ class JobRuntime:
         evicted: List[WorkerWorld] = []
         with self._resident_lock:
             world = self._resident.get(resolved.layout_key)
-            if world is not None and (world.poisoned or not world._thread.is_alive()):
+            if world is not None and world.poisoned:
                 evicted.append(self._resident.pop(resolved.layout_key))
                 world = None
             if world is None:
-                world = WorkerWorld(resolved, ttl=self.resident_ttl)
+                world = WorkerWorld(resolved, self._pool)
                 self._resident[resolved.layout_key] = world
                 self.stats["worlds_built"] += 1
                 fresh = True
@@ -612,8 +503,8 @@ class JobRuntime:
             else:
                 self._resident.move_to_end(resolved.layout_key)
         # close() can block for a long time (an evictee mid-job holds its
-        # submit lock for up to the job's timeout, then the serve thread
-        # join) — never hold the pool lock across it, or every other
+        # submit lock for up to the job's timeout, then the reap) — never
+        # hold the pool lock across it, or every other
         # dispatch/evict/close stalls behind this one.
         for old in evicted:
             old.close()
@@ -623,20 +514,26 @@ class JobRuntime:
         try:
             result = world.submit(job_id, argvs, {}, timeout=resolved.document.runtime.timeout)
         except ServiceError:
-            # Dead/stale world: evict and (once) retry cold.
+            # No rank received the job: evict and (once) retry cold.
             self._evict(resolved.layout_key, world)
             return None
-        except TimeoutError_ as exc:
+        except Exception as exc:  # noqa: BLE001 - the job's, as on the isolated path
             self._evict(resolved.layout_key, world)
             self.stats["cold" if fresh else "warm"] += 1
-            return _outcome(resolved, job_id, start, warm=not fresh, error=str(exc))
+            return _outcome(
+                resolved, job_id, start, warm=not fresh, error=f"{type(exc).__name__}: {exc}"
+            )
+        finally:
+            self._count_pool()
         if result.failures():
             self._evict(resolved.layout_key, world)
             self.stats["worlds_poisoned"] += 1
         # Match the per-outcome warm flag: a freshly built resident world
         # paid the cold cost even though it will serve later jobs warm.
         self.stats["cold" if fresh else "warm"] += 1
-        return _outcome(resolved, job_id, start, warm=not fresh, result=result)
+        return _outcome(
+            resolved, job_id, start, warm=not fresh, result=result, traffic=_traffic(result)
+        )
 
     def _execute_isolated(
         self, resolved: ResolvedJob, job_id: str, *, log_dir: Optional[str] = None
@@ -662,15 +559,12 @@ class JobRuntime:
             )
         finally:
             if pool is not None:
-                with self._resident_lock:
-                    self.stats.update(ranks_forked=pool.forked, ranks_reused=pool.reused)
-        traffic = [
-            None
-            if p.traffic is None
-            else {**asdict(p.traffic), "cpu_seconds": p.cpu_seconds, "wall_seconds": p.wall_seconds}
-            for p in result.procs
-        ]
-        return _outcome(resolved, job_id, start, warm=False, result=result, traffic=traffic)
+                self._count_pool()
+        return _outcome(resolved, job_id, start, warm=False, result=result, traffic=_traffic(result))
+
+    def _count_pool(self) -> None:
+        with self._resident_lock:
+            self.stats.update(ranks_forked=self._pool.forked, ranks_reused=self._pool.reused)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -682,7 +576,7 @@ class JobRuntime:
         stays and the handed-in instance is closed anyway (close is
         idempotent).  The close itself always runs *outside* the pool
         lock: it can block for the length of an in-flight job plus the
-        serve-thread join, and nothing else may stall behind that.
+        reap, and nothing else may stall behind that.
         """
         with self._resident_lock:
             current = self._resident.get(key)

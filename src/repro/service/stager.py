@@ -15,9 +15,9 @@ One directory per job id, containing whatever the document's
   deliberately kept out of this file.
 * ``document.json`` — the submitted document's canonical JSON
   (``"document"`` in the save list): the replay artifact.
-* ``traffic.json`` — per-rank wire counters, and beside them each rank's
-  ``cpu_seconds`` / ``wall_seconds``, when the run collected them
-  (``"traffic"``; isolated runs only).
+* ``traffic.json`` — per-rank counters of the job's own traffic, and
+  beside them each rank's ``cpu_seconds`` / ``wall_seconds``
+  (``"traffic"``; isolated and resident runs alike).
 * ``result.pkl`` — a pickle of the raw values (``format: "pickle"``),
   for results that don't survive the JSON round-trip.
 * ``meta.json`` — always.  The backend-dependent sidecar: elapsed time,

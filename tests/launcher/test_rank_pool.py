@@ -312,8 +312,8 @@ class TestSameJob:
             _assert_job_left_nothing(job_id)
 
 
-def _document(config, natm, program=None, save=("values", "traffic")):
-    runtime = {"backend": "process", "transport": config.transport, "reuse_world": False,
+def _document(config, natm, program=None, save=("values", "traffic"), warm=False):
+    runtime = {"backend": "process", "transport": config.transport, "reuse_world": warm,
                "timeout": 60.0}
     if config.nodes is not None:
         runtime["nodes"] = config.nodes
@@ -447,10 +447,12 @@ class TestHygiene:
         for inodes in plain + pooled:
             assert not ours & set(inodes)
 
-    def test_dropped_runtime_strands_nothing(self, proc_config):
-        runtime = JobRuntime(CATALOG, max_resident=0)
-        outcome = runtime.execute(JobDocument.from_spec(_document(proc_config, 2)))
-        assert outcome.ok
+    @pytest.mark.parametrize("max_resident", [0, 2], ids=["isolated", "resident"])
+    def test_dropped_runtime_strands_nothing(self, proc_config, max_resident):
+        runtime = JobRuntime(CATALOG, max_resident=max_resident)
+        outcome = runtime.execute(JobDocument.from_spec(_document(proc_config, 2, warm=max_resident > 0)))
+        assert outcome.ok and outcome.warm is False
+        assert runtime.stats["worlds_built"] == (max_resident > 0)
         pids = [v[0] for vs in outcome.values.values() for v in vs]
         assert all(_alive(pid) for pid in pids)
         del runtime, outcome
@@ -458,9 +460,15 @@ class TestHygiene:
         assert _gone(pids)
         assert multiprocessing.active_children() == []
 
-    def test_sigkill_of_the_service_leaves_no_parked_process(self, proc_config, tmp_path):
-        """The parked processes of a service that dies without a word
-        see EOF on their park connections and exit."""
+    @pytest.mark.parametrize("max_resident", [0, 2], ids=["isolated", "resident"])
+    def test_sigkill_of_the_service_leaves_no_parked_process(
+        self, proc_config, tmp_path, short_tmp, max_resident
+    ):
+        """The processes of a service that dies without a word — parked,
+        or the ranks of a resident world between its jobs — see EOF on
+        their connections to it and exit.  (The socket directory of a
+        resident world is the dead service's to sweep, so it runs in a
+        temp dir of its own.)"""
         script = tmp_path / "service.py"
         script.write_text(textwrap.dedent(f"""
             import sys, time
@@ -471,14 +479,16 @@ class TestHygiene:
 
             config = WorldConfig(backend="process", transport={proc_config.transport!r},
                                  nodes={proc_config.nodes!r})
-            runtime = JobRuntime(CATALOG, max_resident=0)
+            runtime = JobRuntime(CATALOG, max_resident={max_resident})
             for _ in range(2):
-                outcome = runtime.execute(JobDocument.from_spec(_document(config, 2)))
-            assert outcome.ok and runtime.stats["ranks_reused"] == 3, outcome.error
+                document = _document(config, 2, warm={max_resident > 0})
+                outcome = runtime.execute(JobDocument.from_spec(document))
+            served = runtime.stats["warm" if {max_resident} else "ranks_reused"]
+            assert outcome.ok and served == {1 if max_resident else 3}, outcome.error
             print(*[v[0] for vs in outcome.values.values() for v in vs], flush=True)
             time.sleep(60.0)
         """))
-        env = dict(os.environ)
+        env = dict(os.environ, TMPDIR=str(short_tmp))
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         service = subprocess.Popen(

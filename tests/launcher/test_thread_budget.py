@@ -696,7 +696,7 @@ class TestRankCost:
                         "reuse_world": True, "timeout": 60.0},
         }
         with JobRuntime({"burn": burn}) as runtime:
-            world = WorkerWorld(runtime.resolve(JobDocument.from_spec(spec)))
+            world = WorkerWorld(runtime.resolve(JobDocument.from_spec(spec)), runtime._pool)
             try:
                 for job in range(2):
                     result = world.submit(f"j{job}", [()], {}, timeout=60.0)

@@ -155,7 +155,7 @@ class TestReservePoolMapping:
         assert pool.program == POOL_PROGRAM and pool.nprocs == 2
         assert resolved.world_size == 4
         # A pool job is never warm-eligible: its reserve ranks park in
-        # await_assignment and cannot serve a resident loop.
+        # await_assignment and cannot be run again by a resident world.
         assert not runtime._warm_eligible(resolved)
 
         outcome = runtime.execute_resolved(resolved, "pool-job")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import AdmissionError, ServiceError
+from repro import components_setup
+from repro.errors import AdmissionError, ChildExitError, ServiceError
 from repro.service import (
     JobDocument,
     JobRuntime,
@@ -32,6 +34,18 @@ from repro.service import (
 )
 
 from tests.service.conftest import PROGRAMS, coupled_doc
+
+
+def dier(comm, env):
+    """Appends its component's name to the file ``argv[0]`` names, one
+    line per rank and execution; world rank 1 then exits without a word
+    when ``--die`` is given."""
+    components_setup(comm, env.program, env=env)
+    with open(env.argv[0], "a") as log:
+        log.write(env.program + "\n")
+    if "--die" in env.argv and comm.rank == 1:
+        os._exit(3)
+    return env.program
 
 
 def _solo_spec(name="solo-job", **runtime) -> dict:
@@ -194,19 +208,24 @@ class TestWarmPath:
         assert runtime.stats["worlds_built"] == 0
         assert runtime.stats["cold"] == 2
 
-    def test_traffic_request_forces_isolated_path(self):
-        """A resident world never collects wire counters, so an explicit
-        ``"traffic"`` request must route to the isolated path instead of
-        silently staging without traffic.json."""
-        runtime = JobRuntime(PROGRAMS, max_resident=2)
-        spec = _solo_spec(backend="process", timeout=60.0)
+    def test_a_traffic_request_rides_the_resident_world(self, tmp_path):
+        """A resident world's result frames carry each job's own
+        counters, so an explicit ``"traffic"`` request stays warm and two
+        identical jobs stage the same message counts."""
+        spec = coupled_doc("process")
         spec["output"] = {"save": ["values", "traffic"]}
         doc = JobDocument.from_spec(spec)
-        with runtime:
-            outcome = runtime.execute(doc, "traffic-iso")
-        assert outcome.ok and not outcome.warm
-        assert outcome.traffic is not None
-        assert runtime.stats["worlds_built"] == 0
+        stager = ResultStager(tmp_path)
+        with JobRuntime(PROGRAMS, max_resident=2) as runtime:
+            outcomes = [runtime.execute(doc, f"traffic-{i}") for i in range(2)]
+        assert all(o.ok for o in outcomes), [o.error for o in outcomes]
+        assert [o.warm for o in outcomes] == [False, True]
+        assert runtime.stats["worlds_built"] == 1
+        staged = [
+            json.loads((stager.stage(o, doc) / "traffic.json").read_text()) for o in outcomes
+        ]
+        messages = [[rank["messages"] for rank in ranks] for ranks in staged]
+        assert messages[0] == messages[1] and sum(messages[0]) > 0
 
     def test_max_resident_zero_disables_the_warm_path(self):
         runtime = JobRuntime(PROGRAMS, max_resident=0)
@@ -232,6 +251,54 @@ class TestWarmPath:
             assert runtime.execute(small, "lru-c").ok  # rebuilt
         assert runtime.stats["worlds_built"] == 3
         assert len(runtime._resident) <= 1
+
+    def test_an_evicted_clean_world_parks_its_processes(self):
+        """A clean resident world gives its processes back to the pool
+        when it is evicted: the next isolated job is played by them."""
+        runtime = JobRuntime(PROGRAMS, max_resident=1)
+        big = _solo_spec("big", backend="process", timeout=60.0)
+        big["components"][0]["nprocs"] = 2
+        small = _solo_spec(backend="process", timeout=60.0)
+        isolated = dict(big, runtime=dict(big["runtime"], reuse_world=False))
+        with runtime:
+            assert runtime.execute(JobDocument.from_spec(big), "park-a").ok
+            assert runtime.execute(JobDocument.from_spec(small), "park-b").ok  # evicts big's
+            reused = runtime.stats["ranks_reused"]
+            outcome = runtime.execute(JobDocument.from_spec(isolated), "park-c")
+            assert outcome.ok and not outcome.warm, outcome.error
+            assert runtime.stats["ranks_reused"] > reused
+        assert runtime.stats["worlds_built"] == 2 and runtime.stats["worlds_poisoned"] == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("clean_jobs", [0, 1], ids=["first-job", "later-job"])
+    def test_a_silent_death_fails_its_job_once(self, tmp_path, clean_jobs):
+        """A rank that exits without a word fails the job it was running
+        — once, with the dead component named, whether the world was
+        built for that job or ran others first — and the next job of the
+        layout gets a fresh world."""
+        log = tmp_path / "executions"
+
+        def spec(*argv):
+            return {
+                "name": "silent",
+                "components": [{"name": "atm", "nprocs": 2, "program": "dier",
+                                "argv": [str(log), *argv]}],
+                "runtime": {"backend": "process", "timeout": 60.0},
+            }
+
+        with JobRuntime({"dier": dier}, max_resident=2) as runtime:
+            for i in range(clean_jobs):
+                assert runtime.execute(JobDocument.from_spec(spec()), f"clean-{i}").ok
+            died = runtime.execute(JobDocument.from_spec(spec("--die")), "silent")
+            # one line per rank and execution: this job ran once
+            assert log.read_text().splitlines() == ["atm", "atm"] * (clean_jobs + 1)
+            assert not died.ok and died.warm == bool(clean_jobs)
+            assert [(rank, component, type(exc)) for rank, component, exc in died.failures] == [
+                (1, "atm", ChildExitError)
+            ]
+            again = runtime.execute(JobDocument.from_spec(spec()), "again")
+            assert again.ok, (again.error, again.failures)
+        assert runtime.stats["worlds_built"] == 2
 
 
 UNCLOSED = """
