@@ -4,10 +4,10 @@ The MPH paper's coupler exchanges fixed fluxes once per step (explicit
 coupling); this package supplies what tightly coupled multi-physics needs
 on the same infrastructure: implicit coupled solvers (Gauss-Seidel,
 Jacobi, Aitken, IQN-ILS), composable convergence criteria, interface
-predictors, and non-conformal interface mappers — each a
-:class:`~repro.coupling.component.Component` with the same lifecycle, and
-a driver/participant protocol that runs them over ``MPH_comm_join``
-communicators on any execution backend.
+predictors and named-field interface layouts — each a
+:class:`~repro.coupling.component.Component` with the same lifecycle.
+CCSM's implicit coupler (:mod:`repro.climate.ccsm`) builds its
+iterate-to-convergence step from them.
 """
 
 from repro.coupling.component import Component
@@ -19,20 +19,7 @@ from repro.coupling.criteria import (
     Or,
     RelativeNorm,
 )
-from repro.coupling.driver import (
-    CouplingDriver,
-    LinearParticipant,
-    Participant,
-    ParticipantModel,
-    serve_participant,
-)
 from repro.coupling.interface import InterfaceSpec, join_specs
-from repro.coupling.mappers import (
-    ConservativeGridMapper,
-    LinearMapper,
-    Mapper,
-    NearestNeighbourMapper,
-)
 from repro.coupling.predictors import (
     ConstantPredictor,
     LinearPredictor,
@@ -64,10 +51,6 @@ __all__ = [
     "ConstantPredictor",
     "LinearPredictor",
     "QuadraticPredictor",
-    "Mapper",
-    "NearestNeighbourMapper",
-    "LinearMapper",
-    "ConservativeGridMapper",
     "CoupledSolver",
     "SolveResult",
     "GaussSeidelSolver",
@@ -76,9 +59,4 @@ __all__ = [
     "IQNILSSolver",
     "compose_operators",
     "joint_operator",
-    "CouplingDriver",
-    "Participant",
-    "ParticipantModel",
-    "LinearParticipant",
-    "serve_participant",
 ]

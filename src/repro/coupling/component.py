@@ -1,7 +1,7 @@
 """The coupling-component lifecycle contract.
 
 Every building block of the coupling layer — coupled solvers, convergence
-criteria, predictors, mappers — is a :class:`Component` with the same four
+criteria, predictors — is a :class:`Component` with the same four
 lifecycle hooks, so a coupling scheme is assembled from interchangeable
 parts and a new solver or criterion drops in without touching the driver
 or the transport (the CoCoNuT decomposition):
@@ -24,7 +24,7 @@ from repro.errors import CouplingError
 
 class Component:
     """Base class of every coupling component (solver, criterion,
-    predictor, mapper).
+    predictor).
 
     Subclasses override the hooks they need; all overrides must call
     ``super()`` so the lifecycle bookkeeping stays consistent.

@@ -1,7 +1,7 @@
 """Interface data: the named fields a coupling iteration converges on.
 
 Coupled solvers do linear algebra on one flat vector; convergence criteria
-and mappers want *fields* (per-variable, per-discretization).  An
+and the component models want *fields* (per-variable, per-discretization).  An
 :class:`InterfaceSpec` fixes the bridge once — an ordered set of named
 fields with shapes — and packs/unpacks between ``{name: array}`` dicts and
 the flat iterate vector deterministically (field declaration order, C

@@ -8,8 +8,12 @@ machine where ranks can die:
   bitwise identical to an uninterrupted one;
 * **degradation** — a whole surface component dies fail-stop and the
   coupler drops it, finishing the run over the survivors.
+
+Implicit coupling drops nobody: a rank that dies inside an iteration
+ends the run, with every survivor's diagnostics naming it.
 """
 
+import re
 import time
 
 import numpy as np
@@ -287,3 +291,42 @@ class TestFailStopDegradation:
             assert out[kind]["degraded"]
         for kind in ("ocean", "land", "ice"):  # stalled in the crash step
             assert len(out[kind]["mean_T"]) == 1 + self.CRASH_STEP
+
+
+class TestImplicitFailStop:
+    """A rank dies fail-stop inside an implicit coupling step, between
+    two rounds of the iterate-to-convergence exchange.  The implicit
+    coupler drops nobody: an iteration cannot converge without every
+    surface, so the run ends — fast, with the dead rank named on every
+    survivor — instead of hanging on a trial flux nobody computes."""
+
+    NSTEPS = 5
+    CRASH_STEP = 2
+    VICTIM = 6  # the first land rank (scme block layout)
+
+    def test_crash_mid_iterate_ends_every_survivor_degraded(self, fault_seed):
+        cfg = CCSMConfig(nsteps=self.NSTEPS, coupling="implicit")
+        tops = first_ops_of_steps(cfg)
+        # Past the step's first operation, at a point the fault_seed sweep
+        # moves (CI's chaos matrix pins one per leg); every offset lands
+        # inside the step, before the rank's next one.
+        at_op = tops[self.VICTIM][self.CRASH_STEP] + 1 + 2 * fault_seed
+        assert at_op < tops[self.VICTIM][self.CRASH_STEP + 1]
+        sched = FaultSchedule(seed=3).crash_rank(self.VICTIM, at_op=at_op)
+        t0 = time.monotonic()
+        out = run_ccsm(
+            "scme", cfg, config=WorldConfig(fault_schedule=sched), timeout=90.0
+        )
+        elapsed = time.monotonic() - t0
+        assert sched.fired() == [f"crash rank {self.VICTIM} at op {at_op}"]
+        assert elapsed < 30.0
+        # Components stall in the step, blocked on the dead rank; the
+        # coupler fails its next send to it or receive from it.
+        for kind in MODEL_KINDS:
+            assert f"world rank(s) [{self.VICTIM}] died" in out[kind]["degraded"]
+            assert len(out[kind]["mean_T"]) == 1 + self.CRASH_STEP, kind
+        assert re.match(
+            rf"(receive from|delivery to) failed world rank {self.VICTIM}\b",
+            out["coupler"]["degraded"],
+        )
+        assert len(out["coupler"]["coupling_iterations"]) == self.CRASH_STEP

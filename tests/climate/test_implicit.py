@@ -4,10 +4,10 @@ paper's coupled system.
 Implicit mode replaces the one fixed flux exchange per step with an
 iterate-to-convergence loop (a :mod:`repro.coupling` solver over the
 interface temperatures), so the fluxes are computed from the *converged*
-state.  These tests pin the mode's diagnostics, its transport
-independence (p2p == join, bitwise), energy conservation, the
-accelerated solvers and predictors, sub-cycling, and every configuration
-guard."""
+state.  These tests pin the mode's diagnostics, its transport and
+schedule independence (p2p == join, and every swept match order ==
+none, bitwise), energy conservation, the accelerated solvers and
+predictors, sub-cycling, and every configuration guard."""
 
 import numpy as np
 import pytest
@@ -95,6 +95,30 @@ class TestTransportIndependence:
             np.testing.assert_array_equal(
                 diags[kind]["final_field"], implicit_reference[kind]["final_field"]
             )
+
+
+class TestScheduleIndependence:
+    """How the message schedule interleaves the implicit loop's rounds
+    must not move one bit of the result: a run under every swept match
+    order reproduces the unswept run."""
+
+    @pytest.mark.schedule_sweep(5)
+    @pytest.mark.parametrize("solver", ["gauss_seidel", "aitken", "iqn_ils"])
+    def test_swept_run_matches_unswept_bitwise(self, sweep_config, solver):
+        cfg = implicit_cfg(
+            procs=dict(PROCS, atmosphere=2, ocean=2), coupling_solver=solver
+        )
+        plain = run_ccsm("scme", cfg)
+        swept = run_ccsm("scme", cfg, config=sweep_config())
+        for kind in MODEL_KINDS:
+            assert (
+                swept[kind]["final_field"].tobytes()
+                == plain[kind]["final_field"].tobytes()
+            ), kind
+            for field in ("mean_T", "energy"):
+                assert swept[kind][field] == plain[kind][field], (kind, field)
+        for field in ("coupling_iterations", "exchange_residual"):
+            assert swept["coupler"][field] == plain["coupler"][field], field
 
 
 class TestConservation:

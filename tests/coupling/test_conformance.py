@@ -1,215 +1,21 @@
-"""Coupling-loop conformance across execution backends.
+"""The implicit CCSM coupler across execution backends.
 
-The tentpole contract: the implicit coupling loop — solver on the coupler,
-participants behind ``MPH_comm_join`` command servers — runs *unchanged*
-on the thread and process backends (CI adds the process+shm leg via
-``--mpi-transport shm``), and its numbers are bitwise identical to the
-same solver iterating the same operator serially, because all transport
-does is move the bytes.
+CCSM's implicit step is the coupling iteration this repository runs: a
+:mod:`repro.coupling` solver on the coupler iterates the flux exchange
+with every component to convergence.  Here it runs over §5.1 join
+communicators with per-component sub-cycling — solvers, criteria,
+``InterfaceSpec`` and the MPH handle together — on the thread and
+process backends (CI adds the process+shm leg via ``--mpi-transport
+shm``).  Its bitwise and schedule properties are pinned on the default
+world by ``tests/climate/test_implicit.py``.
 
 Run with ``--mpi-backend thread|process|both`` to select backends; the
 session-scoped leak fixture asserts zero surviving shm segments.
 """
 
 import numpy as np
-import pytest
 
-from repro import components_setup
 from repro.climate.ccsm import CCSMConfig, MODEL_KINDS, run_ccsm
-from repro.coupling import (
-    AbsoluteNorm,
-    CouplingDriver,
-    GaussSeidelSolver,
-    InterfaceSpec,
-    JacobiSolver,
-    LinearParticipant,
-    LinearPredictor,
-    Participant,
-    serve_participant,
-)
-from repro.launcher.job import mph_run
-
-REG = "BEGIN\ncoupler\np1\np2\nEND"
-
-N = 6
-A1 = 0.5 * np.diag(np.linspace(1.0, 0.4, N))
-B1 = np.linspace(0.5, 1.0, N)
-A2 = np.diag(np.linspace(1.0, 0.7, N))
-B2 = np.full(N, 0.1)
-SPEC_FIELDS = [("u", (N,))]
-TOL = 1e-9
-
-
-def serial_reference(solver, n_steps):
-    """The same solver iterating the same ring operator, no MPI."""
-
-    def op(x):
-        return A2 @ (A1 @ x + B1) + B2
-
-    solver.initialize()
-    out = []
-    x0 = np.zeros(N)
-    for _ in range(n_steps):
-        solver.initialize_solution_step()
-        res = solver.solve_solution_step(x0, op)
-        solver.finalize_solution_step()
-        out.append(res)
-        x0 = res.x  # the driver warm-starts from the converged vector
-    solver.finalize()
-    return out
-
-
-def coupler_gs(world, env):
-    mph = components_setup(world, "coupler", env=env)
-    spec = InterfaceSpec(SPEC_FIELDS)
-    driver = CouplingDriver(
-        mph,
-        GaussSeidelSolver(AbsoluteNorm(TOL), max_iterations=80),
-        [Participant("p1", spec), Participant("p2", spec)],
-    )
-    driver.initialize()
-    results = driver.solve(2)
-    driver.close()
-    return [
-        (r.iterations, r.converged, r.x.tobytes(), tuple(r.residual_norms))
-        for r in results
-    ]
-
-
-def participant_p1(world, env):
-    mph = components_setup(world, "p1", env=env)
-    half = N // 2
-    rows = slice(0, half) if mph.local_proc_id() == 0 else slice(half, N)
-    return serve_participant(mph, LinearParticipant(A1, B1, rows=rows))
-
-
-def participant_p2(world, env):
-    mph = components_setup(world, "p2", env=env)
-    return serve_participant(mph, LinearParticipant(A2, B2))
-
-
-class TestImplicitLoopConformance:
-    def test_gauss_seidel_matches_serial_bitwise(self, backend_config):
-        """Iterate-to-convergence over joins == the serial iteration,
-        bit for bit, on every backend (multi-rank participant included)."""
-        result = mph_run(
-            [(coupler_gs, 1), (participant_p1, 2), (participant_p2, 1)],
-            registry=REG,
-            config=backend_config,
-            timeout=120.0,
-        )
-        got = result.by_executable(0)[0]
-        ref = serial_reference(
-            GaussSeidelSolver(AbsoluteNorm(TOL), max_iterations=80), 2
-        )
-        assert len(got) == 2
-        for (iters, converged, xbytes, norms), expect in zip(got, ref):
-            assert converged and expect.converged
-            assert iters == expect.iterations
-            assert xbytes == expect.x.tobytes()
-            assert norms == tuple(expect.residual_norms)
-
-        # The participants saw exactly the protocol the driver claims:
-        # one evaluation per solver iteration, both steps committed.
-        total_iters = sum(r[0] for r in got)
-        for exe in (1, 2):
-            for summary in result.by_executable(exe):
-                assert summary["steps"] == 2
-                assert summary["evaluations"] == total_iters
-                assert summary["degraded"] == 0
-
-
-class TestPredictorWarmStart:
-    @staticmethod
-    def _coupler(predictor):
-        def run(world, env):
-            mph = components_setup(world, "coupler", env=env)
-            spec = InterfaceSpec(SPEC_FIELDS)
-            solver = GaussSeidelSolver(AbsoluteNorm(1e-8), max_iterations=80)
-            driver = CouplingDriver(
-                mph,
-                solver,
-                [Participant("p1", spec), Participant("p2", spec)],
-                predictor=LinearPredictor() if predictor else None,
-            )
-            driver.initialize()
-            driver.solve(4)
-            driver.close()
-            return list(solver.iterations_per_step)
-
-        return run
-
-    @staticmethod
-    def _drifting_p1(world, env):
-        mph = components_setup(world, "p1", env=env)
-
-        class Drifting(LinearParticipant):
-            def begin_step(self, step):
-                # The interface's fixed point moves linearly in step — a
-                # linear predictor extrapolates it exactly.
-                self.offset = B1 + 0.5 * step * np.ones(N)
-
-        return serve_participant(mph, Drifting(A1, B1))
-
-    def test_predictor_cuts_iterations_on_drifting_interface(self, backend_config):
-        with_pred, without = (
-            mph_run(
-                [
-                    (self._coupler(predictor), 1),
-                    (self._drifting_p1, 1),
-                    (participant_p2, 1),
-                ],
-                registry=REG,
-                config=backend_config,
-                timeout=120.0,
-            ).by_executable(0)[0]
-            for predictor in (True, False)
-        )
-        # Step 0 has no history in either run: identical cold start.
-        assert with_pred[0] == without[0]
-        # Once two converged steps exist, linear extrapolation is exact on
-        # the linearly drifting fixed point: the warm-started steps are
-        # near-instant and strictly cheaper than the predictor-less run.
-        assert sum(with_pred[2:]) < sum(without[2:])
-        assert max(with_pred[2:]) <= 4
-
-
-class TestJacobiWave:
-    @staticmethod
-    def _coupler(world, env):
-        mph = components_setup(world, "coupler", env=env)
-        spec = InterfaceSpec(SPEC_FIELDS)
-        driver = CouplingDriver(
-            mph,
-            JacobiSolver(AbsoluteNorm(TOL), max_iterations=200),
-            [Participant("p1", spec), Participant("p2", spec)],
-        )
-        driver.initialize()
-        (res,) = driver.solve(1)
-        driver.close()
-        return (res.iterations, res.converged, res.x.tobytes())
-
-    def test_parallel_mode_converges_on_joint_iterate(self, backend_config):
-        """Jacobi posts every participant's evaluation before collecting
-        any (the concurrent wave); the joint fixed point satisfies the
-        cross equations."""
-        result = mph_run(
-            [(self._coupler, 1), (participant_p1, 2), (participant_p2, 1)],
-            registry=REG,
-            config=backend_config,
-            timeout=120.0,
-        )
-        iters, converged, xbytes = result.by_executable(0)[0]
-        assert converged
-        z = np.frombuffer(xbytes)
-        u, v = z[:N], z[N:]
-        # Ring: u is p1's input (p2's mapped output), v is p2's input.
-        np.testing.assert_allclose(v, A1 @ u + B1, atol=1e-8)
-        np.testing.assert_allclose(u, A2 @ v + B2, atol=1e-8)
-        # Both participants evaluated once per iteration — the wave shape.
-        for exe in (1, 2):
-            for summary in result.by_executable(exe):
-                assert summary["evaluations"] == iters
 
 
 class TestSubcycledCCSM:

@@ -1,5 +1,7 @@
 """Collective operations across sizes, on one node and over two."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -219,22 +221,27 @@ class TestReduceScatterBarrier:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_barrier_orders_side_effects(self, leg_spmd, config, n):
-        """After the barrier, every pre-barrier message must have arrived."""
+        """No rank leaves the barrier before every rank has entered it.
+
+        The stamps are ``CLOCK_MONOTONIC``, one clock system-wide, so they
+        compare across forked ranks too.  A message sent before the barrier
+        is received, not probed: MPI does not order a point-to-point
+        message against a barrier's release, only its eventual delivery."""
 
         def main(comm):
             if comm.rank == 0:
                 for d in range(1, comm.size):
                     comm.send("pre", d, tag=1)
+            enter = time.monotonic_ns()
             comm.barrier()
-            if comm.rank != 0:
-                st = comm.iprobe(source=0, tag=1)
-                assert st is not None, "pre-barrier message missing after barrier"
-                return comm.recv(source=0, tag=1)
-            return "root"
+            leave = time.monotonic_ns()
+            got = comm.recv(source=0, tag=1) if comm.rank != 0 else "root"
+            return enter, leave, got
 
         values = leg_spmd(n, main, config=config)
-        assert values[0] == "root"
-        assert all(v == "pre" for v in values[1:])
+        enters, leaves, got = zip(*values)
+        assert max(enters) <= min(leaves)
+        assert got == ("root",) + ("pre",) * (n - 1)
 
 
 class TestCollectiveSequencing:

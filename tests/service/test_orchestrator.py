@@ -319,10 +319,12 @@ UNCLOSED = """
 
 class TestUnclosedRuntime:
     def test_a_runtime_never_closed_lets_the_interpreter_exit(self, short_tmp):
-        """A resident world's ranks park in their task queue; left to
-        multiprocessing's exit handler they would be joined for the
-        world's whole ttl (600 s), and killing the process then strands
-        their sockdirs.  The runtime closes its resident worlds first."""
+        """A resident world's ranks wait between jobs on their
+        rendezvous connection, with no timeout; left to multiprocessing's
+        exit handler they would be joined for good, and killing the
+        process then strands their sockdirs.  The runtime's exit
+        finalizer closes its resident worlds first, which gives their
+        ranks back to the pool, whose own finalizer retires them."""
         root = Path(__file__).resolve().parents[2]
         inherited = os.environ.get("PYTHONPATH")
         env = dict(
