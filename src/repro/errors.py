@@ -174,8 +174,8 @@ class SessionError(MPHError):
 class CouplingError(MPHError):
     """Misuse of the coupling-algorithms layer (:mod:`repro.coupling`):
     mismatched interface specs, a solver driven outside its lifecycle,
-    a coupling loop that exhausted its iteration budget with
-    ``strict=True``, or mappers between incompatible discretizations."""
+    or a coupling loop that exhausted its iteration budget with
+    ``strict=True``."""
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ a zero-latency channel and a 50 ms channel run the same code.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,8 +60,9 @@ class GridChannel:
     latency :
         One-way delivery delay in seconds (default 0: instant).
     bandwidth :
-        Optional bytes/second; adds ``size / bandwidth`` to the delay, the
-        standard alpha–beta cost model.
+        Optional bytes/second (``None``: unlimited); adds
+        ``size / bandwidth`` to the delay, the standard alpha–beta cost
+        model.
     """
 
     def __init__(
@@ -71,14 +73,17 @@ class GridChannel:
     ):
         if len(set(clusters)) != len(clusters) or not clusters:
             raise ReproError(f"cluster names must be non-empty and distinct: {clusters}")
-        if latency < 0:
-            raise ReproError(f"latency must be >= 0, got {latency}")
+        if not (math.isfinite(latency) and latency >= 0):
+            raise ReproError(f"latency must be finite and >= 0, got {latency}")
+        if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ReproError(f"bandwidth must be None or finite and > 0, got {bandwidth}")
         self.clusters = list(clusters)
         self.latency = latency
         self.bandwidth = bandwidth
         self._cond = threading.Condition()
         self._queues: dict[str, list[GridEnvelope]] = {c: [] for c in clusters}
-        #: Total messages and bytes carried (for the benchmarks).
+        #: Total messages and bytes carried (the E16 hop count,
+        #: ``test_grid.py::TestCrossSiteMessaging::test_pingpong_pays_the_link_latency``).
         self.messages_carried = 0
         self.bytes_carried = 0
 

@@ -2,10 +2,12 @@
 (experiments E10 and E12)."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import components_setup, mph_run, multi_instance
 from repro.baselines.file_coupling import run_file_coupled
 from repro.baselines.independent_jobs import (
     perturbed_params,
@@ -15,10 +17,58 @@ from repro.baselines.independent_jobs import (
 )
 from repro.baselines.pcm_monolithic import StaticAllocation, hardwired_ranges, run_pcm_monolithic
 from repro.climate.ccsm import MODEL_KINDS, CCSMConfig, run_ccsm
+from repro.climate.components import OceanModel
 from repro.climate.grid import LatLonGrid
+from repro.core.ensemble import EnsembleCollector, EnsembleMember
 from repro.errors import ReproError
+from repro.mpi import World
 
 FAST_CFG = CCSMConfig(nsteps=2)
+
+
+def run_mime_ensemble(k: int, grid: LatLonGrid, nsteps: int, dt: float) -> list[float]:
+    """The §2.5 MIME campaign: k one-process instances and a statistics
+    executable in one job.  Returns the per-step median across members of
+    the area-weighted global mean, computed on the fly from what the
+    members report; nothing is written."""
+    lines = "\n".join(f"Member{i + 1} {i} {i} albedo={0.1 + 0.02 * i:.2f}" for i in range(k))
+    registry = f"BEGIN\nMulti_Instance_Begin\n{lines}\nMulti_Instance_End\nstats\nEND"
+
+    def member(world, env):
+        mph = multi_instance(world, "Member", env=env)
+        params = replace(OceanModel.default_params(), albedo=mph.get_argument("albedo", float))
+        model = OceanModel(mph.component_comm(), grid, params)
+        reporter = EnsembleMember(mph, "stats")
+        for step in range(nsteps):
+            model.step(dt)
+            reporter.report(step, model.temperature.data)
+
+    def stats(world, env):
+        mph = components_setup(world, "stats", env=env)
+        collector = EnsembleCollector.for_prefix(mph, "Member")
+        w = grid.area_weights
+        medians = []
+        for step in range(nsteps):
+            fields = collector.collect(step).fields.values()
+            # Summed in DistributedField.area_mean's order, so the
+            # baseline's member means compare bitwise.
+            medians.append(float(np.median([(f * w).sum(axis=1).sum() for f in fields])))
+        return medians
+
+    return mph_run([(member, k), (stats, 1)], registry=registry).by_executable(1)[0]
+
+
+def _scaled_config(scale: int) -> CCSMConfig:
+    """One step on grids ``scale`` times the small ones in each direction."""
+    return CCSMConfig(
+        nsteps=1,
+        shapes={
+            "atmosphere": (8 * scale, 16 * scale),
+            "ocean": (6 * scale, 12 * scale),
+            "land": (4 * scale, 8 * scale),
+            "ice": (4 * scale, 4 * scale),
+        },
+    )
 
 
 class TestPcmMonolithic:
@@ -33,12 +83,25 @@ class TestPcmMonolithic:
         for kind in MODEL_KINDS:
             np.testing.assert_array_equal(mono[kind]["final_field"], mph[kind]["final_field"])
 
-    def test_static_allocation_waste(self, mono):
+    @pytest.mark.parametrize(
+        "cfg, all_bytes, own_bytes",
+        [(FAST_CFG, 36_288, 1_728)]
+        + [(_scaled_config(s), 9_024 * s * s, 384 * s * s) for s in (1, 2, 4)],
+        ids=["default", "scale1", "scale2", "scale4"],
+    )
+    def test_static_allocation_waste(self, cfg, all_bytes, own_bytes):
         """E12: every process of the monolithic build carries every
-        module's statics."""
-        mem: StaticAllocation = mono["memory"]
-        assert mem.all_modules_bytes > mem.own_component_bytes
-        assert mem.waste_factor > 2.0
+        module's statics — three float64 full-grid arrays, 24 B a point,
+        with the coupler's on the atmosphere grid:
+        24 B x (2|atm| + |ocn| + |lnd| + |ice|).  An MPH build holds only
+        its own component's, so the worst process is the one whose own
+        grid is smallest: 21.0x at the default shapes, 23.5x at every
+        scale of the small ones."""
+        points = {kind: int(np.prod(cfg.shapes[kind])) for kind in MODEL_KINDS}
+        assert all_bytes == 24 * (points["atmosphere"] + sum(points.values()))
+        assert own_bytes == 24 * min(points.values())
+        mem: StaticAllocation = run_pcm_monolithic(cfg)["memory"]
+        assert (mem.all_modules_bytes, mem.own_component_bytes) == (all_bytes, own_bytes)
 
     def test_hardwired_ranges_are_contiguous(self):
         ranges = hardwired_ranges(CCSMConfig())
@@ -52,6 +115,7 @@ class TestPcmMonolithic:
 
 class TestIndependentJobs:
     GRID = LatLonGrid(4, 8)
+    NSTEPS = 10
 
     def test_members_perturbed_distinctly(self):
         p0, p1 = perturbed_params(0), perturbed_params(1)
@@ -89,13 +153,43 @@ class TestIndependentJobs:
         with pytest.raises(ReproError):
             run_independent_ensemble(0, self.GRID, 2, 3600.0, tmp_path)
 
-    def test_e10_mime_needs_zero_files(self, tmp_path):
-        """The MIME approach computes the same statistics with no
-        intermediate storage — the E10 contrast."""
-        report = run_independent_ensemble(3, self.GRID, 3, 3600.0, tmp_path)
-        assert report.files_written > 0  # the baseline's cost
-        # (The MIME side of the comparison lives in benchmarks/bench_ensemble.py
-        # and examples/ensemble_simulation.py, which write nothing.)
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_e10_mime_needs_zero_files(self, k, tmp_path, monkeypatch):
+        """E10 (§2.5): a MIME ensemble is one job and writes nothing; the
+        independent-jobs baseline starts k jobs and writes every sample."""
+        worlds = []
+        init = World.__init__
+
+        def counting_init(world, *args, **kwargs):
+            worlds.append(world)
+            init(world, *args, **kwargs)
+
+        monkeypatch.setattr(World, "__init__", counting_init)
+        mime_dir, jobs_dir = tmp_path / "mime", tmp_path / "jobs"
+        mime_dir.mkdir()
+        monkeypatch.chdir(mime_dir)
+
+        medians = run_mime_ensemble(k, self.GRID, self.NSTEPS, 3600.0)
+        assert len(medians) == self.NSTEPS  # a nonlinear statistic every step
+        assert len(worlds) == 1
+        assert list(mime_dir.iterdir()) == []
+
+        worlds.clear()
+        report = run_independent_ensemble(k, self.GRID, self.NSTEPS, 3600.0, jobs_dir)
+        assert len(worlds) == k
+        assert report.files_written == k * self.NSTEPS
+        assert len(list(jobs_dir.glob("*.npy"))) == k * self.NSTEPS
+        assert report.bytes_written > 0
+
+    def test_mime_and_baseline_statistics_agree(self):
+        """Same member physics -> the two campaigns' ensemble medians
+        agree (the baseline just pays files for them)."""
+        k = 4
+        medians = run_mime_ensemble(k, self.GRID, self.NSTEPS, 3600.0)
+        baseline = np.array(
+            [run_one_member(i, self.GRID, self.NSTEPS, 3600.0, outdir=None)[2] for i in range(k)]
+        )
+        np.testing.assert_allclose(medians, np.median(baseline, axis=0), rtol=0, atol=1e-9)
 
 
 class TestFileCoupling:

@@ -53,6 +53,7 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("mode", ["mcse", "mcme"])
     def test_identical_physics(self, scme_reference, mode):
         diags = run_ccsm(mode, CCSMConfig(**FAST))
+        assert diags["coupler"]["max_exchange_residual"] < 1e-10
         for kind in MODEL_KINDS:
             np.testing.assert_array_equal(
                 diags[kind]["final_field"], scme_reference[kind]["final_field"]

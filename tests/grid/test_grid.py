@@ -78,9 +78,23 @@ class TestGridChannel:
         with pytest.raises(ReproError):
             GridChannel(["a", "a"])
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ReproError):
-            GridChannel(["a"], latency=-1.0)
+    @pytest.mark.parametrize(
+        "latency, bandwidth",
+        [
+            (-1.0, None),
+            (float("nan"), None),
+            (float("inf"), None),
+            (0.0, -1e3),  # a message would be visible before it is sent
+            (0.0, 0.0),  # would silently mean unlimited
+            (0.0, float("nan")),
+            (0.0, float("inf")),
+        ],
+    )
+    def test_negative_latency_rejected(self, latency, bandwidth):
+        """A link whose delay is negative or not a finite number is a
+        configuration error, not a receive that later times out."""
+        with pytest.raises(ReproError, match="latency|bandwidth"):
+            GridChannel(["a"], latency=latency, bandwidth=bandwidth)
 
 
 def simple_component(name, actions):
@@ -221,6 +235,39 @@ class TestCrossSiteMessaging:
             latency=0.1,
         )
         assert res["far"].values()[0] >= 0.05
+
+    @pytest.mark.parametrize("roundtrips", [0, 5])
+    def test_pingpong_pays_the_link_latency(self, roundtrips):
+        """E16 (§9(c)): every cross-site hop is one message on the link,
+        plus the 2 of the directory exchange.  The latency model is a
+        visibility time, so the wall clock is only bounded below by the
+        hops' latency."""
+        latency = 0.01
+
+        def make_side(name, peer_cluster, peer_component, initiate):
+            def side(gmph, mph):
+                for i in range(roundtrips):
+                    if initiate:
+                        gmph.send(i, peer_cluster, peer_component, 0, tag=1)
+                        gmph.recv(tag=2)
+                    else:
+                        obj, src, _ = gmph.recv(tag=1)
+                        gmph.send(obj, src, peer_component, 0, tag=2)
+
+            return simple_component(name, side)
+
+        session = GridSession(
+            [
+                ClusterSpec("east", [(make_side("ocn", "west", "atm", True), 1)], registry="BEGIN\nocn\nEND"),
+                ClusterSpec("west", [(make_side("atm", "east", "ocn", False), 1)], registry="BEGIN\natm\nEND"),
+            ],
+            latency=latency,
+        )
+        start = time.monotonic()
+        session.run()
+        elapsed = time.monotonic() - start
+        assert session.channel.messages_carried == 2 + 2 * roundtrips
+        assert elapsed >= 2 * roundtrips * latency
 
 
 class TestSessionFailures:

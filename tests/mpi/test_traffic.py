@@ -117,8 +117,15 @@ class TestSnapshots:
 
 
 class TestHandshakeComplexity:
-    """The handshake's communication volume vs world size — the cost model
-    behind experiment E9."""
+    """The handshake's communication volume — the cost model behind
+    experiment E9 (§6).
+
+    On P processes the init exchange costs 4(P-1) messages, and each
+    communicator the handshake derives costs one message per member
+    besides its leader (size - 1).  A ``world_split`` executable's
+    component communicator is its executable communicator; a
+    ``Multi_Component`` executable derives its executable communicator,
+    then one communicator per component, one at a time."""
 
     def handshake_traffic(self, n_components, procs_each):
         from repro import components_setup, mph_run
@@ -139,15 +146,43 @@ class TestHandshakeComplexity:
         result = mph_run([(make(n), procs_each) for n in names], registry=registry)
         return result.procs[0].traffic
 
-    def test_traffic_grows_with_world_size(self):
-        small = self.handshake_traffic(2, 1).messages
-        large = self.handshake_traffic(2, 4).messages
-        assert large > small
+    @pytest.mark.parametrize(
+        "n_components, procs_each, messages",
+        [(2, 1, 4), (2, 2, 14), (2, 4, 34), (4, 1, 12), (4, 2, 32), (6, 2, 50)],
+    )
+    def test_world_split_table(self, n_components, procs_each, messages):
+        """SCME: 4(P-1) + n_components * (procs_each - 1)."""
+        assert self.handshake_traffic(n_components, procs_each).messages == messages
 
-    def test_traffic_grows_with_components(self):
-        few = self.handshake_traffic(2, 2).messages
-        many = self.handshake_traffic(6, 2).messages
-        assert many > few
+    @pytest.mark.parametrize(
+        "n_components, overlap, messages",
+        [(1, True, 18), (2, True, 21), (4, True, 27), (8, True, 39), (4, False, 15)],
+        ids=["overlap-1", "overlap-2", "overlap-4", "overlap-8", "disjoint-4"],
+    )
+    def test_multi_component_table(self, n_components, overlap, messages):
+        """One 4-process ``Multi_Component`` executable: 12 for the init
+        exchange and 3 for the executable's communicator.  K components
+        that all span ranks 0-3 add 3 each, one derivation at a time
+        (12 + 3 + 3K); four disjoint one-rank components add nothing."""
+        from repro import components_setup, mph_run
+
+        if overlap:
+            lines = [f"c{i} 0 3" for i in range(n_components)]
+        else:
+            lines = [f"c{i} {i} {i}" for i in range(n_components)]
+        registry = (
+            "BEGIN\nMulti_Component_Begin\n"
+            + "\n".join(lines)
+            + "\nMulti_Component_End\nEND"
+        )
+        names = [f"c{i}" for i in range(n_components)]
+
+        def program(world, env):
+            return len(components_setup(world, *names, env=env).comp_names())
+
+        result = mph_run([(program, 4)], registry=registry)
+        assert result.procs[0].traffic.messages == messages
+        assert result.values() == [n_components if overlap else 1] * 4
 
     def test_linear_in_world_size(self):
         """Every collective of the handshake is a sweep in and a sweep
