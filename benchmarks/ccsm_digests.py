@@ -1,7 +1,7 @@
 """Bitwise fingerprints of the coupled model's results.
 
 A change to how the coupled step communicates must leave every result
-the parent's to the bit.  This runs 22 configurations of a 6-step
+the parent's to the bit.  This runs 21 configurations of a 6-step
 ``run_ccsm`` — every exchange, coupling scheme, solver, predictor,
 execution mode and recovery path — on the thread world and on forked
 ranks, and prints one sha256 per run over everything a run reports:
@@ -59,10 +59,6 @@ CONFIGURATIONS = {
     "checkpoint": ("scme", CHECKPOINT),
     "crash_ocean_3": ("scme", dict(CHECKPOINT, crash_at=("ocean", 3))),
     "crash_ice_4": ("scme", dict(CHECKPOINT, crash_at=("ice", 4))),
-    "parallel_coupler_3": (
-        "scme",
-        {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
-    ),
     "explicit_subcycle": ("scme", {"subcycle": {"ocean": 3}}),
     "implicit": ("scme", IMPLICIT),
     "implicit_join": ("scme", dict(IMPLICIT, exchange="join")),

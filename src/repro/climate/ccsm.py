@@ -31,14 +31,15 @@ receives them in component-rank order and assembles the field; it cuts
 each flux with :meth:`~repro.climate.grid.Decomposition.blocks` and sends
 every rank ``((step, code), block)`` back.  Under ``exchange="join"``
 the same fields go by a gather and by a scatter of ``(cmd, block)`` over
-each component's joint communicator (§5.1).  Either way the serial
-coupler runs one loop — take every temperature, compute on local
-processor 0, put every flux — and only the four helpers that take and
-put a field know which exchange carries it.
+each component's joint communicator (§5.1).  Either way the coupler runs
+one loop — take every temperature, compute on local processor 0, put
+every flux — and only the four helpers that take and put a field know
+which exchange carries it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -149,12 +150,6 @@ class CCSMConfig:
     forcing: Optional[Any] = None
     #: Optional CO2 scenario applied to every OLR-emitting component.
     co2: Optional[Any] = None
-    #: ``"serial"`` — the coupler computes on its local processor 0 (the
-    #: early-CCSM pattern); ``"parallel"`` — flux computation is
-    #: distributed over the coupler's processes by atmosphere latitude
-    #: band (results agree with serial to floating-point round-off, not
-    #: bitwise: partial-sum order differs).
-    coupler_mode: str = "serial"
     #: Save each component's checkpoint to ``checkpoint_dir`` every N
     #: completed steps (0 = only at the end).  Enables in-job recovery:
     #: with periodic checkpoints a crashed component is restarted from its
@@ -189,15 +184,10 @@ class CCSMConfig:
     def __post_init__(self) -> None:
         if self.exchange not in ("p2p", "join"):
             raise ReproError(f"exchange must be 'p2p' or 'join', got {self.exchange!r}")
-        if self.coupler_mode not in ("serial", "parallel"):
-            raise ReproError(
-                f"coupler_mode must be 'serial' or 'parallel', got {self.coupler_mode!r}"
-            )
-        if self.coupler_mode == "parallel" and self.exchange == "join":
-            raise ReproError(
-                "the parallel coupler currently runs over the p2p exchange; "
-                "use exchange='p2p' with coupler_mode='parallel'"
-            )
+        if self.nsteps < 0:
+            raise ReproError(f"nsteps must be >= 0, got {self.nsteps}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ReproError(f"dt must be finite and positive, got {self.dt}")
         if self.checkpoint_every < 0:
             raise ReproError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.checkpoint_every > 0 and self.checkpoint_dir is None:
@@ -243,8 +233,6 @@ class CCSMConfig:
                     f"max_coupling_iterations must be >= 1, got "
                     f"{self.max_coupling_iterations}"
                 )
-            if self.coupler_mode == "parallel":
-                raise ReproError("implicit coupling runs the serial coupler")
             if self.crash_at is not None:
                 raise ReproError(
                     "crash_at recovery is explicit-only (an implicit retry would "
@@ -657,12 +645,10 @@ class CouplerRunner:
         """One coupling step (between the components' two phases)."""
         if self._implicit:
             self._step_implicit(step)
-        elif self.cfg.coupler_mode == "parallel" and self.comm.size > 1:
-            self._step_parallel(step)
         else:
-            self._step_serial(step)
+            self._step_explicit(step)
 
-    def _step_serial(self, step: int) -> None:
+    def _step_explicit(self, step: int) -> None:
         """Take every temperature, compute the fluxes on local processor
         0, put every flux back — over either exchange."""
         temps: dict[str, Optional[np.ndarray]] = {}
@@ -686,35 +672,6 @@ class CouplerRunner:
                 if kind == "atmosphere":
                     raise
                 self._drop(kind, step)
-
-    def _step_parallel(self, step: int) -> None:
-        """The distributed coupler: local processor 0 still owns the
-        component protocol, but the flux computation — regridding, merge,
-        back-regridding — is spread over every coupler process by
-        atmosphere latitude band and reassembled by reduction."""
-        from repro.mpi.reduce_ops import SUM
-
-        comm = self.comm
-        temps = comm.bcast(self._collect_temps(step), root=0)
-
-        atm_grid = self.cfg.grid("atmosphere")
-        decomp = Decomposition(atm_grid, comm.size)
-        start, stop = decomp.rows(comm.rank)
-        surfaces = {k: v for k, v in temps.items() if k != "atmosphere"}
-        atm_band, partials = self.engine.compute_fluxes_band(
-            temps["atmosphere"], surfaces, start, stop
-        )
-        bands = comm.gather(atm_band, root=0)
-        fluxes: dict[str, Optional[np.ndarray]] = {}
-        for kind in self.active_kinds:
-            if kind != "atmosphere":
-                fluxes[kind] = comm.reduce(partials[kind], op=SUM, root=0)
-        if comm.rank != 0:
-            return
-        assert bands is not None
-        fluxes["atmosphere"] = np.concatenate(bands, axis=0)
-        self.engine.record_residual(fluxes["atmosphere"], fluxes)
-        self._send_command(step, "commit", fluxes)
 
     # -- implicit coupling ------------------------------------------------------
 

@@ -15,7 +15,7 @@ contract:
   drained from the surfaces to round-off, tracked per step in
   :attr:`FluxCoupler.exchange_residual`.
 
-Two transport strategies implement the exchange (selected by the driver):
+Two transport strategies implement the exchange (``CCSMConfig.exchange``):
 point-to-point MPH messages addressed by component name (paper §5.2), or
 collectives over ``MPH_comm_join`` joint communicators (paper §5.1).
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.climate.grid import LatLonGrid
-from repro.climate.regrid import ConservativeRegridder, regrid
+from repro.climate.regrid import regrid
 from repro.errors import ReproError
 
 #: World-communicator tag bases of the coupling protocol (offset by the
@@ -71,8 +71,9 @@ class SurfaceFractions:
 
 
 class FluxCoupler:
-    """The flux computation engine (pure numerics; transport lives in the
-    driver so both exchange strategies share it).
+    """The flux computation engine: pure numerics on whole fields, run on
+    the coupler's local processor 0 (transport lives in
+    :class:`~repro.climate.ccsm.CouplerRunner`, so both exchanges share it).
 
     Parameters
     ----------
@@ -97,10 +98,6 @@ class FluxCoupler:
         if missing:
             raise ReproError(f"no coupling coefficient for surfaces {sorted(missing)}")
         self.fractions = SurfaceFractions.build(atm_grid)
-        #: Per-surface regridders (kept so the distributed path can apply
-        #: latitude-band slices of the same matrices).
-        self._to_atm = {k: ConservativeRegridder(g, atm_grid) for k, g in self.surface_grids.items()}
-        self._from_atm = {k: ConservativeRegridder(atm_grid, g) for k, g in self.surface_grids.items()}
         #: Per-step energy-exchange imbalance (should be round-off).
         self.exchange_residual: list[float] = []
 
@@ -121,8 +118,6 @@ class FluxCoupler:
             raise ReproError(f"cannot drop {kind!r}: it is the last surface component")
         del self.surface_grids[kind]
         del self.coupling_coeff[kind]
-        del self._to_atm[kind]
-        del self._from_atm[kind]
 
     def compute_fluxes(
         self,
@@ -173,48 +168,6 @@ class FluxCoupler:
         if record:
             self.exchange_residual.append(balance)
         return atm_flux, surface_fluxes
-
-    def compute_fluxes_band(
-        self,
-        atm_temp: np.ndarray,
-        surface_temps: dict[str, np.ndarray],
-        start: int,
-        stop: int,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """The distributed-coupler kernel: one latitude band's share.
-
-        Computes the atmosphere flux on atmosphere rows ``start:stop`` and
-        each surface's *partial* flux contribution from that band (full
-        surface-grid shape; the band partials of all coupler processes sum
-        to the serial result, since the conservative remap is linear).
-        """
-        atm_band = np.asarray(atm_temp, dtype=float)[start:stop]
-        atm_flux_band = np.zeros_like(atm_band)
-        partials: dict[str, np.ndarray] = {}
-        for kind, grid in self.surface_grids.items():
-            to_atm = self._to_atm[kind]
-            from_atm = self._from_atm[kind]
-            t_sfc_band = (
-                to_atm.lat_matrix[start:stop]
-                @ np.asarray(surface_temps[kind], dtype=float)
-                @ to_atm.lon_matrix.T
-            )
-            flux_up_band = self.coupling_coeff[kind] * self.fractions.of(kind)[start:stop] * (
-                t_sfc_band - atm_band
-            )
-            atm_flux_band += flux_up_band
-            partials[kind] = (
-                from_atm.lat_matrix[:, start:stop] @ (-flux_up_band) @ from_atm.lon_matrix.T
-            )
-        return atm_flux_band, partials
-
-    def record_residual(self, atm_flux: np.ndarray, surface_fluxes: dict[str, np.ndarray]) -> None:
-        """Book the exchange imbalance of an externally-assembled step
-        (used by the distributed coupler after reduction)."""
-        balance = self.atm_grid.area_integral(atm_flux)
-        for kind, grid in self.surface_grids.items():
-            balance += grid.area_integral(surface_fluxes[kind])
-        self.exchange_residual.append(balance)
 
     def max_residual(self) -> float:
         """Largest absolute per-step exchange imbalance so far."""

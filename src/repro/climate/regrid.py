@@ -75,17 +75,6 @@ class ConservativeRegridder:
             np.linspace(0.0, 360.0, src.nlon + 1), np.linspace(0.0, 360.0, dst.nlon + 1)
         )
 
-    @property
-    def lat_matrix(self) -> np.ndarray:
-        """The latitude remap matrix, shape ``(dst.nlat, src.nlat)`` —
-        exposed so distributed couplers can apply row/column slices."""
-        return self._mlat
-
-    @property
-    def lon_matrix(self) -> np.ndarray:
-        """The longitude remap matrix, shape ``(dst.nlon, src.nlon)``."""
-        return self._mlon
-
     def __call__(self, field: np.ndarray) -> np.ndarray:
         """Regrid a full field from the source to the destination grid."""
         field = np.asarray(field, dtype=float)

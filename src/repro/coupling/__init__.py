@@ -2,9 +2,9 @@
 
 The MPH paper's coupler exchanges fixed fluxes once per step (explicit
 coupling); this package supplies what tightly coupled multi-physics needs
-on the same infrastructure: implicit coupled solvers (Gauss-Seidel,
-Jacobi, Aitken, IQN-ILS), composable convergence criteria, interface
-predictors and named-field interface layouts — each a
+on the same infrastructure: implicit coupled solvers (Gauss-Seidel, Aitken,
+IQN-ILS), composable convergence criteria, interface predictors and
+named-field interface layouts — each a
 :class:`~repro.coupling.component.Component` with the same lifecycle.
 CCSM's implicit coupler (:mod:`repro.climate.ccsm`) builds its
 iterate-to-convergence step from them.
@@ -19,7 +19,7 @@ from repro.coupling.criteria import (
     Or,
     RelativeNorm,
 )
-from repro.coupling.interface import InterfaceSpec, join_specs
+from repro.coupling.interface import InterfaceSpec
 from repro.coupling.predictors import (
     ConstantPredictor,
     LinearPredictor,
@@ -31,10 +31,7 @@ from repro.coupling.solvers import (
     CoupledSolver,
     GaussSeidelSolver,
     IQNILSSolver,
-    JacobiSolver,
     SolveResult,
-    compose_operators,
-    joint_operator,
 )
 
 __all__ = [
@@ -46,7 +43,6 @@ __all__ = [
     "And",
     "Or",
     "InterfaceSpec",
-    "join_specs",
     "Predictor",
     "ConstantPredictor",
     "LinearPredictor",
@@ -54,9 +50,6 @@ __all__ = [
     "CoupledSolver",
     "SolveResult",
     "GaussSeidelSolver",
-    "JacobiSolver",
     "AitkenSolver",
     "IQNILSSolver",
-    "compose_operators",
-    "joint_operator",
 ]

@@ -105,13 +105,3 @@ class InterfaceSpec:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{n}{s}" for n, s in self.fields)
         return f"InterfaceSpec({parts})"
-
-
-def join_specs(*specs: InterfaceSpec) -> InterfaceSpec:
-    """Concatenate several specs into one (for Jacobi-style joint
-    iterates); field names are prefixed ``p<i>/`` to stay unique."""
-    fields = []
-    for i, spec in enumerate(specs):
-        for name, shape in spec.fields:
-            fields.append((f"p{i}/{name}", shape))
-    return InterfaceSpec(fields)

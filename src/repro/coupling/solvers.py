@@ -9,10 +9,6 @@ in how they turn the residual history into the next iterate:
 * :class:`GaussSeidelSolver` — relaxed fixed point ``x + ω r`` on the
   *sequentially composed* operator (each participant sees the newest
   partner data within an iteration);
-* :class:`JacobiSolver` — the same update on the *joint* iterate with all
-  participants evaluated from the previous iterate simultaneously
-  (participants can run concurrently; spectral radius is the square root
-  of Gauss-Seidel's, i.e. ~2× the iterations);
 * :class:`AitkenSolver` — dynamic relaxation: ω is re-estimated each
   iteration from consecutive residuals (the secant in 1-D);
 * :class:`IQNILSSolver` — the quasi-Newton IQN-ILS scheme: a least-squares
@@ -74,11 +70,6 @@ class CoupledSolver(Component):
         Raise :class:`~repro.errors.CouplingError` when the budget is
         exhausted unconverged (default: return ``converged=False``).
     """
-
-    #: ``"sequential"`` (compose participants within an iteration) or
-    #: ``"parallel"`` (joint iterate, participants evaluated concurrently)
-    #: — how a driver should shape the operator it hands to this solver.
-    mode = "sequential"
 
     def __init__(
         self,
@@ -183,16 +174,6 @@ class GaussSeidelSolver(CoupledSolver):
 
     def _next(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         return x + self.omega * r
-
-
-class JacobiSolver(GaussSeidelSolver):
-    """The same relaxed update on the *joint* iterate: every participant is
-    evaluated from the previous iterate, so evaluations within an
-    iteration are independent (a driver runs them concurrently).  Slower
-    to converge than Gauss-Seidel — its iteration-matrix spectral radius
-    is the square root — but each iteration is one parallel wave."""
-
-    mode = "parallel"
 
 
 class AitkenSolver(CoupledSolver):
@@ -359,30 +340,3 @@ def _solve_upper(rmat: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         c[i] = (b[i] - rmat[i, i + 1 :] @ c[i + 1 :]) / rmat[i, i]
     return c
-
-
-# -- operator composition helpers ------------------------------------------------
-
-
-def compose_operators(f1: Operator, f2: Operator) -> Operator:
-    """The sequential (Gauss-Seidel) composition ``x -> f2(f1(x))``: each
-    participant sees the newest partner data within an iteration."""
-
-    def composed(x: np.ndarray) -> np.ndarray:
-        return f2(f1(x))
-
-    return composed
-
-
-def joint_operator(f1: Operator, f2: Operator, n1: int, n2: int) -> Operator:
-    """The parallel (Jacobi) joint operator on ``R^{n1+n2}``:
-    ``(u, v) -> (f1(v), f2(u))`` — both participants evaluated from the
-    previous iterate, fixed point at ``u* = f1(v*)``, ``v* = f2(u*)``."""
-
-    def joint(z: np.ndarray) -> np.ndarray:
-        if z.shape != (n1 + n2,):
-            raise CouplingError(f"joint iterate shape {z.shape} != ({n1 + n2},)")
-        u, v = z[:n1], z[n1:]
-        return np.concatenate([f1(v), f2(u)])
-
-    return joint

@@ -50,7 +50,6 @@ from repro.mpi.reduce_ops import (
     SUM,
     Op,
 )
-from repro.mpi.persistent import PersistentRecv, PersistentSend, Prequest
 from repro.mpi.sched import (
     ExplorationReport,
     MatchSchedule,
@@ -106,9 +105,6 @@ __all__ = [
     "BXOR",
     "MAXLOC",
     "MINLOC",
-    "Prequest",
-    "PersistentSend",
-    "PersistentRecv",
     "MatchSchedule",
     "MatchTrace",
     "TraceRecorder",

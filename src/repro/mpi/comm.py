@@ -342,23 +342,6 @@ class Comm:
         self.Send(array, dest, tag)
         return SendRequest()
 
-    def Send_init(self, buf: np.ndarray, dest: int, tag: int = 0):
-        """Bind a persistent send to ``(buf, dest, tag)``; each ``start``
-        snapshots the buffer's current contents (``MPI_Send_init``)."""
-        from repro.mpi.persistent import PersistentSend
-
-        self._check()
-        if dest != PROC_NULL:
-            self._check_rank(dest, "destination rank")
-        return PersistentSend(self, buf, dest, tag)
-
-    def Recv_init(self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Bind a persistent receive into *buf* (``MPI_Recv_init``)."""
-        from repro.mpi.persistent import PersistentRecv
-
-        self._check()
-        return PersistentRecv(self, buf, source, tag)
-
     # -- collectives -------------------------------------------------------------
 
     def _next_coll_tag(self) -> int:

@@ -51,7 +51,7 @@ nonzero component exits fail the whole job instead of being swallowed.
 
 Every child holds its own :class:`ProcessWorld` replica.  That works for
 *all* existing features (collectives, split/dup/create, intercomm,
-persistent requests, ssend) because the substrate has exactly one remote
+ssend) because the substrate has exactly one remote
 seam — :meth:`World.deliver <repro.mpi.world.World.deliver>` — and only
 two kinds of cross-rank agreement: message delivery (now framed over the
 socket) and context-id allocation, which is made collision-free by

@@ -108,7 +108,7 @@ class Request:
     def completion(self) -> Optional[Completion]:
         """The token signalled when this request completes, or ``None``
         when the request has no pending completion to park on (eager
-        sends, inactive persistent requests)."""
+        sends)."""
         return None
 
     def _site(self) -> Optional[tuple["World", int]]:

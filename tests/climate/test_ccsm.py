@@ -88,6 +88,16 @@ class TestModeEquivalence:
                 diags[kind]["final_field"], scme_reference[kind]["final_field"]
             )
 
+    def test_serial_mode_on_multiproc_coupler_unchanged(self, scme_reference):
+        """A multi-process coupler computes on its local processor 0 only:
+        bitwise the answer of a 1-process coupler."""
+        base = CCSMConfig(**FAST)
+        diags = run_ccsm("scme", CCSMConfig(**FAST, procs=dict(base.procs, coupler=3)))
+        for kind in MODEL_KINDS:
+            np.testing.assert_array_equal(
+                diags[kind]["final_field"], scme_reference[kind]["final_field"]
+            )
+
 
 class TestConservation:
     def test_closed_system_conserves_energy(self):
@@ -146,6 +156,22 @@ class TestBuilders:
     def test_bad_exchange_rejected(self):
         with pytest.raises(ReproError, match="exchange"):
             CCSMConfig(exchange="smoke-signals")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(nsteps=-1),
+            dict(dt=-3600.0),
+            dict(dt=0.0),
+            dict(dt=float("nan")),
+            dict(dt=float("inf")),
+        ],
+        ids=["negative_nsteps", "negative_dt", "zero_dt", "nan_dt", "inf_dt"],
+    )
+    def test_bad_step_rejected(self, bad):
+        (name,) = bad
+        with pytest.raises(ReproError, match=name):
+            CCSMConfig(**bad)
 
 
 class TestArbitraryNames:

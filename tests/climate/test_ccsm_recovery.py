@@ -67,7 +67,6 @@ class TestCheckpointRestart:
             "scme",
             CCSMConfig(
                 nsteps=6,
-                coupler_mode="serial",
                 exchange="p2p",
                 checkpoint_dir=str(tmp_path / name),
                 checkpoint_every=2,
@@ -123,9 +122,7 @@ class TestCheckpointRestart:
 
     def test_no_crash_means_no_behavior_change(self, tmp_path):
         """Checkpointing alone must not perturb the physics."""
-        plain = run_ccsm(
-            "scme", CCSMConfig(nsteps=6, coupler_mode="serial", exchange="p2p")
-        )
+        plain = run_ccsm("scme", CCSMConfig(nsteps=6, exchange="p2p"))
         ckpt = self._run(tmp_path, "ckpt-only")
         for kind in ("atmosphere", "ocean", "land", "ice"):
             assert plain[kind]["mean_T"] == ckpt[kind]["mean_T"]

@@ -30,7 +30,6 @@ MODES = ("scme", "mcse", "mcme", "mcme_overlap")
 VARIANTS = {
     "explicit": {},
     "implicit": {"coupling": "implicit"},
-    "parallel_coupler": {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
     "serial_coupler_of_3": {"procs": dict(PROCS, coupler=3)},
     "ice_2": {"procs": dict(PROCS, ice=2)},
 }
@@ -51,34 +50,18 @@ def test_p2p_leaves_the_fields_the_join_exchange_leaves(mode, variant, backend_c
             run_ccsm(mode, config(mode, variant), config=backend_config)
         return
     p2p = run_ccsm(mode, config(mode, variant), config=backend_config, timeout=120.0)
-    if variant == "parallel_coupler":
-        # The distributed coupler sums its bands' partial fluxes in
-        # another order and has no join form: round-off against the
-        # serial coupler over join, as it is documented.
-        reference = run_ccsm(
-            mode,
-            config(mode, "serial_coupler_of_3", exchange="join"),
-            config=backend_config,
-            timeout=120.0,
-        )
-        equal = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0)  # noqa: E731
-    else:
-        reference = run_ccsm(
-            mode, config(mode, variant, exchange="join"), config=backend_config, timeout=120.0
-        )
-        equal = np.array_equal
+    reference = run_ccsm(
+        mode, config(mode, variant, exchange="join"), config=backend_config, timeout=120.0
+    )
     assert sorted(p2p) == sorted(reference) == sorted(MODEL_KINDS + ("coupler",))
     for kind in MODEL_KINDS:
         assert p2p[kind]["final_field"].shape == config(mode, variant).shapes[kind]
-        assert equal(p2p[kind]["final_field"], reference[kind]["final_field"]), kind
-        assert equal(p2p[kind]["mean_T"], reference[kind]["mean_T"]), kind
+        assert np.array_equal(p2p[kind]["final_field"], reference[kind]["final_field"]), kind
+        assert np.array_equal(p2p[kind]["mean_T"], reference[kind]["mean_T"]), kind
         assert len(p2p[kind]["mean_T"]) == 1 + NSTEPS
-    if variant == "parallel_coupler":  # the residual *is* round-off
-        assert np.abs(p2p["coupler"]["exchange_residual"]).max() < 1e-12
-    else:
-        assert equal(
-            p2p["coupler"]["exchange_residual"], reference["coupler"]["exchange_residual"]
-        )
+    assert np.array_equal(
+        p2p["coupler"]["exchange_residual"], reference["coupler"]["exchange_residual"]
+    )
     assert p2p["coupler"]["dropped_components"] == []
     if variant == "implicit":
         assert p2p["coupler"]["coupling_iterations"] == reference["coupler"]["coupling_iterations"]

@@ -229,10 +229,6 @@ class TestValidation:
         with pytest.raises(ReproError, match="single-process coupler"):
             implicit_cfg(procs=dict(PROCS, coupler=2))
 
-    def test_parallel_coupler_rejected(self):
-        with pytest.raises(ReproError, match="serial coupler"):
-            implicit_cfg(coupler_mode="parallel")
-
     def test_crash_recovery_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="explicit-only"):
             implicit_cfg(

@@ -21,12 +21,6 @@ NSTEPS = 2
 GOLDEN = {
     "explicit_p2p": ("scme", {}, 56, (36, 45390)),
     "explicit_join": ("scme", {"exchange": "join"}, 65, (36, 44202)),
-    "parallel_coupler": (
-        "scme",
-        {"coupler_mode": "parallel", "procs": dict(PROCS, coupler=3)},
-        66,
-        (46, 72322),
-    ),
     "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (144, 156078)),
     "implicit_join": (
         "scme",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coupling import InterfaceSpec, join_specs
+from repro.coupling import InterfaceSpec
 from repro.errors import CouplingError
 
 
@@ -82,19 +82,3 @@ class TestInterfaceSpec:
             spec.slice_of("nope")
         with pytest.raises(CouplingError, match="unknown"):
             spec.shape("nope")
-
-
-class TestJoinSpecs:
-    def test_prefixes_keep_names_unique(self):
-        a = InterfaceSpec([("t", (2,))])
-        b = InterfaceSpec([("t", (3,))])
-        joint = join_specs(a, b)
-        assert joint.names == ("p0/t", "p1/t")
-        assert joint.size == 5
-
-    def test_joint_layout_concatenates(self):
-        a = InterfaceSpec([("u", (2,))])
-        b = InterfaceSpec([("v", (2,))])
-        joint = join_specs(a, b)
-        vec = joint.pack({"p0/u": np.array([1.0, 2.0]), "p1/v": np.array([3.0, 4.0])})
-        np.testing.assert_array_equal(vec, [1.0, 2.0, 3.0, 4.0])

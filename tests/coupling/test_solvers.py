@@ -1,8 +1,7 @@
 """Coupled solvers on linear operators with known spectral radius.
 
 Linear fixed points ``x = M x + b`` make solver behaviour *provable*: the
-error contracts by ``rho(M)`` per Gauss-Seidel iteration, the Jacobi
-joint operator's spectral radius is ``sqrt(rho)``, and a quasi-Newton
+error contracts by ``rho(M)`` per Gauss-Seidel iteration, and a quasi-Newton
 scheme with exact secants terminates in at most ``n + 2`` evaluations on
 an ``n``-dimensional interface.  Every assertion below is one of those
 analytic bounds (plus slack for the non-asymptotic first iterations).
@@ -19,9 +18,6 @@ from repro.coupling import (
     GaussSeidelSolver,
     IQNILSSolver,
     IterationBound,
-    JacobiSolver,
-    compose_operators,
-    joint_operator,
 )
 from repro.errors import CouplingError
 
@@ -118,6 +114,15 @@ class TestGaussSeidel:
     def test_fixed_iteration_count_via_bound_criterion(self):
         res = run_step(GaussSeidelSolver(IterationBound(4), max_iterations=80))
         assert res.converged and res.iterations == 4
+
+    def test_iterations_per_step_recorded(self):
+        solver = GaussSeidelSolver(AbsoluteNorm(TOL), max_iterations=80)
+        solver.initialize()
+        for _ in range(2):
+            solver.initialize_solution_step()
+            solver.solve_solution_step(np.zeros(N), operate)
+            solver.finalize_solution_step()
+        assert len(solver.iterations_per_step) == 2
 
 
 class TestAitken:
@@ -222,79 +227,3 @@ class TestIQNILS:
             IQNILSSolver(AbsoluteNorm(1.0), reuse_steps=-1)
         with pytest.raises(CouplingError, match="filter_eps"):
             IQNILSSolver(AbsoluteNorm(1.0), filter_eps=1.0)
-
-
-class TestJacobiJointOperator:
-    def test_joint_spectral_radius_is_sqrt(self):
-        """The 2-participant Jacobi iteration matrix ``[[0, A1], [A2, 0]]``
-        has spectral radius sqrt(rho(A2 A1)): verify on the matrices, then
-        verify the iteration count follows it."""
-        a1 = MATRIX.copy()
-        a2 = np.eye(N)
-        joint_matrix = np.block(
-            [[np.zeros((N, N)), a1], [a2, np.zeros((N, N))]]
-        )
-        rho_joint = max(abs(np.linalg.eigvals(joint_matrix)))
-        assert rho_joint == pytest.approx(math.sqrt(RHO), rel=1e-12)
-
-        f1 = lambda v: a1 @ v + OFFSET  # noqa: E731
-        f2 = lambda u: a2 @ u  # noqa: E731
-        jac = run_step(
-            JacobiSolver(AbsoluteNorm(TOL), max_iterations=200),
-            op=joint_operator(f1, f2, N, N),
-            x0=np.zeros(2 * N),
-            n=2 * N,
-        )
-        assert jac.converged
-        r0 = float(np.linalg.norm(joint_operator(f1, f2, N, N)(np.zeros(2 * N))))
-        bound = math.ceil(math.log(TOL / r0) / math.log(rho_joint))
-        assert jac.iterations <= bound + 2
-
-    def test_jacobi_needs_about_twice_gauss_seidel(self):
-        a1, a2 = MATRIX, np.eye(N)
-        f1 = lambda v: a1 @ v + OFFSET  # noqa: E731
-        f2 = lambda u: a2 @ u  # noqa: E731
-        gs = run_step(
-            GaussSeidelSolver(AbsoluteNorm(TOL), max_iterations=200),
-            op=compose_operators(f1, f2),
-        )
-        jac = run_step(
-            JacobiSolver(AbsoluteNorm(TOL), max_iterations=200),
-            op=joint_operator(f1, f2, N, N),
-            x0=np.zeros(2 * N),
-            n=2 * N,
-        )
-        assert gs.iterations < jac.iterations <= 2 * gs.iterations + 3
-
-    def test_fixed_point_consistency(self):
-        """The joint fixed point's halves satisfy the cross equations."""
-        a1, a2 = MATRIX, np.eye(N)
-        f1 = lambda v: a1 @ v + OFFSET  # noqa: E731
-        f2 = lambda u: a2 @ u  # noqa: E731
-        jac = run_step(
-            JacobiSolver(AbsoluteNorm(1e-12), max_iterations=200),
-            op=joint_operator(f1, f2, N, N),
-            x0=np.zeros(2 * N),
-            n=2 * N,
-        )
-        u, v = jac.x[:N], jac.x[N:]
-        np.testing.assert_allclose(u, f1(v), atol=1e-10)
-        np.testing.assert_allclose(v, f2(u), atol=1e-10)
-
-    def test_joint_operator_shape_check(self):
-        op = joint_operator(lambda v: v, lambda u: u, 2, 3)
-        with pytest.raises(CouplingError, match="joint iterate"):
-            op(np.zeros(4))
-
-    def test_mode_attributes(self):
-        assert GaussSeidelSolver(AbsoluteNorm(1.0)).mode == "sequential"
-        assert JacobiSolver(AbsoluteNorm(1.0)).mode == "parallel"
-
-    def test_iterations_per_step_recorded(self):
-        solver = GaussSeidelSolver(AbsoluteNorm(TOL), max_iterations=80)
-        solver.initialize()
-        for _ in range(2):
-            solver.initialize_solution_step()
-            solver.solve_solution_step(np.zeros(N), operate)
-            solver.finalize_solution_step()
-        assert len(solver.iterations_per_step) == 2

@@ -5,9 +5,8 @@ threads of one interpreter, direct mailbox delivery) and once on the
 process backend (ranks as forked OS processes over the socket
 transport).  The cases are the representative core of the tier-1 MPI
 semantics tests — p2p ordering and wildcards, the collective suite,
-communicator management, persistent requests, intercommunicators, value
-semantics — so the two backends are held to *identical* observable
-behaviour.  A semantics divergence between substrates fails here by
+communicator management, intercommunicators, value semantics — so the
+two backends are held to *identical* observable behaviour.  A semantics divergence between substrates fails here by
 construction, which is what makes the transport layer trustworthy
 (MPICH-G2's multi-protocol argument depends on exactly this property).
 
@@ -28,7 +27,6 @@ from repro.mpi import (
     PROC_NULL,
     SUM,
     Group,
-    Prequest,
     Status,
 )
 from repro.mpi.intercomm import create_intercomm
@@ -454,50 +452,6 @@ class TestCommManagement:
                 return "rejected"
 
         assert backend_spmd(2, fn) == ["rejected"] * 2
-
-
-# ---------------------------------------------------------------------------
-# Persistent requests
-# ---------------------------------------------------------------------------
-
-
-class TestPersistent:
-    def test_persistent_cycle(self, backend_spmd):
-        def fn(comm):
-            if comm.rank == 0:
-                buf = np.zeros(2)
-                send = comm.Send_init(buf, dest=1, tag=4)
-                for i in range(3):
-                    buf[:] = i
-                    send.start().wait()
-                return "done"
-            buf = np.zeros(2)
-            recv = comm.Recv_init(buf, source=0, tag=4)
-            got = []
-            for _ in range(3):
-                recv.start().wait()
-                got.append(buf.copy().tolist())
-            return got
-
-        values = backend_spmd(2, fn)
-        assert values[1] == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-
-    def test_startall_halo_exchange(self, backend_spmd):
-        def fn(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            data = np.full(2, float(comm.rank))
-            halo = np.zeros(2)
-            send = comm.Send_init(data, right, tag=9)
-            recv = comm.Recv_init(halo, left, tag=9)
-            for _ in range(2):
-                Prequest.startall([send, recv])
-                send.wait()
-                recv.wait()
-            return halo.tolist()
-
-        values = backend_spmd(3, fn)
-        assert values == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class TestChaosOutcomes:
 
         kind = ("ocean", "land", "ice", "atmosphere")[fault_seed % 4]
         step = 2 + fault_seed % 3  # crash somewhere mid-run
-        base = dict(nsteps=6, coupler_mode="serial", exchange="p2p")
+        base = dict(nsteps=6, exchange="p2p")
         clean = run_ccsm(
             "scme",
             CCSMConfig(**base, checkpoint_dir=str(tmp_path / "clean"), checkpoint_every=2),
