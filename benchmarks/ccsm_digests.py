@@ -15,8 +15,9 @@ The thread and process digests of one configuration must be equal, and
 ``--against FILE`` compares every digest with a file an earlier
 ``--write FILE`` left (the parent commit's, for a perf change: run this
 file there with ``PYTHONPATH=<parent>/src``).  Any difference is listed
-and the exit status is 1.  ``--quick`` runs two configurations (CI's
-smoke).  No digest is committed: the regrid runs through BLAS and its
+and the exit status is 1.  ``--quick`` runs three configurations (CI's
+smoke): the explicit step, Gauss-Seidel, and IQN-ILS with the quadratic
+predictor.  No digest is committed: the regrid runs through BLAS and its
 low bits belong to the host.
 """
 
@@ -81,7 +82,7 @@ CONFIGURATIONS = {
         dict(IMPLICIT, subcycle={"ocean": 3, "ice": 2}, exchange="join"),
     ),
 }
-QUICK = ("explicit_p2p", "implicit")
+QUICK = ("explicit_p2p", "implicit", "iqn_ils_quadratic")
 
 #: What a digest covers, per component, in this order.
 FIELDS = (
@@ -125,7 +126,7 @@ def run_one(name: str, grids: str, backend: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grids", choices=("default", "bench"), default="default")
-    parser.add_argument("--quick", action="store_true", help="two configurations")
+    parser.add_argument("--quick", action="store_true", help="three configurations (CI's smoke)")
     out = parser.add_mutually_exclusive_group()
     out.add_argument("--write", metavar="FILE", help="save the digests as JSON")
     out.add_argument("--against", metavar="FILE", help="compare with a saved file")

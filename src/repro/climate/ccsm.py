@@ -172,7 +172,8 @@ class CCSMConfig:
     coupling_tol: float = 1e-9
     #: Iteration budget per implicit coupling step.
     max_coupling_iterations: int = 25
-    #: Relaxation: Gauss-Seidel ω, and the initial ω of Aitken / IQN-ILS.
+    #: Relaxation: Gauss-Seidel ω (in (0, 2]), and the initial ω of
+    #: Aitken / IQN-ILS (nonzero).
     coupling_omega: float = 1.0
     #: Predictor seeding each implicit step from prior converged steps:
     #: ``None`` | ``"constant"`` | ``"linear"`` | ``"quadratic"``.
@@ -226,8 +227,22 @@ class CCSMConfig:
                 raise ReproError(
                     f"unknown coupling_predictor {self.coupling_predictor!r}"
                 )
-            if self.coupling_tol <= 0:
-                raise ReproError(f"coupling_tol must be positive, got {self.coupling_tol}")
+            if not (math.isfinite(self.coupling_tol) and self.coupling_tol > 0):
+                raise ReproError(
+                    f"coupling_tol must be finite and positive, got {self.coupling_tol}"
+                )
+            omega = self.coupling_omega
+            if self.coupling_solver == "gauss_seidel":
+                if not (math.isfinite(omega) and 0 < omega <= 2.0):
+                    raise ReproError(
+                        f"coupling_omega must be finite and in (0, 2] for "
+                        f"gauss_seidel, got {omega}"
+                    )
+            elif not (math.isfinite(omega) and omega != 0.0):
+                raise ReproError(
+                    f"coupling_omega must be finite and nonzero for "
+                    f"{self.coupling_solver}, got {omega}"
+                )
             if self.max_coupling_iterations < 1:
                 raise ReproError(
                     f"max_coupling_iterations must be >= 1, got "
@@ -365,15 +380,7 @@ class ComponentRunner:
         else:
             _, local_flux = self._receive_command(step)
         self._advance(step, local_flux)
-        if (
-            self.cfg.checkpoint_every > 0
-            and self.model.steps_taken % self.cfg.checkpoint_every == 0
-        ):
-            from repro.climate import checkpoint
-
-            checkpoint.save(self.model, self.cfg.checkpoint_dir, self.name)
-            # Fluxes up to the saved step are baked into the checkpoint.
-            self._flux_log = [e for e in self._flux_log if e[0] >= self.model.steps_taken]
+        self._checkpoint_if_due()
 
     def _iterate_and_step(self, step: int) -> None:
         """The implicit command loop: trial-evaluate from the step-start
@@ -387,19 +394,20 @@ class ComponentRunner:
                 self.publish(step)
             elif cmd == "commit":
                 self._advance(step, local_flux)
-                if (
-                    self.cfg.checkpoint_every > 0
-                    and self.model.steps_taken % self.cfg.checkpoint_every == 0
-                ):
-                    from repro.climate import checkpoint
-
-                    checkpoint.save(self.model, self.cfg.checkpoint_dir, self.name)
-                    self._flux_log = [
-                        e for e in self._flux_log if e[0] >= self.model.steps_taken
-                    ]
+                self._checkpoint_if_due()
                 return
             else:
                 raise ReproError(f"{self.name}: unknown coupling command {cmd!r}")
+
+    def _checkpoint_if_due(self) -> None:
+        """Save the periodic checkpoint when a completed step calls for one."""
+        every = self.cfg.checkpoint_every
+        if every > 0 and self.model.steps_taken % every == 0:
+            from repro.climate import checkpoint
+
+            checkpoint.save(self.model, self.cfg.checkpoint_dir, self.name)
+            # Fluxes up to the saved step are baked into the checkpoint.
+            self._flux_log = [e for e in self._flux_log if e[0] >= self.model.steps_taken]
 
     def _receive_command(self, step: int) -> tuple[str, np.ndarray]:
         """One coupler command plus this rank's flux block.  The command
@@ -541,35 +549,28 @@ class CouplerRunner:
         from repro.coupling import (
             AbsoluteNorm,
             AitkenSolver,
-            ConstantPredictor,
             GaussSeidelSolver,
             InterfaceSpec,
             IQNILSSolver,
-            LinearPredictor,
-            QuadraticPredictor,
+            Predictor,
         )
 
         cfg = self.cfg
         #: The iterate: every active component's temperature field, packed.
         self._spec = InterfaceSpec([(k, cfg.shapes[k]) for k in self.active_kinds])
-        criterion = AbsoluteNorm(cfg.coupling_tol)
-        kw = dict(max_iterations=cfg.max_coupling_iterations)
-        if cfg.coupling_solver == "gauss_seidel":
-            self._solver = GaussSeidelSolver(criterion, omega=cfg.coupling_omega, **kw)
-        elif cfg.coupling_solver == "aitken":
-            self._solver = AitkenSolver(criterion, omega_initial=cfg.coupling_omega, **kw)
-        else:
-            self._solver = IQNILSSolver(criterion, omega_initial=cfg.coupling_omega, **kw)
-        self._solver.initialize()
-        pred_cls = {
-            None: None,
-            "constant": ConstantPredictor,
-            "linear": LinearPredictor,
-            "quadratic": QuadraticPredictor,
-        }[cfg.coupling_predictor]
-        self._predictor = pred_cls() if pred_cls is not None else None
-        if self._predictor is not None:
-            self._predictor.initialize()
+        solver_cls = {
+            "gauss_seidel": GaussSeidelSolver,
+            "aitken": AitkenSolver,
+            "iqn_ils": IQNILSSolver,
+        }[cfg.coupling_solver]
+        # The second argument is Gauss-Seidel's ω, Aitken's / IQN-ILS's initial ω.
+        self._solver = solver_cls(
+            AbsoluteNorm(cfg.coupling_tol),
+            cfg.coupling_omega,
+            max_iterations=cfg.max_coupling_iterations,
+        )
+        order = {"constant": 0, "linear": 1, "quadratic": 2}.get(cfg.coupling_predictor)
+        self._predictor = None if order is None else Predictor(order)
         #: Iterations and convergence flag of every implicit step.
         self.coupling_iterations: list[int] = []
         self.coupling_converged: list[bool] = []
@@ -689,7 +690,6 @@ class CouplerRunner:
         x = self._spec.pack(self._collect_temps(step))  # step-start state
         self._solver.initialize_solution_step()
         if self._predictor is not None:
-            self._predictor.initialize_solution_step()
             guess = self._predictor.predict()
             if guess is not None:
                 x = guess
@@ -699,12 +699,11 @@ class CouplerRunner:
             self._send_command(step, "iterate", fluxes)
             return self._spec.pack(self._collect_temps(step))
 
-        result = self._solver.solve_solution_step(x, operate, self._spec)
+        result = self._solver.solve_solution_step(x, operate)
         fluxes = self._fluxes_of(self._spec.unpack(result.x), record=True)
         self._send_command(step, "commit", fluxes)
         if self._predictor is not None:
             self._predictor.update(result.x)
-            self._predictor.finalize_solution_step()
         self._solver.finalize_solution_step()
         self.coupling_iterations.append(result.iterations)
         self.coupling_converged.append(result.converged)

@@ -1,194 +1,31 @@
-"""Convergence criteria: when has a coupling step converged?
+"""The convergence criterion of an implicit coupling step.
 
-A criterion watches the interface residual ``r_k = F(x_k) - x_k`` over the
-iterations of one coupling step and answers :meth:`is_satisfied`.  The
-building blocks are per-field (or whole-vector) residual norms —
-:class:`AbsoluteNorm` against a fixed tolerance, :class:`RelativeNorm`
-against the step's first residual — composable with ``&`` and ``|`` into
-arbitrary and/or trees, so "absolute OR (relative AND at least 2 orders
-dropped)" is one expression, not a new class.
-
-Criteria are :class:`~repro.coupling.component.Component`\\ s: the driver
-opens a step (resetting the history) and feeds every iteration's residual
-through :meth:`ConvergenceCriterion.update`.
+A coupling step has converged when the 2-norm of its interface residual
+``r_k = F(x_k) - x_k`` is at most a fixed tolerance: the one test CCSM's
+implicit coupler applies (``CCSMConfig.coupling_tol``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
 
 import numpy as np
 
-from repro.coupling.component import Component
-from repro.coupling.interface import InterfaceSpec
 from repro.errors import CouplingError
 
 
-class ConvergenceCriterion(Component):
-    """Base class: records the residual history of the current step.
+class AbsoluteNorm:
+    """``||r_k||_2 <= tol``.
 
-    Subclasses implement :meth:`is_satisfied` over :attr:`residuals`
-    (one entry per completed iteration).
+    >>> AbsoluteNorm(tol=1e-6).is_satisfied(np.array([3e-7, 4e-7]))
+    True
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Residual vectors of the current coupling step, oldest first.
-        self.residuals: List[np.ndarray] = []
-        self._spec: Optional[InterfaceSpec] = None
-
-    def initialize_solution_step(self) -> None:
-        super().initialize_solution_step()
-        self.residuals = []
-
-    def update(self, residual: np.ndarray, spec: Optional[InterfaceSpec] = None) -> None:
-        """Record one iteration's interface residual."""
-        self._require_in_step("update")
-        self.residuals.append(np.asarray(residual, dtype=float))
-        if spec is not None:
-            self._spec = spec
-
-    def is_satisfied(self) -> bool:
-        """Whether the step has converged under this criterion."""
-        raise NotImplementedError
-
-    def iterations(self) -> int:
-        """Iterations recorded so far in the current step."""
-        return len(self.residuals)
-
-    # -- composition ------------------------------------------------------------
-
-    def __and__(self, other: "ConvergenceCriterion") -> "And":
-        return And(self, other)
-
-    def __or__(self, other: "ConvergenceCriterion") -> "Or":
-        return Or(self, other)
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _field_residual(self, residual: np.ndarray, field: Optional[str]) -> np.ndarray:
-        if field is None:
-            return residual
-        if self._spec is None:
-            raise CouplingError(
-                f"criterion watches field {field!r} but no InterfaceSpec was "
-                "passed to update()"
-            )
-        return residual[self._spec.slice_of(field)]
-
-
-class AbsoluteNorm(ConvergenceCriterion):
-    """``||r_k|| <= tol`` (2-norm by default), optionally on one field.
-
-    >>> c = AbsoluteNorm(tol=1e-6)
-    """
-
-    def __init__(self, tol: float, field: Optional[str] = None, ord: int = 2):
-        super().__init__()
-        if tol <= 0:
-            raise CouplingError(f"AbsoluteNorm tol must be positive, got {tol}")
+    def __init__(self, tol: float):
+        if not (math.isfinite(tol) and tol > 0):
+            raise CouplingError(f"AbsoluteNorm tol must be finite and positive, got {tol}")
         self.tol = float(tol)
-        self.field = field
-        self.ord = ord
 
-    def is_satisfied(self) -> bool:
-        if not self.residuals:
-            return False
-        r = self._field_residual(self.residuals[-1], self.field)
-        return float(np.linalg.norm(r, self.ord)) <= self.tol
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = f", field={self.field!r}" if self.field else ""
-        return f"AbsoluteNorm(tol={self.tol}{where})"
-
-
-class RelativeNorm(ConvergenceCriterion):
-    """``||r_k|| <= tol * ||r_0||`` against the step's first residual,
-    optionally on one field.  A step whose first residual is already zero
-    is converged immediately."""
-
-    def __init__(self, tol: float, field: Optional[str] = None, ord: int = 2):
-        super().__init__()
-        if not 0 < tol < 1:
-            raise CouplingError(f"RelativeNorm tol must be in (0, 1), got {tol}")
-        self.tol = float(tol)
-        self.field = field
-        self.ord = ord
-
-    def is_satisfied(self) -> bool:
-        if not self.residuals:
-            return False
-        r0 = self._field_residual(self.residuals[0], self.field)
-        rk = self._field_residual(self.residuals[-1], self.field)
-        ref = float(np.linalg.norm(r0, self.ord))
-        if ref == 0.0:
-            return True
-        return float(np.linalg.norm(rk, self.ord)) <= self.tol * ref
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = f", field={self.field!r}" if self.field else ""
-        return f"RelativeNorm(tol={self.tol}{where})"
-
-
-class IterationBound(ConvergenceCriterion):
-    """Satisfied after *n* iterations — compose with ``|`` as a safety
-    valve, or use alone to force a fixed iteration count."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        if n < 1:
-            raise CouplingError(f"IterationBound needs n >= 1, got {n}")
-        self.n = int(n)
-
-    def is_satisfied(self) -> bool:
-        return len(self.residuals) >= self.n
-
-
-class _Combined(ConvergenceCriterion):
-    """Shared machinery of :class:`And` / :class:`Or`: lifecycle calls and
-    residual updates fan out to every child."""
-
-    def __init__(self, *children: ConvergenceCriterion):
-        super().__init__()
-        if len(children) < 2:
-            raise CouplingError(f"{type(self).__name__} needs at least two criteria")
-        self.children = tuple(children)
-
-    def initialize(self) -> None:
-        super().initialize()
-        for c in self.children:
-            c.initialize()
-
-    def initialize_solution_step(self) -> None:
-        super().initialize_solution_step()
-        for c in self.children:
-            c.initialize_solution_step()
-
-    def update(self, residual: np.ndarray, spec: Optional[InterfaceSpec] = None) -> None:
-        super().update(residual, spec)
-        for c in self.children:
-            c.update(residual, spec)
-
-    def finalize_solution_step(self) -> None:
-        super().finalize_solution_step()
-        for c in self.children:
-            c.finalize_solution_step()
-
-    def finalize(self) -> None:
-        super().finalize()
-        for c in self.children:
-            c.finalize()
-
-
-class And(_Combined):
-    """Converged when *every* child criterion is satisfied."""
-
-    def is_satisfied(self) -> bool:
-        return all(c.is_satisfied() for c in self.children)
-
-
-class Or(_Combined):
-    """Converged when *any* child criterion is satisfied."""
-
-    def is_satisfied(self) -> bool:
-        return any(c.is_satisfied() for c in self.children)
+    def is_satisfied(self, residual: np.ndarray) -> bool:
+        """Whether the interface residual *residual* meets the tolerance."""
+        return float(np.linalg.norm(residual, 2)) <= self.tol

@@ -1,12 +1,11 @@
 """Interface data: the named fields a coupling iteration converges on.
 
-Coupled solvers do linear algebra on one flat vector; convergence criteria
-and the component models want *fields* (per-variable, per-discretization).  An
-:class:`InterfaceSpec` fixes the bridge once — an ordered set of named
-fields with shapes — and packs/unpacks between ``{name: array}`` dicts and
-the flat iterate vector deterministically (field declaration order, C
-order within a field), so every solver, criterion, and transport sees the
-same layout and results stay bitwise schedule-independent.
+Coupled solvers do linear algebra on one flat vector; the component
+models hold *fields*.  An :class:`InterfaceSpec` fixes the bridge once —
+an ordered set of named fields with shapes — and packs/unpacks between
+``{name: array}`` dicts and the flat iterate vector deterministically
+(field declaration order, C order within a field), so results stay
+bitwise schedule-independent.
 """
 
 from __future__ import annotations
@@ -47,27 +46,9 @@ class InterfaceSpec:
         #: Total length of the packed iterate vector.
         self.size = offset
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Field names in declaration order."""
-        return tuple(name for name, _ in self.fields)
-
-    def shape(self, name: str) -> Tuple[int, ...]:
-        """Declared shape of field *name*."""
-        for fname, fshape in self.fields:
-            if fname == name:
-                return fshape
-        raise CouplingError(f"unknown interface field {name!r}; have {self.names}")
-
-    def slice_of(self, name: str) -> slice:
-        """Slice of field *name* within the packed vector."""
-        if name not in self._slices:
-            raise CouplingError(f"unknown interface field {name!r}; have {self.names}")
-        return self._slices[name]
-
     def pack(self, fields: Mapping[str, np.ndarray]) -> np.ndarray:
         """Concatenate *fields* into the flat iterate vector (float64)."""
-        missing = set(self.names) - set(fields)
+        missing = set(self._slices) - set(fields)
         if missing:
             raise CouplingError(f"pack: missing interface fields {sorted(missing)}")
         out = np.empty(self.size, dtype=float)
@@ -91,17 +72,3 @@ class InterfaceSpec:
             name: vector[self._slices[name]].reshape(shape)
             for name, shape in self.fields
         }
-
-    def zeros(self) -> np.ndarray:
-        """A zero iterate vector of this spec's size."""
-        return np.zeros(self.size)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InterfaceSpec) and self.fields == other.fields
-
-    def __hash__(self) -> int:
-        return hash(self.fields)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        parts = ", ".join(f"{n}{s}" for n, s in self.fields)
-        return f"InterfaceSpec({parts})"

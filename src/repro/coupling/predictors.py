@@ -1,11 +1,9 @@
-"""Predictors: the initial interface guess at the start of a coupling step.
+"""The predictor: the initial interface guess at the start of a coupling step.
 
 An implicit coupling step is an iteration to the fixed point
 ``x = F(x)``; the closer the first iterate starts, the fewer iterations
-the solver burns.  A predictor extrapolates the converged interface
-vectors of prior coupling steps — constant (reuse the last), linear, or
-quadratic in step index — and is updated with each step's converged
-result by the driver.
+the solver burns.  A :class:`Predictor` extrapolates the converged
+interface vectors of prior coupling steps in step index.
 
 The first steps of a run, before enough history exists, degrade
 gracefully to the highest extrapolation order the history supports (a
@@ -19,26 +17,27 @@ from typing import Deque, Optional
 
 import numpy as np
 
-from repro.coupling.component import Component
+from repro.errors import CouplingError
 
 
-class Predictor(Component):
-    """Base class: a ring of converged interface vectors, newest last.
+class Predictor:
+    """Polynomial extrapolation of the converged interface, newest last.
 
-    Subclasses set :attr:`order` (extrapolation order; history demand is
-    ``order + 1``) and inherit everything else.
+    *order* 0 reuses the last converged vector; 1 is linear,
+    ``2 x_{n-1} - x_{n-2}``; 2 is quadratic (Lagrange),
+    ``3 x_{n-1} - 3 x_{n-2} + x_{n-3}``.  Only the last ``order + 1``
+    converged vectors are kept.
     """
 
-    #: Extrapolation order (0 = constant, 1 = linear, 2 = quadratic).
-    order = 0
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._history: Deque[np.ndarray] = deque(maxlen=self.order + 1)
+    def __init__(self, order: int):
+        if order not in (0, 1, 2):
+            raise CouplingError(f"predictor order must be 0, 1 or 2, got {order}")
+        self.order = order
+        self._history: Deque[np.ndarray] = deque(maxlen=order + 1)
 
     def predict(self) -> Optional[np.ndarray]:
         """The initial iterate for the coming step, or ``None`` before any
-        history exists (the driver then starts from the current state)."""
+        history exists (the caller then starts from the current state)."""
         n = len(self._history)
         if n == 0:
             return None
@@ -51,30 +50,4 @@ class Predictor(Component):
 
     def update(self, converged: np.ndarray) -> None:
         """Record a coupling step's converged interface vector."""
-        self._require_in_step("update")
         self._history.append(np.array(converged, dtype=float))
-
-    @property
-    def history_length(self) -> int:
-        """Converged steps currently remembered."""
-        return len(self._history)
-
-
-class ConstantPredictor(Predictor):
-    """Reuse the previous step's converged interface unchanged."""
-
-    order = 0
-
-
-class LinearPredictor(Predictor):
-    """Linear extrapolation from the last two converged steps:
-    ``2 x_{n-1} - x_{n-2}``."""
-
-    order = 1
-
-
-class QuadraticPredictor(Predictor):
-    """Quadratic (Lagrange) extrapolation from the last three converged
-    steps: ``3 x_{n-1} - 3 x_{n-2} + x_{n-3}``."""
-
-    order = 2

@@ -12,33 +12,40 @@ in how they turn the residual history into the next iterate:
 * :class:`AitkenSolver` — dynamic relaxation: ω is re-estimated each
   iteration from consecutive residuals (the secant in 1-D);
 * :class:`IQNILSSolver` — the quasi-Newton IQN-ILS scheme: a least-squares
-  secant model of the residual surface built from this step's iterates,
-  optionally reusing the models of up to *reuse_steps* previous coupling
-  steps (bounded window), with QR column filtering to drop
-  (near-)linearly-dependent secant pairs.
+  secant model of the residual surface built from this step's iterates
+  and reusing the models of the last :data:`REUSE_STEPS` coupling steps,
+  with QR column filtering to drop (near-)linearly-dependent secant pairs.
 
 Every solver runs the same loop (:meth:`CoupledSolver.solve_solution_step`):
-evaluate, record the residual into the convergence criterion, stop or
-update.  All updates are plain deterministic numpy — results are bitwise
-identical across message schedules and execution backends.
+evaluate, test the residual against the criterion, stop or update.  All
+updates are plain deterministic numpy — results are bitwise identical
+across message schedules and execution backends.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.coupling.component import Component
-from repro.coupling.criteria import ConvergenceCriterion
-from repro.coupling.interface import InterfaceSpec
+from repro.coupling.criteria import AbsoluteNorm
 from repro.errors import CouplingError
 
 #: Type of the interface operator a solver iterates on: one coupled
 #: evaluation, ``y = F(x)``.
 Operator = Callable[[np.ndarray], np.ndarray]
+
+#: Aitken's ω is clipped to ``[-OMEGA_MAX, OMEGA_MAX]``.
+OMEGA_MAX = 2.0
+#: IQN-ILS appends the secant columns of up to this many previous
+#: coupling steps to its model (the bounded reuse window).
+REUSE_STEPS = 2
+#: IQN-ILS's QR filter drops columns whose ``|R_jj|`` falls below
+#: ``FILTER_EPS × max_j |R_jj|``.
+FILTER_EPS = 1e-10
 
 
 @dataclass
@@ -52,74 +59,54 @@ class SolveResult:
     iterations: int
     #: Whether the convergence criterion was met within the budget.
     converged: bool
-    #: 2-norm of the interface residual per iteration.
-    residual_norms: List[float] = field(default_factory=list)
 
 
-class CoupledSolver(Component):
+class CoupledSolver:
     """Base class: the evaluate / check / update loop of one coupling step.
+
+    A new solver is ready for its first step, and :meth:`initialize`
+    starts it over.  Each coupling step is one :meth:`solve_solution_step`
+    between :meth:`initialize_solution_step` and
+    :meth:`finalize_solution_step`.
 
     Parameters
     ----------
     criterion :
-        The convergence criterion (its lifecycle is driven by this
-        solver).
+        The convergence criterion each iteration's residual is tested
+        against.
     max_iterations :
-        Evaluation budget per coupling step.
-    strict :
-        Raise :class:`~repro.errors.CouplingError` when the budget is
-        exhausted unconverged (default: return ``converged=False``).
+        Evaluation budget per coupling step; an exhausted budget returns
+        ``converged=False``.
     """
 
-    def __init__(
-        self,
-        criterion: ConvergenceCriterion,
-        max_iterations: int = 50,
-        strict: bool = False,
-    ):
-        super().__init__()
+    def __init__(self, criterion: AbsoluteNorm, max_iterations: int = 50):
         if max_iterations < 1:
             raise CouplingError(f"max_iterations must be >= 1, got {max_iterations}")
         self.criterion = criterion
         self.max_iterations = int(max_iterations)
-        self.strict = bool(strict)
-        #: Iterations of every completed coupling step, in step order.
-        self.iterations_per_step: List[int] = []
-
-    # -- lifecycle cascades to the criterion -----------------------------------
+        self._in_step = False
+        self.initialize()
 
     def initialize(self) -> None:
-        super().initialize()
-        self.criterion.initialize()
+        """Start the coupled calculation over: forget every earlier step."""
 
     def initialize_solution_step(self) -> None:
-        super().initialize_solution_step()
-        self.criterion.initialize_solution_step()
+        """Open one coupling step."""
+        self._in_step = True
 
     def finalize_solution_step(self) -> None:
-        super().finalize_solution_step()
-        self.criterion.finalize_solution_step()
+        """Close the coupling step."""
+        self._in_step = False
 
-    def finalize(self) -> None:
-        super().finalize()
-        self.criterion.finalize()
-
-    # -- the loop ---------------------------------------------------------------
-
-    def solve_solution_step(
-        self,
-        x0: np.ndarray,
-        operate: Operator,
-        spec: Optional[InterfaceSpec] = None,
-    ) -> SolveResult:
+    def solve_solution_step(self, x0: np.ndarray, operate: Operator) -> SolveResult:
         """Iterate the coupling step to convergence from initial guess
         *x0*; returns the :class:`SolveResult` with the final evaluation."""
-        self._require_in_step("solve_solution_step")
+        if not self._in_step:
+            raise CouplingError(
+                f"{type(self).__name__}.solve_solution_step outside a coupling "
+                "step; call initialize_solution_step first"
+            )
         x = np.array(x0, dtype=float)
-        y = x
-        norms: List[float] = []
-        converged = False
-        iterations = 0
         for k in range(self.max_iterations):
             y = np.asarray(operate(x), dtype=float)
             if y.shape != x.shape:
@@ -127,33 +114,26 @@ class CoupledSolver(Component):
                     f"operator returned shape {y.shape}, iterate is {x.shape}"
                 )
             r = y - x
-            iterations = k + 1
-            self.criterion.update(r, spec)
-            norms.append(float(np.linalg.norm(r)))
-            self._observe(k, x, y, r)
-            if self.criterion.is_satisfied():
-                converged = True
-                break
-            x = self._next(k, x, y, r)
-        if not converged and self.strict:
-            raise CouplingError(
-                f"{type(self).__name__}: coupling step {self.step_index} did not "
-                f"converge in {self.max_iterations} iterations "
-                f"(last residual {norms[-1]:.3e})"
-            )
-        self.iterations_per_step.append(iterations)
-        return SolveResult(
-            x=y, iterations=iterations, converged=converged, residual_norms=norms
-        )
+            self._observe(y, r)
+            if self.criterion.is_satisfied(r):
+                return SolveResult(x=y, iterations=k + 1, converged=True)
+            x = self._next(x, r)
+        return SolveResult(x=y, iterations=self.max_iterations, converged=False)
 
-    # -- solver-specific pieces -------------------------------------------------
-
-    def _observe(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> None:
+    def _observe(self, y: np.ndarray, r: np.ndarray) -> None:
         """Bookkeeping hook, called after every evaluation (histories)."""
 
-    def _next(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The next iterate from the current evaluation."""
+    def _next(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The next iterate from the current one and its residual."""
         raise NotImplementedError
+
+
+def _check_omega_initial(omega_initial: float) -> float:
+    if not (math.isfinite(omega_initial) and omega_initial != 0.0):
+        raise CouplingError(
+            f"omega_initial must be finite and nonzero, got {omega_initial}"
+        )
+    return float(omega_initial)
 
 
 class GaussSeidelSolver(CoupledSolver):
@@ -161,18 +141,14 @@ class GaussSeidelSolver(CoupledSolver):
     (ω = 1 is plain Gauss-Seidel substitution)."""
 
     def __init__(
-        self,
-        criterion: ConvergenceCriterion,
-        omega: float = 1.0,
-        max_iterations: int = 50,
-        strict: bool = False,
+        self, criterion: AbsoluteNorm, omega: float = 1.0, max_iterations: int = 50
     ):
-        super().__init__(criterion, max_iterations, strict)
         if not 0 < omega <= 2.0:
             raise CouplingError(f"omega must be in (0, 2], got {omega}")
         self.omega = float(omega)
+        super().__init__(criterion, max_iterations)
 
-    def _next(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def _next(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return x + self.omega * r
 
 
@@ -184,25 +160,20 @@ class AitkenSolver(CoupledSolver):
         \\omega_k = -\\omega_{k-1}
             \\frac{r_{k-1} \\cdot (r_k - r_{k-1})}{\\lVert r_k - r_{k-1} \\rVert^2},
 
-    clipped to ``[-omega_max, omega_max]``.  The first iteration of a step
+    clipped to ``[-OMEGA_MAX, OMEGA_MAX]``.  The first iteration of a step
     reuses the last step's final ω (sign kept, magnitude capped at
     *omega_initial*), the classical warm start.
     """
 
     def __init__(
-        self,
-        criterion: ConvergenceCriterion,
-        omega_initial: float = 0.1,
-        omega_max: float = 2.0,
-        max_iterations: int = 50,
-        strict: bool = False,
+        self, criterion: AbsoluteNorm, omega_initial: float = 0.1, max_iterations: int = 50
     ):
-        super().__init__(criterion, max_iterations, strict)
-        if omega_initial == 0.0:
-            raise CouplingError("omega_initial must be nonzero")
-        self.omega_initial = float(omega_initial)
-        self.omega_max = float(abs(omega_max))
-        self._omega = float(omega_initial)
+        self.omega_initial = _check_omega_initial(omega_initial)
+        super().__init__(criterion, max_iterations)
+
+    def initialize(self) -> None:
+        super().initialize()
+        self._omega = self.omega_initial
         self._r_prev: Optional[np.ndarray] = None
         #: ω used at each iteration of the current step (diagnostic).
         self.omega_history: List[float] = []
@@ -215,13 +186,13 @@ class AitkenSolver(CoupledSolver):
         cap = abs(self.omega_initial)
         self._omega = float(np.sign(self._omega) or 1.0) * min(abs(self._omega), cap)
 
-    def _next(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def _next(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         if self._r_prev is not None:
             dr = r - self._r_prev
             denom = float(dr @ dr)
             if denom > 0.0:
                 omega = -self._omega * float(self._r_prev @ dr) / denom
-                self._omega = float(np.clip(omega, -self.omega_max, self.omega_max))
+                self._omega = float(np.clip(omega, -OMEGA_MAX, OMEGA_MAX))
         self._r_prev = np.array(r)
         self.omega_history.append(self._omega)
         return x + self._omega * r
@@ -235,91 +206,64 @@ class IQNILSSolver(CoupledSolver):
     ``min_c ||r_k + V c||`` and steps ``x_{k+1} = x_k + W c + r_k`` — a
     Newton step on the residual surface spanned by the observed secants.
 
-    Parameters
-    ----------
-    reuse_steps :
-        Bounded reuse window: secant columns from up to this many previous
-        coupling steps are appended to the model (0 = none).  Reuse cuts
-        the first iterations of a step dramatically once the interface
-        Jacobian is roughly constant between steps.
-    filter_eps :
-        QR filtering threshold: columns whose ``|R_jj|`` falls below
-        ``filter_eps × max_j |R_jj|`` are dropped (and the QR rebuilt)
-        until the model is numerically full-rank — without it, reused or
-        converged-step columns make the least squares singular.
-    omega_initial :
-        Relaxation of the model-free first iteration of a step when no
-        reused columns exist yet.
+    The columns of the last :data:`REUSE_STEPS` coupling steps are appended
+    to the model, which cuts the first iterations of a step once the
+    interface Jacobian is roughly constant between steps.  Reused or
+    converged-step columns make the least squares singular, so the QR
+    filter drops columns below :data:`FILTER_EPS` (relative) and rebuilds
+    the QR until the model is numerically full-rank.  *omega_initial* is
+    the relaxation of a model-free iteration (no columns yet).
     """
 
     def __init__(
-        self,
-        criterion: ConvergenceCriterion,
-        reuse_steps: int = 2,
-        filter_eps: float = 1e-10,
-        omega_initial: float = 0.1,
-        max_iterations: int = 50,
-        strict: bool = False,
+        self, criterion: AbsoluteNorm, omega_initial: float = 0.1, max_iterations: int = 50
     ):
-        super().__init__(criterion, max_iterations, strict)
-        if reuse_steps < 0:
-            raise CouplingError(f"reuse_steps must be >= 0, got {reuse_steps}")
-        if not 0 <= filter_eps < 1:
-            raise CouplingError(f"filter_eps must be in [0, 1), got {filter_eps}")
-        self.reuse_steps = int(reuse_steps)
-        self.filter_eps = float(filter_eps)
-        self.omega_initial = float(omega_initial)
-        self._v_cols: List[np.ndarray] = []  # newest first
-        self._w_cols: List[np.ndarray] = []
-        self._r_prev: Optional[np.ndarray] = None
-        self._y_prev: Optional[np.ndarray] = None
-        self._reused: deque = deque(maxlen=max(self.reuse_steps, 1))
+        self.omega_initial = _check_omega_initial(omega_initial)
+        super().__init__(criterion, max_iterations)
+
+    def initialize(self) -> None:
+        super().initialize()
+        self._reused: deque = deque(maxlen=REUSE_STEPS)
         #: Columns dropped by the QR filter over the run (diagnostic).
         self.filtered_columns = 0
+        self._v_cols: List[np.ndarray] = []  # newest first
+        self._w_cols: List[np.ndarray] = []
 
     def initialize_solution_step(self) -> None:
         super().initialize_solution_step()
         self._v_cols = []
         self._w_cols = []
-        self._r_prev = None
-        self._y_prev = None
+        self._r_prev: Optional[np.ndarray] = None
+        self._y_prev: Optional[np.ndarray] = None
 
     def finalize_solution_step(self) -> None:
         super().finalize_solution_step()
-        if self.reuse_steps > 0 and self._v_cols:
-            self._reused.append((list(self._v_cols), list(self._w_cols)))
+        if self._v_cols:
+            self._reused.append((self._v_cols, self._w_cols))
 
-    def _observe(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> None:
+    def _observe(self, y: np.ndarray, r: np.ndarray) -> None:
         if self._r_prev is not None:
             self._v_cols.insert(0, r - self._r_prev)
             self._w_cols.insert(0, y - self._y_prev)
         self._r_prev = np.array(r)
         self._y_prev = np.array(y)
 
-    def _model_columns(self) -> tuple:
-        v_cols = list(self._v_cols)
-        w_cols = list(self._w_cols)
-        if self.reuse_steps > 0:
-            for v_old, w_old in reversed(self._reused):
-                v_cols.extend(v_old)
-                w_cols.extend(w_old)
-        return v_cols, w_cols
-
-    def _next(self, k: int, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        v_cols, w_cols = self._model_columns()
+    def _next(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        v_cols, w_cols = list(self._v_cols), list(self._w_cols)
+        for v_old, w_old in reversed(self._reused):
+            v_cols.extend(v_old)
+            w_cols.extend(w_old)
         if not v_cols:
             return x + self.omega_initial * r
         # At most len(r) secant columns can be independent on this
         # interface; truncate (newest first) so the QR stays square.
-        v_cols, w_cols = v_cols[: r.shape[0]], w_cols[: r.shape[0]]
-        v = np.stack(v_cols, axis=1)
-        w = np.stack(w_cols, axis=1)
+        v = np.stack(v_cols[: r.shape[0]], axis=1)
+        w = np.stack(w_cols[: r.shape[0]], axis=1)
         # QR filtering: drop near-dependent columns until full rank.
         while True:
             q, rmat = np.linalg.qr(v)
             diag = np.abs(np.diag(rmat))
-            limit = self.filter_eps * float(diag.max()) if diag.size else 0.0
-            bad = np.nonzero(diag <= limit)[0]
+            bad = np.nonzero(diag <= FILTER_EPS * float(diag.max()))[0]
             if bad.size == 0 or v.shape[1] == 1:
                 break
             keep = np.setdiff1d(np.arange(v.shape[1]), bad)

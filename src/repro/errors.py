@@ -173,9 +173,9 @@ class SessionError(MPHError):
 
 class CouplingError(MPHError):
     """Misuse of the coupling-algorithms layer (:mod:`repro.coupling`):
-    mismatched interface specs, a solver driven outside its lifecycle,
-    or a coupling loop that exhausted its iteration budget with
-    ``strict=True``."""
+    a field that does not match its interface layout, a solver asked to
+    solve outside an open coupling step, or a tolerance, relaxation or
+    predictor order the solver cannot use."""
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,25 @@ class TestValidation:
             implicit_cfg(coupling_predictor="cubic")
 
     def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ReproError, match="coupling_tol"):
-            implicit_cfg(coupling_tol=0.0)
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ReproError, match="coupling_tol"):
+                implicit_cfg(coupling_tol=tol)
+
+    @pytest.mark.parametrize(
+        "solver, omega",
+        [
+            ("gauss_seidel", 0.0),
+            ("gauss_seidel", 2.5),
+            ("gauss_seidel", float("nan")),
+            ("aitken", 0.0),
+            ("aitken", float("inf")),
+            ("iqn_ils", 0.0),
+            ("iqn_ils", float("nan")),
+        ],
+    )
+    def test_unusable_omega_rejected(self, solver, omega):
+        with pytest.raises(ReproError, match="coupling_omega"):
+            implicit_cfg(coupling_solver=solver, coupling_omega=omega)
 
     def test_zero_iteration_budget_rejected(self):
         with pytest.raises(ReproError, match="max_coupling_iterations"):

@@ -3,10 +3,10 @@
 CCSM's implicit step is the coupling iteration this repository runs: a
 :mod:`repro.coupling` solver on the coupler iterates the flux exchange
 with every component to convergence.  Here it runs over §5.1 join
-communicators with per-component sub-cycling — solvers, criteria,
-``InterfaceSpec`` and the MPH handle together — on the thread and
-process backends (CI adds the process+shm leg via ``--mpi-transport
-shm``).  Its bitwise and schedule properties are pinned on the default
+communicators with per-component sub-cycling — the Gauss-Seidel
+solver, its ``AbsoluteNorm`` criterion, ``InterfaceSpec`` and the MPH
+handle together — on the thread and process backends (CI adds the
+process+shm leg via ``--mpi-transport shm``).  Its bitwise and schedule properties are pinned on the default
 world by ``tests/climate/test_implicit.py``.
 
 Run with ``--mpi-backend thread|process|both`` to select backends; the

@@ -1,146 +1,21 @@
-"""Convergence criteria and their and/or composition (repro.coupling.criteria)."""
+"""The convergence criterion (repro.coupling.criteria)."""
 
 import numpy as np
 import pytest
 
-from repro.coupling import (
-    AbsoluteNorm,
-    And,
-    InterfaceSpec,
-    IterationBound,
-    Or,
-    RelativeNorm,
-)
+from repro.coupling import AbsoluteNorm
 from repro.errors import CouplingError
-
-
-def opened(criterion):
-    criterion.initialize()
-    criterion.initialize_solution_step()
-    return criterion
 
 
 class TestAbsoluteNorm:
     def test_threshold(self):
-        c = opened(AbsoluteNorm(tol=1e-3))
-        c.update(np.array([1.0, 0.0]))
-        assert not c.is_satisfied()
-        c.update(np.array([1e-4, 0.0]))
-        assert c.is_satisfied()
-
-    def test_no_residual_yet(self):
-        assert not opened(AbsoluteNorm(tol=1.0)).is_satisfied()
-
-    def test_per_field(self):
-        spec = InterfaceSpec([("t", (2,)), ("f", (2,))])
-        c = opened(AbsoluteNorm(tol=1e-3, field="f"))
-        # t is far from converged, f is converged: the field criterion
-        # only watches f.
-        c.update(np.array([9.0, 9.0, 1e-5, 0.0]), spec)
-        assert c.is_satisfied()
-
-    def test_field_without_spec_is_an_error(self):
-        c = opened(AbsoluteNorm(tol=1e-3, field="f"))
-        c.update(np.array([0.0, 0.0]))
-        with pytest.raises(CouplingError, match="InterfaceSpec"):
-            c.is_satisfied()
-
-    def test_step_reset_clears_history(self):
-        c = opened(AbsoluteNorm(tol=1e-3))
-        c.update(np.array([1e-5]))
-        assert c.is_satisfied()
-        c.finalize_solution_step()
-        c.initialize_solution_step()
-        assert not c.is_satisfied()
-        assert c.iterations() == 0
-
-    def test_update_outside_step_rejected(self):
-        c = AbsoluteNorm(tol=1.0)
-        c.initialize()
-        with pytest.raises(CouplingError, match="outside a coupling step"):
-            c.update(np.zeros(2))
+        c = AbsoluteNorm(tol=1e-3)
+        assert not c.is_satisfied(np.array([1.0, 0.0]))
+        assert c.is_satisfied(np.array([1e-4, 0.0]))
+        # The 2-norm of the whole vector, not its largest entry.
+        assert not c.is_satisfied(np.array([8e-4, 8e-4]))
 
     def test_bad_tol(self):
-        with pytest.raises(CouplingError, match="positive"):
-            AbsoluteNorm(tol=0.0)
-
-    def test_max_norm(self):
-        c = opened(AbsoluteNorm(tol=0.5, ord=np.inf))
-        c.update(np.array([0.4, 0.4, 0.4]))
-        assert c.is_satisfied()  # 2-norm would be ~0.69
-
-
-class TestRelativeNorm:
-    def test_relative_to_first_residual(self):
-        c = opened(RelativeNorm(tol=1e-2))
-        c.update(np.array([100.0]))
-        assert not c.is_satisfied()
-        c.update(np.array([2.0]))
-        assert not c.is_satisfied()
-        c.update(np.array([0.5]))
-        assert c.is_satisfied()  # 0.5 <= 0.01 * 100
-
-    def test_zero_first_residual_is_converged(self):
-        c = opened(RelativeNorm(tol=1e-2))
-        c.update(np.zeros(3))
-        assert c.is_satisfied()
-
-    def test_tol_range(self):
-        with pytest.raises(CouplingError):
-            RelativeNorm(tol=1.5)
-        with pytest.raises(CouplingError):
-            RelativeNorm(tol=0.0)
-
-
-class TestIterationBound:
-    def test_counts_iterations(self):
-        c = opened(IterationBound(3))
-        for k in range(3):
-            assert not c.is_satisfied()
-            c.update(np.array([1.0]))
-        assert c.is_satisfied()
-
-    def test_needs_positive_n(self):
-        with pytest.raises(CouplingError):
-            IterationBound(0)
-
-
-class TestComposition:
-    def test_or_safety_valve(self):
-        c = opened(AbsoluteNorm(tol=1e-12) | IterationBound(2))
-        assert isinstance(c, Or)
-        c.update(np.array([5.0]))
-        assert not c.is_satisfied()
-        c.update(np.array([5.0]))
-        assert c.is_satisfied()  # the bound fired, not the norm
-
-    def test_and_requires_both(self):
-        c = opened(AbsoluteNorm(tol=1.0) & RelativeNorm(tol=0.5))
-        assert isinstance(c, And)
-        c.update(np.array([0.9]))  # absolute ok, relative not (r0 == rk)
-        assert not c.is_satisfied()
-        c.update(np.array([0.4]))
-        assert c.is_satisfied()
-
-    def test_lifecycle_fans_out(self):
-        a, b = AbsoluteNorm(tol=1.0), IterationBound(1)
-        c = a & b
-        c.initialize()
-        c.initialize_solution_step()
-        c.update(np.array([2.0]))
-        assert a.iterations() == 1 and b.iterations() == 1
-        c.finalize_solution_step()
-        c.initialize_solution_step()
-        assert a.iterations() == 0 and b.iterations() == 0
-        c.finalize_solution_step()
-        c.finalize()
-
-    def test_nested_tree(self):
-        c = opened((AbsoluteNorm(tol=1e-9) & RelativeNorm(tol=0.5)) | IterationBound(4))
-        for _ in range(4):
-            c.update(np.array([1.0]))
-        assert c.is_satisfied()
-
-    def test_too_few_children(self):
-        with pytest.raises(CouplingError, match="at least two"):
-            And(AbsoluteNorm(tol=1.0))
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(CouplingError, match="positive"):
+                AbsoluteNorm(tol=tol)

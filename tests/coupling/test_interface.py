@@ -27,31 +27,11 @@ class TestInterfaceSpec:
         vec = spec.pack({"a": np.array([3.0, 4.0]), "b": np.array([1.0, 2.0])})
         np.testing.assert_array_equal(vec, [1.0, 2.0, 3.0, 4.0])
 
-    def test_slice_of(self):
-        spec = InterfaceSpec([("t", (4,)), ("f", (2, 3))])
-        assert spec.slice_of("t") == slice(0, 4)
-        assert spec.slice_of("f") == slice(4, 10)
-
     def test_scalar_field(self):
         spec = InterfaceSpec([("alpha", ())])
         assert spec.size == 1
         vec = spec.pack({"alpha": np.asarray(7.0)})
         assert spec.unpack(vec)["alpha"].shape == ()
-
-    def test_names_and_shape(self):
-        spec = InterfaceSpec([("t", (4,)), ("f", (2, 3))])
-        assert spec.names == ("t", "f")
-        assert spec.shape("f") == (2, 3)
-
-    def test_zeros(self):
-        assert InterfaceSpec([("t", (3,))]).zeros().tolist() == [0.0, 0.0, 0.0]
-
-    def test_equality_and_hash(self):
-        a = InterfaceSpec([("t", (3,))])
-        b = InterfaceSpec([("t", (3,))])
-        c = InterfaceSpec([("t", (4,))])
-        assert a == b and hash(a) == hash(b)
-        assert a != c
 
     def test_empty_rejected(self):
         with pytest.raises(CouplingError, match="at least one field"):
@@ -75,10 +55,3 @@ class TestInterfaceSpec:
         spec = InterfaceSpec([("t", (2,))])
         with pytest.raises(CouplingError, match="unpack"):
             spec.unpack(np.zeros(3))
-
-    def test_unknown_field(self):
-        spec = InterfaceSpec([("t", (2,))])
-        with pytest.raises(CouplingError, match="unknown"):
-            spec.slice_of("nope")
-        with pytest.raises(CouplingError, match="unknown"):
-            spec.shape("nope")
