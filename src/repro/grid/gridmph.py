@@ -54,10 +54,6 @@ class GridDirectory:
         """All participating clusters, sorted."""
         return sorted({c.cluster for c in self.components})
 
-    def components_of(self, cluster: str) -> list[RemoteComponent]:
-        """The components one cluster runs, in publication order."""
-        return [c for c in self.components if c.cluster == cluster]
-
 
 class GridMPH:
     """A process's handle for cross-grid messaging.

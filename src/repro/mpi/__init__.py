@@ -31,7 +31,6 @@ Typical SPMD use::
 from repro.mpi.cartesian import CartComm, create_cart, dims_create
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB, UNDEFINED
 from repro.mpi.group import Group
-from repro.mpi.intercomm import InterComm, create_intercomm
 from repro.mpi.comm import Comm, make_world_comm
 from repro.mpi.executor import ExecRank, ProcResult, launch, run_spmd, run_world
 from repro.mpi.faults import FaultSchedule, SimulatedCrash, random_schedule
@@ -57,8 +56,6 @@ from repro.mpi.sched import (
     SeedOutcome,
     TraceRecorder,
     explore,
-    minimize,
-    parse_repro_command,
     repro_command,
 )
 from repro.mpi.procbackend import ProcessWorld, RankPool
@@ -80,8 +77,6 @@ __all__ = [
     "TAG_UB",
     "UNDEFINED",
     "Group",
-    "InterComm",
-    "create_intercomm",
     "Comm",
     "make_world_comm",
     "ExecRank",
@@ -111,9 +106,7 @@ __all__ = [
     "ExplorationReport",
     "SeedOutcome",
     "explore",
-    "minimize",
     "repro_command",
-    "parse_repro_command",
     "Blob",
     "Completion",
     "ProgressEngine",

@@ -112,7 +112,7 @@ def launch(
     :func:`repro.mpi.procbackend.rendezvous_prefix`).
     """
     config = config or WorldConfig()
-    if _validate(nprocs, ranks, config, log_dir, pool):
+    if _validate(nprocs, ranks, config, timeout, log_dir, pool):
         from repro.mpi.procbackend import run_procs
 
         results = run_procs(ranks, config, timeout, log_dir, labels, namespace, pool)
@@ -126,6 +126,7 @@ def _validate(
     nprocs: int,
     ranks: Sequence[RankFn],
     config: WorldConfig,
+    timeout: float,
     log_dir: Optional[str] = None,
     pool: Optional["RankPool"] = None,
     *,
@@ -140,6 +141,11 @@ def _validate(
         raise ValueError(f"world size must be >= 1, got {nprocs}")
     if len(ranks) != nprocs:
         raise ValueError(f"need {nprocs} rank functions, got {len(ranks)}")
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN fails both comparisons
+        raise ValueError(
+            f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} s "
+            f"(threading.TIMEOUT_MAX), got {timeout}"
+        )
     process = config.backend == "process"
     if process:
         if on_threads:
@@ -320,7 +326,7 @@ def run_world(
         exception is preferred over :class:`DeadlockError`, which is
         preferred over secondary :class:`AbortError` unwinds.
     """
-    _validate(world.nprocs, rank_fns, world.config, on_threads=True)
+    _validate(world.nprocs, rank_fns, world.config, timeout, on_threads=True)
     kwargs = fn_kwargs or {}
     bound = [lambda comm, fn=fn: fn(comm, *fn_args, **kwargs) for fn in rank_fns]
     results = _run_threads(world, bound, timeout)

@@ -20,8 +20,7 @@ The schedule is armed through
 branch per operation and per delivery, never a call into the schedule
 (``tests/mpi/test_faults.py::TestDisabledOverhead``).  Schedules
 serialize (:meth:`to_spec` / :meth:`from_spec`) so a failing seed can be
-replayed exactly, and :meth:`shrink` yields one-event-removed variants
-for delta-debugging a failing schedule down to its minimal trigger.
+replayed exactly.
 
 Determinism: every random quantity (jitter, corruption bytes) is derived
 from ``(seed, site, counter)``, never from shared RNG state, so thread
@@ -34,7 +33,7 @@ import random
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -242,7 +241,7 @@ class FaultSchedule:
             return [env, _duplicate_envelope(env)]
         return [_corrupt_envelope(env, self.seed, dest, index)]
 
-    # -- replay / minimization ---------------------------------------------
+    # -- replay ------------------------------------------------------------
 
     def to_spec(self) -> dict:
         """A plain-data description of the schedule, sufficient to rebuild
@@ -270,21 +269,6 @@ class FaultSchedule:
         for rank, jitter in spec.get("slow", {}).items():
             fs.slow_rank(int(rank), jitter)
         return fs
-
-    def shrink(self) -> Iterator["FaultSchedule"]:
-        """Yield every one-event-removed variant of this schedule (fresh
-        counters), for delta-debugging a failing schedule down to the
-        minimal set of faults that still triggers the bug."""
-        spec = self.to_spec()
-        for i in range(len(spec["crashes"])):
-            smaller = dict(spec, crashes=spec["crashes"][:i] + spec["crashes"][i + 1:])
-            yield self.from_spec(smaller)
-        for i in range(len(spec["messages"])):
-            smaller = dict(spec, messages=spec["messages"][:i] + spec["messages"][i + 1:])
-            yield self.from_spec(smaller)
-        for rank in spec["slow"]:
-            smaller = dict(spec, slow={r: j for r, j in spec["slow"].items() if r != rank})
-            yield self.from_spec(smaller)
 
     def __repr__(self) -> str:
         return (

@@ -50,7 +50,7 @@ is detected by the parent polling process liveness; it synthesizes a
 nonzero component exits fail the whole job instead of being swallowed.
 
 Every child holds its own :class:`ProcessWorld` replica.  That works for
-*all* existing features (collectives, split/dup/create, intercomm,
+*all* existing features (collectives, split/dup/create, comm_join,
 ssend) because the substrate has exactly one remote
 seam — :meth:`World.deliver <repro.mpi.world.World.deliver>` — and only
 two kinds of cross-rank agreement: message delivery (now framed over the
@@ -115,7 +115,7 @@ class ProcessWorld(World):
 
     * **Disjoint context-id subspaces.**  Communicator creation allocates
       a context pair on one agreeing rank (the root of a split, the
-      leader of an intercomm) and distributes it by message.  With a
+      leader of a ``comm_join``) and distributes it by message.  With a
       world replica per process there is no shared counter, so each rank
       allocates from its own arithmetic progression — rank *r* hands out
       pairs starting at ``2 + 2r`` with stride ``2 * nprocs``.  Any two

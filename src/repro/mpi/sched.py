@@ -20,19 +20,15 @@ nondeterminism a seeded, replayable input:
   enforced structurally, never decided.
 * :class:`TraceRecorder` / :class:`MatchTrace` — a compact log of every
   decision, keyed so that per-rank decision streams are reproducible for
-  deterministic programs; ``to_spec``/``from_spec`` round-trip like
-  :class:`~repro.mpi.faults.FaultSchedule` specs, and
-  :meth:`MatchSchedule.from_trace` rebuilds a schedule that replays a
-  recorded trace as decision *overrides*.
+  deterministic programs; :meth:`MatchTrace.to_spec` is the plain-data
+  form a failing run's dump carries.
 * :func:`explore` — the divergence detector: run one program under N
   seeds and diff the per-rank results; differing digests mean the
   program's outcome depends on the schedule — a race.
-* :meth:`MatchSchedule.shrink` / :func:`minimize` — delta-debug a
-  failing schedule down to the minimal set of decision overrides that
-  still triggers the bug.
-* :func:`repro_command` / :func:`parse_repro_command` — the one-line
-  ``pytest ... --mpi-match-seed=K`` reproduction command the test
-  plugin (``tests/plugins/schedule_sweep.py``) prints on failure.
+* :func:`repro_command` — the one-line ``pytest ... --mpi-match-seed=K``
+  reproduction command the test plugin
+  (``tests/plugins/schedule_sweep.py``) prints on failure.  The seed is
+  the whole replay: the same seed rebuilds the same decisions.
 
 Determinism model
 -----------------
@@ -57,10 +53,6 @@ receives after) therefore produces a bit-identical
 unsynchronized senders against a wildcard receive retain *arrival-set*
 nondeterminism — which the :func:`explore` detector treats as part of
 the race surface being probed, not as something to hide.
-
-The virtual-time clock is the recorder's logical decision counter: each
-recorded decision advances it by one, so trace dumps order decisions by
-causality of the schedule itself rather than by wall clock.
 """
 
 from __future__ import annotations
@@ -69,7 +61,7 @@ import hashlib
 import pickle
 import shlex
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import threading
 
@@ -88,13 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover
 KINDS = ("match", "probe", "waitany", "waitsome", "hold")
 
 
-def _freeze(value):
-    """Recursively turn lists (from JSON specs) back into tuples."""
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """One recorded schedule decision.
@@ -105,10 +90,6 @@ class TraceEvent:
     holds.  ``cands`` is the candidate tuple the decision chose from —
     ``(source, tag)`` pairs for matches/probes, request indices for
     waits, empty for holds (where ``chosen`` is the hold length).
-    ``vt`` is the virtual-time stamp: the recorder's logical decision
-    clock at record time (informational ordering only — it is excluded
-    from :meth:`MatchTrace.canonical`, which must not depend on how two
-    ranks' decision streams interleaved).
     """
 
     kind: str
@@ -116,11 +97,10 @@ class TraceEvent:
     key: object
     cands: tuple
     chosen: int
-    vt: int
 
 
 class MatchTrace:
-    """An immutable log of schedule decisions, ready to diff or replay."""
+    """An immutable log of schedule decisions, ready to diff or dump."""
 
     def __init__(self, events: Iterable[TraceEvent] = ()):
         self.events: tuple[TraceEvent, ...] = tuple(events)
@@ -140,7 +120,7 @@ class MatchTrace:
         whether a delivery even *reaches* the hold decision depends on
         whether a matching receive was already posted — an arrival-time
         race the canonical form must not leak.  Hold decisions still
-        replay through :meth:`MatchSchedule.from_trace` overrides.
+        replay from the seed.
         """
         return tuple(
             sorted(
@@ -154,66 +134,29 @@ class MatchTrace:
         """A short stable digest of :meth:`canonical` (race triage)."""
         return hashlib.sha256(repr(self.canonical()).encode()).hexdigest()[:16]
 
-    def decisions(self) -> tuple[TraceEvent, ...]:
-        """The events where a real choice existed: more than one
-        candidate, or a nonzero hold."""
-        return tuple(
-            e
-            for e in self.events
-            if (e.kind == "hold" and e.chosen > 0)
-            or (e.kind != "hold" and len(e.cands) > 1)
-        )
-
-    def per_rank(self) -> dict[int, tuple]:
-        """Each rank's canonical decision subsequence."""
-        by_rank: dict[int, list] = {}
-        for e in self.events:
-            if e.kind == "hold":
-                continue
-            by_rank.setdefault(e.rank, []).append(
-                (e.kind, e.key, e.cands, e.chosen)
-            )
-        return {r: tuple(sorted(v)) for r, v in by_rank.items()}
-
     def to_spec(self) -> dict:
-        """Plain-data (JSON-able) form; rebuild with :meth:`from_spec`."""
+        """Plain-data (JSON-able) form, for a failing run's dump."""
         return {
             "events": [
-                [e.kind, e.rank, e.key, e.cands, e.chosen, e.vt]
-                for e in self.events
+                [e.kind, e.rank, e.key, e.cands, e.chosen] for e in self.events
             ]
         }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "MatchTrace":
-        """Rebuild a trace serialized by :meth:`to_spec`."""
-        return cls(
-            TraceEvent(kind, rank, _freeze(key), _freeze(cands), chosen, vt)
-            for kind, rank, key, cands, chosen, vt in spec.get("events", ())
-        )
 
     def __repr__(self) -> str:
         return f"MatchTrace({len(self.events)} events, digest={self.digest()})"
 
 
 class TraceRecorder:
-    """Thread-safe decision log; owns the virtual-time clock."""
+    """Thread-safe decision log."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
-        self._vt = 0
 
     def record(self, kind: str, rank: int, key, cands: tuple, chosen: int) -> None:
-        """Append one decision and advance virtual time."""
+        """Append one decision."""
         with self._lock:
-            self._events.append(TraceEvent(kind, rank, key, cands, chosen, self._vt))
-            self._vt += 1
-
-    @property
-    def vt(self) -> int:
-        """Current virtual time (decisions recorded so far)."""
-        return self._vt
+            self._events.append(TraceEvent(kind, rank, key, cands, chosen))
 
     def trace(self) -> MatchTrace:
         """A consistent snapshot of everything recorded so far."""
@@ -232,12 +175,9 @@ class MatchSchedule:
     Parameters
     ----------
     seed :
-        Derives every decision (candidate weights, hold lengths).
-    policy :
-        ``"random"`` (default) — seed-derived choices and holds;
-        ``"fifo"`` — always take the lowest ``(source, tag)`` candidate
-        and never hold, i.e. a deterministic baseline every override
-        replays against.
+        Derives every decision (candidate weights, hold lengths), so the
+        seed alone replays a run.  The earliest-first baseline is a
+        disarmed world (``match_schedule=None``).
     hold_prob / hold_max :
         Probability that an unmatched arrival is held invisible, and the
         maximum number of visibility events (deliveries into the same
@@ -246,9 +186,6 @@ class MatchSchedule:
         envelope is force-revealed the moment a matching receive is
         posted or a blocking probe scans for it, so no program blocks on
         a message the schedule is hiding.
-    overrides :
-        ``{(kind, rank, key): chosen}`` decisions pinned regardless of
-        seed/policy (trace replay and :func:`minimize` shrinking).
 
     A schedule instance carries per-run counters and its trace; reuse it
     across worlds only after :meth:`reset` (the pytest plugin and
@@ -259,22 +196,16 @@ class MatchSchedule:
         self,
         seed: int = 0,
         *,
-        policy: str = "random",
         hold_prob: float = 0.25,
         hold_max: int = 2,
-        overrides: Optional[dict] = None,
     ):
-        if policy not in ("random", "fifo"):
-            raise ValueError(f"policy must be 'random' or 'fifo', got {policy!r}")
         if not 0.0 <= hold_prob <= 1.0:
             raise ValueError("hold_prob must be in [0, 1]")
         if hold_max < 0:
             raise ValueError("hold_max must be >= 0")
         self.seed = int(seed)
-        self.policy = policy
         self.hold_prob = float(hold_prob)
         self.hold_max = int(hold_max)
-        self.overrides: dict = dict(overrides or {})
         self._lock = threading.Lock()
         self.reset()
 
@@ -307,11 +238,8 @@ class MatchSchedule:
         return self._next_seq("match", rank)
 
     def _pick(self, kind: str, rank: int, key, cands: tuple) -> int:
-        """One decision: override > fifo > seeded weight ranking."""
-        ov = self.overrides.get((kind, rank, key))
-        if ov is not None:
-            return max(0, min(int(ov), len(cands) - 1))
-        if self.policy == "fifo" or len(cands) == 1:
+        """One decision: the candidate with the largest seeded weight."""
+        if len(cands) == 1:
             return 0
         weights = [
             site_rng(self.seed, kind, rank, key, *(
@@ -370,103 +298,27 @@ class MatchSchedule:
         with self._lock:
             n = self._stream_seq.get((dest, source), 0)
             self._stream_seq[(dest, source)] = n + 1
-        key = (source, n)
-        ov = self.overrides.get(("hold", dest, key))
-        if ov is not None:
-            ttl = max(0, int(ov))
-        elif self.policy == "fifo":
-            ttl = 0
-        else:
-            rng = site_rng(self.seed, "hold", dest, source, n)
-            ttl = rng.randint(1, self.hold_max) if (
-                self.hold_max > 0 and rng.random() < self.hold_prob
-            ) else 0
-        self._recorder.record("hold", dest, key, (), ttl)
+        rng = site_rng(self.seed, "hold", dest, source, n)
+        ttl = rng.randint(1, self.hold_max) if (
+            self.hold_max > 0 and rng.random() < self.hold_prob
+        ) else 0
+        self._recorder.record("hold", dest, (source, n), (), ttl)
         return ttl
 
-    # -- replay / minimization ---------------------------------------------
-
     def to_spec(self) -> dict:
-        """A plain-data description sufficient to rebuild this schedule
-        exactly with :meth:`from_spec` (reproduce a failing seed)."""
+        """A plain-data description of this schedule, for a failing run's
+        dump: ``MatchSchedule(**spec)`` rebuilds it."""
         return {
             "seed": self.seed,
-            "policy": self.policy,
             "hold_prob": self.hold_prob,
             "hold_max": self.hold_max,
-            "overrides": [
-                [kind, rank, key, chosen]
-                for (kind, rank, key), chosen in sorted(
-                    self.overrides.items(), key=repr
-                )
-            ],
         }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "MatchSchedule":
-        """Rebuild a schedule serialized by :meth:`to_spec`."""
-        overrides = {
-            (kind, rank, _freeze(key)): chosen
-            for kind, rank, key, chosen in spec.get("overrides", ())
-        }
-        return cls(
-            seed=spec.get("seed", 0),
-            policy=spec.get("policy", "random"),
-            hold_prob=spec.get("hold_prob", 0.25),
-            hold_max=spec.get("hold_max", 2),
-            overrides=overrides,
-        )
-
-    @classmethod
-    def from_trace(cls, trace: MatchTrace) -> "MatchSchedule":
-        """A schedule that replays *trace*: fifo baseline plus one
-        override per decision that differed from the baseline (nonzero
-        choice or nonzero hold).  Replay is exact whenever the program
-        presents the same candidate sets, which a deterministic program
-        does."""
-        overrides = {
-            (e.kind, e.rank, e.key): e.chosen
-            for e in trace.events
-            if e.chosen != 0
-        }
-        return cls(seed=0, policy="fifo", hold_prob=0.0, overrides=overrides)
-
-    def shrink(self) -> Iterator["MatchSchedule"]:
-        """Yield every one-override-removed variant (fresh counters), for
-        delta-debugging a failing schedule to its minimal trigger."""
-        spec = self.to_spec()
-        ovs = spec["overrides"]
-        for i in range(len(ovs)):
-            yield self.from_spec(dict(spec, overrides=ovs[:i] + ovs[i + 1:]))
 
     def __repr__(self) -> str:
         return (
-            f"MatchSchedule(seed={self.seed}, policy={self.policy!r}, "
-            f"hold_prob={self.hold_prob}, hold_max={self.hold_max}, "
-            f"overrides={len(self.overrides)})"
+            f"MatchSchedule(seed={self.seed}, hold_prob={self.hold_prob}, "
+            f"hold_max={self.hold_max})"
         )
-
-
-def minimize(
-    schedule: MatchSchedule, failing: Callable[[MatchSchedule], bool]
-) -> MatchSchedule:
-    """Greedy delta-debugging: repeatedly drop any single override whose
-    removal keeps *failing* true, until no single removal does.
-
-    *failing* runs the program under the candidate schedule (fresh
-    counters each time) and returns whether the bug still triggers.  The
-    returned schedule is rebuilt fresh, ready to run.
-    """
-    current = schedule
-    improved = True
-    while improved and current.overrides:
-        improved = False
-        for cand in current.shrink():
-            if failing(cand):
-                current = cand
-                improved = True
-                break
-    return MatchSchedule.from_spec(current.to_spec())
 
 
 # -- divergence detection ---------------------------------------------------
@@ -614,25 +466,3 @@ def repro_command(
     if fault_seed is not None:
         parts.append(f"--mpi-fault-seed={int(fault_seed)}")
     return " ".join(parts)
-
-
-def parse_repro_command(command: str) -> tuple[str, Optional[int], Optional[int]]:
-    """Invert :func:`repro_command`: ``(nodeid, match_seed, fault_seed)``.
-
-    Used by the regression test that proves the printed command really
-    replays the recorded trace.
-    """
-    tokens = shlex.split(command)
-    nodeid: Optional[str] = None
-    match_seed: Optional[int] = None
-    fault_seed: Optional[int] = None
-    for tok in tokens:
-        if tok.startswith("--mpi-match-seed="):
-            match_seed = int(tok.split("=", 1)[1])
-        elif tok.startswith("--mpi-fault-seed="):
-            fault_seed = int(tok.split("=", 1)[1])
-        elif "::" in tok or tok.endswith(".py"):
-            nodeid = tok
-    if nodeid is None:
-        raise ReproError(f"no test nodeid in repro command: {command!r}")
-    return nodeid, match_seed, fault_seed

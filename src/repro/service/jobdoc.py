@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
@@ -156,9 +157,10 @@ def _get_float(d: Mapping, key: str, path: str, default: float) -> float:
         raise JobSpecError(
             f"expected a number, got {value!r}", path=f"{path}.{key}"
         )
-    if value <= 0:
+    if not 0 < value <= threading.TIMEOUT_MAX:  # NaN fails both comparisons
         raise JobSpecError(
-            f"expected a positive number, got {value}", path=f"{path}.{key}"
+            f"expected a number > 0 and at most {threading.TIMEOUT_MAX:.0f}, got {value}",
+            path=f"{path}.{key}",
         )
     return float(value)
 

@@ -123,8 +123,8 @@ class Orchestrator:
         Concurrent jobs in flight (each runs the blocking runtime in its
         own thread).
     max_queued :
-        Admission bound: ``submit`` raises :class:`AdmissionError` once
-        this many jobs are queued and unclaimed.
+        Admission bound (>= 1): ``submit`` raises :class:`AdmissionError`
+        once this many jobs are queued and unclaimed.
     output_dir :
         When given, finished outcomes are staged there via
         :class:`~repro.service.stager.ResultStager`.
@@ -140,12 +140,15 @@ class Orchestrator:
         output_dir: Optional[Union[str, Path]] = None,
         max_resident: int = 2,
     ):
+        if max_workers < 1:
+            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
+        if max_queued < 1:
+            # asyncio.Queue(maxsize <= 0) is unbounded: no admission bound.
+            raise ServiceError(f"max_queued must be >= 1, got {max_queued}")
         if runtime is None:
             if programs is None:
                 raise ServiceError("Orchestrator needs `programs` or a `runtime`")
             runtime = JobRuntime(programs, max_resident=max_resident)
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
         self.runtime = runtime
         self.stager = ResultStager(output_dir) if output_dir is not None else None
         self.max_workers = max_workers

@@ -1,12 +1,9 @@
-"""Small shared utilities: text parsing helpers and timing primitives."""
+"""Small shared utilities: text parsing helpers."""
 
 from repro.util.text import strip_comment, tokenize_line, parse_scalar
-from repro.util.timing import Timer, CountingTimer
 
 __all__ = [
     "strip_comment",
     "tokenize_line",
     "parse_scalar",
-    "Timer",
-    "CountingTimer",
 ]

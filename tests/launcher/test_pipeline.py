@@ -285,6 +285,14 @@ class TestValidateStage:
             run_spmd(0, lambda c: None, config=backend_config, timeout=20.0)
         assert time.monotonic() - start < 2.0
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10, 0.0, -1.0])
+    def test_timeout_out_of_range_refused(self, backend_config, timeout):
+        """Parent commit: NaN failed every job at once with TimeoutError_,
+        and inf or anything past threading.TIMEOUT_MAX raised
+        OverflowError from Thread.join."""
+        with pytest.raises(ValueError, match="timeout must be"):
+            run_spmd(2, lambda c: None, config=backend_config, timeout=timeout)
+
     def test_rank_count_mismatch(self, backend_config):
         with pytest.raises(ValueError, match="need 3 rank functions, got 1"):
             launch(3, [lambda c: None], config=backend_config)

@@ -5,7 +5,7 @@ threads of one interpreter, direct mailbox delivery) and once on the
 process backend (ranks as forked OS processes over the socket
 transport).  The cases are the representative core of the tier-1 MPI
 semantics tests — p2p ordering and wildcards, the collective suite,
-communicator management, intercommunicators, value semantics — so the
+communicator management, value semantics — so the
 two backends are held to *identical* observable behaviour.  A semantics divergence between substrates fails here by
 construction, which is what makes the transport layer trustworthy
 (MPICH-G2's multi-protocol argument depends on exactly this property).
@@ -29,7 +29,6 @@ from repro.mpi import (
     Group,
     Status,
 )
-from repro.mpi.intercomm import create_intercomm
 from repro.mpi.request import Request
 
 
@@ -452,44 +451,6 @@ class TestCommManagement:
                 return "rejected"
 
         assert backend_spmd(2, fn) == ["rejected"] * 2
-
-
-# ---------------------------------------------------------------------------
-# Intercommunicators
-# ---------------------------------------------------------------------------
-
-
-class TestIntercomm:
-    @staticmethod
-    def _two_groups(fn_a, fn_b, n_a=2, n_b=2):
-        def main(comm):
-            in_a = comm.rank < n_a
-            local = comm.split(0 if in_a else 1, key=comm.rank)
-            remote_leader = n_a if in_a else 0
-            inter = create_intercomm(local, 0, comm, remote_leader, tag=99)
-            return (fn_a if in_a else fn_b)(inter, local)
-
-        return main, n_a + n_b
-
-    def test_sizes(self, backend_spmd):
-        def side(inter, local):
-            return (inter.rank, inter.size, inter.remote_size)
-
-        main, n = self._two_groups(side, side)
-        values = backend_spmd(n, main)
-        assert values == [(0, 2, 2), (1, 2, 2), (0, 2, 2), (1, 2, 2)]
-
-    def test_cross_group_p2p(self, backend_spmd):
-        def side_a(inter, local):
-            inter.send(f"a{inter.rank}", inter.rank, tag=3)
-            return None
-
-        def side_b(inter, local):
-            return inter.recv(source=inter.rank, tag=3)
-
-        main, n = self._two_groups(side_a, side_b)
-        values = backend_spmd(n, main)
-        assert values[2:] == ["a0", "a1"]
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,6 @@ class TestScheduleBuilders:
         clone = FaultSchedule.from_spec(s.to_spec())
         assert clone.to_spec() == s.to_spec()
 
-    def test_shrink_yields_one_event_removed_variants(self):
-        s = FaultSchedule()
-        s.crash_rank(1, at_op=5)
-        s.drop_message(2, 0)
-        variants = list(s.shrink())
-        assert len(variants) == 2
-        for v in variants:
-            spec = v.to_spec()
-            assert len(spec["crashes"]) + len(spec["messages"]) == 1
-
     def test_random_schedule_is_deterministic(self):
         a = random_schedule(42, 8, crashes=2)
         b = random_schedule(42, 8, crashes=2)

@@ -237,6 +237,12 @@ _CORPUS = [
     ("reuse-world-string", "runtime.reuse_world",
      lambda s: _set(s, "runtime", {"reuse_world": "yes"})),
     ("timeout-zero", "runtime.timeout", lambda s: _set(s, "runtime", {"timeout": 0})),
+    ("timeout-nan", "runtime.timeout",
+     lambda s: _set(s, "runtime", {"timeout": float("nan")})),
+    ("timeout-inf", "runtime.timeout",
+     lambda s: _set(s, "runtime", {"timeout": float("inf")})),
+    ("timeout-past-join-limit", "runtime.timeout",
+     lambda s: _set(s, "runtime", {"timeout": 1e10})),
     ("timeout-string", "runtime.timeout",
      lambda s: _set(s, "runtime", {"timeout": "fast"})),
     ("seeds-not-mapping", "seeds", lambda s: _set(s, "seeds", 7)),

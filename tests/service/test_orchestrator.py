@@ -146,6 +146,13 @@ class TestSubmission:
         assert queued.state == JobState.DONE
         assert counts == {JobState.DONE: 2}
 
+    @pytest.mark.parametrize("max_queued", [0, -1])
+    def test_unbounded_queue_refused(self, max_queued):
+        """Parent commit: asyncio.Queue(maxsize <= 0) is unbounded, so
+        every submission was admitted."""
+        with pytest.raises(ServiceError, match="max_queued must be >= 1"):
+            Orchestrator(PROGRAMS, max_queued=max_queued)
+
 
 class TestCancellation:
     def test_cancel_queued_job(self):

@@ -10,7 +10,7 @@ seed per CI job via ``CHAOS_SEED`` or ``--mpi-fault-seed=J``.
 Replaying a failure: run the one-line ``PYTHONPATH=src python -m pytest
 ... --mpi-fault-seed=J`` command the plugin prints in the failure
 report.  The schedule is reconstructible via ``random_schedule(seed,
-nprocs, ...)`` and can be minimized with ``FaultSchedule.shrink()``.
+nprocs, ...)``.
 """
 
 import numpy as np

@@ -1,13 +1,10 @@
-"""Shared utilities: text lexing and timers (repro.util)."""
-
-import time
+"""Shared utilities: text lexing (repro.util)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.text import parse_proc_range, parse_scalar, strip_comment, tokenize_line
-from repro.util.timing import CountingTimer, Timer
 
 
 class TestStripComment:
@@ -84,31 +81,3 @@ class TestParseProcRange:
     def test_negative(self):
         with pytest.raises(ValueError, match="invalid"):
             parse_proc_range(["-1", "2"])
-
-
-class TestTimers:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert 0.005 < t.elapsed < 1.0
-
-    def test_timer_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= first
-
-    def test_counting_timer_accumulates(self):
-        ct = CountingTimer()
-        for _ in range(3):
-            with ct:
-                time.sleep(0.002)
-        assert ct.count == 3
-        assert ct.total >= 0.006
-        assert ct.mean == pytest.approx(ct.total / 3)
-
-    def test_counting_timer_mean_empty(self):
-        assert CountingTimer().mean == 0.0
