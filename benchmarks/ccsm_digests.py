@@ -7,6 +7,8 @@ execution mode and recovery path — on the thread world and on forked
 ranks, and prints one sha256 per run over everything a run reports:
 ``mean_T``, ``energy``, ``mean_thickness``, ``budget``, ``final_field``,
 ``exchange_residual``, ``coupling_iterations``, ``coupling_converged``.
+It also keeps one digest per reported field of a run, so a comparison
+names the ``(configuration, field)`` pairs that moved.
 
     python benchmarks/ccsm_digests.py [--grids default|bench] [--quick]
                                       [--write FILE | --against FILE]
@@ -14,8 +16,9 @@ ranks, and prints one sha256 per run over everything a run reports:
 The thread and process digests of one configuration must be equal, and
 ``--against FILE`` compares every digest with a file an earlier
 ``--write FILE`` left (the parent commit's, for a perf change: run this
-file there with ``PYTHONPATH=<parent>/src``).  Any difference is listed
-and the exit status is 1.  ``--quick`` runs three configurations (CI's
+file there with ``PYTHONPATH=<parent>/src``).  Any difference is listed,
+then the ``(configuration, field)`` pairs behind it and the fields that
+moved anywhere, and the exit status is 1.  ``--quick`` runs three configurations (CI's
 smoke): the explicit step, Gauss-Seidel, and IQN-ILS with the quadratic
 predictor.  No digest is committed: the regrid runs through BLAS and its
 low bits belong to the host.
@@ -97,9 +100,12 @@ FIELDS = (
 )
 
 
-def digest(diags: dict) -> str:
-    """sha256 over every reported value of one run, bit for bit."""
-    h = hashlib.sha256()
+def digests(diags: dict) -> dict[str, str]:
+    """sha256 over every reported value of one run, bit for bit: the
+    run's under ``""``, and one per field of :data:`FIELDS` over every
+    component that reports it."""
+    run = hashlib.sha256()
+    per_field = {name: hashlib.sha256() for name in FIELDS}
     for kind in sorted(diags):
         for name in FIELDS:
             value = diags[kind].get(name)
@@ -107,12 +113,15 @@ def digest(diags: dict) -> str:
                 continue
             if isinstance(value, dict):
                 value = [value[k] for k in sorted(value)]
-            h.update(f"{kind}.{name}".encode())
-            h.update(np.ascontiguousarray(value, dtype=float).tobytes())
-    return h.hexdigest()[:16]
+            for h in (run, per_field[name]):
+                h.update(f"{kind}.{name}".encode())
+                h.update(np.ascontiguousarray(value, dtype=float).tobytes())
+    out = {"": run.hexdigest()[:16]}
+    out.update((name, h.hexdigest()[:16]) for name, h in per_field.items())
+    return out
 
 
-def run_one(name: str, grids: str, backend: str) -> str:
+def run_one(name: str, grids: str, backend: str) -> dict[str, str]:
     mode, overrides = CONFIGURATIONS[name]
     if grids == "bench":
         overrides = dict(overrides, shapes=BENCH_SHAPES)
@@ -120,7 +129,7 @@ def run_one(name: str, grids: str, backend: str) -> str:
         if "checkpoint_every" in overrides:
             overrides = dict(overrides, checkpoint_dir=tmp)
         cfg = CCSMConfig(nsteps=NSTEPS, **overrides)
-        return digest(run_ccsm(mode, cfg, config=WorldConfig(backend=backend)))
+        return digests(run_ccsm(mode, cfg, config=WorldConfig(backend=backend)))
 
 
 def main(argv=None) -> int:
@@ -133,26 +142,41 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = QUICK if args.quick else tuple(CONFIGURATIONS)
-    digests: dict[str, str] = {}
+    # ``grids/name/backend`` for a run, ``grids/name/backend/field`` per field.
+    found: dict[str, str] = {}
     differences: list[str] = []
+    moved: set[tuple[str, str]] = set()
     for name in names:
         row = {b: run_one(name, args.grids, b) for b in ("thread", "process")}
-        print(f"{args.grids:8s} {name:24s} thread {row['thread']}  process {row['process']}")
-        if row["thread"] != row["process"]:
-            differences.append(f"{name}: thread {row['thread']} != process {row['process']}")
-        for backend, value in row.items():
-            digests[f"{args.grids}/{name}/{backend}"] = value
+        thread, process = row["thread"][""], row["process"][""]
+        print(f"{args.grids:8s} {name:24s} thread {thread}  process {process}")
+        if thread != process:
+            differences.append(f"{name}: thread {thread} != process {process}")
+            moved.update((name, f) for f in FIELDS if row["thread"][f] != row["process"][f])
+        for backend, values in row.items():
+            for field, value in values.items():
+                found["/".join(filter(None, (args.grids, name, backend, field)))] = value
 
     if args.write:
-        Path(args.write).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        Path(args.write).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
     if args.against:
         theirs = json.loads(Path(args.against).read_text())
-        for key, value in digests.items():
-            if theirs.get(key) != value:
+        for key, value in found.items():
+            if theirs.get(key) == value:
+                continue
+            parts = key.split("/")
+            if len(parts) == 3:
                 differences.append(f"{key}: {args.against} has {theirs.get(key)}, this run {value}")
+            else:
+                moved.add((parts[1], parts[3]))
     for line in differences:
         print("DIFFERENT", line)
-    print(f"{len(digests)} digests, {len(differences)} differences")
+    for name, field in sorted(moved):
+        print("MOVED", name, field)
+    if moved:
+        print("fields that moved:", ", ".join(f for f in FIELDS if any(m[1] == f for m in moved)))
+    runs = sum(1 for key in found if key.count("/") == 2)
+    print(f"{runs} digests, {len(differences)} differences")
     return 1 if differences else 0
 
 

@@ -120,7 +120,6 @@ def run_file_coupled(
             model = model_cls(world, grid, model_cls.default_params())
             other = "ocn" if kind == "atm" else "atm"
             exchange_time = 0.0
-            means: list[float] = []
             files = 0
             for step in range(nsteps):
                 t0 = time.perf_counter()
@@ -135,7 +134,8 @@ def run_file_coupled(
                 # Antisymmetric sensible flux: each side warms toward the
                 # partner, so the pair conserves the exchanged energy.
                 flux = coupling_coeff * (partner - model.temperature.data)
-                means.append(model.step(dt, flux).mean_temperature)
+                model.step(dt, flux)
+            means = [diag.mean_temperature for diag in model.settle()]
             return {
                 "kind": kind,
                 "exchange_seconds": exchange_time / max(nsteps, 1),

@@ -75,15 +75,14 @@ def run_one_member(
     def program(comm):
         model = OceanModel(comm, grid, perturbed_params(member))
         files = bytes_out = 0
-        means: list[float] = []
         for step in range(nsteps):
-            means.append(model.step(dt).mean_temperature)
+            model.step(dt)
             if outdir is not None and step % sample_every == 0:
                 path = outdir / f"member{member:03d}_step{step:05d}.npy"
                 np.save(path, model.temperature.data)
                 files += 1
                 bytes_out += path.stat().st_size
-        return files, bytes_out, means
+        return files, bytes_out, [diag.mean_temperature for diag in model.settle()]
 
     return run_spmd(1, program)[0]
 

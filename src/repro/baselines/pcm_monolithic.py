@@ -156,8 +156,9 @@ def _run_component(world, comm, cfg: CCSMConfig, ranges, kind: str, cpl_root: in
                 raise ReproError(f"{kind}: hardwired protocol out of step")
             blocks = [flux[decomp.rows(r)[0] : decomp.rows(r)[1]] for r in range(comm.size)]
         local_flux = comm.scatter(blocks, root=0)
-        # The step's own reduction carries the mean, as in the MPH driver.
-        mean_T.append(model.step(cfg.dt, local_flux).mean_temperature)
+        model.step(cfg.dt, local_flux)
+    # One settle at the end carries every step's mean, as in the MPH driver.
+    mean_T.extend(diag.mean_temperature for diag in model.settle())
     return {
         "kind": kind,
         "mean_T": mean_T,

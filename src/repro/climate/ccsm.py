@@ -40,6 +40,7 @@ which exchange carries it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -185,8 +186,15 @@ class CCSMConfig:
     def __post_init__(self) -> None:
         if self.exchange not in ("p2p", "join"):
             raise ReproError(f"exchange must be 'p2p' or 'join', got {self.exchange!r}")
+        if isinstance(self.nsteps, bool) or not isinstance(self.nsteps, numbers.Integral):
+            raise ReproError(f"nsteps must be an int, got {self.nsteps!r}")
         if self.nsteps < 0:
             raise ReproError(f"nsteps must be >= 0, got {self.nsteps}")
+        for kind, coeff in self.coupling_coeff.items():
+            if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)):
+                raise ReproError(
+                    f"coupling_coeff[{kind!r}] must be a finite number, got {coeff!r}"
+                )
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ReproError(f"dt must be finite and positive, got {self.dt}")
         if self.checkpoint_every < 0:
@@ -319,12 +327,14 @@ class ComponentRunner:
 
             checkpoint.restore(self.model, cfg.restart_dir, self.name)
         # Histories carry the initial state at index 0 and one entry per
-        # step after it (length ``nsteps + 1``), so energy drift can be
-        # audited against the step budgets.
+        # settled step after it (length ``nsteps + 1`` once the run has
+        # settled), so energy drift can be audited against the step budgets.
         self.mean_T: list[float] = [self.model.mean_temperature()]
         self.mean_thickness: list[float] = (
             [self.model.mean_thickness()] if isinstance(self.model, SeaIceModel) else []
         )
+        #: Coupling steps this runner has advanced its model through.
+        self.steps = 0
         #: Stand-alone detection (paper §2.3: "there are flags to detect if
         #: the executable is running in a stand-alone mode or in a joint
         #: multi-executable environment") — here, the absence of a
@@ -341,10 +351,8 @@ class ComponentRunner:
         self._flux_log: list[tuple[int, Optional[np.ndarray]]] = []
         self._crash_pending = cfg.crash_at is not None and cfg.crash_at[0] == kind
         if cfg.checkpoint_every > 0:
-            from repro.climate import checkpoint
-
             # The initial save covers a crash before the first periodic one.
-            checkpoint.save(self.model, cfg.checkpoint_dir, self.name)
+            self.checkpoint()
 
     def publish(self, step: int) -> None:
         """Phase 1: hand this rank's temperature block to the coupler (a
@@ -403,11 +411,30 @@ class ComponentRunner:
         """Save the periodic checkpoint when a completed step calls for one."""
         every = self.cfg.checkpoint_every
         if every > 0 and self.model.steps_taken % every == 0:
-            from repro.climate import checkpoint
-
-            checkpoint.save(self.model, self.cfg.checkpoint_dir, self.name)
+            self.checkpoint()
             # Fluxes up to the saved step are baked into the checkpoint.
             self._flux_log = [e for e in self._flux_log if e[0] >= self.model.steps_taken]
+
+    def checkpoint(self) -> None:
+        """Settle the histories, then save this component's checkpoint to
+        ``checkpoint_dir`` (collective over the component).  Nothing is
+        left unsettled at a save, so :meth:`recover` takes back only the
+        steps it replays."""
+        from repro.climate import checkpoint
+
+        self.settle()
+        checkpoint.save(self.model, self.cfg.checkpoint_dir, self.name)
+
+    def settle(self) -> None:
+        """Book every step the model has settled since the last call into
+        the histories (collective over the component; see
+        :meth:`ComponentModel.settle`).  A sub-cycled component settles
+        *m* substeps a coupling step and books the last of them."""
+        m = self.cfg.subcycle.get(self.kind, 1)
+        for diag in self.model.settle()[m - 1 :: m]:
+            self.mean_T.append(diag.mean_temperature)
+            if diag.mean_thickness is not None:
+                self.mean_thickness.append(diag.mean_thickness)
 
     def _receive_command(self, step: int) -> tuple[str, np.ndarray]:
         """One coupler command plus this rank's flux block.  The command
@@ -433,57 +460,60 @@ class ComponentRunner:
             )
         return cmd, local_flux
 
-    def _substep(self, advance, local_flux: Optional[np.ndarray]):
+    def _substep(self, advance, local_flux: Optional[np.ndarray]) -> None:
         """Advance one coupling step's worth of model time: *m* substeps
         of ``dt/m`` under the same coupling flux (sub-cycling).
 
         *advance* is the model's ``step``, or its ``advance_state`` for a
-        trial step whose diagnostics nobody will read; the last substep's
-        return value is handed back."""
+        trial step whose diagnostics nobody will read."""
         m = self.cfg.subcycle.get(self.kind, 1)
         sub_dt = self.cfg.dt / m
         for _ in range(m):
-            out = advance(sub_dt, local_flux)
-        return out
+            advance(sub_dt, local_flux)
 
     def _advance(self, step: int, local_flux: Optional[np.ndarray]) -> None:
-        """Apply one step's flux and book the histories and replay log.
-
-        The histories come out of the step's own reduction
-        (:class:`StepDiagnostics`), not from further ones."""
+        """Apply one step's flux and log it for replay.  The step's
+        diagnostics wait on the model's ledger for the next
+        :meth:`settle`."""
         if self.cfg.checkpoint_every > 0:
             self._flux_log.append(
                 (step, None if local_flux is None else np.array(local_flux))
             )
-        diag = self._substep(self.model.step, local_flux)
-        self.mean_T.append(diag.mean_temperature)
-        if diag.mean_thickness is not None:
-            self.mean_thickness.append(diag.mean_thickness)
+        self._substep(self.model.step, local_flux)
+        self.steps += 1
 
     def recover(self) -> int:
         """Restart this component from its last checkpoint, within the job.
 
         Collective over the component communicator.  Restores the model
-        state (bitwise), truncates the diagnostic histories to the
-        checkpointed step *k*, then replays the logged coupling fluxes of
-        steps ``k..crash-1`` — deterministic physics makes the replayed
+        state (bitwise) — the histories were settled at that save, and
+        what the model recorded since is dropped with the rest of its
+        state — then replays the logged coupling fluxes of steps
+        ``k..crash-1``; deterministic physics makes the replayed
         trajectory identical to the lost one.  Returns *k*.
         """
         from repro.climate import checkpoint
 
         k = checkpoint.restore(self.model, self.cfg.checkpoint_dir, self.name)
-        del self.mean_T[k + 1 :]
-        if isinstance(self.model, SeaIceModel):
-            del self.mean_thickness[k + 1 :]
         replay = [e for e in self._flux_log if e[0] >= k]
         self._flux_log = []
+        self.steps -= len(replay)
         for s, flux in replay:
             self._advance(s, flux)
         return k
 
     def diagnostics(self) -> dict[str, Any]:
         """Per-component diagnostics (identical on every component rank
-        except ``final_field``, populated on component-local rank 0)."""
+        except ``final_field``, populated on component-local rank 0).
+
+        An output point: the histories and ``budget`` are settled here
+        first.  If a sibling rank died, the settle cannot complete and
+        they end at the last settle that did; ``steps`` still counts
+        every coupling step this rank advanced."""
+        try:
+            self.settle()
+        except ProcessFailedError:
+            pass  # a sibling rank died; the histories end at the last settle
         try:
             final_field = self.model.temperature.gather_global(root=0)
         except ProcessFailedError:
@@ -492,6 +522,7 @@ class ComponentRunner:
             "kind": self.kind,
             "name": self.name,
             "size": self.comm.size,
+            "steps": self.steps,
             "mean_T": list(self.mean_T),
             # Heat content ``C * <T>``, as ComponentModel.energy computes it.
             "energy": [self.model.params.heat_capacity * t for t in self.mean_T],
@@ -792,11 +823,9 @@ def _drive(mph: MPH, cfg: CCSMConfig, kinds: tuple[str, ...]) -> dict[str, Any]:
             break
 
     if cfg.checkpoint_dir is not None:
-        from repro.climate import checkpoint
-
         for r in runners:
             try:
-                checkpoint.save(r.model, cfg.checkpoint_dir, r.name)
+                r.checkpoint()
             except ProcessFailedError:
                 continue  # a dead sibling rank; no consistent state to save
 

@@ -31,8 +31,12 @@ def state_of(model: ComponentModel) -> dict:
     """Collect a component's full state on its local processor 0.
 
     Collective over the component communicator; returns the state dict on
-    local rank 0 and ``None`` elsewhere.
+    local rank 0 and ``None`` elsewhere.  Settles the model's recorded
+    steps first, so the saved budget is every step's and nothing is left
+    on the ledger; their diagnostics stay with the model for its next
+    :meth:`~repro.climate.components.ComponentModel.settle`.
     """
+    model._settle_ledger()
     full = model.temperature.gather_global(root=0)
     state = None
     if model.comm.rank == 0:
@@ -131,6 +135,10 @@ def restore(model: ComponentModel, directory: Union[str, Path], name: str) -> in
     model.budget.olr_out = float(budget[1])
     model.budget.coupling_in = float(budget[2])
     model.budget.diffusion_residual = float(budget[3])
+    # What was recorded or settled after the save belongs to steps the
+    # restore takes back.
+    model._ledger = []
+    model._settled = []
     if isinstance(model, SeaIceModel):
         if "thickness" not in payload:
             raise ReproError(f"checkpoint {path.name} lacks the sea-ice thickness field")

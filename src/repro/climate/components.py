@@ -26,10 +26,20 @@ from typing import Optional
 
 import numpy as np
 
-from repro.climate.fields import DistributedField, weighted_global_sum, weighted_global_sums
+from repro.climate.fields import (
+    DistributedField,
+    reduce_shares,
+    weighted_global_sum,
+    weighted_shares,
+)
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 from repro.mpi.comm import Comm
+
+#: Steps a model records before it settles them itself, so its ledger's
+#: memory stays bounded however rarely a driver settles.  Not a setting:
+#: where the reduction happens changes no bit of any diagnostic.
+SETTLE_EVERY = 64
 
 
 @dataclass
@@ -87,9 +97,11 @@ class StepDiagnostics:
     (area-integrated, W m^-2 equivalents since areas are fractional) and
     the area means of the state it left behind.
 
-    All of it comes out of the step's single global reduction, so a
+    A step sends nothing for it: :meth:`ComponentModel.step` records the
+    step's share of every sum, and :meth:`ComponentModel.settle` reduces
+    all recorded steps at once and returns one of these per step.  A
     driver that wants the post-step mean reads it here instead of paying
-    :meth:`ComponentModel.mean_temperature` a second one.  On
+    :meth:`ComponentModel.mean_temperature` a reduction of its own.  On
     :attr:`ComponentModel.budget` the four energy terms accumulate; the
     means describe one step and stay at their defaults there.
     """
@@ -164,9 +176,14 @@ class ComponentModel:
         self.co2 = co2
         #: Model time in seconds (advanced by each step's dt).
         self.current_time = 0.0
-        #: Accumulated energy bookkeeping since construction.
+        #: Accumulated energy bookkeeping of every settled step.
         self.budget = StepDiagnostics()
         self.steps_taken = 0
+        #: Steps recorded and not settled yet: ``(dt, energy-term names,
+        #: state names, shares)`` each, in step order.
+        self._ledger: list[tuple[float, tuple[str, ...], tuple[str, ...], np.ndarray]] = []
+        #: Settled steps :meth:`settle` has not returned yet.
+        self._settled: list[StepDiagnostics] = []
         #: ``(memo, temperature array, time)`` armed by :meth:`state_restore`
         #: for the next :meth:`advance_state`; ``None`` otherwise.
         self._restored: Optional[tuple[dict, np.ndarray, float]] = None
@@ -269,44 +286,69 @@ class ComponentModel:
         keyed by :class:`StepDiagnostics` field."""
         return {"mean_temperature": self.temperature.data}
 
-    def step(self, dt: float, coupling_flux: Optional[np.ndarray] = None) -> StepDiagnostics:
-        """Advance one time step of *dt* seconds.
+    def step(self, dt: float, coupling_flux: Optional[np.ndarray] = None) -> None:
+        """Advance one time step of *dt* seconds, and record its
+        diagnostics for the next :meth:`settle`.
 
-        :meth:`advance_state` followed by the step's diagnostics: every
-        energy term and the post-step state go through **one**
-        :func:`~repro.climate.fields.weighted_global_sums` — ``2 (P - 1)``
-        messages a step, where a reduction per term and one more per
-        mean the driver then asks for would be that many each.
+        :meth:`advance_state`, then this rank's share of every energy
+        term and post-step mean
+        (:func:`~repro.climate.fields.weighted_shares`) goes on the
+        model's ledger.  The step sends nothing for its diagnostics: the
+        ledger is reduced where a driver reads it, in one reduction for
+        however many steps it holds — or by the step itself once it holds
+        :data:`SETTLE_EVERY` steps.
 
         Parameters
         ----------
         coupling_flux :
             Flux from the coupler on the local block [W m^-2], positive
             warming this component.  ``None`` means zero.
-
-        Returns
-        -------
-        StepDiagnostics
-            This step's area-integrated energy terms (also accumulated on
-            :attr:`budget`) and the post-step area means.
         """
         terms = self.advance_state(dt, coupling_flux)
         state = self._state_fields()
-        totals = weighted_global_sums(
+        shares = weighted_shares(
+            self.grid, [*terms.values(), *state.values()], self.temperature.local_slices
+        )
+        self._ledger.append((dt, tuple(terms), tuple(state), shares))
+        if len(self._ledger) >= SETTLE_EVERY:
+            self._settle_ledger()
+
+    def settle(self) -> list[StepDiagnostics]:
+        """Reduce every recorded step and return the diagnostics of each
+        step settled since the last call, in step order (collective over
+        the component communicator).
+
+        One gather and one broadcast serve all the steps the ledger holds
+        (none when it is empty); each step's energy terms are added to
+        :attr:`budget` in step order.  The steps the model settled itself
+        are returned here too.  Which steps a settle covers changes no
+        bit of what it returns.
+        """
+        self._settle_ledger()
+        out, self._settled = self._settled, []
+        return out
+
+    def _settle_ledger(self) -> None:
+        """Reduce the ledger onto :attr:`budget` and the settled list."""
+        if not self._ledger:
+            return
+        totals = reduce_shares(
             self.comm,
             self.grid,
-            [*terms.values(), *state.values()],
+            np.stack([entry[3] for entry in self._ledger]),
             self.temperature.local_slices,
         )
-        diag = StepDiagnostics(
-            **{name: total * dt for name, total in zip(terms, totals)},
-            **dict(zip(state, totals[len(terms) :])),
-        )
-        self.budget.solar_in += diag.solar_in
-        self.budget.olr_out += diag.olr_out
-        self.budget.coupling_in += diag.coupling_in
-        self.budget.diffusion_residual += diag.diffusion_residual
-        return diag
+        for (dt, terms, state, _), row in zip(self._ledger, totals):
+            diag = StepDiagnostics(
+                **{name: float(total) * dt for name, total in zip(terms, row)},
+                **{name: float(total) for name, total in zip(state, row[len(terms) :])},
+            )
+            self.budget.solar_in += diag.solar_in
+            self.budget.olr_out += diag.olr_out
+            self.budget.coupling_in += diag.coupling_in
+            self.budget.diffusion_residual += diag.diffusion_residual
+            self._settled.append(diag)
+        self._ledger = []
 
     # -- snapshot / restore (implicit coupling) ---------------------------------
 
@@ -315,7 +357,8 @@ class ComponentModel:
 
         The implicit coupling loop evaluates trial steps repeatedly from
         the same step-start state; :meth:`state_restore` rewinds to a
-        snapshot bitwise (temperature, clock, step count, energy budget).
+        snapshot bitwise (temperature, clock, step count, energy budget,
+        and the recorded and settled steps not yet returned).
         """
         return StateSnapshot(
             temperature=self.temperature.data.copy(),
@@ -327,6 +370,8 @@ class ComponentModel:
                 coupling_in=self.budget.coupling_in,
                 diffusion_residual=self.budget.diffusion_residual,
             ),
+            ledger=list(self._ledger),
+            settled=list(self._settled),
         )
 
     def state_restore(self, snapshot: dict) -> None:
@@ -342,6 +387,8 @@ class ComponentModel:
             coupling_in=b.coupling_in,
             diffusion_residual=b.diffusion_residual,
         )
+        self._ledger = list(snapshot["ledger"])
+        self._settled = list(snapshot["settled"])
         memo = getattr(snapshot, "memo", None)  # a plain dict restores too
         self._restored = (
             None if memo is None else (memo, self.temperature.data, self.current_time)
@@ -459,7 +506,7 @@ class SeaIceModel(ComponentModel):
     ) -> dict[str, np.ndarray]:
         terms = super().advance_state(dt, coupling_flux)
         # Thickness follows the *new* temperature only, so it is final
-        # before the step's reduction and its mean can ride along.
+        # when the step records its shares and its mean can ride along.
         self.thickness = np.clip(
             self.thickness + dt * self.growth_rate * (self.t_freeze - self.temperature.data),
             0.0,

@@ -134,9 +134,10 @@ class FluxCoupler:
         surface_temps :
             ``kind -> full temperature`` on each surface's own grid.
         record :
-            Book the exchange imbalance into :attr:`exchange_residual`.
-            The implicit coupler evaluates trial fluxes many times per
-            step and records only the committed one.
+            Compute the exchange imbalance and book it into
+            :attr:`exchange_residual`.  The implicit coupler evaluates
+            trial fluxes many times per step and records only the
+            committed one; a trial round integrates nothing.
 
         Returns
         -------
@@ -153,7 +154,6 @@ class FluxCoupler:
             )
         atm_flux = np.zeros(self.atm_grid.shape)
         surface_fluxes: dict[str, np.ndarray] = {}
-        balance = 0.0
         for kind, grid in self.surface_grids.items():
             t_sfc = regrid(surface_temps[kind], grid, self.atm_grid)
             k = self.coupling_coeff[kind]
@@ -163,9 +163,11 @@ class FluxCoupler:
             atm_flux += flux_up
             sfc_flux = regrid(-flux_up, self.atm_grid, grid)
             surface_fluxes[kind] = sfc_flux
-            balance += grid.area_integral(sfc_flux)
-        balance += self.atm_grid.area_integral(atm_flux)
         if record:
+            balance = 0.0
+            for kind, grid in self.surface_grids.items():
+                balance += grid.area_integral(surface_fluxes[kind])
+            balance += self.atm_grid.area_integral(atm_flux)
             self.exchange_residual.append(balance)
         return atm_flux, surface_fluxes
 

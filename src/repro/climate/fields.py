@@ -201,32 +201,73 @@ def weighted_global_sums(
     """Area-weighted global sums of several fields decomposed alike, in
     one reduction, each decomposition-independent to the bit.
 
-    Every rank contributes ``(slices, weighted blocks)`` — its block of
-    every integrand in *locals*, times the area weights — in **one**
-    gather; rank 0 assembles each integrand's full weighted array in turn
-    and sums it in one fixed (C-order) pass, so each total is identical no
-    matter how — or over how many processes — the fields were decomposed;
-    **one** broadcast returns the tuple of totals (in *locals* order) to
-    all ranks.  That is ``2 (P - 1)`` messages however many integrands
-    ride along, which is why a model step sends all of its diagnostics
-    through a single call.
+    The canonical sum of :func:`weighted_shares` settled at once by
+    :func:`reduce_shares`: **one** gather and **one** broadcast, ``2 (P -
+    1)`` messages however many integrands ride along, and every rank gets
+    the same tuple of totals (in *locals* order).
+    """
+    totals = reduce_shares(comm, grid, weighted_shares(grid, locals, slices), slices)
+    return tuple(float(total) for total in totals)
 
-    The whole weighted blocks travel, not per-rank partial sums: a sum of
-    partial sums depends on where the decomposition cuts.
+
+def _whole_rows(grid: LatLonGrid, cols: slice) -> bool:
+    return len(range(*cols.indices(grid.nlon))) == grid.nlon
+
+
+def weighted_shares(
+    grid: LatLonGrid, locals: Sequence[np.ndarray], slices: tuple[slice, slice]
+) -> np.ndarray:
+    """This rank's share of the canonical area-weighted sum of each of
+    *locals*, stacked along the first axis.
+
+    The canonical sum of a field weights it by the cell areas, sums each
+    full latitude row in C order, then sums the row totals in latitude
+    order.  A rank that holds whole rows (every 1-D band) therefore
+    contributes its rows' totals, shape ``(len(locals), rows)`` — a few
+    hundred bytes where its weighted block is kilobytes.  A rank of a
+    2-D decomposition holds pieces of rows and contributes its weighted
+    cells, shape ``(len(locals), rows, cols)``; the root of
+    :func:`reduce_shares` forms the rows.  Either way the totals are the
+    same to the bit, however the field was cut.
     """
     rs, cs = slices
-    w = grid.area_weights[rs, cs]
-    pieces = comm.gather((rs, cs, [local * w for local in locals]), root=0)
+    weighted = np.stack(locals) * grid.area_weights[rs, cs]
+    return weighted.sum(axis=-1) if _whole_rows(grid, cs) else weighted
+
+
+def reduce_shares(
+    comm: Comm, grid: LatLonGrid, shares: np.ndarray, slices: tuple[slice, slice]
+) -> np.ndarray:
+    """Settle stacked :func:`weighted_shares` into their canonical totals
+    on every rank (collective over *comm*).
+
+    *shares* may carry any leading axes — a model's ledger stacks one
+    share per recorded step — and the result has exactly those axes: one
+    total per share.  One gather brings every rank's ``(slices, shares)``
+    to rank 0, which lays the row totals out in latitude order (summing
+    the rows that arrived as cells first) and sums them; one broadcast
+    returns the totals.
+    """
+    pieces = comm.gather((slices, shares), root=0)
     totals = None
     if comm.rank == 0:
         assert pieces is not None
-        # One buffer serves every integrand: the pieces cover the same
-        # cells each time round.
-        full = np.zeros(grid.shape)
-        totals = []
-        for i in range(len(locals)):
-            for prs, pcs, blocks in pieces:
-                full[prs, pcs] = blocks[i]
-            totals.append(float(full.sum()))
-        totals = tuple(totals)
+        rows = cells = None
+        from_cells = np.zeros(grid.nlat, dtype=bool)
+        for (rs, cs), share in pieces:
+            whole = _whole_rows(grid, cs)
+            if rows is None:
+                lead = share.shape[:-1] if whole else share.shape[:-2]
+                rows = np.empty(lead + (grid.nlat,))
+            if whole:
+                rows[..., rs] = share
+            else:
+                if cells is None:
+                    cells = np.zeros(rows.shape[:-1] + grid.shape)
+                cells[..., rs, cs] = share
+                from_cells[rs] = True
+        assert rows is not None
+        if cells is not None:
+            rows[..., from_cells] = cells[..., from_cells, :].sum(axis=-1)
+        totals = rows.sum(axis=-1)
     return comm.bcast(totals, root=0)

@@ -94,8 +94,10 @@ from repro.mpi.corebudget import (
 )
 from repro.mpi.executor import ExecRank, ProcResult, run_rank
 from repro.mpi.transport import (
+    WIRE_PICKLE_PROTOCOL,
     SocketTransport,
     make_listener,
+    pack_frame,
     recv_frame,
     send_frame,
 )
@@ -261,17 +263,23 @@ def child_session(
             ok = result.exception is None
             payload = result.value if ok else result.exception
             tail = (traffic, result.cpu_seconds, result.wall_seconds)
-            frame = ("result", rank, ok, payload, *tail)
+            # Pickled once: the bytes that prove the frame can cross are
+            # the bytes sent.
             try:
-                pickle.dumps(frame)
+                data = pickle.dumps(
+                    ("result", rank, ok, payload, *tail), protocol=WIRE_PICKLE_PROTOCOL
+                )
             except Exception as pickle_exc:  # noqa: BLE001 - degrade, don't die
                 what = "returned a value" if ok else "raised an exception"
                 cannot_cross = ReproError(
                     f"rank {rank} {what} that cannot cross the process "
                     f"boundary ({pickle_exc}): {payload!r}"
                 )
-                frame = ("result", rank, False, cannot_cross, *tail)
-            send_frame(ctrl, frame)
+                data = pickle.dumps(
+                    ("result", rank, False, cannot_cross, *tail),
+                    protocol=WIRE_PICKLE_PROTOCOL,
+                )
+            ctrl.sendall(pack_frame(data))
 
             # Linger for the next run or the shutdown, with no timeout, as
             # a parked process waits on its park connection: the launcher

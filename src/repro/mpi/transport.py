@@ -489,7 +489,9 @@ class SocketTransport(Transport):
                 f"frame of {n} bytes exceeds MAX_FRAME_BYTES "
                 f"({MAX_FRAME_BYTES})"
             )
-        lock = self._send_locks.setdefault(dest, threading.Lock())
+        lock = self._send_locks.get(dest)
+        if lock is None:
+            lock = self._send_locks.setdefault(dest, threading.Lock())
         with lock:
             sock = self._connect(dest)
             try:

@@ -173,6 +173,25 @@ class TestBuilders:
         with pytest.raises(ReproError, match=name):
             CCSMConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(nsteps=2.5),
+            dict(nsteps=True),
+            dict(nsteps="8"),
+            dict(coupling_coeff={"ocean": float("nan"), "land": 10.0, "ice": 5.0}),
+            dict(coupling_coeff={"ocean": 15.0, "land": float("inf"), "ice": 5.0}),
+            dict(coupling_coeff={"ocean": 15.0, "land": 10.0, "ice": float("-inf")}),
+        ],
+        ids=["fractional_nsteps", "bool_nsteps", "str_nsteps", "nan_coeff", "inf_coeff", "neg_inf_coeff"],
+    )
+    def test_unrunnable_config_rejected(self, bad):
+        """A run that could only die in ``range()`` on every rank, or
+        complete with NaN energy everywhere, is refused up front."""
+        (name,) = bad
+        with pytest.raises(ReproError, match=name):
+            CCSMConfig(**bad)
+
 
 class TestArbitraryNames:
     def test_renamed_components(self):

@@ -269,9 +269,13 @@ class TestFailStopDegradation:
             return  # surfaced as a clean ProcessFailedError
         assert out["coupler"]["dropped_components"] == ["land"]
         assert "dropped from the coupling" in out["land"]["degraded"]
-        assert len(out["land"]["mean_T"]) == 1 + self.CRASH_STEP  # stopped where it was told
+        assert out["land"]["steps"] == self.CRASH_STEP  # stopped where it was told
+        # A component that lost a rank cannot settle: its histories end at
+        # its last settle, which for a run without checkpoints is none.
+        assert len(out["land"]["mean_T"]) == 1
         for kind in ("atmosphere", "ocean", "ice"):
             assert "degraded" not in out[kind]
+            assert out[kind]["steps"] == self.NSTEPS
             assert len(out[kind]["mean_T"]) == 1 + self.NSTEPS
 
     @pytest.mark.parametrize("victim", [0, 2])
@@ -287,7 +291,9 @@ class TestFailStopDegradation:
         for kind in ("coupler", "ocean", "land", "ice"):
             assert out[kind]["degraded"]
         for kind in ("ocean", "land", "ice"):  # stalled in the crash step
+            assert out[kind]["steps"] == self.CRASH_STEP
             assert len(out[kind]["mean_T"]) == 1 + self.CRASH_STEP
+        assert out["atmosphere"]["steps"] == self.CRASH_STEP
 
 
 class TestImplicitFailStop:
@@ -321,7 +327,11 @@ class TestImplicitFailStop:
         # coupler fails its next send to it or receive from it.
         for kind in MODEL_KINDS:
             assert f"world rank(s) [{self.VICTIM}] died" in out[kind]["degraded"]
-            assert len(out[kind]["mean_T"]) == 1 + self.CRASH_STEP, kind
+            assert out[kind]["steps"] == self.CRASH_STEP, kind
+            # Every component with all its ranks settles at the end; land,
+            # short a rank, ends at its last settle (none in this run).
+            settled = 0 if kind == "land" else self.CRASH_STEP
+            assert len(out[kind]["mean_T"]) == 1 + settled, kind
         assert re.match(
             rf"(receive from|delivery to) failed world rank {self.VICTIM}\b",
             out["coupler"]["degraded"],

@@ -6,11 +6,13 @@ import pytest
 from dataclasses import replace
 
 from repro.climate.components import (
+    SETTLE_EVERY,
     AtmosphereModel,
     LandModel,
     OceanModel,
     PhysicsParams,
     SeaIceModel,
+    StepDiagnostics,
     insolation,
 )
 from repro.climate.fields import DistributedField, weighted_global_sum
@@ -134,9 +136,11 @@ class TestStepping:
             m = OceanModel(comm, GRID, OceanModel.default_params())
             for _ in range(3):
                 m.step(3600.0)
-            return (m.steps_taken, m.budget.solar_in > 0)
+            booked_before_settle = m.budget.solar_in
+            settled = m.settle()
+            return (m.steps_taken, len(settled), booked_before_settle, m.budget.solar_in > 0)
 
-        assert spmd(2, main)[0] == (3, True)
+        assert spmd(2, main)[0] == (3, 3, 0.0, True)
 
     def test_energy_budget_closes_per_component(self, spmd):
         """dE == solar - olr + coupling + diffusion_residual, to round-off."""
@@ -148,6 +152,7 @@ class TestStepping:
             rng_flux = np.full(m.temperature.data.shape, 12.5)
             for _ in range(10):
                 m.step(3600.0, rng_flux)
+            m.settle()
             drift = m.energy() - e0
             explained = (
                 m.budget.solar_in
@@ -192,7 +197,7 @@ def _make(comm, cls, field_cls):
 
 
 class TestFusedDiagnostics:
-    """One reduction a step, and it is the separate reductions to the bit."""
+    """A settled step's diagnostics are the separate reductions to the bit."""
 
     @staticmethod
     def one_step(cls, field_cls):
@@ -217,7 +222,8 @@ class TestFusedDiagnostics:
                     else 0.0
                 ),
             }
-            diag = m.step(DT, flux)
+            m.step(DT, flux)
+            diag = m.settle()[-1]
             expected["mean_temperature"] = integral(m.temperature.data)
             expected["mean_thickness"] = (
                 integral(m.thickness) if isinstance(m, SeaIceModel) else None
@@ -258,13 +264,73 @@ class TestFusedDiagnostics:
             terms = m.advance_state(DT, flux)
             advanced = m.state_snapshot()
             assert set(terms) <= {"solar_in", "olr_out", "coupling_in", "diffusion_residual"}
-            assert advanced.pop("budget") == start["budget"]  # nothing booked
-            assert stepped.pop("budget") != start["budget"]
+            # Nothing booked before a settle; only the step records.
+            assert advanced.pop("budget") == stepped.pop("budget") == start["budget"]
+            assert len(advanced.pop("ledger")) == len(start["ledger"])
+            assert len(stepped.pop("ledger")) == len(start["ledger"]) + 1
+            assert advanced.pop("settled") == stepped.pop("settled") == []
             assert advanced.keys() == stepped.keys()
             return all(np.array_equal(advanced[k], stepped[k]) for k in advanced)
 
         for n in (1, 2, 3, 4):
             assert all(spmd(n, main))
+
+
+class TestLedger:
+    """A step records, a settle reduces: where the settles fall changes no
+    bit, and the ledger never outgrows :data:`SETTLE_EVERY` steps."""
+
+    NSTEPS = SETTLE_EVERY + 6
+
+    @staticmethod
+    def run(cls, field_cls, settle_every_step):
+        def main(comm):
+            m, flux = _make(comm, cls, field_cls)
+            diags, longest = [], 0
+            for k in range(TestLedger.NSTEPS):
+                m.step(DT if k % 2 else DT / 2, flux)
+                longest = max(longest, len(m.state_snapshot()["ledger"]))
+                if settle_every_step:
+                    diags += m.settle()
+            diags += m.settle()
+            return diags, m.budget, longest, m.steps_taken
+
+        return main
+
+    @pytest.mark.parametrize("field_cls", FIELDS)
+    @pytest.mark.parametrize("cls", MODELS)
+    def test_settle_points_change_no_bit(self, spmd, cls, field_cls):
+        for n in (1, 3):
+            each = spmd(n, self.run(cls, field_cls, True))
+            once = spmd(n, self.run(cls, field_cls, False))
+            for (d1, b1, l1, s1), (d2, b2, l2, s2) in zip(each, once):
+                # _make's step plus NSTEPS, every one settled exactly once.
+                assert len(d1) == len(d2) == s1 == s2 == 1 + self.NSTEPS
+                assert d1 == d2 and b1 == b2
+                assert l1 == 2 and l2 == SETTLE_EVERY - 1  # self-settled on time
+
+    def test_nothing_recorded_settles_to_nothing(self, spmd):
+        def main(comm):
+            m = OceanModel(comm, GRID, OceanModel.default_params())
+            return m.settle(), m.budget
+
+        for settled, budget in spmd(2, main):
+            assert settled == [] and budget == StepDiagnostics()
+
+    def test_restore_rewinds_the_ledger(self, spmd):
+        """A step taken and rewound is not settled."""
+
+        def main(comm):
+            a, flux = _make(comm, LandModel, DistributedField)
+            b, _ = _make(comm, LandModel, DistributedField)
+            snap = a.state_snapshot()
+            a.step(DT, -flux)
+            a.state_restore(snap)
+            a.step(DT, flux)
+            b.step(DT, flux)
+            return a.settle() == b.settle() and a.budget == b.budget
+
+        assert all(spmd(2, main))
 
 
 class TestSeaIce:

@@ -6,8 +6,10 @@ import pytest
 
 from repro.climate.fields import (
     DistributedField,
+    reduce_shares,
     weighted_global_sum,
     weighted_global_sums,
+    weighted_shares,
 )
 from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
@@ -165,6 +167,58 @@ class TestReductions:
             return f.area_mean()
 
         assert spmd(4, main)[0] == pytest.approx(2.5)
+
+
+class TestCanonicalSum:
+    """Each full latitude row of the weighted field summed in C order,
+    then the row totals in latitude order: the one definition every
+    decomposition reproduces, and what a whole-row rank ships."""
+
+    @staticmethod
+    def canonical(full):
+        rows = np.array([np.sum(row) for row in full * GRID.area_weights])
+        return float(np.sum(rows))
+
+    def test_matches_the_definition_on_every_decomposition(self, spmd):
+        full = np.random.default_rng(7).standard_normal(GRID.shape) * 1e3
+        expected = self.canonical(full)
+        for field_cls, sizes in ((DistributedField, (1, 2, 3)), (DistributedField2D, (2, 4, 6))):
+            for n in sizes:
+
+                def main(comm):
+                    f = field_cls(comm, GRID)
+                    f.data = full[f.local_slices].copy()
+                    return f.area_mean()
+
+                assert spmd(n, main) == [expected] * n, (field_cls.__name__, n)
+
+    def test_a_band_ships_row_totals_a_block_its_cells(self, spmd):
+        def main(field_cls):
+            def run(comm):
+                f = field_cls.from_function(comm, GRID, lambda la, lo: la + lo)
+                share = weighted_shares(GRID, [f.data, 2 * f.data], f.local_slices)
+                return share.shape, f.local_shape
+
+            return run
+
+        for shape, (rows, _) in spmd(2, main(DistributedField)):
+            assert shape == (2, rows)
+        for shape, (rows, cols) in spmd(4, main(DistributedField2D)):
+            assert cols < GRID.nlon and shape == (2, rows, cols)
+
+    def test_leading_axes_settle_one_total_each(self, spmd):
+        """A ledger's stack of k steps reduces to k rows of totals, each
+        the bits the step's own reduction would give."""
+
+        def main(comm):
+            f = DistributedField.from_function(comm, GRID, lambda la, lo: la * lo)
+            steps = [[f.data * (k + 1), f.data - k] for k in range(3)]
+            stacked = np.stack([weighted_shares(GRID, s, f.local_slices) for s in steps])
+            totals = reduce_shares(comm, GRID, stacked, f.local_slices)
+            alone = [weighted_global_sums(comm, GRID, s, f.local_slices) for s in steps]
+            return totals.shape, [tuple(float(t) for t in row) for row in totals] == alone
+
+        assert spmd(3, main) == [((3, 2), True)] * 3
 
 
 class TestFusedSums:

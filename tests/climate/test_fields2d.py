@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.climate.components import AtmosphereModel, OceanModel, SeaIceModel
+from repro.climate.components import AtmosphereModel, LandModel, OceanModel, SeaIceModel
 from repro.climate.fields import DistributedField
 from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
@@ -144,6 +144,31 @@ class TestModelsOn2D:
 
         reference = spmd(1, main1d)[0]
         np.testing.assert_array_equal(spmd(4, main2d)[0], reference)
+
+    @pytest.mark.parametrize("cls", [AtmosphereModel, OceanModel, LandModel, SeaIceModel])
+    def test_settled_diagnostics_identical_to_1d(self, spmd, cls):
+        """Every settled step's diagnostics and the budget are the same
+        bits on either decomposition, whatever the process count: a 1-D
+        band sends row totals, a 2-D block its cells, and the canonical
+        sum is formed from the same rows."""
+
+        def main(field_cls):
+            def run(comm):
+                m = cls(comm, GRID, cls.default_params(), field_cls=field_cls)
+                flux = field_cls.from_function(
+                    comm, GRID, lambda la, lo: 30.0 * np.cos(np.deg2rad(la)) - 0.1 * lo
+                ).data
+                for _ in range(4):
+                    m.step(3600.0, flux)
+                return m.settle(), m.budget
+
+            return run
+
+        reference = spmd(1, main(DistributedField))[0]
+        for n in (2, 3, 4):
+            assert spmd(n, main(DistributedField)) == [reference] * n
+        for n in (2, 4, 6):
+            assert spmd(n, main(DistributedField2D)) == [reference] * n
 
     def test_mean_temperature_consistent(self, spmd):
         def main(comm):

@@ -14,34 +14,43 @@ PROCS = CCSMConfig().procs  # atmosphere 4, ocean 2, land 2, ice 1, coupler 1
 NSTEPS = 2
 
 #: ``case -> (mode, CCSMConfig overrides, messages of a zero-step run,
-#: (messages, payload_bytes) per step)`` on the default layout and default
-#: ``shapes``.  The implicit rows converge in 6 Gauss-Seidel iterations a
-#: step.  Under p2p a step's coupling messages are one per component rank
-#: each way (9 + 9 on the default layout), whichever mode hosts the ranks.
+#: (messages, payload_bytes) per step, (messages, payload_bytes) of the
+#: run's one settle)`` on the default layout and default ``shapes``.  The
+#: implicit rows converge in 6 Gauss-Seidel iterations a step.  Under p2p
+#: a step's coupling messages are one per component rank each way (9 + 9
+#: on the default layout), whichever mode hosts the ranks; its halo rows
+#: are the rest.  A step's diagnostics send nothing until the run settles
+#: them at its end: one gather and one broadcast per component, 2 (P - 1)
+#: messages, whose bytes grow by each step's row totals (counted in the
+#: step's bytes) on top of the fixed cost in the last column.
 GOLDEN = {
-    "explicit_p2p": ("scme", {}, 56, (36, 45390)),
-    "explicit_join": ("scme", {"exchange": "join"}, 65, (36, 44202)),
-    "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (144, 156078)),
+    "explicit_p2p": ("scme", {}, 56, (26, 21408), (10, 880)),
+    "explicit_join": ("scme", {"exchange": "join"}, 65, (26, 20220), (10, 880)),
+    "implicit_p2p": ("scme", {"coupling": "implicit"}, 56, (134, 132096), (10, 880)),
     "implicit_join": (
         "scme",
         {"coupling": "implicit", "exchange": "join"},
         65,
-        (144, 147816),
+        (134, 123834),
+        (10, 880),
     ),
+    # The ocean's three substeps record three steps; one settle takes them.
     "implicit_subcycle": (
         "scme",
         {"coupling": "implicit", "subcycle": {"ocean": 3}},
         56,
-        (176, 173730),
+        (162, 138032),
+        (10, 880),
     ),
-    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 66, (40, 47480)),
-    "mcse": ("mcse", {}, 65, (36, 45390)),
+    "ice_2": ("scme", {"procs": dict(PROCS, ice=2)}, 66, (28, 21840), (12, 1056)),
+    "mcse": ("mcse", {}, 65, (26, 21408), (10, 880)),
     # Land on the atmosphere's four processors: two more ranks each way.
     "mcme_overlap": (
         "mcme_overlap",
         {"procs": dict(PROCS, land=PROCS["atmosphere"])},
         61,
-        (44, 47642),
+        (30, 22080),
+        (14, 1232),
     ),
 }
 
@@ -67,11 +76,16 @@ def run_traffic(mode, cfg):
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_step_traffic(case):
-    mode, overrides, expected_idle, expected = GOLDEN[case]
-    full = run_traffic(mode, CCSMConfig(nsteps=NSTEPS, **overrides))
-    idle = run_traffic(mode, CCSMConfig(nsteps=0, **overrides))
-    # Handshake, joins and model construction; setting up the exchange sends nothing.
+    mode, overrides, expected_idle, expected_step, expected_settle = GOLDEN[case]
+    idle, one, more = (
+        run_traffic(mode, CCSMConfig(nsteps=n, **overrides)) for n in (0, 1, 1 + NSTEPS)
+    )
+    # Handshake, joins and model construction; setting up the exchange
+    # sends nothing, and neither does settling a run that took no step.
     assert idle[0] == expected_idle
-    # What the steps added to a zero-step run of the same world.
-    per_step = tuple(divmod(a - b, NSTEPS) for a, b in zip(full, idle))
-    assert per_step == tuple((value, 0) for value in expected)
+    # Both runs settle once, at the end: what NSTEPS more steps added.
+    per_step = tuple(divmod(a - b, NSTEPS) for a, b in zip(more, one))
+    assert per_step == tuple((value, 0) for value in expected_step)
+    # The rest of a one-step run over a zero-step one is its settle.
+    settle = tuple(a - b - c for a, b, c in zip(one, idle, expected_step))
+    assert settle == expected_settle
