@@ -16,9 +16,15 @@ import time
 
 import pytest
 
-from repro.errors import AbortError, LaunchError, TimeoutError_, TransportError
+from repro.errors import (
+    AbortError,
+    LaunchError,
+    ProcessFailedError,
+    TimeoutError_,
+    TransportError,
+)
 from repro.launcher.job import JobResult, MpmdJob
-from repro.mpi import procbackend, run_spmd
+from repro.mpi import ANY_SOURCE, procbackend, run_spmd
 from repro.mpi.procbackend import ChildExitError
 from repro.mpi.transport import connect, send_frame
 from repro.mpi.world import WorldConfig
@@ -468,3 +474,57 @@ class TestMphrunProcessBackend:
         sys.modules.pop("topo_models", None)
         assert code == 0
         assert capsys.readouterr().out.count("-> 2") == 2
+
+
+# ---------------------------------------------------------------------------
+# A rank blocked in recv wakes on what another process or thread decides
+# ---------------------------------------------------------------------------
+
+
+def _blocked_seconds(comm, source, expected):
+    """Seconds this rank spent in a receive that ended in *expected*."""
+    t0 = time.monotonic()
+    try:
+        comm.recv(source=source, tag=9)
+    except expected:
+        return time.monotonic() - t0
+    return None
+
+
+@pytest.mark.parametrize("transport", ["unix", "shm"])
+class TestBlockedRankWakes:
+    def test_wakes_on_peer_abort(self, transport):
+        """The peer's abort frame ends the receive within a second of
+        the abort."""
+
+        def survivor(comm):
+            return _blocked_seconds(comm, 1, AbortError)
+
+        def aborter(comm):
+            time.sleep(0.5)
+            raise RuntimeError("the peer gives up")
+
+        cfg = WorldConfig(backend="process", transport=transport)
+        results = procbackend.run_procs([survivor, aborter], cfg, timeout=60.0)
+        assert isinstance(results[1].exception, RuntimeError)
+        assert results[0].value is not None, results[0].exception
+        assert results[0].value < 0.5 + 1.0
+
+    def test_wakes_on_failure_pulse_after_peer_exit(self, transport):
+        """A wildcard receive is not failed by the peer's death itself;
+        the rank's own watchdog finds it stalled on a dead rank and its
+        failure pulse ends the receive within a second."""
+
+        def survivor(comm):
+            assert comm.recv(source=1, tag=1) == "hello"
+            return _blocked_seconds(comm, ANY_SOURCE, ProcessFailedError)
+
+        def leaver(comm):
+            comm.send("hello", 0, tag=1)
+            os._exit(4)
+
+        cfg = WorldConfig(backend="process", transport=transport, deadlock_grace=0.2)
+        results = procbackend.run_procs([survivor, leaver], cfg, timeout=60.0)
+        assert isinstance(results[1].exception, ChildExitError)
+        assert results[0].value is not None, results[0].exception
+        assert results[0].value < 1.0

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, TransportError
+from repro.mpi import run_spmd
 from repro.mpi.mailbox import Envelope
 from repro.mpi.progress import Completion
 from repro.mpi.serialization import Blob
@@ -37,6 +38,7 @@ from repro.mpi.transport import (
     recv_frame,
     send_frame,
 )
+from repro.mpi.world import WorldConfig
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +402,43 @@ class TestSocketTransport:
                 assert not any(
                     t.name == f"transport-accept-{ep.rank}" for t in threading.enumerate()
                 )
+
+
+# ---------------------------------------------------------------------------
+# Process ranks: liveness of the sockets a rank drives itself
+# ---------------------------------------------------------------------------
+
+
+_EIGHT_MIB = 1 << 20  # float64 elements
+
+
+@pytest.mark.parametrize("transport", ["unix", "shm"])
+class TestProcessRankLiveness:
+    """Sends far larger than a socket buffer must complete however the
+    ranks are arranged: a rank whose send would block keeps reading what
+    its peers send it, and a rank that has returned keeps reading until
+    the launcher releases it."""
+
+    def test_crossing_large_sends_both_complete(self, transport):
+        def fn(comm):
+            peer = 1 - comm.rank
+            comm.send(np.full(_EIGHT_MIB, float(comm.rank)), peer, tag=3)
+            got = comm.recv(source=peer, tag=3)
+            return float(got[0]), float(got[-1]), got.nbytes
+
+        out = run_spmd(
+            2, fn, config=WorldConfig(backend="process", transport=transport), timeout=60.0
+        )
+        assert out == [(1.0, 1.0, 8 << 20), (0.0, 0.0, 8 << 20)]
+
+    def test_unreceived_eager_send_does_not_stall_the_launch(self, transport):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send(np.ones(_EIGHT_MIB), 1, tag=5)  # never received
+                return "sent"
+            return "returned"
+
+        out = run_spmd(
+            2, fn, config=WorldConfig(backend="process", transport=transport), timeout=60.0
+        )
+        assert out == ["sent", "returned"]
