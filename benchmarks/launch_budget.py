@@ -31,8 +31,9 @@ collect that is ranks starting one after another; EXPERIMENTS.md
 end-to-end benchmark's implicit configuration (``ccsm_implicit_proc``:
 its grids, 6 Gauss-Seidel steps, 10 forked ranks) run ``--launches``
 times, and per rank the wall and process-CPU seconds its ``ProcResult``
-carries home, the CPU of the rank's own thread and the OS threads the
-process ends with.  Process CPU far above rank-thread CPU is a compute
+carries home, the CPU of the rank's own thread, the OS threads the
+process ends with, and its voluntary and involuntary context switches
+over the program (``nvcsw`` / ``nivcsw``).  Process CPU far above rank-thread CPU is a compute
 thread pool spinning between calls too small to need it (EXPERIMENTS.md,
 "Core budget").
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import statistics
 import time
 
@@ -105,12 +107,22 @@ def measure(nranks: int, launches: int, parked: bool) -> dict:
 
 def _reading_its_thread(program):
     """*program*, returning what only the rank itself can read: the CPU
-    seconds of its own thread and its process's OS threads at the end."""
+    seconds of its own thread, its process's OS threads at the end, and
+    the voluntary and involuntary context switches of its process over
+    the program."""
 
     def rank(world, env):
+        before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.thread_time()
         program(world, env)
-        return time.thread_time() - start, len(os.listdir("/proc/self/task"))
+        cpu = time.thread_time() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        return (
+            cpu,
+            len(os.listdir("/proc/self/task")),
+            after.ru_nvcsw - before.ru_nvcsw,
+            after.ru_nivcsw - before.ru_nivcsw,
+        )
 
     rank.__name__ = program.__name__
     return rank
@@ -132,13 +144,18 @@ def ccsm_cpu(launches: int) -> None:
         print(
             f"run {run}: wall {wall:.3f} s, process CPU of the {len(procs)} ranks "
             f"{sum(p.cpu_seconds for p in procs):.3f} s, "
-            f"rank-thread CPU {sum(p.value[0] for p in procs):.3f} s"
+            f"rank-thread CPU {sum(p.value[0] for p in procs):.3f} s, "
+            f"voluntary switches {sum(p.value[2] for p in procs)}"
         )
-        print(" rank program    wall_s  process_cpu_s  rank_thread_cpu_s  os_threads")
+        print(
+            " rank program    wall_s  process_cpu_s  rank_thread_cpu_s  os_threads"
+            "  nvcsw  nivcsw"
+        )
         for p in procs:
             print(
                 f"{p.rank:>5} {result.envs[p.rank].program:<8} {p.wall_seconds:>7.3f} "
                 f"{p.cpu_seconds:>14.3f} {p.value[0]:>18.3f} {p.value[1]:>11}"
+                f" {p.value[2]:>6} {p.value[3]:>7}"
             )
 
 

@@ -186,8 +186,18 @@ class CCSMConfig:
     def __post_init__(self) -> None:
         if self.exchange not in ("p2p", "join"):
             raise ReproError(f"exchange must be 'p2p' or 'join', got {self.exchange!r}")
-        if isinstance(self.nsteps, bool) or not isinstance(self.nsteps, numbers.Integral):
-            raise ReproError(f"nsteps must be an int, got {self.nsteps!r}")
+        for name in ("nsteps", "checkpoint_every", "max_coupling_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ReproError(f"{name} must be an int, got {value!r}")
+        for kind, shape in self.shapes.items():
+            if not all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+                for n in shape
+            ):
+                raise ReproError(
+                    f"shapes[{kind!r}] must be two ints >= 1, got {shape!r}"
+                )
         if self.nsteps < 0:
             raise ReproError(f"nsteps must be >= 0, got {self.nsteps}")
         for kind, coeff in self.coupling_coeff.items():

@@ -37,6 +37,14 @@ def _block(n: int, parts: int, index: int) -> tuple[int, int]:
     return start, start + base + (1 if index < rem else 0)
 
 
+def _block_slices(grid: LatLonGrid, dims, coords) -> tuple[slice, slice]:
+    """The global ``(row, column)`` slices of the block at *coords* of a
+    ``dims`` process grid."""
+    row0, row1 = _block(grid.nlat, dims[0], coords[0])
+    col0, col1 = _block(grid.nlon, dims[1], coords[1])
+    return slice(row0, row1), slice(col0, col1)
+
+
 class DistributedField2D:
     """One process's ``(lat, lon)`` block of a global field.
 
@@ -69,10 +77,8 @@ class DistributedField2D:
         self.comm = self.cart  # the field protocol's communicator
         self.grid = grid
         self.dims = self.cart.dims
-        row0, row1 = _block(grid.nlat, self.dims[0], self.cart.coords[0])
-        col0, col1 = _block(grid.nlon, self.dims[1], self.cart.coords[1])
-        self._slices = (slice(row0, row1), slice(col0, col1))
-        shape = (row1 - row0, col1 - col0)
+        self._slices = rs, cs = _block_slices(grid, self.dims, self.cart.coords)
+        shape = (rs.stop - rs.start, cs.stop - cs.start)
         if data is None:
             self.data = np.zeros(shape)
         else:
@@ -165,8 +171,9 @@ class DistributedField2D:
         return full
 
     def set_from_global(self, full: Optional[np.ndarray], root: int = 0) -> None:
-        """Distribute a full field from *root* into the local blocks."""
-        payload = None
+        """Distribute a full field from *root* into the local blocks, each
+        rank sent only its own block (inverse of :meth:`gather_global`)."""
+        blocks = None
         if self.cart.rank == root:
             assert full is not None
             full = np.asarray(full, dtype=float)
@@ -174,10 +181,11 @@ class DistributedField2D:
                 raise ReproError(
                     f"global field shape {full.shape} != grid shape {self.grid.shape}"
                 )
-            payload = full
-        payload = self.cart.bcast(payload, root=root)
-        rs, cs = self._slices
-        self.data = payload[rs, cs].copy()
+            blocks = [
+                np.ascontiguousarray(full[_block_slices(self.grid, self.dims, self.cart.coords_of(r))])
+                for r in range(self.cart.size)
+            ]
+        self.data = self.cart.scatter(blocks, root=root).copy()
 
     # -- reductions --------------------------------------------------------------------
 

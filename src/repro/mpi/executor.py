@@ -70,8 +70,8 @@ class ProcResult:
     #: only for a child that died before reporting.
     traffic: Any = None
     #: CPU and wall-clock seconds the rank function took: the CPU of the
-    #: whole process for a rank that is one (BLAS workers and transport
-    #: reader threads included), of the rank's thread in a thread world.
+    #: whole process for a rank that is one (BLAS workers and the
+    #: watchdog included), of the rank's thread in a thread world.
     #: CPU far above what the program computes is a thread pool spinning
     #: (docs/manual.md §7).  ``None`` for a child that never reported.
     cpu_seconds: Optional[float] = None

@@ -550,6 +550,8 @@ class Mailbox:
                 )
             ]
 
+        if not block:
+            world.progress.poll()
         with self._lock:
             if sched is not None and not block and self._held:
                 hits: list[Completion] = []

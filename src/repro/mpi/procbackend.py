@@ -131,6 +131,13 @@ class ProcessWorld(World):
       this process's single rank, so for ``nprocs > 1`` it can never
       declare a (necessarily global) deadlock; the parent's timeout is
       the cross-process backstop.
+    * **The rank drives its own sockets.**  No thread reads the
+      transport: a blocked call turns its progress loop
+      (:meth:`~repro.mpi.transport.SocketTransport.progress`) on the
+      rank's own thread, so a process rank runs its main thread and, while
+      it is blocked, the watchdog — nothing else.  A rank that computes
+      reads nothing until its next MPI call (the kernel buffers, as MPI
+      permits), and a failure notice arrives at that call.
     """
 
     def __init__(self, nprocs: int, config: Optional[WorldConfig], rank: int):
@@ -248,10 +255,9 @@ def child_session(
         )
         transport.on_wire = world.record_wire
         world.transport = transport
-        transport.start()
 
         # This rank is a process: its CPU is the whole process's — BLAS
-        # workers and the transport's reader threads included.
+        # workers and the watchdog included.
         reported = None
         while True:
             result = run_rank(world, rank, lambda comm: run(comm, meta), time.process_time)
@@ -286,8 +292,12 @@ def child_session(
             # sends either only once every result is in — a peer may
             # still be draining eager sends into our mailbox until then,
             # and tearing the transport down early would turn its sends
-            # into hard errors — and its death is an EOF.
+            # into hard errors — and its death is an EOF.  Meanwhile this
+            # thread keeps reading the peers' sends: nothing else does,
+            # and one larger than a socket buffer completes only when
+            # read.
             try:
+                transport.progress_until_readable(ctrl)
                 frame = recv_frame(ctrl, timeout=None)
             except (TransportError, OSError):
                 frame = None
@@ -358,8 +368,7 @@ def _serve_assignments(conn: socket.socket, resolve: Callable[[Any], Any], assig
     the launcher's and nothing of a finished job: every inherited
     descriptor but stdio and *conn* is closed before the first job, and
     the ack follows the session, which closed the transport — listener,
-    connections, segment; the reader threads end on the EOFs the peers'
-    closes send them, all on their way once every rank has acked.
+    connections, segment.
     """
     keep = {0, 1, 2, conn.fileno()}
     # ... and what the sys.std* objects write through, where that is not

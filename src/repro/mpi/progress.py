@@ -21,6 +21,15 @@ substrate.  Three pieces:
   so idle worlds carry no thread and blocked ranks pay zero periodic
   wakeups.
 
+A thread world's rank parks on its waitset's condition.  A process
+rank's world has a transport, and there the blocked rank *is* the
+network poller: it turns the transport's progress loop
+(:meth:`SocketTransport.progress
+<repro.mpi.transport.SocketTransport.progress>`), which reads, decodes
+and dispatches on this thread, so a delivery completes the rank's own
+receive with no thread in between; a signal from another thread (the
+watchdog's abort or failure pulse) writes the transport's wake socket.
+
 Every blocked episode records its wakeup count and duration through
 :meth:`World.record_block_episode`, so "parked means parked" is
 measurable rather than asserted.
@@ -127,7 +136,7 @@ class Waitset:
     property of the event engine.
     """
 
-    __slots__ = ("_cond", "_fired", "wakeups")
+    __slots__ = ("_cond", "_fired", "wakeups", "_waker", "_driver")
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -135,17 +144,27 @@ class Waitset:
         self._fired: list[Completion] = []
         #: Times the parked thread was woken (delivery, abort, watchdog).
         self.wakeups = 0
+        #: Set while the waiting thread blocks in a transport's progress
+        #: loop rather than on the condition: the transport's ``wake``,
+        #: and the ident of that thread (``_driver``), whose own
+        #: deliveries need no wake — it re-tests once the loop returns.
+        self._waker = None
+        self._driver = 0
 
     def _notify(self, completion: Completion) -> None:
         with self._cond:
             self._fired.append(completion)
             self._cond.notify_all()
+        if self._waker is not None and threading.get_ident() != self._driver:
+            self._waker()
 
     def poke(self) -> None:
         """Wake the parked thread without completing anything (abort and
         deadlock propagation)."""
         with self._cond:
             self._cond.notify_all()
+        if self._waker is not None:
+            self._waker()
 
 
 @dataclass
@@ -221,26 +240,9 @@ class ProgressEngine:
                     fired.append(c)  # signalled before we could park
             if fired:
                 return fired
-            # Transport-assisted progress: a transport that exposes a
-            # poll window (the shm rings) gets a bounded chance to make
-            # progress on *this* thread before we park — in steady-state
-            # exchange the awaited frame lands inside the window, so no
-            # doorbell round trip or reader-thread wakeup is paid.
             transport = getattr(world, "transport", None)
-            window = getattr(transport, "progress_poll_s", 0.0)
-            if window > 0.0:
-                end = time.monotonic() + window
-                while time.monotonic() < end:
-                    transport.poll()
-                    with ws._cond:
-                        if ws._fired:
-                            return list(ws._fired)
-                    self._check_failure(pulse0)
-                    time.sleep(0)  # yield: reply production needs the GIL
-                transport.prepare_park()  # re-arm doorbell, final sweep
-                with ws._cond:
-                    if ws._fired:
-                        return list(ws._fired)
+            if transport is not None:
+                return self._drive(ws, transport, pulse0)
             with ws._cond:
                 while not ws._fired:
                     self._check_failure(pulse0)
@@ -254,6 +256,37 @@ class ProgressEngine:
                 self._active.discard(ws)
             world.block_exit(rank)
             world.record_block_episode(rank, time.monotonic() - start, ws.wakeups)
+
+    def _drive(self, ws: Waitset, transport, pulse0: int) -> list[Completion]:
+        """Wait for *ws* by turning *transport*'s progress loop on this
+        thread until a completion fires.  A transport with a poll window
+        (the shm rings) is turned without blocking for that long first —
+        in steady-state exchange the awaited frame lands inside it, so
+        no doorbell round trip is paid."""
+        ws._driver = threading.get_ident()
+        ws._waker = transport.wake
+        window = transport.progress_poll_s
+        if window > 0.0:
+            end = time.monotonic() + window
+            while time.monotonic() < end:
+                transport.progress(0)
+                if ws._fired:
+                    return list(ws._fired)
+                self._check_failure(pulse0)
+                time.sleep(0)  # yield: reply production needs the GIL
+        while not ws._fired:
+            self._check_failure(pulse0)
+            transport.progress(None)
+            ws.wakeups += 1
+        return list(ws._fired)
+
+    def poll(self) -> None:
+        """One turn of the transport's loop that does not wait, so a
+        nonblocking call (``test``, ``iprobe``) sees what has arrived.
+        No-op on a world without a transport."""
+        transport = self._world.transport
+        if transport is not None:
+            transport.progress(0)
 
     def _check_failure(self, pulse0: int = -1) -> None:
         """Raise the world's failure for a parked waiter: a

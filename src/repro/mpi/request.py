@@ -278,6 +278,9 @@ class RecvRequest(Request):
         self._check_cancelled()
         env = self._posted.envelope
         if env is None:
+            self._mailbox.world.progress.poll()
+            env = self._posted.envelope
+        if env is None:
             # A receive doomed by a dead sender or a revoked communicator
             # must raise here, not report "incomplete" forever.
             Mailbox._check_doomed(self._posted, self._what)

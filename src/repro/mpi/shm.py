@@ -11,14 +11,15 @@ with :mod:`mmap`) containing:
   is written once into the owner's pool and every same-node receiver
   maps it zero-copy (read-only view; the copy happens only on
   ``Blob.decode``, i.e. copy-on-read);
-* a **doorbell** protocol: a receiver with empty rings parks on its
-  (already existing) socket reader threads; a sender that publishes a
-  frame and observes the receiver's ``sleeping`` flag sends one tiny
-  ``kick`` control frame over the bootstrap socket, which wakes a
-  reader thread, drains every ring, and delivers into the mailbox —
-  thereby waking whatever the :class:`~repro.mpi.progress.ProgressEngine`
-  has parked.  Because the flag is cleared by the first kicker, a burst
-  of small frames coalesces into a single kick (batching).
+* a **doorbell** protocol: a receiver with empty rings blocks in its
+  progress loop's selector (:meth:`SocketTransport.progress
+  <repro.mpi.transport.SocketTransport.progress>`, on the rank's own
+  thread) with its ``sleeping`` flag set; a sender that publishes a
+  frame and observes the flag sends one tiny ``kick`` control frame over
+  the socket, which ends the select — and the loop, which reads the
+  rings before every select anyway, drains them and delivers into the
+  mailbox.  Because the flag is cleared by the first kicker, a burst of
+  small frames coalesces into a single kick (batching).
 
 Memory-ordering notes (this is the subtle part): ring publication uses
 monotonic u64 head/tail counters — the writer publishes ``tail`` only
@@ -686,13 +687,14 @@ class ShmTransport(SocketTransport):
     """Per-pair protocol selection: shm rings same-node, sockets across.
 
     Subclasses :class:`SocketTransport` so the bootstrap handshake,
-    cross-node sends, abort broadcast, and sync-ack machinery are
-    inherited unchanged; only same-node envelope traffic is rerouted
-    through the rings and the page pool.  Doorbell kicks and
-    cross-node frames ride the inherited sockets, which is what plugs
-    ring delivery into the progress engine: a kick wakes a reader
-    thread, the reader drains the rings into the mailbox, and the
-    mailbox signals the parked completions.
+    cross-node sends, abort broadcast, sync-ack machinery and the
+    progress loop are inherited unchanged; only same-node envelope
+    traffic is rerouted through the rings and the page pool.  The loop
+    reads the rings into its backlog before it consults the selector
+    (:meth:`_gather`), so ring frames are decoded and dispatched where
+    socket frames are; doorbell kicks and cross-node frames ride the
+    inherited sockets, and a kick is what ends a select the loop blocked
+    in with its doorbell armed.
     """
 
     def __init__(
@@ -727,13 +729,13 @@ class ShmTransport(SocketTransport):
         self._peer_rings: Dict[int, ShmRing] = {}
         self._ring_locks: Dict[int, threading.Lock] = {}
         self._attach_lock = threading.Lock()
-        self._drain_lock = threading.Lock()
         # blob -> pool offset of its already-published page (fan-out dedup)
         self._page_cache = weakref.WeakKeyDictionary()
         self._cache_lock = threading.Lock()
         # (owner_rank, off) release requests; finalizers may only
-        # *append* (atomic, lock-free) — flushing happens on transport
-        # threads, never in GC context, so no reentrant-lock deadlock.
+        # *append* (atomic, lock-free) — flushing happens in sends and in
+        # the progress loop, never in GC context, so no reentrant-lock
+        # deadlock.
         self._release_q: deque = deque()
         self._shm = ShmStats()
         self._stats_lock = threading.Lock()
@@ -766,7 +768,7 @@ class ShmTransport(SocketTransport):
         # latency and they ride the same FIFO); kicks must NOT — they
         # are the wakeup mechanism itself, so _kick calls the socket
         # path directly.
-        if self._use_shm(dest) and not self._closed.is_set():
+        if self._use_shm(dest) and not self._closed:
             self._ring_send(
                 dest, pickle.dumps(fields, protocol=WIRE_PICKLE_PROTOCOL)
             )
@@ -839,9 +841,10 @@ class ShmTransport(SocketTransport):
             if off is not None:
                 return off
             # Space frees when receivers' pfree frames reach our rings
-            # and when our own dead-blob releases flush — drive both.
-            self._drain()
-            self._flush_releases()
+            # and when our own dead-blob releases flush: one turn of the
+            # loop drives both (no frame is half-written here, so it may
+            # dispatch).
+            self.progress(0)
             off = self._pool.alloc(nbytes)
             if off is not None:
                 return off
@@ -884,6 +887,7 @@ class ShmTransport(SocketTransport):
                     )
                 if dest in self._dead_peers:
                     raise TransportError(f"world rank {dest} is dead")
+                self._read_ahead()
                 time.sleep(delay)
                 delay = min(delay * 2, 0.005)
         with self._stats_lock:
@@ -955,52 +959,66 @@ class ShmTransport(SocketTransport):
 
     # -- shm receive path ---------------------------------------------------
 
-    def _drain(self, rearm: bool = True) -> None:
-        """Drain every inbound ring into the local mailbox.
+    def _read_ahead(self) -> None:
+        """Read what peers send us into the backlog, dispatching nothing
+        — what a send waiting for ring space does meanwhile: the peer
+        whose ring is full may be waiting for space in ours.  Left to
+        another thread that is turning the loop."""
+        if not self._rx_lock.acquire(blocking=False):
+            return
+        try:
+            if not self._closed:
+                self._drain(rearm=False)
+                self._pump(0)
+        finally:
+            self._rx_lock.release()
 
-        Runs on whichever thread got the kick, a sender blocked on the
-        pool, or a blocked rank polling via :meth:`poll`; serialised by
-        ``_drain_lock``.  The re-arm protocol (set ``sleeping``, fence,
+    def _drain(self, rearm: bool = True) -> bool:
+        """Move every frame waiting in our inbound rings into the
+        backlog, which the progress loop decodes and dispatches; returns
+        whether any frame was moved.
+
+        Runs under the loop's lock: in :meth:`progress` before the
+        selector is consulted and on a kick, or in a send waiting for
+        ring space.  The re-arm protocol (set ``sleeping``, fence,
         re-check) pairs with the sender's publish-fence-read so a frame
         published during re-arm is either seen by the final pass here
-        or triggers a fresh kick there.  With ``rearm=False`` (the poll
-        path) the doorbell stays disarmed — the caller promises to keep
-        polling, so senders can skip their kicks meanwhile.
+        or triggers a fresh kick there.  With ``rearm=False`` the
+        doorbell stays disarmed — the caller is about to look again (a
+        poll, a waiting send), so senders can skip their kicks
+        meanwhile.
         """
-        if not self._rings_in or self._closed.is_set():
-            return
-        with self._drain_lock:
-            if self._closed.is_set():
-                return
-            seg = self._seg
-            try:
-                while True:
-                    seg.set_sleeping(False)
-                    progressed = True
-                    while progressed:
-                        progressed = False
-                        for ring in self._rings_in.values():
-                            while True:
-                                payload = ring.try_read()
-                                if payload is None:
-                                    break
-                                progressed = True
-                                with self._stats_lock:
-                                    self._shm.ring_frames_received += 1
-                                    self._shm.ring_bytes_received += len(payload)
-                                self.on_wire(0, len(payload))
-                                self._dispatch(pickle.loads(payload))
-                    if not rearm:
-                        return
-                    seg.set_sleeping(True)
-                    _membarrier()  # re-arm must precede the final check
-                    if not any(
-                        r.readable() for r in self._rings_in.values()
-                    ):
-                        return
-            except TransportError as exc:
-                self._debug_dump(exc)
-                self.on_error(exc)
+        if not self._rings_in or self._closed:
+            return False
+        seg = self._seg
+        got = False
+        try:
+            while True:
+                seg.set_sleeping(False)
+                progressed = True
+                while progressed:
+                    progressed = False
+                    for ring in self._rings_in.values():
+                        while True:
+                            payload = ring.try_read()
+                            if payload is None:
+                                break
+                            progressed = got = True
+                            with self._stats_lock:
+                                self._shm.ring_frames_received += 1
+                                self._shm.ring_bytes_received += len(payload)
+                            self.on_wire(0, len(payload))
+                            self._backlog.append((None, payload))
+                if not rearm:
+                    return got
+                seg.set_sleeping(True)
+                _membarrier()  # re-arm must precede the final check
+                if not any(r.readable() for r in self._rings_in.values()):
+                    return got
+        except TransportError as exc:
+            self._debug_dump(exc)
+            self.on_error(exc)
+            return got
 
     def _debug_dump(self, exc: Exception) -> None:
         """Write a forensic segment snapshot when REPRO_SHM_DEBUG is set
@@ -1030,26 +1048,17 @@ class ShmTransport(SocketTransport):
         except Exception:
             pass
 
-    # -- progress-engine integration ---------------------------------------
+    # -- progress-loop integration ------------------------------------------
 
-    def poll(self) -> None:
-        """One non-blocking progress step from a blocked rank's thread.
-
-        The progress engine calls this in a bounded loop (the
-        :attr:`progress_poll_s` window) before parking a rank: the rank
-        drains its own rings on *its own* thread, so in steady-state exchange
-        a message and its reply never pay the socket-doorbell round
-        trip or a reader-thread wakeup.  The doorbell stays disarmed
-        between polls; :meth:`prepare_park` re-arms it.
-        """
-        self._drain(rearm=False)
+    def _gather(self, park: bool) -> bool:
+        """Before the loop consults its selector: flush page releases
+        and drain the rings, re-arming the doorbell when the loop is
+        about to block (*park*).  The progress engine turns the loop
+        without blocking for :attr:`progress_poll_s` first, so in
+        steady-state exchange a message and its reply never pay the
+        socket-doorbell round trip."""
         self._flush_releases()
-
-    def prepare_park(self) -> None:
-        """Re-arm the doorbell after a poll window, before the rank
-        parks: set ``sleeping``, fence, and take a final drain pass so
-        a frame that raced the re-arm is not stranded until timeout."""
-        self._drain(rearm=True)
+        return self._drain(rearm=park)
 
     def _dispatch(self, fields: tuple) -> None:
         tag = fields[0]
@@ -1154,7 +1163,7 @@ class ShmTransport(SocketTransport):
         keeping its holds would leak pool space for the rest of the job.
         """
         super().forget_peer(peer)
-        with self._drain_lock:
+        with self._rx_lock:
             self._rings_in.pop(peer, None)
             self._peer_rings.pop(peer, None)
             self._ring_locks.pop(peer, None)
@@ -1180,20 +1189,19 @@ class ShmTransport(SocketTransport):
 
     def close(self) -> None:
         """Flush page releases, close sockets, unmap and unlink segments."""
-        if self._closed.is_set():
+        if self._closed:
             return
         try:
             self._flush_releases()
         except TransportError:  # pragma: no cover - peers already gone
             pass
         super().close()
-        # Serialise against an in-flight _drain (a late kick may still
-        # be dispatching on a reader thread): the lock plus the closed
-        # flag guarantee no one touches the maps after they're gone.
-        with self._drain_lock:
-            for seg in self._peer_segs.values():
-                seg.close()
-            self._seg.close(unlink=True)
+
+    def _release(self) -> None:
+        super()._release()
+        for seg in self._peer_segs.values():
+            seg.close()
+        self._seg.close(unlink=True)
 
     def shm_stats(self) -> ShmStats:
         """Snapshot of ring/pool counters (plus live ring heal totals)."""

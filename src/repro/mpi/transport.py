@@ -18,10 +18,15 @@ Two implementations:
   :func:`encode_envelope` (the payload crosses the wire as the
   :class:`~repro.mpi.serialization.Blob` bytes it was already encoded
   into), synchronous sends are completed by an ``ack`` frame from the
-  receiver, and abort notifications ride the same connections.
+  receiver, and abort notifications ride the same connections.  No
+  thread serves the inbound side: the rank's own thread, blocked in the
+  progress engine, selects on its listener, its inbound connections and
+  one wake socket, and decodes and dispatches what arrives
+  (:meth:`SocketTransport.progress`) — the shape of MPICH ch3:sock, whose
+  progress engine is the network poller.
 * :class:`~repro.mpi.shm.ShmTransport` — a :class:`SocketTransport`
   whose same-node peer pairs exchange frames through shared-memory
-  rings instead (:mod:`repro.mpi.shm`).
+  rings instead (:mod:`repro.mpi.shm`); the same loop drains the rings.
 
 The wire format is deliberately simple and *testable*: a frame is a
 4-byte big-endian length followed by that many payload bytes
@@ -35,10 +40,14 @@ edges (empty, 1-byte, multi-MiB, split reads, torn frames).
 from __future__ import annotations
 
 import pickle
+import select
+import selectors
 import socket
 import struct
 import threading
+import time
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import TransportError
@@ -73,27 +82,6 @@ def pack_frame(payload: bytes) -> bytes:
     return _LEN.pack(n) + payload
 
 
-def sendall_vectored(sock: socket.socket, parts: list) -> None:
-    """``sendall`` of several buffers without concatenating them.
-
-    The writev-style path of :meth:`SocketTransport._send_bytes`: the
-    4-byte length header and the (possibly multi-MiB) payload go down in
-    one ``sendmsg`` call instead of being copied into a single ``bytes``
-    first.  Partial sends are resumed with zero-copy memoryview slices.
-    """
-    views = [memoryview(p) for p in parts if len(p)]
-    while views:
-        sent = sock.sendmsg(views)
-        while sent:
-            head = len(views[0])
-            if sent >= head:
-                sent -= head
-                del views[0]
-            else:
-                views[0] = views[0][sent:]
-                sent = 0
-
-
 class FrameDecoder:
     """Incremental decoder of the length-prefixed wire format.
 
@@ -104,41 +92,68 @@ class FrameDecoder:
     """
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        self._need: Optional[int] = None  # payload length of the frame in progress
+        self._head = bytearray()  # length-prefix bytes of the next frame
+        self._frame: Optional[bytearray] = None  # the frame being filled
+        self._got = 0  # bytes of it filled
 
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb *data*; return every frame completed by it."""
-        self._buf.extend(data)
-        frames: list[bytes] = []
-        while True:
-            if self._need is None:
-                if len(self._buf) < _LEN.size:
-                    break
-                (self._need,) = _LEN.unpack(bytes(self._buf[: _LEN.size]))
-                del self._buf[: _LEN.size]
-                if self._need > MAX_FRAME_BYTES:
+    def feed(self, data: bytes) -> list:
+        """Absorb *data*; return every frame completed by it.
+
+        A frame that spans chunks is filled in place, in a buffer of its
+        declared length allocated once, so it is copied once however
+        many chunks bring it (and comes back as that ``bytearray``); a
+        frame whole in one chunk comes back as ``bytes``."""
+        if self._frame is None and not self._head and len(data) > _LEN.size:
+            (need,) = _LEN.unpack_from(data)
+            if len(data) == _LEN.size + need:  # the common read
+                return [data[_LEN.size :]]
+        frames = []
+        view = memoryview(data)
+        while view:
+            if self._frame is None:
+                if not self._head and len(view) >= _LEN.size:
+                    (need,) = _LEN.unpack_from(view)
+                    view = view[_LEN.size :]
+                else:
+                    take = _LEN.size - len(self._head)
+                    self._head += view[:take]
+                    view = view[take:]
+                    if len(self._head) < _LEN.size:
+                        break
+                    (need,) = _LEN.unpack(self._head)
+                    self._head.clear()
+                if need > MAX_FRAME_BYTES:
                     raise TransportError(
-                        f"corrupt stream: declared frame length {self._need} "
+                        f"corrupt stream: declared frame length {need} "
                         f"exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
                     )
-            if len(self._buf) < self._need:
-                break
-            frames.append(bytes(self._buf[: self._need]))
-            del self._buf[: self._need]
-            self._need = None
+                if len(view) >= need:  # whole in this chunk: one copy out
+                    frames.append(view[:need].tobytes())
+                    view = view[need:]
+                    continue
+                self._frame, self._got = bytearray(need), 0
+            frame = self._frame
+            take = min(len(view), len(frame) - self._got)
+            frame[self._got : self._got + take] = view[:take]
+            self._got += take
+            view = view[take:]
+            if self._got == len(frame):
+                frames.append(frame)
+                self._frame = None
         return frames
 
     @property
     def partial(self) -> bool:
         """Whether a frame is in progress (header or payload incomplete)."""
-        return self._need is not None or bool(self._buf)
+        return self._frame is not None or bool(self._head)
 
     def finish(self) -> None:
         """Declare end-of-stream; raise on a torn frame."""
         if self.partial:
-            got = len(self._buf)
-            want = self._need if self._need is not None else _LEN.size
+            if self._frame is None:
+                got, want = len(self._head), _LEN.size
+            else:
+                got, want = self._got, len(self._frame)
             raise TransportError(
                 f"torn frame: stream ended with {got} of {want} expected bytes"
             )
@@ -250,17 +265,32 @@ def decode_envelope(fields: tuple) -> tuple[Envelope, int, int]:
 class Transport(ABC):
     """How one rank's envelopes reach its peers.
 
-    Implementations must be safe to call from any thread: collectives and
-    the progress engine's reader threads send concurrently.
+    Implementations must be safe to call from any thread: a rank's own
+    thread sends, and its watchdog may broadcast an abort meanwhile.
     """
 
     #: Short name for diagnostics ("unix", "shm").
     kind: str = "?"
 
+    #: Seconds the progress engine turns :meth:`progress` without
+    #: waiting before it blocks in it (the shm rings set one; a socket
+    #: has nothing to poll).
+    progress_poll_s: float = 0.0
+
     @abstractmethod
     def send_envelope(self, dest: int, env: Envelope) -> None:
         """Deliver *env* to world rank *dest* (eager: buffered at the
         destination before returning)."""
+
+    @abstractmethod
+    def progress(self, timeout: Optional[float] = None) -> None:
+        """Receive and dispatch what has arrived, on the calling thread,
+        waiting up to *timeout* seconds (``None``: until something does,
+        or :meth:`wake`) when nothing has."""
+
+    @abstractmethod
+    def wake(self) -> None:
+        """Make a thread blocked in :meth:`progress` return (any thread)."""
 
     @abstractmethod
     def alive(self, peer: int) -> bool:
@@ -304,6 +334,29 @@ class _SyncAck:
             pass
 
 
+class _Inbound:
+    """One accepted connection: its socket, its frame decoder, and the
+    world rank speaking on it once a frame has said so (-1 until then)."""
+
+    __slots__ = ("sock", "decoder", "origin")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.decoder = FrameDecoder()
+        self.origin = -1
+
+
+# Selector keys that are not an inbound connection.
+_ACCEPT, _WAKE, _WRITABLE, _EXTERNAL = "accept", "wake", "writable", "external"
+
+#: Bytes asked of one ``recv`` on a readable connection.
+_RECV_BYTES = 65536
+
+#: Seconds a thread that finds another one driving the loop waits for
+#: it before returning to its own caller (who re-tests and calls again).
+_HANDOFF = 0.05
+
+
 class SocketTransport(Transport):
     """Framed envelope delivery over Unix-domain sockets.
 
@@ -321,10 +374,16 @@ class SocketTransport(Transport):
 
     Outbound connections are cached per peer and serialized by a per-peer
     lock (frames from concurrent senders interleave at frame granularity,
-    never inside one).  Inbound connections are served by one reader
-    thread each; decoded envelopes are injected through
-    :attr:`deliver_local`, acks complete the registered synchronous
-    sends, and ``abort`` frames are routed to :attr:`on_abort`.
+    never inside one).  The inbound side has no thread of its own: one
+    selector holds the listener, every accepted connection and a wake
+    socket, and :meth:`progress` — called by the rank's own thread from
+    the progress engine — accepts, reads, decodes and dispatches.
+    Decoded envelopes are injected through :attr:`deliver_local`, acks
+    complete the registered synchronous sends, and ``abort`` frames are
+    routed to :attr:`on_abort`.  A send that would block reads inbound
+    bytes into the decoders meanwhile (two ranks sending each other more
+    than a socket buffer both complete), and dispatches them at the next
+    :meth:`progress`.
     """
 
     kind = "unix"
@@ -345,7 +404,7 @@ class SocketTransport(Transport):
         self.deliver_local: Callable[[Envelope], None] = lambda env: None
         #: Called with ``(origin_rank, message)`` on an inbound abort.
         self.on_abort: Callable[[int, str], None] = lambda origin, msg: None
-        #: Called with the :class:`TransportError` when a reader stream
+        #: Called with the :class:`TransportError` when an inbound stream
         #: tears mid-frame.
         self.on_error: Callable[[TransportError], None] = lambda exc: None
         #: Called with ``(sent_bytes, received_bytes)`` per wire transfer;
@@ -354,9 +413,9 @@ class SocketTransport(Transport):
         self.on_wire: Callable[[int, int], None] = lambda sent, received: None
         #: Called with the world rank of a peer whose connection died
         #: while the transport was still open (crash detection seam; the
-        #: process backend binds this to ``World.proc_failed`` on the
-        #: shm transport so receives posted against the dead rank raise
-        #: instead of hanging).
+        #: process backend binds this to ``World.proc_failed`` so
+        #: receives posted against the dead rank raise instead of
+        #: hanging).
         self.on_peer_lost: Callable[[int], None] = lambda peer: None
 
         self._conns: dict[int, socket.socket] = {}
@@ -371,37 +430,40 @@ class SocketTransport(Transport):
         self._next_sync_id = 1
         self._sync_waiters: dict[int, Completion] = {}
 
-        self._closed = threading.Event()
-        self._acceptor: Optional[threading.Thread] = None
+        self._closed = False
+        #: Held by whichever thread turns the loop: the selector, the
+        #: decoders and the backlog are that thread's alone.
+        self._rx_lock = threading.RLock()
+        #: Read but not yet dispatched, in arrival order: ``(inbound or
+        #: None, frame)``, or ``(inbound, None | TransportError)`` for a
+        #: connection that ended cleanly or torn.
+        self._backlog: deque = deque()
+        self._external_ready = False
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        listener.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(listener, selectors.EVENT_READ, _ACCEPT)
+        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self) -> None:
-        """Begin accepting inbound connections."""
-        self._acceptor = threading.Thread(
-            target=self._serve, name=f"transport-accept-{self.rank}", daemon=True
-        )
-        self._acceptor.start()
-
     def close(self) -> None:
-        if self._closed.is_set():
+        if self._closed:
             return
-        self._closed.set()
-        # The accept thread must be *out* of accept() before the
-        # listener's descriptor is closed: it calls accept4() on the
-        # descriptor number without the GIL, and in a process that goes
-        # on to open other sockets (a parked rank's next job: its
-        # listener gets this very number) a thread still in its accept
-        # loop accepts — and drops — the next world's connections.  A
-        # connection to ourselves is what gets it out: a shut-down
-        # listener only polls readable and then accepts EAGAIN, so the
-        # thread would spin out its timeout instead.
-        if self._acceptor is not None:
-            try:
-                connect(self._peers[self.rank]).close()
-            except (OSError, KeyError):
-                pass  # it still leaves at its next accept timeout
-            self._acceptor.join(1.0)
+        self._closed = True
+        self.wake()  # a thread blocked in progress() returns and sees it
+        locked = self._rx_lock.acquire(timeout=1.0)
+        try:
+            self._release()
+        finally:
+            if locked:
+                self._rx_lock.release()
+
+    def _release(self) -> None:
+        """Close every descriptor the endpoint owns (under the loop's
+        lock, once)."""
         # shutdown() before close(): the kernel keeps completing
         # handshakes on the listener's behalf until close() returns — a
         # sender could still "successfully" connect to a closed
@@ -410,16 +472,18 @@ class SocketTransport(Transport):
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
+        inbound = [
+            key.data.sock
+            for key in self._sel.get_map().values()
+            if isinstance(key.data, _Inbound)
+        ]
+        self._sel.close()
         with self._conns_lock:
-            conns = list(self._conns.values())
+            outbound = list(self._conns.values())
             self._conns.clear()
-        for conn in conns:
+        for sock in [self._listener, self._wake_r, self._wake_w, *inbound, *outbound]:
             try:
-                conn.close()
+                sock.close()
             except OSError:  # pragma: no cover - defensive
                 pass
 
@@ -498,7 +562,7 @@ class SocketTransport(Transport):
                 # Header and payload go down in one vectored send: no
                 # pack_frame concatenation, so a multi-MiB payload is
                 # never copied just to prepend its 4-byte length.
-                sendall_vectored(sock, [_LEN.pack(n), payload])
+                self._send_parts(sock, [_LEN.pack(n), payload])
             except OSError as exc:
                 self._drop_conn(dest)
                 self._dead_peers.add(dest)
@@ -506,6 +570,50 @@ class SocketTransport(Transport):
                     f"send to world rank {dest} failed: {exc}"
                 ) from exc
         self.on_wire(n + _LEN.size, 0)
+
+    def _send_parts(self, sock: socket.socket, parts: list) -> None:
+        """``sendall`` of several buffers without concatenating them,
+        resuming partial sends with zero-copy memoryview slices; while
+        the socket takes no more, :meth:`_await_writable`."""
+        views = [memoryview(p) for p in parts if len(p)]
+        while views:
+            try:
+                sent = sock.sendmsg(views)
+            except BlockingIOError:
+                self._await_writable(sock)
+                continue
+            while sent:
+                head = len(views[0])
+                if sent >= head:
+                    sent -= head
+                    del views[0]
+                else:
+                    views[0] = views[0][sent:]
+                    sent = 0
+
+    def _await_writable(self, sock: socket.socket) -> None:
+        """Wait until *sock* takes more bytes, reading what the peers
+        send us meanwhile: the peer we write to may itself be blocked
+        writing to us, and reads only once we do.  What is read goes
+        into the decoders and the backlog, not to the mailbox — this
+        thread is in the middle of a frame on *sock*, and dispatching
+        could send on it.  A thread that finds another one turning the
+        loop leaves the reading to that one."""
+        if not self._rx_lock.acquire(blocking=False):
+            writable = select.poll()
+            writable.register(sock, select.POLLOUT)
+            writable.poll(_HANDOFF * 1000)
+            return
+        try:
+            if self._closed:
+                raise TransportError("transport closed during a send")
+            self._sel.register(sock, selectors.EVENT_WRITE, _WRITABLE)
+            try:
+                self._pump(None)
+            finally:
+                self._sel.unregister(sock)
+        finally:
+            self._rx_lock.release()
 
     def _connect(self, dest: int) -> socket.socket:
         with self._conns_lock:
@@ -520,6 +628,7 @@ class SocketTransport(Transport):
             raise TransportError(
                 f"cannot connect to world rank {dest} at {addr!r}: {exc}"
             ) from exc
+        sock.setblocking(False)
         with self._conns_lock:
             self._conns[dest] = sock
         return sock
@@ -533,58 +642,149 @@ class SocketTransport(Transport):
             except OSError:  # pragma: no cover - defensive
                 pass
 
-    # -- inbound -----------------------------------------------------------
+    # -- inbound: the progress loop ----------------------------------------
 
-    def _serve(self) -> None:
+    def progress(self, timeout: Optional[float] = None) -> None:
+        """One turn of the rank's progress loop, on the calling thread:
+        accept new connections, read every readable one, then decode and
+        dispatch every complete frame in arrival order.
+
+        With nothing ready it waits up to *timeout* seconds (``None``:
+        until a peer sends, connects or hangs up, or :meth:`wake` is
+        called; ``0``: not at all).  A thread that finds another one
+        turning the loop waits at most :data:`_HANDOFF` for it and
+        returns, so its caller can re-test what it waits for."""
+        if not self._rx_lock.acquire(blocking=False):
+            if timeout == 0:
+                return
+            if not self._rx_lock.acquire(timeout=_HANDOFF if timeout is None else timeout):
+                return
         try:
-            self._listener.settimeout(0.2)
-        except OSError:  # closed before the thread got scheduled
-            return
-        while not self._closed.is_set():
+            if self._closed:
+                if timeout != 0:  # nothing will ever arrive: don't spin a waiter
+                    time.sleep(_HANDOFF)
+                return
+            if self._gather(park=timeout != 0) or self._backlog:
+                timeout = 0
+            self._pump(timeout)
+            self._dispatch_backlog()
+        finally:
+            self._rx_lock.release()
+
+    def wake(self) -> None:
+        """Make a thread blocked in :meth:`progress` return (safe from
+        any thread; a wake nobody waits for ends the next wait early)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # a full wake socket already wakes; a closed one has nobody
+
+    def progress_until_readable(self, sock: socket.socket) -> None:
+        """Turn the loop until *sock*, a socket of the caller's, is
+        readable — what a rank that has returned does while it waits for
+        the launcher's next frame: a peer may still be sending to it,
+        and a send larger than the socket buffer completes only once
+        this end reads it."""
+        with self._rx_lock:
+            self._sel.register(sock, selectors.EVENT_READ, _EXTERNAL)
+            self._external_ready = False
+        try:
+            while not self._external_ready and not self._closed:
+                self.progress(None)
+        finally:
+            with self._rx_lock:
+                if not self._closed:
+                    self._sel.unregister(sock)
+
+    def _gather(self, park: bool) -> bool:
+        """Collect frames that arrive other than by socket into the
+        backlog before the selector is consulted; *park* says the loop
+        is about to block.  Returns whether any were collected.  Sockets
+        only: nothing."""
+        return False
+
+    def _pump(self, timeout: Optional[float]) -> None:
+        """One selector pass: accept, read into the decoders, note what
+        else fired.  Dispatches nothing."""
+        for key, _ in self._sel.select(timeout):
+            what = key.data
+            if what is _ACCEPT:
+                self._accept()
+            elif what is _WAKE:
+                try:
+                    while self._wake_r.recv(4096):
+                        pass
+                except OSError:
+                    pass
+            elif what is _EXTERNAL:
+                self._external_ready = True
+            elif what is not _WRITABLE:
+                self._read(what)
+
+    def _accept(self) -> None:
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if self._closed.is_set():  # close()'s wake-up call
-                conn.close()
-                break
-            threading.Thread(
-                target=self._read_conn,
-                args=(conn,),
-                name=f"transport-read-{self.rank}",
-                daemon=True,
-            ).start()
+            except OSError:  # BlockingIOError: the backlog is empty
+                return
+            conn.setblocking(False)
+            self._sel.register(conn, selectors.EVENT_READ, _Inbound(conn))
 
-    def _read_conn(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder()
-        origin = -1  # world rank speaking on this connection, once known
-        try:
-            while not self._closed.is_set():
-                try:
-                    data = conn.recv(65536)
-                except OSError:
-                    return
-                if not data:
-                    if decoder.partial and not self._closed.is_set():
-                        decoder.finish()  # raises TransportError
-                    return
-                self.on_wire(0, len(data))
-                for frame in decoder.feed(data):
-                    fields = pickle.loads(frame)
-                    peer = self._frame_origin(fields)
-                    if peer >= 0:
-                        origin = peer
-                    self._dispatch(fields)
-        except TransportError as exc:
-            self.on_error(exc)
-        finally:
+    def _read(self, inbound: _Inbound) -> None:
+        """Read a readable connection into its decoder — again while
+        whole chunks come back, so a large frame costs one select, not
+        one a chunk — and backlog what it completes; a connection that
+        ended is closed and backlogged as such."""
+        end = None
+        while True:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._conn_closed(origin)
+                data = inbound.sock.recv(_RECV_BYTES)
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                break
+            self.on_wire(0, len(data))
+            try:
+                for frame in inbound.decoder.feed(data):
+                    self._backlog.append((inbound, frame))
+            except TransportError as exc:  # a corrupt length prefix
+                end = exc
+                break
+            if len(data) < _RECV_BYTES:
+                return
+        if end is None and inbound.decoder.partial:
+            try:
+                inbound.decoder.finish()
+            except TransportError as exc:
+                end = exc
+        self._sel.unregister(inbound.sock)
+        inbound.sock.close()
+        self._backlog.append((inbound, end))
+
+    def _dispatch_backlog(self) -> None:
+        """Decode and dispatch every backlogged frame, in arrival order
+        — the one place inbound frames are decoded.  A dispatch that
+        sends (an ack) and has to wait reads more into the backlog,
+        which this loop then dispatches too."""
+        backlog = self._backlog
+        while backlog:
+            inbound, item = backlog.popleft()
+            if item is not None and not isinstance(item, TransportError):
+                try:
+                    fields = pickle.loads(item)
+                    if inbound is not None:
+                        peer = self._frame_origin(fields)
+                        if peer >= 0:
+                            inbound.origin = peer
+                    self._dispatch(fields)
+                except TransportError as exc:
+                    self.on_error(exc)
+                continue
+            if item is not None:
+                self.on_error(item)
+            self._conn_closed(inbound.origin)
 
     def _frame_origin(self, fields: tuple) -> int:
         """World rank that sent this frame, or -1 if it doesn't say."""
@@ -604,7 +804,7 @@ class SocketTransport(Transport):
 
         A *departed* peer (``forget_peer``) closing its side is the
         expected end of a planned retirement — silently ignored."""
-        if origin < 0 or self._closed.is_set() or origin in self._departed:
+        if origin < 0 or self._closed or origin in self._departed:
             return
         # No "already in _dead_peers" shortcut: a failed *send* to the
         # peer (say, a page release racing its exit) marks it dead
@@ -634,7 +834,7 @@ class SocketTransport(Transport):
 
     def alive(self, peer: int) -> bool:
         return (
-            not self._closed.is_set()
+            not self._closed
             and peer in self._peers
             and peer not in self._dead_peers
         )
@@ -661,5 +861,8 @@ def make_listener(path: str) -> socket.socket:
     path is its address."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.bind(path)
-    sock.listen(64)
+    # Peers connect on their first send, whenever that is, and are
+    # accepted when this rank next turns its progress loop: room for
+    # every rank of a large world to be waiting at once.
+    sock.listen(socket.SOMAXCONN)
     return sock

@@ -13,6 +13,8 @@ the two safety nets real MPI lacks:
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -180,6 +182,18 @@ class WorldConfig:
             raise ValueError(
                 f"transport {self.transport!r} requires backend='process'"
             )
+        if not (
+            isinstance(self.deadlock_grace, numbers.Real)
+            and math.isfinite(self.deadlock_grace)
+            and self.deadlock_grace >= 0
+        ):
+            raise ValueError(
+                f"deadlock_grace must be finite and >= 0, got {self.deadlock_grace!r}"
+            )
+        if self.nodes is not None and (
+            isinstance(self.nodes, bool) or not isinstance(self.nodes, numbers.Integral)
+        ):
+            raise ValueError(f"nodes must be an int or None, got {self.nodes!r}")
         if self.nodes is not None and self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
 
@@ -297,7 +311,8 @@ class World:
 
     def record_wire(self, sent: int = 0, received: int = 0) -> None:
         """Count socket-transport wire bytes (called by the transport's
-        send path and reader threads on the process backend)."""
+        send path and by its progress loop, which reads on the rank's
+        own thread, on the process backend)."""
         with self._traffic_lock:
             self.traffic.wire_bytes_sent += sent
             self.traffic.wire_bytes_received += received

@@ -192,6 +192,24 @@ class TestBuilders:
         with pytest.raises(ReproError, match=name):
             CCSMConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(shapes={"atmosphere": (0, 32), "ocean": (12, 24), "land": (8, 16), "ice": (6, 12)}),
+            dict(shapes={"atmosphere": (16, 32), "ocean": (12, -1), "land": (8, 16), "ice": (6, 12)}),
+            dict(checkpoint_every=1.5),
+            dict(max_coupling_iterations=2.5),
+        ],
+        ids=["zero_lat", "negative_lon", "fractional_checkpoint_every", "fractional_iterations"],
+    )
+    def test_unbuildable_grid_or_count_rejected(self, bad, tmp_path):
+        """An empty grid or a fractional step count is refused at
+        construction, not discovered inside a rank (the checkpoint
+        directory is there so a periodic save is otherwise legal)."""
+        (name,) = bad
+        with pytest.raises(ReproError, match=name):
+            CCSMConfig(checkpoint_dir=str(tmp_path), **bad)
+
 
 class TestArbitraryNames:
     def test_renamed_components(self):

@@ -114,6 +114,37 @@ class TestAssemblyAndReduction:
 
         assert spmd(4, main)[0] is True
 
+    def test_set_sends_each_rank_its_block_only(self, monkeypatch):
+        """A restore scatters: each non-root rank of a 4-rank (2 x 2)
+        restore is delivered one envelope holding its own block's bytes,
+        not the whole field's."""
+        from repro.mpi import run_spmd
+        from repro.mpi.mailbox import Mailbox
+
+        full = np.arange(96, dtype=float).reshape(8, 12)
+        received = {}
+        deliver = Mailbox.deliver
+
+        def recording(mailbox, env):
+            if env.payload.kind == "array":  # field data, not the topology's setup
+                received.setdefault(mailbox.owner, []).append(env.payload.nbytes)
+            deliver(mailbox, env)
+
+        def main(comm):
+            f = DistributedField2D(comm, GRID)
+            f.set_from_global(full if comm.rank == 0 else None)
+            rs, cs = f.local_slices
+            return np.array_equal(f.data, full[rs, cs]), f.data.nbytes
+
+        monkeypatch.setattr(Mailbox, "deliver", recording)
+        out = run_spmd(4, main)
+        assert all(same for same, _ in out)
+        block_bytes = out[1][1]
+        assert block_bytes * 4 == full.nbytes
+        assert sorted(received) == [1, 2, 3]
+        for owner, sizes in received.items():
+            assert len(sizes) == 1 and block_bytes <= sizes[0] < full.nbytes // 2, (owner, sizes)
+
     def test_area_mean_matches_1d_bitwise(self, spmd):
         def main2d(comm):
             return DistributedField2D.from_function(comm, GRID, smooth).area_mean()

@@ -389,7 +389,6 @@ def _make_shm_pair(tmp_path, nprocs=2, nodes=1, **sizes):
 
         ep.deliver_local = deliver
         ep.on_error = ep.errors.append
-        ep.start()
         endpoints.append(ep)
     return endpoints
 
@@ -403,12 +402,16 @@ def shm_pair(tmp_path):
     assert list_segments("pair", str(tmp_path)) == [], "segments leaked"
 
 
-def _wait(pred, timeout=5.0):
+def _wait(pred, *endpoints, timeout=5.0):
+    """Turn each endpoint's progress loop until *pred* holds (``False``
+    past *timeout*): an endpoint has no thread of its own, whoever waits
+    on it turns its loop, as a process rank's blocked call does."""
     deadline = time.monotonic() + timeout
     while not pred():
         if time.monotonic() > deadline:
             return False
-        time.sleep(0.005)
+        for ep in endpoints:
+            ep.progress(0.005)
     return True
 
 
@@ -417,7 +420,7 @@ class TestShmTransportPair:
         a, b = shm_pair
         blob = Blob.encode("ring hello")
         a.send_envelope(1, Envelope(3, 0, 5, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)
+        assert _wait(b.delivered.is_set, b)
         env = b.received[0]
         assert (env.context, env.source, env.tag) == (3, 0, 5)
         assert env.payload.decode() == "ring hello"
@@ -430,7 +433,7 @@ class TestShmTransportPair:
         for i in range(200):
             blob = Blob.encode(i)
             a.send_envelope(1, Envelope(1, 0, i, blob, "object", blob.nbytes))
-        assert _wait(lambda: len(b.received) == 200)
+        assert _wait(lambda: len(b.received) == 200, b)
         assert [e.payload.decode() for e in b.received] == list(range(200))
 
     def test_sync_ack_completes_sender(self, shm_pair):
@@ -439,14 +442,14 @@ class TestShmTransportPair:
         completion = Completion()
         env = Envelope(1, 0, 2, blob, "object", blob.nbytes, sync_event=completion)
         a.send_envelope(1, env)
-        assert _wait(lambda: completion.done), "shm-path ssend ack never arrived"
+        assert _wait(lambda: completion.done, b, a), "shm-path ssend ack never arrived"
 
     def test_large_blob_takes_page_path(self, shm_pair):
         a, b = shm_pair
         payload = list(range(20_000))  # pickles well past the inline limit
         blob = Blob.encode(payload)
         a.send_envelope(1, Envelope(1, 0, 9, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)
+        assert _wait(b.delivered.is_set, b)
         assert b.received[0].payload.decode() == payload
         assert a.shm_stats().pages_published == 1
         assert b.shm_stats().pages_mapped == 1
@@ -456,7 +459,7 @@ class TestShmTransportPair:
         arr = np.arange(50_000, dtype=np.float64)
         blob = Blob.encode(arr)
         a.send_envelope(1, Envelope(1, 0, 9, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)
+        assert _wait(b.delivered.is_set, b)
         got = b.received[0].payload.decode()
         np.testing.assert_array_equal(got, arr)
         # decode() must hand the receiver a private writable copy:
@@ -476,8 +479,8 @@ class TestShmTransportPair:
                 a.send_envelope(
                     dest, Envelope(1, 0, 4, blob, "object", blob.nbytes)
                 )
-            assert pair[1].delivered.wait(5.0)
-            assert pair[2].delivered.wait(5.0)
+            assert _wait(pair[1].delivered.is_set, pair[1])
+            assert _wait(pair[2].delivered.is_set, pair[2])
             s = a.shm_stats()
             assert s.pages_published == 1
             assert s.copies_avoided == 1
@@ -490,7 +493,7 @@ class TestShmTransportPair:
         arr = np.arange(40_000, dtype=np.float64)
         blob = Blob.encode(arr)
         a.send_envelope(1, Envelope(1, 0, 9, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)
+        assert _wait(b.delivered.is_set, b)
         assert a.pool.pages_in_use >= 1
         # drop every reference: the received envelope AND the sender blob
         b.received.clear()
@@ -505,7 +508,7 @@ class TestShmTransportPair:
             gc.collect()
             return a.pool.pages_in_use == 0
 
-        assert _wait(drained, timeout=10.0), "page never released"
+        assert _wait(drained, a, b, timeout=10.0), "page never released"
 
     def test_cross_node_peers_fall_back_to_sockets(self, tmp_path):
         """nodes=2 puts ranks 0 and 1 on different simulated nodes: the
@@ -517,7 +520,7 @@ class TestShmTransportPair:
             a.on_wire = lambda nbytes, _received: sent.append(nbytes)
             blob = Blob.encode("inter-node")
             a.send_envelope(1, Envelope(1, 0, 0, blob, "object", blob.nbytes))
-            assert b.delivered.wait(5.0)
+            assert _wait(b.delivered.is_set, b)
             assert b.received[0].payload.decode() == "inter-node"
             assert a.shm_stats().ring_frames_sent == 0
             assert sum(sent) > blob.nbytes  # so every byte went over the socket
@@ -534,7 +537,7 @@ class TestShmTransportPair:
             payload = bytes(range(256)) * 200  # > the inline limit, pickle kind
             blob = Blob.encode(payload)
             a.send_envelope(1, Envelope(1, 0, 1, blob, "object", blob.nbytes))
-            assert b.delivered.wait(5.0)
+            assert _wait(b.delivered.is_set, b)
             received = b.received[0].payload
             # simulate relaying the mapped blob over the socket path
             from repro.mpi.transport import decode_envelope, encode_envelope
@@ -564,12 +567,19 @@ class TestShmTransportPair:
             a, b = pair
             count = 300
             payload = "y" * 400  # ~120 KiB total through a 4 KiB ring
-            for i in range(count):
-                blob = Blob.encode((i, payload))
-                a.send_envelope(
-                    1, Envelope(1, 0, i, blob, "object", blob.nbytes)
-                )
-            assert _wait(lambda: len(b.received) == count, timeout=15.0)
+
+            def burst():
+                for i in range(count):
+                    blob = Blob.encode((i, payload))
+                    a.send_envelope(
+                        1, Envelope(1, 0, i, blob, "object", blob.nbytes)
+                    )
+
+            sender = threading.Thread(target=burst)
+            sender.start()
+            assert _wait(lambda: len(b.received) == count, b, timeout=15.0)
+            sender.join(15.0)
+            assert not sender.is_alive()
             assert [e.payload.decode()[0] for e in b.received] == list(
                 range(count)
             )
@@ -586,7 +596,7 @@ class TestShmTransportPair:
         try:
             blob = Blob.encode("warm-up")
             a.send_envelope(1, Envelope(1, 0, 0, blob, "object", blob.nbytes))
-            assert b.delivered.wait(5.0)  # shm path established
+            assert _wait(b.delivered.is_set, b)  # shm path established
             b.close()
             dead = Blob.encode("z" * 800)
             with pytest.raises(TransportError):
@@ -686,7 +696,7 @@ class TestForgetPeer:
             # the receiver, so the hold for peer 2 is outstanding.
             blob = Blob.encode(np.arange(4096, dtype=np.int64))
             a.send_envelope(2, Envelope(1, 0, 7, blob, "object", blob.nbytes))
-            assert _wait(lambda: len(c.received) == 1)
+            assert _wait(lambda: len(c.received) == 1, c)
             del blob
             gc.collect()
             a._flush_releases()  # sender hold released; peer 2's remains
@@ -705,7 +715,7 @@ class TestForgetPeer:
             # Traffic to the remaining peer is unaffected.
             keep = Blob.encode("still-here")
             a.send_envelope(1, Envelope(1, 0, 9, keep, "object", keep.nbytes))
-            assert _wait(lambda: len(b.received) == 1)
+            assert _wait(lambda: len(b.received) == 1, b)
             assert b.received[0].payload.decode() == "still-here"
             assert not a.errors
         finally:
@@ -720,15 +730,13 @@ class TestForgetPeer:
             # release before it is flushed.
             blob = Blob.encode(np.arange(4096, dtype=np.int64))
             b.send_envelope(0, Envelope(1, 1, 7, blob, "object", blob.nbytes))
-            assert _wait(lambda: len(a.received) == 1)
+            assert _wait(lambda: len(a.received) == 1, a)
             a.received.clear()
-            # The list's was not necessarily the last reference: the
-            # reader thread that delivered the envelope holds it in its
-            # dispatch frame until ``deliver_local`` returns, and under
-            # load it can still be parked there.  The release is queued
-            # when *it* lets go, and nothing on this endpoint flushes
-            # the queue meanwhile (no send, poll or close runs on ``a``).
-            assert _wait(lambda: any(owner == 1 for owner, _ in a._release_q))
+            # The list held the last reference (the loop that delivered
+            # the envelope has returned), so the release is queued now,
+            # and nothing on this endpoint flushes the queue meanwhile
+            # (no send, progress or close runs on ``a``).
+            assert any(owner == 1 for owner, _ in a._release_q)
             a.forget_peer(1)
             assert not any(owner == 1 for owner, _ in a._release_q)
         finally:

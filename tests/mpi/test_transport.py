@@ -271,9 +271,29 @@ def _make_pair(tmp_path):
         ep.deliver_local = deliver
         ep.on_error = ep.errors.append
         ep.on_abort = lambda origin, msg, ep=ep: ep.aborts.append((origin, msg))
-        ep.start()
         endpoints.append(ep)
     return endpoints
+
+
+def _progress_until(pred, *endpoints, timeout=5.0):
+    """Turn each endpoint's progress loop until *pred* holds (``False``
+    past *timeout*).  An endpoint has no thread of its own: whoever
+    waits on it turns its loop, as a process rank's blocked call does."""
+    deadline = time.monotonic() + timeout
+    while not pred():
+        if time.monotonic() > deadline:
+            return False
+        for ep in endpoints:
+            ep.progress(0.01)
+    return True
+
+
+def _send_in_thread(ep, dest, env):
+    """Send from a thread of its own: a send larger than the socket
+    buffer completes only while the receiver's loop is turned."""
+    sender = threading.Thread(target=ep.send_envelope, args=(dest, env))
+    sender.start()
+    return sender
 
 
 @pytest.fixture
@@ -289,7 +309,7 @@ class TestSocketTransport:
         a, b = transport_pair
         blob = Blob.encode("hello")
         a.send_envelope(1, Envelope(3, 0, 5, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)
+        assert _progress_until(b.delivered.is_set, b)
         env = b.received[0]
         assert (env.context, env.source, env.tag) == (3, 0, 5)
         assert env.payload.decode() == "hello"
@@ -309,19 +329,12 @@ class TestSocketTransport:
         completion = Completion()
         env = Envelope(1, 0, 2, blob, "object", blob.nbytes, sync_event=completion)
         a.send_envelope(1, env)
-        deadline = time.monotonic() + 5.0
-        while not completion.done and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert completion.done, "ack frame never completed the ssend"
+        assert _progress_until(lambda: completion.done, b, a), "ack frame never completed the ssend"
 
     def test_abort_broadcast(self, transport_pair):
         a, b = transport_pair
         a.broadcast_abort(0, "rank 0 failed")
-        deadline = threading.Event()
-        for _ in range(50):
-            if b.aborts:
-                break
-            deadline.wait(0.1)
+        assert _progress_until(lambda: b.aborts, b)
         assert b.aborts == [(0, "rank 0 failed")]
 
     def test_stats_count_wire_traffic(self, transport_pair):
@@ -333,7 +346,7 @@ class TestSocketTransport:
             ep.on_wire = lambda sent, received, log=wire[ep.rank]: log.append((sent, received))
         blob = Blob.encode(list(range(1000)))
         a.send_envelope(1, Envelope(1, 0, 0, blob, "object", blob.nbytes))
-        assert b.delivered.wait(5.0)  # the frame's every byte was recorded before delivery
+        assert _progress_until(b.delivered.is_set, b)  # every byte recorded before delivery
         sent = sum(s for s, _ in wire[0])
         received = sum(r for _, r in wire[1])
         assert sent == received > blob.nbytes
@@ -364,44 +377,43 @@ class TestSocketTransport:
         frame = pack_frame(pickle.dumps(("msg",)))
         raw.sendall(frame[: len(frame) - 2])
         raw.close()
-        for _ in range(50):
-            if b.errors:
-                break
-            threading.Event().wait(0.1)
+        assert _progress_until(lambda: b.errors, b)
         assert len(b.errors) == 1
         assert isinstance(b.errors[0], TransportError)
         assert b.received == []
 
     def test_large_payload_over_wire(self, transport_pair):
         """A multi-MiB frame crosses intact (exercises kernel-sized
-        splits on the reader side for real)."""
+        splits on the reading side for real)."""
         a, b = transport_pair
         big = np.random.default_rng(7).standard_normal(500_000)  # ~4 MiB
         blob = Blob.encode(big)
-        a.send_envelope(1, Envelope(1, 0, 3, blob, "object", blob.nbytes))
-        assert b.delivered.wait(10.0)
+        sender = _send_in_thread(a, 1, Envelope(1, 0, 3, blob, "object", blob.nbytes))
+        assert _progress_until(b.delivered.is_set, b, timeout=10.0)
+        sender.join(10.0)
+        assert not sender.is_alive()
         np.testing.assert_array_equal(b.received[0].payload.decode(), big)
 
     def test_close_returns_with_the_accept_thread_gone(self, tmp_path):
-        """``close()`` may not close the listener under a thread that is
-        still in ``accept()``: woken by the shutdown, that thread calls
-        ``accept4`` on the descriptor *number* once more, and in a
-        process that goes straight on to its next world (a parked rank)
-        the number is the next listener's by then — the stale thread
-        accepted, and dropped, a connection of the new world about once
-        in 400 jobs.  So when ``close()`` returns the thread has exited
-        (at the parent commit it had merely been told to)."""
+        """Nothing of a closed endpoint may touch a descriptor *number*
+        afterwards: in a process that goes straight on to its next world
+        (a parked rank) the number is the next listener's by then, and a
+        stale accept loop once accepted — and dropped — a connection of
+        the new world about once in 400 jobs.  The endpoint has no thread
+        at all now, so none outlives ``close()``, and ``close()`` leaves
+        none of its descriptors open."""
         for round_ in range(20):
             (tmp_path / f"r{round_}").mkdir()
+            before = set(threading.enumerate())
             a, b = _make_pair(tmp_path / f"r{round_}")
             blob = Blob.encode(round_)
             a.send_envelope(1, Envelope(1, 0, 3, blob, "object", blob.nbytes))
-            assert b.delivered.wait(5.0)
+            assert _progress_until(b.delivered.is_set, b)
+            assert set(threading.enumerate()) == before
             for ep in (a, b):
                 ep.close()
-                assert not any(
-                    t.name == f"transport-accept-{ep.rank}" for t in threading.enumerate()
-                )
+                assert ep._listener.fileno() == -1
+                assert ep._wake_r.fileno() == ep._wake_w.fileno() == -1
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +454,17 @@ class TestProcessRankLiveness:
             2, fn, config=WorldConfig(backend="process", transport=transport), timeout=60.0
         )
         assert out == ["sent", "returned"]
+
+    def test_a_rank_runs_its_main_thread_and_watchdog_only(self, transport):
+        """No thread sits between a rank and its sockets: after an
+        allreduce over ten process ranks, each runs at most its main
+        thread and the deadlock watchdog."""
+
+        def fn(comm):
+            comm.allreduce(comm.rank)
+            return sorted(t.name for t in threading.enumerate())
+
+        out = run_spmd(
+            10, fn, config=WorldConfig(backend="process", transport=transport), timeout=120.0
+        )
+        assert all(len(names) <= 2 for names in out), out

@@ -73,6 +73,28 @@ class TestWorldConfig:
         assert len(world.mailboxes) == 5
         assert [mb.owner for mb in world.mailboxes] == list(range(5))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(deadlock_grace=float("nan")),
+            dict(deadlock_grace=float("inf")),
+            dict(deadlock_grace=-1.0),
+            dict(nodes=2.5),
+            dict(nodes=True),
+        ],
+        ids=["nan_grace", "inf_grace", "negative_grace", "fractional_nodes", "bool_nodes"],
+    )
+    def test_unusable_value_refused(self, bad):
+        """A grace the watchdog cannot compare against (NaN never
+        expires, inf disarms it, a negative one fires at once) and a node
+        count that is not a count are refused at construction."""
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            WorldConfig(**bad)
+
+    def test_zero_grace_allowed(self):
+        assert WorldConfig(deadlock_grace=0.0).deadlock_grace == 0.0
+
 
 class TestDeadlockGuards:
     def test_no_detection_when_disabled(self):
