@@ -8,6 +8,7 @@ parked processes (the first, forking launch is not counted)::
 
     PYTHONPATH=src python benchmarks/launch_budget.py [--launches 25] [--ranks 2 3 10]
     PYTHONPATH=src python benchmarks/launch_budget.py --ccsm [--launches 3]
+    PYTHONPATH=src python benchmarks/launch_budget.py --service [--jobs 60]
 
 Per size and spawner, medians over the launches (ms):
 
@@ -36,20 +37,53 @@ process ends with, and its voluntary and involuntary context switches
 over the program (``nvcsw`` / ``nivcsw``).  Process CPU far above rank-thread CPU is a compute
 thread pool spinning between calls too small to need it (EXPERIMENTS.md,
 "Core budget").
+
+``--service`` splits a service job, ``submit()`` to staged
+``result.json`` read back, the way the end-to-end benchmark's
+``service_warm`` and ``service_cold`` workloads run it: their job
+documents, one orchestrator with one worker and an output dir, one job
+at a time.  Timestamps around ``Orchestrator.submit``,
+``JobRuntime.resolve`` / ``execute_resolved`` and ``ResultStager.stage``
+give, per job (medians over ``--jobs``, ms):
+
+* ``submit``  submit() entry -> resolve entry (admission, the queue,
+  the worker's claim and its hop into a thread);
+* ``resolve`` / ``execute`` / ``stage``  the three calls themselves;
+* ``wake``    stage return -> the client's ``wait()`` returning;
+* ``read``    reading ``result.json`` back and checking its values;
+* ``job``     the whole job;
+* ``alloc``   the stager's reservation (job directory and temp files),
+  run on the worker's reservation thread alongside resolve and execute:
+  not part of ``job`` (``-`` for a stager without ``reserve``).
+
+It exits 1 when a staged ``result.json`` holds wrong values or a
+reservation temp file (``.<name>.tmp``) is left in the output dir.  The
+output dir is made beside this script, on the filesystem the benchmark
+stages to, and removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import json
 import os
 import resource
+import shutil
 import statistics
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 from repro import mph_run
 from repro.climate.ccsm import CCSMConfig, build_executables, build_registry
 from repro.mpi import ExecRank, WorldConfig, launch
 from repro.mpi.procbackend import RankPool, _Rendezvous
+from repro.service import JobRuntime, Orchestrator, ResultStager
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from workloads import ServiceWorkload, exchange  # noqa: E402 - needs the path above
 
 STAGES = ("bootstrap", "collect", "shutdown", "sweep")
 
@@ -57,15 +91,17 @@ STAGES = ("bootstrap", "collect", "shutdown", "sweep")
 CCSM_SHAPES = {"atmosphere": (64, 128), "ocean": (48, 96), "land": (32, 64), "ice": (24, 48)}
 
 
-def _stamped(stamps: dict, name: str):
-    inner = getattr(_Rendezvous, name)
+def _stamped(stamps: dict, name: str, cls=_Rendezvous, key: str = ""):
+    """*cls*'s method *name* and a stand-in that stamps ``<key>_in`` and
+    ``<key>_out`` (*key* defaults to *name*) around each call."""
+    inner, key = getattr(cls, name), key or name
 
     def method(self, *args, **kwargs):
-        stamps[name + "_in"] = time.perf_counter()
+        stamps[key + "_in"] = time.perf_counter()
         try:
             return inner(self, *args, **kwargs)
         finally:
-            stamps[name + "_out"] = time.perf_counter()
+            stamps[key + "_out"] = time.perf_counter()
 
     return inner, method
 
@@ -159,6 +195,97 @@ def ccsm_cpu(launches: int) -> None:
             )
 
 
+SERVICE_PHASES = ("submit", "resolve", "execute", "stage", "wake", "read", "job")
+
+
+def _timed_reserve(stamps: dict):
+    """``ResultStager.reserve`` and a stand-in whose allocation call
+    records its seconds under ``("alloc", job_id)``."""
+    inner = ResultStager.reserve
+
+    def reserve(self, job_id, document):
+        allocate = inner(self, job_id, document)
+
+        def timed():
+            start = time.perf_counter()
+            allocate()
+            stamps["alloc", job_id] = time.perf_counter() - start
+
+        return timed
+
+    return inner, reserve
+
+
+async def _service_jobs(jobs, out_dir: Path, stamps: dict) -> tuple[list[dict], int]:
+    """Run *jobs* one at a time; returns a row of phase seconds per job
+    and how many staged wrong values."""
+    rows, wrong = [], 0
+    async with Orchestrator({"exchange": exchange}, output_dir=out_dir, max_workers=1) as orch:
+        for spec, expected in jobs:
+            stamps.clear()
+            start = time.perf_counter()
+            handle = await orch.submit(spec)
+            await handle.wait()
+            woke = time.perf_counter()
+            result = None
+            if handle.staged is not None:
+                result = json.loads((handle.staged / "result.json").read_text())
+            end = time.perf_counter()
+            if result is None or not result["ok"] or result.get("components") != expected:
+                print(f"# {handle.job_id}: staged {result!r}, error {handle.error!r}")
+                wrong += 1
+                continue
+            rows.append({
+                "submit": stamps["resolve_in"] - start,
+                "resolve": stamps["resolve_out"] - stamps["resolve_in"],
+                "execute": stamps["execute_out"] - stamps["execute_in"],
+                "stage": stamps["stage_out"] - stamps["stage_in"],
+                "wake": woke - stamps["stage_out"],
+                "read": end - woke,
+                "job": end - start,
+                "alloc": stamps.get(("alloc", handle.job_id)),
+            })
+    return rows, wrong
+
+
+def service_split(njobs: int) -> int:
+    """Print the per-phase split of warm and cold service jobs; returns
+    how many jobs went wrong (wrong values, or a stray temp file)."""
+    stamps: dict = {}
+    stand_ins = {
+        (JobRuntime, "resolve"): _stamped(stamps, "resolve", JobRuntime),
+        (JobRuntime, "execute_resolved"): _stamped(stamps, "execute_resolved", JobRuntime, "execute"),
+        (ResultStager, "stage"): _stamped(stamps, "stage", ResultStager),
+    }
+    if hasattr(ResultStager, "reserve"):  # not on a tree staging after execute
+        stand_ins[ResultStager, "reserve"] = _timed_reserve(stamps)
+    for (cls, name), (_, method) in stand_ins.items():
+        setattr(cls, name, method)
+    bad = 0
+    print("path " + " ".join(f"{c:>8}" for c in SERVICE_PHASES + ("alloc",)))
+    try:
+        for path, reuse in (("warm", True), ("cold", False)):
+            jobs = ServiceWorkload(f"service_{path}", jobs=njobs, reuse_world=reuse).jobs_for(0)
+            out_dir = Path(tempfile.mkdtemp(prefix="mph-service-out-", dir=Path(__file__).parent))
+            try:
+                rows, wrong = asyncio.run(_service_jobs(jobs, out_dir, stamps))
+                stray = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob(".*.tmp"))
+            finally:
+                shutil.rmtree(out_dir, ignore_errors=True)
+            if stray:
+                print(f"# {path}: reservation temp files left behind: {stray}")
+            bad += wrong + len(stray)
+            columns = [[r[c] for r in rows if r[c] is not None] for c in SERVICE_PHASES + ("alloc",)]
+            print(f"{path:<4} " + " ".join(
+                f"{1e3 * statistics.median(v):>8.3f}" if v else f"{'-':>8}" for v in columns
+            ))
+    finally:
+        for (cls, name), (inner, _) in stand_ins.items():
+            setattr(cls, name, inner)
+    print(f"# medians over {njobs} jobs a path; alloc runs beside resolve and execute, not in job")
+    return bad
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--launches", type=int, help="default 25, with --ccsm 3")
@@ -166,7 +293,13 @@ def main() -> None:
     parser.add_argument(
         "--ccsm", action="store_true", help="per-rank CPU of the benchmark's implicit run instead"
     )
+    parser.add_argument(
+        "--service", action="store_true", help="the per-phase split of a service job instead"
+    )
+    parser.add_argument("--jobs", type=int, default=60, help="jobs a path, with --service")
     args = parser.parse_args()
+    if args.service:
+        sys.exit(1 if service_split(args.jobs) else 0)
     if args.ccsm:
         ccsm_cpu(args.launches or 3)
         return

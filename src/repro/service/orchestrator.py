@@ -29,6 +29,17 @@ Job lifecycle::
   configured); ``failed`` covers failed ranks, aborts, timeouts, and
   resolution errors.
 
+With an output dir, a job's output files are made while it runs.  Each
+worker owns one reservation thread, started by :meth:`Orchestrator.start`
+and joined by :meth:`Orchestrator.shutdown`.  When the worker claims a
+job it books the job's files with the stager
+(:meth:`~repro.service.stager.ResultStager.reserve`) and hands the
+allocation to that thread, which makes the job directory and the temp
+files while the worker thread resolves and executes.  After execute,
+:meth:`~repro.service.stager.ResultStager.stage` only writes the bytes
+and renames each file into place.  A job that fails before staging has
+its booking released: no temp file and no empty directory stay behind.
+
 Per-job isolation is the runtime's: a crashed job poisons at most its
 own world (isolated namespace or evicted resident world), so concurrent
 healthy jobs are untouched — the property the chaos suite
@@ -39,13 +50,15 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import AdmissionError, JobSpecError, ServiceError
 from repro.service.jobdoc import JobDocument
-from repro.service.runtime import JobOutcome, JobRuntime
+from repro.service.runtime import JobOutcome, JobRuntime, _require_count
 from repro.service.stager import ResultStager
 
 __all__ = ["JobHandle", "JobState", "Orchestrator"]
@@ -120,14 +133,22 @@ class Orchestrator:
         or pass *runtime* directly (the orchestrator then closes it on
         shutdown either way).
     max_workers :
-        Concurrent jobs in flight (each runs the blocking runtime in its
-        own thread).
+        Concurrent jobs in flight, an int >= 1 (each runs the blocking
+        runtime in its own thread).
     max_queued :
-        Admission bound (>= 1): ``submit`` raises :class:`AdmissionError`
-        once this many jobs are queued and unclaimed.
+        Admission bound, an int >= 1: ``submit`` raises
+        :class:`AdmissionError` once this many jobs are queued and
+        unclaimed.
     output_dir :
         When given, finished outcomes are staged there via
-        :class:`~repro.service.stager.ResultStager`.
+        :class:`~repro.service.stager.ResultStager`, each job's files
+        reserved by its worker's reservation thread while it runs.
+    max_resident :
+        The built runtime's resident worlds, an int >= 0
+        (:class:`~repro.service.runtime.JobRuntime`).
+
+    A bool, a non-int or an out-of-range size is refused here with
+    :class:`ServiceError`.
     """
 
     def __init__(
@@ -140,11 +161,10 @@ class Orchestrator:
         output_dir: Optional[Union[str, Path]] = None,
         max_resident: int = 2,
     ):
-        if max_workers < 1:
-            raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
-        if max_queued < 1:
-            # asyncio.Queue(maxsize <= 0) is unbounded: no admission bound.
-            raise ServiceError(f"max_queued must be >= 1, got {max_queued}")
+        _require_count("max_workers", max_workers, 1)
+        # asyncio.Queue(maxsize <= 0) is unbounded: no admission bound.
+        _require_count("max_queued", max_queued, 1)
+        _require_count("max_resident", max_resident, 0)
         if runtime is None:
             if programs is None:
                 raise ServiceError("Orchestrator needs `programs` or a `runtime`")
@@ -161,6 +181,9 @@ class Orchestrator:
         self._seq = itertools.count()
         self._queue: Optional[asyncio.Queue] = None
         self._workers: List[asyncio.Task] = []
+        #: One reservation thread per worker (with an output dir only),
+        #: each fed allocations through its own queue.
+        self._reservers: List[Tuple[threading.Thread, queue.SimpleQueue]] = []
         self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -170,9 +193,21 @@ class Orchestrator:
         if self._queue is not None:
             raise ServiceError("orchestrator already started")
         self._queue = asyncio.Queue(maxsize=self.max_queued)
+        feeds: List[Optional[queue.SimpleQueue]] = [
+            queue.SimpleQueue() if self.stager is not None else None
+            for _ in range(self.max_workers)
+        ]
+        for i, allocations in enumerate(feeds):
+            if allocations is not None:
+                thread = threading.Thread(
+                    target=_reserve_loop, args=(allocations,),
+                    name=f"mph-service-reserve-{i}", daemon=True,
+                )
+                thread.start()
+                self._reservers.append((thread, allocations))
         self._workers = [
-            asyncio.create_task(self._worker(), name=f"mph-service-worker-{i}")
-            for i in range(self.max_workers)
+            asyncio.create_task(self._worker(allocations), name=f"mph-service-worker-{i}")
+            for i, allocations in enumerate(feeds)
         ]
         return self
 
@@ -195,7 +230,15 @@ class Orchestrator:
         await asyncio.gather(*self._workers)
         self._workers = []
         self._queue = None
-        await asyncio.to_thread(self.runtime.close)
+        for _, allocations in self._reservers:
+            allocations.put(None)
+        await asyncio.to_thread(self._close)
+
+    def _close(self) -> None:
+        for thread, _ in self._reservers:
+            thread.join()
+        self._reservers = []
+        self.runtime.close()
 
     async def __aenter__(self) -> "Orchestrator":
         return await self.start()
@@ -277,7 +320,7 @@ class Orchestrator:
 
     # -- the worker loop ---------------------------------------------------
 
-    async def _worker(self) -> None:
+    async def _worker(self, allocations: Optional[queue.SimpleQueue]) -> None:
         assert self._queue is not None
         while True:
             handle = await self._queue.get()
@@ -286,18 +329,31 @@ class Orchestrator:
             if handle._cancel:
                 handle._finish(JobState.CANCELLED, "cancelled while queued")
                 continue
-            await self._run_one(handle)
+            await self._run_one(handle, allocations)
 
-    async def _run_one(self, handle: JobHandle) -> None:
+    async def _run_one(
+        self, handle: JobHandle, allocations: Optional[queue.SimpleQueue]
+    ) -> None:
         handle.state = JobState.STAGING
+        if allocations is not None:
+            assert self.stager is not None and handle.document is not None
+            allocations.put(self.stager.reserve(handle.job_id, handle.document))
         handle._finish(*await asyncio.to_thread(self._drive, handle))
 
     def _drive(self, handle: JobHandle) -> Tuple[str, Optional[str]]:
         """One job from document to staged outcome, in the one worker
         thread it costs: resolve, execute, stage, moving ``handle.state``
-        along.  Returns the terminal ``(state, error)`` for the event
-        loop to finish the handle with (an ``asyncio.Event`` is the
-        loop's to set)."""
+        along, then dropping the job's output booking if staging did
+        not take it.  Returns the terminal ``(state, error)`` for the
+        event loop to finish the handle with (an ``asyncio.Event`` is
+        the loop's to set)."""
+        try:
+            return self._drive_job(handle)
+        finally:
+            if self.stager is not None:
+                self.stager.release(handle.job_id)
+
+    def _drive_job(self, handle: JobHandle) -> Tuple[str, Optional[str]]:
         assert handle.document is not None
         try:
             resolved = self.runtime.resolve(handle.document)
@@ -345,3 +401,9 @@ class Orchestrator:
         for h in self.jobs.values():
             out[h.state] = out.get(h.state, 0) + 1
         return out
+
+
+def _reserve_loop(allocations: queue.SimpleQueue) -> None:
+    """A reservation thread: run each booked allocation until ``None``."""
+    while (allocate := allocations.get()) is not None:
+        allocate()

@@ -283,6 +283,15 @@ class WorkerWorld:
 # ---------------------------------------------------------------------------
 
 
+def _require_count(name: str, value: Any, minimum: int) -> None:
+    """Refuse *value* for the size argument *name* unless it is an int
+    (not a bool) of at least *minimum*."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ServiceError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _outcome(
     resolved: ResolvedJob,
     job_id: str,
@@ -335,11 +344,12 @@ class JobRuntime:
         components' ``program`` keys against it (an unknown key is a
         :class:`ServiceError` at resolve time, before anything forks).
     max_resident :
-        How many resident worker worlds to keep (LRU-evicted beyond
-        this; 0 disables the warm path entirely).
+        How many resident worker worlds to keep, an int >= 0
+        (LRU-evicted beyond this; 0 disables the warm path entirely).
     """
 
     def __init__(self, programs: Mapping[str, Callable], *, max_resident: int = 2):
+        _require_count("max_resident", max_resident, 0)
         self.programs = dict(programs)
         self.layouts = LayoutCache()
         self.max_resident = max_resident

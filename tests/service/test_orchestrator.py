@@ -10,6 +10,7 @@ accounted — not the computed results.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,32 @@ class TestSubmission:
         every submission was admitted."""
         with pytest.raises(ServiceError, match="max_queued must be >= 1"):
             Orchestrator(PROGRAMS, max_queued=max_queued)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_workers", 1.5),
+            ("max_workers", float("nan")),
+            ("max_workers", True),
+            ("max_queued", 2.5),
+            ("max_queued", float("nan")),
+            ("max_queued", True),
+            ("max_resident", -1),
+            ("max_resident", 1.5),
+            ("max_resident", True),
+        ],
+    )
+    def test_size_arguments_are_refused_at_construction(self, name, value):
+        """Before, a float or NaN ``max_workers`` raised an untyped
+        ``TypeError`` from ``start()``, and the other values were taken
+        as they came."""
+        with pytest.raises(ServiceError, match=f"{name} must be"):
+            Orchestrator(PROGRAMS, **{name: value})
+
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_runtime_refuses_a_bad_max_resident(self, value):
+        with pytest.raises(ServiceError, match="max_resident must be"):
+            JobRuntime(PROGRAMS, max_resident=value)
 
 
 class TestCancellation:
@@ -451,6 +479,150 @@ class TestStaging:
         # The failed outcome is still a staged, readable artifact.
         result = ResultStager(handle.staged.parent).read_result(handle.job_id)
         assert result["ok"] is False
+
+
+def _leftovers(out_dir: Path) -> list:
+    """Reservation temp files anywhere under *out_dir*, and job
+    directories with nothing in them."""
+    empty = [p for p in out_dir.iterdir() if p.is_dir() and not any(p.iterdir())]
+    return list(out_dir.rglob(".*.tmp")) + empty
+
+
+class TestReservation:
+    """A job's directory and temp files are made while it runs; after
+    execute, staging only writes and renames."""
+
+    def test_output_files_exist_while_the_job_executes(self, tmp_path):
+        seen = {}
+
+        async def go():
+            runtime = JobRuntime(PROGRAMS, max_resident=0)
+            execute = runtime.execute_resolved
+
+            def watching(resolved, job_id=None, *, log_dir=None):
+                job_dir = tmp_path / job_id
+                reserved = [job_dir / ".result.json.tmp", job_dir / ".meta.json.tmp"]
+                deadline = time.monotonic() + 10.0
+                while not all(p.exists() for p in reserved) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                seen[job_id] = sorted(p.name for p in job_dir.iterdir()) if job_dir.exists() else []
+                return execute(resolved, job_id, log_dir=log_dir)
+
+            runtime.execute_resolved = watching
+            async with Orchestrator(runtime=runtime, output_dir=tmp_path, max_workers=1) as orch:
+                return await (await orch.submit(_solo_spec())).wait()
+
+        handle = _run(go())
+        assert seen == {handle.job_id: [".meta.json.tmp", ".result.json.tmp"]}
+        assert handle.state == JobState.DONE
+        assert sorted(p.name for p in handle.staged.iterdir()) == ["meta.json", "result.json"]
+
+    def test_failed_jobs_leave_no_temp_file_and_no_empty_directory(self, tmp_path):
+        async def go():
+            runtime = JobRuntime(PROGRAMS, max_resident=0)
+            async with Orchestrator(runtime=runtime, output_dir=tmp_path, max_workers=1) as orch:
+                unknown = _solo_spec("no-such-program")
+                unknown["components"][0]["program"] = "missing"
+                failed = [await (await orch.submit(unknown)).wait()]
+
+                def broken(resolved, job_id=None, *, log_dir=None):
+                    raise RuntimeError("runtime fell over")
+
+                execute, runtime.execute_resolved = runtime.execute_resolved, broken
+                failed.append(await (await orch.submit(_solo_spec())).wait())
+                runtime.execute_resolved = execute
+
+                def full_disk(outcome, document):
+                    raise OSError("disk full")
+
+                orch.stager.stage = full_disk
+                failed.append(await (await orch.submit(_solo_spec())).wait())
+            return failed
+
+        failed = _run(go())
+        assert [h.state for h in failed] == [JobState.FAILED] * 3
+        assert list(tmp_path.iterdir()) == []  # no job directory, so no temp file either
+
+    def test_a_fill_that_fails_midway_keeps_what_it_published(self, tmp_path):
+        """``result.pkl`` cannot pickle a lambda: ``result.json`` is
+        already published by then and stays, as before; the unfilled
+        temp files go."""
+
+        async def go():
+            runtime = JobRuntime(PROGRAMS, max_resident=0)
+            execute = runtime.execute_resolved
+
+            def unpicklable(resolved, job_id=None, *, log_dir=None):
+                outcome = execute(resolved, job_id, log_dir=log_dir)
+                return dataclasses.replace(outcome, values={"solo": [lambda: 0]})
+
+            runtime.execute_resolved = unpicklable
+            async with Orchestrator(runtime=runtime, output_dir=tmp_path, max_workers=1) as orch:
+                spec = _solo_spec()
+                spec["output"] = {"save": ["values"], "format": "pickle"}
+                return await (await orch.submit(spec)).wait()
+
+        handle = _run(go())
+        assert handle.state == JobState.FAILED and handle.error.startswith("staging failed:")
+        assert _leftovers(tmp_path) == []
+        assert [p.name for p in (tmp_path / handle.job_id).iterdir()] == ["result.json"]
+
+    def test_a_logs_job_keeps_its_directory(self, tmp_path):
+        """The reservation of a job whose directory already exists (a
+        ``"logs"`` job's) neither fails nor removes it when released."""
+        spec = _solo_spec(backend="process", timeout=60.0)
+        document = JobDocument.from_spec(dict(spec, output={"save": ["values", "logs"]}))
+        logs = tmp_path / "logged" / "logs"
+        logs.mkdir(parents=True)
+        (logs / "rank0.log").write_text("hello\n")
+        stager = ResultStager(tmp_path)
+        stager.reserve("logged", document)()
+        stager.release("logged")
+        assert sorted(p.name for p in (tmp_path / "logged").iterdir()) == ["logs"]
+
+        with JobRuntime(PROGRAMS, max_resident=0) as runtime:
+            outcome = runtime.execute(document, "logged")
+        stager.reserve("logged", document)()
+        staged = stager.stage(outcome, document)
+        assert sorted(p.name for p in staged.iterdir()) == ["logs", "meta.json", "result.json"]
+        assert (logs / "rank0.log").read_text() == "hello\n"
+
+    def test_a_restaged_job_id_still_fails_its_job(self, tmp_path):
+        async def one_job():
+            async with Orchestrator(PROGRAMS, output_dir=tmp_path, max_workers=1) as orch:
+                return await (await orch.submit(_solo_spec())).wait()
+
+        first = _run(one_job())
+        staged = (first.staged / "result.json").read_bytes()
+        again = _run(one_job())  # a new orchestrator numbers its jobs from job00000 again
+        assert first.job_id == again.job_id and first.state == JobState.DONE
+        assert again.state == JobState.FAILED
+        assert again.error.startswith(f"staging failed: job {again.job_id!r} already staged")
+        assert (first.staged / "result.json").read_bytes() == staged
+        assert _leftovers(tmp_path) == []
+
+    def test_one_reservation_thread_per_worker_none_after_shutdown(self, tmp_path):
+        def reservers():
+            return [t for t in threading.enumerate() if t.name.startswith("mph-service-reserve-")]
+
+        async def go():
+            async with Orchestrator(PROGRAMS, output_dir=tmp_path, max_workers=3) as orch:
+                during = len(reservers())
+                handles = [await orch.submit(_solo_spec(f"r-{i}")) for i in range(6)]
+                for handle in handles:
+                    await handle.wait()
+            return during, handles
+
+        during, handles = _run(go())
+        assert during == 3
+        assert all(h.state == JobState.DONE for h in handles)
+        assert reservers() == []
+
+        async def no_output():
+            async with Orchestrator(PROGRAMS, max_workers=2):
+                return len(reservers())
+
+        assert _run(no_output()) == 0
 
 
 class TestConcurrencyIsolation:
