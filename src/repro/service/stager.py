@@ -23,9 +23,10 @@ One directory per job id, containing whatever the document's
 * ``meta.json`` — always.  The backend-dependent sidecar: elapsed time,
   warm flag, error text.  Excluded from conformance on purpose.
 
-Staging is two steps, because on many filesystems making an inode
-(a directory, a file) costs tens of times more than writing a few
-hundred bytes into one or renaming it:
+Staging is two steps, because on some hosts making an inode (a
+directory, a file) costs tens of times more than writing a few hundred
+bytes into one or renaming it (EXPERIMENTS.md, "Output files made while
+the job runs"):
 
 * **reserve** — :meth:`ResultStager.reserve` books a job id, and the
   call it returns allocates the inodes: it checks the collision guard,
