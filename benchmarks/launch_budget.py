@@ -9,6 +9,7 @@ parked processes (the first, forking launch is not counted)::
     PYTHONPATH=src python benchmarks/launch_budget.py [--launches 25] [--ranks 2 3 10]
     PYTHONPATH=src python benchmarks/launch_budget.py --ccsm [--launches 3]
     PYTHONPATH=src python benchmarks/launch_budget.py --service [--jobs 60]
+    PYTHONPATH=src python benchmarks/launch_budget.py --p2p [--trips 2000]
 
 Per size and spawner, medians over the launches (ms):
 
@@ -36,7 +37,18 @@ carries home, the CPU of the rank's own thread, the OS threads the
 process ends with, and its voluntary and involuntary context switches
 over the program (``nvcsw`` / ``nivcsw``).  Process CPU far above rank-thread CPU is a compute
 thread pool spinning between calls too small to need it (EXPERIMENTS.md,
-"Core budget").
+"Core budget").  The rank-thread CPU is split into the part spent
+inside ``MPH.send`` / ``MPH.recv`` (``msg_cpu_s``: the messaging path,
+transport to match to wake) and the rest (``rest_cpu_s``: the models,
+the coupler, the solver).
+
+``--p2p`` times that messaging path alone: a 2-rank process ping-pong
+(``WorldConfig(backend="process")``) of the coupled step's message
+shape, ``((step,), 16 x 128 float64)``, ``--trips`` round trips after a
+warm-up, and per rank the median rank-thread CPU of one ``send`` and of
+one blocking ``recv`` (µs), and the Python-level calls
+(``sys.setprofile`` ``"call"`` events) of one send and one receive.  It
+exits 1 when a rank receives a value other than the one sent.
 
 ``--service`` splits a service job, ``submit()`` to staged
 ``result.json`` read back, the way the end-to-end benchmark's
@@ -76,9 +88,12 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import mph_run
 from repro.climate.ccsm import CCSMConfig, build_executables, build_registry
-from repro.mpi import ExecRank, WorldConfig, launch
+from repro.core.mph import MPH
+from repro.mpi import ExecRank, WorldConfig, launch, run_spmd
 from repro.mpi.procbackend import RankPool, _Rendezvous
 from repro.service import JobRuntime, Orchestrator, ResultStager
 
@@ -143,11 +158,26 @@ def measure(nranks: int, launches: int, parked: bool) -> dict:
 
 def _reading_its_thread(program):
     """*program*, returning what only the rank itself can read: the CPU
-    seconds of its own thread, its process's OS threads at the end, and
-    the voluntary and involuntary context switches of its process over
-    the program."""
+    seconds of its own thread, its process's OS threads at the end, the
+    voluntary and involuntary context switches of its process over the
+    program, and the part of its thread's CPU spent inside ``MPH.send``
+    and ``MPH.recv`` (timed by wrappers this forked rank installs on its
+    own copy of the class)."""
 
     def rank(world, env):
+        inside = [0.0]
+
+        def timed(method):
+            def wrapper(self, *args, **kwargs):
+                start = time.thread_time()
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    inside[0] += time.thread_time() - start
+
+            return wrapper
+
+        MPH.send, MPH.recv = timed(MPH.send), timed(MPH.recv)
         before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.thread_time()
         program(world, env)
@@ -158,6 +188,7 @@ def _reading_its_thread(program):
             len(os.listdir("/proc/self/task")),
             after.ru_nvcsw - before.ru_nvcsw,
             after.ru_nivcsw - before.ru_nivcsw,
+            inside[0],
         )
 
     rank.__name__ = program.__name__
@@ -180,19 +211,71 @@ def ccsm_cpu(launches: int) -> None:
         print(
             f"run {run}: wall {wall:.3f} s, process CPU of the {len(procs)} ranks "
             f"{sum(p.cpu_seconds for p in procs):.3f} s, "
-            f"rank-thread CPU {sum(p.value[0] for p in procs):.3f} s, "
+            f"rank-thread CPU {sum(p.value[0] for p in procs):.3f} s "
+            f"({sum(p.value[4] for p in procs):.3f} s in MPH send/recv), "
             f"voluntary switches {sum(p.value[2] for p in procs)}"
         )
         print(
-            " rank program    wall_s  process_cpu_s  rank_thread_cpu_s  os_threads"
-            "  nvcsw  nivcsw"
+            " rank program    wall_s  process_cpu_s  rank_thread_cpu_s  msg_cpu_s"
+            "  rest_cpu_s  os_threads  nvcsw  nivcsw"
         )
         for p in procs:
             print(
                 f"{p.rank:>5} {result.envs[p.rank].program:<8} {p.wall_seconds:>7.3f} "
-                f"{p.cpu_seconds:>14.3f} {p.value[0]:>18.3f} {p.value[1]:>11}"
+                f"{p.cpu_seconds:>14.3f} {p.value[0]:>18.3f} {p.value[4]:>10.3f}"
+                f" {p.value[0] - p.value[4]:>11.3f} {p.value[1]:>11}"
                 f" {p.value[2]:>6} {p.value[3]:>7}"
             )
+
+
+def _ping_pong(comm, trips: int) -> tuple:
+    """One rank of the ``--p2p`` ping-pong: per-call CPU medians (µs) of
+    its sends and blocking receives, the Python calls of one profiled
+    round trip, and the count of wrong values it received."""
+    first = comm.rank == 0
+    peer = 1 if first else 0
+    send_us, recv_us, wrong = [], [], 0
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    warmup = 50
+    for trip in range(warmup + trips + 1):
+        msg = ((trip,), np.full((16, 128), float(trip)))
+        if trip == warmup + trips:
+            sys.setprofile(profile)
+        t0 = time.thread_time()
+        if first:
+            comm.send(msg, peer, tag=7)
+            t1 = time.thread_time()
+            got = comm.recv(source=peer, tag=7)
+            t2 = time.thread_time()
+            send_s, recv_s = t1 - t0, t2 - t1
+        else:
+            got = comm.recv(source=peer, tag=7)
+            t1 = time.thread_time()
+            comm.send(got, peer, tag=7)
+            t2 = time.thread_time()
+            recv_s, send_s = t1 - t0, t2 - t1
+        sys.setprofile(None)
+        if got[0] != (trip,) or got[1].shape != (16, 128) or not (got[1] == trip).all():
+            wrong += 1
+        if warmup <= trip < warmup + trips:
+            send_us.append(1e6 * send_s)
+            recv_us.append(1e6 * recv_s)
+    return statistics.median(send_us), statistics.median(recv_us), calls[0], wrong
+
+
+def p2p_budget(trips: int) -> int:
+    """Print the ``--p2p`` table; return the count of wrong values."""
+    out = run_spmd(2, _ping_pong, fn_args=(trips,), config=WorldConfig(backend="process"))
+    print(" rank  send_cpu_us  recv_cpu_us  python_calls_per_round_trip  wrong")
+    for rank, (send_us, recv_us, calls, wrong) in enumerate(out):
+        print(f"{rank:>5} {send_us:>12.1f} {recv_us:>12.1f} {calls:>28} {wrong:>6}")
+    print(f"# medians over {trips} round trips of ((step,), 16 x 128 float64) on 2 forked ranks")
+    return sum(row[3] for row in out)
 
 
 SERVICE_PHASES = ("submit", "resolve", "execute", "stage", "wake", "read", "job")
@@ -297,7 +380,13 @@ def main() -> None:
         "--service", action="store_true", help="the per-phase split of a service job instead"
     )
     parser.add_argument("--jobs", type=int, default=60, help="jobs a path, with --service")
+    parser.add_argument(
+        "--p2p", action="store_true", help="per-message CPU of a 2-rank process ping-pong instead"
+    )
+    parser.add_argument("--trips", type=int, default=2000, help="round trips, with --p2p")
     args = parser.parse_args()
+    if args.p2p:
+        sys.exit(1 if p2p_budget(args.trips) else 0)
     if args.service:
         sys.exit(1 if service_split(args.jobs) else 0)
     if args.ccsm:

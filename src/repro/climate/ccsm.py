@@ -58,6 +58,14 @@ from repro.climate.coupler import FLUX_TAG_BASE, TEMP_TAG_BASE, FluxCoupler
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.core.mph import MPH, components_setup
 from repro.core.registry import Registry
+from repro.coupling import (
+    AbsoluteNorm,
+    AitkenSolver,
+    GaussSeidelSolver,
+    InterfaceSpec,
+    IQNILSSolver,
+    Predictor,
+)
 from repro.errors import ProcessFailedError, ReproError
 from repro.launcher.job import mph_run
 from repro.mpi.comm import Comm
@@ -225,9 +233,14 @@ class CCSMConfig:
             raise ReproError(
                 f"coupling must be 'explicit' or 'implicit', got {self.coupling!r}"
             )
+        for kind, n in self.procs.items():
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ReproError(f"procs[{kind!r}] must be an int >= 1, got {n!r}")
         for kind, m in self.subcycle.items():
             if kind not in MODEL_KINDS:
                 raise ReproError(f"subcycle: unknown component kind {kind!r}")
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+                raise ReproError(f"subcycle[{kind!r}] must be an int, got {m!r}")
             if m < 1:
                 raise ReproError(f"subcycle[{kind!r}] must be >= 1, got {m}")
         if self.subcycle and self.checkpoint_every > 0:
@@ -587,15 +600,6 @@ class CouplerRunner:
     def _build_implicit(self) -> None:
         """Assemble the coupled solver, criterion, and predictor that
         iterate each step's exchange (see :mod:`repro.coupling`)."""
-        from repro.coupling import (
-            AbsoluteNorm,
-            AitkenSolver,
-            GaussSeidelSolver,
-            InterfaceSpec,
-            IQNILSSolver,
-            Predictor,
-        )
-
         cfg = self.cfg
         #: The iterate: every active component's temperature field, packed.
         self._spec = InterfaceSpec([(k, cfg.shapes[k]) for k in self.active_kinds])

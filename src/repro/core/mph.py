@@ -76,6 +76,10 @@ class MPH:
         self._layout = lay = session.layout
         self._dead_components = session.dead_components
         self._world = session.comm("mph://world")
+        #: ``(component, local rank) -> world-communicator rank``: the
+        #: §5.2 address translation, made once per address for this
+        #: handle (a shrink builds a new handle, so a new table).
+        self._ranks: dict[tuple[str, int], int] = {}
         me = self._world.group.world_id(self._world.rank)
         self._exe_id = lay.executable_of(me).exe_id
         mine = [c.name for c in lay.components if me in c.world_ranks]
@@ -281,7 +285,7 @@ class MPH:
 
     def _comm_rank(self, component: str, local_rank: int) -> int:
         """Translate ``(component, local_rank)`` to a rank of the global world
-        communicator.
+        communicator (made once per address, then read from a table).
 
         The layout's address translation yields the *original* world id; on
         the initial (full) world that id equals the communicator rank, so
@@ -291,6 +295,9 @@ class MPH:
         a dead process, reported as a clean :class:`ProcessFailedError`
         instead of an out-of-range rank.
         """
+        rank = self._ranks.get((component, local_rank))
+        if rank is not None:
+            return rank
         wid = self.global_id(component, local_rank)
         rank = self._world.group.rank_of(wid)
         if rank == UNDEFINED:
@@ -299,13 +306,17 @@ class MPH:
                 "is dead",
                 failed_ranks=(wid,),
             )
+        self._ranks[(component, local_rank)] = rank
         return rank
 
     def send(self, obj: Any, component: str, local_rank: int, tag: int = 0) -> None:
         """Send *obj* to processor *local_rank* of *component* over the
         global world communicator."""
         world = self._world
-        world.send(obj, self._comm_rank(component, local_rank), tag)
+        rank = self._ranks.get((component, local_rank))
+        if rank is None:
+            rank = self._comm_rank(component, local_rank)
+        world.send(obj, rank, tag)
         self.profile.record_send(component, world.last_payload_bytes)
 
     def isend(self, obj: Any, component: str, local_rank: int, tag: int = 0) -> Request:
@@ -325,11 +336,12 @@ class MPH:
         """Receive from processor *local_rank* of *component*."""
         if status is None:
             status = Status()
-        source = self._comm_rank(component, local_rank)
+        source = self._ranks.get((component, local_rank))
+        if source is None:
+            source = self._comm_rank(component, local_rank)
         t0 = _time.perf_counter()
         obj = self._world.recv(source, tag, status)
-        self.profile.record_wait(_time.perf_counter() - t0)
-        self.profile.record_recv(component, status.count)
+        self.profile.record_recv(component, status.count, _time.perf_counter() - t0)
         return obj
 
     def irecv(self, component: str, local_rank: int, tag: int = ANY_TAG) -> Request:
@@ -356,8 +368,7 @@ class MPH:
             component, local_rank = info.name, info.local_rank_of(wid)
         else:
             component, local_rank = "?", wid
-        self.profile.record_wait(_time.perf_counter() - t0)
-        self.profile.record_recv(component, status.count)
+        self.profile.record_recv(component, status.count, _time.perf_counter() - t0)
         return obj, component, local_rank
 
     def Send(self, array: np.ndarray, component: str, local_rank: int, tag: int = 0) -> None:
@@ -380,9 +391,10 @@ class MPH:
         source = self._comm_rank(component, local_rank)
         t0 = _time.perf_counter()
         out = self._world.Recv(buf, source, tag, status)
-        self.profile.record_wait(_time.perf_counter() - t0)
         # Buffer-mode counts are elements; convert to bytes for the ledger.
-        self.profile.record_recv(component, status.count * np.asarray(buf).itemsize)
+        self.profile.record_recv(
+            component, status.count * np.asarray(buf).itemsize, _time.perf_counter() - t0
+        )
         return out
 
     # -- arguments (paper §4.4) ---------------------------------------------------------

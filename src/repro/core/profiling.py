@@ -37,21 +37,23 @@ class CommProfile:
     #: progress engine is built to keep cheap).
     wait_seconds: float = 0.0
 
-    def record_wait(self, seconds: float) -> None:
-        """Count one blocking receive/wait call of *seconds* inside a
-        coupling exchange."""
-        self.waits += 1
-        self.wait_seconds += seconds
-
     def record_send(self, component: str, nbytes: int = 0) -> None:
         """Count one send of *nbytes* payload bytes to *component*."""
         self.sent[component] = self.sent.get(component, 0) + 1
         self.bytes_sent[component] = self.bytes_sent.get(component, 0) + nbytes
 
-    def record_recv(self, component: str, nbytes: int = 0) -> None:
-        """Count one receive of *nbytes* payload bytes from *component*."""
+    def record_recv(
+        self, component: str, nbytes: int = 0, seconds: Optional[float] = None
+    ) -> None:
+        """Count one receive of *nbytes* payload bytes from *component*;
+        with *seconds*, it was a blocking receive of that long inside a
+        coupling exchange, counted in :attr:`waits` too — a receive's
+        whole ledger in one call."""
         self.received[component] = self.received.get(component, 0) + 1
         self.bytes_received[component] = self.bytes_received.get(component, 0) + nbytes
+        if seconds is not None:
+            self.waits += 1
+            self.wait_seconds += seconds
 
     @property
     def total_sent(self) -> int:

@@ -44,9 +44,8 @@ from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
     PROC_NULL,
+    TAG_UB,
     UNDEFINED,
-    is_valid_recv_tag,
-    is_valid_tag,
 )
 from repro.mpi.group import Group
 from repro.mpi.mailbox import Envelope, PostedRecv
@@ -92,7 +91,12 @@ class Comm:
             raise CommError(f"process {my_world_id} is not a member of {group}")
         self._world = world
         self._group = group
+        # A communicator's group never changes (shrink builds a new
+        # handle), so a message's address translation reads these.
+        self._members = group.members
+        self._size = len(self._members)
         self._my_world_id = my_world_id
+        self._mailbox = world.mailboxes[my_world_id]
         self._rank = rank
         self._p2p_ctx, self._coll_ctx = ctx_pair
         self._coll_seq = 0
@@ -117,10 +121,8 @@ class Comm:
         if self._hier is False:
             self._hier = None
             topo = self._world.topology
-            if topo.nnodes > 1 and self.size > 2:
-                h = CommHierarchy.from_topology(
-                    topo, [self._group.world_id(r) for r in range(self.size)]
-                )
+            if topo.nnodes > 1 and self._size > 2:
+                h = CommHierarchy.from_topology(topo, list(self._members))
                 if h.nnodes > 1:
                     self._hier = h
         return self._hier
@@ -135,7 +137,7 @@ class Comm:
     @property
     def size(self) -> int:
         """Number of processes in the communicator."""
-        return self._group.size
+        return self._size
 
     @property
     def group(self) -> Group:
@@ -153,22 +155,27 @@ class Comm:
 
     def Get_size(self) -> int:
         """mpi4py-style alias of :attr:`size`."""
-        return self._group.size
+        return self._size
 
     def Get_group(self) -> Group:
         """mpi4py-style alias of :attr:`group`."""
         return self._group
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Comm {self.name!r} rank {self._rank}/{self.size}>"
+        return f"<Comm {self.name!r} rank {self._rank}/{self._size}>"
 
     # -- internal helpers ------------------------------------------------------
 
-    @property
-    def _mailbox(self):
-        return self._world.mailboxes[self._my_world_id]
-
     def _check(self) -> None:
+        """Raise if an operation may not run on this handle: it was
+        freed, its communicator revoked, or the world aborted; and count
+        the operation for an armed fault schedule.  Two attribute reads
+        while the world has none of these (``World.op_checks``); the hot
+        point-to-point verbs test them inline."""
+        if self._freed or self._world.op_checks:
+            self._full_check()
+
+    def _full_check(self) -> None:
         if self._freed:
             raise CommError(f"communicator {self.name!r} has been freed")
         world = self._world
@@ -182,17 +189,20 @@ class Comm:
             schedule.on_op(self._my_world_id)
 
     def _check_rank(self, rank: int, role: str) -> None:
-        if not 0 <= rank < self.size:
-            raise CommError(f"{role} {rank} out of range for {self.name!r} of size {self.size}")
+        if not 0 <= rank < self._size:
+            raise self._rank_error(rank, role)
+
+    def _rank_error(self, rank: int, role: str) -> CommError:
+        return CommError(f"{role} {rank} out of range for {self.name!r} of size {self._size}")
 
     def _deliver(self, dest: int, env: Envelope) -> None:
-        self._world.deliver(self._group.world_id(dest), env)
+        self._world.deliver(self._members[dest], env)
 
     def _world_source(self, source: int) -> Optional[int]:
         """World rank of a comm-local receive source (``None`` for
         wildcards) — lets the mailbox fail the receive the moment that
         rank dies instead of blocking until the watchdog notices."""
-        return None if source == ANY_SOURCE else self._group.world_id(source)
+        return None if source == ANY_SOURCE else self._members[source]
 
     # -- point-to-point: object mode ------------------------------------------
 
@@ -211,11 +221,13 @@ class Comm:
         return SendRequest()
 
     def _isend_common(self, obj: Any, dest: int, tag: int, sync: bool) -> None:
-        self._check()
+        if self._freed or self._world.op_checks:
+            self._full_check()
         if dest == PROC_NULL:
             return
-        self._check_rank(dest, "destination rank")
-        if not is_valid_tag(tag):
+        if not 0 <= dest < self._size:
+            raise self._rank_error(dest, "destination rank")
+        if not 0 <= tag <= TAG_UB:
             raise CommError(f"invalid send tag {tag}")
         blob = Blob.encode(obj)
         self.last_payload_bytes = blob.nbytes
@@ -223,8 +235,8 @@ class Comm:
         # matching receive signals it, so the blocked sender wakes once
         # (or on abort/watchdog).
         event = Completion() if sync else None
-        env = Envelope(self._p2p_ctx, self._rank, tag, blob, "object", blob.nbytes, sync_event=event)
-        self._deliver(dest, env)
+        env = Envelope(self._p2p_ctx, self._rank, tag, blob, "object", blob.nbytes, event)
+        self._world.deliver(self._members[dest], env)
         if event is not None:
             self._world.progress.wait(
                 (event,), self._my_world_id, f"ssend(dest={dest}, tag={tag}) on {self.name}"
@@ -237,23 +249,39 @@ class Comm:
         status: Optional[Status] = None,
     ) -> Any:
         """Blocking receive; returns the sent object (a private copy)."""
-        req = self.irecv(source, tag)
-        return req.wait(status)
+        if source == PROC_NULL:
+            return self.irecv(source, tag).wait(status)
+        posted = self._post_p2p(source, tag)
+        env = posted.envelope
+        if env is None:
+            env = self._mailbox.wait(posted, f"recv(source={source}, tag={tag}) on {self.name}")
+        if status is not None:
+            status.source, status.tag, status.count = env.source, env.tag, env.count
+        return env.payload.decode()
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive; posted immediately (MPI matching order)."""
-        self._check()
         if source == PROC_NULL:
+            self._check()
             return _ProcNullRecvRequest()
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source rank")
-        if not is_valid_recv_tag(tag):
-            raise CommError(f"invalid receive tag {tag}")
-        posted = self._mailbox.post_recv(
-            self._p2p_ctx, source, tag, world_source=self._world_source(source)
-        )
+        posted = self._post_p2p(source, tag)
         what = f"recv(source={source}, tag={tag}) on {self.name}"
         return RecvRequest(self._mailbox, posted, _decode_object, what)
+
+    def _post_p2p(self, source: int, tag: int) -> PostedRecv:
+        """Check and post a point-to-point receive (*source* is not
+        ``PROC_NULL``)."""
+        if self._freed or self._world.op_checks:
+            self._full_check()
+        if source == ANY_SOURCE:
+            world_source = None
+        elif 0 <= source < self._size:
+            world_source = self._members[source]
+        else:
+            raise self._rank_error(source, "source rank")
+        if not (0 <= tag <= TAG_UB or tag == ANY_TAG):
+            raise CommError(f"invalid receive tag {tag}")
+        return self._mailbox.post_recv(self._p2p_ctx, source, tag, world_source)
 
     def sendrecv(
         self,
@@ -295,7 +323,7 @@ class Comm:
         if dest == PROC_NULL:
             return
         self._check_rank(dest, "destination rank")
-        if not is_valid_tag(tag):
+        if not 0 <= tag <= TAG_UB:
             raise CommError(f"invalid send tag {tag}")
         arr = np.asarray(array)
         blob = Blob.encode(arr)
@@ -312,20 +340,15 @@ class Comm:
     ) -> np.ndarray:
         """Buffer-mode receive into *buf* (which must be large enough);
         returns *buf* for convenience."""
-        self._check()
         if source == PROC_NULL:
+            self._check()
             if status is not None:
                 status.source, status.tag, status.count = PROC_NULL, ANY_TAG, 0
             return buf
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source rank")
-        if not is_valid_recv_tag(tag):
-            raise CommError(f"invalid receive tag {tag}")
-        posted = self._mailbox.post_recv(
-            self._p2p_ctx, source, tag, world_source=self._world_source(source)
-        )
-        what = f"Recv(source={source}, tag={tag}) on {self.name}"
-        env = self._mailbox.wait(posted, what)
+        posted = self._post_p2p(source, tag)
+        env = posted.envelope
+        if env is None:
+            env = self._mailbox.wait(posted, f"Recv(source={source}, tag={tag}) on {self.name}")
         arr = buffer_array(env.payload, "buffer-mode receive")
         if arr.size > buf.size:
             raise TruncationError(
@@ -526,11 +549,11 @@ class Comm:
             for old_rank, (c, k) in enumerate(data):
                 if c != UNDEFINED:
                     by_color.setdefault(c, []).append((k, old_rank))
-            assignments = [None] * self.size
+            assignments = [None] * self._size
             for c in sorted(by_color):
                 members = sorted(by_color[c])
                 ctxs = self._world.alloc_context_pair()
-                world_ids = tuple(self._group.world_id(r) for _, r in members)
+                world_ids = tuple(self._members[r] for _, r in members)
                 for _, old_rank in members:
                     assignments[old_rank] = (ctxs, world_ids, c)
         mine = self.scatter(assignments)
@@ -602,10 +625,8 @@ class Comm:
         member computes the same answer as long as failures are quiescent
         during recovery — the standard ULFM assumption."""
         failed = self._world.failed_ranks
-        live_ranks = [
-            r for r in range(self.size) if self._group.world_id(r) not in failed
-        ]
-        return live_ranks, [self._group.world_id(r) for r in live_ranks]
+        live_ranks = [r for r in range(self._size) if self._members[r] not in failed]
+        return live_ranks, [self._members[r] for r in live_ranks]
 
     def _next_recovery_tag(self) -> int:
         """Reserved tag for the next recovery operation.  Recovery calls
@@ -626,7 +647,7 @@ class Comm:
         """Raw recovery-plane receive from comm rank *source* — fails
         fast with :class:`ProcessFailedError` if *source* dies."""
         posted = self._mailbox.post_recv(
-            self._coll_ctx, source, tag, world_source=self._group.world_id(source)
+            self._coll_ctx, source, tag, world_source=self._members[source]
         )
         env = self._mailbox.wait(posted, what)
         return env.payload.decode()

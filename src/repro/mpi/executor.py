@@ -13,6 +13,7 @@ the distributed-memory discipline the paper's platforms enforce.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -355,6 +356,8 @@ def run_spmd(
     processes over the socket transport instead of threads
     (:mod:`repro.mpi.procbackend`); the contract is identical.
     """
+    if isinstance(nprocs, bool) or not isinstance(nprocs, numbers.Integral):
+        raise ValueError(f"nprocs must be an int, got {nprocs!r}")
     kwargs = fn_kwargs or {}
     ranks = [lambda comm: fn(comm, *fn_args, **kwargs)] * nprocs
     return [r.value for r in launch(nprocs, ranks, config=config, timeout=timeout)]

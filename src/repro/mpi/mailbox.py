@@ -19,8 +19,8 @@ contexts do, so a stray ``tag=0`` user message can never be swallowed by a
 collective in flight.
 
 Blocking receives and probes run on the world's progress engine
-(:mod:`repro.mpi.progress`): each :class:`PostedRecv` carries a
-:class:`~repro.mpi.progress.Completion` signalled at match time, so a
+(:mod:`repro.mpi.progress`): each :class:`PostedRecv` *is* a
+:class:`~repro.mpi.progress.Completion`, signalled at match time, so a
 blocked waiter parks once and is woken exactly once — by delivery,
 abort, or the deadlock watchdog.
 
@@ -120,15 +120,16 @@ class Envelope:
         )
 
 
-class PostedRecv:
-    """A posted receive awaiting a matching envelope."""
+class PostedRecv(Completion):
+    """A posted receive awaiting a matching envelope — and its own
+    completion token, signalled (after the mailbox lock is released) when
+    a match is made: what the progress engine waits on."""
 
     __slots__ = (
         "context",
         "source",
         "tag",
         "envelope",
-        "completion",
         "cancelled",
         "world_source",
         "failed_rank",
@@ -139,14 +140,18 @@ class PostedRecv:
     def __init__(
         self, context: int, source: int, tag: int, world_source: Optional[int] = None
     ):
+        # The token's slots, set here rather than by Completion.__init__:
+        # one call per posted receive.
+        self._lock = threading.Lock()
+        self._done = False
+        self._waitsets = None
+        self._driver = 0
+        self._wake = None
         self.context = context
         self.source = source
         self.tag = tag
         #: Filled in (under the mailbox lock) when a match is made.
         self.envelope: Optional[Envelope] = None
-        #: Signalled (after the lock is released) when a match is made —
-        #: what the progress engine's waitsets park on.
-        self.completion = Completion()
         #: Set by a successful :meth:`Mailbox.cancel`; waiting on a
         #: cancelled receive raises instead of blocking forever.
         self.cancelled = False
@@ -171,7 +176,8 @@ class PostedRecv:
 
     @property
     def done(self) -> bool:
-        """Whether a matching envelope has been attached."""
+        """Whether a matching envelope has been attached (the token is
+        also signalled when the receive is failed or revoked)."""
         return self.envelope is not None
 
 
@@ -202,7 +208,7 @@ class Mailbox:
 
     # -- delivery (called from the *sender's* thread) ----------------------
 
-    def deliver(self, env: Envelope) -> None:
+    def deliver(self, env: Envelope, faults: bool = True) -> None:
         """Hand an envelope to this mailbox, matching a posted receive if
         one accepts it, else queueing it as pending.
 
@@ -210,30 +216,28 @@ class Mailbox:
         the owner is dead (a send to a failed rank must error, not
         vanish), and applies the world's armed
         :class:`~repro.mpi.faults.FaultSchedule` — drop, delay,
-        duplication, corruption — on the sender's thread.
+        duplication, corruption — on the sender's thread (*faults* false:
+        the envelope is one the schedule already produced).
         """
         world = self._world
-        if world.rank_failed(self.owner):
+        failed = world._failed
+        if failed and self.owner in failed:
             raise ProcessFailedError(
                 f"delivery to failed world rank {self.owner} "
                 f"(source rank {env.source}, tag {env.tag})",
                 failed_ranks=(self.owner,),
             )
-        schedule = world.config.fault_schedule
-        if schedule is not None:
-            envs = schedule.on_deliver(self.owner, env)
-            if not envs:
-                return  # dropped: the message silently never arrives
-            for extra in envs[:-1]:
-                self._deliver_one(extra)
-            env = envs[-1]
-        self._deliver_one(env)
-
-    def _deliver_one(self, env: Envelope) -> None:
-        self._world.record_traffic(env.kind, env.payload.nbytes, env.copy_avoided)
-        sched = self._world.config.match_schedule
+        config = world.config
+        if faults and config.fault_schedule is not None:
+            # A dropped envelope yields none: it silently never arrives.
+            for produced in config.fault_schedule.on_deliver(self.owner, env):
+                self.deliver(produced, faults=False)
+            return
+        world.record_traffic(env.kind, env.payload.nbytes, env.copy_avoided)
+        sched = config.match_schedule
         matched: Optional[PostedRecv] = None
         probe_hits: list[Completion] = []
+        context, source, tag = env.context, env.source, env.tag
         with self._lock:
             if sched is not None:
                 # Every delivery is a visibility event for already-held
@@ -243,30 +247,34 @@ class Mailbox:
                 # not match timing).
                 if self._held:
                     self._age_held(probe_hits)
-                ttl = sched.hold_ttl(self.owner, env.source)
+                ttl = sched.hold_ttl(self.owner, source)
             else:
                 ttl = 0
-            for pr in self._posted:
-                if pr.accepts(env):
-                    self._posted.remove(pr)
+            posted = self._posted
+            for i, pr in enumerate(posted):
+                if (
+                    pr.context == context
+                    and (pr.source == source or pr.source == ANY_SOURCE)
+                    and (pr.tag == tag or pr.tag == ANY_TAG)
+                ):
+                    del posted[i]
                     pr.envelope = env
                     matched = pr
                     if sched is not None:
-                        sched.record_match(
-                            self.owner, pr.post_seq, env.source, env.tag
-                        )
+                        sched.record_match(self.owner, pr.post_seq, source, tag)
                     break
             else:
                 if sched is not None and self._maybe_hold(env, ttl, probe_hits):
                     pass  # held: invisible until aged out or force-revealed
                 else:
-                    self._to_pending(env, probe_hits)
-        self._world.note_activity()
+                    self._pending.append(env)
+                    if self._probe_watchers:
+                        self._wake_probes(env, probe_hits)
         # Signal completions with no mailbox lock held (a waitset notify
         # takes the waiter's lock; keeping the order one-directional rules
         # out inversions against World.abort's wake path).
         if matched is not None:
-            matched.completion.signal()
+            matched.signal()
             if env.sync_event is not None:
                 # Matched immediately by a posted receive: release a
                 # blocked synchronous sender.
@@ -281,13 +289,17 @@ class Mailbox:
         (signalled by the caller outside the lock)."""
         self._pending.append(env)
         if self._probe_watchers:
-            keep = []
-            for watcher in self._probe_watchers:
-                if env.matches(*watcher[1]):
-                    probe_hits.append(watcher[0])
-                else:
-                    keep.append(watcher)
-            self._probe_watchers = keep
+            self._wake_probes(env, probe_hits)
+
+    def _wake_probes(self, env: Envelope, probe_hits: list[Completion]) -> None:
+        """Collect (and disarm) the probe watchers *env* satisfies."""
+        keep = []
+        for watcher in self._probe_watchers:
+            if env.matches(*watcher[1]):
+                probe_hits.append(watcher[0])
+            else:
+                keep.append(watcher)
+        self._probe_watchers = keep
 
     def _maybe_hold(
         self, env: Envelope, ttl: int, probe_hits: list[Completion]
@@ -413,7 +425,8 @@ class Mailbox:
         :class:`~repro.errors.ProcessFailedError`).
         """
         pr = PostedRecv(context, source, tag, world_source)
-        sched = self._world.config.match_schedule
+        world = self._world
+        sched = world.config.match_schedule
         claimed: Optional[Envelope] = None
         probe_hits: list[Completion] = []
         with self._lock:
@@ -429,26 +442,31 @@ class Mailbox:
                     self._reveal_matching(context, source, tag, probe_hits)
                 claimed = self._claim_scheduled(sched, pr)
             else:
-                for env in self._pending:
-                    if pr.accepts(env):
-                        self._pending.remove(env)
-                        pr.envelope = env
-                        claimed = env
+                pending = self._pending
+                for i, env in enumerate(pending):
+                    if (
+                        env.context == context
+                        and (source == ANY_SOURCE or source == env.source)
+                        and (tag == ANY_TAG or tag == env.tag)
+                    ):
+                        del pending[i]
+                        pr.envelope = claimed = env
                         break
             if claimed is None:
-                if world_source is not None and self._world.rank_failed(world_source):
+                failed = world._failed
+                if world_source is not None and failed and world_source in failed:
                     pr.failed_rank = world_source
                 else:
                     self._posted.append(pr)
         for completion in probe_hits:
             completion.signal()
         if claimed is not None:
-            pr.completion.signal()
-            self._world.note_activity()
+            pr.signal()
+            world.note_activity()
             if claimed.sync_event is not None:
                 claimed.sync_event.set()
         elif pr.failed_rank is not None:
-            pr.completion.signal()
+            pr.signal()
         return pr
 
     def cancel(self, pr: PostedRecv) -> bool:
@@ -481,15 +499,19 @@ class Mailbox:
         RevokedError
             If the communicator was revoked while the receive was pending.
         """
-        if pr.envelope is not None:
-            return pr.envelope
+        env = pr.envelope
+        if env is not None:
+            return env
         if pr.cancelled:
             raise CommError(f"wait on a cancelled receive: {what}")
-        self._check_doomed(pr, what)
-        self._world.progress.wait((pr.completion,), self.owner, what)
-        self._check_doomed(pr, what)
-        assert pr.envelope is not None
-        return pr.envelope
+        if pr.failed_rank is not None or pr.revoked:
+            self._check_doomed(pr, what)
+        self._world.progress.wait((pr,), self.owner, what)
+        env = pr.envelope
+        if env is None:
+            self._check_doomed(pr, what)
+            raise AssertionError(f"woken with no envelope: {what}")
+        return env
 
     @staticmethod
     def _check_doomed(pr: PostedRecv, what: str) -> None:
@@ -620,7 +642,7 @@ class Mailbox:
                     keep.append(pr)
             self._posted = keep
         for pr in doomed:
-            pr.completion.signal()
+            pr.signal()
 
     def revoke_ctxs(self, ctxs: set, comm_name: str) -> None:
         """Fail every unmatched posted receive and wake every probe on the
@@ -644,7 +666,7 @@ class Mailbox:
                     watchers.append(watcher)
             self._probe_watchers = watchers
         for pr in doomed:
-            pr.completion.signal()
+            pr.signal()
         for completion in probe_hits:
             completion.signal()
 

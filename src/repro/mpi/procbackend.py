@@ -253,7 +253,6 @@ def child_session(
         transport.on_error = lambda exc: world.abort(
             AbortError(f"transport stream failed on rank {rank}: {exc}")
         )
-        transport.on_wire = world.record_wire
         world.transport = transport
 
         # This rank is a process: its CPU is the whole process's — BLAS

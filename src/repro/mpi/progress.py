@@ -1,5 +1,5 @@
-"""The event-driven progress engine: one completion/waitset layer for
-every blocking path of the simulated substrate.
+"""The event-driven progress engine: one completion layer for every
+blocking path of the simulated substrate.
 
 MPICH-G2 showed that a *single unified progress engine* under
 heterogeneous communication methods is what makes a multi-method MPI
@@ -8,31 +8,35 @@ substrate.  Three pieces:
 
 * :class:`Completion` — a one-shot token signalled exactly once when an
   operation finishes (a receive matches, a synchronous send is claimed,
-  a probe pattern becomes satisfiable).  Waiters park on it; signallers
-  never block.
-* :class:`Waitset` — the aggregation point one blocked thread parks on.
-  It can subscribe to many completions at once (``waitany``/``waitsome``
-  over mixed request lists) and is woken exactly once per relevant event:
-  a completion signal, a world abort, or the watchdog declaring deadlock.
+  a probe pattern becomes satisfiable).  Signallers never block.
+* :class:`Waitset` — where one blocked thread of a *thread world* parks.
+  It subscribes to many completions at once (``waitany``/``waitsome``
+  over mixed request lists) and is woken exactly once per relevant
+  event: a completion signal, a world abort, or the watchdog declaring
+  deadlock.
 * :class:`ProgressEngine` — the per-:class:`~repro.mpi.world.World`
-  owner of the active waitsets and of the **deadlock watchdog thread**.
+  owner of the blocking paths and of the **deadlock watchdog thread**.
   The watchdog is started lazily on the first blocked waiter, runs only
   while someone is blocked, and exits on abort or after a quiet period,
   so idle worlds carry no thread and blocked ranks pay zero periodic
   wakeups.
 
-A thread world's rank parks on its waitset's condition.  A process
-rank's world has a transport, and there the blocked rank *is* the
-network poller: it turns the transport's progress loop
+A thread world's rank parks on a waitset's condition.  A process rank's
+world has a transport, and there the blocked rank *is* the network
+poller: it turns the transport's progress loop
 (:meth:`SocketTransport.progress
 <repro.mpi.transport.SocketTransport.progress>`), which reads, decodes
-and dispatches on this thread, so a delivery completes the rank's own
-receive with no thread in between; a signal from another thread (the
-watchdog's abort or failure pulse) writes the transport's wake socket.
+and dispatches on this thread, and re-tests :attr:`Completion.done`
+after each turn — no waitset, no subscription.  A delivery on that
+thread completes the rank's own receive with nothing in between.  What
+is signalled from any *other* thread reaches the waiting thread through
+the transport's wake socket: a completion signalled by a second thread
+of the rank (a send to its own rank, say) writes it itself, and the
+watchdog's abort or failure pulse writes it through :meth:`wake_all`.
 
 Every blocked episode records its wakeup count and duration through
-:meth:`World.record_block_episode`, so "parked means parked" is
-measurable rather than asserted.
+:meth:`World.block_exit <repro.mpi.world.World.block_exit>`, so
+"parked means parked" is measurable rather than asserted.
 """
 
 from __future__ import annotations
@@ -72,18 +76,29 @@ def blocked_bucket(seconds: float) -> str:
 class Completion:
     """A one-shot completion token.
 
-    ``signal()`` flips it done (idempotently) and wakes every parked
-    waitset; ``set()`` is a :class:`threading.Event`-compatible alias so
-    the token can ride in an :class:`~repro.mpi.mailbox.Envelope`'s
-    ``sync_event`` slot.
+    ``signal()`` flips it done (idempotently) and wakes whoever waits on
+    it: every thread-world :class:`Waitset` subscribed to it, and — when
+    the waiter is a thread turning a transport's progress loop and the
+    signal comes from another thread — that transport's wake socket.
+    ``set()`` is a :class:`threading.Event`-compatible alias so the token
+    can ride in an :class:`~repro.mpi.mailbox.Envelope`'s ``sync_event``
+    slot.
+
+    A subclass that is constructed per message (the posted receive)
+    initialises the five slots itself, as :meth:`__init__` does.
     """
 
-    __slots__ = ("_lock", "_done", "_waitsets")
+    __slots__ = ("_lock", "_done", "_waitsets", "_driver", "_wake")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._done = False
-        self._waitsets: list["Waitset"] = []
+        #: Thread-world waitsets parked on this token (``None``: none).
+        self._waitsets: Optional[list["Waitset"]] = None
+        #: Ident of the thread waiting on this token by turning a
+        #: transport's loop (0: none), and that transport's ``wake``.
+        self._driver = 0
+        self._wake = None
 
     @property
     def done(self) -> bool:
@@ -95,17 +110,24 @@ class Completion:
         return self._done
 
     def signal(self) -> None:
-        """Mark complete and wake every parked waitset (first call wins;
-        later calls are no-ops).  Never blocks on waiter locks while
-        holding its own, so signallers cannot deadlock against waiters."""
+        """Mark complete and wake its waiter (first call wins; later
+        calls are no-ops).  Never blocks on a waiter's lock while holding
+        its own, so signallers cannot deadlock against waiters.  A waiter
+        turning a transport loop on this very thread re-tests after the
+        turn and needs no wake."""
         with self._lock:
             if self._done:
                 return
             self._done = True
             waitsets = self._waitsets
-            self._waitsets = []
-        for ws in waitsets:
-            ws._notify(self)
+            self._waitsets = None
+            driver = self._driver
+            wake = self._wake
+        if waitsets:
+            for ws in waitsets:
+                ws._notify(self)
+        if driver and driver != threading.get_ident():
+            wake()
 
     #: Event-compatible alias (``Envelope.sync_event.set()``).
     set = signal
@@ -116,27 +138,30 @@ class Completion:
         with self._lock:
             if self._done:
                 return False
+            if self._waitsets is None:
+                self._waitsets = []
             self._waitsets.append(ws)
             return True
 
     def _unsubscribe(self, ws: "Waitset") -> None:
         with self._lock:
-            try:
+            if self._waitsets and ws in self._waitsets:
                 self._waitsets.remove(ws)
-            except ValueError:
-                pass  # already consumed by signal()
 
 
 class Waitset:
-    """Where one blocked thread parks while waiting on completions.
+    """Where one blocked thread of a thread world parks while waiting on
+    completions.
 
     A waitset is woken by (a) any subscribed completion signalling, or
     (b) a :meth:`poke` from the engine (abort or deadlock declared).  It
     counts its wakeups so tests and benchmarks can pin the O(1)-wakeups
-    property of the event engine.
+    property of the event engine.  A rank of a world with a transport
+    never builds one: it re-tests its completions between turns of the
+    transport's loop instead (:meth:`ProgressEngine.wait`).
     """
 
-    __slots__ = ("_cond", "_fired", "wakeups", "_waker", "_driver")
+    __slots__ = ("_cond", "_fired", "wakeups")
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
@@ -144,27 +169,17 @@ class Waitset:
         self._fired: list[Completion] = []
         #: Times the parked thread was woken (delivery, abort, watchdog).
         self.wakeups = 0
-        #: Set while the waiting thread blocks in a transport's progress
-        #: loop rather than on the condition: the transport's ``wake``,
-        #: and the ident of that thread (``_driver``), whose own
-        #: deliveries need no wake — it re-tests once the loop returns.
-        self._waker = None
-        self._driver = 0
 
     def _notify(self, completion: Completion) -> None:
         with self._cond:
             self._fired.append(completion)
             self._cond.notify_all()
-        if self._waker is not None and threading.get_ident() != self._driver:
-            self._waker()
 
     def poke(self) -> None:
         """Wake the parked thread without completing anything (abort and
         deadlock propagation)."""
         with self._cond:
             self._cond.notify_all()
-        if self._waker is not None:
-            self._waker()
 
 
 @dataclass
@@ -180,12 +195,14 @@ class RankProgress:
 
 
 class ProgressEngine:
-    """Per-world completion/waitset aggregation plus the lazy watchdog.
+    """Per-world blocking paths plus the lazy watchdog.
 
     One engine per :class:`~repro.mpi.world.World`.  Blocking paths call
     :meth:`wait`; delivery paths signal :class:`Completion` tokens;
-    :meth:`wake_all` (from ``World.abort``) pokes every parked waitset so
-    abort propagation is bounded by lock handoff, not by poll slices.
+    :meth:`wake_all` (from ``World.abort``, a process failure, or the
+    watchdog's failure pulse) pokes every parked waitset and writes the
+    transport's wake socket, so abort propagation is bounded by lock
+    handoff or one ``select`` return, not by poll slices.
     """
 
     #: Seconds of continuous blocked-free time after which the watchdog
@@ -195,6 +212,7 @@ class ProgressEngine:
     def __init__(self, world: "World"):
         self._world = world
         self._reg_lock = threading.Lock()
+        #: Thread-world waitsets currently parked (what wake_all pokes).
         self._active: set[Waitset] = set()
         self._wd_cond = threading.Condition()
         self._wd_running = False
@@ -206,7 +224,7 @@ class ProgressEngine:
     def wait(
         self, completions: Sequence[Completion], rank: int, what: str
     ) -> list[Completion]:
-        """Park *rank* until at least one of *completions* signals.
+        """Block *rank* until at least one of *completions* signals.
 
         Returns the completions known to have fired (callers re-test their
         requests — more may fire after return).  Raises
@@ -217,17 +235,76 @@ class ProgressEngine:
         :class:`~repro.errors.AbortError` on any other world abort.  The
         episode (duration + wakeup count) is recorded on the world either
         way.
+
+        On a world with a transport the calling thread turns the
+        transport's loop and re-tests the completions after each turn;
+        it first publishes itself on each completion (under the token's
+        lock, before the first test), so a signal from any other thread
+        knows to write the wake socket.  On a thread world it parks on a
+        :class:`Waitset`.
         """
         from repro.errors import CommError
 
         if not completions:
             raise CommError(f"progress wait with no completions: {what}")
         world = self._world
-        ws = Waitset()
         start = time.monotonic()
-        pulse0 = world.failure_pulse
+        pulse0 = world._failure_pulse
         world.block_enter(rank, what)
-        self._arm_watchdog()
+        # A plain store, then the test: the watchdog's retire re-reads the
+        # kick after clearing its running flag (see _watchdog_loop).
+        self._wd_kick = True
+        if not self._wd_running:
+            self._arm_watchdog()
+        transport = world.transport
+        wakeups = 0
+        try:
+            if transport is None:
+                ws = Waitset()
+                try:
+                    return self._park(ws, completions, pulse0)
+                finally:
+                    wakeups = ws.wakeups
+            me = threading.get_ident()
+            wake = transport.wake
+            for c in completions:
+                with c._lock:
+                    c._driver = me
+                    c._wake = wake
+            window = transport.progress_poll_s
+            if window > 0.0 and not _any_done(completions):
+                # A transport with a poll window (the shm rings) is turned
+                # without blocking for that long first — in steady-state
+                # exchange the awaited frame lands inside it, so no
+                # doorbell round trip is paid.
+                end = start + window
+                while time.monotonic() < end:
+                    transport.progress(0)
+                    if _any_done(completions):
+                        break
+                    self._check_failure(pulse0)
+                    time.sleep(0)  # yield: reply production needs the GIL
+            while not _any_done(completions):
+                if world._abort_exc is not None or world._failure_pulse != pulse0:
+                    self._check_failure(pulse0)
+                transport.progress(None)
+                wakeups += 1
+            fired = []
+            for c in completions:
+                if c._done:
+                    fired.append(c)
+                else:
+                    with c._lock:
+                        c._driver = 0
+            return fired
+        finally:
+            world.block_exit(rank, time.monotonic() - start, wakeups)
+
+    def _park(
+        self, ws: Waitset, completions: Sequence[Completion], pulse0: int
+    ) -> list[Completion]:
+        """Thread world: park on *ws*, subscribed to every completion,
+        until one fires."""
         with self._reg_lock:
             self._active.add(ws)
         subscribed: list[Completion] = []
@@ -240,9 +317,6 @@ class ProgressEngine:
                     fired.append(c)  # signalled before we could park
             if fired:
                 return fired
-            transport = getattr(world, "transport", None)
-            if transport is not None:
-                return self._drive(ws, transport, pulse0)
             with ws._cond:
                 while not ws._fired:
                     self._check_failure(pulse0)
@@ -254,31 +328,6 @@ class ProgressEngine:
                 c._unsubscribe(ws)
             with self._reg_lock:
                 self._active.discard(ws)
-            world.block_exit(rank)
-            world.record_block_episode(rank, time.monotonic() - start, ws.wakeups)
-
-    def _drive(self, ws: Waitset, transport, pulse0: int) -> list[Completion]:
-        """Wait for *ws* by turning *transport*'s progress loop on this
-        thread until a completion fires.  A transport with a poll window
-        (the shm rings) is turned without blocking for that long first —
-        in steady-state exchange the awaited frame lands inside it, so
-        no doorbell round trip is paid."""
-        ws._driver = threading.get_ident()
-        ws._waker = transport.wake
-        window = transport.progress_poll_s
-        if window > 0.0:
-            end = time.monotonic() + window
-            while time.monotonic() < end:
-                transport.progress(0)
-                if ws._fired:
-                    return list(ws._fired)
-                self._check_failure(pulse0)
-                time.sleep(0)  # yield: reply production needs the GIL
-        while not ws._fired:
-            self._check_failure(pulse0)
-            transport.progress(None)
-            ws.wakeups += 1
-        return list(ws._fired)
 
     def poll(self) -> None:
         """One turn of the transport's loop that does not wait, so a
@@ -316,17 +365,23 @@ class ProgressEngine:
     # -- abort propagation ---------------------------------------------------
 
     def wake_all(self) -> None:
-        """Poke every parked waitset (abort / deadlock declared)."""
+        """Wake every blocked thread (abort / deadlock / failure pulse):
+        poke every parked waitset, and write the transport's wake socket
+        for the thread turning its loop."""
         with self._reg_lock:
             waitsets = list(self._active)
         for ws in waitsets:
             ws.poke()
+        transport = self._world.transport
+        if transport is not None:
+            transport.wake()
 
     # -- watchdog ------------------------------------------------------------
 
     def _arm_watchdog(self) -> None:
-        """Ensure the watchdog thread runs while waiters are blocked
-        (worlds with deadlock detection only)."""
+        """Start the watchdog thread if none runs (worlds with deadlock
+        detection only): the slow path of a blocked waiter that found
+        no watchdog running."""
         if not self._world.config.deadlock_detection:
             return
         with self._wd_cond:
@@ -396,14 +451,25 @@ class ProgressEngine:
                     idle_since = now
                 elif now - idle_since >= self._IDLE_EXIT:
                     with self._wd_cond:
-                        # A waiter that blocked while we were deciding to
-                        # retire left a kick; honour it instead of exiting.
+                        # Clear the running flag *before* reading the
+                        # kick: a waiter stores its kick and then reads
+                        # the flag without this lock, so it either sees
+                        # us running (and its kick is read here) or
+                        # sees us gone and starts a new watchdog.
+                        self._wd_running = False
                         if self._wd_kick:
+                            self._wd_running = True
                             idle_since = None
                             continue
-                        self._wd_running = False
                         self._wd_cond.notify_all()
                         return
                 continue
             idle_since = None
             world.scan_deadlock()
+
+
+def _any_done(completions: Sequence[Completion]) -> bool:
+    for c in completions:
+        if c._done:
+            return True
+    return False

@@ -7,9 +7,9 @@ receive immediately — matching order is the MPI posted-receive order — and
 the request completes when a matching envelope arrives.
 
 ``waitany``/``waitsome`` aggregate mixed request lists through the world's
-:class:`~repro.mpi.progress.ProgressEngine`: the caller parks on one
-waitset subscribed to every incomplete request's completion token and is
-woken exactly once per relevant event (completion, abort, deadlock).
+:class:`~repro.mpi.progress.ProgressEngine`: the caller blocks once on
+every incomplete request's completion token and is woken exactly once
+per relevant event (completion, abort, deadlock).
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ class Request:
     @staticmethod
     def waitany(requests: Sequence["Request"]) -> tuple[int, Any]:
         """Block until any request completes; ``(index, value)``
-        (``MPI_Waitany``), parking on one waitset over every incomplete
-        request.
+        (``MPI_Waitany``), blocking once on every incomplete request.
         Under an armed :class:`~repro.mpi.sched.MatchSchedule` the
         returned request is schedule-chosen among everything already
         complete (the index MPI leaves unspecified when several are).
@@ -291,7 +290,7 @@ class RecvRequest(Request):
         return self._mailbox.cancel(self._posted)
 
     def completion(self) -> Optional[Completion]:
-        return self._posted.completion
+        return self._posted
 
     def _site(self) -> Optional[tuple["World", int]]:
         return self._mailbox.world, self._mailbox.owner

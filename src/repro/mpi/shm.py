@@ -56,17 +56,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import TransportError
 from repro.mpi.corebudget import cores_per_rank
 from repro.mpi.mailbox import Envelope
 from repro.mpi.serialization import Blob
 from repro.mpi.topology import Topology
 from repro.mpi.transport import (
+    _PICKLE,
+    _RAW_ARRAY,
     WIRE_PICKLE_PROTOCOL,
     SocketTransport,
     _SyncAck,
+    array_from_wire,
+    array_wire,
     encode_envelope,
 )
 
@@ -415,10 +417,13 @@ class ShmRing:
         """True when at least one record is waiting (head != tail)."""
         return self._head() != self._tail()
 
-    def try_write(self, payload) -> bool:
-        """Append one record; False when the ring lacks space (caller
-        backs off — the reader frees space by consuming)."""
-        n = len(payload)
+    def try_write(self, *parts) -> bool:
+        """Append one record whose payload is *parts* (byte buffers)
+        back to back; False when the ring lacks space (caller backs off
+        — the reader frees space by consuming)."""
+        n = 0
+        for part in parts:
+            n += len(part)
         if n > self.max_frame:
             raise TransportError(
                 f"shm ring frame of {n} bytes exceeds ring capacity "
@@ -453,9 +458,11 @@ class ShmRing:
         if skip and room >= _REC.size:
             _REC.pack_into(self._mm, data + off, _WRAP, tail & 0xFFFFFFFF)
         # room < header size needs no marker: both sides skip implicitly.
-        self._mm[data + start + _REC.size : data + start + _REC.size + n] = (
-            payload
-        )
+        pos = data + start + _REC.size
+        for part in parts:
+            end = pos + len(part)
+            self._mm[pos:end] = part
+            pos = end
         _REC.pack_into(self._mm, data + start, n, (tail + skip) & 0xFFFFFFFF)
         _membarrier()  # record bytes must be visible before the publish
         self._set_tail(tail + skip + rec)
@@ -737,8 +744,7 @@ class ShmTransport(SocketTransport):
         # the progress loop, never in GC context, so no reentrant-lock
         # deadlock.
         self._release_q: deque = deque()
-        self._shm = ShmStats()
-        self._stats_lock = threading.Lock()
+        self._shm = ShmStats()  # under the inherited _stats_lock
 
     # -- routing ------------------------------------------------------------
 
@@ -756,7 +762,7 @@ class ShmTransport(SocketTransport):
         if not self._use_shm(dest):
             super().send_envelope(dest, env)
             return
-        sync_id = self._register_sync(env)
+        sync_id = 0 if env.sync_event is None else self._register_sync(env)
         try:
             self._ring_send(dest, self._encode_shm(env, sync_id, dest))
         except TransportError:
@@ -769,18 +775,18 @@ class ShmTransport(SocketTransport):
         # are the wakeup mechanism itself, so _kick calls the socket
         # path directly.
         if self._use_shm(dest) and not self._closed:
-            self._ring_send(
-                dest, pickle.dumps(fields, protocol=WIRE_PICKLE_PROTOCOL)
-            )
+            self._ring_send(dest, (pickle.dumps(fields, protocol=WIRE_PICKLE_PROTOCOL),))
             return
         super().send_control(dest, fields)
 
     # -- shm send path ------------------------------------------------------
 
-    def _encode_shm(self, env: Envelope, sync_id: int, dest: int) -> bytes:
+    def _encode_shm(self, env: Envelope, sync_id: int, dest: int) -> tuple:
+        """A ring frame's parts: the message frame of a small payload,
+        or a ``msgp`` control frame naming the pool page of a large one."""
         if env.payload.nbytes < _INLINE_MAX:
             return encode_envelope(env, sync_id, self.rank)
-        return pickle.dumps(
+        return (pickle.dumps(
             (
                 "msgp",
                 env.context,
@@ -794,19 +800,16 @@ class ShmTransport(SocketTransport):
                 self._publish_blob(env.payload, dest),
             ),
             protocol=WIRE_PICKLE_PROTOCOL,
-        )
+        ),)
 
     def _publish_blob(self, blob: Blob, dest: int) -> tuple:
         """Write *blob* into our pool (once — fan-outs reuse the page)
-        and return its wire descriptor with one receiver hold taken."""
+        and return its wire descriptor with one receiver hold taken: the
+        payload kind and meta of the message codec, the page, the size."""
         if blob.kind == "array":
-            raw = memoryview(blob.data).cast("B")
-            meta = (str(blob.data.dtype), blob.data.shape)
-            dkind = "array"
+            payload_kind, meta, raw = array_wire(blob.data)
         else:
-            raw = blob.data
-            meta = None
-            dkind = "pickle"
+            payload_kind, meta, raw = _PICKLE, b"", blob.data
         n = len(raw)
         with self._cache_lock:
             off = self._page_cache.get(blob)
@@ -826,7 +829,7 @@ class ShmTransport(SocketTransport):
         # the receiver's hold, dropped via pfree (or force-released
         # should the receiver retire before sending it)
         self._pool.add_ref(off, holder=dest)
-        return (dkind, off, n, meta)
+        return (payload_kind, off, n, meta)
 
     def _alloc_blocking(self, nbytes: int, timeout: float = 60.0) -> int:
         if nbytes > self._pool.size:
@@ -856,7 +859,7 @@ class ShmTransport(SocketTransport):
             time.sleep(delay)
             delay = min(delay * 2, 0.02)
 
-    def _ring_send(self, dest: int, frame: bytes) -> None:
+    def _ring_send(self, dest: int, parts: tuple) -> None:
         if dest not in self._peers:
             raise TransportError(f"no address for world rank {dest}")
         if dest in self._dead_peers:
@@ -867,7 +870,7 @@ class ShmTransport(SocketTransport):
         next_force = 0.0
         delay = 0.0002
         with lock:
-            while not ring.try_write(frame):
+            while not ring.try_write(*parts):
                 # Full ring: the receiver frees space by draining, so
                 # make sure it is awake, then back off.  Every 50 ms of
                 # sustained fullness the kick is *forced* down the
@@ -890,10 +893,13 @@ class ShmTransport(SocketTransport):
                 self._read_ahead()
                 time.sleep(delay)
                 delay = min(delay * 2, 0.005)
+        n = 0
+        for part in parts:
+            n += len(part)
         with self._stats_lock:
             self._shm.ring_frames_sent += 1
-            self._shm.ring_bytes_sent += len(frame)
-        self.on_wire(len(frame), 0)
+            self._shm.ring_bytes_sent += n
+            self._wire_sent += n
         self._kick(dest)
 
     def _kick(self, dest: int, force: bool = False) -> None:
@@ -1007,7 +1013,7 @@ class ShmTransport(SocketTransport):
                             with self._stats_lock:
                                 self._shm.ring_frames_received += 1
                                 self._shm.ring_bytes_received += len(payload)
-                            self.on_wire(0, len(payload))
+                            self._wire_received += len(payload)
                             self._backlog.append((None, payload))
                 if not rearm:
                     return got
@@ -1086,30 +1092,33 @@ class ShmTransport(SocketTransport):
         refcounted-page half of the zero-copy design.  For an array the
         mapped object is the flat base every view of the payload
         collapses to, so a buffer-mode receive that keeps the opened
-        array past its envelope keeps the page too.  Mutation safety
+        array past its envelope keeps the page too; an array whose dtype
+        travelled pickled is copied out, and its page released at once.
+        Mutation safety
         comes from read-only views plus copy-on-read in
         :meth:`Blob.decode` (and the buffer-delivery copy out of
         :func:`~repro.mpi.serialization.buffer_array`).
         """
         (_, context, source, tag, kind, count, op,
          sync_id, from_rank, desc) = fields
-        dkind, off, nbytes, meta = desc
+        payload_kind, off, nbytes, meta = desc
         seg = self._attach_peer(from_rank)
         abs_off = seg.pool_off + off
-        if dkind == "pickle":
+        if payload_kind == _PICKLE:
             mapped = data = memoryview(seg.mm)[abs_off : abs_off + nbytes]
+            blob = Blob("pickle", data, nbytes)
         else:
-            dt = np.dtype(meta[0])
-            mapped = np.frombuffer(
-                seg.mm, dtype=dt, count=nbytes // dt.itemsize, offset=abs_off
-            )
-            mapped.flags.writeable = False
-            data = mapped.reshape(meta[1])
-        weakref.finalize(mapped, self._release_q.append, (from_rank, off))
+            data = array_from_wire(payload_kind, meta, seg.mm, abs_off, nbytes)
+            mapped = data.base if payload_kind == _RAW_ARRAY else None
+            blob = Blob("array", data, data.nbytes)
+        if mapped is None:
+            self._release_q.append((from_rank, off))
+        else:
+            weakref.finalize(mapped, self._release_q.append, (from_rank, off))
         with self._stats_lock:
             self._shm.pages_mapped += 1
             self._shm.page_bytes_mapped += nbytes
-        env = Envelope(context, source, tag, Blob(dkind, data, nbytes), kind, count, op=op)
+        env = Envelope(context, source, tag, blob, kind, count, op=op)
         return env, sync_id, from_rank
 
     def _flush_releases(self) -> None:
@@ -1131,10 +1140,7 @@ class ShmTransport(SocketTransport):
             try:
                 self._ring_send(
                     owner,
-                    pickle.dumps(
-                        ("pfree", self.rank, offs),
-                        protocol=WIRE_PICKLE_PROTOCOL,
-                    ),
+                    (pickle.dumps(("pfree", self.rank, offs), protocol=WIRE_PICKLE_PROTOCOL),),
                 )
             except TransportError:
                 pass  # owner is gone; its segment dies with it

@@ -15,33 +15,48 @@ Two implementations:
   length-prefixed framing and per-peer connection caching; the substrate
   of the **process backend** (:mod:`repro.mpi.procbackend`), where every
   rank is a real OS process.  Envelopes are encoded with
-  :func:`encode_envelope` (the payload crosses the wire as the
-  :class:`~repro.mpi.serialization.Blob` bytes it was already encoded
-  into), synchronous sends are completed by an ``ack`` frame from the
-  receiver, and abort notifications ride the same connections.  No
-  thread serves the inbound side: the rank's own thread, blocked in the
-  progress engine, selects on its listener, its inbound connections and
-  one wake socket, and decodes and dispatches what arrives
-  (:meth:`SocketTransport.progress`) — the shape of MPICH ch3:sock, whose
-  progress engine is the network poller.
+  :func:`encode_envelope`, synchronous sends are completed by an ``ack``
+  frame from the receiver, and abort notifications ride the same
+  connections.  No thread serves the inbound side: the rank's own
+  thread, blocked in the progress engine, polls its listener, its
+  inbound connections and one wake socket, and decodes and dispatches
+  what arrives (:meth:`SocketTransport.progress`) — the shape of MPICH
+  ch3:sock, whose progress engine is the network poller.
 * :class:`~repro.mpi.shm.ShmTransport` — a :class:`SocketTransport`
   whose same-node peer pairs exchange frames through shared-memory
-  rings instead (:mod:`repro.mpi.shm`); the same loop drains the rings.
+  rings instead (:mod:`repro.mpi.shm`); the same loop drains the rings,
+  and the frames are the same.
 
-The wire format is deliberately simple and *testable*: a frame is a
-4-byte big-endian length followed by that many payload bytes
-(:func:`pack_frame` / :class:`FrameDecoder`).  A declared length beyond
+The wire format is deliberately simple and *testable*.  On a socket a
+frame is a 4-byte big-endian length followed by that many bytes
+(:func:`pack_frame` / :class:`FrameDecoder`); a shm ring record carries
+the same bytes under its own length word.  A declared length beyond
 :data:`MAX_FRAME_BYTES` and a stream that ends mid-frame both raise a
 clean :class:`~repro.errors.TransportError` instead of hanging — the
 property tests in ``tests/mpi/test_transport.py`` fuzz exactly these
-edges (empty, 1-byte, multi-MiB, split reads, torn frames).
+edges (empty, 1-byte, multi-MiB, split reads, torn frames).  A frame's
+bytes are one of two things, told apart by the first byte:
+
+* a **message** (``M``, :func:`encode_envelope`): a fixed
+  :data:`_MSG` header — routing (context, comm-local source, tag), the
+  verb family, ``Status`` count, sync-ack id, the sender's world rank,
+  the payload's kind and size — then the collective operation's name
+  and an array's shape and dtype when there are any, then the
+  :class:`~repro.mpi.serialization.Blob`'s bytes *as they are*: a
+  pickle blob's pickle, an array snapshot's raw memory.  The sender
+  hands header and payload to one ``sendmsg`` as separate buffers, and
+  the receiver slices the frame — no second pickle around the first,
+  no copy into or out of one;
+* a **control** frame (``ack``, ``abort``, and the shm transport's
+  ``kick``, ``pfree`` and page-pool ``msgp``): a pickled tuple, whose
+  first byte is pickle's protocol marker.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import select
-import selectors
 import socket
 import struct
 import threading
@@ -50,12 +65,14 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.errors import TransportError
 from repro.mpi.mailbox import Envelope
 from repro.mpi.progress import Completion
 from repro.mpi.serialization import Blob
 
-#: Pickle protocol for wire frames (control tuples and envelope payloads).
+#: Pickle protocol for control frames.
 WIRE_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Hard ceiling on one frame's payload size.  A length prefix beyond this
@@ -99,14 +116,16 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list:
         """Absorb *data*; return every frame completed by it.
 
-        A frame that spans chunks is filled in place, in a buffer of its
-        declared length allocated once, so it is copied once however
-        many chunks bring it (and comes back as that ``bytearray``); a
-        frame whole in one chunk comes back as ``bytes``."""
+        A frame whole in one chunk comes back as a ``memoryview`` of
+        *data* — not copied — so *data* must not change afterwards (a
+        socket read's ``bytes`` does not).  A frame that spans chunks is
+        filled in place, in a buffer of its declared length allocated
+        once, so it is copied once however many chunks bring it (and
+        comes back as that ``bytearray``)."""
         if self._frame is None and not self._head and len(data) > _LEN.size:
             (need,) = _LEN.unpack_from(data)
             if len(data) == _LEN.size + need:  # the common read
-                return [data[_LEN.size :]]
+                return [memoryview(data)[_LEN.size :]]
         frames = []
         view = memoryview(data)
         while view:
@@ -127,8 +146,8 @@ class FrameDecoder:
                         f"corrupt stream: declared frame length {need} "
                         f"exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
                     )
-                if len(view) >= need:  # whole in this chunk: one copy out
-                    frames.append(view[:need].tobytes())
+                if len(view) >= need:  # whole in this chunk: no copy
+                    frames.append(view[:need])
                     view = view[need:]
                     continue
                 self._frame, self._got = bytearray(need), 0
@@ -213,47 +232,116 @@ def _recv_exact(sock: socket.socket, n: int, mid_frame: bool) -> Optional[bytear
 # ---------------------------------------------------------------------------
 
 
-def encode_envelope(env: Envelope, sync_id: int = 0, from_rank: int = -1) -> bytes:
-    """Encode an envelope for the wire.
+#: A message frame's fixed header: the ``M`` mark, verb family, payload
+#: kind, op-name length + 1 (0: no op), array-meta length, context,
+#: comm-local source, tag, ``Status`` count, sync-ack id (0: a plain
+#: send), sender world rank, payload bytes.
+_MSG = struct.Struct("!BBBBHqiqqqiq")
+_MSG_MARK = 0x4D  # "M"; a pickled control frame starts with 0x80
 
-    The :class:`Blob` payload crosses as its already-encoded bytes (pickle
-    blobs are *not* re-pickled into a nested pickle; the array snapshot
-    of an array blob is carried as-is).  *sync_id* is nonzero for
-    synchronous sends: the receiver acks it when the message is matched.  *from_rank* is the sender's
-    **world** rank — ``env.source`` is comm-local, so the ack route must
-    travel explicitly.
+#: Verb families (``Envelope.kind``) by their header code.
+_KINDS = ("object", "buffer", "bufcoll")
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+#: Payload kinds by header code: a pickle blob's bytes, an array
+#: snapshot's raw memory (the meta holds its shape and dtype), or an
+#: array whose dtype does not travel as a string (fields, a zero item
+#: size), pickled whole.
+_PICKLE, _RAW_ARRAY, _PICKLED_ARRAY = 0, 1, 2
+
+
+def array_wire(arr: np.ndarray) -> tuple:
+    """``(payload kind, meta, bytes)`` an array snapshot travels as —
+    in a message frame, or in a shm pool page: its raw memory with
+    ``b"<shape>;<dtype string>"`` as meta, or, for a dtype that string
+    cannot rebuild, the pickled array with no meta."""
+    dt = arr.dtype
+    if dt.names is None and dt.subdtype is None and dt.itemsize:
+        meta = f"{','.join(map(str, arr.shape))};{dt.str}".encode()
+        return _RAW_ARRAY, meta, arr.reshape(-1).view(np.uint8) if arr.size else b""
+    return _PICKLED_ARRAY, b"", pickle.dumps(arr, protocol=WIRE_PICKLE_PROTOCOL)
+
+
+def array_from_wire(kind: int, meta, buf, offset: int, nbytes: int) -> np.ndarray:
+    """The read-only array :func:`array_wire` sent, from the *nbytes*
+    at *offset* of *buf*: a view of *buf* for raw memory (its ``base``
+    is the flat view every view of it collapses to), a private array for
+    a pickled one."""
+    if kind == _RAW_ARRAY:
+        dims, _, descr = bytes(meta).decode().partition(";")
+        dt = np.dtype(descr)
+        flat = np.frombuffer(buf, dtype=dt, count=nbytes // dt.itemsize, offset=offset)
+        data = flat.reshape(tuple(map(int, dims.split(","))) if dims else ())
+    else:
+        data = pickle.loads(memoryview(buf)[offset : offset + nbytes])
+    data.flags.writeable = False  # the snapshot invariant
+    return data
+
+
+def encode_envelope(env: Envelope, sync_id: int = 0, from_rank: int = -1) -> tuple:
+    """Encode an envelope for the wire as ``(header, payload)``: a message
+    frame's bytes are the two back to back, sent as separate buffers in
+    one ``sendmsg`` (or written one after the other into a shm ring).
+
+    The payload is the :class:`Blob`'s bytes as they are — a pickle
+    blob's pickle, an array snapshot's memory — never pickled again.
+    *sync_id* is nonzero for synchronous sends: the receiver acks it when
+    the message is matched.  *from_rank* is the sender's **world** rank —
+    ``env.source`` is comm-local, so the ack route must travel
+    explicitly.
     """
     blob = env.payload
-    data = blob.data
-    if type(data) is memoryview:
-        # A blob mapped zero-copy from a shm page holds a memoryview;
-        # relaying it over a socket must materialise the bytes
-        # (memoryviews don't pickle).
-        data = data.tobytes()
-    return pickle.dumps(
-        (
-            "msg",
-            env.context,
-            env.source,
-            env.tag,
-            env.kind,
-            env.count,
-            env.op,
-            sync_id,
-            from_rank,
-            (blob.kind, data, blob.nbytes),
-        ),
-        protocol=WIRE_PICKLE_PROTOCOL,
+    if blob.kind == "array":
+        payload_kind, meta, data = array_wire(blob.data)
+    else:
+        payload_kind, meta, data = _PICKLE, b"", blob.data
+    op = env.op
+    if op is not None:
+        op = op.encode()
+    head = _MSG.pack(
+        _MSG_MARK,
+        _KIND_CODES[env.kind],
+        payload_kind,
+        0 if op is None else len(op) + 1,
+        len(meta),
+        env.context,
+        env.source,
+        env.tag,
+        env.count,
+        sync_id,
+        from_rank,
+        len(data),
     )
+    if op is not None:
+        head += op
+    if meta:
+        head += meta
+    return head, data
 
 
-def decode_envelope(fields: tuple) -> tuple[Envelope, int, int]:
-    """Rebuild ``(envelope, sync_id, from_rank)`` from a ``"msg"`` frame."""
-    _, context, source, tag, kind, count, op, sync_id, from_rank, wire_blob = fields
-    blob_kind, data, nbytes = wire_blob
-    if blob_kind == "array":
-        data.flags.writeable = False  # restore the snapshot invariant
-    env = Envelope(context, source, tag, Blob(blob_kind, data, nbytes), kind, count, op=op)
+def decode_envelope(frame) -> tuple[Envelope, int, int]:
+    """Rebuild ``(envelope, sync_id, from_rank)`` from a message frame's
+    bytes (a ``bytes``, ``bytearray`` or ``memoryview``).  The payload is
+    a view of *frame*, not a copy: a pickle blob's data is a
+    ``memoryview``, an array blob's data a read-only array over it."""
+    try:
+        (_, kind, payload_kind, oplen, metalen, context, source, tag, count,
+         sync_id, from_rank, nbytes) = _MSG.unpack_from(frame)
+    except struct.error as exc:
+        raise TransportError(f"corrupt message frame: {exc}") from None
+    off = _MSG.size
+    op = None
+    if oplen:
+        op = bytes(frame[off : off + oplen - 1]).decode()
+        off += oplen - 1
+    if payload_kind == _PICKLE:
+        blob = Blob("pickle", memoryview(frame)[off:], nbytes)
+    else:
+        data = array_from_wire(
+            payload_kind, frame[off : off + metalen], frame, off + metalen, nbytes
+        )
+        blob = Blob("array", data, data.nbytes)
+    env = Envelope(context, source, tag, blob, _KINDS[kind], count, None, op)
     return env, sync_id, from_rank
 
 
@@ -295,6 +383,10 @@ class Transport(ABC):
     @abstractmethod
     def alive(self, peer: int) -> bool:
         """Whether *peer* is believed reachable."""
+
+    @abstractmethod
+    def wire_bytes(self) -> tuple[int, int]:
+        """``(sent, received)`` wire bytes of this endpoint so far."""
 
     @abstractmethod
     def close(self) -> None:
@@ -346,7 +438,7 @@ class _Inbound:
         self.origin = -1
 
 
-# Selector keys that are not an inbound connection.
+# Poll-set entries that are not an inbound connection.
 _ACCEPT, _WAKE, _WRITABLE, _EXTERNAL = "accept", "wake", "writable", "external"
 
 #: Bytes asked of one ``recv`` on a readable connection.
@@ -375,7 +467,7 @@ class SocketTransport(Transport):
     Outbound connections are cached per peer and serialized by a per-peer
     lock (frames from concurrent senders interleave at frame granularity,
     never inside one).  The inbound side has no thread of its own: one
-    selector holds the listener, every accepted connection and a wake
+    ``poll`` set holds the listener, every accepted connection and a wake
     socket, and :meth:`progress` — called by the rank's own thread from
     the progress engine — accepts, reads, decodes and dispatches.
     Decoded envelopes are injected through :attr:`deliver_local`, acks
@@ -383,10 +475,16 @@ class SocketTransport(Transport):
     routed to :attr:`on_abort`.  A send that would block reads inbound
     bytes into the decoders meanwhile (two ranks sending each other more
     than a socket buffer both complete), and dispatches them at the next
-    :meth:`progress`.
+    :meth:`progress`.  The endpoint counts its own wire bytes
+    (:meth:`wire_bytes`), which the world's traffic snapshot reads.
     """
 
     kind = "unix"
+
+    #: Collects frames that arrive other than by socket into the backlog
+    #: before the poll set is consulted — ``gather(park) -> bool``, where
+    #: *park* says the loop is about to block — or ``None`` (sockets only).
+    _gather = None
 
     def __init__(
         self,
@@ -407,10 +505,6 @@ class SocketTransport(Transport):
         #: Called with the :class:`TransportError` when an inbound stream
         #: tears mid-frame.
         self.on_error: Callable[[TransportError], None] = lambda exc: None
-        #: Called with ``(sent_bytes, received_bytes)`` per wire transfer;
-        #: the process backend binds this to ``World.record_wire`` so the
-        #: socket path shows up in :class:`~repro.mpi.world.TrafficStats`.
-        self.on_wire: Callable[[int, int], None] = lambda sent, received: None
         #: Called with the world rank of a peer whose connection died
         #: while the transport was still open (crash detection seam; the
         #: process backend binds this to ``World.proc_failed`` so
@@ -430,8 +524,14 @@ class SocketTransport(Transport):
         self._next_sync_id = 1
         self._sync_waiters: dict[int, Completion] = {}
 
+        #: Guards the send-side counters (any thread sends); the receive
+        #: side's are the loop's alone.
+        self._stats_lock = threading.Lock()
+        self._wire_sent = 0
+        self._wire_received = 0
+
         self._closed = False
-        #: Held by whichever thread turns the loop: the selector, the
+        #: Held by whichever thread turns the loop: the poll set, the
         #: decoders and the backlog are that thread's alone.
         self._rx_lock = threading.RLock()
         #: Read but not yet dispatched, in arrival order: ``(inbound or
@@ -443,9 +543,21 @@ class SocketTransport(Transport):
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         listener.setblocking(False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(listener, selectors.EVENT_READ, _ACCEPT)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
+        self._poll = select.poll()
+        #: fd -> what it is: a marker, or the connection's ``_Inbound``.
+        self._fds: dict[int, object] = {}
+        self._watch(listener, select.POLLIN, _ACCEPT)
+        self._watch(self._wake_r, select.POLLIN, _WAKE)
+
+    def _watch(self, sock: socket.socket, events: int, what) -> None:
+        fd = sock.fileno()
+        self._poll.register(fd, events)
+        self._fds[fd] = what
+
+    def _unwatch(self, sock: socket.socket) -> None:
+        fd = sock.fileno()
+        if self._fds.pop(fd, None) is not None:
+            self._poll.unregister(fd)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -472,12 +584,8 @@ class SocketTransport(Transport):
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        inbound = [
-            key.data.sock
-            for key in self._sel.get_map().values()
-            if isinstance(key.data, _Inbound)
-        ]
-        self._sel.close()
+        inbound = [what.sock for what in self._fds.values() if isinstance(what, _Inbound)]
+        self._fds.clear()
         with self._conns_lock:
             outbound = list(self._conns.values())
             self._conns.clear()
@@ -493,7 +601,7 @@ class SocketTransport(Transport):
         if dest == self.rank:
             self.deliver_local(env)
             return
-        sync_id = self._register_sync(env)
+        sync_id = 0 if env.sync_event is None else self._register_sync(env)
         try:
             self._send_bytes(dest, encode_envelope(env, sync_id, self.rank))
         except TransportError:
@@ -502,9 +610,7 @@ class SocketTransport(Transport):
 
     def _register_sync(self, env: Envelope) -> int:
         """Register a synchronous send's completion token; returns its
-        ack id (0 for a plain send)."""
-        if env.sync_event is None:
-            return 0
+        ack id."""
         with self._sync_lock:
             sync_id = self._next_sync_id
             self._next_sync_id += 1
@@ -517,8 +623,8 @@ class SocketTransport(Transport):
                 self._sync_waiters.pop(sync_id, None)
 
     def send_control(self, dest: int, fields: tuple) -> None:
-        """Send a non-envelope control frame (``ack``/``abort``)."""
-        self._send_bytes(dest, pickle.dumps(fields, protocol=WIRE_PICKLE_PROTOCOL))
+        """Send a control frame (``ack``/``abort``): a pickled tuple."""
+        self._send_bytes(dest, (pickle.dumps(fields, protocol=WIRE_PICKLE_PROTOCOL),))
 
     def broadcast_abort(self, origin: int, message: str) -> None:
         """Best-effort abort notification to every peer (unreachable
@@ -539,57 +645,70 @@ class SocketTransport(Transport):
             self._send_locks.pop(peer, None)
             self._peers.pop(peer, None)
 
-    def _send_bytes(self, dest: int, payload: bytes) -> None:
-        if dest in self._departed:
-            raise TransportError(
-                f"world rank {dest} retired from the job; no messages can "
-                "reach it"
-            )
+    def _send_bytes(self, dest: int, parts: tuple) -> None:
+        """Send one frame made of *parts* (its bytes, back to back) to
+        world rank *dest*: the length prefix and the parts go down in one
+        vectored send, so no part is copied to join them."""
         if dest not in self._peers:
+            if dest in self._departed:
+                raise TransportError(
+                    f"world rank {dest} retired from the job; no messages can "
+                    "reach it"
+                )
             raise TransportError(f"no address for world rank {dest}")
-        n = len(payload)
+        n = 0
+        for part in parts:
+            n += len(part)
         if n > MAX_FRAME_BYTES:
             raise TransportError(
                 f"frame of {n} bytes exceeds MAX_FRAME_BYTES "
                 f"({MAX_FRAME_BYTES})"
             )
+        total = n + _LEN.size
         lock = self._send_locks.get(dest)
         if lock is None:
             lock = self._send_locks.setdefault(dest, threading.Lock())
         with lock:
-            sock = self._connect(dest)
+            sock = self._conns.get(dest)
+            if sock is None:
+                sock = self._connect(dest)
+            buffers = [_LEN.pack(n), *parts]
             try:
-                # Header and payload go down in one vectored send: no
-                # pack_frame concatenation, so a multi-MiB payload is
-                # never copied just to prepend its 4-byte length.
-                self._send_parts(sock, [_LEN.pack(n), payload])
+                try:
+                    sent = sock.sendmsg(buffers)
+                except BlockingIOError:
+                    sent = 0
+                if sent != total:
+                    self._send_rest(sock, buffers, sent)
             except OSError as exc:
                 self._drop_conn(dest)
                 self._dead_peers.add(dest)
                 raise TransportError(
                     f"send to world rank {dest} failed: {exc}"
                 ) from exc
-        self.on_wire(n + _LEN.size, 0)
+        with self._stats_lock:
+            self._wire_sent += total
 
-    def _send_parts(self, sock: socket.socket, parts: list) -> None:
-        """``sendall`` of several buffers without concatenating them,
-        resuming partial sends with zero-copy memoryview slices; while
-        the socket takes no more, :meth:`_await_writable`."""
+    def _send_rest(self, sock: socket.socket, parts: list, sent: int) -> None:
+        """Finish a vectored send the socket took *sent* bytes of,
+        resuming with zero-copy memoryview slices; while the socket takes
+        no more, :meth:`_await_writable`."""
         views = [memoryview(p) for p in parts if len(p)]
-        while views:
-            try:
-                sent = sock.sendmsg(views)
-            except BlockingIOError:
-                self._await_writable(sock)
-                continue
+        while True:
             while sent:
-                head = len(views[0])
+                head = views[0].nbytes
                 if sent >= head:
                     sent -= head
                     del views[0]
                 else:
-                    views[0] = views[0][sent:]
+                    views[0] = views[0].cast("B")[sent:]
                     sent = 0
+            if not views:
+                return
+            try:
+                sent = sock.sendmsg(views)
+            except BlockingIOError:
+                self._await_writable(sock)
 
     def _await_writable(self, sock: socket.socket) -> None:
         """Wait until *sock* takes more bytes, reading what the peers
@@ -607,11 +726,11 @@ class SocketTransport(Transport):
         try:
             if self._closed:
                 raise TransportError("transport closed during a send")
-            self._sel.register(sock, selectors.EVENT_WRITE, _WRITABLE)
+            self._watch(sock, select.POLLOUT, _WRITABLE)
             try:
                 self._pump(None)
             finally:
-                self._sel.unregister(sock)
+                self._unwatch(sock)
         finally:
             self._rx_lock.release()
 
@@ -642,6 +761,12 @@ class SocketTransport(Transport):
             except OSError:  # pragma: no cover - defensive
                 pass
 
+    def wire_bytes(self) -> tuple[int, int]:
+        """``(sent, received)`` bytes this endpoint pushed onto and pulled
+        off its connections (and rings), framing and control frames
+        included; a send to its own rank touches no wire."""
+        return self._wire_sent, self._wire_received
+
     # -- inbound: the progress loop ----------------------------------------
 
     def progress(self, timeout: Optional[float] = None) -> None:
@@ -664,7 +789,8 @@ class SocketTransport(Transport):
                 if timeout != 0:  # nothing will ever arrive: don't spin a waiter
                     time.sleep(_HANDOFF)
                 return
-            if self._gather(park=timeout != 0) or self._backlog:
+            gather = self._gather
+            if (gather is not None and gather(timeout != 0)) or self._backlog:
                 timeout = 0
             self._pump(timeout)
             self._dispatch_backlog()
@@ -686,7 +812,7 @@ class SocketTransport(Transport):
         and a send larger than the socket buffer completes only once
         this end reads it."""
         with self._rx_lock:
-            self._sel.register(sock, selectors.EVENT_READ, _EXTERNAL)
+            self._watch(sock, select.POLLIN, _EXTERNAL)
             self._external_ready = False
         try:
             while not self._external_ready and not self._closed:
@@ -694,21 +820,46 @@ class SocketTransport(Transport):
         finally:
             with self._rx_lock:
                 if not self._closed:
-                    self._sel.unregister(sock)
-
-    def _gather(self, park: bool) -> bool:
-        """Collect frames that arrive other than by socket into the
-        backlog before the selector is consulted; *park* says the loop
-        is about to block.  Returns whether any were collected.  Sockets
-        only: nothing."""
-        return False
+                    self._unwatch(sock)
 
     def _pump(self, timeout: Optional[float]) -> None:
-        """One selector pass: accept, read into the decoders, note what
-        else fired.  Dispatches nothing."""
-        for key, _ in self._sel.select(timeout):
-            what = key.data
-            if what is _ACCEPT:
+        """One poll: accept, read every readable connection into its
+        decoder — again while whole chunks come back, so a large frame
+        costs one poll, not one a chunk — and backlog the frames it
+        completes (a connection that ended is closed and backlogged as
+        such); note what else fired.  Dispatches nothing."""
+        fds = self._fds
+        backlog = self._backlog
+        for fd, _ in self._poll.poll(None if timeout is None else math.ceil(timeout * 1000)):
+            what = fds.get(fd)
+            if type(what) is _Inbound:
+                sock = what.sock
+                end = None
+                while True:
+                    try:
+                        data = sock.recv(_RECV_BYTES)
+                    except BlockingIOError:
+                        break
+                    except OSError:
+                        data = b""
+                    if not data:
+                        if what.decoder.partial:
+                            try:
+                                what.decoder.finish()
+                            except TransportError as exc:
+                                end = exc
+                        self._close_inbound(what, end)
+                        break
+                    self._wire_received += len(data)
+                    try:
+                        for frame in what.decoder.feed(data):
+                            backlog.append((what, frame))
+                    except TransportError as exc:  # a corrupt length prefix
+                        self._close_inbound(what, exc)
+                        break
+                    if len(data) < _RECV_BYTES:
+                        break
+            elif what is _ACCEPT:
                 self._accept()
             elif what is _WAKE:
                 try:
@@ -718,8 +869,11 @@ class SocketTransport(Transport):
                     pass
             elif what is _EXTERNAL:
                 self._external_ready = True
-            elif what is not _WRITABLE:
-                self._read(what)
+
+    def _close_inbound(self, inbound: _Inbound, end: Optional[TransportError]) -> None:
+        self._unwatch(inbound.sock)
+        inbound.sock.close()
+        self._backlog.append((inbound, end))
 
     def _accept(self) -> None:
         while True:
@@ -728,68 +882,44 @@ class SocketTransport(Transport):
             except OSError:  # BlockingIOError: the backlog is empty
                 return
             conn.setblocking(False)
-            self._sel.register(conn, selectors.EVENT_READ, _Inbound(conn))
-
-    def _read(self, inbound: _Inbound) -> None:
-        """Read a readable connection into its decoder — again while
-        whole chunks come back, so a large frame costs one select, not
-        one a chunk — and backlog what it completes; a connection that
-        ended is closed and backlogged as such."""
-        end = None
-        while True:
-            try:
-                data = inbound.sock.recv(_RECV_BYTES)
-            except BlockingIOError:
-                return
-            except OSError:
-                data = b""
-            if not data:
-                break
-            self.on_wire(0, len(data))
-            try:
-                for frame in inbound.decoder.feed(data):
-                    self._backlog.append((inbound, frame))
-            except TransportError as exc:  # a corrupt length prefix
-                end = exc
-                break
-            if len(data) < _RECV_BYTES:
-                return
-        if end is None and inbound.decoder.partial:
-            try:
-                inbound.decoder.finish()
-            except TransportError as exc:
-                end = exc
-        self._sel.unregister(inbound.sock)
-        inbound.sock.close()
-        self._backlog.append((inbound, end))
+            self._watch(conn, select.POLLIN, _Inbound(conn))
 
     def _dispatch_backlog(self) -> None:
         """Decode and dispatch every backlogged frame, in arrival order
-        — the one place inbound frames are decoded.  A dispatch that
-        sends (an ack) and has to wait reads more into the backlog,
-        which this loop then dispatches too."""
+        — the one place inbound frames are decoded: a message frame
+        (:func:`decode_envelope`) goes to the mailbox, a control frame
+        to :meth:`_dispatch`.  A dispatch that sends (an ack) and has to
+        wait reads more into the backlog, which this loop then
+        dispatches too."""
         backlog = self._backlog
         while backlog:
             inbound, item = backlog.popleft()
-            if item is not None and not isinstance(item, TransportError):
-                try:
-                    fields = pickle.loads(item)
-                    if inbound is not None:
-                        peer = self._frame_origin(fields)
-                        if peer >= 0:
-                            inbound.origin = peer
-                    self._dispatch(fields)
-                except TransportError as exc:
-                    self.on_error(exc)
+            if item is None or isinstance(item, TransportError):
+                if item is not None:
+                    self.on_error(item)
+                self._conn_closed(inbound.origin)
                 continue
-            if item is not None:
-                self.on_error(item)
-            self._conn_closed(inbound.origin)
+            try:
+                if item[0] == _MSG_MARK:
+                    env, sync_id, origin = decode_envelope(item)
+                    if inbound is not None:
+                        inbound.origin = origin
+                    if sync_id:
+                        env.sync_event = _SyncAck(self, origin, sync_id)
+                    self.deliver_local(env)
+                    continue
+                fields = pickle.loads(item)
+                if inbound is not None:
+                    origin = self._frame_origin(fields)
+                    if origin >= 0:
+                        inbound.origin = origin
+                self._dispatch(fields)
+            except TransportError as exc:
+                self.on_error(exc)
 
     def _frame_origin(self, fields: tuple) -> int:
-        """World rank that sent this frame, or -1 if it doesn't say."""
-        if fields[0] == "msg":
-            return fields[8]
+        """World rank that sent this control frame, or -1 if it doesn't
+        say."""
         return -1
 
     def _conn_closed(self, origin: int) -> None:
@@ -814,13 +944,9 @@ class SocketTransport(Transport):
         self.on_peer_lost(origin)
 
     def _dispatch(self, fields: tuple) -> None:
+        """Act on one control frame."""
         tag = fields[0]
-        if tag == "msg":
-            env, sync_id, from_rank = decode_envelope(fields)
-            if sync_id:
-                env.sync_event = _SyncAck(self, from_rank, sync_id)
-            self.deliver_local(env)
-        elif tag == "ack":
+        if tag == "ack":
             with self._sync_lock:
                 waiter = self._sync_waiters.pop(fields[1], None)
             if waiter is not None:

@@ -47,7 +47,7 @@ class TrafficStats:
     P-1 messages, however many nodes they span.
 
     ``wakeups``/``blocked_seconds``/``blocked_hist`` aggregate the
-    blocking ledger from :meth:`World.record_block_episode`: how many
+    blocking ledger from :meth:`World.block_exit`: how many
     times blocked waiters woke, how long they were parked, and a
     log-bucket histogram of episode durations.  They make the progress
     engine's claim testable — an idle blocked rank records O(1) wakeups,
@@ -61,8 +61,9 @@ class TrafficStats:
     wakeups: int = 0
     blocked_seconds: float = 0.0
     blocked_hist: dict = field(default_factory=dict)
-    #: Socket-transport wire bytes (length prefix + encoded envelope)
-    #: this world's rank pushed onto / pulled off its peer connections.
+    #: Transport wire bytes (framing + encoded envelope, control frames
+    #: included) this world's rank pushed onto / pulled off its peer
+    #: connections and rings, read from the transport's own counters.
     #: Zero on the thread backend, where no wire exists.
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
@@ -229,13 +230,15 @@ class World:
         self._ctx_lock = threading.Lock()
         self._next_ctx = 2
 
+        #: Guards liveness, blocking and traffic state alike: a delivery
+        #: or a blocked episode is one update under it.
         self._state_lock = threading.Lock()
-        #: Notified on block_enter so tests can wait for a rank to park
+        #: Notified on block_enter while a test waits for a rank to park
         #: (:meth:`wait_until_blocked`) instead of sleeping wall-clock.
         self._state_cond = threading.Condition(self._state_lock)
+        self._block_watchers = 0
         self._alive: set[int] = set(range(nprocs))
         self._blocked: dict[int, str] = {}
-        self._activity = 0
         self._last_activity = time.monotonic()
 
         # ULFM-style failure state: ranks dead by fail-stop crash (the
@@ -249,8 +252,13 @@ class World:
         self._abort_lock = threading.Lock()
         self._abort_exc: AbortError | None = None
         self._deadlock_exc: DeadlockError | None = None
+        #: Whether every communicator operation must run its full check
+        #: (``Comm._check``): set once the world aborts or revokes a
+        #: communicator, and for the whole life of a world with a fault
+        #: schedule (which counts operations).  While it is false an
+        #: operation's check is two attribute reads.
+        self.op_checks = self.config.fault_schedule is not None
 
-        self._traffic_lock = threading.Lock()
         #: Aggregate traffic counters (read via :meth:`traffic_snapshot`).
         self.traffic = TrafficStats()
         self._rank_progress: dict[int, RankProgress] = {}
@@ -293,46 +301,30 @@ class World:
     # -- traffic accounting ---------------------------------------------------
 
     def record_traffic(self, kind: str, nbytes: int, copy_avoided: int = 0) -> None:
-        """Count one delivered envelope (called by the mailboxes).
+        """Count one delivered envelope and note the message movement for
+        the watchdog — a delivery's whole bookkeeping, one update (called
+        by the mailboxes).
 
         *copy_avoided* is the number of payload bytes this delivery reused
         from an already-existing encoding (zero-copy fast path).
         """
-        with self._traffic_lock:
-            self.traffic.messages += 1
-            self.traffic.payload_bytes += nbytes
-            self.traffic.by_kind[kind] = self.traffic.by_kind.get(kind, 0) + 1
-            self.traffic.copy_avoided_bytes += copy_avoided
+        traffic = self.traffic
+        with self._state_lock:
+            traffic.messages += 1
+            traffic.payload_bytes += nbytes
+            traffic.by_kind[kind] = traffic.by_kind.get(kind, 0) + 1
+            traffic.copy_avoided_bytes += copy_avoided
+            self._last_activity = time.monotonic()
 
     def traffic_snapshot(self) -> TrafficStats:
-        """A consistent copy of the traffic counters."""
-        with self._traffic_lock:
-            return self.traffic.snapshot()
-
-    def record_wire(self, sent: int = 0, received: int = 0) -> None:
-        """Count socket-transport wire bytes (called by the transport's
-        send path and by its progress loop, which reads on the rank's
-        own thread, on the process backend)."""
-        with self._traffic_lock:
-            self.traffic.wire_bytes_sent += sent
-            self.traffic.wire_bytes_received += received
-
-    def record_block_episode(self, rank: int, seconds: float, wakeups: int) -> None:
-        """Account one completed blocked episode of *rank*: *seconds*
-        parked, woken *wakeups* times.  Called by every blocking path;
-        feeds :class:`TrafficStats` and the per-rank ledger read by
-        :meth:`progress_stats`."""
-        bucket = blocked_bucket(seconds)
-        with self._traffic_lock:
-            self.traffic.wakeups += wakeups
-            self.traffic.blocked_seconds += seconds
-            self.traffic.blocked_hist[bucket] = (
-                self.traffic.blocked_hist.get(bucket, 0) + 1
-            )
-            rp = self._rank_progress.setdefault(rank, RankProgress())
-            rp.episodes += 1
-            rp.wakeups += wakeups
-            rp.blocked_seconds += seconds
+        """A consistent copy of the traffic counters (the wire bytes are
+        the bound transport's own)."""
+        with self._state_lock:
+            snap = self.traffic.snapshot()
+        transport = self.transport
+        if transport is not None:
+            snap.wire_bytes_sent, snap.wire_bytes_received = transport.wire_bytes()
+        return snap
 
     def progress_stats(self, rank: int | None = None) -> RankProgress | dict[int, RankProgress]:
         """Per-rank blocking statistics: episodes, wakeups, blocked time.
@@ -340,7 +332,7 @@ class World:
         With *rank*, that rank's :class:`RankProgress` (zeros if it never
         blocked); without, a copy of the whole ledger.
         """
-        with self._traffic_lock:
+        with self._state_lock:
             if rank is not None:
                 rp = self._rank_progress.get(rank, RankProgress())
                 return RankProgress(rp.episodes, rp.wakeups, rp.blocked_seconds)
@@ -354,19 +346,38 @@ class World:
     def note_activity(self) -> None:
         """Record message movement (delivery or match) for the watchdog."""
         with self._state_lock:
-            self._activity += 1
             self._last_activity = time.monotonic()
 
     def block_enter(self, rank: int, what: str) -> None:
         """Mark *rank* as blocked in the call described by *what*."""
         with self._state_lock:
             self._blocked[rank] = what
-            self._state_cond.notify_all()
+            if self._block_watchers:
+                self._state_cond.notify_all()
 
-    def block_exit(self, rank: int) -> None:
-        """Mark *rank* as running again."""
+    def block_exit(
+        self, rank: int, seconds: Optional[float] = None, wakeups: int = 0
+    ) -> None:
+        """Mark *rank* as running again.  With *seconds*, account the
+        blocked episode that ends here in the same update: *seconds*
+        parked, woken *wakeups* times — what every blocking path of the
+        progress engine reports, feeding :class:`TrafficStats` and the
+        per-rank ledger read by :meth:`progress_stats`."""
         with self._state_lock:
             self._blocked.pop(rank, None)
+            if seconds is None:
+                return
+            traffic = self.traffic
+            traffic.wakeups += wakeups
+            traffic.blocked_seconds += seconds
+            bucket = blocked_bucket(seconds)
+            traffic.blocked_hist[bucket] = traffic.blocked_hist.get(bucket, 0) + 1
+            rp = self._rank_progress.get(rank)
+            if rp is None:
+                rp = self._rank_progress[rank] = RankProgress()
+            rp.episodes += 1
+            rp.wakeups += wakeups
+            rp.blocked_seconds += seconds
 
     def proc_done(self, rank: int) -> None:
         """Mark *rank* as finished (returned or raised)."""
@@ -389,14 +400,18 @@ class World:
         """
         deadline = time.monotonic() + timeout
         with self._state_cond:
-            while True:
-                want = set(ranks) if ranks is not None else set(self._alive)
-                if want and want <= set(self._blocked):
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._state_cond.wait(remaining)
+            self._block_watchers += 1
+            try:
+                while True:
+                    want = set(ranks) if ranks is not None else set(self._alive)
+                    if want and want <= set(self._blocked):
+                        return True
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._state_cond.wait(remaining)
+            finally:
+                self._block_watchers -= 1
 
     # -- process failure (ULFM semantics) -----------------------------------
 
@@ -451,6 +466,7 @@ class World:
             if all(c in self._revoked_ctxs for c in ctxs):
                 return
             self._revoked_ctxs.update(ctxs)
+            self.op_checks = True
         ctx_set = set(ctxs)
         for mb in self.mailboxes:
             mb.revoke_ctxs(ctx_set, comm_name)
@@ -476,6 +492,7 @@ class World:
         with self._abort_lock:
             if self._abort_exc is None:
                 self._abort_exc = exc
+            self.op_checks = True
         for mb in self.mailboxes:
             mb.wake()
         self.progress.wake_all()

@@ -211,6 +211,27 @@ class TestBuilders:
             CCSMConfig(checkpoint_dir=str(tmp_path), **bad)
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(procs={"atmosphere": 1.5, "ocean": 2, "land": 2, "ice": 1, "coupler": 1}),
+            dict(procs={"atmosphere": True, "ocean": 2, "land": 2, "ice": 1, "coupler": 1}),
+            dict(procs={"atmosphere": 4, "ocean": 0, "land": 2, "ice": 1, "coupler": 1}),
+            dict(subcycle={"ocean": 1.5}),
+            dict(subcycle={"ocean": True}),
+        ],
+        ids=["fractional_procs", "bool_procs", "zero_procs", "fractional_subcycle", "bool_subcycle"],
+    )
+    def test_bad_process_or_substep_count_rejected(self, bad):
+        """A process count or sub-cycle count that is not an int >= 1 is
+        refused at construction: a fractional count used to raise an
+        untyped TypeError inside the launch or a rank, zero processes
+        failed only at run time, and ``True`` ran as 1."""
+        (name,) = bad
+        with pytest.raises(ReproError, match=name):
+            CCSMConfig(**bad)
+
+
 class TestArbitraryNames:
     def test_renamed_components(self):
         """Paper §3(a): component names evolve (CCM -> CAM); nothing is

@@ -285,6 +285,13 @@ class TestValidateStage:
             run_spmd(0, lambda c: None, config=backend_config, timeout=20.0)
         assert time.monotonic() - start < 2.0
 
+    @pytest.mark.parametrize("nprocs", [2.5, True], ids=["fractional", "bool"])
+    def test_non_int_world_size_refused(self, backend_config, nprocs):
+        """Parent commit: 2.5 raised "can't multiply sequence by
+        non-int" from inside run_spmd, and True ran a 1-rank world."""
+        with pytest.raises(ValueError, match="nprocs must be an int"):
+            run_spmd(nprocs, lambda c: None, config=backend_config, timeout=20.0)
+
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10, 0.0, -1.0])
     def test_timeout_out_of_range_refused(self, backend_config, timeout):
         """Parent commit: NaN failed every job at once with TimeoutError_,

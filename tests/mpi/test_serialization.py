@@ -128,21 +128,23 @@ class TestObjectModeStatusCount:
 
 def test_every_delivered_payload_is_a_blob(monkeypatch):
     """Structural: whatever verb sends it, an envelope carries a Blob.
-    The spy sits on ``Mailbox._deliver_one``, which every delivery passes
-    through after ``Mailbox.deliver`` applied the fault schedule, so the
-    duplicate and the corrupted copy it makes are seen too.  (Thread
-    world: the spy sees every rank.)"""
+    The spy sits on ``Mailbox.deliver`` and keeps the envelopes the armed
+    fault schedule produced (``faults=False``): every delivery passes
+    there once the schedule has been applied, so the duplicate and the
+    corrupted copy it makes are seen too.  (Thread world: the spy sees
+    every rank.)"""
     from repro.mpi.comm import _RECOVERY_TAG_BASE
     from repro.mpi.mailbox import Mailbox
 
     delivered = []
-    real = Mailbox._deliver_one
+    real = Mailbox.deliver
 
-    def spy(self, env):
-        delivered.append(env)
-        real(self, env)
+    def spy(self, env, faults=True):
+        if not faults:
+            delivered.append(env)
+        real(self, env, faults)
 
-    monkeypatch.setattr(Mailbox, "_deliver_one", spy)
+    monkeypatch.setattr(Mailbox, "deliver", spy)
     # Rank 1 hears only from rank 0 (every collective below is rooted
     # there), so its first two deliveries are rank 0's first two sends.
     faults = mpi.FaultSchedule(seed=3).duplicate_message(1, 0).corrupt_message(1, 1)

@@ -211,13 +211,16 @@ class TestFrameIO:
 # ---------------------------------------------------------------------------
 
 
+def _frame(env, sync_id=0, from_rank=-1):
+    """A message frame's bytes, as the receiver reads them."""
+    return b"".join(encode_envelope(env, sync_id, from_rank))
+
+
 class TestEnvelopeCodec:
     def test_pickle_blob_roundtrip(self):
         blob = Blob.encode({"k": (1, 2.5)})
         env = Envelope(7, 3, 42, blob, "object", blob.nbytes)
-        out, sync_id, from_rank = decode_envelope(
-            pickle.loads(encode_envelope(env, sync_id=9, from_rank=5))
-        )
+        out, sync_id, from_rank = decode_envelope(_frame(env, sync_id=9, from_rank=5))
         assert (out.context, out.source, out.tag) == (7, 3, 42)
         assert (out.kind, out.count) == ("object", blob.nbytes)
         assert (sync_id, from_rank) == (9, 5)
@@ -226,7 +229,7 @@ class TestEnvelopeCodec:
     def test_array_blob_stays_readonly(self):
         blob = Blob.encode(np.arange(8, dtype=np.int64))
         env = Envelope(2, 0, 0, blob, "object", blob.nbytes)
-        out, _, _ = decode_envelope(pickle.loads(encode_envelope(env)))
+        out, _, _ = decode_envelope(_frame(env))
         assert out.payload.kind == "array"
         assert not out.payload.data.flags.writeable
         np.testing.assert_array_equal(out.payload.decode(), np.arange(8))
@@ -234,15 +237,50 @@ class TestEnvelopeCodec:
     def test_buffer_mode_array_roundtrip(self):
         arr = np.linspace(0.0, 1.0, 17)
         env = Envelope(4, 1, 8, Blob.encode(arr), "buffer", arr.size)
-        out, _, _ = decode_envelope(pickle.loads(encode_envelope(env)))
+        out, _, _ = decode_envelope(_frame(env))
         assert (out.kind, out.count) == ("buffer", arr.size)
         np.testing.assert_array_equal(out.payload.data, arr)
 
     def test_op_metadata_carried(self):
         blob = Blob.encode([1, 2])
         env = Envelope(6, 0, 0, blob, "object", blob.nbytes, op="sum")
-        out, _, _ = decode_envelope(pickle.loads(encode_envelope(env)))
+        out, _, _ = decode_envelope(_frame(env))
         assert out.op == "sum"
+
+    def test_payload_crosses_unpickled(self):
+        """A message frame is a fixed header, the op name, and the blob's
+        bytes as they are: the pickle blob's pickle appears verbatim."""
+        blob = Blob.encode(("step", list(range(50))))
+        env = Envelope(2, 1, 3, blob, "object", blob.nbytes, op="bcast")
+        head, payload = encode_envelope(env, 0, 1)
+        assert bytes(payload) == blob.data
+        assert len(head) < 64 and head[:1] == b"M"
+        out, _, _ = decode_envelope(memoryview(head + bytes(payload)))
+        assert out.op == "bcast" and out.payload.decode() == ("step", list(range(50)))
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.arange(12, dtype=">i4").reshape(3, 4),
+            np.array(2.5),
+            np.zeros((0, 3)),
+            np.array(["ab", "c"]),
+            np.zeros(3, dtype=[("a", "<i4"), ("b", "<f8")]),
+            np.array([1, 2], dtype="datetime64[s]"),
+        ],
+        ids=["big-endian-2d", "0-d", "empty", "unicode", "structured", "datetime"],
+    )
+    def test_array_dtypes_and_shapes_roundtrip(self, arr):
+        env = Envelope(1, 0, 0, Blob.encode(arr), "buffer", arr.size)
+        out = decode_envelope(_frame(env))[0].payload
+        assert out.kind == "array" and not out.data.flags.writeable
+        assert out.data.dtype == arr.dtype and out.data.shape == arr.shape
+        assert out.nbytes == arr.nbytes
+        np.testing.assert_array_equal(out.decode(), arr)
+
+    def test_truncated_header_is_transport_error(self):
+        with pytest.raises(TransportError, match="corrupt message frame"):
+            decode_envelope(b"M\x00\x00")
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +354,10 @@ class TestSocketTransport:
 
     def test_self_send_short_circuits(self, transport_pair):
         a, _ = transport_pair
-        wire = []
-        a.on_wire = lambda sent, received: wire.append((sent, received))
         blob = Blob.encode("loopback")
         a.send_envelope(0, Envelope(1, 0, 0, blob, "object", blob.nbytes))
         assert a.received[0].payload.decode() == "loopback"
-        assert wire == []  # never touched the wire
+        assert a.wire_bytes() == (0, 0)  # never touched the wire
 
     def test_sync_ack_completes_sender(self, transport_pair):
         a, b = transport_pair
@@ -338,19 +374,16 @@ class TestSocketTransport:
         assert b.aborts == [(0, "rank 0 failed")]
 
     def test_stats_count_wire_traffic(self, transport_pair):
-        """``on_wire`` sees every byte once on each side: what one end
-        sent is what the other received, payload plus framing."""
+        """``wire_bytes`` counts every byte once on each side: what one
+        end sent is what the other received, payload plus framing."""
         a, b = transport_pair
-        wire = {0: [], 1: []}
-        for ep in (a, b):
-            ep.on_wire = lambda sent, received, log=wire[ep.rank]: log.append((sent, received))
         blob = Blob.encode(list(range(1000)))
         a.send_envelope(1, Envelope(1, 0, 0, blob, "object", blob.nbytes))
-        assert _progress_until(b.delivered.is_set, b)  # every byte recorded before delivery
-        sent = sum(s for s, _ in wire[0])
-        received = sum(r for _, r in wire[1])
+        assert _progress_until(b.delivered.is_set, b)  # every byte counted before delivery
+        sent, a_received = a.wire_bytes()
+        b_sent, received = b.wire_bytes()
         assert sent == received > blob.nbytes
-        assert sum(r for _, r in wire[0]) == sum(s for s, _ in wire[1]) == 0
+        assert a_received == b_sent == 0
 
     def test_unknown_peer_rejected(self, transport_pair):
         a, _ = transport_pair
@@ -468,3 +501,110 @@ class TestProcessRankLiveness:
             10, fn, config=WorldConfig(backend="process", transport=transport), timeout=120.0
         )
         assert all(len(names) <= 2 for names in out), out
+
+
+@pytest.mark.parametrize("transport", ["unix", "shm"])
+class TestCrossThreadDelivery:
+    """A rank's own thread turns its transport loop while it waits, so a
+    message that reaches the rank by another road — a second thread of
+    the same process sending to its own rank — must still end the wait."""
+
+    def test_second_thread_self_send_wakes_a_blocked_recv(self, transport):
+        def fn(comm):
+            me = comm.rank
+
+            def sender():
+                assert comm.world.wait_until_blocked([me], timeout=10.0)
+                comm.send(("from a thread", me), me, tag=9)
+
+            thread = threading.Thread(target=sender)
+            thread.start()
+            start = time.monotonic()
+            got = comm.recv(source=me, tag=9)
+            took = time.monotonic() - start
+            thread.join()
+            return got, took
+
+        out = run_spmd(
+            2, fn, config=WorldConfig(backend="process", transport=transport), timeout=30.0
+        )
+        assert [got for got, _ in out] == [("from a thread", 0), ("from a thread", 1)]
+        assert all(took < 1.0 for _, took in out), out
+
+    def test_self_sends_from_many_threads_all_arrive(self, transport):
+        """Stress of the same wake path: more sending threads than cores,
+        a short switch interval, and the main thread receiving every
+        message while they race its waits."""
+        import sys
+
+        def fn(comm):
+            me, senders, each = comm.rank, 4, 50
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(
+                        target=lambda t=t: [comm.send((t, i), me, tag=4) for i in range(each)]
+                    )
+                    for t in range(senders)
+                ]
+                for thread in threads:
+                    thread.start()
+                got = sorted(comm.recv(source=me, tag=4) for _ in range(senders * each))
+                for thread in threads:
+                    thread.join(10.0)
+                return got == [(t, i) for t in range(senders) for i in range(each)] and not any(
+                    thread.is_alive() for thread in threads
+                )
+            finally:
+                sys.setswitchinterval(interval)
+
+        out = run_spmd(
+            2, fn, config=WorldConfig(backend="process", transport=transport), timeout=60.0
+        )
+        assert out == [True, True]
+
+
+def _count_round_trip_calls(comm):
+    """Python-level calls (``sys.setprofile`` ``"call"`` events) this rank
+    makes in one send and one blocking receive of the coupled step's
+    message shape, after warm-up round trips have opened every
+    connection."""
+    import sys
+
+    first = comm.rank == 0
+    peer = 1 if first else 0
+    msg = ((0,), np.zeros((16, 128)))
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    for trip in range(6):
+        if trip == 5:
+            sys.setprofile(profile)
+        if first:
+            comm.send(msg, peer, tag=7)
+            got = comm.recv(source=peer, tag=7)
+        else:
+            got = comm.recv(source=peer, tag=7)
+            comm.send(got, peer, tag=7)
+        sys.setprofile(None)
+    assert got[0] == (0,) and got[1].shape == (16, 128)
+    return calls[0]
+
+
+class TestMessagePathBudget:
+    """One message is one pass through send, frame, dispatch, match and
+    wake: a process-rank round trip of the coupled step's message shape
+    (one send and one blocking receive on each rank) stays within a fixed
+    budget of Python-level calls."""
+
+    BUDGET = 65
+
+    def test_process_round_trip_calls(self):
+        out = run_spmd(
+            2, _count_round_trip_calls, config=WorldConfig(backend="process"), timeout=60.0
+        )
+        assert max(out) <= self.BUDGET, out
