@@ -44,7 +44,6 @@ from repro.core.session import (
     Session,
     components_session,
     instance_session,
-    pool_session,
 )
 from repro.errors import SessionError
 from repro.launcher.job import MpmdJob, mph_run
@@ -66,7 +65,6 @@ __all__ = [
     "Session",
     "components_session",
     "instance_session",
-    "pool_session",
     "MpmdJob",
     "mph_run",
 ]

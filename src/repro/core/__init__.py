@@ -6,7 +6,7 @@ The subpackage layout follows the paper:
 * :mod:`repro.core.handshake` — the declarations and the layout resolution
   of the handshake (§6);
 * :mod:`repro.core.session` — the handshake's exchange, named process
-  sets, and elastic membership (§6, MPI Sessions);
+  sets, and the failure shrink's epochs (§6, MPI Sessions);
 * :mod:`repro.core.mph` — ``components_setup`` / ``multi_instance`` and
   the :class:`MPH` handle, a view of one session at one epoch (§4, §5.3),
   whose ``send`` / ``recv`` family is the name-addressed messaging (§5.2);

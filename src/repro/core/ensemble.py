@@ -236,11 +236,6 @@ class EnsembleCollector:
         #: report.  Kept identical on every statistics process (rank 0
         #: detects, :meth:`collect` broadcasts).
         self.degraded_instances: list[str] = []
-        #: Instances removed *on purpose* via :meth:`retire_instance` —
-        #: the planned counterpart of :attr:`degraded_instances`, kept
-        #: separate so a shrunken ensemble is not misreported as a
-        #: failed one.
-        self.retired_instances: list[str] = []
 
     @classmethod
     def for_prefix(cls, mph: MPH, prefix: str) -> "EnsembleCollector":
@@ -260,59 +255,15 @@ class EnsembleCollector:
 
     @property
     def live_instance_names(self) -> list[str]:
-        """Instances still contributing — neither observed dead nor
-        deliberately retired — in registration order."""
-        gone = set(self.degraded_instances) | set(self.retired_instances)
+        """Instances still contributing (not observed dead), in
+        registration order."""
+        gone = set(self.degraded_instances)
         return [n for n in self.instance_names if n not in gone]
 
     @property
     def live_k(self) -> int:
         """Number of instances still contributing."""
         return len(self.live_instance_names)
-
-    def add_instance(self, name: str, mph: Optional[MPH] = None) -> None:
-        """Admit instance *name* to the collection (elastic grow).
-
-        Call collectively on every statistics process after
-        :meth:`~repro.core.session.Session.grow` has admitted the new
-        instance's processes, passing the post-grow *mph* handle (the
-        old handle's layout predates the instance, so sends to it would
-        not resolve).  The new member joins :attr:`live_instance_names`
-        at the end of registration order and contributes from the next
-        :meth:`collect` on; a previously retired or degraded instance
-        of the same name is resurrected.  All state updates are local
-        and deterministic, so calling this with the same arguments on
-        every statistics process keeps them consistent without extra
-        communication.
-        """
-        if mph is not None:
-            self.mph = mph
-        if name in self.retired_instances:
-            self.retired_instances.remove(name)
-        if name in self.degraded_instances:
-            self.degraded_instances.remove(name)
-        if name not in self.instance_names:
-            self.instance_names.append(name)
-
-    def retire_instance(self, name: str, mph: Optional[MPH] = None) -> None:
-        """Remove instance *name* from the collection (elastic shrink).
-
-        The planned counterpart of degradation: the instance stops
-        being collected from — before its processes leave via
-        :meth:`~repro.core.session.Session.retire` — and is recorded in
-        :attr:`retired_instances`, *not* :attr:`degraded_instances`, so
-        failure statistics stay truthful.  Call collectively on every
-        statistics process, like :meth:`add_instance`.
-        """
-        if name not in self.instance_names:
-            raise MPHError(
-                f"cannot retire unknown ensemble instance {name!r} "
-                f"(has: {self.instance_names})"
-            )
-        if mph is not None:
-            self.mph = mph
-        if name not in self.retired_instances:
-            self.retired_instances.append(name)
 
     def collect(self, step: int) -> EnsembleStats:
         """Gather the instantaneous fields for *step* from every live
@@ -346,8 +297,7 @@ class EnsembleCollector:
         if not fields:
             raise MPHError(
                 f"all {self.k} ensemble instances are gone "
-                f"(degraded_instances={self.degraded_instances}, "
-                f"retired_instances={self.retired_instances}); nothing to collect"
+                f"(degraded_instances={self.degraded_instances}); nothing to collect"
             )
         stats = EnsembleStats(step=step, fields=fields)
         if self._comm.rank == 0:

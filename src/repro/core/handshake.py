@@ -73,34 +73,16 @@ class InstanceDecl:
         validate_name(self.prefix)
 
 
-@dataclass(frozen=True)
-class PoolDecl:
-    """What :func:`repro.core.session.pool_session` declares: a reserve
-    process that runs no component yet.  It participates in the init
-    exchange, then parks in ``Session.await_assignment`` until an elastic
-    ``Session.grow`` admits it into a component (or the pool is released)."""
-
-    label: str = "pool"
-
-
-Declaration = Union[ComponentDecl, InstanceDecl, PoolDecl]
+Declaration = Union[ComponentDecl, InstanceDecl]
 
 
 def _resolve_executables(
     registry: Registry, decls: list[Declaration]
-) -> tuple[list[ExecutableInfo], tuple[int, ...]]:
+) -> list[ExecutableInfo]:
     """Group world ranks by declaration, match groups to registry entries,
-    and validate sizes.
-
-    Ranks declaring :class:`PoolDecl` form the elastic reserve pool: they
-    match no registry entry and belong to no executable until a
-    ``Session.grow`` assigns them.  Returns ``(executables, pool_ranks)``.
-    """
-    pool_ranks = tuple(r for r, d in enumerate(decls) if isinstance(d, PoolDecl))
+    and validate sizes."""
     groups: dict[Declaration, list[int]] = {}
     for rank, d in enumerate(decls):
-        if isinstance(d, PoolDecl):
-            continue
         groups.setdefault(d, []).append(rank)
 
     # Deterministic executable ordering: ascending lowest world rank.
@@ -148,7 +130,7 @@ def _resolve_executables(
             f"registration file registers components that no executable declared: "
             f"{unmatched} — is an executable missing from the launch command?"
         )
-    return exes, pool_ranks
+    return exes
 
 
 def _match_entry(registry: Registry, decl: Declaration) -> int:

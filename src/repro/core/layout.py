@@ -148,30 +148,6 @@ class Layout:
         lay._by_name = {c.name: c for c in lay.components}
         return lay, tuple(dead)
 
-    @classmethod
-    def rebuild(
-        cls,
-        registry: Registry,
-        executables: Iterable[ExecutableInfo],
-        components: Iterable[ComponentInfo],
-    ) -> "Layout":
-        """A layout from already-resolved executable and component records.
-
-        The epoch-transition constructor used by the sessions layer
-        (``Session.grow``/``retire``): unlike ``__init__`` it does not
-        re-expand registry entries, so it can represent memberships the
-        registration file never described — grown instances, components
-        extended beyond their registered processor range, executables that
-        retired every rank.  Records are re-sorted by their ids; the ids
-        themselves are preserved.
-        """
-        lay = cls.__new__(cls)
-        lay.registry = registry
-        lay.executables = tuple(sorted(executables, key=lambda e: e.exe_id))
-        lay.components = tuple(sorted(components, key=lambda c: c.comp_id))
-        lay._by_name = {c.name: c for c in lay.components}
-        return lay
-
     # -- lookups --------------------------------------------------------------
 
     def component(self, name: str) -> ComponentInfo:

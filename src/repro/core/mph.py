@@ -51,10 +51,10 @@ class MPH:
     Never constructed directly — use :func:`components_setup`,
     :func:`multi_instance` or :meth:`Session.mph
     <repro.core.session.Session.mph>`.  Construction is collective over
-    the session's active world: it derives the world, executable, and
-    covering-component communicators from their psets.  After an elastic
-    transition (``grow``/``retire``/``shrink``) get a fresh view with
-    ``session.mph()``.
+    the session's world: it derives the world, executable, and
+    covering-component communicators from their psets.  After a failure
+    shrink get a fresh view with ``session.mph()`` (or
+    :meth:`shrink_world`, which does both).
     """
 
     def __init__(self, session: Session, env=None):
@@ -62,8 +62,7 @@ class MPH:
             control = session.control_comm
             raise SessionError(
                 f"process {control.group.world_id(control.rank)} is not active at "
-                f"epoch {session.epoch} "
-                f"({'retired' if session.is_retired else 'parked in the reserve pool'}); "
+                f"epoch {session.epoch} (its layout does not place it); "
                 "it has no component view to materialize"
             )
         self._session = session

@@ -37,7 +37,7 @@ KEYWORDS = frozenset(
 #: validation deliberately does not: existing registration files with such
 #: names keep working, they just cannot use the shorthand.
 RESERVED_PSET_NAMES = frozenset(
-    {"world", "self", "pool", "node", "exe", "component", "ensemble", "mph"}
+    {"world", "self", "node", "exe", "component", "ensemble", "mph"}
 )
 
 #: One token: no whitespace, no comment characters, no ``=`` (reserved for

@@ -166,9 +166,8 @@ class JoinError(MPHError):
 
 class SessionError(MPHError):
     """Misuse of the sessions layer (:mod:`repro.core.session`): unknown
-    process-set name, a non-member deriving a pset communicator, growing
-    beyond the reserve pool, or a parked process calling an active-only
-    collective."""
+    process-set name, a non-member deriving a pset communicator, or a
+    handle asked of a process its layout does not place."""
 
 
 class CouplingError(MPHError):

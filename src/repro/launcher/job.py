@@ -360,60 +360,21 @@ def exec_rank_entry(meta: tuple) -> Callable:
     return _rank_entry(fn, env)
 
 
-def _with_builtins(programs: Union[ProgramRegistry, str]) -> dict[str, Callable]:
-    """*programs* — a registry or the import spec of one — and, under
-    :data:`POOL_PROGRAM`, always the built-in :func:`reserve_pool_program`,
-    never a registry lookup."""
-    if isinstance(programs, str):
-        programs = load_programs(programs)
-    return {**programs, POOL_PROGRAM: reserve_pool_program}
-
-
 def bind_programs(
     specs: Sequence[ExecutableSpec], programs: Union[ProgramRegistry, str]
 ) -> list[Callable]:
-    """Bind each spec's program name to its callable (see
-    :func:`_with_builtins` for what *programs* is)."""
-    return resolve_programs(specs, _with_builtins(programs))
+    """Bind each spec's program name to its callable; *programs* is a
+    registry or the import spec of one."""
+    if isinstance(programs, str):
+        programs = load_programs(programs)
+    return resolve_programs(specs, programs)
 
 
 def rank_pool(programs: ProgramRegistry) -> RankPool:
     """A pool of parked rank processes (``MpmdJob(pool=)``) that can play
-    any program of *programs*, or a reserve rank, under any
-    :class:`JobEnv`: what its processes are sent is ``(name, env)``."""
-    return RankPool(_with_builtins(programs), _rank_entry)
-
-
-#: Program name of reserve-pool ranks (``mphrun --pool N``, a job
-#: document's ``runtime.pool``); never resolved against a user registry.
-POOL_PROGRAM = "__pool__"
-
-
-def reserve_pool_program(world, env) -> dict:
-    """Entry point of an ``mphrun --pool N`` reserve rank.
-
-    Joins the init exchange as a reserve process
-    (:func:`repro.core.session.pool_session`) and parks in
-    :meth:`~repro.core.session.Session.await_assignment` until an elastic
-    ``grow`` admits it into a component or ``release_pool`` dismisses it.
-    Returns a summary dict so launcher results can tell the two fates
-    apart: ``{"pool": "released"}`` for a dismissal, or ``{"pool":
-    "assigned", "components": ..., "exe_id": ..., "epoch": ...}`` after
-    admission (the admitted process simply reports its assignment; what
-    it does next is up to the job's active components).
-    """
-    from repro.core.session import pool_session
-
-    session = pool_session(world, registry=env.registry, env=env)
-    assignment = session.await_assignment()
-    if assignment is None:
-        return {"pool": "released"}
-    return {
-        "pool": "assigned",
-        "components": list(assignment.components),
-        "exe_id": assignment.exe_id,
-        "epoch": assignment.epoch,
-    }
+    any program of *programs* under any :class:`JobEnv`: what its
+    processes are sent is ``(name, env)``."""
+    return RankPool(programs, _rank_entry)
 
 
 def mph_run(

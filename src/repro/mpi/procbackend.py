@@ -594,7 +594,7 @@ class _Rendezvous:
         once-pickled welcome back on each (carrying its rank's meta)."""
 
         def tick() -> None:
-            self._check_deadline(deadline, "rank bootstrap")
+            self._check_deadline(deadline, "rank bootstrap", children, conns)
             dead = self._dead_without_result(children, results, conns)
             if dead:
                 # A child died before its hello: nobody can form a world.
@@ -649,7 +649,7 @@ class _Rendezvous:
                                 ),
                             )
                     return
-                self._check_deadline(deadline, "job")
+                self._check_deadline(deadline, "job", children, results)
                 dead = self._dead_without_result(children, results, None)
                 if dead and death_deadline is None:
                     death_deadline = now + _DEATH_GRACE
@@ -731,9 +731,19 @@ class _Rendezvous:
         )
 
     @staticmethod
-    def _check_deadline(deadline: float, what: str) -> None:
+    def _check_deadline(deadline: float, what: str, children, heard) -> None:
+        """Past *deadline*, raise naming every child whose rank is not in
+        *heard* (no hello, or no result): who kept the job waiting, as
+        the thread world names its live threads."""
         if time.monotonic() >= deadline:
-            raise TimeoutError_(f"{what} exceeded its wall-clock budget")
+            missing = ", ".join(
+                f"{h.label} (world rank {rank})"
+                for rank, h in enumerate(children)
+                if rank not in heard
+            )
+            raise TimeoutError_(
+                f"{what} exceeded its wall-clock budget; still waiting on {missing}"
+            )
 
 
 class _BootstrapDead(Exception):

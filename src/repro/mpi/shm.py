@@ -171,10 +171,7 @@ def sweep_segments(
 
     Run by the launcher during rendezvous cleanup so segments cannot
     outlive the job even when a child died before unlinking its own.
-    With *ranks*, only those ranks' segments are removed — the
-    mid-job form used when ranks *retire* (planned departure): the
-    survivors keep running, so sweeping everything would rip live
-    rings out from under them.
+    With *ranks*, only those ranks' segments are removed.
     """
     if ranks is not None:
         paths = [
@@ -547,10 +544,6 @@ class PagePool:
         self._lock = threading.Lock()
         self._free: List[tuple] = [(0, size)]  # (off, len), sorted by off
         self._refs: Dict[int, list] = {}  # off -> [refcount, reserved]
-        # holder rank -> {off: hold count}: which *peer* each receiver
-        # reference was taken for, so a peer that retires (and whose
-        # pfree frames will therefore never arrive) can be force-released
-        self._holds: Dict[int, Dict[int, int]] = {}
 
     def alloc(self, nbytes: int) -> Optional[int]:
         """Reserve a page run for *nbytes*; returns its offset with one
@@ -572,68 +565,16 @@ class PagePool:
         p = self._base + off
         self._mm[p : p + len(data)] = data
 
-    def add_ref(self, off: int, holder: Optional[int] = None) -> None:
-        """Take one extra reference on the run at *off* (fan-out reuse).
-
-        With *holder*, the reference is tagged as held on behalf of that
-        peer rank — reclaimable via :meth:`release_holder` should the
-        peer retire before sending its ``pfree``.
-        """
+    def add_ref(self, off: int) -> None:
+        """Take one extra reference on the run at *off* (a receiver's,
+        or fan-out reuse)."""
         with self._lock:
             self._refs[off][0] += 1
-            if holder is not None:
-                self._record_hold(off, holder)
 
-    def note_hold(self, off: int, holder: int) -> None:
-        """Tag an already-held reference (e.g. the one :meth:`alloc`
-        returned) as belonging to peer rank *holder*."""
+    def release(self, off: int) -> None:
+        """Drop one reference; frees (and coalesces) the run at zero."""
         with self._lock:
-            self._record_hold(off, holder)
-
-    def _record_hold(self, off: int, holder: int) -> None:
-        holds = self._holds.setdefault(holder, {})
-        holds[off] = holds.get(off, 0) + 1
-
-    def release(self, off: int, holder: Optional[int] = None) -> None:
-        """Drop one reference; frees (and coalesces) the run at zero.
-
-        With *holder*, the drop is on behalf of that peer (a ``pfree``
-        frame): if the peer's hold was already force-released by
-        :meth:`release_holder` — it retired, then a straggler ``pfree``
-        arrived over a cross-node socket — the drop is a no-op instead
-        of an over-release.
-        """
-        with self._lock:
-            if holder is not None and not self._drop_hold(off, holder):
-                return
             self._release_locked(off)
-
-    def _drop_hold(self, off: int, holder: int) -> bool:
-        holds = self._holds.get(holder)
-        if holds is None or off not in holds:
-            return False
-        if holds[off] <= 1:
-            del holds[off]
-            if not holds:
-                del self._holds[holder]
-        else:
-            holds[off] -= 1
-        return True
-
-    def release_holder(self, holder: int) -> int:
-        """Force-release every reference held on behalf of peer rank
-        *holder* (it retired; its ``pfree`` frames will never come).
-        Returns the number of references dropped."""
-        with self._lock:
-            holds = self._holds.pop(holder, None)
-            if not holds:
-                return 0
-            dropped = 0
-            for off, count in holds.items():
-                for _ in range(count):
-                    self._release_locked(off)
-                    dropped += 1
-            return dropped
 
     def _release_locked(self, off: int) -> None:
         ent = self._refs.get(off)
@@ -826,9 +767,8 @@ class ShmTransport(SocketTransport):
         else:
             with self._stats_lock:
                 self._shm.copies_avoided += 1
-        # the receiver's hold, dropped via pfree (or force-released
-        # should the receiver retire before sending it)
-        self._pool.add_ref(off, holder=dest)
+        # the receiver's hold, dropped via pfree
+        self._pool.add_ref(off)
         return (payload_kind, off, n, meta)
 
     def _alloc_blocking(self, nbytes: int, timeout: float = 60.0) -> int:
@@ -1074,7 +1014,7 @@ class ShmTransport(SocketTransport):
             self._drain()
         elif tag == "pfree":
             for off in fields[2]:
-                self._pool.release(off, holder=fields[1])
+                self._pool.release(off)
         elif tag == "msgp":
             env, sync_id, from_rank = self._decode_page_msg(fields)
             if sync_id:
@@ -1156,42 +1096,6 @@ class ShmTransport(SocketTransport):
         return super()._frame_origin(fields)
 
     # -- lifecycle / introspection ------------------------------------------
-
-    def forget_peer(self, peer: int) -> None:
-        """Invalidate every cached resource of a *retired* peer.
-
-        On top of the socket-side cleanup (connection, send lock,
-        address), a same-node peer leaves behind: its inbound ring in
-        our segment, our cached mapping of *its* segment (outbound ring
-        + mapped pages), and pool references we hold on its behalf for
-        pages it never ``pfree``'d.  All of it must go — the rank is
-        gone by agreement, so nothing will ever arrive from it, and
-        keeping its holds would leak pool space for the rest of the job.
-        """
-        super().forget_peer(peer)
-        with self._rx_lock:
-            self._rings_in.pop(peer, None)
-            self._peer_rings.pop(peer, None)
-            self._ring_locks.pop(peer, None)
-            seg = self._peer_segs.pop(peer, None)
-            if seg is not None:
-                # close() tolerates still-exported buffers (a received
-                # blob the program kept); the mapping then lives until
-                # those views die, but we stop routing through it now.
-                seg.close()
-        self._pool.release_holder(peer)
-        # Queued releases owed to the departed owner would ring-send
-        # into nothing; its whole pool dies with its segment, so just
-        # drop them.  Bounded pass: finalizers may append concurrently,
-        # and both ends of a deque are safe against that.
-        q = self._release_q
-        for _ in range(len(q)):
-            try:
-                ent = q.popleft()
-            except IndexError:
-                break
-            if ent[0] != peer:
-                q.append(ent)
 
     def close(self) -> None:
         """Flush page releases, close sockets, unmap and unlink segments."""

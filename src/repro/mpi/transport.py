@@ -392,15 +392,6 @@ class Transport(ABC):
     def close(self) -> None:
         """Tear the endpoint down (idempotent)."""
 
-    def forget_peer(self, peer: int) -> None:
-        """Invalidate every cached resource tied to *peer*, which has
-        left the job *on purpose* (``Session.retire``).
-
-        Unlike a crash (``on_peer_lost``) this is not a failure: the
-        peer's connection teardown must not be reported as a lost rank,
-        and later sends to it are misuse, not bad luck.  The base
-        implementation is a no-op."""
-
 
 class _SyncAck:
     """The receiver-side stand-in for a synchronous send's completion
@@ -516,9 +507,6 @@ class SocketTransport(Transport):
         self._send_locks: dict[int, threading.Lock] = {}
         self._conns_lock = threading.Lock()
         self._dead_peers: set[int] = set()
-        #: Peers removed on purpose (``forget_peer``) — distinct from
-        #: ``_dead_peers``: their EOFs are expected, not failures.
-        self._departed: set[int] = set()
 
         self._sync_lock = threading.Lock()
         self._next_sync_id = 1
@@ -638,23 +626,11 @@ class SocketTransport(Transport):
             except TransportError:
                 continue
 
-    def forget_peer(self, peer: int) -> None:
-        self._departed.add(peer)
-        self._drop_conn(peer)
-        with self._conns_lock:
-            self._send_locks.pop(peer, None)
-            self._peers.pop(peer, None)
-
     def _send_bytes(self, dest: int, parts: tuple) -> None:
         """Send one frame made of *parts* (its bytes, back to back) to
         world rank *dest*: the length prefix and the parts go down in one
         vectored send, so no part is copied to join them."""
         if dest not in self._peers:
-            if dest in self._departed:
-                raise TransportError(
-                    f"world rank {dest} retired from the job; no messages can "
-                    "reach it"
-                )
             raise TransportError(f"no address for world rank {dest}")
         n = 0
         for part in parts:
@@ -930,11 +906,8 @@ class SocketTransport(Transport):
         (children only close after the parent's shutdown broadcast,
         which only happens after every result arrived), so surface it
         through ``on_peer_lost`` — receives posted against the dead
-        rank then raise instead of blocking forever.
-
-        A *departed* peer (``forget_peer``) closing its side is the
-        expected end of a planned retirement — silently ignored."""
-        if origin < 0 or self._closed or origin in self._departed:
+        rank then raise instead of blocking forever."""
+        if origin < 0 or self._closed:
             return
         # No "already in _dead_peers" shortcut: a failed *send* to the
         # peer (say, a page release racing its exit) marks it dead

@@ -70,7 +70,6 @@ _RUNTIME_KEYS = {
     "transport",
     "nodes",
     "rank_policy",
-    "pool",
     "reuse_world",
     "timeout",
 }
@@ -236,9 +235,6 @@ class RuntimeSpec:
     transport: str = "auto"
     nodes: Optional[int] = None
     rank_policy: str = "block"
-    #: Reserve-pool ranks launched alongside the components (they park in
-    #: ``Session.await_assignment``; see ``mphrun --pool N``).
-    pool: int = 0
     #: Allow the runtime to run this job on a cached resident worker
     #: world sharing the document's layout key (process backend).
     reuse_world: bool = True
@@ -252,7 +248,6 @@ class RuntimeSpec:
             "transport": self.transport,
             "nodes": self.nodes,
             "rank_policy": self.rank_policy,
-            "pool": self.pool,
             "reuse_world": self.reuse_world,
             "timeout": self.timeout,
         }
@@ -273,7 +268,6 @@ class RuntimeSpec:
             transport=_get_choice(d, "transport", _TRANSPORTS, path, "auto"),
             nodes=nodes,
             rank_policy=_get_choice(d, "rank_policy", _RANK_POLICIES, path, "block"),
-            pool=_get_int(d, "pool", path, default=0, minimum=0),
             reuse_world=_get_bool(d, "reuse_world", path, True),
             timeout=_get_float(d, "timeout", path, 60.0),
         )
@@ -392,8 +386,8 @@ class JobDocument:
 
     @property
     def world_size(self) -> int:
-        """Total MPI processes: component ranks plus reserve-pool ranks."""
-        return sum(c.nprocs for c in self.components) + self.runtime.pool
+        """Total MPI processes: the component ranks."""
+        return sum(c.nprocs for c in self.components)
 
     def registry_text(self) -> str:
         """The registration file for this job: the explicit ``registry``
@@ -556,7 +550,6 @@ class JobDocument:
                 "transport": self.runtime.transport,
                 "nodes": self.runtime.nodes,
                 "rank_policy": self.runtime.rank_policy,
-                "pool": self.runtime.pool,
             },
         }
 

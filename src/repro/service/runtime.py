@@ -39,9 +39,8 @@ Three responsibilities:
   saves.  A resident world is **poisoned** (evicted, its processes
   retired) the moment any rank fails or a job times out; a clean one
   gives its processes back to the pool when it is evicted or closed.
-  Fault-seeded, match-seeded, and reserve-pool jobs never use one (seeds
-  are thread-backend-only by document validation, pool ranks park in
-  ``await_assignment`` and cannot run again).
+  Fault-seeded and match-seeded jobs never use one (seeds are
+  thread-backend-only by document validation).
 
 The service convention for program callables is the ``mph_run`` one —
 ``fn(comm, env)`` with a :class:`~repro.launcher.job.JobEnv` — plus one
@@ -64,10 +63,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.session import PrecomputedLayout
-from repro.core.handshake import ComponentDecl, PoolDecl
+from repro.core.handshake import ComponentDecl
 from repro.errors import LaunchError, ServiceError
 from repro.launcher.cmdfile import ExecutableSpec
-from repro.launcher.job import POOL_PROGRAM, JobResult, MpmdJob, plan_job, rank_pool
+from repro.launcher.job import JobResult, MpmdJob, plan_job, rank_pool
 from repro.mpi.executor import ExecRank
 from repro.mpi.procbackend import ProcLaunch, RankPool
 from repro.mpi.world import WorldConfig
@@ -133,9 +132,7 @@ class ResolvedJob:
     layout_key: str
     #: One spec per executable, named after its component (not its
     #: Python function), so ``JobResult.failures()`` and process-backend
-    #: labels name what a client wrote in its document.  The reserve
-    #: pool, when requested, is the final spec, under
-    #: :data:`~repro.launcher.job.POOL_PROGRAM`.
+    #: labels name what a client wrote in its document.
     specs: List[ExecutableSpec]
     #: Component name → the catalog callable it runs.
     programs: Dict[str, Callable]
@@ -175,9 +172,6 @@ class JobOutcome:
     elapsed: float
     #: Per-component return values in component-local rank order.
     values: Dict[str, List[Any]] = field(default_factory=dict)
-    #: Reserve-pool rank summaries (``{"pool": "released"}`` /
-    #: ``{"pool": "assigned", ...}``), empty without a pool.
-    pool: List[Any] = field(default_factory=list)
     #: Every failed rank as ``(world_rank, component, exception)`` —
     #: the :meth:`~repro.launcher.job.JobResult.failures` shape.
     failures: List[Tuple[int, str, BaseException]] = field(default_factory=list)
@@ -223,8 +217,6 @@ class WorkerWorld:
     _generation = itertools.count()
 
     def __init__(self, resolved: ResolvedJob, pool: RankPool):
-        if resolved.document.runtime.pool:
-            raise ServiceError("reserve-pool jobs cannot run on a resident world")
         self.layout_key = resolved.layout_key
         self.namespace = f"w{resolved.layout_key[:12]}g{next(self._generation)}"
         self._lock = threading.Lock()
@@ -315,10 +307,7 @@ def _outcome(
     )
     if result is not None:
         for exe_index, spec in enumerate(result.specs):
-            if spec.program == POOL_PROGRAM:
-                outcome.pool = result.by_executable(exe_index)
-            else:
-                outcome.values[spec.program] = result.by_executable(exe_index)
+            outcome.values[spec.program] = result.by_executable(exe_index)
         outcome.failures = result.failures()
         outcome.ok = not outcome.failures
     return outcome
@@ -395,16 +384,13 @@ class JobRuntime:
             specs.append(ExecutableSpec(comp.name, comp.nprocs, comp.argv))
             programs[comp.name] = fn
         rt = document.runtime
-        if rt.pool:
-            specs.append(ExecutableSpec(POOL_PROGRAM, rt.pool))
 
         key = document.layout_key()
 
         def build() -> PrecomputedLayout:
             # Once per layout key: where the planner puts each program.
             decls = [
-                PoolDecl() if env.program == POOL_PROGRAM else ComponentDecl((env.program,))
-                for env in plan_job(specs, rt.rank_policy).envs
+                ComponentDecl((env.program,)) for env in plan_job(specs, rt.rank_policy).envs
             ]
             return PrecomputedLayout.build(document.registry_text(), decls)
 
@@ -473,7 +459,6 @@ class JobRuntime:
             self.max_resident > 0
             and rt.backend == "process"
             and rt.reuse_world
-            and rt.pool == 0
             # per-job artifacts (process log files) need per-job children
             and "logs" not in resolved.document.output.save
             # seeds are thread-only by document validation, so no check

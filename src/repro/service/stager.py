@@ -239,8 +239,6 @@ class ResultStager:
             result["error"] = outcome.error
         if "values" in document.output.save:
             result["components"] = outcome.values
-            if outcome.pool:
-                result["pool"] = outcome.pool
         reservation.publish("result.json", _canonical(result))
 
         if "document" in document.output.save:
@@ -248,9 +246,7 @@ class ResultStager:
         if "traffic" in document.output.save and outcome.traffic is not None:
             reservation.publish("traffic.json", _canonical(outcome.traffic))
         if document.output.format == "pickle":
-            reservation.publish(
-                "result.pkl", pickle.dumps({"components": outcome.values, "pool": outcome.pool})
-            )
+            reservation.publish("result.pkl", pickle.dumps({"components": outcome.values}))
 
         meta = {
             "job_id": outcome.job_id,

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-from repro.launcher.cmdfile import ExecutableSpec, parse_mpirun_spec, parse_poe_cmdfile
-from repro.launcher.job import POOL_PROGRAM, MpmdJob
+from repro.launcher.cmdfile import parse_mpirun_spec, parse_poe_cmdfile
+from repro.launcher.job import MpmdJob
 from repro.launcher.smp import Machine
 from repro.mpi.world import WorldConfig
 
@@ -58,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--registry",
         type=Path,
         help="the MPH registration file (processors_map.in)",
-    )
-    parser.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        metavar="N",
-        help="launch N reserve-pool processes alongside the job; each "
-        "parks in await_assignment until a component grow() admits it "
-        "or release_pool() dismisses it (requires --registry)",
     )
     parser.add_argument(
         "--rank-policy",
@@ -158,19 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             specs = parse_poe_cmdfile(args.cmdfile.read_text())
         else:
             specs = parse_mpirun_spec(args.spec)
-        if args.pool < 0:
-            raise ReproError(f"--pool expects a non-negative count, got {args.pool}")
-        if args.pool:
-            if args.registry is None:
-                raise ReproError(
-                    "--pool needs --registry: reserve processes join the "
-                    "MPH init exchange before parking"
-                )
-            if any(s.program == POOL_PROGRAM for s in specs):
-                raise ReproError(
-                    f"program name {POOL_PROGRAM!r} is reserved for --pool ranks"
-                )
-            specs = list(specs) + [ExecutableSpec(POOL_PROGRAM, args.pool)]
         try:
             # One config for both backends.  --nodes doubles as the world
             # topology: the same SMP node count that validates placement

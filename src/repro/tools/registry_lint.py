@@ -94,7 +94,7 @@ def lint_reserved_names(registry: Registry) -> list[str]:
     The sessions layer names every component's process set
     ``mph://component/<name>`` and accepts shorthand lookups
     (``session.pset("world")``).  A component literally named ``world``
-    (or ``pool``, ``self``, ...) would be shadowed by the built-in pset
+    (or ``self``, ``node``, ...) would be shadowed by the built-in pset
     of the same name, so the registry checker rejects it before a job
     ever launches.  Returns one message per violation.
     """

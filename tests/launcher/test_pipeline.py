@@ -1,8 +1,8 @@
 """The one launch pipeline: plan -> spawn -> bootstrap -> run -> collect
 -> classify -> sweep, whichever spawner starts the ranks.
 
-One job — three executables, two of them sharing a program name, plus a
-reserve-pool rank — goes through every spawner the pipeline has:
+One job — three executables, two of them sharing a program name — goes
+through every spawner the pipeline has:
 
 * **thread** — ``backend="thread"`` (programs given either way);
 * **fork**   — ``backend="process"`` with programs given as callables;
@@ -32,7 +32,7 @@ import pytest
 
 from repro.errors import ChildExitError, LaunchError, TimeoutError_
 from repro.launcher.cmdfile import ExecutableSpec
-from repro.launcher.job import POOL_PROGRAM, MpmdJob, mph_run, plan_job
+from repro.launcher.job import MpmdJob, mph_run, plan_job
 from repro.mpi import launch, run_spmd
 from repro.mpi.faults import FaultSchedule
 from repro.mpi.procbackend import rendezvous_prefix
@@ -41,13 +41,12 @@ from repro.mpi.world import WorldConfig
 
 REGISTRY = "BEGIN\natm\nocn_a\nocn_b\nEND\n"
 
-#: Three executables — ``ocn`` twice, told apart only by argv — and one
-#: reserve rank: world ranks 0-1, 2, 3-4 and 5 under the block policy.
+#: Three executables — ``ocn`` twice, told apart only by argv: world
+#: ranks 0-1, 2 and 3-4 under the block policy.
 SPECS = [
     ExecutableSpec("ocn", 2, ("ocn_a",)),
     ExecutableSpec("atm", 1, ("atm",)),
     ExecutableSpec("ocn", 2, ("ocn_b", "-fast")),
-    ExecutableSpec(POOL_PROGRAM, 1),
 ]
 
 MODULE = "pipeline_demo_models"
@@ -62,7 +61,6 @@ SOURCE = """
     def component(world, env):
         # the component name rides in argv: one program, several instances
         s = components_session(world, env.argv[0], env=env)
-        s.release_pool()
         # fd 1, not sys.stdout: a forked rank inherits pytest's capture object
         line = f"{env.program}[{env.exe_index}].{env.local_index} is {env.argv[0]}"
         os.write(1, line.encode() + os.linesep.encode())
@@ -123,12 +121,12 @@ def programs(request, module_programs):
 
 def _expected_values():
     out = []
-    for exe_index, spec in enumerate(SPECS[:3]):
+    for exe_index, spec in enumerate(SPECS):
         for local_index in range(spec.nprocs):
             out.append(
                 (spec.program, exe_index, local_index, spec.argv, len(out), spec.nprocs)
             )
-    return out + [{"pool": "released"}]
+    return out
 
 
 class TestOneJobEverySpawner:
@@ -138,14 +136,11 @@ class TestOneJobEverySpawner:
             SPECS, programs=programs, config=backend_config, registry=REGISTRY, namespace=ns
         )
         result = job.run(timeout=60.0)
-        assert result.assignment == [[0, 1], [2], [3, 4], [5]]
-        assert result.labels == [
-            "ocn@0.0", "ocn@0.1", "atm.0", "ocn@2.0", "ocn@2.1", f"{POOL_PROGRAM}.0"
-        ]
+        assert result.assignment == [[0, 1], [2], [3, 4]]
+        assert result.labels == ["ocn@0.0", "ocn@0.1", "atm.0", "ocn@2.0", "ocn@2.1"]
         assert result.values() == _expected_values()
         assert result.by_executable("ocn") == _expected_values()[:2]  # first match
         assert result.by_executable(2) == _expected_values()[3:5]
-        assert result.by_executable(POOL_PROGRAM) == [{"pool": "released"}]
         assert result.failures() == []
         # every launch returns its traffic, whichever substrate counted it
         assert all(p.traffic is not None and p.traffic.messages > 0 for p in result.procs)
@@ -169,7 +164,9 @@ class TestOneJobEverySpawner:
             [ExecutableSpec("sleeper", 2)], programs=programs, config=backend_config, namespace=ns
         )
         start = time.monotonic()
-        with pytest.raises(TimeoutError_):
+        # A process job names each rank that had not reported.
+        match = r"sleeper\.0.*sleeper\.1" if backend_config.backend == "process" else None
+        with pytest.raises(TimeoutError_, match=match):
             job.run(timeout=0.5)
         assert time.monotonic() - start < 10.0
         _assert_nothing_left(ns)
@@ -265,7 +262,7 @@ class TestPlanLabels:
         ).run(timeout=60.0)
         assert sorted(p.name for p in logs.iterdir()) == sorted(
             f"{label}.log"
-            for label in ("ocn@0.0", "ocn@0.1", "atm.0", "ocn@2.0", "ocn@2.1", f"{POOL_PROGRAM}.0")
+            for label in ("ocn@0.0", "ocn@0.1", "atm.0", "ocn@2.0", "ocn@2.1")
         )
         assert "ocn[0].1 is ocn_a" in (logs / "ocn@0.1.log").read_text()
         assert "ocn[2].1 is ocn_b" in (logs / "ocn@2.1.log").read_text()
@@ -352,8 +349,6 @@ class TestSourceAudit:
         assert len([h for h in assign if h[0] == "launcher/job.py"]) == 1
         envs = _grep(r"\bJobEnv\(", ".")
         assert [path for path, _ in envs] == ["launcher/job.py"], envs
-        pool = _grep(r"POOL_PROGRAM: reserve_pool_program|reserve_pool_program\b.*POOL_PROGRAM", ".")
-        assert len(pool) == 1 and pool[0][0] == "launcher/job.py", pool
 
     def test_mphrun_launches_through_mpmdjob(self):
         assert _grep(r"_run_exec_backend|run_exec_job", "tools") == []

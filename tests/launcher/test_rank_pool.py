@@ -32,7 +32,7 @@ import pytest
 from repro import components_setup
 from repro.errors import ChildExitError, LaunchError, TimeoutError_
 from repro.launcher.cmdfile import ExecutableSpec
-from repro.launcher.job import POOL_PROGRAM, MpmdJob, rank_pool
+from repro.launcher.job import MpmdJob, rank_pool
 from repro.mpi import WorldConfig, run_spmd
 from repro.mpi.procbackend import rendezvous_prefix
 from repro.mpi.shm import list_segments
@@ -205,24 +205,25 @@ class TestReuse:
             seen.update(_pids(result))
         assert len(seen) == pool.forked == 4
 
-    def test_reserve_rank_is_served_from_the_pool(self, proc_config):
-        """The built-in ``__pool__`` program is in every rank pool's
-        catalog (names clash; the two pools have nothing in common)."""
+    def test_a_handshaking_rank_is_served_from_the_pool(self, proc_config):
+        """A pool of its own catalog (names clash with ``CATALOG``'s; the
+        two pools have nothing in common) serves ranks that run the MPH
+        init exchange, job after job."""
         from repro.core.session import components_session
 
-        def releaser(comm, env):
-            components_session(comm, env.program, env=env).release_pool()
-            return os.getpid()
+        def atm(comm, env):
+            s = components_session(comm, env.program, env=env)
+            return (s.pset(env.program).size, os.getpid())
 
-        catalog = {"atm": releaser}
+        catalog = {"atm": atm}
         pool = rank_pool(catalog)
         try:
             for _ in range(2):
                 result = MpmdJob(
-                    [ExecutableSpec("atm", 1), ExecutableSpec(POOL_PROGRAM, 1)],
+                    [ExecutableSpec("atm", 2)],
                     programs=catalog, config=proc_config, registry="BEGIN\natm\nEND\n", pool=pool,
                 ).run(timeout=60.0)
-                assert result.by_executable(POOL_PROGRAM) == [{"pool": "released"}]
+                assert [size for size, _ in result.values()] == [2, 2]
             assert (pool.forked, pool.reused) == (2, 2)
         finally:
             pool.close()

@@ -133,11 +133,11 @@ class TestReservedPsetNames:
     def test_reserved_name_inside_multi_component_entry(self, tmp_path, capsys):
         bad = tmp_path / "bad.in"
         bad.write_text(
-            "BEGIN\nMulti_Component_Begin\natm 0 1\npool 2 3\n"
+            "BEGIN\nMulti_Component_Begin\natm 0 1\nself 2 3\n"
             "Multi_Component_End\nEND\n"
         )
         assert main([str(bad)]) == 1
-        assert "mph://pool" in capsys.readouterr().err
+        assert "mph://self" in capsys.readouterr().err
 
     def test_ordinary_names_pass(self, good_file):
         from repro.tools.registry_lint import lint_reserved_names

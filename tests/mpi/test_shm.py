@@ -629,57 +629,8 @@ class TestShmTransportPair:
 
 
 # ---------------------------------------------------------------------------
-# Planned retirement: holder-tracked pool refs, peer cache invalidation
+# Segment sweeps by rank
 # ---------------------------------------------------------------------------
-
-
-class TestPagePoolHolders:
-    def _pool(self, size=1 << 20):
-        mm = mmap.mmap(-1, size)
-        return PagePool(mm, 0, size)
-
-    def test_release_holder_reclaims_untracked_pfree(self):
-        """A retired peer's receiver holds are force-released in one call."""
-        pool = self._pool(size=8192)
-        off = pool.alloc(8192)  # sender hold
-        pool.add_ref(off, holder=3)
-        pool.add_ref(off, holder=3)
-        pool.release(off)  # sender drops its hold
-        assert pool.alloc(1) is None, "freed with peer holds outstanding"
-        assert pool.release_holder(3) == 2
-        assert pool.alloc(1) is not None
-
-    def test_straggler_pfree_after_release_holder_is_noop(self):
-        """A pfree that arrives after its holder was force-released must
-        not double-free (the page may already be reused)."""
-        pool = self._pool(size=8192)
-        off = pool.alloc(8192)
-        pool.add_ref(off, holder=3)
-        pool.release_holder(3)
-        assert pool.alloc(1) is None  # sender hold still outstanding
-        pool.release(off, holder=3)  # straggler pfree: skipped
-        assert pool.alloc(1) is None, "straggler pfree over-released"
-        pool.release(off)  # the genuine sender release frees it
-        assert pool.alloc(1) is not None
-
-    def test_holder_tracking_distinguishes_peers(self):
-        pool = self._pool(size=8192)
-        off = pool.alloc(8192)
-        pool.add_ref(off, holder=1)
-        pool.add_ref(off, holder=2)
-        pool.release(off)  # sender
-        assert pool.release_holder(1) == 1
-        assert pool.alloc(1) is None  # peer 2 still holds
-        pool.release(off, holder=2)  # peer 2's normal pfree
-        assert pool.alloc(1) is not None
-        assert pool.release_holder(2) == 0  # nothing left to reclaim
-
-    def test_note_hold_tags_alloc_reference(self):
-        pool = self._pool(size=8192)
-        off = pool.alloc(8192)
-        pool.note_hold(off, 5)
-        assert pool.release_holder(5) == 1
-        assert pool.alloc(1) is not None
 
 
 class TestSweepRanks:
@@ -703,60 +654,3 @@ class TestSweepRanks:
         assert sweep_segments("job", d, ranks=[0, 9]) == [
             segment_path("job", 0, d)
         ]
-
-
-class TestForgetPeer:
-    def test_forget_peer_drops_rings_and_holds(self, tmp_path):
-        pair = _make_shm_pair(tmp_path, nprocs=3)
-        a, b, c = pair
-        try:
-            # Publish a page 0 -> 2 and keep the received view alive on
-            # the receiver, so the hold for peer 2 is outstanding.
-            blob = Blob.encode(np.arange(4096, dtype=np.int64))
-            a.send_envelope(2, Envelope(1, 0, 7, blob, "object", blob.nbytes))
-            assert _wait(lambda: len(c.received) == 1, c)
-            del blob
-            gc.collect()
-            a._flush_releases()  # sender hold released; peer 2's remains
-            assert a.pool.pages_in_use == 1
-
-            a.forget_peer(2)
-            assert a.pool.pages_in_use == 0, "departed peer's hold leaked"
-            assert 2 not in a._rings_in
-            assert 2 not in a._peer_rings
-            assert 2 not in a._peer_segs
-            with pytest.raises(TransportError, match="retired"):
-                a.send_envelope(
-                    2, Envelope(1, 0, 8, Blob.encode("x"), "object", 1)
-                )
-
-            # Traffic to the remaining peer is unaffected.
-            keep = Blob.encode("still-here")
-            a.send_envelope(1, Envelope(1, 0, 9, keep, "object", keep.nbytes))
-            assert _wait(lambda: len(b.received) == 1, b)
-            assert b.received[0].payload.decode() == "still-here"
-            assert not a.errors
-        finally:
-            for ep in pair:
-                ep.close()
-
-    def test_forget_peer_purges_queued_releases(self, tmp_path):
-        pair = _make_shm_pair(tmp_path, nprocs=2)
-        a, b = pair
-        try:
-            # Receive a page from peer 1, drop it, and capture the queued
-            # release before it is flushed.
-            blob = Blob.encode(np.arange(4096, dtype=np.int64))
-            b.send_envelope(0, Envelope(1, 1, 7, blob, "object", blob.nbytes))
-            assert _wait(lambda: len(a.received) == 1, a)
-            a.received.clear()
-            # The list held the last reference (the loop that delivered
-            # the envelope has returned), so the release is queued now,
-            # and nothing on this endpoint flushes the queue meanwhile
-            # (no send, progress or close runs on ``a``).
-            assert any(owner == 1 for owner, _ in a._release_q)
-            a.forget_peer(1)
-            assert not any(owner == 1 for owner, _ in a._release_q)
-        finally:
-            for ep in pair:
-                ep.close()

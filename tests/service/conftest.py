@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro import components_setup
-from repro.core.session import components_session
 
 #: Iterations of the chaos program's barrier loop — comfortably past the
 #: ``max_op`` ceiling the chaos suite draws crash operations from, so a
@@ -97,22 +96,6 @@ def sleeper(comm, env):
     return {"component": env.program, "slept": seconds}
 
 
-def releaser(comm, env):
-    """An active component that immediately dismisses the reserve pool."""
-    s = components_session(comm, env.program, env=env)
-    s.release_pool()
-    return {"component": env.program, "released": True}
-
-
-def grower(comm, env):
-    """An active component that admits one reserve rank into itself,
-    then dismisses the rest."""
-    s = components_session(comm, env.program, env=env)
-    s.grow(env.program, 1)
-    s.release_pool()
-    return {"component": env.program, "size": s.pset(env.program).size}
-
-
 #: The service catalog every suite binds documents against.
 PROGRAMS = {
     "model": model,
@@ -120,8 +103,6 @@ PROGRAMS = {
     "chaotic": chaotic,
     "crasher": crasher,
     "sleeper": sleeper,
-    "releaser": releaser,
-    "grower": grower,
 }
 
 

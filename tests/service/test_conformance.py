@@ -19,7 +19,6 @@ import json
 
 import pytest
 
-from repro.launcher.job import POOL_PROGRAM
 from repro.mpi.shm import list_segments
 from repro.service import JobDocument, JobRuntime, ResultStager
 
@@ -134,69 +133,6 @@ class TestBackendMatrix:
         assert parsed["components"]["solo"] == [
             {"component": "solo", "rank": r, "argv": ["--n", "3"]} for r in range(3)
         ]
-
-
-class TestReservePoolMapping:
-    """Regression for the ``mphrun --pool N`` feature (PR 8): a job
-    document requesting a reserve pool maps onto real pool ranks."""
-
-    def test_pool_request_maps_onto_pool_ranks(self):
-        document = JobDocument.from_spec(
-            {
-                "name": "pooled",
-                "components": [{"name": "atm", "nprocs": 2, "program": "releaser"}],
-                "runtime": {"backend": "thread", "pool": 2},
-            }
-        )
-        assert document.world_size == 4
-        runtime = JobRuntime(PROGRAMS)
-        resolved = runtime.resolve(document)
-        pool = resolved.specs[-1]
-        assert pool.program == POOL_PROGRAM and pool.nprocs == 2
-        assert resolved.world_size == 4
-        # A pool job is never warm-eligible: its reserve ranks park in
-        # await_assignment and cannot be run again by a resident world.
-        assert not runtime._warm_eligible(resolved)
-
-        outcome = runtime.execute_resolved(resolved, "pool-job")
-        assert outcome.ok, (outcome.error, outcome.failures)
-        assert outcome.pool == [{"pool": "released"}, {"pool": "released"}]
-        assert outcome.values["atm"] == [
-            {"component": "atm", "released": True} for _ in range(2)
-        ]
-
-    def test_pool_rank_admitted_by_grow(self):
-        document = JobDocument.from_spec(
-            {
-                "name": "grown",
-                "components": [{"name": "atm", "nprocs": 2, "program": "grower"}],
-                "runtime": {"backend": "thread", "pool": 2},
-            }
-        )
-        outcome = JobRuntime(PROGRAMS).execute(document, "grow-job")
-        assert outcome.ok, (outcome.error, outcome.failures)
-        # One reserve rank was admitted into atm, the other dismissed.
-        statuses = sorted(entry["pool"] for entry in outcome.pool)
-        assert statuses == ["assigned", "released"]
-        assigned = next(e for e in outcome.pool if e["pool"] == "assigned")
-        assert list(assigned["components"]) == ["atm"]
-        assert outcome.values["atm"] == [
-            {"component": "atm", "size": 3} for _ in range(2)
-        ]
-
-    def test_pool_is_staged_in_the_conformance_artifact(self, tmp_path):
-        document = JobDocument.from_spec(
-            {
-                "name": "pooled-staged",
-                "components": [{"name": "atm", "nprocs": 1, "program": "releaser"}],
-                "runtime": {"backend": "thread", "pool": 1},
-            }
-        )
-        runtime = JobRuntime(PROGRAMS)
-        outcome = runtime.execute(document, "pool-staged")
-        staged = ResultStager(tmp_path).stage(outcome, document)
-        parsed = json.loads((staged / "result.json").read_text())
-        assert parsed["pool"] == [{"pool": "released"}]
 
 
 class TestLayoutReuse:

@@ -54,8 +54,6 @@ def gen_valid_spec(rng: random.Random) -> dict:
         if rng.random() < 0.3:
             runtime["rank_policy"] = rng.choice(["block", "round_robin"])
         if rng.random() < 0.3:
-            runtime["pool"] = rng.randint(0, 2)
-        if rng.random() < 0.3:
             runtime["reuse_world"] = rng.choice([True, False])
         if rng.random() < 0.3:
             runtime["timeout"] = rng.choice([5.0, 30.0, 120.5])
@@ -232,8 +230,8 @@ _CORPUS = [
      lambda s: _set(s, "runtime", {"backend": "thread", "nodes": True})),
     ("bad-rank-policy", "runtime.rank_policy",
      lambda s: _set(s, "runtime", {"rank_policy": "spiral"})),
-    ("pool-negative", "runtime.pool", lambda s: _set(s, "runtime", {"pool": -1})),
-    ("pool-bool", "runtime.pool", lambda s: _set(s, "runtime", {"pool": True})),
+    ("retired-runtime-pool", "runtime",
+     lambda s: _set(s, "runtime", {"backend": "thread", "pool": 1})),
     ("reuse-world-string", "runtime.reuse_world",
      lambda s: _set(s, "runtime", {"reuse_world": "yes"})),
     ("timeout-zero", "runtime.timeout", lambda s: _set(s, "runtime", {"timeout": 0})),
