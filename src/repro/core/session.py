@@ -15,7 +15,9 @@ exchange, a :class:`Session` only *names* process sets —
   members get instance-scoped psets like ``mph://component/Ocean2``);
 * ``mph://ensemble/<prefix>`` — all instances of a multi-instance
   executable together;
-* ``mph://node/<k>`` — live processes on SMP node *k*.
+* ``mph://node/<k>`` — live processes on SMP node *k*, as the launcher
+  placed them (the world's ``node_map``; node 0 holds every process of a
+  job launched without a :class:`~repro.launcher.smp.Machine`).
 
 Communicators are derived **lazily** from psets by their members only:
 the member with the lowest world id allocates a fresh context pair and
@@ -369,12 +371,9 @@ class Session:
         for exe in lay.executables:
             if exe.instance_prefix is not None:
                 cat[f"mph://ensemble/{exe.instance_prefix}"] = exe.world_ranks
-        topo = getattr(self._control.world, "topology", None)
-        if topo is not None:
-            for node in range(topo.nnodes):
-                cat[f"mph://node/{node}"] = tuple(
-                    r for r in active if topo.node_of(r) == node
-                )
+        node_map = self._control.world.node_map or (0,) * self._control.world.nprocs
+        for node in sorted(set(node_map)):
+            cat[f"mph://node/{node}"] = tuple(r for r in active if node_map[r] == node)
         self._catalog_cache = cat
         self._pset_index = {name: i for i, name in enumerate(cat)}
         return cat

@@ -187,7 +187,10 @@ class MpmdJob:
     machine :
         Optional :class:`~repro.launcher.smp.Machine`; when given, the job
         is placed under the platform allocation policy before running and
-        the placement is validated and returned in the result.
+        the placement is validated and returned in the result.  The
+        placement is also the world's node map: which ranks share a node
+        for the collectives' two-level stars and the ``mph://node/<k>``
+        psets.  Without a machine every rank is on one node.
     config :
         :class:`~repro.mpi.world.WorldConfig` for the substrate.
     env_vars, workdir, registry :
@@ -298,12 +301,17 @@ class MpmdJob:
         """Launch the job and run it to completion.
 
         Plans the job, then enters the one launch pipeline
-        (:func:`repro.mpi.executor.launch`).  With ``config.backend ==
+        (:func:`repro.mpi.executor.launch`) with the plan's placement as
+        the world's node map.  With ``config.backend ==
         "process"`` every rank is an OS process: components genuinely own
         their stdout (§5.4 redirection becomes a real ``dup2``), and a
         rank that dies without reporting fails the job with its
         component named.
         """
+        placement = self.plan.placement
+        node_map = None
+        if placement is not None:
+            node_map = [placement.node_of_rank(r) for r in range(self.world_size)]
         procs = launch(
             self.world_size,
             self.ranks(),
@@ -313,6 +321,7 @@ class MpmdJob:
             namespace=self.namespace,
             log_dir=self.log_dir,
             pool=self.pool,
+            node_map=node_map,
         )
         return JobResult(**vars(self.plan), procs=procs)
 

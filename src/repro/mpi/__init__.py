@@ -63,7 +63,7 @@ from repro.mpi.progress import Completion, ProgressEngine, RankProgress, Waitset
 from repro.mpi.request import Request
 from repro.mpi.serialization import Blob
 from repro.mpi.status import Status
-from repro.mpi.topology import CommHierarchy, Topology
+from repro.mpi.topology import CommHierarchy
 from repro.mpi.transport import FrameDecoder, SocketTransport, Transport, pack_frame
 from repro.mpi.world import TrafficStats, World, WorldConfig
 
@@ -116,7 +116,6 @@ __all__ = [
     "RankPool",
     "Transport",
     "SocketTransport",
-    "Topology",
     "CommHierarchy",
     "FrameDecoder",
     "pack_frame",

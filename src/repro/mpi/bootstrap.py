@@ -8,9 +8,11 @@ round trip:
   connects to the job's rendezvous socket and sends
   ``("hello", rank, data_addr)``.
 * Once every rank has said hello, the launcher pickles the shared
-  welcome payload — peer map and :class:`~repro.mpi.world.WorldConfig` —
-  **once**, and sends each rank ``("welcome", blob, meta)`` on that
-  rank's own connection, *meta* being its per-rank launcher metadata.
+  welcome payload — the peer map and what every rank builds its world
+  from (the process backend sends its
+  :class:`~repro.mpi.world.WorldConfig` and node map) — **once**, and
+  sends each rank ``("welcome", blob, meta)`` on that rank's own
+  connection, *meta* being its per-rank launcher metadata.
 * The child keeps the connection: it carries the result frame, the
   shutdown linger and, by its EOF, the news of a silent death.
 
@@ -45,10 +47,12 @@ def child_rendezvous(
 ) -> tuple[dict[int, str], Any, Any, socket.socket]:
     """One child's half: hello, then wait for the welcome.
 
-    Returns ``(peers, config, meta, conn)``; *conn* is the launcher
-    connection, kept for the rest of the child's protocol.  The wait has
-    no timeout of its own: the launcher owns the job's deadline and
-    terminates a child it gives up on, and its death is an EOF here.
+    Returns ``(peers, shared, meta, conn)``: *shared* is what the
+    launcher passed :func:`serve_rendezvous` for every rank, and *conn*
+    the launcher connection, kept for the rest of the child's protocol.
+    The wait has no timeout of its own: the launcher owns the job's
+    deadline and terminates a child it gives up on, and its death is an
+    EOF here.
     """
     conn = connect(rendezvous)
     try:
@@ -60,21 +64,22 @@ def child_rendezvous(
         conn.close()
         raise
     _, blob, meta = welcome
-    shared = pickle.loads(blob)
-    return shared["peers"], shared["config"], meta, conn
+    payload = pickle.loads(blob)
+    return payload["peers"], payload["shared"], meta, conn
 
 
 def serve_rendezvous(
     listener: socket.socket,
     nprocs: int,
-    config: Any,
+    shared: Any,
     metas: Sequence[Any],
     conns: dict[int, socket.socket],
     *,
     on_tick: Optional[Callable[[], None]] = None,
 ) -> None:
     """The launcher's half: take one hello from each of *nprocs* ranks,
-    then welcome every one of them (``metas[rank]`` is its meta).
+    then welcome every one of them with the peer map and *shared*
+    (``metas[rank]`` is its meta).
 
     Each rank's connection goes into *conns* as its hello arrives —
     filled in place, so the caller owns the connections taken so far if
@@ -117,7 +122,7 @@ def serve_rendezvous(
                     key.fileobj.close()
 
     blob = pickle.dumps(
-        {"peers": dict(sorted(addrs.items())), "config": config},
+        {"peers": dict(sorted(addrs.items())), "shared": shared},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     for rank, conn in conns.items():

@@ -115,14 +115,15 @@ class Comm:
         """The communicator's node hierarchy, or ``None`` when flat.
 
         ``None`` means a collective has no node boundary to respect: the
-        world is single-node, the communicator has at most two ranks, or
-        every member of *this* communicator shares one node.
+        world has no node map (one node), the communicator has at most
+        two ranks, or every member of *this* communicator shares one
+        node.
         """
         if self._hier is False:
             self._hier = None
-            topo = self._world.topology
-            if topo.nnodes > 1 and self._size > 2:
-                h = CommHierarchy.from_topology(topo, list(self._members))
+            node_map = self._world.node_map
+            if node_map is not None and self._size > 2:
+                h = CommHierarchy([node_map[w] for w in self._members])
                 if h.nnodes > 1:
                     self._hier = h
         return self._hier

@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.mpi.comm import Comm, make_world_comm
 from repro.mpi.corebudget import apply_thread_budget, thread_world_pin
 from repro.mpi.faults import SimulatedCrash
-from repro.mpi.world import World, WorldConfig
+from repro.mpi.world import World, WorldConfig, check_node_map
 
 if TYPE_CHECKING:
     from repro.mpi.procbackend import RankPool
@@ -89,6 +89,7 @@ def launch(
     labels: Optional[Sequence[str]] = None,
     namespace: Optional[str] = None,
     pool: Optional["RankPool"] = None,
+    node_map: Optional[Sequence[int]] = None,
 ) -> list[ProcResult]:
     """The launch pipeline: run ``ranks[r](comm_world)`` on every rank of
     a fresh *nprocs*-process world and return all outcomes.
@@ -110,15 +111,19 @@ def launch(
     *labels* name the ranks in failure reports and — with *log_dir*,
     process backend only — their ``<label>.log`` stdout files;
     *namespace* scopes the rendezvous directory and shm segments (see
-    :func:`repro.mpi.procbackend.rendezvous_prefix`).
+    :func:`repro.mpi.procbackend.rendezvous_prefix`).  *node_map* is the
+    node id of each rank — where the launcher placed it; ``None`` puts
+    every rank on one node — and becomes the world's
+    :attr:`~repro.mpi.world.World.node_map`.
     """
     config = config or WorldConfig()
     if _validate(nprocs, ranks, config, timeout, log_dir, pool):
         from repro.mpi.procbackend import run_procs
 
-        results = run_procs(ranks, config, timeout, log_dir, labels, namespace, pool)
+        node_map = check_node_map(nprocs, node_map)
+        results = run_procs(ranks, config, timeout, log_dir, labels, namespace, pool, node_map)
     else:
-        results = _run_threads(World(nprocs, config), ranks, timeout)
+        results = _run_threads(World(nprocs, config, node_map), ranks, timeout)
     _raise_root_cause(results)
     return results
 
@@ -307,7 +312,8 @@ def run_world(
     """Run one callable per world rank to completion; return all outcomes.
 
     The thread leg of :func:`launch`, on a world the caller built (and
-    can inspect afterwards).
+    can inspect afterwards) — with its node map, if it has one
+    (``World(nprocs, config, node_map)``).
 
     Parameters
     ----------
@@ -343,10 +349,12 @@ def run_spmd(
     fn_kwargs: Optional[dict] = None,
     config: Optional[WorldConfig] = None,
     timeout: float = 120.0,
+    node_map: Optional[Sequence[int]] = None,
 ) -> list[Any]:
     """Run *fn* on every rank of a fresh *nprocs*-process world (SPMD).
 
-    Returns the per-rank return values in rank order.
+    Returns the per-rank return values in rank order.  *node_map* places
+    the ranks on nodes, as for :func:`launch`.
 
     >>> from repro.mpi import run_spmd
     >>> run_spmd(4, lambda comm: comm.allreduce(comm.rank))
@@ -360,4 +368,5 @@ def run_spmd(
         raise ValueError(f"nprocs must be an int, got {nprocs!r}")
     kwargs = fn_kwargs or {}
     ranks = [lambda comm: fn(comm, *fn_args, **kwargs)] * nprocs
-    return [r.value for r in launch(nprocs, ranks, config=config, timeout=timeout)]
+    results = launch(nprocs, ranks, config=config, timeout=timeout, node_map=node_map)
+    return [r.value for r in results]

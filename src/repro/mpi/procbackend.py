@@ -26,8 +26,9 @@ pickle framing, :func:`~repro.mpi.transport.send_frame`):
 3. When every rank has said hello, the parent pickles the welcome
    payload once and answers each child on its own connection: every
    child ends up holding the full rank → address map, the
-   :class:`~repro.mpi.world.WorldConfig`, its per-rank launcher
-   metadata, and that connection to the parent.
+   :class:`~repro.mpi.world.WorldConfig`, the node map (where the
+   launcher placed each rank), its per-rank launcher metadata, and that
+   connection to the parent.
 4. Each child builds a :class:`~repro.mpi.transport.SocketTransport` over
    the peer map (a :class:`~repro.mpi.shm.ShmTransport` when the job asks
    for ``"shm"``), a :class:`ProcessWorld` replica, and its ``COMM_WORLD``
@@ -140,8 +141,8 @@ class ProcessWorld(World):
       permits), and a failure notice arrives at that call.
     """
 
-    def __init__(self, nprocs: int, config: Optional[WorldConfig], rank: int):
-        super().__init__(nprocs, config)
+    def __init__(self, nprocs: int, config: Optional[WorldConfig], rank: int, node_map=None):
+        super().__init__(nprocs, config, node_map)
         #: This process's world rank (a thread-backend World has no
         #: single rank; a process world does).
         self.my_rank = rank
@@ -222,9 +223,11 @@ def child_session(
     """
     addr = os.path.join(sockdir, f"rank{rank}.sock")
     listener = make_listener(addr)
-    peers, config, meta, ctrl = child_rendezvous(_rendezvous_path(sockdir), rank, addr)
+    peers, (config, node_map), meta, ctrl = child_rendezvous(
+        _rendezvous_path(sockdir), rank, addr
+    )
     try:
-        world = ProcessWorld(nprocs, config, rank)
+        world = ProcessWorld(nprocs, config, rank, node_map)
         if config.transport == "shm":
             # Rings for same-node peers, the bootstrap sockets otherwise.
             # The segment prefix is derived from the job's private
@@ -238,7 +241,7 @@ def child_session(
                 listener,
                 peers,
                 prefix=os.path.basename(sockdir),
-                topology=world.topology,
+                node_map=world.node_map,
             )
         else:
             transport = SocketTransport(rank, nprocs, listener, peers)
@@ -582,25 +585,39 @@ class _Rendezvous:
     shut everyone down, and sweep what the job left behind.  Each stage
     a :class:`ProcLaunch` drives is a method."""
 
-    def __init__(self, nprocs: int, config: WorldConfig, namespace: Optional[str] = None):
+    def __init__(
+        self,
+        nprocs: int,
+        config: WorldConfig,
+        namespace: Optional[str] = None,
+        node_map: Optional[tuple] = None,
+    ):
         self.nprocs = nprocs
         self.config = config
+        self.node_map = node_map
         self.sockdir = tempfile.mkdtemp(prefix=rendezvous_prefix(namespace))
         self.listener = make_listener(_rendezvous_path(self.sockdir))
 
     def bootstrap(self, conns, children, results, metas, deadline) -> None:
         """One hello per child on its own connection, collected into
         *conns* for the result/run/shutdown protocol, then the
-        once-pickled welcome back on each (carrying its rank's meta)."""
+        once-pickled welcome back on each (the config and node map, and
+        its rank's meta)."""
 
         def tick() -> None:
             self._check_deadline(deadline, "rank bootstrap", children, conns)
-            dead = self._dead_without_result(children, results, conns)
+            dead = [
+                h
+                for rank, h in enumerate(children)
+                if rank not in conns and h.proc.exitcode is not None
+            ]
             if dead:
                 # A child died before its hello: nobody can form a world.
                 self._fail_bootstrap(dead, children, results)
 
-        serve_rendezvous(self.listener, self.nprocs, self.config, metas, conns, on_tick=tick)
+        serve_rendezvous(
+            self.listener, self.nprocs, (self.config, self.node_map), metas, conns, on_tick=tick
+        )
 
     def _fail_bootstrap(self, dead, children, results) -> None:
         """A child died before the world formed: record it, terminate the
@@ -622,38 +639,29 @@ class _Rendezvous:
 
     def collect(self, conns, children, results, deadline) -> None:
         """Read one result frame per child, polling liveness so a child
-        that dies without reporting is classified instead of awaited."""
+        that dies without reporting is classified instead of awaited:
+        at once when every rank still owed a result has exited (after
+        reading what they sent before dying), else once the survivors
+        have had :data:`_DEATH_GRACE` to unwind."""
         with selectors.DefaultSelector() as unread:
             for rank, conn in conns.items():
                 unread.register(conn, selectors.EVENT_READ, rank)
             death_deadline = None
+            hung_up = set()  # ranks whose connection closed with no result
             while len(results) < self.nprocs:
                 now = time.monotonic()
-                if death_deadline is not None and now >= death_deadline:
-                    # Grace expired: whoever still has no result is wedged on
-                    # the dead rank; terminate and synthesize.  Who died on
-                    # its own is decided before terminating, so our SIGTERM
-                    # is never reported as a component's exit code.
-                    for rank, h in enumerate(children):
-                        if rank not in results:
-                            died = h.proc.exitcode not in (0, None)
-                            h.proc.terminate()
-                            results[rank] = ProcResult(
-                                rank=rank,
-                                exception=self._death_error(h)
-                                if died
-                                else LaunchError(
-                                    f"component {h.label!r} (world rank {rank}) "
-                                    f"was terminated: a sibling died without "
-                                    f"reporting a result"
-                                ),
-                            )
-                    return
-                self._check_deadline(deadline, "job", children, results)
-                dead = self._dead_without_result(children, results, None)
-                if dead and death_deadline is None:
-                    death_deadline = now + _DEATH_GRACE
-                for key, _ in unread.select(0.2):
+                owed = [h for rank, h in enumerate(children) if rank not in results]
+                gone = all(h.proc.exitcode is not None for h in owed)
+                if not gone:
+                    if death_deadline is not None and now >= death_deadline:
+                        break
+                    self._check_deadline(deadline, "job", children, results)
+                    if death_deadline is None and any(h.proc.exitcode is not None for h in owed):
+                        death_deadline = now + _DEATH_GRACE
+                # A hang-up is a process exiting: look again soon for its
+                # exit, rather than at the next frame.
+                exiting = any(children[r].proc.exitcode is None for r in hung_up)
+                for key, _ in unread.select(0 if gone else 0.005 if exiting else 0.2):
                     unread.unregister(key.fileobj)
                     try:
                         frame = recv_frame(key.fileobj, timeout=max(deadline - now, 0.001))
@@ -669,15 +677,28 @@ class _Rendezvous:
                             cpu_seconds=cpu_seconds,
                             wall_seconds=wall_seconds,
                         )
-                    # EOF (None) or a transport error: the liveness poll
-                    # above will classify the death on a later iteration.
-
-    def _dead_without_result(self, children, results, conns) -> list:
-        return [
-            h
-            for rank, h in enumerate(children)
-            if rank not in results and not (conns and rank in conns) and h.proc.exitcode is not None
-        ]
+                    else:  # EOF or a transport error: the liveness poll classifies it
+                        hung_up.add(key.data)
+                if gone:
+                    break
+        # Whoever still has no result died, or is wedged on the dead rank
+        # and terminated.  Who died on its own is decided before
+        # terminating, so our SIGTERM is never reported as a component's
+        # exit code.
+        for rank, h in enumerate(children):
+            if rank not in results:
+                died = h.proc.exitcode not in (0, None)
+                h.proc.terminate()
+                results[rank] = ProcResult(
+                    rank=rank,
+                    exception=self._death_error(h)
+                    if died
+                    else LaunchError(
+                        f"component {h.label!r} (world rank {rank}) "
+                        f"was terminated: a sibling died without "
+                        f"reporting a result"
+                    ),
+                )
 
     def shutdown(self, conns, children, pool: Optional[RankPool] = None) -> None:
         """Release the lingering children.  One with a park connection
@@ -778,7 +799,9 @@ class ProcLaunch:
     process keeps the stdio it was forked with, so ``launch`` refuses
     the two together).  *namespace* scopes the rendezvous directory and
     shm segments under :func:`rendezvous_prefix` (the MPH service's
-    per-job isolation seam).
+    per-job isolation seam).  *node_map* (one node id per rank, see
+    :func:`~repro.mpi.world.check_node_map`) rides the welcome frame
+    into every rank's world.
     """
 
     def __init__(
@@ -790,11 +813,12 @@ class ProcLaunch:
         namespace: Optional[str] = None,
         log_dir: Optional[str] = None,
         pool: Optional[RankPool] = None,
+        node_map: Optional[tuple] = None,
     ):
         self._ranks = list(ranks)
         self._labels = list(labels) if labels is not None else [f"rank{r}" for r in range(len(ranks))]
         self._log_dir, self._pool = log_dir, pool
-        self._rendezvous = _Rendezvous(len(ranks), config, namespace)
+        self._rendezvous = _Rendezvous(len(ranks), config, namespace, node_map)
         self._children: list[_Child] = []
         self._conns: dict[int, socket.socket] = {}
         self.poisoned = self._closed = False
@@ -889,13 +913,17 @@ def run_procs(
     labels: Optional[Sequence[str]] = None,
     namespace: Optional[str] = None,
     pool: Optional[RankPool] = None,
+    node_map: Optional[tuple] = None,
 ) -> list[ProcResult]:
     """The process leg of :func:`repro.mpi.executor.launch`, which
     validates before and classifies the root cause after: one run of a
     :class:`ProcLaunch`, then its close.  Same contract as the thread
     leg — a per-rank :class:`~repro.mpi.executor.ProcResult` list, and
     :class:`~repro.errors.TimeoutError_` past *timeout*."""
-    launch = ProcLaunch(ranks, config, labels=labels, namespace=namespace, log_dir=log_dir, pool=pool)
+    launch = ProcLaunch(
+        ranks, config, labels=labels, namespace=namespace, log_dir=log_dir, pool=pool,
+        node_map=node_map,
+    )
     try:
         return launch.run(timeout)
     finally:

@@ -54,13 +54,12 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import TransportError
 from repro.mpi.corebudget import cores_per_rank
 from repro.mpi.mailbox import Envelope
 from repro.mpi.serialization import Blob
-from repro.mpi.topology import Topology
 from repro.mpi.transport import (
     _PICKLE,
     _RAW_ARRAY,
@@ -162,23 +161,13 @@ def list_segments(prefix: str, directory: Optional[str] = None) -> List[str]:
     )
 
 
-def sweep_segments(
-    prefix: str,
-    directory: Optional[str] = None,
-    ranks: Optional[List[int]] = None,
-) -> List[str]:
+def sweep_segments(prefix: str, directory: Optional[str] = None) -> List[str]:
     """Unlink leftover segments of a job; returns what was removed.
 
     Run by the launcher during rendezvous cleanup so segments cannot
     outlive the job even when a child died before unlinking its own.
-    With *ranks*, only those ranks' segments are removed.
     """
-    if ranks is not None:
-        paths = [
-            segment_path(prefix, r, directory) for r in sorted(set(ranks))
-        ]
-    else:
-        paths = list_segments(prefix, directory)
+    paths = list_segments(prefix, directory)
     removed = []
     for path in paths:
         try:
@@ -653,13 +642,12 @@ class ShmTransport(SocketTransport):
         peers: dict,
         *,
         prefix: str,
-        topology: Topology,
+        node_map: Optional[Sequence[int]] = None,
         directory: Optional[str] = None,
         ring_bytes: int = _RING_BYTES,
     ):
         super().__init__(rank, nprocs, listener, peers)
         self.kind = "shm"
-        self._topology = topology
         self._prefix = prefix
         self._dir = directory or segment_dir()
         #: Poll window the progress engine grants a blocked rank before
@@ -671,7 +659,7 @@ class ShmTransport(SocketTransport):
         self._rings_in = {
             r: ShmRing(self._seg.mm, self._seg.ring_off(r), self._seg.ring_bytes)
             for r in range(nprocs)
-            if r != rank and self._topology.same_node(rank, r)
+            if r != rank and (node_map is None or node_map[r] == node_map[rank])
         }
         self._peer_segs: Dict[int, ShmSegment] = {}
         self._peer_rings: Dict[int, ShmRing] = {}

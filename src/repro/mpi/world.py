@@ -18,7 +18,7 @@ import numbers
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import AbortError, DeadlockError, ProcessFailedError
 from repro.mpi.mailbox import Mailbox
@@ -154,12 +154,9 @@ class WorldConfig:
         default data plane").  ``"shm"`` asks for the shared-memory
         transport (:class:`~repro.mpi.shm.ShmTransport`) by name: rings
         and a page pool between same-node peers, sockets across nodes.
-    nodes :
-        Number of simulated nodes the ranks are block-distributed over
-        (see :class:`~repro.mpi.topology.Topology`), or ``None`` (the
-        default) for a single node.  Cross-node peer pairs never use
-        shared memory, and a collective crosses a node boundary once per
-        node (one representative relays for its node-mates).
+
+    Which ranks share a node is not configured here: it is where the
+    launcher placed them, a world's :attr:`World.node_map`.
     """
 
     deadlock_detection: bool = True
@@ -168,7 +165,6 @@ class WorldConfig:
     match_schedule: Optional["MatchSchedule"] = None
     backend: str = "thread"
     transport: str = "auto"
-    nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("thread", "process"):
@@ -191,31 +187,48 @@ class WorldConfig:
             raise ValueError(
                 f"deadlock_grace must be finite and >= 0, got {self.deadlock_grace!r}"
             )
-        if self.nodes is not None and (
-            isinstance(self.nodes, bool) or not isinstance(self.nodes, numbers.Integral)
-        ):
-            raise ValueError(f"nodes must be an int or None, got {self.nodes!r}")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
+
+
+def check_node_map(nprocs: int, node_map: Optional[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """*node_map* as a world holds it: ``None`` (one node), or a tuple of
+    one int node id per world rank — a launch plan's
+    ``placement.node_of_rank`` (paper §2: executables may share an SMP
+    node, never a CPU).  Anything else is refused with ``ValueError``."""
+    if node_map is None:
+        return None
+    try:
+        nodes = tuple(node_map)
+    except TypeError:
+        nodes = ()
+    if len(nodes) != nprocs or not all(
+        isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in nodes
+    ):
+        raise ValueError(
+            f"node_map must hold one int node id per world rank ({nprocs}), got {node_map!r}"
+        )
+    return tuple(int(n) for n in nodes)
 
 
 class World:
     """Shared infrastructure for ``nprocs`` simulated MPI processes."""
 
-    def __init__(self, nprocs: int, config: WorldConfig | None = None):
+    def __init__(
+        self,
+        nprocs: int,
+        config: WorldConfig | None = None,
+        node_map: Optional[Sequence[int]] = None,
+    ):
         if nprocs < 1:
             raise ValueError(f"world size must be >= 1, got {nprocs}")
         #: Number of processes in the world (never changes).
         self.nprocs = nprocs
         #: Behaviour knobs shared by every communicator of this world.
         self.config = config or WorldConfig()
-        #: Simulated node topology (ranks → nodes) — consulted by the
-        #: process backend's per-pair transport selection and by the
-        #: node-aware shape of the collectives (lazy import breaks the
-        #: module cycle).
-        from repro.mpi.topology import Topology
-
-        self.topology = Topology.from_config(nprocs, self.config)
+        #: The node id of each world rank — where the launcher placed it
+        #: (:func:`check_node_map`) — or ``None``: every rank on node 0.
+        #: The collectives' two-level stars, the ``mph://node/<k>``
+        #: psets and the shm transport's ring pairs all read it.
+        self.node_map = check_node_map(nprocs, node_map)
         #: One mailbox per process, indexed by world rank.
         self.mailboxes = [Mailbox(self, r) for r in range(nprocs)]
         #: The :class:`~repro.mpi.transport.Transport` carrying remote

@@ -68,7 +68,6 @@ _COMPONENT_KEYS = {"name", "program", "nprocs", "argv"}
 _RUNTIME_KEYS = {
     "backend",
     "transport",
-    "nodes",
     "rank_policy",
     "reuse_world",
     "timeout",
@@ -233,7 +232,6 @@ class RuntimeSpec:
 
     backend: str = "thread"
     transport: str = "auto"
-    nodes: Optional[int] = None
     rank_policy: str = "block"
     #: Allow the runtime to run this job on a cached resident worker
     #: world sharing the document's layout key (process backend).
@@ -246,7 +244,6 @@ class RuntimeSpec:
         return {
             "backend": self.backend,
             "transport": self.transport,
-            "nodes": self.nodes,
             "rank_policy": self.rank_policy,
             "reuse_world": self.reuse_world,
             "timeout": self.timeout,
@@ -256,17 +253,9 @@ class RuntimeSpec:
     def from_spec(cls, spec: Any, path: str) -> "RuntimeSpec":
         d = _require_mapping(spec, path)
         _reject_unknown(d, _RUNTIME_KEYS, path)
-        nodes = d.get("nodes")
-        if nodes is not None and (
-            isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1
-        ):
-            raise JobSpecError(
-                f"expected null or an integer >= 1, got {nodes!r}", path=f"{path}.nodes"
-            )
         return cls(
             backend=_get_choice(d, "backend", _BACKENDS, path, "thread"),
             transport=_get_choice(d, "transport", _TRANSPORTS, path, "auto"),
-            nodes=nodes,
             rank_policy=_get_choice(d, "rank_policy", _RANK_POLICIES, path, "block"),
             reuse_world=_get_bool(d, "reuse_world", path, True),
             timeout=_get_float(d, "timeout", path, 60.0),
@@ -536,7 +525,7 @@ class JobDocument:
     def layout_portion(self) -> dict:
         """The sub-document that determines the handshake layout: the
         components and processor map, the registration text, and the
-        backend/transport/topology selection.  Entry arguments, seeds,
+        backend/transport selection.  Entry arguments, seeds,
         and the output spec are deliberately excluded — they vary per job
         without changing the layout."""
         return {
@@ -548,7 +537,6 @@ class JobDocument:
             "runtime": {
                 "backend": self.runtime.backend,
                 "transport": self.runtime.transport,
-                "nodes": self.runtime.nodes,
                 "rank_policy": self.runtime.rank_policy,
             },
         }

@@ -399,7 +399,6 @@ class JobRuntime:
         config_kwargs: Dict[str, Any] = {
             "backend": rt.backend,
             "transport": rt.transport,
-            "nodes": rt.nodes,
         }
         if document.seeds.fault is not None:
             from repro.mpi.faults import FaultSchedule

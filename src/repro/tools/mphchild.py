@@ -9,7 +9,8 @@ independently ``exec``'d executable that knows *nothing* at startup
 except the job's socket directory (where the rendezvous socket lives)
 and which rank of how many it plays.  It connects to the rendezvous
 once and says hello; everything else — the peer address map, the
-:class:`~repro.mpi.world.WorldConfig`, and *what program to run* —
+:class:`~repro.mpi.world.WorldConfig`, the node map, and *what program
+to run* —
 comes back on that connection in the welcome frame's per-rank *meta*,
 which
 :func:`repro.launcher.job.exec_rank_entry` turns back into the rank's
@@ -18,8 +19,7 @@ entry point — a pair of:
 * the importable module spec (``pkg.module`` or ``pkg.module:ATTR``),
   resolved exactly like ``mphrun --programs``;
 * this rank's :class:`~repro.launcher.job.JobEnv` as the launcher planned
-  it: ``program`` is the name to look up in that registry (a ``--pool``
-  reserve rank names the built-in parking program instead), and
+  it: ``program`` is the name to look up in that registry, and
   ``exe_index`` / ``local_index`` / ``argv`` / ``vars`` / ``workdir`` /
   ``registry`` are as in the thread backend — except ``output`` is a real
   :class:`~repro.core.redirect.ProcessOutput` (fd-level §5.4

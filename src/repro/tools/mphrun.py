@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes",
         type=int,
         default=0,
-        help="validate placement on an SMP machine with this many nodes",
+        help="place the ranks on an SMP machine with this many nodes; the "
+        "placement is the world's node map (default: one node)",
     )
     parser.add_argument(
         "--cpus-per-node",
@@ -150,16 +151,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             specs = parse_mpirun_spec(args.spec)
         try:
-            # One config for both backends.  --nodes doubles as the world
-            # topology: the same SMP node count that validates placement
-            # also scopes which rank pairs the shm transport treats as
-            # same-node (rings) vs cross-node (sockets), and where a
-            # collective puts its one representative per node.
-            config = WorldConfig(
-                backend=args.backend,
-                transport=args.transport,
-                nodes=args.nodes or None,
-            )
+            # One config for both backends.  Which ranks share a node is
+            # the --nodes machine's placement alone (MpmdJob hands it to
+            # the world): it decides which pairs the shm transport gives
+            # rings, and where a collective puts its one representative
+            # per node.
+            config = WorldConfig(backend=args.backend, transport=args.transport)
         except ValueError as exc:
             raise ReproError(str(exc)) from None
         # The launcher ships the --programs *name*: a process-backend rank

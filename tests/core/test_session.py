@@ -2,7 +2,8 @@
 layout cache.
 
 The pset cases run on both execution backends via the ``backend_config``
-fixture.  The layout-cache cases are thread-backend only: they count the
+fixture, on the ``--mpi-nodes`` machine (``backend_machine``) when one is
+given.  The layout-cache cases are thread-backend only: they count the
 thread world's messages.  The failure shrink's epochs, and psets and
 ``migrate`` after one, are pinned in
 ``tests/mpi/test_recovery.py::TestMphShrinkWorld`` (a crash needs the
@@ -17,6 +18,7 @@ from repro import mph_run
 from repro.core.handshake import ComponentDecl
 from repro.core.session import PrecomputedLayout, Session, components_session
 from repro.errors import HandshakeError, SessionError
+from repro.launcher.smp import Machine
 from repro.mpi import World
 from repro.mpi.executor import run_world
 
@@ -26,7 +28,7 @@ REG = "BEGIN\natm\nocn\nEND"
 class TestPsetCatalog:
     """Pset lookup and lazy derivation — collective only over members."""
 
-    def test_catalog_lookup_and_lazy_comms(self, backend_config):
+    def test_catalog_lookup_and_lazy_comms(self, backend_config, backend_machine):
         def atm(world, env):
             s = components_session(world, "atm", env=env)
             names = s.psets()
@@ -64,14 +66,15 @@ class TestPsetCatalog:
             return ("ocn", comm.size, s.pset("world").size)
 
         result = mph_run(
-            [(atm, 2), (ocn, 2)], registry=REG, config=backend_config, timeout=120.0
+            [(atm, 2), (ocn, 2)], registry=REG, config=backend_config, timeout=120.0,
+            machine=backend_machine(4),
         )
         atm_views = result.by_executable(0)
         assert atm_views[0][1] == 2
         assert atm_views[0][2] == atm_views[1][2]
         assert result.by_executable(1)[0] == ("ocn", 2, 4)
 
-    def test_world_pset_is_active_world(self, backend_config):
+    def test_world_pset_is_active_world(self, backend_config, backend_machine):
         def solo(world, env):
             s = components_session(world, "atm", env=env)
             assert s.pset("world").members == tuple(range(world.size))
@@ -83,9 +86,64 @@ class TestPsetCatalog:
             return s.comm("world").allreduce(world.rank)
 
         result = mph_run(
-            [(solo, 2), (ocn, 1)], registry=REG, config=backend_config, timeout=120.0
+            [(solo, 2), (ocn, 1)], registry=REG, config=backend_config, timeout=120.0,
+            machine=backend_machine(3),
         )
         assert set(result.values()) == {0 + 1 + 2}
+
+
+def _carved(machine: Machine, node: int, tasks: int) -> Machine:
+    machine.carve(node, tasks)
+    return machine
+
+
+class TestNodePsetsFollowThePlacement:
+    """Which ranks share a node is where the launcher placed them — one
+    map, read alike by the ``mph://node/<k>`` psets and the collectives'
+    star, on either backend.  A 6-rank job fits on the first node of
+    ``homogeneous(2, 8)``, so that machine's second node holds nothing;
+    on ``homogeneous(2, 3)`` it is split three and three; and carving a
+    node into fewer tasks (paper §9(a)) moves the split with it."""
+
+    @pytest.mark.parametrize(
+        "machine, psets, leaders",
+        [
+            (lambda: Machine.homogeneous(2, 8), {0: (0, 1, 2, 3, 4, 5)}, None),
+            (lambda: Machine.homogeneous(2, 3), {0: (0, 1, 2), 1: (3, 4, 5)}, (0, 3)),
+            (
+                lambda: _carved(Machine.homogeneous(2, 4), 0, 2),
+                {0: (0, 1), 1: (2, 3, 4, 5)},
+                (0, 2),
+            ),
+        ],
+        ids=["fits-one-node", "three-and-three", "carved-node"],
+    )
+    def test_psets_and_star_follow_the_machine(self, backend_config, machine, psets, leaders):
+        def placed(world, env):
+            s = components_session(world, "atm", env=env)
+            nodes = {
+                int(name.rsplit("/", 1)[1]): s.pset(name).members
+                for name in s.psets()
+                if name.startswith("mph://node/")
+            }
+            node_comms = {k: s.comm(f"mph://node/{k}").size for k in nodes if world.rank in nodes[k]}
+            hier = world._hierarchy()
+            star = None if hier is None else hier.leaders
+            return nodes, node_comms, star, world.allreduce(world.rank)
+
+        result = mph_run(
+            [(placed, 6)], registry="BEGIN\natm\nEND", config=backend_config,
+            machine=machine(), timeout=120.0,
+        )
+        for rank, (nodes, node_comms, star, total) in enumerate(result.values()):
+            assert nodes == psets
+            (mine,) = [k for k, members in psets.items() if rank in members]
+            assert node_comms == {mine: len(psets[mine])}
+            assert star == leaders  # None: the flat star
+            assert total == 15
+        assert [result.placement.node_of_rank(r) for r in range(6)] == [
+            k for k, members in sorted(psets.items()) for _ in members
+        ]
 
 
 def _layout_registry(nprocs: int, multi: bool) -> str:

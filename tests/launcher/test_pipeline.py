@@ -11,8 +11,10 @@ through every spawner the pipeline has:
   over): every rank is its own ``python -m repro.tools.mphchild``.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
-``--mpi-transport`` / ``--mpi-nodes``, so CI's ``backends`` matrix runs
-each spawner over unix, shm and shm/nodes=2.  What must not depend on
+``--mpi-transport`` and ``backend_machine`` the ``--mpi-nodes`` machine,
+so CI's ``backends`` matrix runs each spawner over unix, shm and
+shm/nodes=2 — the last with the node map riding every spawner's
+welcome.  What must not depend on
 the spawner: the plan, the values, the failure classification, and that
 nothing is left behind.
 """
@@ -130,10 +132,11 @@ def _expected_values():
 
 
 class TestOneJobEverySpawner:
-    def test_same_plan_values_and_failures(self, programs, backend_config):
+    def test_same_plan_values_and_failures(self, programs, backend_config, backend_machine):
         ns = f"pipe{os.getpid()}"
         job = MpmdJob(
-            SPECS, programs=programs, config=backend_config, registry=REGISTRY, namespace=ns
+            SPECS, programs=programs, config=backend_config, registry=REGISTRY, namespace=ns,
+            machine=backend_machine(5),
         )
         result = job.run(timeout=60.0)
         assert result.assignment == [[0, 1], [2], [3, 4]]

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -117,6 +118,40 @@ class TestMpmdJobProcessBackend:
         assert exc.label == "crasher.0"
         assert exc.exit_code == 7
         assert "crasher" in str(exc)
+
+    def test_a_death_the_launcher_has_seen_is_not_waited_out(self):
+        """Rank 0 dies and rank 1 returns: once every rank still owed a
+        result has exited there is nobody left to wait for, so the job
+        fails at once with the dead rank named — not after the grace
+        live siblings get to unwind."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                os._exit(4)
+            return comm.rank
+
+        start = time.monotonic()
+        with pytest.raises(ChildExitError) as excinfo:
+            run_spmd(2, fn, config=PROCESS, timeout=30.0)
+        assert time.monotonic() - start < 0.5
+        assert (excinfo.value.rank, excinfo.value.exit_code) == (0, 4)
+
+    def test_a_rank_that_reported_and_then_died_keeps_its_result(self):
+        """Rank 1 reports and its process exits a moment later; rank 0
+        dies without a word.  Only rank 0 is a death."""
+
+        def reported(comm):
+            threading.Timer(0.02, os._exit, (5,)).start()
+            return "reported"
+
+        def silent(comm):
+            time.sleep(0.1)
+            os._exit(4)
+
+        results = procbackend.run_procs([silent, reported], PROCESS, timeout=30.0)
+        assert isinstance(results[0].exception, ChildExitError)
+        assert results[0].exception.exit_code == 4
+        assert (results[1].exception, results[1].value) == (None, "reported")
 
     def test_failures_accessor_shape(self):
         """failures() stays empty on a clean process-backend run."""
@@ -461,11 +496,11 @@ class TestMphrunProcessBackend:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_nodes_flag_shapes_the_world_on_both_backends(self, backend, tmp_path, monkeypatch, capsys):
-        """--nodes validates placement *and* is the world's topology,
-        whichever backend runs it (the thread world used to get one
-        node for the same command line)."""
+        """--nodes places the ranks, and that placement is the world's
+        node map, whichever backend runs it (the thread world used to get
+        one node for the same command line)."""
         (tmp_path / "topo_models.py").write_text(
-            "PROGRAMS = {'topo': lambda world, env: world.world.topology.nnodes}\n"
+            "PROGRAMS = {'topo': lambda world, env: world.world.node_map}\n"
         )
         monkeypatch.syspath_prepend(str(tmp_path))
         monkeypatch.setenv("PYTHONPATH", str(tmp_path) + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -473,7 +508,23 @@ class TestMphrunProcessBackend:
         code = main(argv + ["--nodes", "2", "--cpus-per-node", "2", "--backend", backend])
         sys.modules.pop("topo_models", None)
         assert code == 0
-        assert capsys.readouterr().out.count("-> 2") == 2
+        assert capsys.readouterr().out.count("-> (0, 0, 1, 1)") == 2
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_nodes_flag_keeps_a_job_that_fits_on_one_node(self, backend, tmp_path, monkeypatch, capsys):
+        """Six ranks on ``--nodes 2 --cpus-per-node 8`` all fit on node 0,
+        so no collective crosses a node: the world's star is flat."""
+        (tmp_path / "flat_models.py").write_text(
+            "PROGRAMS = {'flat': lambda world, env: (world._hierarchy() is None, "
+            "world.allreduce(1))}\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["--spec", "-np 3 flat : -np 3 flat", "--programs", "flat_models"]
+        code = main(argv + ["--nodes", "2", "--cpus-per-node", "8", "--backend", backend])
+        sys.modules.pop("flat_models", None)
+        assert code == 0
+        assert capsys.readouterr().out.count("-> (True, 6)") == 2
 
 
 # ---------------------------------------------------------------------------

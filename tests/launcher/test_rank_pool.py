@@ -10,8 +10,10 @@ and a parked process holds nothing — descriptor, thread, memory — of the
 jobs it served.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
-``--mpi-transport`` / ``--mpi-nodes``: CI's ``backends`` matrix runs the
-file over unix, shm and shm/nodes=2.
+``--mpi-transport``: CI's ``backends`` matrix runs the file over unix,
+shm and shm/nodes=2.  Its jobs take no machine, so every leg runs them
+on one node: what a parked process is handed does not depend on where
+the ranks are placed.
 """
 
 import asyncio
@@ -316,8 +318,6 @@ class TestSameJob:
 def _document(config, natm, program=None, save=("values", "traffic"), warm=False):
     runtime = {"backend": "process", "transport": config.transport, "reuse_world": warm,
                "timeout": 60.0}
-    if config.nodes is not None:
-        runtime["nodes"] = config.nodes
     return {
         "name": f"pool-atm{natm}",
         "components": [
@@ -478,8 +478,7 @@ class TestHygiene:
             from repro.mpi import WorldConfig
             from repro.service import JobDocument, JobRuntime
 
-            config = WorldConfig(backend="process", transport={proc_config.transport!r},
-                                 nodes={proc_config.nodes!r})
+            config = WorldConfig(backend="process", transport={proc_config.transport!r})
             runtime = JobRuntime(CATALOG, max_resident={max_resident})
             for _ in range(2):
                 document = _document(config, 2, warm={max_resident > 0})

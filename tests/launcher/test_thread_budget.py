@@ -20,9 +20,8 @@ one file); what a rank *ends up with* is read from the real library
 cleanly where numpy's BLAS has no such entry point.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
-``--mpi-transport`` / ``--mpi-nodes``: CI's ``backends`` matrix runs the
-file on every leg, the thread leg included — it holds the thread world to
-the same rule.
+``--mpi-transport``: CI's ``backends`` matrix runs the file on every leg,
+the thread leg included — it holds the thread world to the same rule.
 """
 
 import json

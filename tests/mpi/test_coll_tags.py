@@ -14,13 +14,13 @@ import pytest
 
 from repro.mpi import collectives
 from repro.mpi.comm import _COLL_TAG_STRIDE
-from repro.mpi.world import WorldConfig
+from tests.plugins.backend_select import block_node_map
 
 #: Both shapes of the star must survive back-to-back composed
 #: collectives: one node (a sweep is one hop) and two (a representative
 #: relays on the same tag it received on).  The keys are the names the
-#: test floor knows the two legs by.
-CONFIGS = {"linear": WorldConfig(), "tree": WorldConfig(nodes=2)}
+#: test floor knows the two legs by; the values are node counts.
+NODES = {"linear": None, "tree": 2}
 
 
 def test_max_offset_below_stride():
@@ -41,7 +41,7 @@ def test_source_audit_of_tag_offsets():
     assert max(offsets) <= collectives.MAX_TAG_OFFSET
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
+@pytest.mark.parametrize("name", list(NODES))
 class TestBackToBackCollectives:
     """Interleave composed collectives so a tag collision would misroute
     a phase-two message into the next collective."""
@@ -52,7 +52,7 @@ class TestBackToBackCollectives:
             b = comm.allgather(("second", comm.rank * 10))
             return a, b
 
-        for a, b in spmd(5, prog, config=CONFIGS[name]):
+        for a, b in spmd(5, prog, node_map=block_node_map(5, NODES[name])):
             assert a == [("first", r) for r in range(5)]
             assert b == [("second", r * 10) for r in range(5)]
 
@@ -62,7 +62,7 @@ class TestBackToBackCollectives:
             gathered = comm.allgather(total)
             return total, gathered
 
-        for total, gathered in spmd(4, prog, config=CONFIGS[name]):
+        for total, gathered in spmd(4, prog, node_map=block_node_map(4, NODES[name])):
             assert total == 10
             assert gathered == [10, 10, 10, 10]
 
@@ -72,7 +72,7 @@ class TestBackToBackCollectives:
             second = comm.reduce_scatter([1] * comm.size)
             return first, second
 
-        for first, second in spmd(4, prog, config=CONFIGS[name]):
+        for first, second in spmd(4, prog, node_map=block_node_map(4, NODES[name])):
             assert first == 6  # sum of ranks 0..3
             assert second == 4
 
@@ -84,7 +84,7 @@ class TestBackToBackCollectives:
             return total.tolist()
 
         expected = (np.arange(3.0) * sum(range(4))).tolist()
-        assert spmd(4, prog, config=CONFIGS[name]) == [expected] * 4
+        assert spmd(4, prog, node_map=block_node_map(4, NODES[name])) == [expected] * 4
 
     def test_rapid_mixed_sequence(self, spmd, name):
         """A dense burst of every composed collective back to back."""
@@ -98,7 +98,7 @@ class TestBackToBackCollectives:
                 out.append(comm.reduce_scatter(list(range(comm.size))))
             return out
 
-        results = spmd(3, prog, config=CONFIGS[name])
+        results = spmd(3, prog, node_map=block_node_map(3, NODES[name]))
         for rank, out in enumerate(results):
             for step in range(3):
                 assert out[3 * step] == [(step, r) for r in range(3)]

@@ -1,9 +1,10 @@
-"""Topology model and the node-aware shape of the collectives.
+"""The node map and the node-aware shape of the collectives.
 
-``Topology`` maps ranks onto simulated nodes; ``CommHierarchy`` derives
-the leader structure a communicator's star needs once it spans nodes
-(node-mates talk to one representative, representatives to the root —
-the MPICH-G2 rule that a collective crosses a slow link once).
+A world's ``node_map`` says which node each rank is on — where the
+launcher placed it; ``CommHierarchy`` derives from it the leader
+structure a communicator's star needs once it spans nodes (node-mates
+talk to one representative, representatives to the root — the MPICH-G2
+rule that a collective crosses a slow link once).
 
 The correctness bar for the two-deep star is *bit-identical results to
 the flat one* on every communicator shape: sizes that are prime, powers
@@ -19,53 +20,46 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mpi import WorldConfig, reduce_ops as ops
+from repro.mpi import World, reduce_ops as ops
 from repro.mpi.executor import run_spmd
 from repro.mpi.reduce_ops import Op
-from repro.mpi.topology import CommHierarchy, Topology
+from repro.mpi.topology import CommHierarchy
+from tests.plugins.backend_select import block_node_map
 
 
 # ---------------------------------------------------------------------------
-# Topology: rank → node mapping
+# The node map: one node id per world rank, or None for one node
 # ---------------------------------------------------------------------------
 
 
-class TestTopology:
-    def test_single_node_default(self):
-        topo = Topology(8)
-        assert topo.nnodes == 1
-        assert all(topo.node_of(r) == 0 for r in range(8))
-        assert topo.same_node(0, 7)
+class TestNodeMap:
+    def test_one_node_without_a_map(self):
+        assert World(8).node_map is None
 
-    def test_block_distribution(self):
-        topo = Topology(8, nnodes=2)
-        assert [topo.node_of(r) for r in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
-        assert topo.same_node(1, 3)
-        assert not topo.same_node(3, 4)
+    def test_world_keeps_the_map_it_is_given(self):
+        world = World(4, node_map=[3, 3, 7, 7])
+        assert world.node_map == (3, 3, 7, 7)
 
-    def test_uneven_blocks(self):
-        topo = Topology(5, nnodes=2)
-        nodes = [topo.node_of(r) for r in range(5)]
-        assert nodes == sorted(nodes), "block distribution must be contiguous"
-        assert set(nodes) == {0, 1}
+    @pytest.mark.parametrize(
+        "node_map",
+        [(0, 0, 1), (0, 0, 1, 1, 1), 2, (0, 0, 1.0, 1), (0, True, 1, 1), "0011"],
+        ids=["short", "long", "a-count", "float-id", "bool-id", "string"],
+    )
+    def test_unusable_map_refused(self, node_map):
+        with pytest.raises(ValueError, match="node_map"):
+            World(4, node_map=node_map)
+        with pytest.raises(ValueError, match="node_map"):
+            run_spmd(4, lambda comm: None, node_map=node_map, timeout=10)
 
-    def test_nnodes_clamped_to_nprocs(self):
-        topo = Topology(3, nnodes=8)
-        assert topo.nnodes == 3
-        assert [topo.node_of(r) for r in range(3)] == [0, 1, 2]
+    def test_node_ids_need_not_be_contiguous(self):
+        """A machine names its nodes; the star asks only which ranks
+        share one, and takes the leaders in node order."""
 
-    def test_node_ranks_partition(self):
-        topo = Topology(9, nnodes=3)
-        all_ranks = []
-        for n in range(topo.nnodes):
-            all_ranks.extend(topo.node_ranks(n))
-        assert sorted(all_ranks) == list(range(9))
+        def probe(comm):
+            h = comm._hierarchy()
+            return h.nnodes, h.leaders, comm.allreduce(comm.rank + 1)
 
-    def test_from_config(self):
-        topo = Topology.from_config(6, WorldConfig(nodes=3))
-        assert topo.nnodes == 3
-        flat = Topology.from_config(6, WorldConfig())
-        assert flat.nnodes == 1
+        assert run_spmd(4, probe, node_map=(9, 9, 4, 4), timeout=30) == [(2, (2, 0), 10)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +67,20 @@ class TestTopology:
 # ---------------------------------------------------------------------------
 
 
+def _hierarchy(node_map, world_ranks):
+    return CommHierarchy([node_map[w] for w in world_ranks])
+
+
 class TestCommHierarchy:
     def test_leaders_are_lowest_rank_per_node(self):
-        topo = Topology(8, nnodes=2)
-        h = CommHierarchy.from_topology(topo, list(range(8)))
+        h = _hierarchy(block_node_map(8, 2), list(range(8)))
         assert h.leaders == (0, 4)
         assert h.members(6) == (4, 5, 6, 7)
         assert h.leader(6) == 4
         assert h.local(6) == 2
 
     def test_subset_comm(self):
-        topo = Topology(8, nnodes=2)
-        h = CommHierarchy.from_topology(topo, [0, 1, 4, 5])
+        h = _hierarchy(block_node_map(8, 2), [0, 1, 4, 5])
         assert h.nnodes == 2
         assert h.leaders == (0, 2)  # comm-rank space
         assert h.members(3) == (2, 3)
@@ -92,8 +88,7 @@ class TestCommHierarchy:
         assert h.local(3) == 1
 
     def test_effective_leaders_promotes_root(self):
-        topo = Topology(8, nnodes=2)
-        h = CommHierarchy.from_topology(topo, [0, 1, 4, 5])
+        h = _hierarchy(block_node_map(8, 2), [0, 1, 4, 5])
         # root already a leader: unchanged
         leaders, pos = h.effective_leaders(0)
         assert (leaders, pos) == ([0, 2], 0)
@@ -102,14 +97,12 @@ class TestCommHierarchy:
         assert (leaders, pos) == ([0, 3], 1)
 
     def test_single_node_comm(self):
-        topo = Topology(8, nnodes=2)
-        h = CommHierarchy.from_topology(topo, [4, 5, 6])
+        h = _hierarchy(block_node_map(8, 2), [4, 5, 6])
         assert h.nnodes == 1
         assert h.leaders == (0,)
 
     def test_same_node_query(self):
-        topo = Topology(4, nnodes=2)
-        h = CommHierarchy.from_topology(topo, list(range(4)))
+        h = _hierarchy(block_node_map(4, 2), list(range(4)))
         assert h.same_node(0, 1)
         assert not h.same_node(1, 2)
 
@@ -183,19 +176,20 @@ def _assert_same(flat, hier):
 @pytest.mark.parametrize("size", [3, 4, 5, 7, 8])
 @pytest.mark.parametrize("nodes", [2, 3])
 def test_hierarchical_matches_flat(size, nodes):
-    flat = run_spmd(size, _collective_battery, config=WorldConfig(), timeout=60)
-    hier = run_spmd(size, _collective_battery, config=WorldConfig(nodes=nodes), timeout=60)
+    flat = run_spmd(size, _collective_battery, timeout=60)
+    hier = run_spmd(size, _collective_battery, node_map=block_node_map(size, nodes), timeout=60)
     for f, h in zip(flat, hier):
         _assert_same(f, h)
 
 
 def test_hierarchy_disabled_on_single_node():
-    """nodes=1 (the default) must never engage the two-level paths."""
+    """One node (no node map, the default) must never engage the
+    two-level paths."""
 
     def probe(comm):
         return comm._hierarchy()
 
-    assert run_spmd(4, probe, config=WorldConfig(), timeout=30) == [None] * 4
+    assert run_spmd(4, probe, timeout=30) == [None] * 4
 
 
 def test_hierarchy_engages_with_nodes():
@@ -203,7 +197,7 @@ def test_hierarchy_engages_with_nodes():
         h = comm._hierarchy()
         return None if h is None else (h.nnodes, h.leaders)
 
-    got = run_spmd(4, probe, config=WorldConfig(nodes=2), timeout=30)
+    got = run_spmd(4, probe, node_map=block_node_map(4, 2), timeout=30)
     assert got == [(2, (0, 2))] * 4
 
 
@@ -213,7 +207,7 @@ def test_hierarchy_skips_tiny_comms():
     def probe(comm):
         return comm._hierarchy()
 
-    assert run_spmd(2, probe, config=WorldConfig(nodes=2), timeout=30) == [
+    assert run_spmd(2, probe, node_map=block_node_map(2, 2), timeout=30) == [
         None,
         None,
     ]
@@ -231,5 +225,5 @@ def test_single_node_subcomm_goes_flat():
         sub.free()
         return result
 
-    got = run_spmd(8, probe, config=WorldConfig(nodes=2), timeout=30)
+    got = run_spmd(8, probe, node_map=block_node_map(8, 2), timeout=30)
     assert got == [True] * 8

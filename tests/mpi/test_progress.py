@@ -66,10 +66,11 @@ class TestConfigValidation:
             "match_schedule",
             "backend",
             "transport",
-            "nodes",
         ]
 
     def test_retired_knob_is_a_type_error(self):
+        with pytest.raises(TypeError, match="nodes"):
+            WorldConfig(nodes=2)
         with pytest.raises(TypeError, match="bootstrap"):
             WorldConfig(bootstrap="tree")
         with pytest.raises(TypeError, match="bcast_algorithm"):

@@ -6,13 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import MAX, MIN, SUM, WorldConfig, run_spmd
+from repro.mpi import MAX, MIN, SUM, run_spmd
+from tests.plugins.backend_select import block_node_map
 
 PROP = dict(max_examples=20, deadline=None)
 
 sizes = st.integers(1, 5)
 shapes = st.sampled_from([(3,), (2, 2), (1, 4), (2, 3, 2)])
-configs = st.sampled_from([WorldConfig(), WorldConfig(nodes=2)])
+node_counts = st.sampled_from([None, 2])
 ops = st.sampled_from([SUM, MAX, MIN])
 
 
@@ -22,9 +23,9 @@ def payload(rank: int, shape: tuple, seed: int) -> np.ndarray:
 
 
 class TestBufferObjectEquivalence:
-    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), config=configs)
+    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), nodes=node_counts)
     @settings(**PROP)
-    def test_bcast(self, n, shape, seed, config):
+    def test_bcast(self, n, shape, seed, nodes):
         def main(comm):
             data = payload(0, shape, seed)
             obj = comm.bcast(data if comm.rank == 0 else None)
@@ -32,22 +33,22 @@ class TestBufferObjectEquivalence:
             comm.Bcast(buf)
             return np.array_equal(obj, buf)
 
-        assert all(run_spmd(n, main, config=config))
+        assert all(run_spmd(n, main, node_map=block_node_map(n, nodes)))
 
-    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), config=configs, op=ops)
+    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), nodes=node_counts, op=ops)
     @settings(**PROP)
-    def test_allreduce(self, n, shape, seed, config, op):
+    def test_allreduce(self, n, shape, seed, nodes, op):
         def main(comm):
             data = payload(comm.rank, shape, seed)
             obj = comm.allreduce(data, op=op)
             buf = comm.Allreduce(data, op=op)
             return np.array_equal(obj, buf)
 
-        assert all(run_spmd(n, main, config=config))
+        assert all(run_spmd(n, main, node_map=block_node_map(n, nodes)))
 
-    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), config=configs)
+    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), nodes=node_counts)
     @settings(**PROP)
-    def test_gather_matches_stack(self, n, shape, seed, config):
+    def test_gather_matches_stack(self, n, shape, seed, nodes):
         def main(comm):
             data = payload(comm.rank, shape, seed)
             obj = comm.gather(data)
@@ -56,22 +57,22 @@ class TestBufferObjectEquivalence:
                 return obj is None and buf is None
             return np.array_equal(np.stack(obj), buf)
 
-        assert all(run_spmd(n, main, config=config))
+        assert all(run_spmd(n, main, node_map=block_node_map(n, nodes)))
 
-    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), config=configs)
+    @given(n=sizes, shape=shapes, seed=st.integers(0, 999), nodes=node_counts)
     @settings(**PROP)
-    def test_allgather_matches_stack(self, n, shape, seed, config):
+    def test_allgather_matches_stack(self, n, shape, seed, nodes):
         def main(comm):
             data = payload(comm.rank, shape, seed)
             obj = np.stack(comm.allgather(data))
             buf = comm.Allgather(data)
             return np.array_equal(obj, buf)
 
-        assert all(run_spmd(n, main, config=config))
+        assert all(run_spmd(n, main, node_map=block_node_map(n, nodes)))
 
-    @given(n=sizes, seed=st.integers(0, 999), config=configs)
+    @given(n=sizes, seed=st.integers(0, 999), nodes=node_counts)
     @settings(**PROP)
-    def test_scatter_roundtrip(self, n, seed, config):
+    def test_scatter_roundtrip(self, n, seed, nodes):
         def main(comm):
             stacked = None
             if comm.rank == 0:
@@ -80,7 +81,7 @@ class TestBufferObjectEquivalence:
             comm.Scatter(stacked, recv)
             return np.array_equal(recv, payload(comm.rank, (4,), seed))
 
-        assert all(run_spmd(n, main, config=config))
+        assert all(run_spmd(n, main, node_map=block_node_map(n, nodes)))
 
 
 class TestGridChannelProperties:

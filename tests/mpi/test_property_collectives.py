@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import MAX, MIN, SUM, Op, WorldConfig, run_spmd
-from repro.mpi.topology import Topology
+from repro.mpi import MAX, MIN, SUM, Op, run_spmd
+from tests.plugins.backend_select import block_node_map
 
 # Keep worlds small: each example spins up real threads.
 sizes = st.integers(min_value=1, max_value=6)
@@ -39,7 +39,7 @@ class TestReductionProperties:
         def main(comm):
             return comm.allreduce(contributions[comm.rank])
 
-        assert run_spmd(n, main, config=WorldConfig(nodes=2)) == run_spmd(n, main)
+        assert run_spmd(n, main, node_map=block_node_map(n, 2)) == run_spmd(n, main)
 
     @given(n=sizes, contributions=payload_lists, root_seed=st.integers(0, 100))
     @settings(**PROP_SETTINGS)
@@ -203,7 +203,7 @@ class TestSequentialModel:
         node's members in ascending rank, then the node partials in node
         order — and plain rank order for a non-commutative operator."""
         n = 9
-        node_of = Topology(n, nodes).node_of
+        node_map = block_node_map(n, nodes)
 
         def main(world):
             sub = world.split(world.rank % 2, key=(world.rank * 4) % n)
@@ -224,16 +224,16 @@ class TestSequentialModel:
             sub.free()
             return out
 
-        results = run_spmd(n, main, config=WorldConfig(nodes=nodes))
+        results = run_spmd(n, main, node_map=node_map)
         for color in (0, 1):
             members = results[color]["members"]
             assert sorted(members) == list(range(color, n, 2))
-            nodes_in_order = [node_of(w) for w in members]
+            nodes_in_order = [node_map[w] for w in members]
             assert nodes_in_order != sorted(nodes_in_order), "members must interleave nodes"
 
             def model(value_of):
                 partials = [
-                    _fold(operator.add, [value_of(w) for w in members if node_of(w) == node])
+                    _fold(operator.add, [value_of(w) for w in members if node_map[w] == node])
                     for node in sorted(set(nodes_in_order))
                 ]
                 return _fold(operator.add, partials)

@@ -39,10 +39,8 @@ from repro.mpi.shm import (
     ShmSegment,
     ShmTransport,
     list_segments,
-    segment_path,
     sweep_segments,
 )
-from repro.mpi.topology import Topology
 from repro.mpi.transport import make_listener
 
 _RING_CTRL = 128  # mirrors shm._RING_CTRL: control words before data
@@ -359,12 +357,12 @@ class TestShmSegment:
 # ---------------------------------------------------------------------------
 
 
-def _make_shm_pair(tmp_path, nprocs=2, nodes=1, **sizes):
-    """Wired ShmTransport endpoints sharing a segment directory; *sizes*
-    go to the transport as they stand (``ring_bytes=``)."""
+def _make_shm_pair(tmp_path, nprocs=2, node_map=None, **sizes):
+    """Wired ShmTransport endpoints sharing a segment directory, placed
+    on nodes by *node_map* (``None``: one node); *sizes* go to the
+    transport as they stand (``ring_bytes=``)."""
     addrs = {rank: str(tmp_path / f"ep{rank}.sock") for rank in range(nprocs)}
     listeners = [make_listener(addrs[rank]) for rank in range(nprocs)]
-    topo = Topology(nprocs, nodes)
     endpoints = []
     for rank in range(nprocs):
         ep = ShmTransport(
@@ -373,7 +371,7 @@ def _make_shm_pair(tmp_path, nprocs=2, nodes=1, **sizes):
             listeners[rank],
             addrs,
             prefix=f"pair-{tmp_path.name[-8:]}",
-            topology=topo,
+            node_map=node_map,
             directory=str(tmp_path),
             **sizes,
         )
@@ -533,9 +531,9 @@ class TestShmTransportPair:
         assert _wait(drained, a, b, timeout=10.0), "page never released"
 
     def test_cross_node_peers_fall_back_to_sockets(self, tmp_path):
-        """nodes=2 puts ranks 0 and 1 on different simulated nodes: the
-        pair must exchange envelopes over sockets, zero ring frames."""
-        pair = _make_shm_pair(tmp_path, nodes=2)
+        """Ranks 0 and 1 on different simulated nodes: the pair must
+        exchange envelopes over sockets, zero ring frames."""
+        pair = _make_shm_pair(tmp_path, node_map=(0, 1))
         try:
             a, b = pair
             blob = Blob.encode("inter-node")
@@ -627,30 +625,3 @@ class TestShmTransportPair:
             for ep in pair:
                 ep.close()
 
-
-# ---------------------------------------------------------------------------
-# Segment sweeps by rank
-# ---------------------------------------------------------------------------
-
-
-class TestSweepRanks:
-    def test_sweep_only_departed_ranks(self, tmp_path):
-        d = str(tmp_path)
-        for r in range(4):
-            ShmSegment.create("job", r, 4, 4096, 8192, d).close()
-        removed = sweep_segments("job", d, ranks=[1, 3])
-        assert removed == [segment_path("job", 1, d), segment_path("job", 3, d)]
-        assert list_segments("job", d) == [
-            segment_path("job", 0, d),
-            segment_path("job", 2, d),
-        ]
-        # full sweep (no ranks) still removes everything left
-        assert len(sweep_segments("job", d)) == 2
-        assert list_segments("job", d) == []
-
-    def test_sweep_missing_rank_skipped(self, tmp_path):
-        d = str(tmp_path)
-        ShmSegment.create("job", 0, 2, 4096, 8192, d).close()
-        assert sweep_segments("job", d, ranks=[0, 9]) == [
-            segment_path("job", 0, d)
-        ]

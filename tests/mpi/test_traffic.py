@@ -8,14 +8,15 @@ exactly P-1 messages; an allgather exactly 2(P-1)).
 import numpy as np
 import pytest
 
-from repro.mpi import Op, World, WorldConfig
+from repro.mpi import Op, World
 from repro.mpi.executor import run_world
 from repro.mpi.world import TrafficStats
+from tests.plugins.backend_select import block_node_map
 
 
-def traffic_of(nprocs, fn, config=None):
+def traffic_of(nprocs, fn, config=None, node_map=None):
     """Run fn on a fresh world; return the traffic it generated."""
-    world = World(nprocs, config)
+    world = World(nprocs, config, node_map)
     run_world(world, [fn] * nprocs)
     return world.traffic_snapshot()
 
@@ -532,6 +533,6 @@ def _cells():
 
 @pytest.mark.parametrize("verb,nodes,n", _cells())
 def test_golden_traffic_table(verb, nodes, n):
-    stats = traffic_of(n, VERBS[verb], WorldConfig(nodes=nodes))
+    stats = traffic_of(n, VERBS[verb], node_map=block_node_map(n, nodes))
     got = (stats.messages, stats.payload_bytes, stats.copy_avoided_bytes, stats.by_kind)
     assert got == GOLDEN[verb, nodes, n]

@@ -60,7 +60,6 @@ class TestAbort:
 class TestWorldConfig:
     def test_defaults(self):
         cfg = WorldConfig()
-        assert cfg.nodes is None
         assert cfg.deadlock_detection is True
         assert (cfg.backend, cfg.transport) == ("thread", "auto")
 
@@ -79,15 +78,13 @@ class TestWorldConfig:
             dict(deadlock_grace=float("nan")),
             dict(deadlock_grace=float("inf")),
             dict(deadlock_grace=-1.0),
-            dict(nodes=2.5),
-            dict(nodes=True),
         ],
-        ids=["nan_grace", "inf_grace", "negative_grace", "fractional_nodes", "bool_nodes"],
+        ids=["nan_grace", "inf_grace", "negative_grace"],
     )
     def test_unusable_value_refused(self, bad):
         """A grace the watchdog cannot compare against (NaN never
-        expires, inf disarms it, a negative one fires at once) and a node
-        count that is not a count are refused at construction."""
+        expires, inf disarms it, a negative one fires at once) is
+        refused at construction."""
         (name,) = bad
         with pytest.raises(ValueError, match=name):
             WorldConfig(**bad)

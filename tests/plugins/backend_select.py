@@ -18,22 +18,34 @@ provides the knobs:
     valid choice there).
 
 ``--mpi-nodes N``
-    Simulated node count for the world topology (default: unset, one
-    node).  With ``N >= 2`` a collective crosses each node boundary once
-    (a representative per node relays for its node-mates) and, for the
-    ``shm`` transport, cross-node pairs fall back to sockets.
+    Spread the ranks over *N* simulated nodes (default: unset, one
+    node).  A world's nodes are where the launcher placed its ranks
+    (``World.node_map``), so the option reaches a world as that map:
+    the runners pass :func:`block_node_map` of their rank count, and
+    :func:`leg_machine` is a :class:`~repro.launcher.smp.Machine` whose
+    placement makes the same split for an ``MpmdJob``.  With ``N >= 2``
+    a collective crosses each node boundary once (a representative per
+    node relays for its node-mates) and, for the ``shm`` transport,
+    cross-node pairs fall back to sockets.
 
 ``mpi_backend``
     A parametrized fixture naming the backend of the current test.
 
 ``backend_config``
     A fresh :class:`~repro.mpi.world.WorldConfig` for that backend,
-    carrying the transport and node options.
+    carrying the transport option.
+
+``backend_machine``
+    ``machine(nprocs)`` — the :class:`~repro.launcher.smp.Machine` an
+    ``MpmdJob`` of *nprocs* ranks takes for ``--mpi-nodes`` (``None``
+    without the option).
 
 ``backend_spmd``
-    ``runner(n, fn, **kw)`` — :func:`repro.mpi.run_spmd` against the
-    selected backend with a test-friendly timeout.  Process-backend runs
-    get a larger default budget (real fork + socket bootstrap per rank).
+    ``runner(n, fn, *, nodes=None, **kw)`` — :func:`repro.mpi.run_spmd`
+    against the selected backend, over *nodes* (else ``--mpi-nodes``)
+    nodes placed by :func:`block_node_map`, with a test-friendly
+    timeout.  Process-backend runs get a larger default budget (real
+    fork + socket bootstrap per rank).
 
 ``leg_spmd``
     The same runner without the parametrization: one backend, the one
@@ -47,9 +59,11 @@ sweep must remove segments on every exit path, crashes included).
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import pytest
 
+from repro.launcher.smp import Machine
 from repro.mpi.executor import run_spmd
 from repro.mpi.world import WorldConfig
 
@@ -79,9 +93,30 @@ def pytest_addoption(parser):
         action="store",
         type=int,
         default=None,
-        help="simulated node count for the world topology "
+        help="spread the ranks over this many simulated nodes "
         "(default: single node)",
     )
+
+
+def block_node_map(nprocs: int, nnodes: Optional[int]) -> Optional[tuple]:
+    """The node map of *nprocs* ranks in *nnodes* contiguous blocks whose
+    sizes differ by at most one — rank *r* on node ``r * nnodes //
+    nprocs`` (at most one node per rank) — or ``None`` (one node) for
+    no *nnodes*."""
+    if nnodes is None:
+        return None
+    nnodes = min(nnodes, nprocs)
+    return tuple(r * nnodes // nprocs for r in range(nprocs))
+
+
+def leg_machine(nprocs: int, nnodes: Optional[int]) -> Optional[Machine]:
+    """A machine of *nnodes* nodes that an ``MpmdJob`` of *nprocs* ranks
+    fills — ``ceil(nprocs / nnodes)`` CPUs a node, so the placement is
+    never one node when there are several — or ``None`` for no
+    *nnodes*."""
+    if nnodes is None:
+        return None
+    return Machine.homogeneous(nnodes, -(-nprocs // nnodes))
 
 
 def pytest_generate_tests(metafunc):
@@ -95,10 +130,15 @@ def _make_config(mpi_backend, pytestconfig):
     kw = {"backend": mpi_backend}
     if mpi_backend == "process":
         kw["transport"] = pytestconfig.getoption("--mpi-transport")
-    nodes = pytestconfig.getoption("--mpi-nodes")
-    if nodes is not None:
-        kw["nodes"] = nodes
     return WorldConfig(**kw)
+
+
+def _spmd(config, nnodes, n, fn, timeout, kw):
+    if timeout is None:
+        timeout = 60.0 if config.backend == "process" else 30.0
+    return run_spmd(
+        n, fn, config=config, timeout=timeout, node_map=block_node_map(n, nnodes), **kw
+    )
 
 
 @pytest.fixture
@@ -114,15 +154,22 @@ def backend_config(mpi_backend, pytestconfig):
 
 
 @pytest.fixture
+def backend_machine(pytestconfig):
+    """``machine(nprocs)``: the ``--mpi-nodes`` machine for a job of
+    *nprocs* ranks (see :func:`leg_machine`)."""
+    nnodes = pytestconfig.getoption("--mpi-nodes")
+    return lambda nprocs: leg_machine(nprocs, nnodes)
+
+
+@pytest.fixture
 def backend_spmd(mpi_backend, pytestconfig):
     """SPMD runner against the selected backend."""
+    nnodes = pytestconfig.getoption("--mpi-nodes")
 
-    def runner(n, fn, *, config=None, timeout=None, **kw):
+    def runner(n, fn, *, config=None, nodes=None, timeout=None, **kw):
         if config is None:
             config = _make_config(mpi_backend, pytestconfig)
-        if timeout is None:
-            timeout = 60.0 if mpi_backend == "process" else 30.0
-        return run_spmd(n, fn, config=config, timeout=timeout, **kw)
+        return _spmd(config, nodes or nnodes, n, fn, timeout, kw)
 
     runner.backend = mpi_backend
     return runner
@@ -133,25 +180,19 @@ def leg_spmd(pytestconfig):
     """SPMD runner on the *one* backend the command line names (the
     thread world when it says ``both``), for suites whose ids carry
     another axis.  A ``config`` a test passes keeps its own fields and
-    takes the leg's backend, transport and — unless it sets one — node
-    count, so CI's process legs run the suite over real rings and
-    sockets while tier-1 runs it once, on threads."""
+    takes the leg's backend and transport, and a node count it passes
+    (``nodes=``) wins over the leg's, so CI's process legs run the suite
+    over real rings and sockets while tier-1 runs it once, on threads."""
     choice = pytestconfig.getoption("--mpi-backend")
     leg = _make_config("thread" if choice == "both" else choice, pytestconfig)
+    nnodes = pytestconfig.getoption("--mpi-nodes")
 
-    def runner(n, fn, *, config=None, timeout=None, **kw):
+    def runner(n, fn, *, config=None, nodes=None, timeout=None, **kw):
         if config is None:
             config = leg
         else:
-            config = dataclasses.replace(
-                config,
-                backend=leg.backend,
-                transport=leg.transport,
-                nodes=config.nodes or leg.nodes,
-            )
-        if timeout is None:
-            timeout = 60.0 if leg.backend == "process" else 30.0
-        return run_spmd(n, fn, config=config, timeout=timeout, **kw)
+            config = dataclasses.replace(config, backend=leg.backend, transport=leg.transport)
+        return _spmd(config, nodes or nnodes, n, fn, timeout, kw)
 
     return runner
 

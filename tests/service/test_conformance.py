@@ -77,16 +77,14 @@ class TestCrossBackendBitwise:
 
 class TestBackendMatrix:
     """Rides the repo-wide backend matrix (``--mpi-backend``,
-    ``--mpi-transport``, ``--mpi-nodes``)."""
+    ``--mpi-transport``; a job document has no node count, so
+    ``--mpi-nodes`` does not reach it)."""
 
     @pytest.fixture
     def matrix_runtime_section(self, mpi_backend, pytestconfig):
         section = {"backend": mpi_backend, "timeout": 60.0}
         if mpi_backend == "process":
             section["transport"] = pytestconfig.getoption("--mpi-transport")
-        nodes = pytestconfig.getoption("--mpi-nodes")
-        if nodes is not None:
-            section["nodes"] = nodes
         return section
 
     def test_coupled_values_are_exact(self, matrix_runtime_section, tmp_path):

@@ -57,8 +57,6 @@ def gen_valid_spec(rng: random.Random) -> dict:
             runtime["reuse_world"] = rng.choice([True, False])
         if rng.random() < 0.3:
             runtime["timeout"] = rng.choice([5.0, 30.0, 120.5])
-        if rng.random() < 0.2:
-            runtime["nodes"] = rng.randint(1, 3)
         spec["runtime"] = runtime
 
     if backend == "thread" and rng.random() < 0.4:
@@ -224,14 +222,12 @@ _CORPUS = [
      lambda s: _set(s, "runtime", {"backend": "process", "transport": "tcp"})),
     ("thread-with-shm", "runtime.transport",
      lambda s: _set(s, "runtime", {"backend": "thread", "transport": "shm"})),
-    ("nodes-zero", "runtime.nodes",
-     lambda s: _set(s, "runtime", {"backend": "thread", "nodes": 0})),
-    ("nodes-bool", "runtime.nodes",
-     lambda s: _set(s, "runtime", {"backend": "thread", "nodes": True})),
     ("bad-rank-policy", "runtime.rank_policy",
      lambda s: _set(s, "runtime", {"rank_policy": "spiral"})),
     ("retired-runtime-pool", "runtime",
      lambda s: _set(s, "runtime", {"backend": "thread", "pool": 1})),
+    ("retired-runtime-nodes", "runtime",
+     lambda s: _set(s, "runtime", {"backend": "thread", "nodes": 2})),
     ("reuse-world-string", "runtime.reuse_world",
      lambda s: _set(s, "runtime", {"reuse_world": "yes"})),
     ("timeout-zero", "runtime.timeout", lambda s: _set(s, "runtime", {"timeout": 0})),
@@ -283,6 +279,20 @@ def test_corpus_rejections_are_typed_and_name_the_path(label, fragment, mutate):
     )
     assert str(exc), "rejection must carry a message"
 
+
+
+def test_runtime_nodes_is_an_unknown_key():
+    """A world's nodes are where its launcher places the ranks; a job
+    document has no node count to give, and one that still carries it
+    is refused like any key the schema does not know."""
+    doc = _valid_base()
+    doc["runtime"] = {"backend": "thread", "nodes": 2}
+    with pytest.raises(JobSpecError, match="unknown key 'nodes'") as err:
+        JobDocument.from_spec(doc)
+    assert err.value.path == "$.runtime"
+    valid = JobDocument.from_spec(_valid_base())
+    assert "nodes" not in valid.to_spec()["runtime"]
+    assert "nodes" not in valid.layout_portion()["runtime"]
 
 # ---------------------------------------------------------------------------
 # Typed rejection: random mutations and truncation
