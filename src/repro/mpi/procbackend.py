@@ -647,7 +647,6 @@ class _Rendezvous:
             for rank, conn in conns.items():
                 unread.register(conn, selectors.EVENT_READ, rank)
             death_deadline = None
-            hung_up = set()  # ranks whose connection closed with no result
             while len(results) < self.nprocs:
                 now = time.monotonic()
                 owed = [h for rank, h in enumerate(children) if rank not in results]
@@ -658,10 +657,7 @@ class _Rendezvous:
                     self._check_deadline(deadline, "job", children, results)
                     if death_deadline is None and any(h.proc.exitcode is not None for h in owed):
                         death_deadline = now + _DEATH_GRACE
-                # A hang-up is a process exiting: look again soon for its
-                # exit, rather than at the next frame.
-                exiting = any(children[r].proc.exitcode is None for r in hung_up)
-                for key, _ in unread.select(0 if gone else 0.005 if exiting else 0.2):
+                for key, _ in unread.select(0 if gone else 0.2):
                     unread.unregister(key.fileobj)
                     try:
                         frame = recv_frame(key.fileobj, timeout=max(deadline - now, 0.001))
@@ -677,8 +673,8 @@ class _Rendezvous:
                             cpu_seconds=cpu_seconds,
                             wall_seconds=wall_seconds,
                         )
-                    else:  # EOF or a transport error: the liveness poll classifies it
-                        hung_up.add(key.data)
+                    # EOF (None) or a transport error: the liveness poll
+                    # above classifies the death on a later iteration.
                 if gone:
                     break
         # Whoever still has no result died, or is wedged on the dead rank

@@ -4,7 +4,9 @@ process that computes, and its flux block straight back.
 The joint-communicator exchange (``exchange="join"``, paper §5.1) moves
 the same fields by gather and scatter, so it is the reference: whatever
 the execution mode, coupling scheme or layout, the two exchanges must
-leave the same fields behind, on every substrate.
+leave the same fields behind, on every substrate: CI's backend legs
+run them over sockets, rings and, with ``--mpi-nodes 2``, both at once
+on the two-node machine a job takes from ``backend_machine``.
 """
 
 import numpy as np
@@ -42,17 +44,26 @@ def config(mode, variant, **extra):
     return CCSMConfig(nsteps=NSTEPS, **overrides)
 
 
+def world_size(mode, cfg):
+    return sum(n for _, n in build_executables(cfg, mode))
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("mode", MODES)
-def test_p2p_leaves_the_fields_the_join_exchange_leaves(mode, variant, backend_config):
+def test_p2p_leaves_the_fields_the_join_exchange_leaves(
+    mode, variant, backend_config, backend_machine
+):
     if mode == "mcme_overlap" and variant == "implicit":
         with pytest.raises(ReproError, match="at most one component"):
             run_ccsm(mode, config(mode, variant), config=backend_config)
         return
-    p2p = run_ccsm(mode, config(mode, variant), config=backend_config, timeout=120.0)
-    reference = run_ccsm(
-        mode, config(mode, variant, exchange="join"), config=backend_config, timeout=120.0
+    job = dict(
+        config=backend_config,
+        machine=backend_machine(world_size(mode, config(mode, variant))),
+        timeout=120.0,
     )
+    p2p = run_ccsm(mode, config(mode, variant), **job)
+    reference = run_ccsm(mode, config(mode, variant, exchange="join"), **job)
     assert sorted(p2p) == sorted(reference) == sorted(MODEL_KINDS + ("coupler",))
     for kind in MODEL_KINDS:
         assert p2p[kind]["final_field"].shape == config(mode, variant).shapes[kind]
@@ -68,7 +79,9 @@ def test_p2p_leaves_the_fields_the_join_exchange_leaves(mode, variant, backend_c
         assert all(p2p["coupler"]["coupling_converged"])
 
 
-def test_the_coupler_profile_counts_one_message_per_rank_each_way(backend_config):
+def test_the_coupler_profile_counts_one_message_per_rank_each_way(
+    backend_config, backend_machine
+):
     """The p2p exchange is MPH's own send/recv, so the coupler's
     ``mph.profile`` ledgers it: per component, one block in and one out
     per component process and step."""
@@ -85,7 +98,8 @@ def test_the_coupler_profile_counts_one_message_per_rank_each_way(backend_config
     executables = build_executables(cfg, "scme")
     executables[-1] = (coupler, PROCS["coupler"])
     result = mph_run(
-        executables, registry=build_registry(cfg, "scme"), config=backend_config, timeout=120.0
+        executables, registry=build_registry(cfg, "scme"), config=backend_config,
+        machine=backend_machine(world_size("scme", cfg)), timeout=120.0,
     )
     sent, received, bytes_sent, bytes_received = result.by_executable(len(executables) - 1)[0]
     expected = {kind: PROCS[kind] * NSTEPS for kind in MODEL_KINDS}

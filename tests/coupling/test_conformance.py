@@ -6,7 +6,8 @@ with every component to convergence.  Here it runs over §5.1 join
 communicators with per-component sub-cycling — the Gauss-Seidel
 solver, its ``AbsoluteNorm`` criterion, ``InterfaceSpec`` and the MPH
 handle together — on the thread and process backends (CI adds the
-process+shm leg via ``--mpi-transport shm``).  Its bitwise and schedule properties are pinned on the default
+process+shm leg via ``--mpi-transport shm``, and a two-node one: the
+job takes the ``--mpi-nodes`` machine).  Its bitwise and schedule properties are pinned on the default
 world by ``tests/climate/test_implicit.py``.
 
 Run with ``--mpi-backend thread|process|both`` to select backends; the
@@ -15,11 +16,11 @@ session-scoped leak fixture asserts zero surviving shm segments.
 
 import numpy as np
 
-from repro.climate.ccsm import CCSMConfig, MODEL_KINDS, run_ccsm
+from repro.climate.ccsm import CCSMConfig, MODEL_KINDS, build_executables, run_ccsm
 
 
 class TestSubcycledCCSM:
-    def test_implicit_subcycled_exchange(self, backend_config):
+    def test_implicit_subcycled_exchange(self, backend_config, backend_machine):
         """The CCSM implicit coupler with per-component sub-cycling over
         join communicators — the full stack on every backend."""
         cfg = CCSMConfig(
@@ -36,7 +37,10 @@ class TestSubcycledCCSM:
             coupling_tol=1e-8,
             subcycle={"ocean": 2, "atmosphere": 3},
         )
-        diags = run_ccsm("scme", cfg, config=backend_config, timeout=120.0)
+        nprocs = sum(n for _, n in build_executables(cfg, "scme"))
+        diags = run_ccsm(
+            "scme", cfg, config=backend_config, machine=backend_machine(nprocs), timeout=120.0
+        )
         coupler = diags["coupler"]
         assert coupler["coupling_solver"] == "gauss_seidel"
         assert coupler["coupling_converged"] == [True, True]

@@ -10,10 +10,11 @@ and a parked process holds nothing — descriptor, thread, memory — of the
 jobs it served.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
-``--mpi-transport``: CI's ``backends`` matrix runs the file over unix,
-shm and shm/nodes=2.  Its jobs take no machine, so every leg runs them
-on one node: what a parked process is handed does not depend on where
-the ranks are placed.
+``--mpi-transport`` and ``backend_machine`` the ``--mpi-nodes`` machine:
+CI's ``backends`` matrix runs the file over unix, shm and shm/nodes=2 —
+the last with the node map riding each parked process's welcome.  Jobs
+sent as documents through ``JobRuntime`` run on one node on every leg (a
+job document names no machine).
 """
 
 import asyncio
@@ -112,12 +113,28 @@ def pool():
     assert multiprocessing.active_children() == []
 
 
-def _job(specs, config, pool, **kw):
-    return MpmdJob(specs, programs=CATALOG, config=config, registry=REGISTRY, pool=pool, **kw)
+@pytest.fixture
+def catalog_job(backend_machine):
+    """``catalog_job(specs, config, pool, **kw)``: an ``MpmdJob`` of
+    ``CATALOG`` programs on the ``--mpi-nodes`` machine."""
+
+    def make(specs, config, pool, **kw):
+        machine = backend_machine(sum(spec.nprocs for spec in specs))
+        return MpmdJob(
+            specs, programs=CATALOG, config=config, registry=REGISTRY, pool=pool,
+            machine=machine, **kw,
+        )
+
+    return make
 
 
-def _coupled(natm, config, pool, **kw):
-    return _job([ExecutableSpec("atm", natm), ExecutableSpec("ocn", 1)], config, pool, **kw)
+@pytest.fixture
+def coupled_job(catalog_job):
+    """``coupled_job(natm, config, pool, **kw)``: *natm* ``atm`` ranks and
+    one ``ocn``."""
+    return lambda natm, config, pool, **kw: catalog_job(
+        [ExecutableSpec("atm", natm), ExecutableSpec("ocn", 1)], config, pool, **kw
+    )
 
 
 def _pids(result):
@@ -179,35 +196,35 @@ def _assert_job_left_nothing(namespace):
 
 
 class TestReuse:
-    def test_same_smaller_and_larger_layouts(self, proc_config, pool):
-        first = _pids(_coupled(2, proc_config, pool).run(timeout=60.0))
+    def test_same_smaller_and_larger_layouts(self, proc_config, pool, coupled_job):
+        first = _pids(coupled_job(2, proc_config, pool).run(timeout=60.0))
         assert (pool.forked, pool.reused) == (3, 0)
-        same = _pids(_coupled(2, proc_config, pool).run(timeout=60.0))
+        same = _pids(coupled_job(2, proc_config, pool).run(timeout=60.0))
         assert sorted(same) == sorted(first)
         assert (pool.forked, pool.reused) == (3, 3)
-        smaller = _pids(_coupled(1, proc_config, pool).run(timeout=60.0))
+        smaller = _pids(coupled_job(1, proc_config, pool).run(timeout=60.0))
         assert set(smaller) < set(first)
         assert (pool.forked, pool.reused) == (3, 5)
-        larger = _pids(_coupled(4, proc_config, pool).run(timeout=60.0))
+        larger = _pids(coupled_job(4, proc_config, pool).run(timeout=60.0))
         assert set(first) < set(larger) and len(set(larger)) == 5
         assert (pool.forked, pool.reused) == (5, 8)
         # never more parked than were ever out at once
         assert len(multiprocessing.active_children()) == 5
-        again = _pids(_coupled(4, proc_config, pool).run(timeout=60.0))
+        again = _pids(coupled_job(4, proc_config, pool).run(timeout=60.0))
         assert sorted(again) == sorted(larger) and pool.forked == 5
 
-    def test_a_parked_process_plays_any_rank_and_program(self, proc_config, pool):
+    def test_a_parked_process_plays_any_rank_and_program(self, proc_config, pool, coupled_job):
         """Which process gets which rank is the pool's business: a
         process that was ``ocn`` is ``atm`` next, with the right values."""
         seen = set()
         for natm in (1, 3, 2, 3, 1):
-            result = _coupled(natm, proc_config, pool).run(timeout=60.0)
+            result = coupled_job(natm, proc_config, pool).run(timeout=60.0)
             got = [10.0 + r for r in range(natm)]
             assert [v[1] for v in result.values()] == [sum(got)] * natm + [got]
             seen.update(_pids(result))
         assert len(seen) == pool.forked == 4
 
-    def test_a_handshaking_rank_is_served_from_the_pool(self, proc_config):
+    def test_a_handshaking_rank_is_served_from_the_pool(self, proc_config, backend_machine):
         """A pool of its own catalog (names clash with ``CATALOG``'s; the
         two pools have nothing in common) serves ranks that run the MPH
         init exchange, job after job."""
@@ -224,30 +241,33 @@ class TestReuse:
                 result = MpmdJob(
                     [ExecutableSpec("atm", 2)],
                     programs=catalog, config=proc_config, registry="BEGIN\natm\nEND\n", pool=pool,
+                    machine=backend_machine(2),
                 ).run(timeout=60.0)
                 assert [size for size, _ in result.values()] == [2, 2]
             assert (pool.forked, pool.reused) == (2, 2)
         finally:
             pool.close()
 
-    def test_what_the_pool_cannot_name_forks(self, proc_config, pool):
+    def test_what_the_pool_cannot_name_forks(self, proc_config, pool, backend_machine):
         """A closure made after the pool cannot be in a process forked
         before it: that rank forks and exits, named ones still park."""
         late = lambda comm, env: (comm.barrier(), os.getpid())[1]  # noqa: E731
         for _ in range(2):
             result = MpmdJob(
                 [ExecutableSpec("whoami", 2), (late, 1)],
-                programs=CATALOG, config=proc_config, pool=pool,
+                programs=CATALOG, config=proc_config, pool=pool, machine=backend_machine(3),
             ).run(timeout=60.0)
             assert result.values()[2] not in result.values()[:2]
         assert (pool.forked, pool.reused) == (2, 2)
         assert len(multiprocessing.active_children()) == 2
 
-    def test_log_files_need_processes_of_their_own(self, proc_config, pool, tmp_path):
+    def test_log_files_need_processes_of_their_own(self, proc_config, pool, catalog_job, tmp_path):
         """A log file is the stdio a rank is forked with: the launch
         refuses the pool, and the runtime does not offer it."""
         with pytest.raises(LaunchError, match="log_dir needs a process per rank"):
-            _job([ExecutableSpec("whoami", 2)], proc_config, pool, log_dir=tmp_path / "no").run()
+            catalog_job(
+                [ExecutableSpec("whoami", 2)], proc_config, pool, log_dir=tmp_path / "no"
+            ).run()
         assert not (tmp_path / "no").exists() and pool.forked == 0
         with JobRuntime(CATALOG, max_resident=0) as runtime:
             plain = JobDocument.from_spec(_document(proc_config, 1))
@@ -265,8 +285,8 @@ class TestReuse:
         with pytest.raises(LaunchError, match="import spec"):
             MpmdJob([ExecutableSpec("atm", 1)], programs="some.module", pool=pool)
 
-    def test_thread_worlds_ignore_the_pool(self, pool):
-        result = _coupled(2, WorldConfig(), pool).run(timeout=60.0)
+    def test_thread_worlds_ignore_the_pool(self, pool, coupled_job):
+        result = coupled_job(2, WorldConfig(), pool).run(timeout=60.0)
         assert set(_pids(result)) == {os.getpid()}
         assert (pool.forked, pool.reused) == (0, 0)
 
@@ -282,10 +302,10 @@ def _countable(traffic):
 
 
 class TestSameJob:
-    def test_result_equals_the_forked_paths(self, proc_config, pool):
-        forked = _coupled(2, proc_config, None).run(timeout=60.0)
-        _coupled(2, proc_config, pool).run(timeout=60.0)
-        parked = _coupled(2, proc_config, pool).run(timeout=60.0)
+    def test_result_equals_the_forked_paths(self, proc_config, pool, coupled_job):
+        forked = coupled_job(2, proc_config, None).run(timeout=60.0)
+        coupled_job(2, proc_config, pool).run(timeout=60.0)
+        parked = coupled_job(2, proc_config, pool).run(timeout=60.0)
         assert pool.reused == 3
         assert [v[1] for v in parked.values()] == [v[1] for v in forked.values()]
         assert parked.assignment == forked.assignment == [[0, 1], [2]]
@@ -335,34 +355,36 @@ def _document(config, natm, program=None, save=("values", "traffic"), warm=False
 
 
 class TestRetireOnFailure:
-    def _parked(self, config, pool):
+    def _parked(self, coupled_job, config, pool):
         """Three processes parked by a clean job."""
-        pids = _pids(_coupled(2, config, pool).run(timeout=60.0))
+        pids = _pids(coupled_job(2, config, pool).run(timeout=60.0))
         assert all(_alive(pid) for pid in pids)
         return pids
 
-    def _next_job_succeeds_on_fresh_processes(self, config, pool, retired, namespace):
+    def _next_job_succeeds_on_fresh_processes(
+        self, coupled_job, config, pool, retired, namespace
+    ):
         assert _gone(retired, within=0.0)
         assert multiprocessing.active_children() == []
         _assert_job_left_nothing(namespace)
         forked = pool.forked
-        fresh = _pids(_coupled(2, config, pool).run(timeout=60.0))
+        fresh = _pids(coupled_job(2, config, pool).run(timeout=60.0))
         assert not set(fresh) & set(retired) and pool.forked == forked + 3
-        assert sorted(_pids(_coupled(2, config, pool).run(timeout=60.0))) == sorted(fresh)
+        assert sorted(_pids(coupled_job(2, config, pool).run(timeout=60.0))) == sorted(fresh)
 
-    def test_raising_rank(self, proc_config, pool):
-        pids = self._parked(proc_config, pool)
+    def test_raising_rank(self, proc_config, pool, catalog_job, coupled_job):
+        pids = self._parked(coupled_job, proc_config, pool)
         ns = f"poolboom{os.getpid()}"
         with pytest.raises(RuntimeError, match="boom exploded") as excinfo:
-            _job([ExecutableSpec("boom", 3)], proc_config, pool, namespace=ns).run(timeout=60.0)
+            catalog_job([ExecutableSpec("boom", 3)], proc_config, pool, namespace=ns).run(timeout=60.0)
         assert type(excinfo.value) is RuntimeError
         assert pool.reused == 3
-        self._next_job_succeeds_on_fresh_processes(proc_config, pool, pids, ns)
+        self._next_job_succeeds_on_fresh_processes(coupled_job, proc_config, pool, pids, ns)
 
-    def test_silent_death_still_names_label_and_code(self, proc_config, pool):
-        pids = self._parked(proc_config, pool)
+    def test_silent_death_still_names_label_and_code(self, proc_config, pool, catalog_job, coupled_job):
+        pids = self._parked(coupled_job, proc_config, pool)
         ns = f"pooldie{os.getpid()}"
-        job = _job(
+        job = catalog_job(
             [ExecutableSpec("hard_exit", 1), ExecutableSpec("hard_exit", 2)],
             proc_config, pool, namespace=ns,
         )
@@ -371,25 +393,25 @@ class TestRetireOnFailure:
         assert pool.reused == 3
         assert excinfo.value.label == "hard_exit@1.0"
         assert (excinfo.value.rank, excinfo.value.exit_code) == (1, 3)
-        self._next_job_succeeds_on_fresh_processes(proc_config, pool, pids, ns)
+        self._next_job_succeeds_on_fresh_processes(coupled_job, proc_config, pool, pids, ns)
 
-    def test_timeout(self, proc_config, pool):
-        pids = self._parked(proc_config, pool)
+    def test_timeout(self, proc_config, pool, catalog_job, coupled_job):
+        pids = self._parked(coupled_job, proc_config, pool)
         ns = f"poolto{os.getpid()}"
         start = time.monotonic()
         with pytest.raises(TimeoutError_):
-            _job([ExecutableSpec("sleeper", 3)], proc_config, pool, namespace=ns).run(timeout=0.5)
+            catalog_job([ExecutableSpec("sleeper", 3)], proc_config, pool, namespace=ns).run(timeout=0.5)
         assert time.monotonic() - start < 10.0
-        self._next_job_succeeds_on_fresh_processes(proc_config, pool, pids, ns)
+        self._next_job_succeeds_on_fresh_processes(coupled_job, proc_config, pool, pids, ns)
 
-    def test_rank_ignoring_sigterm_is_killed_within_the_grace(self, proc_config, pool):
-        pids = self._parked(proc_config, pool)
+    def test_rank_ignoring_sigterm_is_killed_within_the_grace(self, proc_config, pool, catalog_job, coupled_job):
+        pids = self._parked(coupled_job, proc_config, pool)
         ns = f"poolstub{os.getpid()}"
         start = time.monotonic()
         with pytest.raises(TimeoutError_):
-            _job([ExecutableSpec("stubborn", 3)], proc_config, pool, namespace=ns).run(timeout=2.0)
+            catalog_job([ExecutableSpec("stubborn", 3)], proc_config, pool, namespace=ns).run(timeout=2.0)
         assert time.monotonic() - start < 2.0 + 5.0 + 3.0
-        self._next_job_succeeds_on_fresh_processes(proc_config, pool, pids, ns)
+        self._next_job_succeeds_on_fresh_processes(coupled_job, proc_config, pool, pids, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +420,10 @@ class TestRetireOnFailure:
 
 
 class TestHygiene:
-    def test_descriptors_threads_and_memory_stay_put_over_50_jobs(self, proc_config, pool):
-        job = _coupled(2, proc_config, pool)
+    def test_descriptors_threads_and_memory_stay_put_over_50_jobs(
+        self, proc_config, pool, coupled_job
+    ):
+        job = coupled_job(2, proc_config, pool)
         pids = sorted(_pids(job.run(timeout=60.0)))
         # What the launcher's own stdio objects write through (pytest's
         # capture files) is stdio to a process forked from it too.
@@ -429,19 +453,24 @@ class TestHygiene:
             assert _fds(pid) == before[pid]
             assert rss[50][pid] <= 1.02 * rss[10][pid], (pid, rss)
 
-    def test_a_rank_forked_meanwhile_holds_no_park_connection(self, proc_config, pool):
+    def test_a_rank_forked_meanwhile_holds_no_park_connection(
+        self, proc_config, pool, coupled_job, backend_machine, backend_node_map
+    ):
         """Closing the launcher's end must be EOF at the parked process,
         so nobody forked while it is parked may keep a copy: not a rank
         that is forked the plain way, not a sibling forked into the pool."""
-        _coupled(2, proc_config, pool).run(timeout=60.0)
+        coupled_job(2, proc_config, pool).run(timeout=60.0)
         ours = {os.fstat(child.conn.fileno()).st_ino for child in pool._idle}
         assert len(ours) == 3
-        plain = run_spmd(2, open_inodes, fn_args=(None,), config=proc_config, timeout=60.0)
+        plain = run_spmd(
+            2, open_inodes, fn_args=(None,), config=proc_config, timeout=60.0,
+            node_map=backend_node_map(2),
+        )
         catalog_pool = rank_pool({"open_inodes": open_inodes})
         try:
             pooled = MpmdJob(
                 [ExecutableSpec("open_inodes", 2)], programs={"open_inodes": open_inodes},
-                config=proc_config, pool=catalog_pool,
+                config=proc_config, pool=catalog_pool, machine=backend_machine(2),
             ).run(timeout=60.0).values()
         finally:
             catalog_pool.close()

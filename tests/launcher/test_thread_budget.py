@@ -20,8 +20,11 @@ one file); what a rank *ends up with* is read from the real library
 cleanly where numpy's BLAS has no such entry point.
 
 The ``backend_config`` fixture carries ``--mpi-backend`` /
-``--mpi-transport``: CI's ``backends`` matrix runs the file on every leg,
-the thread leg included — it holds the thread world to the same rule.
+``--mpi-transport`` and ``backend_machine`` / ``backend_node_map`` the
+``--mpi-nodes`` placement: CI's ``backends`` matrix runs the file on
+every leg, the thread leg included — it holds the thread world to the
+same rule.  Jobs sent as documents through ``JobRuntime``, and
+``mphrun``'s, run on one node on every leg.
 """
 
 import json
@@ -222,22 +225,26 @@ class TestWhereTheSetterIsCalled:
             assert result.values() == [(os.getpid(), 2)] * 2
         assert fake_pool() == [(os.getpid(), 1), (os.getpid(), 2)]
 
-    def test_every_leg_of_the_matrix_calls_it_once_per_budget(self, backend_config, fake_pool):
+    def test_every_leg_of_the_matrix_calls_it_once_per_budget(
+        self, backend_config, backend_node_map, fake_pool
+    ):
         for _ in range(2):
-            results = launch(2, [inherited] * 2, config=backend_config)
+            results = launch(2, [inherited] * 2, config=backend_config, node_map=backend_node_map(2))
             assert [r.value[1] for r in results] == [corebudget.thread_budget(2)] * 2
         assert fake_pool() == [(os.getpid(), corebudget.thread_budget(2))]
 
-    def test_once_in_the_launcher_and_ranks_inherit(self, proc_config, fake_pool):
+    def test_once_in_the_launcher_and_ranks_inherit(self, proc_config, backend_node_map, fake_pool):
         nprocs = CPUS + 1
         for _ in range(3):  # three launches of one layout
-            results = launch(nprocs, [inherited] * nprocs, config=proc_config)
+            results = launch(
+                nprocs, [inherited] * nprocs, config=proc_config, node_map=backend_node_map(nprocs)
+            )
             assert [r.value[1] for r in results] == [1] * nprocs
             assert os.getpid() not in {r.value[0] for r in results}
         assert fake_pool() == [(os.getpid(), 1)]
 
     def test_at_most_once_per_budget_per_process_over_50_pooled_jobs(
-        self, proc_config, fake_pool, four_cpus
+        self, proc_config, backend_machine, fake_pool, four_cpus
     ):
         catalog = {"inherited": inherited}
         pool = rank_pool(catalog)
@@ -246,7 +253,7 @@ class TestWhereTheSetterIsCalled:
                 nprocs = (2, 3)[job % 2]  # the service's two layouts: 2 and 1 threads a rank
                 result = MpmdJob(
                     [ExecutableSpec("inherited", nprocs)], programs=catalog,
-                    config=proc_config, pool=pool,
+                    config=proc_config, pool=pool, machine=backend_machine(nprocs),
                 ).run(timeout=60.0)
                 assert [v[1] for v in result.values()] == [corebudget.thread_budget(nprocs)] * nprocs
             assert (pool.forked, pool.reused) == (3, 25 * 2 + 25 * 3 - 3)
@@ -262,7 +269,7 @@ class TestWhereTheSetterIsCalled:
             by_pid[pid] = threads
         assert len([c for c in calls if c[0] == os.getpid()]) == 50
 
-    def test_one_budget_means_one_call_in_all(self, proc_config, fake_pool):
+    def test_one_budget_means_one_call_in_all(self, proc_config, backend_machine, fake_pool):
         """This host's case for the service: every layout oversubscribed."""
         catalog = {"inherited": inherited}
         pool = rank_pool(catalog)
@@ -271,7 +278,7 @@ class TestWhereTheSetterIsCalled:
                 nprocs = CPUS + 1 + job % 2
                 result = MpmdJob(
                     [ExecutableSpec("inherited", nprocs)], programs=catalog,
-                    config=proc_config, pool=pool,
+                    config=proc_config, pool=pool, machine=backend_machine(nprocs),
                 ).run(timeout=60.0)
                 assert [v[1] for v in result.values()] == [1] * nprocs
             assert pool.reused > 100
@@ -280,14 +287,17 @@ class TestWhereTheSetterIsCalled:
         assert fake_pool() == [(os.getpid(), 1)]
 
     def test_a_parked_process_reapplies_only_a_different_budget(
-        self, proc_config, fake_pool, four_cpus
+        self, proc_config, backend_machine, fake_pool, four_cpus
     ):
         catalog = {"inherited": inherited}
         pool = rank_pool(catalog)
 
         def job(nprocs):
             spec = [ExecutableSpec("inherited", nprocs)]
-            return MpmdJob(spec, programs=catalog, config=proc_config, pool=pool).run(timeout=60.0)
+            return MpmdJob(
+                spec, programs=catalog, config=proc_config, pool=pool,
+                machine=backend_machine(nprocs),
+            ).run(timeout=60.0)
 
         try:
             first = job(2).values()
@@ -303,20 +313,28 @@ class TestWhereTheSetterIsCalled:
         finally:
             pool.close()
 
-    def test_an_exported_variable_means_no_call(self, backend_config, fake_pool, monkeypatch):
+    def test_an_exported_variable_means_no_call(
+        self, backend_config, backend_node_map, fake_pool, monkeypatch
+    ):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        results = launch(3, [inherited] * 3, config=backend_config)
+        results = launch(3, [inherited] * 3, config=backend_config, node_map=backend_node_map(3))
         assert [r.value[1] for r in results] == [None] * 3
         assert fake_pool() == [] and corebudget._held is None
 
-    def test_a_lookup_that_finds_nothing_is_a_launch_like_any_other(self, proc_config, monkeypatch):
+    def test_a_lookup_that_finds_nothing_is_a_launch_like_any_other(
+        self, proc_config, backend_node_map, monkeypatch
+    ):
         monkeypatch.setattr(corebudget, "_setters", None)
         monkeypatch.setattr(corebudget, "_find_setters", lambda: [])
-        assert run_spmd(3, lambda comm: comm.allreduce(comm.rank), config=proc_config) == [3] * 3
+        sums = run_spmd(
+            3, lambda comm: comm.allreduce(comm.rank), config=proc_config,
+            node_map=backend_node_map(3),
+        )
+        assert sums == [3] * 3
         assert corebudget._setters == []
 
     def test_two_threads_two_budgets_no_rank_under_the_others_number(
-        self, proc_config, fake_pool, four_cpus
+        self, proc_config, backend_node_map, fake_pool, four_cpus
     ):
         """The launcher keeps its pools at a launch's number from the set
         to the last fork: concurrent launches of a 2-rank world (2
@@ -326,7 +344,10 @@ class TestWhereTheSetterIsCalled:
         def launches(nprocs):
             try:
                 for _ in range(12):
-                    results = launch(nprocs, [inherited] * nprocs, config=proc_config, timeout=60.0)
+                    results = launch(
+                        nprocs, [inherited] * nprocs, config=proc_config, timeout=60.0,
+                        node_map=backend_node_map(nprocs),
+                    )
                     got = [r.value[1] for r in results]
                     if got != [corebudget.thread_budget(nprocs)] * nprocs:
                         wrong.append((nprocs, got))
@@ -439,9 +460,11 @@ class TestAThreadWorldOnOneCore:
         assert len({frozenset(mask) for _, mask in counted_pins}) == 1
         assert counted_pins[0][1] < {0, 1, 2, 3} and len(counted_pins[0][1]) == 1
 
-    def test_a_process_world_is_not_pinned(self, proc_config):
+    def test_a_process_world_is_not_pinned(self, proc_config, backend_node_map):
         process = os.sched_getaffinity(0)
-        results = run_spmd(CPUS + 1, where_it_runs, config=proc_config)
+        results = run_spmd(
+            CPUS + 1, where_it_runs, config=proc_config, node_map=backend_node_map(CPUS + 1)
+        )
         assert [mask for mask, _ in results] == [process] * (CPUS + 1)
 
     def test_one_cpu_means_no_pin(self, counted_pins, monkeypatch):
@@ -486,17 +509,24 @@ def _readings(result):
 
 
 class TestEveryRankReadsTheBudget:
-    def test_a_forked_rank(self, proc_config, real_pool):
+    def test_a_forked_rank(self, proc_config, backend_machine, real_pool):
         for nprocs in (max(1, CPUS // 2), CPUS + 1):  # 2-3 threads a rank (on one core: 1), and 1
-            result = mph_run([(real_pool.reading, nprocs)], config=proc_config)
+            result = mph_run(
+                [(real_pool.reading, nprocs)], config=proc_config, machine=backend_machine(nprocs)
+            )
             assert _readings(result) == [corebudget.thread_budget(nprocs)] * nprocs
 
-    def test_a_pooled_rank_on_its_first_and_on_a_later_job(self, proc_config, real_pool):
+    def test_a_pooled_rank_on_its_first_and_on_a_later_job(
+        self, proc_config, backend_machine, real_pool
+    ):
         pool = rank_pool(real_pool.PROGRAMS)
         try:
             spec = [ExecutableSpec("reading", 2)]
             jobs = [
-                MpmdJob(spec, programs=real_pool.PROGRAMS, config=proc_config, pool=pool).run()
+                MpmdJob(
+                    spec, programs=real_pool.PROGRAMS, config=proc_config, pool=pool,
+                    machine=backend_machine(2),
+                ).run()
                 for _ in range(3)
             ]
             assert (pool.forked, pool.reused) == (2, 4)
@@ -520,32 +550,38 @@ class TestEveryRankReadsTheBudget:
             assert outcome.ok
             assert [v[1] for v in outcome.values["reading"]] == [1] * (CPUS + 1)
 
-    def test_an_execd_rank(self, proc_config, real_pool):
+    def test_an_execd_rank(self, proc_config, backend_machine, real_pool):
         nprocs = CPUS + 1
         result = MpmdJob(
-            [ExecutableSpec("reading", nprocs)], programs=MODULE, config=proc_config
+            [ExecutableSpec("reading", nprocs)], programs=MODULE, config=proc_config,
+            machine=backend_machine(nprocs),
         ).run(timeout=60.0)
         for pid, threads, variables in result.values():
             assert pid != os.getpid()
             assert threads == 1 and variables == ["1", "1", "1"]
 
     def test_an_exported_variable_reaches_execd_ranks_and_no_pool_is_resized(
-        self, proc_config, real_pool, monkeypatch
+        self, proc_config, backend_machine, real_pool, monkeypatch
     ):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         before = real_pool.pool_threads()
         nprocs = CPUS + 1
         result = MpmdJob(
-            [ExecutableSpec("reading", nprocs)], programs=MODULE, config=proc_config
+            [ExecutableSpec("reading", nprocs)], programs=MODULE, config=proc_config,
+            machine=backend_machine(nprocs),
         ).run(timeout=60.0)
         for _, threads, variables in result.values():
             # OpenBLAS runs no more threads than the CPUs it may use
             assert variables[0] == "2" and threads == min(2, CPUS)
-        forked = mph_run([(real_pool.reading, nprocs)], config=proc_config)
+        forked = mph_run(
+            [(real_pool.reading, nprocs)], config=proc_config, machine=backend_machine(nprocs)
+        )
         assert _readings(forked) == [before] * nprocs
         assert real_pool.pool_threads() == before
 
-    def test_every_rank_of_the_coupled_run_the_coupler_included(self, proc_config, real_pool):
+    def test_every_rank_of_the_coupled_run_the_coupler_included(
+        self, proc_config, backend_machine, real_pool
+    ):
         """The benchmark's implicit configuration, two steps: whatever a
         component computes on the way, it ends holding the budget."""
         cfg = CCSMConfig(shapes=dict(SHAPES), coupling="implicit", nsteps=2)
@@ -559,9 +595,12 @@ class TestEveryRankReadsTheBudget:
             return rank
 
         executables = [(reads_its_pool_last(fn), n) for fn, n in build_executables(cfg, "scme")]
-        result = mph_run(executables, registry=build_registry(cfg, "scme"), config=proc_config)
-        nprocs = len(result.procs)
-        assert nprocs == 10 and result.values()[-1][0] == "cou"
+        nprocs = sum(n for _, n in executables)
+        result = mph_run(
+            executables, registry=build_registry(cfg, "scme"), config=proc_config,
+            machine=backend_machine(nprocs),
+        )
+        assert len(result.procs) == nprocs == 10 and result.values()[-1][0] == "cou"
         assert _readings(result) == [corebudget.thread_budget(nprocs)] * nprocs
 
 
@@ -578,14 +617,17 @@ def big_enough_to_thread(comm):
 
 
 class TestTripwire:
-    def test_an_oversubscribed_ranks_blas_calls_start_no_thread(self, proc_config):
+    def test_an_oversubscribed_ranks_blas_calls_start_no_thread(self, proc_config, backend_node_map):
         """More ranks than cores: a worker thread started here would spin
         on a core another rank needs, and never exit.  (Fails at the
         parent commit: one thread more after the calls.)"""
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("needs procfs")
         nprocs = CPUS + 1
-        for before, after, checksum in run_spmd(nprocs, big_enough_to_thread, config=proc_config):
+        results = run_spmd(
+            nprocs, big_enough_to_thread, config=proc_config, node_map=backend_node_map(nprocs)
+        )
+        for before, after, checksum in results:
             assert after == before
             assert checksum == 256.0 + 20_000.0
 
@@ -611,11 +653,12 @@ class TestTripwire:
 class TestSamePhysics:
     @pytest.mark.parametrize("coupling", ["implicit", "explicit"])
     def test_budgeted_process_world_equals_the_thread_world_bit_for_bit(
-        self, proc_config, coupling
+        self, proc_config, backend_machine, coupling
     ):
         cfg = CCSMConfig(shapes=dict(SHAPES), coupling=coupling, nsteps=3)
         threads = run_ccsm("scme", cfg)
-        procs = run_ccsm("scme", cfg, config=proc_config)
+        nprocs = sum(n for _, n in build_executables(cfg, "scme"))
+        procs = run_ccsm("scme", cfg, config=proc_config, machine=backend_machine(nprocs))
         for kind in SHAPES:
             a, b = threads[kind]["final_field"], procs[kind]["final_field"]
             assert a.shape == b.shape == SHAPES[kind] and a.tobytes() == b.tobytes()
@@ -647,15 +690,18 @@ class TestRankCost:
             assert 0.04 < p.cpu_seconds < p.wall_seconds + 0.05
             assert 0.05 <= p.wall_seconds < 30.0
 
-    def test_every_spawner_reports_cpu_and_wall(self, backend_config):
-        self._check(launch(2, [burn] * 2, config=backend_config))
+    def test_every_spawner_reports_cpu_and_wall(self, backend_config, backend_node_map):
+        self._check(launch(2, [burn] * 2, config=backend_config, node_map=backend_node_map(2)))
 
-    def test_a_pooled_ranks_cost_is_the_jobs_not_the_processs(self, proc_config):
+    def test_a_pooled_ranks_cost_is_the_jobs_not_the_processs(self, proc_config, backend_machine):
         catalog = {"burn": burn}
         pool = rank_pool(catalog)
         try:
             for _ in range(3):
-                job = MpmdJob([ExecutableSpec("burn", 2)], programs=catalog, config=proc_config, pool=pool)
+                job = MpmdJob(
+                    [ExecutableSpec("burn", 2)], programs=catalog, config=proc_config, pool=pool,
+                    machine=backend_machine(2),
+                )
                 procs = job.run(timeout=60.0).procs
                 self._check(procs)
                 assert all(p.cpu_seconds < 0.5 for p in procs)

@@ -21,9 +21,10 @@ provides the knobs:
     Spread the ranks over *N* simulated nodes (default: unset, one
     node).  A world's nodes are where the launcher placed its ranks
     (``World.node_map``), so the option reaches a world as that map:
-    the runners pass :func:`block_node_map` of their rank count, and
-    :func:`leg_machine` is a :class:`~repro.launcher.smp.Machine` whose
-    placement makes the same split for an ``MpmdJob``.  With ``N >= 2``
+    the SPMD runners and ``backend_node_map`` give :func:`block_node_map`
+    of a rank count, and ``backend_machine`` a
+    :class:`~repro.launcher.smp.Machine` whose placement makes the same
+    split for an ``MpmdJob`` (``mph_run``, ``run_ccsm``).  With ``N >= 2``
     a collective crosses each node boundary once (a representative per
     node relays for its node-mates) and, for the ``shm`` transport,
     cross-node pairs fall back to sockets.
@@ -39,6 +40,10 @@ provides the knobs:
     ``machine(nprocs)`` — the :class:`~repro.launcher.smp.Machine` an
     ``MpmdJob`` of *nprocs* ranks takes for ``--mpi-nodes`` (``None``
     without the option).
+
+``backend_node_map``
+    ``node_map(nprocs)`` — the same split as a node map, for ``launch``
+    and ``run_spmd`` (``None`` without the option).
 
 ``backend_spmd``
     ``runner(n, fn, *, nodes=None, **kw)`` — :func:`repro.mpi.run_spmd`
@@ -159,6 +164,14 @@ def backend_machine(pytestconfig):
     *nprocs* ranks (see :func:`leg_machine`)."""
     nnodes = pytestconfig.getoption("--mpi-nodes")
     return lambda nprocs: leg_machine(nprocs, nnodes)
+
+
+@pytest.fixture
+def backend_node_map(pytestconfig):
+    """``node_map(nprocs)``: the ``--mpi-nodes`` node map of *nprocs*
+    ranks (see :func:`block_node_map`)."""
+    nnodes = pytestconfig.getoption("--mpi-nodes")
+    return lambda nprocs: block_node_map(nprocs, nnodes)
 
 
 @pytest.fixture
