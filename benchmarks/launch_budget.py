@@ -43,10 +43,11 @@ transport to match to wake) and the rest (``rest_cpu_s``: the models,
 the coupler, the solver).
 
 ``--p2p`` times that messaging path alone: a 2-rank process ping-pong
-(``WorldConfig(backend="process")``) of the coupled step's message
-shape, ``((step,), 16 x 128 float64)``, ``--trips`` round trips after a
-warm-up, and per rank the median rank-thread CPU of one ``send`` and of
-one blocking ``recv`` (µs), and the Python-level calls
+(``WorldConfig(backend="process")``) of the message a component rank of
+the coupled step sends, a 16 x 128 float64 block behind its step word,
+built by the coupled model's own ``_frame`` / ``_unframe``; ``--trips``
+round trips after a warm-up, and per rank the median rank-thread CPU of
+one ``send`` and of one blocking ``recv`` (µs), and the Python-level calls
 (``sys.setprofile`` ``"call"`` events) of one send and one receive.  It
 exits 1 when a rank receives a value other than the one sent.
 
@@ -91,7 +92,13 @@ from pathlib import Path
 import numpy as np
 
 from repro import mph_run
-from repro.climate.ccsm import CCSMConfig, build_executables, build_registry
+from repro.climate.ccsm import (
+    CCSMConfig,
+    _frame,
+    _unframe,
+    build_executables,
+    build_registry,
+)
 from repro.core.mph import MPH
 from repro.mpi import ExecRank, WorldConfig, launch, run_spmd
 from repro.mpi.procbackend import RankPool, _Rendezvous
@@ -228,6 +235,10 @@ def ccsm_cpu(launches: int) -> None:
             )
 
 
+#: The block of the ``--p2p`` message: a rank's rows of a 64 x 128 grid.
+P2P_BLOCK = (16, 128)
+
+
 def _ping_pong(comm, trips: int) -> tuple:
     """One rank of the ``--p2p`` ping-pong: per-call CPU medians (µs) of
     its sends and blocking receives, the Python calls of one profiled
@@ -243,7 +254,7 @@ def _ping_pong(comm, trips: int) -> tuple:
 
     warmup = 50
     for trip in range(warmup + trips + 1):
-        msg = ((trip,), np.full((16, 128), float(trip)))
+        msg = _frame((trip,), np.full(P2P_BLOCK, float(trip)))
         if trip == warmup + trips:
             sys.setprofile(profile)
         t0 = time.thread_time()
@@ -260,7 +271,8 @@ def _ping_pong(comm, trips: int) -> tuple:
             t2 = time.thread_time()
             recv_s, send_s = t1 - t0, t2 - t1
         sys.setprofile(None)
-        if got[0] != (trip,) or got[1].shape != (16, 128) or not (got[1] == trip).all():
+        header, block = _unframe(got, 1, P2P_BLOCK)
+        if header != (trip,) or not (block == trip).all():
             wrong += 1
         if warmup <= trip < warmup + trips:
             send_us.append(1e6 * send_s)
@@ -274,7 +286,8 @@ def p2p_budget(trips: int) -> int:
     print(" rank  send_cpu_us  recv_cpu_us  python_calls_per_round_trip  wrong")
     for rank, (send_us, recv_us, calls, wrong) in enumerate(out):
         print(f"{rank:>5} {send_us:>12.1f} {recv_us:>12.1f} {calls:>28} {wrong:>6}")
-    print(f"# medians over {trips} round trips of ((step,), 16 x 128 float64) on 2 forked ranks")
+    print(f"# medians over {trips} round trips of a [step | 16 x 128 float64] frame"
+          " on 2 forked ranks")
     return sum(row[3] for row in out)
 
 

@@ -574,7 +574,7 @@ def _count_round_trip_calls(comm):
 
     first = comm.rank == 0
     peer = 1 if first else 0
-    msg = ((0,), np.zeros((16, 128)))
+    msg = np.zeros(1 + 16 * 128)  # a step word, then a 16 x 128 float64 block
     calls = [0]
 
     def profile(frame, event, arg):
@@ -591,7 +591,7 @@ def _count_round_trip_calls(comm):
             got = comm.recv(source=peer, tag=7)
             comm.send(got, peer, tag=7)
         sys.setprofile(None)
-    assert got[0] == (0,) and got[1].shape == (16, 128)
+    assert got.shape == msg.shape and not got.any()
     return calls[0]
 
 
