@@ -31,7 +31,6 @@ from repro.climate.coupler import FluxCoupler, SurfaceFractions
 from repro.climate.forcing import YEAR_SECONDS, CO2Scenario, SeasonalForcing
 from repro.climate.diagnostics import EnergyReport, energy_report
 from repro.climate.fields import DistributedField, weighted_global_sum, weighted_global_sums
-from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.climate.nesting import RegionSpec, RegionalGrid, RegionalModel
 from repro.climate.regrid import ConservativeRegridder, overlap_matrix, regrid
@@ -62,7 +61,6 @@ __all__ = [
     "EnergyReport",
     "energy_report",
     "DistributedField",
-    "DistributedField2D",
     "weighted_global_sum",
     "weighted_global_sums",
     "Decomposition",

@@ -444,7 +444,12 @@ class ComponentRunner:
         if self.standalone:
             local_flux = None
         else:
-            _, local_flux = self._receive_command(step)
+            cmd, local_flux = self._receive_command(step)
+            if cmd != "commit":
+                raise ReproError(
+                    f"{self.name}: explicit coupling takes only 'commit', "
+                    f"got {cmd!r} at step {step}"
+                )
         self._advance(step, local_flux)
         self._checkpoint_if_due()
 
@@ -1001,9 +1006,6 @@ def run_ccsm(mode: str, cfg: Optional[CCSMConfig] = None, **job_kwargs) -> dict[
             "implicit coupling needs each process to host at most one component; "
             "mcme_overlap time-shares atmosphere and land on the same processors"
         )
-    if mode == "scse":
-        # Stand-alone component: no coupler, pure single-component run.
-        cfg = replace(cfg)  # do not mutate the caller's config
     registry = build_registry(cfg, mode)
     executables = build_executables(cfg, mode)
     result = mph_run(executables, registry=registry, **job_kwargs)

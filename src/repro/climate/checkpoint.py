@@ -58,8 +58,8 @@ def state_of(model: ComponentModel) -> dict:
             ),
         }
     if isinstance(model, SeaIceModel):
-        # Assemble by global slices so 1-D and 2-D decompositions share
-        # the checkpoint format.
+        # Assemble by global slices, so a checkpoint restores on any
+        # number of bands.
         field = model.temperature
         pieces = field.comm.gather((field.local_slices, model.thickness), root=0)
         if field.comm.rank == 0:

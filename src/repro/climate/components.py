@@ -157,16 +157,13 @@ class ComponentModel:
         t_init=None,
         forcing=None,
         co2=None,
-        field_cls=DistributedField,
     ):
         self.comm = comm
         self.grid = grid
         self.params = params.validate()
         init = t_init if t_init is not None else self.default_initial_condition
-        #: The temperature field; *field_cls* selects the decomposition
-        #: (1-D latitude bands by default, or
-        #: :class:`~repro.climate.fields2d.DistributedField2D`).
-        self.temperature = field_cls.from_function(comm, grid, init)
+        #: The temperature field, cut into latitude bands.
+        self.temperature = DistributedField.from_function(comm, grid, init)
         #: Optional :class:`~repro.climate.forcing.SeasonalForcing`; when
         #: set, insolation follows the seasonal cycle instead of the
         #: annual-mean profile.
@@ -484,11 +481,8 @@ class SeaIceModel(ComponentModel):
         t_init=None,
         forcing=None,
         co2=None,
-        field_cls=DistributedField,
     ):
-        super().__init__(
-            comm, grid, params, t_init, forcing=forcing, co2=co2, field_cls=field_cls
-        )
+        super().__init__(comm, grid, params, t_init, forcing=forcing, co2=co2)
         #: Ice thickness [m] on the local block.
         self.thickness = np.full(self.temperature.data.shape, 1.0)
 

@@ -100,9 +100,12 @@ class DistributedField:
     def from_global(cls, comm: Comm, grid: LatLonGrid, full: np.ndarray) -> "DistributedField":
         """Initialise by slicing a full global array locally (every rank
         passes the same array)."""
+        full = np.asarray(full, dtype=float)
+        if full.shape != grid.shape:
+            raise ReproError(f"global field shape {full.shape} != grid shape {grid.shape}")
         field = cls(comm, grid)
         start, stop = field.rows_range
-        field.data = np.asarray(full, dtype=float)[start:stop].copy()
+        field.data = full[start:stop].copy()
         return field
 
     # -- basic accessors --------------------------------------------------------
@@ -114,8 +117,8 @@ class DistributedField:
 
     @property
     def local_slices(self) -> tuple[slice, slice]:
-        """The global ``(row, column)`` slices of the local block — the
-        decomposition-agnostic protocol shared with the 2-D fields."""
+        """The global ``(row, column)`` slices of the local block: the
+        rows of the band and every column."""
         start, stop = self.rows_range
         return (slice(start, stop), slice(0, self.grid.nlon))
 
@@ -210,10 +213,6 @@ def weighted_global_sums(
     return tuple(float(total) for total in totals)
 
 
-def _whole_rows(grid: LatLonGrid, cols: slice) -> bool:
-    return len(range(*cols.indices(grid.nlon))) == grid.nlon
-
-
 def weighted_shares(
     grid: LatLonGrid, locals: Sequence[np.ndarray], slices: tuple[slice, slice]
 ) -> np.ndarray:
@@ -222,17 +221,24 @@ def weighted_shares(
 
     The canonical sum of a field weights it by the cell areas, sums each
     full latitude row in C order, then sums the row totals in latitude
-    order.  A rank that holds whole rows (every 1-D band) therefore
-    contributes its rows' totals, shape ``(len(locals), rows)`` — a few
-    hundred bytes where its weighted block is kilobytes.  A rank of a
-    2-D decomposition holds pieces of rows and contributes its weighted
-    cells, shape ``(len(locals), rows, cols)``; the root of
-    :func:`reduce_shares` forms the rows.  Either way the totals are the
-    same to the bit, however the field was cut.
+    order.  A rank holds whole rows (a latitude band), so it contributes
+    its rows' totals, shape ``(len(locals), rows)`` — a few hundred
+    bytes where its weighted block is kilobytes.  The totals are the
+    same to the bit however the rows are cut into bands.
+
+    Raises
+    ------
+    ReproError
+        When *slices* does not cover every column: a block holding
+        pieces of rows has no row totals to contribute.
     """
     rs, cs = slices
-    weighted = np.stack(locals) * grid.area_weights[rs, cs]
-    return weighted.sum(axis=-1) if _whole_rows(grid, cs) else weighted
+    if len(range(*cs.indices(grid.nlon))) != grid.nlon:
+        raise ReproError(
+            f"columns {cs} of a {grid.nlon}-column grid are not whole rows; "
+            "a share is a latitude band's row totals"
+        )
+    return (np.stack(locals) * grid.area_weights[rs, cs]).sum(axis=-1)
 
 
 def reduce_shares(
@@ -244,30 +250,18 @@ def reduce_shares(
     *shares* may carry any leading axes — a model's ledger stacks one
     share per recorded step — and the result has exactly those axes: one
     total per share.  One gather brings every rank's ``(slices, shares)``
-    to rank 0, which lays the row totals out in latitude order (summing
-    the rows that arrived as cells first) and sums them; one broadcast
-    returns the totals.
+    to rank 0, which lays the row totals out in latitude order and sums
+    them; one broadcast returns the totals.
     """
     pieces = comm.gather((slices, shares), root=0)
     totals = None
     if comm.rank == 0:
         assert pieces is not None
-        rows = cells = None
-        from_cells = np.zeros(grid.nlat, dtype=bool)
-        for (rs, cs), share in pieces:
-            whole = _whole_rows(grid, cs)
+        rows = None
+        for (rs, _), share in pieces:
             if rows is None:
-                lead = share.shape[:-1] if whole else share.shape[:-2]
-                rows = np.empty(lead + (grid.nlat,))
-            if whole:
-                rows[..., rs] = share
-            else:
-                if cells is None:
-                    cells = np.zeros(rows.shape[:-1] + grid.shape)
-                cells[..., rs, cs] = share
-                from_cells[rs] = True
+                rows = np.empty(share.shape[:-1] + (grid.nlat,))
+            rows[..., rs] = share
         assert rows is not None
-        if cells is not None:
-            rows[..., from_cells] = cells[..., from_cells, :].sum(axis=-1)
         totals = rows.sum(axis=-1)
     return comm.bcast(totals, root=0)

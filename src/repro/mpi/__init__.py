@@ -28,7 +28,6 @@ Typical SPMD use::
     results = mpi.run_spmd(4, main)
 """
 
-from repro.mpi.cartesian import CartComm, create_cart, dims_create
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB, UNDEFINED
 from repro.mpi.group import Group
 from repro.mpi.comm import Comm, make_world_comm
@@ -68,9 +67,6 @@ from repro.mpi.transport import FrameDecoder, SocketTransport, Transport, pack_f
 from repro.mpi.world import TrafficStats, World, WorldConfig
 
 __all__ = [
-    "CartComm",
-    "create_cart",
-    "dims_create",
     "ANY_SOURCE",
     "ANY_TAG",
     "PROC_NULL",

@@ -390,3 +390,21 @@ class TestStepChecks:
         out = hand_driven(script)
         assert isinstance(out["ocean"], ReproError)
         assert "unknown coupling command code 3" in str(out["ocean"])
+
+    def test_explicit_component_refuses_an_iterate(self):
+        """Explicit coupling commits every flux it receives, so any other
+        command is a protocol error naming the component, the step and the
+        command, and the model does not advance."""
+
+        def script(kind, mph, runner):
+            if kind == "coupler":
+                runner._put_flux("ocean", 0, "iterate", np.zeros(runner.cfg.shapes["ocean"]))
+            elif kind == "ocean":
+                with pytest.raises(ReproError) as refused:
+                    runner.receive_and_step(0)
+                return refused.value, runner.model.steps_taken
+
+        out = hand_driven(script)
+        refused, steps_taken = out["ocean"]
+        assert re.search(r"ocean.*only 'commit', got 'iterate' at step 0", str(refused))
+        assert steps_taken == 0

@@ -75,6 +75,9 @@ class TestComponentRoundtrip:
         assert spmd(2, save)[0] == spmd(2, load)[0]
 
     def test_seaice_thickness_roundtrip(self, tmp_path, spmd):
+        """The thickness is assembled by global slices: written by 3
+        bands, it restores exactly on 2."""
+
         def save(comm):
             m = SeaIceModel(comm, GRID, SeaIceModel.default_params())
             for _ in range(3):
@@ -87,7 +90,7 @@ class TestComponentRoundtrip:
             checkpoint.restore(m, tmp_path, "ice")
             return m.mean_thickness()
 
-        assert spmd(2, save)[0] == spmd(2, load)[0]
+        assert spmd(3, save)[0] == spmd(2, load)[0]
 
 
 class TestRestoreValidation:

@@ -16,7 +16,6 @@ from repro.climate.components import (
     insolation,
 )
 from repro.climate.fields import DistributedField, weighted_global_sum
-from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 
@@ -181,16 +180,15 @@ class TestDecompositionIndependence:
 
 
 MODELS = [AtmosphereModel, OceanModel, LandModel, SeaIceModel]
-FIELDS = [DistributedField, DistributedField2D]
 DT = 1800.0
 
 
-def _make(comm, cls, field_cls):
+def _make(comm, cls):
     """A model one step in (so nothing sits at its initial value) and a
     coupling flux that varies over the globe, cut like the model."""
-    model = cls(comm, GRID, cls.default_params(), field_cls=field_cls)
+    model = cls(comm, GRID, cls.default_params())
     model.step(DT)
-    flux = field_cls.from_function(
+    flux = DistributedField.from_function(
         comm, GRID, lambda la, lo: 40.0 * np.cos(np.deg2rad(la)) - 0.05 * lo
     ).data
     return model, flux
@@ -200,9 +198,9 @@ class TestFusedDiagnostics:
     """A settled step's diagnostics are the separate reductions to the bit."""
 
     @staticmethod
-    def one_step(cls, field_cls):
+    def one_step(cls):
         def main(comm):
-            m, flux = _make(comm, cls, field_cls)
+            m, flux = _make(comm, cls)
             p = m.params
 
             def integral(block):
@@ -238,12 +236,11 @@ class TestFusedDiagnostics:
 
         return main
 
-    @pytest.mark.parametrize("field_cls", FIELDS)
     @pytest.mark.parametrize("cls", MODELS)
-    def test_step_reports_the_separate_reductions_exactly(self, spmd, cls, field_cls):
-        reference = spmd(1, self.one_step(cls, DistributedField))[0][0]
+    def test_step_reports_the_separate_reductions_exactly(self, spmd, cls):
+        reference = spmd(1, self.one_step(cls))[0][0]
         for n in (1, 2, 3, 4):
-            for got, expected, standalone, capacity in spmd(n, self.one_step(cls, field_cls)):
+            for got, expected, standalone, capacity in spmd(n, self.one_step(cls)):
                 assert got == expected  # exact, term by term
                 assert got == reference  # and the same on every decomposition
                 assert standalone == (
@@ -252,11 +249,10 @@ class TestFusedDiagnostics:
                     got["mean_thickness"],
                 )
 
-    @pytest.mark.parametrize("field_cls", FIELDS)
     @pytest.mark.parametrize("cls", MODELS)
-    def test_advance_state_is_the_update_step_makes(self, spmd, cls, field_cls):
+    def test_advance_state_is_the_update_step_makes(self, spmd, cls):
         def main(comm):
-            m, flux = _make(comm, cls, field_cls)
+            m, flux = _make(comm, cls)
             start = m.state_snapshot()
             m.step(DT, flux)
             stepped = m.state_snapshot()
@@ -283,9 +279,9 @@ class TestLedger:
     NSTEPS = SETTLE_EVERY + 6
 
     @staticmethod
-    def run(cls, field_cls, settle_every_step):
+    def run(cls, settle_every_step):
         def main(comm):
-            m, flux = _make(comm, cls, field_cls)
+            m, flux = _make(comm, cls)
             diags, longest = [], 0
             for k in range(TestLedger.NSTEPS):
                 m.step(DT if k % 2 else DT / 2, flux)
@@ -297,12 +293,11 @@ class TestLedger:
 
         return main
 
-    @pytest.mark.parametrize("field_cls", FIELDS)
     @pytest.mark.parametrize("cls", MODELS)
-    def test_settle_points_change_no_bit(self, spmd, cls, field_cls):
+    def test_settle_points_change_no_bit(self, spmd, cls):
         for n in (1, 3):
-            each = spmd(n, self.run(cls, field_cls, True))
-            once = spmd(n, self.run(cls, field_cls, False))
+            each = spmd(n, self.run(cls, True))
+            once = spmd(n, self.run(cls, False))
             for (d1, b1, l1, s1), (d2, b2, l2, s2) in zip(each, once):
                 # _make's step plus NSTEPS, every one settled exactly once.
                 assert len(d1) == len(d2) == s1 == s2 == 1 + self.NSTEPS
@@ -321,8 +316,8 @@ class TestLedger:
         """A step taken and rewound is not settled."""
 
         def main(comm):
-            a, flux = _make(comm, LandModel, DistributedField)
-            b, _ = _make(comm, LandModel, DistributedField)
+            a, flux = _make(comm, LandModel)
+            b, _ = _make(comm, LandModel)
             snap = a.state_snapshot()
             a.step(DT, -flux)
             a.state_restore(snap)

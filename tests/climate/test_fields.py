@@ -11,7 +11,6 @@ from repro.climate.fields import (
     weighted_global_sums,
     weighted_shares,
 )
-from repro.climate.fields2d import DistributedField2D
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 
@@ -48,6 +47,21 @@ class TestConstruction:
             return True
 
         assert all(spmd(3, main))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(6, 8), (16, 3), (8, 5), (7, 6)],
+        ids=["transposed", "same_size", "fewer_cols", "fewer_rows"],
+    )
+    def test_from_global_refuses_a_wrong_shape(self, spmd, shape):
+        """A full array that is not the grid's shape is refused before any
+        rank slices it, not cut into blocks that fail later in numpy."""
+
+        def main(comm):
+            DistributedField.from_global(comm, GRID, np.zeros(shape))
+
+        with pytest.raises(ReproError, match="global field shape"):
+            spmd(2, main)
 
     def test_bad_local_shape_rejected(self, spmd):
         def main(comm):
@@ -87,6 +101,36 @@ class TestGatherScatter:
             return None if again is None else np.array_equal(again, full)
 
         assert spmd(4, main)[0] is True
+
+    def test_set_sends_each_rank_its_band_only(self, monkeypatch):
+        """A restore scatters: each non-root rank of a 4-rank restore is
+        delivered one envelope holding its own band's bytes, not the
+        whole field's."""
+        from repro.mpi import run_spmd
+        from repro.mpi.mailbox import Mailbox
+
+        full = np.arange(48, dtype=float).reshape(8, 6)
+        received = {}
+        deliver = Mailbox.deliver
+
+        def recording(mailbox, env):
+            if env.payload.kind == "array":
+                received.setdefault(mailbox.owner, []).append(env.payload.nbytes)
+            deliver(mailbox, env)
+
+        def main(comm):
+            f = DistributedField(comm, GRID)
+            f.set_from_global(full if comm.rank == 0 else None)
+            return np.array_equal(f.data, full[f.local_slices]), f.data.nbytes
+
+        monkeypatch.setattr(Mailbox, "deliver", recording)
+        out = run_spmd(4, main)
+        assert all(same for same, _ in out)
+        band_bytes = out[1][1]
+        assert band_bytes * 4 == full.nbytes
+        assert sorted(received) == [1, 2, 3]
+        for owner, sizes in received.items():
+            assert len(sizes) == 1 and band_bytes <= sizes[0] < full.nbytes // 2, (owner, sizes)
 
     def test_scatter_shape_checked(self, spmd):
         def main(comm):
@@ -182,29 +226,33 @@ class TestCanonicalSum:
     def test_matches_the_definition_on_every_decomposition(self, spmd):
         full = np.random.default_rng(7).standard_normal(GRID.shape) * 1e3
         expected = self.canonical(full)
-        for field_cls, sizes in ((DistributedField, (1, 2, 3)), (DistributedField2D, (2, 4, 6))):
-            for n in sizes:
 
-                def main(comm):
-                    f = field_cls(comm, GRID)
-                    f.data = full[f.local_slices].copy()
-                    return f.area_mean()
+        def main(comm):
+            f = DistributedField(comm, GRID)
+            f.data = full[f.local_slices].copy()
+            return f.area_mean()
 
-                assert spmd(n, main) == [expected] * n, (field_cls.__name__, n)
+        for n in (1, 2, 3, 6):
+            assert spmd(n, main) == [expected] * n, n
 
-    def test_a_band_ships_row_totals_a_block_its_cells(self, spmd):
-        def main(field_cls):
-            def run(comm):
-                f = field_cls.from_function(comm, GRID, lambda la, lo: la + lo)
-                share = weighted_shares(GRID, [f.data, 2 * f.data], f.local_slices)
-                return share.shape, f.local_shape
+    def test_a_band_ships_its_row_totals(self, spmd):
+        def main(comm):
+            f = DistributedField.from_function(comm, GRID, lambda la, lo: la + lo)
+            share = weighted_shares(GRID, [f.data, 2 * f.data], f.local_slices)
+            return share.shape, f.local_shape
 
-            return run
-
-        for shape, (rows, _) in spmd(2, main(DistributedField)):
+        for shape, (rows, _) in spmd(2, main):
             assert shape == (2, rows)
-        for shape, (rows, cols) in spmd(4, main(DistributedField2D)):
-            assert cols < GRID.nlon and shape == (2, rows, cols)
+
+    @pytest.mark.parametrize(
+        "cols", [slice(0, 3), slice(1, 6), slice(0, 6, 2)], ids=["head", "tail", "strided"]
+    )
+    def test_a_block_of_partial_rows_is_refused(self, cols):
+        """A share is a band's row totals; slices that miss a column
+        would be summed as if they were whole rows."""
+        block = np.ones((2, len(range(*cols.indices(GRID.nlon)))))
+        with pytest.raises(ReproError, match="not whole rows"):
+            weighted_shares(GRID, [block], (slice(0, 2), cols))
 
     def test_leading_axes_settle_one_total_each(self, spmd):
         """A ledger's stack of k steps reduces to k rows of totals, each
@@ -233,27 +281,17 @@ class TestFusedSums:
     )
 
     @staticmethod
-    def sums(field_cls):
-        def main(comm):
-            fields = [
-                field_cls.from_function(comm, GRID, fn) for fn in TestFusedSums.INTEGRANDS
-            ]
-            # The communicator and slices the field itself reduces over
-            # (the 2-D field's are its Cartesian topology's).
-            f = fields[0]
-            blocks = [g.data for g in fields]
-            fused = weighted_global_sums(f.comm, GRID, blocks, f.local_slices)
-            singles = tuple(
-                weighted_global_sum(f.comm, GRID, b, f.local_slices) for b in blocks
-            )
-            return fused, singles, tuple(g.area_mean() for g in fields)
+    def sums(comm):
+        fields = [DistributedField.from_function(comm, GRID, fn) for fn in TestFusedSums.INTEGRANDS]
+        f = fields[0]
+        blocks = [g.data for g in fields]
+        fused = weighted_global_sums(f.comm, GRID, blocks, f.local_slices)
+        singles = tuple(weighted_global_sum(f.comm, GRID, b, f.local_slices) for b in blocks)
+        return fused, singles, tuple(g.area_mean() for g in fields)
 
-        return main
-
-    @pytest.mark.parametrize("field_cls", [DistributedField, DistributedField2D])
-    def test_k_integrands_equal_k_single_calls_on_every_decomposition(self, spmd, field_cls):
-        reference = spmd(1, self.sums(DistributedField))[0][0]
+    def test_k_integrands_equal_k_single_calls_on_every_decomposition(self, spmd):
+        reference = spmd(1, self.sums)[0][0]
         assert all(isinstance(total, float) for total in reference)
         for n in (1, 2, 3, 4):
-            for fused, singles, means in spmd(n, self.sums(field_cls)):
+            for fused, singles, means in spmd(n, self.sums):
                 assert fused == singles == means == reference  # exact, every rank

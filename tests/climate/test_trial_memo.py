@@ -22,7 +22,6 @@ from repro.climate.components import (
     StateSnapshot,
 )
 from repro.climate.fields import _HALO_TAG_NORTH, _HALO_TAG_SOUTH, DistributedField
-from repro.climate.fields2d import DistributedField2D
 from repro.climate.forcing import CO2Scenario, SeasonalForcing
 from repro.climate.grid import LatLonGrid
 from repro.mpi.comm import Comm
@@ -30,12 +29,11 @@ from repro.mpi.constants import PROC_NULL
 
 GRID = LatLonGrid(8, 12)
 MODELS = [AtmosphereModel, OceanModel, LandModel, SeaIceModel]
-FIELDS = [DistributedField, DistributedField2D]
 DT = 1800.0
 SIZES = (1, 2, 4)
 
 
-def make(comm, cls, field_cls):
+def make(comm, cls):
     """A model with the seasons and a CO2 ramp on, one step in, whose
     Laplacian calls are counted; and two different coupling fluxes."""
     model = cls(
@@ -44,7 +42,6 @@ def make(comm, cls, field_cls):
         cls.default_params(),
         forcing=SeasonalForcing(),
         co2=CO2Scenario(rate_per_year=0.01),
-        field_cls=field_cls,
     )
     model.step(DT)
     calls = []
@@ -57,7 +54,7 @@ def make(comm, cls, field_cls):
     model.temperature.laplacian = counted
 
     def flux(scale):
-        return field_cls.from_function(
+        return DistributedField.from_function(
             comm, GRID, lambda la, lo: scale * np.cos(np.deg2rad(la)) - 0.05 * lo
         ).data
 
@@ -86,16 +83,15 @@ def same_terms(a, b):
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-@pytest.mark.parametrize("field_cls", FIELDS)
 @pytest.mark.parametrize("cls", MODELS)
 class TestBitwise:
-    def test_second_trial_step_is_a_fresh_models_step(self, spmd, cls, field_cls):
+    def test_second_trial_step_is_a_fresh_models_step(self, spmd, cls):
         """snapshot → advance(f1) → restore → advance(f2) == one advance(f2)
         of a model that never took a snapshot — state and energy terms."""
 
         def main(comm):
-            a, a_calls, f1, f2 = make(comm, cls, field_cls)
-            b, b_calls, _, _ = make(comm, cls, field_cls)
+            a, a_calls, f1, f2 = make(comm, cls)
+            b, b_calls, _, _ = make(comm, cls)
             snap = a.state_snapshot()
             a.state_restore(snap)
             a.advance_state(DT, f1)
@@ -109,13 +105,13 @@ class TestBitwise:
         for n in SIZES:
             assert all(spmd(n, main)), n
 
-    def test_committing_step_after_trials_is_a_fresh_models_step(self, spmd, cls, field_cls):
+    def test_committing_step_after_trials_is_a_fresh_models_step(self, spmd, cls):
         """The implicit loop's last act: restore once more, then ``step``
         — diagnostics and budget included — from the memo."""
 
         def main(comm):
-            a, a_calls, f1, f2 = make(comm, cls, field_cls)
-            b, _, _, _ = make(comm, cls, field_cls)
+            a, a_calls, f1, f2 = make(comm, cls)
+            b, _, _, _ = make(comm, cls)
             snap = a.state_snapshot()
             for flux in (f1, f2, f1):
                 a.state_restore(snap)
@@ -128,14 +124,14 @@ class TestBitwise:
         for n in SIZES:
             assert all(spmd(n, main)), n
 
-    def test_sub_cycled_component_reuses_on_the_first_substep_only(self, spmd, cls, field_cls):
+    def test_sub_cycled_component_reuses_on_the_first_substep_only(self, spmd, cls):
         """Three substeps of dt/3: only the first starts from the restored
         state, so only it may take from the memo."""
         diffusive = cls.default_params().diffusivity > 0.0
 
         def main(comm):
-            a, a_calls, f1, f2 = make(comm, cls, field_cls)
-            b, _, _, _ = make(comm, cls, field_cls)
+            a, a_calls, f1, f2 = make(comm, cls)
+            b, _, _, _ = make(comm, cls)
             snap = a.state_snapshot()
             for flux in (f1, f2):
                 a.state_restore(snap)
@@ -149,15 +145,15 @@ class TestBitwise:
         for n in SIZES:
             assert all(spmd(n, main)), n
 
-    def test_reassigned_temperature_drops_the_memo(self, spmd, cls, field_cls):
+    def test_reassigned_temperature_drops_the_memo(self, spmd, cls):
         """A restored state that was changed before the step is not the
         snapshot's state: nothing is taken from the memo, nothing left in
         it."""
         diffusive = cls.default_params().diffusivity > 0.0
 
         def main(comm):
-            a, a_calls, f1, f2 = make(comm, cls, field_cls)
-            b, _, _, _ = make(comm, cls, field_cls)
+            a, a_calls, f1, f2 = make(comm, cls)
+            b, _, _, _ = make(comm, cls)
             snap = a.state_snapshot()
             a.state_restore(snap)
             a.advance_state(DT, f1)
@@ -182,7 +178,7 @@ class TestMemoRules:
         restore of the first still finds its own."""
 
         def main(comm):
-            m, calls, f1, f2 = make(comm, OceanModel, DistributedField)
+            m, calls, f1, f2 = make(comm, OceanModel)
             first = m.state_snapshot()
             assert isinstance(first, StateSnapshot) and first.memo == {}
             m.state_restore(first)
@@ -206,7 +202,7 @@ class TestMemoRules:
         a memo, with or without a snapshot having been taken."""
 
         def main(comm):
-            m, calls, f1, _ = make(comm, AtmosphereModel, DistributedField)
+            m, calls, f1, _ = make(comm, AtmosphereModel)
             snap = m.state_snapshot()
             for _ in range(3):
                 m.step(DT, f1)
@@ -216,7 +212,7 @@ class TestMemoRules:
 
     def test_memo_arrays_are_read_only(self, spmd):
         def main(comm):
-            m, _, f1, _ = make(comm, OceanModel, DistributedField)
+            m, _, f1, _ = make(comm, OceanModel)
             snap = m.state_snapshot()
             m.state_restore(snap)
             terms = m.advance_state(DT, f1)
@@ -235,8 +231,8 @@ class TestMemoRules:
         without a memo restores without arming anything."""
 
         def main(comm):
-            a, calls, f1, _ = make(comm, OceanModel, DistributedField)
-            b, _, _, _ = make(comm, OceanModel, DistributedField)
+            a, calls, f1, _ = make(comm, OceanModel)
+            b, _, _, _ = make(comm, OceanModel)
             a.state_restore(dict(a.state_snapshot()))
             a.advance_state(DT, f1)
             a.state_restore(dict(b.state_snapshot()))
