@@ -234,6 +234,15 @@ class CCSMConfig:
                 )
         if self.nsteps < 0:
             raise ReproError(f"nsteps must be >= 0, got {self.nsteps}")
+        for kind, params in self.params.items():
+            if kind not in MODEL_KINDS:
+                raise ReproError(f"params: unknown component kind {kind!r}")
+            if not isinstance(params, PhysicsParams):
+                raise ReproError(f"params[{kind!r}] must be PhysicsParams, got {params!r}")
+            try:
+                params.validate()
+            except ReproError as exc:
+                raise ReproError(f"params[{kind!r}]: {exc}") from None
         for kind, coeff in self.coupling_coeff.items():
             if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)):
                 raise ReproError(

@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from repro.climate.components import ComponentModel, SeaIceModel
+from repro.climate.fields import gather_rows
 from repro.errors import ReproError
 
 #: Format version written into every checkpoint.
@@ -58,16 +59,10 @@ def state_of(model: ComponentModel) -> dict:
             ),
         }
     if isinstance(model, SeaIceModel):
-        # Assemble by global slices, so a checkpoint restores on any
-        # number of bands.
-        field = model.temperature
-        pieces = field.comm.gather((field.local_slices, model.thickness), root=0)
-        if field.comm.rank == 0:
-            assert pieces is not None
-            full = np.zeros(model.grid.shape)
-            for (rs, cs), block in pieces:
-                full[rs, cs] = block
-            state["thickness"] = full
+        # The full field, so a checkpoint restores on any number of bands.
+        thickness = gather_rows(model.comm, model.thickness, root=0)
+        if model.comm.rank == 0:
+            state["thickness"] = thickness
     return state
 
 

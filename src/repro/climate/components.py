@@ -21,7 +21,10 @@ property experiment E11 leans on.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,6 +65,14 @@ class PhysicsParams:
 
     def validate(self) -> "PhysicsParams":
         """Sanity-check parameter ranges; returns self for chaining."""
+        for name in (
+            "heat_capacity", "diffusivity", "albedo", "solar_constant", "olr_a", "olr_b", "t_ref"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ReproError(f"{name} must be a finite number, got {value!r}")
         if self.heat_capacity <= 0:
             raise ReproError(f"heat_capacity must be positive, got {self.heat_capacity}")
         if not 0.0 <= self.albedo <= 1.0:
@@ -79,15 +90,19 @@ def insolation(lat_deg: np.ndarray, solar_constant: float) -> np.ndarray:
     return (solar_constant / 4.0) * (1.0 - 0.48 * p2)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """*array*, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
 def _recall(memo: Optional[dict], key: str, compute) -> np.ndarray:
     """``compute()``, through *memo* when there is one: the first call
     leaves its result there read-only, later ones take it."""
     if memo is None:
         return compute()
     if key not in memo:
-        value = compute()
-        value.flags.writeable = False
-        memo[key] = value
+        memo[key] = _frozen(compute())
     return memo[key]
 
 
@@ -196,16 +211,33 @@ class ComponentModel:
 
     # -- physics ---------------------------------------------------------------
 
-    def _local_insolation(self) -> np.ndarray:
-        rs, cs = self.temperature.local_slices
-        lat = self.grid.lat_centers[rs]
-        if self.forcing is not None:
-            q = self.forcing.daily_insolation(lat, self.current_time)
-        else:
-            q = insolation(lat, self.params.solar_constant)
+    def _absorbed(self, q: np.ndarray) -> np.ndarray:
+        """The share ``1 - albedo`` of the band's insolation *q* (one
+        value per latitude row), on every column of the local block."""
         q = q * (1.0 - self.params.albedo)
-        ncols = len(range(*cs.indices(self.grid.nlon)))
-        return np.repeat(q[:, None], ncols, axis=1)
+        return np.repeat(q[:, None], self.grid.nlon, axis=1)
+
+    def _band_latitudes(self) -> np.ndarray:
+        start, stop = self.temperature.rows_range
+        return self.grid.lat_centers[start:stop]
+
+    @cached_property
+    def _annual_solar(self) -> np.ndarray:
+        """Absorbed annual-mean insolation: a function of latitude and
+        parameters alone, so computed once, on first use, and shared
+        read-only by every step."""
+        return _frozen(
+            self._absorbed(insolation(self._band_latitudes(), self.params.solar_constant))
+        )
+
+    def _local_insolation(self) -> np.ndarray:
+        """Absorbed insolation [W m^-2] on the local block: the seasonal
+        forcing's at the model time, or the annual mean without one."""
+        if self.forcing is None:
+            return self._annual_solar
+        return self._absorbed(
+            self.forcing.daily_insolation(self._band_latitudes(), self.current_time)
+        )
 
     def absorbed_solar(self) -> np.ndarray:
         """Absorbed shortwave [W m^-2] on the local block.  The base model
@@ -422,9 +454,14 @@ class AtmosphereModel(ComponentModel):
             t_ref=288.0,
         )
 
+    @cached_property
+    def _no_solar(self) -> np.ndarray:
+        return _frozen(np.zeros_like(self.temperature.data))
+
     def absorbed_solar(self) -> np.ndarray:
-        """The toy atmosphere is shortwave-transparent."""
-        return np.zeros_like(self.temperature.data)
+        """The toy atmosphere is shortwave-transparent: one all-zero
+        array, shared read-only by every step."""
+        return self._no_solar
 
 
 class OceanModel(ComponentModel):

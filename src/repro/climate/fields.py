@@ -25,30 +25,83 @@ _HALO_TAG_SOUTH = 22
 
 
 def exchange_halo_rows(
-    comm: Comm, first_row: np.ndarray, last_row: np.ndarray, tag_north: int, tag_south: int
-) -> tuple[np.ndarray, np.ndarray]:
+    comm: Comm,
+    block: np.ndarray,
+    north_halo: np.ndarray,
+    south_halo: np.ndarray,
+    tag_north: int,
+    tag_south: int,
+) -> None:
     """Trade boundary rows with the latitude neighbours of a row-block
-    decomposition over *comm*: this rank's *last_row* goes north (rank
-    + 1, under *tag_north*), its *first_row* south.
+    decomposition over *comm*: this rank's last row of *block* goes north
+    (rank + 1, under *tag_north*), its first row south.
 
-    Returns ``(north_halo, south_halo)`` — the neighbouring row to the
-    north (higher latitude) and south.  At either end of the
-    decomposition the local edge row comes back (zero-gradient
-    boundary), implemented with ``PROC_NULL`` neighbours so no branches
-    appear in the message code.
+    The neighbouring row to the north (higher latitude) is received into
+    *north_halo* and the one to the south into *south_halo*; either may
+    be a view into the caller's buffer.  At either end of the
+    decomposition the local edge row is copied there instead
+    (zero-gradient boundary), and the send goes to a ``PROC_NULL``
+    neighbour, so the sends need no branches.
     """
     north = comm.rank + 1 if comm.rank + 1 < comm.size else PROC_NULL
     south = comm.rank - 1 if comm.rank > 0 else PROC_NULL
     # Eager sends: post both, then receive both.
-    comm.Send(last_row, north, tag_north)
-    comm.Send(first_row, south, tag_south)
-    south_halo = np.array(first_row)  # edge default: replicate the row
-    north_halo = np.array(last_row)
+    comm.Send(block[-1], north, tag_north)
+    comm.Send(block[0], south, tag_south)
     if south != PROC_NULL:
         comm.Recv(south_halo, south, tag_north)
+    else:
+        south_halo[...] = block[0]
     if north != PROC_NULL:
         comm.Recv(north_halo, north, tag_south)
-    return north_halo, south_halo
+    else:
+        north_halo[...] = block[-1]
+
+
+def five_point_laplacian(
+    comm: Comm, block: np.ndarray, tag_north: int, tag_south: int, periodic: bool
+) -> np.ndarray:
+    """Five-point Laplacian (grid units) of one latitude band *block* of a
+    row decomposition over *comm*, as a fresh array.
+
+    One ``(rows + 2, cols + 2)`` buffer holds the block, the halo rows
+    (received straight into its edge rows by :func:`exchange_halo_rows`)
+    and the edge columns: wrapped when longitude is *periodic*,
+    replicated otherwise.  Each neighbour is a slice of it.
+    """
+    rows, cols = block.shape
+    pad = np.empty((rows + 2, cols + 2))
+    pad[1:-1, 1:-1] = block
+    exchange_halo_rows(comm, block, pad[-1, 1:-1], pad[0, 1:-1], tag_north, tag_south)
+    if periodic:
+        pad[1:-1, 0] = block[:, -1]
+        pad[1:-1, -1] = block[:, 0]
+    else:
+        pad[1:-1, 0] = block[:, 0]
+        pad[1:-1, -1] = block[:, -1]
+    up = pad[2:, 1:-1]
+    down = pad[:-2, 1:-1]
+    east = pad[1:-1, 2:]
+    west = pad[1:-1, :-2]
+    # ``up + down + east + west - 4.0 * block``, operation for operation
+    # (so the same bits), accumulated in place: two temporaries instead
+    # of five, which on a large block is most of the allocator's page
+    # faults of a model step.
+    lap = up + down
+    lap += east
+    lap += west
+    lap -= 4.0 * block
+    return lap
+
+
+def gather_rows(comm: Comm, block: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
+    """Assemble the latitude bands *block* of a row decomposition over
+    *comm* into the full array on rank *root* (``None`` elsewhere)."""
+    blocks = comm.gather(block, root=root)
+    if comm.rank != root:
+        return None
+    assert blocks is not None
+    return np.concatenate(blocks, axis=0)
 
 
 class DistributedField:
@@ -137,33 +190,27 @@ class DistributedField:
         """Exchange boundary rows with latitude neighbours:
         ``(north_halo, south_halo)``, the local edge row at the poles
         (see :func:`exchange_halo_rows`)."""
-        return exchange_halo_rows(
-            self.comm, self.data[0], self.data[-1], _HALO_TAG_NORTH, _HALO_TAG_SOUTH
-        )
+        ncols = self.data.shape[1]
+        north, south = np.empty(ncols), np.empty(ncols)
+        exchange_halo_rows(self.comm, self.data, north, south, _HALO_TAG_NORTH, _HALO_TAG_SOUTH)
+        return north, south
 
     def laplacian(self) -> np.ndarray:
         """Five-point Laplacian of the local block (grid units).
 
-        Longitude is periodic (local ``np.roll``); latitude uses halo
-        rows, with zero-gradient poles.
+        Longitude is periodic; latitude uses halo rows, with
+        zero-gradient poles (see :func:`five_point_laplacian`).
         """
-        north, south = self.exchange_halos()
-        up = np.vstack([self.data[1:], north[None, :]])
-        down = np.vstack([south[None, :], self.data[:-1]])
-        east = np.roll(self.data, -1, axis=1)
-        west = np.roll(self.data, 1, axis=1)
-        return up + down + east + west - 4.0 * self.data
+        return five_point_laplacian(
+            self.comm, self.data, _HALO_TAG_NORTH, _HALO_TAG_SOUTH, periodic=True
+        )
 
     # -- gather / scatter ------------------------------------------------------------
 
     def gather_global(self, root: int = 0) -> Optional[np.ndarray]:
         """Assemble the full global field on component-local rank *root*
         (``None`` elsewhere)."""
-        blocks = self.comm.gather(self.data, root=root)
-        if self.comm.rank != root:
-            return None
-        assert blocks is not None
-        return np.concatenate(blocks, axis=0)
+        return gather_rows(self.comm, self.data, root)
 
     def set_from_global(self, full: Optional[np.ndarray], root: int = 0) -> None:
         """Distribute a full field from *root* into the local blocks

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.climate.components import PhysicsParams, insolation
-from repro.climate.fields import exchange_halo_rows
+from repro.climate.fields import five_point_laplacian, gather_rows
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.climate.regrid import overlap_matrix
 from repro.errors import ReproError
@@ -194,6 +194,13 @@ class RegionalModel:
         #: the first frame arrives).
         self.target: Optional[np.ndarray] = None
         self.steps_taken = 0
+        #: Absorbed insolation on the local block: a function of latitude
+        #: and parameters alone, so computed once (read-only).
+        self._solar = (
+            insolation(rgrid.lat_centers[start:stop], params.solar_constant)[:, None]
+            * (1.0 - params.albedo)
+        ) * np.ones_like(self.data)
+        self._solar.flags.writeable = False
 
     @property
     def rows_range(self) -> tuple[int, int]:
@@ -233,26 +240,14 @@ class RegionalModel:
 
     def laplacian(self) -> np.ndarray:
         """Non-periodic five-point Laplacian (edges replicate)."""
-        north, south = exchange_halo_rows(
-            self.comm, self.data[0], self.data[-1], _TAG_NORTH, _TAG_SOUTH
-        )
-        up = np.vstack([self.data[1:], north[None, :]])
-        down = np.vstack([south[None, :], self.data[:-1]])
-        east = np.hstack([self.data[:, 1:], self.data[:, -1:]])
-        west = np.hstack([self.data[:, :1], self.data[:, :-1]])
-        return up + down + east + west - 4.0 * self.data
+        return five_point_laplacian(self.comm, self.data, _TAG_NORTH, _TAG_SOUTH, periodic=False)
 
     def step(self, dt: float) -> None:
         """One regional step: physics, then boundary relaxation toward the
         latest parent frame."""
         p = self.params
-        start, stop = self._rows
-        lat = self.rgrid.lat_centers[start:stop]
-        solar = (
-            insolation(lat, p.solar_constant)[:, None] * (1.0 - p.albedo)
-        ) * np.ones_like(self.data)
         olr = p.olr_a + p.olr_b * (self.data - p.t_ref)
-        tendency = (solar - olr) / p.heat_capacity
+        tendency = (self._solar - olr) / p.heat_capacity
         if p.diffusivity > 0.0:
             tendency = tendency + p.diffusivity * self.laplacian()
         self.data = self.data + dt * tendency
@@ -265,11 +260,7 @@ class RegionalModel:
 
     def gather_global(self, root: int = 0) -> Optional[np.ndarray]:
         """Assemble the full regional field on rank *root*."""
-        blocks = self.comm.gather(self.data, root=root)
-        if self.comm.rank != root:
-            return None
-        assert blocks is not None
-        return np.concatenate(blocks, axis=0)
+        return gather_rows(self.comm, self.data, root)
 
     def mean_temperature(self) -> float:
         """Region-area-weighted mean temperature (same on every rank)."""

@@ -18,6 +18,7 @@ from repro.climate.ccsm import (
     run_ccsm,
     total_energy_series,
 )
+from repro.climate.components import PhysicsParams
 from repro.climate.diagnostics import energy_report
 from repro.errors import ReproError
 
@@ -247,14 +248,24 @@ class TestBuilders:
             dict(coupling_tol="1e-9"),
             dict(coupling_omega=True),
             dict(procs={"atmosphere": 4, "ocean": 2, "land": 2, "ice": 8, "coupler": 1}),
+            dict(params={"oceanx": PhysicsParams()}),
+            dict(params={"ocean": PhysicsParams(heat_capacity=-1.0)}),
+            dict(params={"land": PhysicsParams(olr_b=float("nan"))}),
+            dict(params={"ice": {"heat_capacity": 5.0e7}}),
         ],
-        ids=["1d_shape", "3d_shape", "str_dt", "bool_dt", "str_tol", "bool_omega", "procs_over_rows"],
+        ids=[
+            "1d_shape", "3d_shape", "str_dt", "bool_dt", "str_tol", "bool_omega",
+            "procs_over_rows", "params_unknown_kind", "params_negative_heat_capacity",
+            "params_nan_olr_b", "params_not_physics_params",
+        ],
     )
     def test_boundary_refused_before_a_rank_starts(self, bad):
         """A grid that is not two-dimensional, a step or solver setting
-        that is not a number, and more processes than grid rows each died
-        inside a rank with an untyped error (or, for ``True``, ran as 1):
-        each is refused at construction."""
+        that is not a number, more processes than grid rows, and a bad
+        ``params`` value each died inside a rank with an untyped error
+        (or, for ``True``, ran as 1; a misspelt kind's parameters were
+        ignored and a NaN one ran NaN fields): each is refused at
+        construction."""
         (name,) = bad
         with pytest.raises(ReproError, match=name):
             CCSMConfig(**bad)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from repro.climate import components
 from repro.climate.components import (
     SETTLE_EVERY,
     AtmosphereModel,
@@ -16,6 +17,7 @@ from repro.climate.components import (
     insolation,
 )
 from repro.climate.fields import DistributedField, weighted_global_sum
+from repro.climate.forcing import SeasonalForcing
 from repro.climate.grid import LatLonGrid
 from repro.errors import ReproError
 
@@ -38,6 +40,92 @@ class TestPhysicsParams:
     def test_negative_diffusivity_rejected(self):
         with pytest.raises(ReproError, match="diffusivity"):
             PhysicsParams(diffusivity=-1e-6).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("heat_capacity", float("nan")),
+            ("heat_capacity", float("inf")),
+            ("diffusivity", float("nan")),
+            ("diffusivity", float("inf")),
+            *(
+                (name, value)
+                for name in ("solar_constant", "olr_a", "olr_b", "t_ref")
+                for value in (float("nan"), float("inf"), float("-inf"))
+            ),
+        ],
+    )
+    def test_non_finite_rejected(self, name, value):
+        """A NaN or infinite parameter used to be accepted and run NaN
+        fields silently (the ranges already refuse ``-inf`` heat capacity
+        and diffusivity)."""
+        with pytest.raises(ReproError, match=f"{name} must be a finite number"):
+            PhysicsParams(**{name: value}).validate()
+
+
+class TestTimeInvariantTerms:
+    """Without seasonal forcing a model's absorbed insolation depends on
+    latitude and parameters alone: it is computed once and shared
+    read-only by every step, as is the atmosphere's all-zero one."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"insolation": 0, "daily_insolation": 0}
+        annual, daily = components.insolation, SeasonalForcing.daily_insolation
+
+        def count_annual(lat, solar_constant):
+            calls["insolation"] += 1
+            return annual(lat, solar_constant)
+
+        def count_daily(forcing, lat, t):
+            calls["daily_insolation"] += 1
+            return daily(forcing, lat, t)
+
+        monkeypatch.setattr(components, "insolation", count_annual)
+        monkeypatch.setattr(SeasonalForcing, "daily_insolation", count_daily)
+        return calls
+
+    @pytest.mark.parametrize("cls", [OceanModel, LandModel, SeaIceModel])
+    def test_one_insolation_call_per_model(self, spmd, counted, cls):
+        def main(comm):
+            m = cls(comm, GRID, cls.default_params())
+            for _ in range(5):
+                m.step(1800.0)
+            return dict(counted)
+
+        assert spmd(1, main) == [{"insolation": 1, "daily_insolation": 0}]
+
+    @pytest.mark.parametrize("cls", [OceanModel, LandModel, SeaIceModel])
+    def test_seasonal_forcing_computes_every_step(self, spmd, counted, cls):
+        def main(comm):
+            m = cls(comm, GRID, cls.default_params(), forcing=SeasonalForcing())
+            for _ in range(5):
+                m.step(1800.0)
+            return dict(counted)
+
+        assert spmd(1, main) == [{"insolation": 0, "daily_insolation": 5}]
+
+    def test_shared_arrays_are_read_only(self, spmd):
+        def main(comm):
+            surface = OceanModel(comm, GRID, OceanModel.default_params())
+            atmosphere = AtmosphereModel(comm, GRID, AtmosphereModel.default_params())
+            seasonal = OceanModel(
+                comm, GRID, OceanModel.default_params(), forcing=SeasonalForcing()
+            )
+            shared = []
+            for m in (surface, atmosphere):
+                solar = m.absorbed_solar()
+                m.step(1800.0)
+                shared.append(m.absorbed_solar() is solar and not solar.flags.writeable)
+            fresh = seasonal.absorbed_solar()
+            seasonal.step(1800.0)
+            return (
+                shared,
+                not atmosphere.absorbed_solar().any(),
+                fresh.flags.writeable and seasonal.absorbed_solar() is not fresh,
+            )
+
+        assert spmd(2, main) == [([True, True], True, True)] * 2
 
 
 class TestInsolation:

@@ -192,6 +192,60 @@ class TestHalos:
         assert spmd(4, main) == [0.0] * 4
 
 
+def vstack_roll_laplacian(full):
+    """The band Laplacian as it was written before the padded stencil —
+    two ``vstack`` and two ``roll`` — on a whole field (poles replicate,
+    longitude wraps): the bitwise reference of :meth:`laplacian`."""
+    up = np.vstack([full[1:], full[-1:]])
+    down = np.vstack([full[:1], full[:-1]])
+    east = np.roll(full, -1, axis=1)
+    west = np.roll(full, 1, axis=1)
+    return up + down + east + west - 4.0 * full
+
+
+def wavy(la, lo):
+    return 280.0 + 17.0 * np.sin(np.deg2rad(1.3 * la)) * np.cos(np.deg2rad(lo)) + 1e-3 * lo
+
+
+class TestPaddedStencil:
+    @pytest.mark.parametrize(
+        "shape, procs",
+        [((4, 6), 4), ((1, 6), 1), ((6, 1), 1), ((6, 1), 3), ((7, 5), 3), ((7, 5), 1)],
+        ids=["1-row_bands", "1-row_grid", "1-column_grid", "1-column_bands", "3_ranks_7_rows", "serial"],
+    )
+    def test_equals_the_vstack_roll_formula_bitwise(self, spmd, shape, procs):
+        grid = LatLonGrid(*shape)
+        full = np.asarray(wavy(*np.meshgrid(grid.lat_centers, grid.lon_centers, indexing="ij")))
+
+        def main(comm):
+            f = DistributedField.from_function(comm, grid, wavy)
+            return DistributedField(comm, grid, data=f.laplacian()).gather_global()
+
+        lap = spmd(procs, main)[0]
+        reference = vstack_roll_laplacian(full)
+        assert lap.tobytes() == reference.tobytes()
+
+    def test_result_is_a_fresh_array(self, spmd):
+        """The trial-step memo freezes what :meth:`laplacian` returns, so
+        no later call may write into it."""
+
+        def main(comm):
+            f = DistributedField.from_function(comm, GRID, wavy)
+            first = f.laplacian()
+            first.flags.writeable = False
+            kept = first.copy()
+            f.data = f.data * 2.0
+            second = f.laplacian()
+            return (
+                second.flags.writeable
+                and not np.shares_memory(first, second)
+                and not np.shares_memory(first, f.data)
+                and np.array_equal(first, kept)
+            )
+
+        assert all(spmd(2, main))
+
+
 class TestReductions:
     def test_area_mean_matches_serial_grid(self, spmd):
         full_holder = {}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro import components_setup, mph_run
-from repro.climate.components import AtmosphereModel, PhysicsParams
+from repro.climate import nesting
+from repro.climate.components import AtmosphereModel, PhysicsParams, insolation
 from repro.climate.grid import LatLonGrid
 from repro.climate.nesting import RegionSpec, RegionalGrid, RegionalModel
 from repro.errors import ReproError
@@ -159,6 +160,48 @@ class TestRegionalModel:
         reference = spmd(1, main)[0]
         for n in (2, 4):
             np.testing.assert_array_equal(spmd(n, main)[0], reference)
+
+    @pytest.mark.parametrize("procs", [1, 2, 4])
+    def test_laplacian_replicates_every_edge_bitwise(self, spmd, procs):
+        """The non-periodic stencil, against the ``vstack`` / ``hstack``
+        formula it replaced, on the whole regional field: every edge row
+        and column stands in for its missing neighbour."""
+        rgrid = RegionalGrid(PARENT, SPEC)
+
+        def init(la, lo):
+            return 280.0 + np.sin(np.deg2rad(3.0 * la)) * lo + 1e-3 * la * lo
+
+        full = init(*np.meshgrid(rgrid.lat_centers, rgrid.lon_centers, indexing="ij"))
+        up = np.vstack([full[1:], full[-1:]])
+        down = np.vstack([full[:1], full[:-1]])
+        east = np.hstack([full[:, 1:], full[:, -1:]])
+        west = np.hstack([full[:, :1], full[:, :-1]])
+        reference = up + down + east + west - 4.0 * full
+
+        def main(comm):
+            m = RegionalModel(comm, rgrid, quiet_params(), t_init=init)
+            m.data = m.laplacian()
+            return m.gather_global()
+
+        assert spmd(procs, main)[0].tobytes() == reference.tobytes()
+
+    def test_insolation_is_computed_once(self, spmd, monkeypatch):
+        calls = []
+
+        def counted(lat, solar_constant):
+            calls.append(len(lat))
+            return insolation(lat, solar_constant)
+
+        monkeypatch.setattr(nesting, "insolation", counted)
+
+        def main(comm):
+            params = PhysicsParams(heat_capacity=1e7, diffusivity=1e-6, olr_a=210.0, olr_b=2.0)
+            m = RegionalModel(comm, RegionalGrid(PARENT, SPEC), params)
+            for _ in range(5):
+                m.step(3600.0)
+            return len(calls)
+
+        assert spmd(1, main) == [1]
 
     def test_validation(self, spmd):
         def too_many(comm):
