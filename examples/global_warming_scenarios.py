@@ -51,7 +51,7 @@ def atmosphere(world, env):
     forcing = 4.0 * np.log2(co2 / 380.0)
     params = replace(
         AtmosphereModel.default_params(),
-        solar_constant=1361.0,
+        solar_constant=1361.0,  # absorbs shortwave itself: no separate surface
         albedo=0.3,
         olr_a=225.0 - forcing,
     )
@@ -60,8 +60,6 @@ def atmosphere(world, env):
         return AtmosphereModel.default_initial_condition(lat, lon)
 
     model = AtmosphereModel(mph.component_comm(), ATM_GRID, params, t_init=warm_start)
-    # Scenario atmospheres do absorb shortwave here (no separate surface).
-    model.absorbed_solar = lambda: model._local_insolation()  # type: ignore[method-assign]
 
     for step in range(NSTEPS):
         # Receive the shared SST (broadcast by the ocean to every scenario).

@@ -34,8 +34,6 @@ def global_atm(world, env):
     mph = components_setup(world, "global_atm", env=env)
     params = AtmosphereModel.default_params()
     model = AtmosphereModel(mph.component_comm(), PARENT, params)
-    # The toy global atmosphere absorbs shortwave here (standalone EBM).
-    model.absorbed_solar = lambda: model._local_insolation()  # type: ignore[method-assign]
     for step in range(NSTEPS):
         model.step(DT)
         full = model.temperature.gather_global(root=0)

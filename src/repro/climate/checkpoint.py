@@ -137,6 +137,6 @@ def restore(model: ComponentModel, directory: Union[str, Path], name: str) -> in
     if isinstance(model, SeaIceModel):
         if "thickness" not in payload:
             raise ReproError(f"checkpoint {path.name} lacks the sea-ice thickness field")
-        rs, cs = model.temperature.local_slices
-        model.thickness = np.array(payload["thickness"][rs, cs])
+        start, stop = model.temperature.rows_range
+        model.thickness = np.array(payload["thickness"][start:stop])
     return model.steps_taken

@@ -232,16 +232,18 @@ class ComponentModel:
 
     def _local_insolation(self) -> np.ndarray:
         """Absorbed insolation [W m^-2] on the local block: the seasonal
-        forcing's at the model time, or the annual mean without one."""
-        if self.forcing is None:
+        forcing's at the model time, or the annual mean without one.  A
+        model whose ``solar_constant`` is 0 absorbs none, with forcing or
+        without: its annual mean is one all-zero array."""
+        if self.forcing is None or self.params.solar_constant == 0:
             return self._annual_solar
         return self._absorbed(
             self.forcing.daily_insolation(self._band_latitudes(), self.current_time)
         )
 
     def absorbed_solar(self) -> np.ndarray:
-        """Absorbed shortwave [W m^-2] on the local block.  The base model
-        absorbs at the surface; the atmosphere overrides this to zero."""
+        """Absorbed shortwave [W m^-2] on the local block (zero where
+        ``params.solar_constant`` is 0, as the atmosphere's default is)."""
         return self._local_insolation()
 
     def outgoing_longwave(self) -> np.ndarray:
@@ -336,7 +338,7 @@ class ComponentModel:
         terms = self.advance_state(dt, coupling_flux)
         state = self._state_fields()
         shares = weighted_shares(
-            self.grid, [*terms.values(), *state.values()], self.temperature.local_slices
+            self.grid, [*terms.values(), *state.values()], self.temperature.rows_range
         )
         self._ledger.append((dt, tuple(terms), tuple(state), shares))
         if len(self._ledger) >= SETTLE_EVERY:
@@ -361,12 +363,7 @@ class ComponentModel:
         """Reduce the ledger onto :attr:`budget` and the settled list."""
         if not self._ledger:
             return
-        totals = reduce_shares(
-            self.comm,
-            self.grid,
-            np.stack([entry[3] for entry in self._ledger]),
-            self.temperature.local_slices,
-        )
+        totals = reduce_shares(self.comm, np.stack([entry[3] for entry in self._ledger]))
         for (dt, terms, state, _), row in zip(self._ledger, totals):
             diag = StepDiagnostics(
                 **{name: float(total) * dt for name, total in zip(terms, row)},
@@ -435,9 +432,10 @@ class ComponentModel:
 
 
 class AtmosphereModel(ComponentModel):
-    """The atmosphere: diffusive heat transport, OLR to space, no direct
-    solar absorption (the surfaces absorb and hand heat up as coupling
-    flux)."""
+    """The atmosphere: diffusive heat transport, OLR to space, and by
+    default no direct solar absorption — its default ``solar_constant``
+    is 0, because the surfaces absorb and hand heat up as coupling flux.
+    Give it a solar constant and it absorbs like any component."""
 
     kind = "atmosphere"
 
@@ -453,15 +451,6 @@ class AtmosphereModel(ComponentModel):
             olr_b=2.0,
             t_ref=288.0,
         )
-
-    @cached_property
-    def _no_solar(self) -> np.ndarray:
-        return _frozen(np.zeros_like(self.temperature.data))
-
-    def absorbed_solar(self) -> np.ndarray:
-        """The toy atmosphere is shortwave-transparent: one all-zero
-        array, shared read-only by every step."""
-        return self._no_solar
 
 
 class OceanModel(ComponentModel):
@@ -560,5 +549,5 @@ class SeaIceModel(ComponentModel):
     def mean_thickness(self) -> float:
         """Area-weighted mean ice thickness [m]."""
         return weighted_global_sum(
-            self.comm, self.grid, self.thickness, self.temperature.local_slices
+            self.comm, self.grid, self.thickness, self.temperature.rows_range
         )

@@ -58,42 +58,6 @@ def exchange_halo_rows(
         north_halo[...] = block[-1]
 
 
-def five_point_laplacian(
-    comm: Comm, block: np.ndarray, tag_north: int, tag_south: int, periodic: bool
-) -> np.ndarray:
-    """Five-point Laplacian (grid units) of one latitude band *block* of a
-    row decomposition over *comm*, as a fresh array.
-
-    One ``(rows + 2, cols + 2)`` buffer holds the block, the halo rows
-    (received straight into its edge rows by :func:`exchange_halo_rows`)
-    and the edge columns: wrapped when longitude is *periodic*,
-    replicated otherwise.  Each neighbour is a slice of it.
-    """
-    rows, cols = block.shape
-    pad = np.empty((rows + 2, cols + 2))
-    pad[1:-1, 1:-1] = block
-    exchange_halo_rows(comm, block, pad[-1, 1:-1], pad[0, 1:-1], tag_north, tag_south)
-    if periodic:
-        pad[1:-1, 0] = block[:, -1]
-        pad[1:-1, -1] = block[:, 0]
-    else:
-        pad[1:-1, 0] = block[:, 0]
-        pad[1:-1, -1] = block[:, -1]
-    up = pad[2:, 1:-1]
-    down = pad[:-2, 1:-1]
-    east = pad[1:-1, 2:]
-    west = pad[1:-1, :-2]
-    # ``up + down + east + west - 4.0 * block``, operation for operation
-    # (so the same bits), accumulated in place: two temporaries instead
-    # of five, which on a large block is most of the allocator's page
-    # faults of a model step.
-    lap = up + down
-    lap += east
-    lap += west
-    lap -= 4.0 * block
-    return lap
-
-
 def gather_rows(comm: Comm, block: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
     """Assemble the latitude bands *block* of a row decomposition over
     *comm* into the full array on rank *root* (``None`` elsewhere)."""
@@ -169,13 +133,6 @@ class DistributedField:
         return self.decomp.rows(self.comm.rank)
 
     @property
-    def local_slices(self) -> tuple[slice, slice]:
-        """The global ``(row, column)`` slices of the local block: the
-        rows of the band and every column."""
-        start, stop = self.rows_range
-        return (slice(start, stop), slice(0, self.grid.nlon))
-
-    @property
     def local_shape(self) -> tuple[int, int]:
         """Shape of the local block."""
         return self.data.shape
@@ -196,14 +153,42 @@ class DistributedField:
         return north, south
 
     def laplacian(self) -> np.ndarray:
-        """Five-point Laplacian of the local block (grid units).
+        """Five-point Laplacian of the local block (grid units), as a
+        fresh array.
 
-        Longitude is periodic; latitude uses halo rows, with
-        zero-gradient poles (see :func:`five_point_laplacian`).
+        One ``(rows + 2, cols + 2)`` buffer holds the block, the halo
+        rows (received straight into its edge rows by
+        :func:`exchange_halo_rows`; the grid's first and last rows
+        replicate) and the edge columns: wrapped when the grid is
+        ``periodic`` in longitude, replicated otherwise.  Each neighbour
+        is a slice of it.
         """
-        return five_point_laplacian(
-            self.comm, self.data, _HALO_TAG_NORTH, _HALO_TAG_SOUTH, periodic=True
+        block = self.data
+        rows, cols = block.shape
+        pad = np.empty((rows + 2, cols + 2))
+        pad[1:-1, 1:-1] = block
+        exchange_halo_rows(
+            self.comm, block, pad[-1, 1:-1], pad[0, 1:-1], _HALO_TAG_NORTH, _HALO_TAG_SOUTH
         )
+        if self.grid.periodic:
+            pad[1:-1, 0] = block[:, -1]
+            pad[1:-1, -1] = block[:, 0]
+        else:
+            pad[1:-1, 0] = block[:, 0]
+            pad[1:-1, -1] = block[:, -1]
+        up = pad[2:, 1:-1]
+        down = pad[:-2, 1:-1]
+        east = pad[1:-1, 2:]
+        west = pad[1:-1, :-2]
+        # ``up + down + east + west - 4.0 * block``, operation for operation
+        # (so the same bits), accumulated in place: two temporaries instead
+        # of five, which on a large block is most of the allocator's page
+        # faults of a model step.
+        lap = up + down
+        lap += east
+        lap += west
+        lap -= 4.0 * block
+        return lap
 
     # -- gather / scatter ------------------------------------------------------------
 
@@ -231,84 +216,70 @@ class DistributedField:
     def area_mean(self) -> float:
         """Area-weighted global mean (identical on every rank, and bitwise
         independent of the decomposition — see :func:`weighted_global_sum`)."""
-        return weighted_global_sum(self.comm, self.grid, self.data, self.local_slices)
+        return weighted_global_sum(self.comm, self.grid, self.data, self.rows_range)
 
     def area_integral(self) -> float:
         """Alias of :meth:`area_mean` (weights sum to 1)."""
         return self.area_mean()
 
 
-def weighted_global_sum(comm: Comm, grid: LatLonGrid, local: np.ndarray, slices: tuple[slice, slice]) -> float:
-    """Area-weighted global sum of one decomposed field: the
-    one-integrand case of :func:`weighted_global_sums` (same bits, same
-    two collectives)."""
-    return weighted_global_sums(comm, grid, [local], slices)[0]
+def weighted_global_sum(
+    comm: Comm, grid: LatLonGrid, local: np.ndarray, rows: tuple[int, int]
+) -> float:
+    """Area-weighted global sum of one field whose band holds the global
+    rows ``[start, stop)`` *rows*: the one-integrand case of
+    :func:`weighted_global_sums` (same bits, same two collectives)."""
+    return weighted_global_sums(comm, grid, [local], rows)[0]
 
 
 def weighted_global_sums(
-    comm: Comm, grid: LatLonGrid, locals: Sequence[np.ndarray], slices: tuple[slice, slice]
+    comm: Comm, grid: LatLonGrid, locals: Sequence[np.ndarray], rows: tuple[int, int]
 ) -> tuple[float, ...]:
-    """Area-weighted global sums of several fields decomposed alike, in
-    one reduction, each decomposition-independent to the bit.
+    """Area-weighted global sums of several fields decomposed alike (this
+    rank's band holds the global rows *rows*), in one reduction, each
+    decomposition-independent to the bit.
 
     The canonical sum of :func:`weighted_shares` settled at once by
     :func:`reduce_shares`: **one** gather and **one** broadcast, ``2 (P -
     1)`` messages however many integrands ride along, and every rank gets
     the same tuple of totals (in *locals* order).
     """
-    totals = reduce_shares(comm, grid, weighted_shares(grid, locals, slices), slices)
+    totals = reduce_shares(comm, weighted_shares(grid, locals, rows))
     return tuple(float(total) for total in totals)
 
 
 def weighted_shares(
-    grid: LatLonGrid, locals: Sequence[np.ndarray], slices: tuple[slice, slice]
+    grid: LatLonGrid, locals: Sequence[np.ndarray], rows: tuple[int, int]
 ) -> np.ndarray:
     """This rank's share of the canonical area-weighted sum of each of
-    *locals*, stacked along the first axis.
+    *locals* — latitude bands holding the global rows ``[start, stop)``
+    *rows* — stacked along the first axis.
 
     The canonical sum of a field weights it by the cell areas, sums each
     full latitude row in C order, then sums the row totals in latitude
-    order.  A rank holds whole rows (a latitude band), so it contributes
-    its rows' totals, shape ``(len(locals), rows)`` — a few hundred
-    bytes where its weighted block is kilobytes.  The totals are the
-    same to the bit however the rows are cut into bands.
-
-    Raises
-    ------
-    ReproError
-        When *slices* does not cover every column: a block holding
-        pieces of rows has no row totals to contribute.
+    order.  A band contributes its rows' totals, shape ``(len(locals),
+    stop - start)`` — a few hundred bytes where its weighted block is
+    kilobytes.  The totals are the same to the bit however the rows are
+    cut into bands.
     """
-    rs, cs = slices
-    if len(range(*cs.indices(grid.nlon))) != grid.nlon:
-        raise ReproError(
-            f"columns {cs} of a {grid.nlon}-column grid are not whole rows; "
-            "a share is a latitude band's row totals"
-        )
-    return (np.stack(locals) * grid.area_weights[rs, cs]).sum(axis=-1)
+    start, stop = rows
+    return (np.stack(locals) * grid.area_weights[start:stop]).sum(axis=-1)
 
 
-def reduce_shares(
-    comm: Comm, grid: LatLonGrid, shares: np.ndarray, slices: tuple[slice, slice]
-) -> np.ndarray:
+def reduce_shares(comm: Comm, shares: np.ndarray) -> np.ndarray:
     """Settle stacked :func:`weighted_shares` into their canonical totals
     on every rank (collective over *comm*).
 
     *shares* may carry any leading axes — a model's ledger stacks one
     share per recorded step — and the result has exactly those axes: one
-    total per share.  One gather brings every rank's ``(slices, shares)``
-    to rank 0, which lays the row totals out in latitude order and sums
-    them; one broadcast returns the totals.
+    total per share.  Bands are cut in rank order, so one gather brings
+    the row totals to rank 0 already in latitude order: it joins them
+    along the last axis and sums them, and one broadcast returns the
+    totals.
     """
-    pieces = comm.gather((slices, shares), root=0)
+    pieces = comm.gather(shares, root=0)
     totals = None
     if comm.rank == 0:
         assert pieces is not None
-        rows = None
-        for (rs, _), share in pieces:
-            if rows is None:
-                rows = np.empty(share.shape[:-1] + (grid.nlat,))
-            rows[..., rs] = share
-        assert rows is not None
-        totals = rows.sum(axis=-1)
+        totals = np.concatenate(pieces, axis=-1).sum(axis=-1)
     return comm.bcast(totals, root=0)

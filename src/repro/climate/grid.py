@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class LatLonGrid:
     nlat: int
     nlon: int
     name: str = "grid"
+
+    #: Longitude wraps around the globe: the stencil's east neighbour of
+    #: the last column is the first.
+    periodic: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.nlat < 1 or self.nlon < 1:

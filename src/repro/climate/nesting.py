@@ -11,29 +11,29 @@ application:
   parent cell edges and each parent cell subdivided ``refinement`` times;
 * conservative parent→region interpolation (the same overlap-matrix
   machinery as the coupler's regridding, restricted to the region);
-* :class:`RegionalModel` — the same energy-balance physics on the fine
-  grid, plus Davies boundary relaxation: the outer ``relax_width`` cells
-  are nudged toward the parent-supplied frame each step;
+* :class:`RegionalModel` — a component model on the fine grid (the same
+  energy-balance physics, bands, halos and diagnostics), plus Davies
+  boundary relaxation: the outer ``relax_width`` cells are nudged toward
+  the parent-supplied frame each step;
 * the nest exchange itself travels over MPH name-addressed messaging
   (global model → regional model, one way).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from repro.climate.components import PhysicsParams, insolation
-from repro.climate.fields import five_point_laplacian, gather_rows
-from repro.climate.grid import Decomposition, LatLonGrid
+from repro.climate.components import ComponentModel, PhysicsParams
+from repro.climate.fields import DistributedField
+from repro.climate.grid import LatLonGrid
 from repro.climate.regrid import overlap_matrix
 from repro.errors import ReproError
 from repro.mpi.comm import Comm
-
-_TAG_NORTH, _TAG_SOUTH = 41, 42
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,12 @@ class RegionSpec:
     refinement: int = 3
 
     def validate(self, parent: LatLonGrid) -> "RegionSpec":
-        """Check the region fits inside the parent grid."""
+        """Check every bound and the refinement are integers (not bools)
+        and the region fits inside the parent grid."""
+        for name in ("row0", "row1", "col0", "col1", "refinement"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ReproError(f"region {name} must be an int, got {value!r}")
         if not (0 <= self.row0 < self.row1 <= parent.nlat):
             raise ReproError(f"region rows {self.row0}:{self.row1} outside parent {parent.nlat}")
         if not (0 <= self.col0 < self.col1 <= parent.nlon):
@@ -64,6 +69,9 @@ class RegionSpec:
 
 class RegionalGrid:
     """The nested limited-area grid."""
+
+    #: A limited area: longitude does not wrap.
+    periodic = False
 
     def __init__(self, parent: LatLonGrid, spec: RegionSpec):
         self.parent = parent
@@ -148,13 +156,16 @@ def _subdivide(edges: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(out)
 
 
-class RegionalModel:
-    """The limited-area model: fine-grid physics + Davies boundary
-    relaxation toward the parent-supplied frame.
+class RegionalModel(ComponentModel):
+    """The limited-area model: the component physics on the fine grid,
+    plus Davies boundary relaxation toward the parent-supplied frame.
 
-    Decomposed over its communicator in latitude rows like the global
-    components; the stencil is non-periodic in both directions (edges
-    replicate — the relaxation zone owns the boundary anyway).
+    A :class:`~repro.climate.components.ComponentModel` whose grid is the
+    :class:`RegionalGrid`: its temperature is cut in latitude bands like
+    the global components', its steps go on the model's ledger, and its
+    stencil replicates every edge (the grid is not periodic, and the
+    relaxation zone owns the boundary anyway).  The relaxation runs after
+    the physics of each step and books no energy term.
     """
 
     kind = "regional"
@@ -168,102 +179,56 @@ class RegionalModel:
         relax_rate: float = 0.5,
         t_init=None,
     ):
-        if comm.size > rgrid.nlat:
-            raise ReproError(
-                f"cannot decompose {rgrid.nlat} regional rows over {comm.size} processes"
-            )
         if not 0.0 <= relax_rate <= 1.0:
             raise ReproError(f"relax_rate must be in [0, 1], got {relax_rate}")
         if relax_width < 1:
             raise ReproError(f"relax_width must be >= 1, got {relax_width}")
-        self.comm = comm
-        self.rgrid = rgrid
-        self.params = params.validate()
+        super().__init__(comm, rgrid, params, t_init)
         self.relax_width = relax_width
         self.relax_rate = relax_rate
-        #: Latitude rows over the ranks, cut as the global components' are.
-        self._decomp = Decomposition(rgrid, comm.size)
-        start, stop = self._rows = self._decomp.rows(comm.rank)
-        init = t_init if t_init is not None else (lambda la, lo: np.full_like(la, 288.0))
-        lat2d, lon2d = np.meshgrid(
-            rgrid.lat_centers[start:stop], rgrid.lon_centers, indexing="ij"
-        )
-        #: The regional prognostic temperature (local block).
-        self.data = np.asarray(init(lat2d, lon2d), dtype=float)
         #: The current boundary-relaxation target (local block; None until
         #: the first frame arrives).
         self.target: Optional[np.ndarray] = None
-        self.steps_taken = 0
-        #: Absorbed insolation on the local block: a function of latitude
-        #: and parameters alone, so computed once (read-only).
-        self._solar = (
-            insolation(rgrid.lat_centers[start:stop], params.solar_constant)[:, None]
-            * (1.0 - params.albedo)
-        ) * np.ones_like(self.data)
-        self._solar.flags.writeable = False
+        start, stop = self.temperature.rows_range
+        nlat, nlon = rgrid.shape
+        rows = np.arange(start, stop)
+        cols = np.arange(nlon)
+        dist = np.minimum(
+            np.minimum(rows, nlat - 1 - rows)[:, None],
+            np.minimum(cols, nlon - 1 - cols)[None, :],
+        )
+        # Functions of the band, the grid and the settings alone: computed
+        # here, once, and read-only.
+        self._mask = np.clip(1.0 - dist / relax_width, 0.0, 1.0)
+        self._strength = self._mask * relax_rate
+        self._mask.flags.writeable = self._strength.flags.writeable = False
 
-    @property
-    def rows_range(self) -> tuple[int, int]:
-        """This rank's ``[start, stop)`` regional row range."""
-        return self._rows
-
-    # -- frames from the parent -------------------------------------------------
+    @staticmethod
+    def default_initial_condition(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        """A uniform 288 K start."""
+        return np.full_like(lat, 288.0)
 
     def set_frame(self, regional_full: Optional[np.ndarray], root: int = 0) -> None:
         """Distribute a full regional-grid target field from *root* —
         the parent model's state interpolated by
         :meth:`RegionalGrid.from_parent` (collective)."""
-        blocks = None
-        if self.comm.rank == root:
-            assert regional_full is not None
-            regional_full = np.asarray(regional_full, dtype=float)
-            if regional_full.shape != self.rgrid.shape:
-                raise ReproError(
-                    f"frame shape {regional_full.shape} != region shape {self.rgrid.shape}"
-                )
-            blocks = self._decomp.blocks(regional_full)
-        self.target = self.comm.scatter(blocks, root=root).copy()
+        frame = DistributedField(self.comm, self.grid)
+        frame.set_from_global(regional_full, root)
+        self.target = frame.data
 
     def relaxation_mask(self) -> np.ndarray:
-        """Per-cell relaxation strength in [0, 1]: 1 at the outermost
-        boundary ring, tapering linearly to 0 inside ``relax_width``."""
-        start, stop = self._rows
-        nlat, nlon = self.rgrid.shape
-        rows = np.arange(start, stop)
-        dist_r = np.minimum(rows, nlat - 1 - rows)[:, None]
-        cols = np.arange(nlon)
-        dist_c = np.minimum(cols, nlon - 1 - cols)[None, :]
-        dist = np.minimum(dist_r, dist_c)
-        return np.clip(1.0 - dist / self.relax_width, 0.0, 1.0)
+        """Per-cell relaxation shape in [0, 1] on the local block: 1 at
+        the outermost boundary ring, tapering linearly to 0 inside
+        ``relax_width`` (read-only)."""
+        return self._mask
 
-    # -- stepping --------------------------------------------------------------------
-
-    def laplacian(self) -> np.ndarray:
-        """Non-periodic five-point Laplacian (edges replicate)."""
-        return five_point_laplacian(self.comm, self.data, _TAG_NORTH, _TAG_SOUTH, periodic=False)
-
-    def step(self, dt: float) -> None:
-        """One regional step: physics, then boundary relaxation toward the
-        latest parent frame."""
-        p = self.params
-        olr = p.olr_a + p.olr_b * (self.data - p.t_ref)
-        tendency = (self._solar - olr) / p.heat_capacity
-        if p.diffusivity > 0.0:
-            tendency = tendency + p.diffusivity * self.laplacian()
-        self.data = self.data + dt * tendency
+    def advance_state(
+        self, dt: float, coupling_flux: Optional[np.ndarray] = None
+    ) -> dict[str, np.ndarray]:
+        """The component's state update, then the boundary relaxation
+        toward the latest frame (which books no energy term)."""
+        terms = super().advance_state(dt, coupling_flux)
         if self.target is not None:
-            mask = self.relaxation_mask() * self.relax_rate
-            self.data = self.data + mask * (self.target - self.data)
-        self.steps_taken += 1
-
-    # -- diagnostics -------------------------------------------------------------------
-
-    def gather_global(self, root: int = 0) -> Optional[np.ndarray]:
-        """Assemble the full regional field on rank *root*."""
-        return gather_rows(self.comm, self.data, root)
-
-    def mean_temperature(self) -> float:
-        """Region-area-weighted mean temperature (same on every rank)."""
-        full = self.gather_global(root=0)
-        value = self.rgrid.area_mean(full) if self.comm.rank == 0 else None
-        return self.comm.bcast(value, root=0)
+            temp = self.temperature
+            temp.data = temp.data + self._strength * (self.target - temp.data)
+        return terms

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.session import derive_comm
 from repro.errors import JoinError
 from repro.mpi.comm import Comm
-from repro.mpi.group import Group
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.mph import MPH
@@ -74,21 +74,7 @@ def comm_join(mph: "MPH", name_first: str, name_second: str) -> Optional[Comm]:
     # The member list is world ids; the service communicator's ranks only
     # coincide with them on the full world.  After a post-failure shrink
     # the translation goes through the service group (identity otherwise).
-    service = mph.service_comm
     tag = JOIN_TAG_BASE + a.comp_id * _JOIN_ID_RADIX + b.comp_id
-    leader = min(members)
-    if me == leader:
-        ctxs = service.world.alloc_context_pair()
-        for other in members:
-            if other != leader:
-                service.send(ctxs, service.group.rank_of(other), tag)
-    else:
-        ctxs = service.recv(source=service.group.rank_of(leader), tag=tag)
-
-    return Comm(
-        service.world,
-        Group(members),
-        me,
-        ctxs,
-        name=f"MPH:join({name_first},{name_second})",
+    return derive_comm(
+        mph.service_comm, members, me, tag, f"MPH:join({name_first},{name_second})"
     )

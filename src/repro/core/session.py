@@ -321,9 +321,9 @@ class Session:
         return comm
 
     def _derive_comm(self, pset_name: str) -> Comm:
-        """Group-creation from a pset: the lowest-world-id member allocates
-        a context pair and distributes it p2p over the control comm at a
-        tag every member computes locally (pset catalog index + epoch)."""
+        """Group creation from a pset (:func:`derive_comm` over the
+        control comm), at a tag every member computes locally (pset
+        catalog index + epoch)."""
         members = self._catalog()[pset_name]
         me, epoch = self._my_id, self._epoch
         if me not in members:
@@ -331,27 +331,12 @@ class Session:
                 f"process {me} is not a member of {pset_name!r} at epoch {epoch}; "
                 "only members may derive its communicator"
             )
-        control = self._control
         tag = (
             SESSION_TAG_BASE
             + self._pset_index[pset_name] * _PSET_TAG_RADIX
             + epoch % _PSET_TAG_RADIX
         )
-        leader = min(members)
-        if me == leader:
-            ctxs = control.world.alloc_context_pair()
-            for other in members:
-                if other != leader:
-                    control.send(ctxs, control.group.rank_of(other), tag)
-        else:
-            ctxs = control.recv(source=control.group.rank_of(leader), tag=tag)
-        return Comm(
-            control.world,
-            Group(members),
-            me,
-            ctxs,
-            name=_comm_name(pset_name),
-        )
+        return derive_comm(self._control, members, me, tag, _comm_name(pset_name))
 
     def _catalog(self) -> Dict[str, Tuple[int, ...]]:
         """The current epoch's pset catalog: an ordered name -> members
@@ -416,6 +401,26 @@ def _active_ranks(layout: Layout) -> Tuple[int, ...]:
     for exe in layout.executables:
         ranks.update(exe.world_ranks)
     return tuple(sorted(ranks))
+
+
+def derive_comm(
+    control: Comm, members: Sequence[int], me: int, tag: int, name: str
+) -> Comm:
+    """A communicator over *members* (world ids, in rank order), derived
+    collectively by the members only: the lowest-id member allocates a
+    context pair and sends it p2p over *control* under *tag*, which every
+    member computes locally; the others receive it.  (MPI-3's
+    ``Comm_create_group`` works the same way.)  Pset derivation and
+    ``MPH_comm_join`` both create their communicators here."""
+    leader = min(members)
+    if me == leader:
+        ctxs = control.world.alloc_context_pair()
+        for other in members:
+            if other != leader:
+                control.send(ctxs, control.group.rank_of(other), tag)
+    else:
+        ctxs = control.recv(source=control.group.rank_of(leader), tag=tag)
+    return Comm(control.world, Group(members), me, ctxs, name=name)
 
 
 def _comm_name(pset_name: str) -> str:

@@ -20,6 +20,7 @@ from repro.climate.ccsm import (
 )
 from repro.climate.components import PhysicsParams
 from repro.climate.diagnostics import energy_report
+from repro.climate.forcing import SeasonalForcing
 from repro.errors import ReproError
 
 FAST = dict(nsteps=3)
@@ -109,6 +110,14 @@ class TestModeEquivalence:
 class TestConservation:
     def test_closed_system_conserves_energy(self):
         diags = run_ccsm("scme", CCSMConfig.conservation(nsteps=6))
+        energy = total_energy_series(diags)
+        drift = abs(energy[-1] - energy[0]) / abs(energy[0])
+        assert drift < 1e-12
+
+    def test_closed_system_conserves_energy_under_seasonal_forcing(self):
+        """The "no sun" of the closed system holds with a seasonal cycle too: a zero solar
+        constant switches the forcing's insolation off."""
+        diags = run_ccsm("scme", CCSMConfig.conservation(nsteps=6, forcing=SeasonalForcing()))
         energy = total_energy_series(diags)
         drift = abs(energy[-1] - energy[0]) / abs(energy[0])
         assert drift < 1e-12

@@ -127,6 +127,27 @@ class TestTimeInvariantTerms:
 
         assert spmd(2, main) == [([True, True], True, True)] * 2
 
+    @pytest.mark.parametrize("cls", [OceanModel, LandModel, SeaIceModel])
+    def test_no_solar_constant_absorbs_no_seasonal_sun(self, spmd, counted, cls):
+        """``solar_constant=0`` switches insolation off under seasonal
+        forcing too: the model absorbs one shared all-zero array and never
+        asks the forcing for its sun."""
+
+        def main(comm):
+            params = replace(cls.default_params(), solar_constant=0.0)
+            m = cls(comm, GRID, params, forcing=SeasonalForcing())
+            solar = m.absorbed_solar()
+            for _ in range(3):
+                m.step(1800.0)
+            return (
+                not solar.any(),
+                m.absorbed_solar() is solar and not solar.flags.writeable,
+                m.settle()[-1].solar_in,
+                counted["daily_insolation"],
+            )
+
+        assert spmd(2, main) == [(True, True, 0.0, 0)] * 2
+
 
 class TestInsolation:
     def test_equator_exceeds_poles(self):
@@ -292,9 +313,7 @@ class TestFusedDiagnostics:
             p = m.params
 
             def integral(block):
-                return weighted_global_sum(
-                    m.comm, m.grid, block, m.temperature.local_slices
-                )
+                return weighted_global_sum(m.comm, m.grid, block, m.temperature.rows_range)
 
             # The step's integrands, rebuilt from the public methods
             # before the step moves the state they read.

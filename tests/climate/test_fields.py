@@ -11,33 +11,33 @@ from repro.climate.fields import (
     weighted_global_sums,
     weighted_shares,
 )
-from repro.climate.grid import LatLonGrid
+from repro.climate.grid import Decomposition, LatLonGrid
 from repro.errors import ReproError
 
 GRID = LatLonGrid(8, 6, name="t")
 
 
 class TestConstruction:
-    def test_zero_initialised(self, spmd):
+    def test_zero_initialised(self, leg_spmd):
         def main(comm):
             f = DistributedField(comm, GRID)
             return (f.local_shape, float(f.data.sum()))
 
-        values = spmd(4, main)
+        values = leg_spmd(4, main)
         assert values == [((2, 6), 0.0)] * 4
 
-    def test_from_function_matches_serial(self, spmd):
+    def test_from_function_matches_serial(self, leg_spmd):
         def init(lat, lon):
             return lat + 0.01 * lon
 
         def main(comm):
             return DistributedField.from_function(comm, GRID, init).gather_global()
 
-        serial = spmd(1, main)[0]
-        parallel = spmd(4, main)[0]
+        serial = leg_spmd(1, main)[0]
+        parallel = leg_spmd(4, main)[0]
         np.testing.assert_array_equal(serial, parallel)
 
-    def test_from_global_slices(self, spmd):
+    def test_from_global_slices(self, leg_spmd):
         full = np.arange(48, dtype=float).reshape(8, 6)
 
         def main(comm):
@@ -46,7 +46,7 @@ class TestConstruction:
             np.testing.assert_array_equal(f.data, full[start:stop])
             return True
 
-        assert all(spmd(3, main))
+        assert all(leg_spmd(3, main))
 
     @pytest.mark.parametrize(
         "shape",
@@ -70,28 +70,28 @@ class TestConstruction:
         with pytest.raises(ReproError, match="local block shape"):
             spmd(2, main)
 
-    def test_copy_is_deep(self, spmd):
+    def test_copy_is_deep(self, leg_spmd):
         def main(comm):
             f = DistributedField(comm, GRID)
             g = f.copy()
             g.data += 1.0
             return float(f.data.sum())
 
-        assert spmd(2, main) == [0.0, 0.0]
+        assert leg_spmd(2, main) == [0.0, 0.0]
 
 
 class TestGatherScatter:
-    def test_gather_reassembles(self, spmd):
+    def test_gather_reassembles(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: la * lo)
             full = f.gather_global()
             return None if full is None else full.shape
 
-        values = spmd(4, main)
+        values = leg_spmd(4, main)
         assert values[0] == (8, 6)
         assert values[1:] == [None, None, None]
 
-    def test_scatter_roundtrip(self, spmd):
+    def test_scatter_roundtrip(self, leg_spmd):
         full = np.arange(48, dtype=float).reshape(8, 6)
 
         def main(comm):
@@ -100,7 +100,7 @@ class TestGatherScatter:
             again = f.gather_global()
             return None if again is None else np.array_equal(again, full)
 
-        assert spmd(4, main)[0] is True
+        assert leg_spmd(4, main)[0] is True
 
     def test_set_sends_each_rank_its_band_only(self, monkeypatch):
         """A restore scatters: each non-root rank of a 4-rank restore is
@@ -121,7 +121,7 @@ class TestGatherScatter:
         def main(comm):
             f = DistributedField(comm, GRID)
             f.set_from_global(full if comm.rank == 0 else None)
-            return np.array_equal(f.data, full[f.local_slices]), f.data.nbytes
+            return np.array_equal(f.data, full[slice(*f.rows_range)]), f.data.nbytes
 
         monkeypatch.setattr(Mailbox, "deliver", recording)
         out = run_spmd(4, main)
@@ -142,7 +142,7 @@ class TestGatherScatter:
 
 
 class TestHalos:
-    def test_interior_halos_are_neighbour_rows(self, spmd):
+    def test_interior_halos_are_neighbour_rows(self, leg_spmd):
         full = np.arange(48, dtype=float).reshape(8, 6)
 
         def main(comm):
@@ -156,9 +156,9 @@ class TestHalos:
                 np.array_equal(south, expect_south),
             )
 
-        assert spmd(4, main) == [(True, True)] * 4
+        assert leg_spmd(4, main) == [(True, True)] * 4
 
-    def test_pole_halos_replicate_edges(self, spmd):
+    def test_pole_halos_replicate_edges(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: la)
             north, south = f.exchange_halos()
@@ -168,9 +168,9 @@ class TestHalos:
                 return np.array_equal(north, f.data[-1])
             return True
 
-        assert all(spmd(4, main))
+        assert all(leg_spmd(4, main))
 
-    def test_laplacian_decomposition_independent(self, spmd):
+    def test_laplacian_decomposition_independent(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(
                 comm, GRID, lambda la, lo: np.sin(np.deg2rad(la)) * np.cos(np.deg2rad(lo))
@@ -179,17 +179,17 @@ class TestHalos:
             out = DistributedField(comm, GRID, data=lap)
             return out.gather_global()
 
-        serial = spmd(1, main)[0]
+        serial = leg_spmd(1, main)[0]
         for n in (2, 4, 8):
-            parallel = spmd(n, main)[0]
+            parallel = leg_spmd(n, main)[0]
             np.testing.assert_array_equal(serial, parallel)
 
-    def test_laplacian_of_constant_is_zero(self, spmd):
+    def test_laplacian_of_constant_is_zero(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: 0 * la + 7.0)
             return float(np.abs(f.laplacian()).max())
 
-        assert spmd(4, main) == [0.0] * 4
+        assert leg_spmd(4, main) == [0.0] * 4
 
 
 def vstack_roll_laplacian(full):
@@ -213,7 +213,7 @@ class TestPaddedStencil:
         [((4, 6), 4), ((1, 6), 1), ((6, 1), 1), ((6, 1), 3), ((7, 5), 3), ((7, 5), 1)],
         ids=["1-row_bands", "1-row_grid", "1-column_grid", "1-column_bands", "3_ranks_7_rows", "serial"],
     )
-    def test_equals_the_vstack_roll_formula_bitwise(self, spmd, shape, procs):
+    def test_equals_the_vstack_roll_formula_bitwise(self, leg_spmd, shape, procs):
         grid = LatLonGrid(*shape)
         full = np.asarray(wavy(*np.meshgrid(grid.lat_centers, grid.lon_centers, indexing="ij")))
 
@@ -221,11 +221,11 @@ class TestPaddedStencil:
             f = DistributedField.from_function(comm, grid, wavy)
             return DistributedField(comm, grid, data=f.laplacian()).gather_global()
 
-        lap = spmd(procs, main)[0]
+        lap = leg_spmd(procs, main)[0]
         reference = vstack_roll_laplacian(full)
         assert lap.tobytes() == reference.tobytes()
 
-    def test_result_is_a_fresh_array(self, spmd):
+    def test_result_is_a_fresh_array(self, leg_spmd):
         """The trial-step memo freezes what :meth:`laplacian` returns, so
         no later call may write into it."""
 
@@ -243,28 +243,28 @@ class TestPaddedStencil:
                 and np.array_equal(first, kept)
             )
 
-        assert all(spmd(2, main))
+        assert all(leg_spmd(2, main))
 
 
 class TestReductions:
-    def test_area_mean_matches_serial_grid(self, spmd):
+    def test_area_mean_matches_serial_grid(self, leg_spmd):
         full_holder = {}
 
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: la**2 + lo)
             return f.area_mean()
 
-        serial = spmd(1, main)[0]
+        serial = leg_spmd(1, main)[0]
         for n in (2, 4):
-            values = spmd(n, main)
+            values = leg_spmd(n, main)
             assert values == [serial] * n  # bitwise identical on all ranks
 
-    def test_area_mean_constant(self, spmd):
+    def test_area_mean_constant(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: 0 * la + 2.5)
             return f.area_mean()
 
-        assert spmd(4, main)[0] == pytest.approx(2.5)
+        assert leg_spmd(4, main)[0] == pytest.approx(2.5)
 
 
 class TestCanonicalSum:
@@ -277,50 +277,82 @@ class TestCanonicalSum:
         rows = np.array([np.sum(row) for row in full * GRID.area_weights])
         return float(np.sum(rows))
 
-    def test_matches_the_definition_on_every_decomposition(self, spmd):
+    def test_matches_the_definition_on_every_decomposition(self, leg_spmd):
         full = np.random.default_rng(7).standard_normal(GRID.shape) * 1e3
         expected = self.canonical(full)
 
         def main(comm):
             f = DistributedField(comm, GRID)
-            f.data = full[f.local_slices].copy()
+            f.data = full[slice(*f.rows_range)].copy()
             return f.area_mean()
 
         for n in (1, 2, 3, 6):
-            assert spmd(n, main) == [expected] * n, n
+            assert leg_spmd(n, main) == [expected] * n, n
 
-    def test_a_band_ships_its_row_totals(self, spmd):
+    def test_a_band_ships_its_row_totals(self, leg_spmd):
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: la + lo)
-            share = weighted_shares(GRID, [f.data, 2 * f.data], f.local_slices)
+            share = weighted_shares(GRID, [f.data, 2 * f.data], f.rows_range)
             return share.shape, f.local_shape
 
-        for shape, (rows, _) in spmd(2, main):
+        for shape, (rows, _) in leg_spmd(2, main):
             assert shape == (2, rows)
 
-    @pytest.mark.parametrize(
-        "cols", [slice(0, 3), slice(1, 6), slice(0, 6, 2)], ids=["head", "tail", "strided"]
-    )
-    def test_a_block_of_partial_rows_is_refused(self, cols):
-        """A share is a band's row totals; slices that miss a column
-        would be summed as if they were whole rows."""
-        block = np.ones((2, len(range(*cols.indices(GRID.nlon)))))
-        with pytest.raises(ReproError, match="not whole rows"):
-            weighted_shares(GRID, [block], (slice(0, 2), cols))
-
-    def test_leading_axes_settle_one_total_each(self, spmd):
+    def test_leading_axes_settle_one_total_each(self, leg_spmd):
         """A ledger's stack of k steps reduces to k rows of totals, each
         the bits the step's own reduction would give."""
 
         def main(comm):
             f = DistributedField.from_function(comm, GRID, lambda la, lo: la * lo)
             steps = [[f.data * (k + 1), f.data - k] for k in range(3)]
-            stacked = np.stack([weighted_shares(GRID, s, f.local_slices) for s in steps])
-            totals = reduce_shares(comm, GRID, stacked, f.local_slices)
-            alone = [weighted_global_sums(comm, GRID, s, f.local_slices) for s in steps]
+            stacked = np.stack([weighted_shares(GRID, s, f.rows_range) for s in steps])
+            totals = reduce_shares(comm, stacked)
+            alone = [weighted_global_sums(comm, GRID, s, f.rows_range) for s in steps]
             return totals.shape, [tuple(float(t) for t in row) for row in totals] == alone
 
-        assert spmd(3, main) == [((3, 2), True)] * 3
+        assert leg_spmd(3, main) == [((3, 2), True)] * 3
+
+    @staticmethod
+    def slice_layout_totals(shares, bands):
+        """The settle as it was written when a share travelled with its
+        ``(row, column)`` slices: rank 0 laid each band's row totals into
+        an ``nlat``-row array at its rows, then summed it."""
+        rows = np.empty(shares[0].shape[:-1] + (GRID.nlat,))
+        for (start, stop), share in zip(bands, shares):
+            rows[..., slice(start, stop)] = share
+        return rows.sum(axis=-1)
+
+    @pytest.mark.parametrize("procs", [1, 2, 3, 6])
+    def test_rank_order_equals_the_slice_layout_bitwise(self, leg_spmd, procs):
+        """Bands are cut in rank order, so joining the gathered shares
+        builds the array the slice layout built: the same totals to the
+        bit, for one step and for a stack of steps."""
+        rng = np.random.default_rng(procs)
+        steps = [
+            rng.standard_normal((3,) + GRID.shape) * 10.0 ** rng.integers(-3, 4) for _ in range(4)
+        ]
+        bands = [Decomposition(GRID, procs).rows(r) for r in range(procs)]
+
+        def shares_of(step, band):
+            start, stop = band
+            return weighted_shares(GRID, list(step[:, start:stop]), band)
+
+        one = self.slice_layout_totals([shares_of(steps[0], b) for b in bands], bands)
+        stacked = self.slice_layout_totals(
+            [np.stack([shares_of(step, b) for step in steps]) for b in bands], bands
+        )
+
+        def main(comm):
+            band = bands[comm.rank]
+            return (
+                reduce_shares(comm, shares_of(steps[0], band)),
+                reduce_shares(comm, np.stack([shares_of(step, band) for step in steps])),
+            )
+
+        for got_one, got_stacked in leg_spmd(procs, main):
+            assert got_one.shape == (3,) and got_stacked.shape == (4, 3)
+            assert got_one.tobytes() == one.tobytes()
+            assert got_stacked.tobytes() == stacked.tobytes()
 
 
 class TestFusedSums:
@@ -339,13 +371,13 @@ class TestFusedSums:
         fields = [DistributedField.from_function(comm, GRID, fn) for fn in TestFusedSums.INTEGRANDS]
         f = fields[0]
         blocks = [g.data for g in fields]
-        fused = weighted_global_sums(f.comm, GRID, blocks, f.local_slices)
-        singles = tuple(weighted_global_sum(f.comm, GRID, b, f.local_slices) for b in blocks)
+        fused = weighted_global_sums(f.comm, GRID, blocks, f.rows_range)
+        singles = tuple(weighted_global_sum(f.comm, GRID, b, f.rows_range) for b in blocks)
         return fused, singles, tuple(g.area_mean() for g in fields)
 
-    def test_k_integrands_equal_k_single_calls_on_every_decomposition(self, spmd):
-        reference = spmd(1, self.sums)[0][0]
+    def test_k_integrands_equal_k_single_calls_on_every_decomposition(self, leg_spmd):
+        reference = leg_spmd(1, self.sums)[0][0]
         assert all(isinstance(total, float) for total in reference)
         for n in (1, 2, 3, 4):
-            for fused, singles, means in spmd(n, self.sums):
+            for fused, singles, means in leg_spmd(n, self.sums):
                 assert fused == singles == means == reference  # exact, every rank
