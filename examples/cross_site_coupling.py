@@ -2,11 +2,12 @@
 """Model integration over the Grid (paper §9, future work (c)).
 
 Two clusters — "nersc" running the ocean, "ncar" running the atmosphere —
-each an independent MPI universe with its own ``COMM_WORLD`` and its own
-intra-cluster MPH handshake, coupled across a simulated wide-area link
-with 20 ms latency.  ``grid_setup`` exchanges the component directories
-between sites; after that, components address each other by
-``(cluster, component, local rank)``.
+co-allocated on one world as MPICH-G2 does it: each sees its own split
+of the world as its ``COMM_WORLD`` and runs its own MPH handshake on it,
+and they are coupled across a simulated wide-area link with 20 ms
+latency.  ``grid_setup`` exchanges the component directories between
+sites; after that, components address each other by ``(cluster,
+component, local rank)``.
 
 Run:  python examples/cross_site_coupling.py
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro import components_setup
 from repro.climate import AtmosphereModel, LatLonGrid, OceanModel
-from repro.grid import ClusterSpec, run_grid
+from repro.grid import ClusterSpec, grid_setup, run_grid
 
 GRID = LatLonGrid(8, 16)
 NSTEPS = 5
@@ -27,9 +28,7 @@ SST_TAG, FLUX_TAG = 11, 12
 def ocean(world, env):
     """Runs on cluster 'nersc'."""
     mph = components_setup(world, "ocean", env=env)
-    from repro.grid import grid_setup
-
-    gmph = grid_setup(mph, env.grid_cluster, env.grid_channel)
+    gmph = grid_setup(mph, env)
     model = OceanModel(mph.component_comm(), GRID, OceanModel.default_params())
 
     for step in range(NSTEPS):
@@ -49,9 +48,7 @@ def ocean(world, env):
 def atmosphere(world, env):
     """Runs on cluster 'ncar'."""
     mph = components_setup(world, "atmosphere", env=env)
-    from repro.grid import grid_setup
-
-    gmph = grid_setup(mph, env.grid_cluster, env.grid_channel)
+    gmph = grid_setup(mph, env)
     model = AtmosphereModel(mph.component_comm(), GRID, AtmosphereModel.default_params())
 
     for step in range(NSTEPS):

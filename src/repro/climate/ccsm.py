@@ -216,6 +216,19 @@ class CCSMConfig:
     def __post_init__(self) -> None:
         if self.exchange not in ("p2p", "join"):
             raise ReproError(f"exchange must be 'p2p' or 'join', got {self.exchange!r}")
+        for name, kinds in (
+            ("shapes", MODEL_KINDS),
+            ("procs", MODEL_KINDS + ("coupler",)),
+            ("names", MODEL_KINDS + ("coupler",)),
+            ("coupling_coeff", SURFACE_KINDS),
+        ):
+            given = getattr(self, name)
+            missing = [kind for kind in kinds if kind not in given]
+            unknown = sorted(set(given) - set(kinds))
+            if missing or unknown:
+                raise ReproError(
+                    f"{name} must cover exactly {kinds}: missing {missing}, unknown {unknown}"
+                )
         for name in ("nsteps", "checkpoint_every", "max_coupling_iterations"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

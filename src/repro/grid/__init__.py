@@ -1,39 +1,7 @@
 """MPH over the Grid: multi-cluster model integration (paper §9, future
-work (c)).
+work (c): "an extension of MPH to do model integration over the grid").
+The sites of a grid run share one world (:mod:`repro.grid.gridmph`)."""
 
-"Some further work of component integration mechanisms of MPH are: ...
-(c) an extension of MPH to do model integration over the grid."
+from repro.grid.gridmph import ClusterSpec, GridDirectory, GridMPH, grid_setup, run_grid
 
-In Grid computing each cluster is its own MPI universe — there is no
-shared ``MPI_Comm_World`` across sites, so the intra-cluster handshake
-cannot see remote components.  This package adds the missing layer:
-
-* :mod:`repro.grid.channel` — a simulated wide-area link between clusters
-  (configurable latency and bandwidth, tagged message matching);
-* :mod:`repro.grid.session` — :class:`GridSession`: runs one
-  :class:`~repro.launcher.job.MpmdJob` per cluster concurrently, wiring
-  every job to the shared channel;
-* :mod:`repro.grid.gridmph` — :func:`grid_setup`: a cross-grid
-  registration exchange that gives every process a directory of every
-  cluster's components, and :class:`GridMPH` with send/recv addressed by
-  ``(cluster, component, local rank)``.
-
-The intra-cluster world stays ordinary MPH; only explicitly grid-addressed
-traffic crosses the wide-area channel — mirroring how a real Grid-enabled
-MPH would bridge per-site MPI jobs.
-"""
-
-from repro.grid.channel import GridChannel, GridEnvelope
-from repro.grid.gridmph import GridDirectory, GridMPH, grid_setup
-from repro.grid.session import ClusterSpec, GridSession, run_grid
-
-__all__ = [
-    "GridChannel",
-    "GridEnvelope",
-    "GridDirectory",
-    "GridMPH",
-    "grid_setup",
-    "ClusterSpec",
-    "GridSession",
-    "run_grid",
-]
+__all__ = ["ClusterSpec", "GridDirectory", "GridMPH", "grid_setup", "run_grid"]

@@ -4,7 +4,8 @@ command line.
 The thin CLI over :class:`repro.service.orchestrator.Orchestrator`:
 each positional argument is a JSON job-document file (``-`` for stdin),
 all of them are submitted concurrently against one runtime (so
-same-layout process jobs share resident worker worlds), outcomes are
+same-layout process jobs share resident worker worlds; a corpus larger
+than ``--max-queued`` waits for room as jobs finish), outcomes are
 staged under ``--output-dir``, and a one-line verdict per job goes to
 stdout.  Exit status is the number of jobs that did not finish ``done``
 (capped at 125), so shells and CI can gate on it.
@@ -32,9 +33,9 @@ import asyncio
 import sys
 from typing import Optional, Sequence
 
-from repro.errors import JobSpecError, ReproError
+from repro.errors import AdmissionError, JobSpecError, ReproError
 from repro.service.jobdoc import JobDocument
-from repro.service.orchestrator import JobState, Orchestrator
+from repro.service.orchestrator import JobHandle, JobState, Orchestrator
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +113,19 @@ def _check(paths: Sequence[str]) -> int:
     return min(bad, 125)
 
 
+async def _submit(orch: Orchestrator, text: str, handles: list) -> JobHandle:
+    """Submit *text*, waiting for room in a full queue: each refusal
+    waits for the oldest job still outstanding to finish."""
+    while True:
+        try:
+            return await orch.submit(text)
+        except AdmissionError:
+            oldest = next((h for _, h in handles if h is not None and not h.finished), None)
+            if oldest is None:
+                raise
+            await oldest.wait()
+
+
 async def _serve(args: argparse.Namespace, programs: dict) -> int:
     async with Orchestrator(
         programs,
@@ -128,7 +142,7 @@ async def _serve(args: argparse.Namespace, programs: dict) -> int:
                 print(f"{path}: cannot read: {exc}", file=sys.stderr)
                 handles.append((path, None))
                 continue
-            handles.append((path, await orch.submit(text)))
+            handles.append((path, await _submit(orch, text, handles)))
         failed = 0
         for path, handle in handles:
             if handle is None:

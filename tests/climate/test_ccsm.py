@@ -209,6 +209,36 @@ class TestBuilders:
             CCSMConfig(**bad)
 
     @pytest.mark.parametrize(
+        "name, drop, add",
+        [
+            ("shapes", "ice", None),
+            ("coupling_coeff", "ice", None),
+            ("procs", "coupler", None),
+            ("names", "coupler", None),
+            ("coupling_coeff", None, "sea"),
+            ("shapes", None, "coupler"),
+        ],
+        ids=[
+            "shapes_without_ice",
+            "coeff_without_ice",
+            "procs_without_coupler",
+            "names_without_coupler",
+            "coeff_unknown_kind",
+            "shapes_of_the_coupler",
+        ],
+    )
+    def test_kind_dicts_must_cover_their_kinds(self, name, drop, add):
+        """A per-kind dict that misses a kind would die mid-run with a bare
+        KeyError; one with an unknown kind would be ignored silently."""
+        given = dict(getattr(CCSMConfig(), name))
+        if drop is not None:
+            del given[drop]
+        if add is not None:
+            given[add] = given[next(iter(given))]
+        with pytest.raises(ReproError, match=rf"{name} must cover exactly"):
+            CCSMConfig(**{name: given})
+
+    @pytest.mark.parametrize(
         "bad",
         [
             dict(shapes={"atmosphere": (0, 32), "ocean": (12, 24), "land": (8, 16), "ice": (6, 12)}),

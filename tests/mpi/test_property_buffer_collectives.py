@@ -92,15 +92,38 @@ class TestGridChannelProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_per_destination_fifo(self, messages):
-        """Messages to one (component, rank, tag) address always collect
-        in posting order, whatever else is interleaved."""
-        from repro.grid import GridChannel
+        """Cross-site messages to one (component, rank, tag) address
+        always arrive in posting order, whatever else is interleaved."""
+        from repro import components_setup
+        from repro.grid import ClusterSpec, grid_setup, run_grid
 
-        ch = GridChannel(["a", "b"])
         sent: dict[tuple, list[int]] = {}
         for i, (rank, tag) in enumerate(messages):
-            ch.post("a", "b", "comp", rank, tag, i)
             sent.setdefault((rank, tag), []).append(i)
-        for (rank, tag), expected in sent.items():
-            got = [ch.collect("b", "comp", rank, tag=tag, timeout=1)[0] for _ in expected]
-            assert got == expected
+
+        def program(name, body):
+            def main(world, env):
+                return body(grid_setup(components_setup(world, name, env=env), env))
+
+            return main
+
+        def post(gmph):
+            for i, (rank, tag) in enumerate(messages):
+                gmph.send(i, "b", "comp", rank, tag)
+
+        def collect(gmph):
+            me = gmph.mph.local_proc_id()
+            return {
+                tag: [gmph.recv(tag=tag)[0] for _ in expected]
+                for (rank, tag), expected in sent.items()
+                if rank == me
+            }
+
+        res = run_grid(
+            [
+                ClusterSpec("a", [(program("src", post), 1)], registry="BEGIN\nsrc\nEND"),
+                ClusterSpec("b", [(program("comp", collect), 3)], registry="BEGIN\ncomp\nEND"),
+            ]
+        )
+        for rank, got in enumerate(res["b"].values()):
+            assert got == {tag: expected for (r, tag), expected in sent.items() if r == rank}

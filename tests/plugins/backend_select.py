@@ -56,6 +56,10 @@ provides the knobs:
     The same runner without the parametrization: one backend, the one
     the command line names (threads when it names both).
 
+``leg_config``
+    That one backend's world config, for jobs that are not SPMD
+    (``run_grid``).
+
 An autouse session fixture also asserts that no shm segments survive the
 run: a leaked ``/dev/shm`` mapping is a correctness bug (the rendezvous
 sweep must remove segments on every exit path, crashes included).
@@ -189,15 +193,22 @@ def backend_spmd(mpi_backend, pytestconfig):
 
 
 @pytest.fixture
-def leg_spmd(pytestconfig):
+def leg_config(pytestconfig):
+    """A fresh world config for the one backend the command line names
+    (the thread world when it names both)."""
+    choice = pytestconfig.getoption("--mpi-backend")
+    return _make_config("thread" if choice == "both" else choice, pytestconfig)
+
+
+@pytest.fixture
+def leg_spmd(leg_config, pytestconfig):
     """SPMD runner on the *one* backend the command line names (the
     thread world when it says ``both``), for suites whose ids carry
     another axis.  A ``config`` a test passes keeps its own fields and
     takes the leg's backend and transport, and a node count it passes
     (``nodes=``) wins over the leg's, so CI's process legs run the suite
     over real rings and sockets while tier-1 runs it once, on threads."""
-    choice = pytestconfig.getoption("--mpi-backend")
-    leg = _make_config("thread" if choice == "both" else choice, pytestconfig)
+    leg = leg_config
     nnodes = pytestconfig.getoption("--mpi-nodes")
 
     def runner(n, fn, *, config=None, nodes=None, timeout=None, **kw):

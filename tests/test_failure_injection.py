@@ -72,45 +72,50 @@ class TestMidCouplingFailures:
 
 class TestGridFailures:
     def test_remote_cluster_dies_before_directory_exchange(self):
-        """A site failing before grid_setup leaves the healthy site's
-        directory collect to time out with a clear message, and the
-        session reports the root cause."""
+        """A site failing before grid_setup fails the run with the site's
+        own error at once, on either backend: the healthy site's directory
+        allgather is a collective of the one world the failure aborts."""
 
         def healthy(world, env):
             mph = components_setup(world, "a", env=env)
-            grid_setup(mph, env.grid_cluster, env.grid_channel)
+            grid_setup(mph, env)
             return True
 
         def dead_site(world, env):
             raise RuntimeError("site power loss")
 
-        with pytest.raises((RuntimeError, ReproError)):
-            run_grid(
-                [
-                    ClusterSpec("east", [(healthy, 1)], registry="BEGIN\na\nEND"),
-                    ClusterSpec("west", [(dead_site, 1)], registry="BEGIN\nb\nEND"),
-                ],
-                timeout=15,
-            )
+        clusters = [
+            ClusterSpec("east", [(healthy, 1)], registry="BEGIN\na\nEND"),
+            ClusterSpec("west", [(dead_site, 1)], registry="BEGIN\nb\nEND"),
+        ]
+        for config in (FAST, WorldConfig(backend="process")):
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="site power loss"):
+                run_grid(clusters, timeout=15, config=config)
+            assert time.monotonic() - start < 5.0
 
     def test_cross_site_receive_timeout_names_the_address(self):
+        """An unanswered cross-site receive is the world's deadlock, and
+        the diagnosis names the receive on the wide-area communicator."""
+
         def waiting(world, env):
             mph = components_setup(world, "a", env=env)
-            gmph = grid_setup(mph, env.grid_cluster, env.grid_channel)
-            gmph.recv(tag=5, timeout=0.3)
+            gmph = grid_setup(mph, env)
+            gmph.recv(tag=5)
 
         def silent(world, env):
             mph = components_setup(world, "b", env=env)
-            grid_setup(mph, env.grid_cluster, env.grid_channel)
+            grid_setup(mph, env)
             return True
 
-        with pytest.raises(ReproError, match=r"\(east, a, 0, tag=5\)"):
+        with pytest.raises(DeadlockError, match=r"recv\(source=-101, tag=5\) on COMM_WORLD\.dup"):
             run_grid(
                 [
                     ClusterSpec("east", [(waiting, 1)], registry="BEGIN\na\nEND"),
                     ClusterSpec("west", [(silent, 1)], registry="BEGIN\nb\nEND"),
                 ],
                 timeout=15,
+                config=FAST,
             )
 
 
