@@ -1,9 +1,9 @@
 """Bitwise fingerprints of the coupled model's results.
 
 A change to how the coupled step communicates must leave every result
-the parent's to the bit.  This runs 21 configurations of a 6-step
-``run_ccsm`` — every exchange, coupling scheme, solver, predictor,
-execution mode and recovery path — on the thread world and on forked
+the parent's to the bit.  This runs 16 configurations of a 6-step
+``run_ccsm`` — every exchange, coupling scheme, execution mode,
+sub-cycling and recovery path — on the thread world and on forked
 ranks, and prints one sha256 per run over everything a run reports:
 ``mean_T``, ``energy``, ``mean_thickness``, ``budget``, ``final_field``,
 ``exchange_residual``, ``coupling_iterations``, ``coupling_converged``.
@@ -18,9 +18,9 @@ The thread and process digests of one configuration must be equal, and
 ``--write FILE`` left (the parent commit's, for a perf change: run this
 file there with ``PYTHONPATH=<parent>/src``).  Any difference is listed,
 then the ``(configuration, field)`` pairs behind it and the fields that
-moved anywhere, and the exit status is 1.  ``--quick`` runs three configurations (CI's
-smoke): the explicit step, Gauss-Seidel, and IQN-ILS with the quadratic
-predictor.  No digest is committed: the regrid runs through BLAS and its
+moved anywhere, and the exit status is 1.  ``--quick`` runs three
+configurations (CI's smoke): the explicit step and the implicit step over
+each exchange.  No digest is committed: the regrid runs through BLAS and its
 low bits belong to the host.
 """
 
@@ -68,24 +68,13 @@ CONFIGURATIONS = {
     "implicit_join": ("scme", dict(IMPLICIT, exchange="join")),
     "implicit_mcme": ("mcme", IMPLICIT),
     "implicit_checkpoint": ("scme", dict(IMPLICIT, **CHECKPOINT)),
-    "implicit_linear": ("scme", dict(IMPLICIT, coupling_predictor="linear")),
-    "aitken": ("scme", dict(IMPLICIT, coupling_solver="aitken")),
-    "aitken_linear": (
-        "scme",
-        dict(IMPLICIT, coupling_solver="aitken", coupling_predictor="linear"),
-    ),
-    "iqn_ils": ("scme", dict(IMPLICIT, coupling_solver="iqn_ils")),
-    "iqn_ils_quadratic": (
-        "scme",
-        dict(IMPLICIT, coupling_solver="iqn_ils", coupling_predictor="quadratic"),
-    ),
     "implicit_subcycle": ("scme", dict(IMPLICIT, subcycle={"ocean": 3})),
     "implicit_subcycle_join": (
         "scme",
         dict(IMPLICIT, subcycle={"ocean": 3, "ice": 2}, exchange="join"),
     ),
 }
-QUICK = ("explicit_p2p", "implicit", "iqn_ils_quadratic")
+QUICK = ("explicit_p2p", "implicit", "implicit_join")
 
 #: What a digest covers, per component, in this order.
 FIELDS = (

@@ -31,7 +31,7 @@ collect that is ranks starting one after another; EXPERIMENTS.md
 
 ``--ccsm`` prints the other budget a launch hands out, the CPU: the
 end-to-end benchmark's implicit configuration (``ccsm_implicit_proc``:
-its grids, 6 Gauss-Seidel steps, 10 forked ranks) run ``--launches``
+its grids, 6 implicit steps, 10 forked ranks) run ``--launches``
 times, and per rank the wall and process-CPU seconds its ``ProcResult``
 carries home, the CPU of the rank's own thread, the OS threads the
 process ends with, and its voluntary and involuntary context switches

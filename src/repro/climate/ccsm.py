@@ -60,14 +60,7 @@ from repro.climate.coupler import FLUX_TAG_BASE, TEMP_TAG_BASE, FluxCoupler
 from repro.climate.grid import Decomposition, LatLonGrid
 from repro.core.mph import MPH, components_setup
 from repro.core.registry import Registry
-from repro.coupling import (
-    AbsoluteNorm,
-    AitkenSolver,
-    GaussSeidelSolver,
-    InterfaceSpec,
-    IQNILSSolver,
-    Predictor,
-)
+from repro.coupling import AbsoluteNorm, AitkenSolver, InterfaceSpec, Predictor
 from repro.errors import ProcessFailedError, ReproError
 from repro.launcher.job import mph_run
 from repro.mpi.comm import Comm
@@ -186,29 +179,21 @@ class CCSMConfig:
     #: with periodic checkpoints a crashed component is restarted from its
     #: last save and replays the logged coupling fluxes, bitwise-exactly.
     checkpoint_every: int = 0
-    #: Inject a crash: ``(kind, step)`` makes that component fail at the
-    #: top of ``receive_and_step(step)`` (once).  The driver recovers it
+    #: Inject a crash: ``(kind, step)``, a model kind and a step in
+    #: ``[0, nsteps)``, makes that component fail at the top of
+    #: ``receive_and_step(step)`` (once).  The driver recovers it
     #: from the last checkpoint and the run continues within the same job.
     crash_at: Optional[tuple[str, int]] = None
     #: Coupling scheme: ``"explicit"`` — one fixed flux exchange per step
     #: (the paper's §2 coupler); ``"implicit"`` — iterate each step's
-    #: exchange to interface convergence with a coupled solver from
-    #: :mod:`repro.coupling` (fluxes computed from the *converged*
-    #: temperatures, the backward-coupled exchange).
+    #: exchange to interface convergence with Aitken relaxation from a
+    #: quadratic prediction (:mod:`repro.coupling`; fluxes computed from
+    #: the *converged* temperatures, the backward-coupled exchange).
     coupling: str = "explicit"
-    #: Implicit coupled solver: ``"gauss_seidel"`` | ``"aitken"`` |
-    #: ``"iqn_ils"``.
-    coupling_solver: str = "gauss_seidel"
     #: Interface-residual 2-norm tolerance of the implicit iteration [K].
     coupling_tol: float = 1e-9
     #: Iteration budget per implicit coupling step.
     max_coupling_iterations: int = 25
-    #: Relaxation: Gauss-Seidel ω (in (0, 2]), and the initial ω of
-    #: Aitken / IQN-ILS (nonzero).
-    coupling_omega: float = 1.0
-    #: Predictor seeding each implicit step from prior converged steps:
-    #: ``None`` | ``"constant"`` | ``"linear"`` | ``"quadratic"``.
-    coupling_predictor: Optional[str] = None
     #: ``kind -> m``: the component advances *m* substeps of ``dt/m`` per
     #: coupling step (sub-cycling — components at different timesteps).
     subcycle: dict[str, int] = field(default_factory=dict)
@@ -261,7 +246,7 @@ class CCSMConfig:
                 raise ReproError(
                     f"coupling_coeff[{kind!r}] must be a finite number, got {coeff!r}"
                 )
-        for name in ("dt", "coupling_tol", "coupling_omega"):
+        for name in ("dt", "coupling_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ReproError(f"{name} must be a number, got {value!r}")
@@ -272,6 +257,19 @@ class CCSMConfig:
         if self.checkpoint_every > 0 and self.checkpoint_dir is None:
             raise ReproError("checkpoint_every needs a checkpoint_dir to write into")
         if self.crash_at is not None:
+            crash = self.crash_at
+            if not (
+                isinstance(crash, tuple)
+                and len(crash) == 2
+                and crash[0] in MODEL_KINDS
+                and isinstance(crash[1], numbers.Integral)
+                and not isinstance(crash[1], bool)
+                and 0 <= crash[1] < self.nsteps
+            ):
+                raise ReproError(
+                    "crash_at must be a (model kind, int step) tuple with kind in "
+                    f"{MODEL_KINDS} and 0 <= step < {self.nsteps}, got {crash!r}"
+                )
             if self.checkpoint_every <= 0:
                 raise ReproError(
                     "crash_at recovery needs periodic checkpoints; set checkpoint_every"
@@ -306,30 +304,9 @@ class CCSMConfig:
                 "model's substep counter and the coupling-step counter differ)"
             )
         if self.coupling == "implicit":
-            if self.coupling_solver not in ("gauss_seidel", "aitken", "iqn_ils"):
-                raise ReproError(
-                    "coupling_solver must be 'gauss_seidel', 'aitken', or "
-                    f"'iqn_ils', got {self.coupling_solver!r}"
-                )
-            if self.coupling_predictor not in (None, "constant", "linear", "quadratic"):
-                raise ReproError(
-                    f"unknown coupling_predictor {self.coupling_predictor!r}"
-                )
             if not (math.isfinite(self.coupling_tol) and self.coupling_tol > 0):
                 raise ReproError(
                     f"coupling_tol must be finite and positive, got {self.coupling_tol}"
-                )
-            omega = self.coupling_omega
-            if self.coupling_solver == "gauss_seidel":
-                if not (math.isfinite(omega) and 0 < omega <= 2.0):
-                    raise ReproError(
-                        f"coupling_omega must be finite and in (0, 2] for "
-                        f"gauss_seidel, got {omega}"
-                    )
-            elif not (math.isfinite(omega) and omega != 0.0):
-                raise ReproError(
-                    f"coupling_omega must be finite and nonzero for "
-                    f"{self.coupling_solver}, got {omega}"
                 )
             if self.max_coupling_iterations < 1:
                 raise ReproError(
@@ -669,19 +646,10 @@ class CouplerRunner:
         cfg = self.cfg
         #: The iterate: every active component's temperature field, packed.
         self._spec = InterfaceSpec([(k, cfg.shapes[k]) for k in self.active_kinds])
-        solver_cls = {
-            "gauss_seidel": GaussSeidelSolver,
-            "aitken": AitkenSolver,
-            "iqn_ils": IQNILSSolver,
-        }[cfg.coupling_solver]
-        # The second argument is Gauss-Seidel's ω, Aitken's / IQN-ILS's initial ω.
-        self._solver = solver_cls(
-            AbsoluteNorm(cfg.coupling_tol),
-            cfg.coupling_omega,
-            max_iterations=cfg.max_coupling_iterations,
+        self._solver = AitkenSolver(
+            AbsoluteNorm(cfg.coupling_tol), max_iterations=cfg.max_coupling_iterations
         )
-        order = {"constant": 0, "linear": 1, "quadratic": 2}.get(cfg.coupling_predictor)
-        self._predictor = None if order is None else Predictor(order)
+        self._predictor = Predictor()
         #: Iterations and convergence flag of every implicit step.
         self.coupling_iterations: list[int] = []
         self.coupling_converged: list[bool] = []
@@ -801,10 +769,9 @@ class CouplerRunner:
         """
         x = self._spec.pack(self._collect_temps(step))  # step-start state
         self._solver.initialize_solution_step()
-        if self._predictor is not None:
-            guess = self._predictor.predict()
-            if guess is not None:
-                x = guess
+        guess = self._predictor.predict()
+        if guess is not None:
+            x = guess
 
         def operate(xk: np.ndarray) -> np.ndarray:
             fluxes = self._fluxes_of(self._spec.unpack(xk), record=False)
@@ -814,8 +781,7 @@ class CouplerRunner:
         result = self._solver.solve_solution_step(x, operate)
         fluxes = self._fluxes_of(self._spec.unpack(result.x), record=True)
         self._send_command(step, "commit", fluxes)
-        if self._predictor is not None:
-            self._predictor.update(result.x)
+        self._predictor.update(result.x)
         self._solver.finalize_solution_step()
         self.coupling_iterations.append(result.iterations)
         self.coupling_converged.append(result.converged)
@@ -854,7 +820,6 @@ class CouplerRunner:
             "dropped_components": list(self.dropped_components),
         }
         if self._implicit:
-            out["coupling_solver"] = self.cfg.coupling_solver
             out["coupling_iterations"] = list(self.coupling_iterations)
             out["coupling_converged"] = list(self.coupling_converged)
         return out

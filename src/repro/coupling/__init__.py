@@ -3,9 +3,9 @@
 The MPH paper's coupler exchanges fixed fluxes once per step (explicit
 coupling).  CCSM's implicit coupler (:mod:`repro.climate.ccsm`) instead
 iterates each step's exchange to interface convergence, and this package
-is what that step calls: the coupled solvers (Gauss-Seidel, Aitken,
-IQN-ILS), the absolute residual-norm criterion, the interface predictor,
-and the named-field layout of the iterate vector.
+is what that step calls: Aitken relaxation (with Gauss-Seidel as its
+analytic reference), the absolute residual-norm criterion, the quadratic
+interface predictor, and the named-field layout of the iterate vector.
 """
 
 from repro.coupling.criteria import AbsoluteNorm
@@ -15,7 +15,6 @@ from repro.coupling.solvers import (
     AitkenSolver,
     CoupledSolver,
     GaussSeidelSolver,
-    IQNILSSolver,
     SolveResult,
 )
 
@@ -27,5 +26,4 @@ __all__ = [
     "SolveResult",
     "GaussSeidelSolver",
     "AitkenSolver",
-    "IQNILSSolver",
 ]

@@ -173,8 +173,8 @@ class SessionError(MPHError):
 class CouplingError(MPHError):
     """Misuse of the coupling-algorithms layer (:mod:`repro.coupling`):
     a field that does not match its interface layout, a solver asked to
-    solve outside an open coupling step, or a tolerance, relaxation or
-    predictor order the solver cannot use."""
+    solve outside an open coupling step, or a tolerance or relaxation
+    the solver cannot use."""
 
 
 # ---------------------------------------------------------------------------

@@ -379,11 +379,8 @@ class ProgressEngine:
     # -- watchdog ------------------------------------------------------------
 
     def _arm_watchdog(self) -> None:
-        """Start the watchdog thread if none runs (worlds with deadlock
-        detection only): the slow path of a blocked waiter that found
-        no watchdog running."""
-        if not self._world.config.deadlock_detection:
-            return
+        """Start the watchdog thread if none runs: the slow path of a
+        blocked waiter that found no watchdog running."""
         with self._wd_cond:
             self._wd_kick = True
             if not self._wd_running:

@@ -113,11 +113,10 @@ class WorldConfig:
 
     Attributes
     ----------
-    deadlock_detection :
-        Enable the all-blocked watchdog.
     deadlock_grace :
         Seconds of global inactivity with every process blocked before
-        deadlock is declared.
+        deadlock is declared.  A test that wants the wall-clock timeout
+        to fire first sets a grace longer than that timeout.
     fault_schedule :
         A :class:`repro.mpi.faults.FaultSchedule` of injected failures
         (rank crashes, message drop/delay/duplication/corruption,
@@ -159,7 +158,6 @@ class WorldConfig:
     launcher placed them, a world's :attr:`World.node_map`.
     """
 
-    deadlock_detection: bool = True
     deadlock_grace: float = 1.0
     fault_schedule: Optional["FaultSchedule"] = None
     match_schedule: Optional["MatchSchedule"] = None
@@ -181,6 +179,7 @@ class WorldConfig:
             )
         if not (
             isinstance(self.deadlock_grace, numbers.Real)
+            and not isinstance(self.deadlock_grace, bool)
             and math.isfinite(self.deadlock_grace)
             and self.deadlock_grace >= 0
         ):
@@ -556,7 +555,7 @@ class World:
         its wait (and the blocked set) promptly, and any message
         movement refreshes the activity clock.
         """
-        if not self.config.deadlock_detection or self.aborted:
+        if self.aborted:
             return None
         with self._state_lock:
             alive = len(self._alive)

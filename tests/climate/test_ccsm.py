@@ -285,7 +285,7 @@ class TestBuilders:
             dict(dt="3600"),
             dict(dt=True),
             dict(coupling_tol="1e-9"),
-            dict(coupling_omega=True),
+            dict(coupling_tol=True),
             dict(procs={"atmosphere": 4, "ocean": 2, "land": 2, "ice": 8, "coupler": 1}),
             dict(params={"oceanx": PhysicsParams()}),
             dict(params={"ocean": PhysicsParams(heat_capacity=-1.0)}),
@@ -293,13 +293,13 @@ class TestBuilders:
             dict(params={"ice": {"heat_capacity": 5.0e7}}),
         ],
         ids=[
-            "1d_shape", "3d_shape", "str_dt", "bool_dt", "str_tol", "bool_omega",
+            "1d_shape", "3d_shape", "str_dt", "bool_dt", "str_tol", "bool_tol",
             "procs_over_rows", "params_unknown_kind", "params_negative_heat_capacity",
             "params_nan_olr_b", "params_not_physics_params",
         ],
     )
     def test_boundary_refused_before_a_rank_starts(self, bad):
-        """A grid that is not two-dimensional, a step or solver setting
+        """A grid that is not two-dimensional, a step or tolerance setting
         that is not a number, more processes than grid rows, and a bad
         ``params`` value each died inside a rank with an untyped error
         (or, for ``True``, ran as 1; a misspelt kind's parameters were

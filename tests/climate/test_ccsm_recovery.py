@@ -51,6 +51,45 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             CCSMConfig(crash_at=("ocean", 3))
 
+    @pytest.mark.parametrize(
+        "crash_at",
+        [
+            ("lava", 2),
+            ("coupler", 2),
+            ("ocean", 99),
+            ("ocean", -1),
+            ("ocean", 4),
+            ("ocean",),
+            "ocean",
+            ("ocean", 2.5),
+            ("ocean", True),
+            ["ocean", 2],
+        ],
+        ids=[
+            "unknown_kind",
+            "coupler",
+            "step_past_run",
+            "negative_step",
+            "step_nsteps",
+            "no_step",
+            "bare_kind",
+            "float_step",
+            "bool_step",
+            "list",
+        ],
+    )
+    def test_crash_that_never_fires_refused(self, tmp_path, crash_at):
+        """Each of these used to run to completion with no crash (or, for
+        ``True``, crash at step 1): only a ``(model kind, int step)``
+        tuple with ``0 <= step < nsteps`` names a crash that fires."""
+        with pytest.raises(ReproError, match="crash_at must be"):
+            CCSMConfig(
+                nsteps=4,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every=2,
+                crash_at=crash_at,
+            )
+
     def test_crash_at_needs_p2p_exchange(self, tmp_path):
         with pytest.raises(ReproError):
             CCSMConfig(
@@ -304,7 +343,10 @@ class TestImplicitFailStop:
     survivor — instead of hanging on a trial flux nobody computes."""
 
     NSTEPS = 5
-    CRASH_STEP = 2
+    # Step 1 iterates 5 times (the predictor extrapolates from step 2 on,
+    # and step 2 iterates 4 times): every fault_seed offset below lands
+    # in an iterate round, before the commit.
+    CRASH_STEP = 1
     VICTIM = 6  # the first land rank (scme block layout)
 
     def test_crash_mid_iterate_ends_every_survivor_degraded(self, fault_seed):

@@ -264,14 +264,14 @@ class TestCoupledRuns:
     @pytest.mark.parametrize("exchange", ["p2p", "join"])
     def test_an_implicit_step_exchanges_halos_once(self, monkeypatch, exchange):
         """Default layout: atmosphere on 4 ranks, ocean on 2 — 6 + 2 halo
-        rows a Laplacian.  An implicit step is 6 trial rounds plus the
-        commit, all from one snapshot: 8 rows, where every round used to
-        pay them again (56)."""
+        rows a Laplacian.  Each of the first two implicit steps is 5
+        trial rounds plus the commit, all from one snapshot: 8 rows, where
+        every round used to pay them again (48)."""
         sent = halo_messages(monkeypatch)
         out = run_ccsm(
             "scme", CCSMConfig(nsteps=self.NSTEPS, coupling="implicit", exchange=exchange)
         )
-        assert out["coupler"]["coupling_iterations"] == [6] * self.NSTEPS
+        assert out["coupler"]["coupling_iterations"] == [5] * self.NSTEPS
         assert len(sent) == 8 * self.NSTEPS
 
     def test_sub_cycled_implicit_step(self, monkeypatch):

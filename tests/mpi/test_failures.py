@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.errors import AbortError, DeadlockError, TimeoutError_
-from repro.mpi import World, WorldConfig, run_spmd
+from repro.mpi import World, run_spmd
 from repro.mpi.executor import run_world
 
 
@@ -111,16 +111,6 @@ class TestDeadlockDetection:
 
         values = run_spmd(3, main, config=fast_deadlock_config, timeout=20)
         assert values[1] == "late but legal"
-
-    def test_detection_can_be_disabled(self):
-        """With detection off, the wall-clock timeout is the backstop."""
-        config = WorldConfig(deadlock_detection=False)
-
-        def main(comm):
-            comm.recv(source=comm.rank, tag=42)
-
-        with pytest.raises(TimeoutError_):
-            run_spmd(1, main, config=config, timeout=1.0)
 
     def test_ssend_without_receiver_deadlocks(self, fast_deadlock_config):
         def main(comm):

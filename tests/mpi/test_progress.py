@@ -60,7 +60,6 @@ class TestConfigValidation:
         unexpected keyword to the dataclass, so a stale config fails
         loudly instead of being silently ignored."""
         assert [f.name for f in dataclasses.fields(WorldConfig)] == [
-            "deadlock_detection",
             "deadlock_grace",
             "fault_schedule",
             "match_schedule",

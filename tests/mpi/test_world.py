@@ -60,7 +60,7 @@ class TestAbort:
 class TestWorldConfig:
     def test_defaults(self):
         cfg = WorldConfig()
-        assert cfg.deadlock_detection is True
+        assert cfg.deadlock_grace == 1.0
         assert (cfg.backend, cfg.transport) == ("thread", "auto")
 
     def test_world_requires_positive_size(self):
@@ -78,12 +78,14 @@ class TestWorldConfig:
             dict(deadlock_grace=float("nan")),
             dict(deadlock_grace=float("inf")),
             dict(deadlock_grace=-1.0),
+            dict(deadlock_grace=True),
         ],
-        ids=["nan_grace", "inf_grace", "negative_grace"],
+        ids=["nan_grace", "inf_grace", "negative_grace", "bool_grace"],
     )
     def test_unusable_value_refused(self, bad):
         """A grace the watchdog cannot compare against (NaN never
-        expires, inf disarms it, a negative one fires at once) is
+        expires, inf disarms it, a negative one fires at once) or that
+        is not a number of seconds (``True`` would pass as 1.0) is
         refused at construction."""
         (name,) = bad
         with pytest.raises(ValueError, match=name):
@@ -94,11 +96,6 @@ class TestWorldConfig:
 
 
 class TestDeadlockGuards:
-    def test_no_detection_when_disabled(self):
-        world = World(1, WorldConfig(deadlock_detection=False))
-        world.block_enter(0, "stuck")
-        assert world.scan_deadlock() is None
-
     def test_no_detection_while_someone_runs(self):
         world = World(2, WorldConfig(deadlock_grace=0.0))
         world.block_enter(0, "stuck")

@@ -65,7 +65,7 @@ class TestMidCouplingFailures:
             mph = components_setup(world, "ocn", env=env)
             mph.recv("atm", 0, tag=1)
 
-        config = WorldConfig(deadlock_detection=False)
+        config = WorldConfig(deadlock_grace=60.0)
         with pytest.raises(TimeoutError_):
             mph_run([(atm, 1), (ocn, 1)], registry=self.REG, config=config, timeout=1.0)
 
